@@ -26,23 +26,4 @@ traceThreadCpuNs()
 #endif
 }
 
-std::vector<TraceSpan>
-TraceBuffer::snapshot() const
-{
-    int64_t n = next_.load(std::memory_order_relaxed);
-    size_t cap = slots_.size();
-    std::vector<TraceSpan> out;
-    if (n <= static_cast<int64_t>(cap)) {
-        out.assign(slots_.begin(), slots_.begin() + n);
-        return out;
-    }
-    // Full ring: the oldest surviving span sits at the next write
-    // position.
-    out.reserve(cap);
-    size_t at = static_cast<size_t>(n) % cap;
-    for (size_t i = 0; i < cap; ++i)
-        out.push_back(slots_[(at + i) % cap]);
-    return out;
-}
-
 } // namespace pe

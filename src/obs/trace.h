@@ -1,7 +1,7 @@
 /**
  * @file
- * Execution tracing primitives: the fixed-capacity span ring every
- * armed ExecContext records into, and the span record itself.
+ * Execution tracing primitives: the fixed-capacity Ring every armed
+ * ExecContext records its spans into, and the span record itself.
  *
  * Design constraints (the ISSUE-8 contract):
  *  - zero steady-state allocation: the ring is sized once at arm time
@@ -67,38 +67,42 @@ int64_t traceNowNs();
 int64_t traceThreadCpuNs();
 
 /**
- * Fixed-capacity span ring. All storage is allocated at construction;
- * record() reserves a slot with one relaxed fetch_add and copies the
- * span in, so concurrent shard recorders never contend on a lock and
- * never allocate. Once full, new spans overwrite the oldest —
- * recorded() keeps counting so dropped() makes the loss visible.
+ * Fixed-capacity ring, the one ring type of the runtime: executor
+ * step spans (TraceBuffer), the serving latency reservoir and the
+ * serving request-lifecycle records all live in one. All storage is
+ * allocated at construction; record() reserves a slot with one
+ * relaxed fetch_add and copies the value in, so concurrent recorders
+ * never contend on a lock and never allocate. Once full, new records
+ * overwrite the oldest — recorded() keeps counting so dropped() makes
+ * the loss visible.
  *
- * Synchronization contract: concurrent record() calls are safe
- * (distinct slots); readers (size/snapshot) must be ordered after the
- * writers by an external barrier — the executor's per-step dispatch
- * barrier and the serving engine's completion signal both provide it.
+ * Synchronization contract: concurrent record() calls are safe while
+ * they land in distinct slots (writers that may lap each other must
+ * serialize externally); readers (size/snapshot) must be ordered after
+ * the writers by an external barrier — the executor's per-step
+ * dispatch barrier and the serving engine's locks both provide it.
  */
-class TraceBuffer
+template <typename T>
+class Ring
 {
   public:
-    explicit TraceBuffer(size_t capacity)
-        : slots_(capacity == 0 ? 1 : capacity)
+    explicit Ring(size_t capacity) : slots_(capacity == 0 ? 1 : capacity)
     {
     }
 
-    TraceBuffer(const TraceBuffer &) = delete;
-    TraceBuffer &operator=(const TraceBuffer &) = delete;
+    Ring(const Ring &) = delete;
+    Ring &operator=(const Ring &) = delete;
 
     void
-    record(const TraceSpan &s)
+    record(const T &v)
     {
         int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        slots_[static_cast<size_t>(i) % slots_.size()] = s;
+        slots_[static_cast<size_t>(i) % slots_.size()] = v;
     }
 
     size_t capacity() const { return slots_.size(); }
 
-    /** Spans currently held: min(recorded, capacity). */
+    /** Records currently held: min(recorded, capacity). */
     size_t
     size() const
     {
@@ -108,14 +112,14 @@ class TraceBuffer
                    : slots_.size();
     }
 
-    /** Spans ever recorded (keeps counting past capacity). */
+    /** Records ever made (keeps counting past capacity). */
     int64_t
     recorded() const
     {
         return next_.load(std::memory_order_relaxed);
     }
 
-    /** Spans lost to ring overwrite: recorded() - size(). */
+    /** Records lost to ring overwrite: recorded() - size(). */
     int64_t
     dropped() const
     {
@@ -126,14 +130,30 @@ class TraceBuffer
     void clear() { next_.store(0, std::memory_order_relaxed); }
 
     /**
-     * The held spans, OLDEST FIRST (the ring unrolled). Allocates the
-     * result vector — analysis-time only, never on the record path.
+     * The held records, OLDEST FIRST (the ring unrolled). Allocates
+     * the result vector — analysis-time only, never on the record path.
      */
-    std::vector<TraceSpan> snapshot() const;
+    std::vector<T>
+    snapshot() const
+    {
+        size_t n = size();
+        // Full ring: the oldest survivor sits at the next write slot.
+        size_t at = n < slots_.size()
+                        ? 0
+                        : static_cast<size_t>(recorded()) % n;
+        std::vector<T> out;
+        out.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            out.push_back(slots_[(at + i) % n]);
+        return out;
+    }
 
   private:
-    std::vector<TraceSpan> slots_;
+    std::vector<T> slots_;
     std::atomic<int64_t> next_{0};
 };
+
+/** The span ring every armed ExecContext records into. */
+using TraceBuffer = Ring<TraceSpan>;
 
 } // namespace pe

@@ -620,36 +620,6 @@ Executor::bindInputById(ExecContext &ctx, int id, const Tensor &t) const
 }
 
 void
-Executor::bindInputRows(ExecContext &ctx, int id, const Tensor &t) const
-{
-    const Node &n = g_.node(id);
-    if (n.shape.empty() || t.shape().empty() ||
-        t.shape().size() != n.shape.size())
-        throw std::runtime_error(
-            "bindInputRows: rank mismatch for " + n.name);
-    for (size_t d = 1; d < n.shape.size(); ++d) {
-        if (t.shape()[d] != n.shape[d])
-            throw std::runtime_error(
-                "bindInputRows: shape mismatch for " + n.name +
-                ": got " + shapeToString(t.shape()) + " want " +
-                shapeToString(n.shape) + " (rows may differ)");
-    }
-    int64_t rows = t.shape()[0];
-    if (rows > n.shape[0])
-        throw std::runtime_error(
-            "bindInputRows: " + n.name + " holds " +
-            std::to_string(n.shape[0]) + " rows, got " +
-            std::to_string(rows));
-    int64_t rowElems = numel(n.shape) / n.shape[0];
-    float *dst = ctx.inputBufs_[id].data();
-    std::memcpy(dst, t.data(), sizeof(float) * rows * rowElems);
-    // Zero the pad rows so a padded request is byte-identical to
-    // running the bucket-sized batch with explicit zero padding.
-    std::memset(dst + rows * rowElems, 0,
-                sizeof(float) * (n.shape[0] - rows) * rowElems);
-}
-
-void
 Executor::bindInputRowsAt(ExecContext &ctx, int id, const Tensor &t,
                           int64_t rowOffset) const
 {

@@ -225,18 +225,10 @@ class Executor
     void bindInputById(ExecContext &ctx, int id, const Tensor &t) const;
 
     /**
-     * Bind the first @p t.shape()[0] rows of Input @p id from @p t
-     * and zero-fill the remaining rows — the pad-to-bucket serving
-     * path. @p t must match the input's shape in every dim but the
-     * first, with no more rows than the input declares.
-     */
-    void bindInputRows(ExecContext &ctx, int id, const Tensor &t) const;
-
-    /**
      * Bind @p t's rows into Input @p id starting at row @p rowOffset
-     * of the staging buffer, touching no other rows — the coalescing
-     * serving path packs several requests' rows contiguously with
-     * this, then zeroes the shared tail once via zeroInputRowsFrom().
+     * of the staging buffer, touching no other rows — the serving
+     * path packs each group's requests (one or several) contiguously
+     * with this, then zeroes the pad tail once via zeroInputRowsFrom().
      * @p t must match the input's shape in every dim but the first
      * and [rowOffset, rowOffset + rows) must fit the input's rows.
      */
@@ -244,8 +236,8 @@ class Executor
                          int64_t rowOffset) const;
 
     /** Zero rows [@p fromRow, input rows) of Input @p id's staging —
-     *  the pad tail of a coalesced group, zero-filled so the packed
-     *  run is byte-identical to an explicitly padded one. */
+     *  the pad tail of a packed group, zero-filled so the run is
+     *  byte-identical to an explicitly padded one. */
     void zeroInputRowsFrom(ExecContext &ctx, int id,
                            int64_t fromRow) const;
 

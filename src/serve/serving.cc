@@ -16,30 +16,17 @@ namespace pe {
 
 namespace {
 
-/** First-dim slice: the padded bucket output cut back to the
- *  request's rows. Outputs whose leading dim is not the bucket batch
- *  (scalars, reductions) are returned whole. */
+/** One member's rows [@p off, @p off + @p rows) of a bucket output.
+ *  An output whose leading dim is not the bucket batch (scalars,
+ *  reductions) comes back whole — such models are non-coalescable, so
+ *  the member ran alone — and a member filling the bucket takes the
+ *  tensor without a copy; in both cases the caller's tensor is spent. */
 Tensor
-sliceRows(Tensor full, int64_t batch, int64_t rows)
+sliceRows(Tensor &full, int64_t batch, int64_t off, int64_t rows)
 {
     if (full.shape().empty() || full.shape()[0] != batch ||
         rows == batch)
-        return full;
-    Shape s = full.shape();
-    s[0] = rows;
-    Tensor out(s);
-    std::memcpy(out.data(), full.data(), sizeof(float) * out.size());
-    return out;
-}
-
-/** Coalesced-group slice: rows [@p off, @p off + @p rows) of a shared
- *  bucket output, one member's result. Only reached for coalescable
- *  models (every output leads with the batch dim — asserted at engine
- *  construction), so no whole-tensor fallback exists here. */
-Tensor
-sliceRowsAt(const Tensor &full, int64_t batch, int64_t off,
-            int64_t rows)
-{
+        return std::move(full);
     Shape s = full.shape();
     s[0] = rows;
     Tensor out(s);
@@ -49,8 +36,17 @@ sliceRowsAt(const Tensor &full, int64_t batch, int64_t off,
     return out;
 }
 
+/** The engine's routing policy over raw bucket sizes: the Coalescer
+ *  normalizes the list, and an empty one serves batch 1. */
+Coalescer
+bucketPolicy(const std::vector<int64_t> &raw, int64_t windowUs)
+{
+    Coalescer c(raw, windowUs);
+    return c.batches().empty() ? Coalescer({1}, windowUs) : c;
+}
+
 /** Fit a calibration tensor to a bucket's batch: zero-pad the rows up
- *  (exactly what bindInputRows does to real traffic, so calibration
+ *  (exactly what the serving bind does to real traffic, so calibration
  *  sees representative pad statistics) or truncate them down. */
 Tensor
 fitRows(const Tensor &t, int64_t batch)
@@ -147,10 +143,9 @@ ServeStats::summary() const
     std::string out;
     std::snprintf(buf, sizeof(buf),
                   "serving: %lld done / %lld submitted | "
-                  "%lld rejected, %lld failed | %.1f req/s\n",
+                  "%lld failed | %.1f req/s\n",
                   static_cast<long long>(completed),
                   static_cast<long long>(submitted),
-                  static_cast<long long>(rejected),
                   static_cast<long long>(failed), throughputRps);
     out += buf;
     std::snprintf(buf, sizeof(buf),
@@ -202,8 +197,8 @@ ServeStats::json() const
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "{\"submitted\":%lld,\"completed\":%lld,\"rejected\":%lld,"
-        "\"failed\":%lld,\"queue_depth\":%lld,"
+        "{\"submitted\":%lld,\"completed\":%lld,\"failed\":%lld,"
+        "\"queue_depth\":%lld,"
         "\"queue_depth_max\":%lld,\"sessions_created\":%lld,"
         "\"runs\":%lld,\"coalesced_runs\":%lld,"
         "\"coalesced_requests\":%lld,\"coalesce_rate\":%.17g,"
@@ -215,7 +210,6 @@ ServeStats::json() const
         "\"buckets\":[",
         static_cast<long long>(submitted),
         static_cast<long long>(completed),
-        static_cast<long long>(rejected),
         static_cast<long long>(failed),
         static_cast<long long>(queueDepth),
         static_cast<long long>(maxQueueDepth),
@@ -269,16 +263,7 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     // running `workers` sessions at once (see file comment).
     options_.compile.numThreads = 1;
 
-    std::vector<int64_t> batches = options_.buckets;
-    batches.erase(std::remove_if(batches.begin(), batches.end(),
-                                 [](int64_t b) { return b < 1; }),
-                  batches.end());
-    std::sort(batches.begin(), batches.end());
-    batches.erase(std::unique(batches.begin(), batches.end()),
-                  batches.end());
-    if (batches.empty())
-        batches.push_back(1);
-    coalescer_ = Coalescer(batches, options_.coalesceWindowUs);
+    coalescer_ = bucketPolicy(options_.buckets, options_.coalesceWindowUs);
 
     // One compiled plan per (precision, shape bucket). Every bucket
     // binds the same frozen ParamStore; the factory must name
@@ -288,7 +273,7 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     // below proves no compile pipeline stage ran.
     const bool from_plans = !options_.planDir.empty();
     PipelineCounters before = pipelineCounters();
-    for (int64_t batch : batches)
+    for (int64_t batch : coalescer_.batches())
         buckets_.push_back(buildBucket(model, batch, false));
     prefillBuckets_ = buckets_.size();
 
@@ -296,18 +281,9 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     // plan per stream-count bucket, built by the decode factory.
     generative_ = static_cast<bool>(options_.decodeFactory);
     if (generative_) {
-        std::vector<int64_t> dbatches = options_.decodeBuckets;
-        dbatches.erase(std::remove_if(dbatches.begin(), dbatches.end(),
-                                      [](int64_t b) { return b < 1; }),
-                       dbatches.end());
-        std::sort(dbatches.begin(), dbatches.end());
-        dbatches.erase(std::unique(dbatches.begin(), dbatches.end()),
-                       dbatches.end());
-        if (dbatches.empty())
-            dbatches.push_back(1);
-        decodeCoalescer_ =
-            Coalescer(dbatches, options_.coalesceWindowUs);
-        for (int64_t batch : dbatches)
+        decodeCoalescer_ = bucketPolicy(options_.decodeBuckets,
+                                        options_.coalesceWindowUs);
+        for (int64_t batch : decodeCoalescer_.batches())
             buckets_.push_back(
                 buildBucket(options_.decodeFactory, batch, true));
         resolveCacheTopology();
@@ -334,6 +310,9 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     sessions_.resize(workers_);
     for (auto &row : sessions_)
         row.resize(buckets_.size());
+    if (options_.trace)
+        lifecycle_ = std::make_unique<Ring<LifecycleRecord>>(
+            options_.traceCapacity);
 
     start_ = std::chrono::steady_clock::now();
 
@@ -618,6 +597,9 @@ ServingEngine::makeRequest(
             throw std::invalid_argument(
                 "ServingEngine: scalar feed " + name +
                 " has no row dimension");
+        if (t.shape()[0] < 1)
+            throw std::invalid_argument("ServingEngine: feed " + name +
+                                        " has no rows");
         if (rows < 0)
             rows = t.shape()[0];
         else if (t.shape()[0] != rows)
@@ -688,17 +670,6 @@ ServingEngine::makeRequest(
     return st;
 }
 
-void
-ServingEngine::finishSubmit(const std::shared_ptr<RequestState> &st)
-{
-    int64_t depth = static_cast<int64_t>(queue_.size());
-    int64_t prev = maxQueueDepth_.load(std::memory_order_relaxed);
-    while (depth > prev &&
-           !maxQueueDepth_.compare_exchange_weak(
-               prev, depth, std::memory_order_relaxed)) {
-    }
-}
-
 ServingEngine::RequestId
 ServingEngine::enqueue(const std::shared_ptr<RequestState> &st)
 {
@@ -716,7 +687,12 @@ ServingEngine::enqueue(const std::shared_ptr<RequestState> &st)
         states_.erase(st->id);
         throw std::runtime_error("ServingEngine: engine is stopped");
     }
-    finishSubmit(st);
+    int64_t depth = static_cast<int64_t>(queue_.size());
+    int64_t prev = maxQueueDepth_.load(std::memory_order_relaxed);
+    while (depth > prev &&
+           !maxQueueDepth_.compare_exchange_weak(
+               prev, depth, std::memory_order_relaxed)) {
+    }
     return st->id;
 }
 
@@ -724,28 +700,6 @@ ServingEngine::RequestId
 ServingEngine::submit(std::unordered_map<std::string, Tensor> feeds)
 {
     return enqueue(makeRequest(feeds));
-}
-
-ServingEngine::RequestId
-ServingEngine::trySubmit(std::unordered_map<std::string, Tensor> feeds)
-{
-    std::shared_ptr<RequestState> st = makeRequest(feeds);
-    {
-        std::lock_guard<std::mutex> lock(stateMu_);
-        states_.emplace(st->id, st);
-    }
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (!queue_.tryPush(st)) {
-        submitted_.fetch_sub(1, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(stateMu_);
-            states_.erase(st->id);
-        }
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return kRejected;
-    }
-    finishSubmit(st);
-    return st->id;
 }
 
 // ---- generative stream API -------------------------------------------
@@ -820,24 +774,37 @@ ServingEngine::decodeBucketFor(int64_t streams) const
     return i < 0 ? -1 : buckets_[prefillBuckets_ + i]->batch;
 }
 
+int64_t
+ServingEngine::claimStream(StreamId id)
+{
+    std::lock_guard<std::mutex> lock(streamMu_);
+    auto it = streams_.find(id);
+    if (it == streams_.end())
+        throw std::out_of_range("ServingEngine: unknown stream " +
+                                std::to_string(id));
+    if (it->second.busy)
+        throw std::runtime_error("ServingEngine: stream " +
+                                 std::to_string(id) +
+                                 " already has a request in flight");
+    it->second.busy = true;
+    return it->second.gen;
+}
+
+void
+ServingEngine::releaseStream(StreamId id)
+{
+    std::lock_guard<std::mutex> lock(streamMu_);
+    auto it = streams_.find(id);
+    if (it != streams_.end())
+        it->second.busy = false;
+}
+
 ServingEngine::RequestId
 ServingEngine::submitPrefill(
     StreamId stream, std::unordered_map<std::string, Tensor> feeds)
 {
     requireGenerative();
-    {
-        std::lock_guard<std::mutex> lock(streamMu_);
-        auto it = streams_.find(stream);
-        if (it == streams_.end())
-            throw std::out_of_range(
-                "ServingEngine: unknown stream " +
-                std::to_string(stream));
-        if (it->second.busy)
-            throw std::runtime_error(
-                "ServingEngine: stream " + std::to_string(stream) +
-                " already has a request in flight");
-        it->second.busy = true;
-    }
+    claimStream(stream);
     try {
         std::shared_ptr<RequestState> st = makeRequest(feeds, false);
         st->stream = stream;
@@ -846,10 +813,7 @@ ServingEngine::submitPrefill(
         prefills_.fetch_add(1, std::memory_order_relaxed);
         return enqueue(st);
     } catch (...) {
-        std::lock_guard<std::mutex> lock(streamMu_);
-        auto it = streams_.find(stream);
-        if (it != streams_.end())
-            it->second.busy = false;
+        releaseStream(stream);
         throw;
     }
 }
@@ -859,32 +823,17 @@ ServingEngine::submitDecode(
     StreamId stream, std::unordered_map<std::string, Tensor> feeds)
 {
     requireGenerative();
-    int64_t gen = 0;
-    {
-        std::lock_guard<std::mutex> lock(streamMu_);
-        auto it = streams_.find(stream);
-        if (it == streams_.end())
-            throw std::out_of_range(
-                "ServingEngine: unknown stream " +
-                std::to_string(stream));
-        Stream &s = it->second;
-        if (s.busy)
-            throw std::runtime_error(
-                "ServingEngine: stream " + std::to_string(stream) +
-                " already has a request in flight");
-        if (s.gen <= 0)
+    const int64_t gen = claimStream(stream);
+    try {
+        if (gen <= 0)
             throw std::runtime_error(
                 "ServingEngine: stream " + std::to_string(stream) +
                 " has no prefilled prompt to decode from");
-        if (s.gen >= maxSeq_)
+        if (gen >= maxSeq_)
             throw std::runtime_error(
                 "ServingEngine: stream " + std::to_string(stream) +
                 " is at maxSeq capacity (" +
                 std::to_string(maxSeq_) + ")");
-        s.busy = true;
-        gen = s.gen;
-    }
-    try {
         if (feeds.count("pos") || feeds.count("mask"))
             throw std::invalid_argument(
                 "ServingEngine: 'pos' and 'mask' are synthesized "
@@ -909,10 +858,7 @@ ServingEngine::submitDecode(
         decodeSteps_.fetch_add(1, std::memory_order_relaxed);
         return enqueue(st);
     } catch (...) {
-        std::lock_guard<std::mutex> lock(streamMu_);
-        auto it = streams_.find(stream);
-        if (it != streams_.end())
-            it->second.busy = false;
+        releaseStream(stream);
         throw;
     }
 }
@@ -1029,140 +975,103 @@ ServingEngine::runGroup(
         if (tracing)
             bindNs = traceNowNs();
 
-        // Generative gather: copy each decode member's authoritative
-        // stream cache into its slot of the session's persistent
-        // cache region. A stream's rows >= gen are zero, so the slot
-        // ends up byte-equal to a fresh serial session at the same
-        // generation — the root of shared-vs-solo bit parity.
-        // (Prefill skips this: it rewrites rows [0, S) itself and
-        // nothing beyond its prompt is ever fetched back.)
-        if (!bk.cacheNodes.empty()) {
-            int64_t off = 0;
-            for (const auto &st : group) {
-                if (st->isDecode) {
-                    std::lock_guard<std::mutex> lk(streamMu_);
-                    const Stream &s = streams_.at(st->stream);
-                    for (size_t i = 0; i < bk.cacheNodes.size(); ++i)
-                        bk.exec->bindCacheRows(
-                            *sess, bk.cacheNodes[i].id, off, 0,
-                            s.cache[i]);
-                }
-                off += st->rows;
+        // Pack each member's rows contiguously into the session's
+        // staging buffers, then zero the pad tail once: a group of one
+        // is the pad-to-bucket bind, and a larger group's buffer is
+        // byte-identical to the concatenation of its members'
+        // independently padded binds. Decode members also gather
+        // their authoritative stream cache into their slot of the
+        // session's persistent cache region. A stream's rows >= gen
+        // are zero, so the slot ends up byte-equal to a fresh serial
+        // session at the same generation — the root of shared-vs-solo
+        // bit parity. (Prefill skips the gather: it rewrites rows
+        // [0, S) itself and nothing beyond its prompt is fetched back.)
+        int64_t off = 0;
+        for (const auto &st : group) {
+            for (const auto &[id, t] : st->feeds)
+                bk.exec->bindInputRowsAt(*sess, id, t, off);
+            if (st->isDecode) {
+                std::lock_guard<std::mutex> lk(streamMu_);
+                const Stream &s = streams_.at(st->stream);
+                for (size_t i = 0; i < bk.cacheNodes.size(); ++i)
+                    bk.exec->bindCacheRows(*sess, bk.cacheNodes[i].id,
+                                           off, 0, s.cache[i]);
             }
+            off += st->rows;
         }
-
-        if (group.size() == 1) {
-            // The exact pre-coalescing bind: pad-to-bucket zero-fill.
-            for (const auto &[id, t] : group[0]->feeds)
-                bk.exec->bindInputRows(*sess, id, t);
-        } else {
-            // Pack each member's rows contiguously into the shared
-            // staging buffers, then zero the pad tail once — the
-            // packed buffer is byte-identical to the concatenation
-            // of the members' independently padded binds.
-            int64_t off = 0;
-            for (const auto &st : group) {
-                for (const auto &[id, t] : st->feeds)
-                    bk.exec->bindInputRowsAt(*sess, id, t, off);
-                off += st->rows;
-            }
-            for (int id : bk.cg.graph.inputIds())
-                bk.exec->zeroInputRowsFrom(*sess, id, totalRows);
-        }
+        // makeRequest guarantees every member's feeds cover every
+        // Input, so the leader's feed ids name them all.
+        for (const auto &feed : group[0]->feeds)
+            bk.exec->zeroInputRowsFrom(*sess, feed.first, totalRows);
 
         runStartNs = traceNowNs();
         bk.exec->run(*sess);
         runEndNs = traceNowNs();
         runNs = runEndNs - runStartNs;
 
-        const std::vector<int> &outs = bk.cg.graph.outputs();
-        if (group.size() == 1) {
-            RequestState &st = *group[0];
-            st.outputs.reserve(outs.size());
-            for (int oid : outs)
-                st.outputs.push_back(sliceRows(
-                    bk.exec->fetch(*sess, oid), bk.batch, st.rows));
-        } else {
-            // One fetch per output; each member slices its own rows
-            // back out of the shared result.
-            for (int oid : outs) {
-                Tensor full = bk.exec->fetch(*sess, oid);
-                int64_t off = 0;
-                for (const auto &st : group) {
-                    st->outputs.push_back(sliceRowsAt(
-                        full, bk.batch, off, st->rows));
-                    off += st->rows;
-                }
-            }
-        }
-        // Generative scatter: pull the freshly written cache rows
-        // back into each member's stream state and advance its
-        // generation, so the NEXT submit on the stream (gated on the
-        // done flag below) sees consistent state.
-        if (!bk.cacheNodes.empty()) {
-            int64_t off = 0;
+        // One fetch per output; each member slices its own rows back
+        // out of the shared result.
+        for (int oid : bk.cg.graph.outputs()) {
+            Tensor full = bk.exec->fetch(*sess, oid);
+            off = 0;
             for (const auto &st : group) {
-                if (st->stream != 0) {
-                    std::lock_guard<std::mutex> lk(streamMu_);
-                    auto sit = streams_.find(st->stream);
-                    if (sit != streams_.end()) {
-                        Stream &s = sit->second;
-                        for (size_t i = 0; i < bk.cacheNodes.size();
-                             ++i) {
-                            const CacheNodeRef &c = bk.cacheNodes[i];
-                            if (st->isPrefill) {
-                                // The prompt's rows; the rest of the
-                                // stream cache returns to zero (a
-                                // re-prefill restarts the stream).
-                                Tensor rows = bk.exec->fetchCacheRows(
-                                    *sess, c.id, 0, 0, st->rows);
-                                std::memset(s.cache[i].data(), 0,
-                                            sizeof(float) *
-                                                s.cache[i].size());
-                                std::memcpy(s.cache[i].data(),
-                                            rows.data(),
-                                            sizeof(float) *
-                                                rows.size());
-                            } else {
-                                // The one row this step wrote, out of
-                                // this member's slot.
-                                Tensor row = bk.exec->fetchCacheRows(
-                                    *sess, c.id, off, st->gen, 1);
-                                std::memcpy(s.cache[i].data() +
-                                                st->gen * c.dim,
-                                            row.data(),
-                                            sizeof(float) * c.dim);
-                            }
-                        }
-                        s.gen = st->isPrefill ? st->rows
-                                              : st->gen + 1;
-                        s.busy = false;
-                    }
-                }
+                st->outputs.push_back(
+                    sliceRows(full, bk.batch, off, st->rows));
                 off += st->rows;
             }
+        }
+        // Stream members scatter the freshly written cache rows back
+        // into their stream state and advance its generation, so the
+        // NEXT submit on the stream (gated on the done flag below)
+        // sees consistent state.
+        off = 0;
+        for (const auto &st : group) {
+            if (st->stream != 0) {
+                std::lock_guard<std::mutex> lk(streamMu_);
+                auto sit = streams_.find(st->stream);
+                if (sit != streams_.end()) {
+                    Stream &s = sit->second;
+                    for (size_t i = 0; i < bk.cacheNodes.size(); ++i) {
+                        const CacheNodeRef &c = bk.cacheNodes[i];
+                        float *dst = s.cache[i].data();
+                        if (st->isPrefill) {
+                            // The prompt's rows; the rest of the
+                            // stream cache returns to zero (a
+                            // re-prefill restarts the stream).
+                            Tensor rows = bk.exec->fetchCacheRows(
+                                *sess, c.id, 0, 0, st->rows);
+                            std::memset(dst, 0,
+                                        sizeof(float) * s.cache[i].size());
+                            std::memcpy(dst, rows.data(),
+                                        sizeof(float) * rows.size());
+                        } else {
+                            // The one row this step wrote, out of
+                            // this member's slot.
+                            Tensor row = bk.exec->fetchCacheRows(
+                                *sess, c.id, off, st->gen, 1);
+                            std::memcpy(dst + st->gen * c.dim,
+                                        row.data(), sizeof(float) * c.dim);
+                        }
+                    }
+                    s.gen = st->isPrefill ? st->rows : st->gen + 1;
+                    s.busy = false;
+                }
+            }
+            off += st->rows;
         }
     } catch (const std::exception &e) {
         error = e.what();
     }
 
     if (!error.empty()) {
-        // A failed stream request leaves the stream re-submittable
-        // (cache state unchanged — the run never scattered back).
-        if (generative_) {
-            std::lock_guard<std::mutex> lk(streamMu_);
-            for (const auto &st : group) {
-                if (st->stream != 0) {
-                    auto sit = streams_.find(st->stream);
-                    if (sit != streams_.end())
-                        sit->second.busy = false;
-                }
-            }
-        }
         // Failures stay out of completed/hits/latency: a failing
         // fleet must read as failing, not as healthy throughput. A
-        // mid-group throw fails every member — none of them ran.
+        // mid-group throw fails every member — none of them ran. A
+        // failed stream request leaves the stream re-submittable
+        // (cache state unchanged — the run never scattered back).
         for (const auto &st : group) {
+            if (st->stream != 0)
+                releaseStream(st->stream);
             st->outputs.clear();
             st->error = error;
         }
@@ -1189,7 +1098,7 @@ ServingEngine::runGroup(
                 double us = std::chrono::duration<double, std::micro>(
                                 now - st->submitTime)
                                 .count();
-                latenciesUs_.add(us);
+                latenciesUs_.record(us);
                 // log2 histogram bin: [2^b, 2^(b+1)) us, last open.
                 int64_t v = static_cast<int64_t>(us);
                 int bin = 0;
@@ -1204,33 +1113,25 @@ ServingEngine::runGroup(
         completed_.fetch_add(static_cast<int64_t>(group.size()),
                              std::memory_order_relaxed);
         if (tracing) {
-            int64_t doneNs = traceNowNs();
-            const char *tier = simdTierName(bk.exec->simdTier());
+            LifecycleRecord r;
+            r.bucketBatch = bk.batch;
+            r.groupSize = static_cast<int>(group.size());
+            r.worker = worker;
+            r.runId = runId;
+            r.tier = simdTierName(bk.exec->simdTier());
+            r.bindNs = bindNs;
+            r.runStartNs = runStartNs;
+            r.runEndNs = runEndNs;
+            r.doneNs = traceNowNs();
             std::lock_guard<std::mutex> lock(traceMu_);
-            size_t cap = std::max<size_t>(1, options_.traceCapacity);
             for (const auto &st : group) {
-                LifecycleRecord r;
                 r.id = st->id;
                 r.rows = st->rows;
-                r.bucketBatch = bk.batch;
-                r.groupSize = static_cast<int>(group.size());
-                r.worker = worker;
-                r.runId = runId;
-                r.tier = tier;
                 r.enqueueNs = st->enqueueNs;
                 r.dequeueNs = st->dequeueNs;
-                r.bindNs = bindNs;
-                r.runStartNs = runStartNs;
-                r.runEndNs = runEndNs;
-                r.doneNs = doneNs;
                 r.stream = st->stream;
                 r.gen = st->gen;
-                if (lifecycle_.size() < cap)
-                    lifecycle_.push_back(r);
-                else
-                    lifecycle_[lifecycleNext_ % cap] = r;
-                lifecycleNext_ = (lifecycleNext_ + 1) % cap;
-                ++lifecycleRecorded_;
+                lifecycle_->record(r);
             }
         }
     }
@@ -1291,7 +1192,6 @@ ServingEngine::stats() const
     ServeStats s;
     s.submitted = submitted_.load(std::memory_order_relaxed);
     s.completed = completed_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
     s.failed = failed_.load(std::memory_order_relaxed);
     s.queueDepth = static_cast<int64_t>(queue_.size());
     s.maxQueueDepth = maxQueueDepth_.load(std::memory_order_relaxed);
@@ -1365,7 +1265,8 @@ ServingEngine::exportChromeTrace(const std::string &path) const
     std::vector<LifecycleRecord> recs;
     {
         std::lock_guard<std::mutex> lock(traceMu_);
-        recs = lifecycle_;
+        if (lifecycle_)
+            recs = lifecycle_->snapshot();
     }
 
     // Request lanes (pid 2, one tid per request id): queued -> wait

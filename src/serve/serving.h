@@ -159,8 +159,9 @@ struct ServeOptions {
      * waited out.
      */
     int64_t coalesceWindowUs = 0;
-    /** Bounded admission-queue capacity: submit() blocks and
-     *  trySubmit() bounces when this many requests are queued. */
+    /** Bounded admission-queue capacity: submit(), submitPrefill()
+     *  and submitDecode() block while this many requests are queued
+     *  (the backpressure bound). */
     size_t queueCapacity = 64;
     /** Per-bucket compile switches (precision, fusion, ...).
      *  numThreads is forced to 1: sessions are serial inside, and
@@ -197,7 +198,8 @@ struct ServeOptions {
      * the serving run spans), and exportChromeTrace() renders it all
      * as one Perfetto-loadable timeline. Off by default: the record
      * path costs a handful of clock reads per request, but serving
-     * benchmarks should not pay even that without asking.
+     * benchmarks should not pay even that without asking — and the
+     * lifecycle ring is only allocated when this is set.
      */
     bool trace = false;
     /** Lifecycle-ring capacity (records, oldest overwritten) and the
@@ -237,7 +239,6 @@ struct BucketStats {
 struct ServeStats {
     int64_t submitted = 0;
     int64_t completed = 0; ///< successfully served
-    int64_t rejected = 0;  ///< trySubmit bounces (queue full)
     /** Worker-path failures (the exception is rethrown by wait());
      *  excluded from completed/hits/latency so a failing fleet reads
      *  as failing, not as healthy throughput. */
@@ -288,65 +289,24 @@ struct ServeStats {
     std::string json() const;
 };
 
-/**
- * Fixed-capacity ring of latency samples: a long-lived engine's
- * percentile window stays O(capacity) no matter how many requests it
- * serves (the old unbounded deque grew without limit under sustained
- * traffic). Once full, each new sample overwrites the oldest, so
- * p50/p99 always reflect the most recent `capacity` completions — a
- * sliding window, which is what a serving dashboard wants anyway.
- * Externally synchronized (the engine holds statsMu_).
- */
-class LatencyRing
-{
-  public:
-    explicit LatencyRing(size_t capacity)
-        : cap_(capacity == 0 ? 1 : capacity)
-    {
-        samples_.reserve(cap_);
-    }
-
-    void
-    add(double v)
-    {
-        if (samples_.size() < cap_) {
-            samples_.push_back(v);
-        } else {
-            samples_[next_] = v;
-        }
-        next_ = (next_ + 1) % cap_;
-    }
-
-    size_t size() const { return samples_.size(); }
-    size_t capacity() const { return cap_; }
-
-    /** The held samples, unordered (callers sort for percentiles). */
-    std::vector<double> snapshot() const { return samples_; }
-
-  private:
-    std::vector<double> samples_;
-    size_t next_ = 0;
-    const size_t cap_;
-};
-
 class Session;
 
 /**
  * A session-based concurrent inference server over one model family.
- * Construction compiles every bucket; session() hands out Session
- * handles that run one-shot and generative requests through one
- * unified surface (the recommended entry point); the raw
- * submit()/poll()/wait() and stream calls remain underneath as the
- * asynchronous building blocks. Thread-safe: any thread may submit,
- * poll or wait. Destruction drains queued requests, then joins.
+ * Construction compiles every bucket. session() hands out Session
+ * handles: the synchronous surface, one call per request. Underneath
+ * sit the asynchronous primitives Session composes — submit() /
+ * poll() / wait() and openStream() / submitPrefill() /
+ * submitDecode() — which a caller uses directly to keep several
+ * requests in flight from one thread. Thread-safe: any thread may
+ * submit, poll or wait. Destruction drains queued requests, then
+ * joins.
  */
 class ServingEngine
 {
   public:
     using RequestId = uint64_t;
     using StreamId = uint64_t;
-    /** Returned by trySubmit when the admission queue is full. */
-    static constexpr RequestId kRejected = 0;
     /** Latency-percentile reservoir capacity: stats memory is bounded
      *  by this regardless of how many requests the engine serves. */
     static constexpr size_t kLatencyReservoirCap = 4096;
@@ -362,12 +322,12 @@ class ServingEngine
     ServingEngine &operator=(const ServingEngine &) = delete;
 
     /**
-     * The unified serving surface: a Session handle bound to this
+     * The synchronous serving surface: a Session handle bound to this
      * engine. session().run(feeds) is the one-shot path;
      * session().prefill(...) / .decode(...) the generative one (the
-     * handle opens and owns its stream). Every Session call routes
-     * through the submit/wait machinery below, so results are
-     * byte-identical to driving the raw entry points directly.
+     * handle opens and owns its stream). Every Session call is a
+     * submit/wait pair over the primitives below, so results are
+     * byte-identical to driving them directly.
      */
     Session session();
 
@@ -375,19 +335,13 @@ class ServingEngine
      * Enqueue one request. Each feed's first dimension is the
      * request's row count (all feeds must agree); remaining dims must
      * match the model's inputs. Blocks while the admission queue is
-     * full. Throws std::invalid_argument for unknown input names,
-     * shape mismatches, or more rows than the largest bucket.
-     *
-     * @deprecated Prefer Session: engine.session().run(feeds) is the
-     * same submit+wait path behind one handle. submit()/wait() stay
-     * as the thin asynchronous primitives Session delegates to, so
-     * existing callers keep byte-identical behavior.
+     * full. Returns as soon as the request is queued, so one thread
+     * can keep a burst in flight and wait() each id afterwards.
+     * Throws std::invalid_argument for unknown input names, shape
+     * mismatches, feeds with no rows, or more rows than the largest
+     * bucket.
      */
     RequestId submit(std::unordered_map<std::string, Tensor> feeds);
-
-    /** submit() without blocking: kRejected when the queue is full
-     *  (counted in ServeStats::rejected — the backpressure signal). */
-    RequestId trySubmit(std::unordered_map<std::string, Tensor> feeds);
 
     /** True once @p id has completed (its results are ready). Throws
      *  std::out_of_range for ids never issued or already consumed. */
@@ -411,11 +365,10 @@ class ServingEngine
     /**
      * Open one generation stream: allocates its authoritative K/V
      * cache (streamCacheBytes() of zeroed rows) and returns its id.
-     * Throws std::logic_error on a non-generative engine.
-     *
-     * @deprecated Prefer Session: engine.session().prefill(...) opens
-     * and owns the stream; openStream()/submitPrefill()/submitDecode()
-     * remain as the thin primitives it delegates to.
+     * Throws std::logic_error on a non-generative engine. A Session
+     * opens (and closes) its own stream; open one directly to drive
+     * several streams in lockstep from one thread with submitPrefill()
+     * / submitDecode() + wait().
      */
     StreamId openStream();
 
@@ -537,11 +490,6 @@ class ServingEngine
         std::atomic<bool> done{false};
     };
 
-    /** One (precision, shape-bucket) compiled plan. The CompiledGraph
-     *  lives at a stable heap address so the Executor's graph
-     *  reference stays valid for the engine's lifetime; its report is
-     *  finalized in place at construction (the one copy bucketReport
-     *  serves). */
     /** One CacheWrite value of a generative bucket's graph: the name
      *  is the cross-graph correspondence key (prefill and decode
      *  caches pair up by it), the id is graph-local. */
@@ -552,6 +500,11 @@ class ServingEngine
         int64_t dim = 0; ///< row width D
     };
 
+    /** One (precision, shape-bucket) compiled plan. The CompiledGraph
+     *  lives at a stable heap address so the Executor's graph
+     *  reference stays valid for the engine's lifetime; its report is
+     *  finalized in place at construction (the one copy bucketReport
+     *  serves). */
     struct Bucket {
         int64_t batch = 0;
         bool decode = false; ///< decode-domain bucket (batch = streams)
@@ -618,9 +571,14 @@ class ServingEngine
     std::shared_ptr<RequestState> makeRequest(
         std::unordered_map<std::string, Tensor> &feeds,
         bool decodeDomain = false);
-    /** Shared submit tail: register the state, count it, block-push
+    /** The one submit tail: register the state, count it, block-push
      *  it into the admission queue (throws when stopped). */
     RequestId enqueue(const std::shared_ptr<RequestState> &st);
+    /** Flag @p id busy (one in-flight request per stream) and return
+     *  its generation; throws for unknown or already-busy streams. */
+    int64_t claimStream(StreamId id);
+    /** Clear @p id's busy flag (a no-op once the stream is closed). */
+    void releaseStream(StreamId id);
     /** Compile (or planDir-load) one bucket of either domain. */
     std::unique_ptr<Bucket> buildBucket(const ModelFactory &model,
                                         int64_t batch, bool decode);
@@ -628,12 +586,11 @@ class ServingEngine
      *  graphs' pos/mask inputs; fills cacheSpec_/maxSeq_. */
     void resolveCacheTopology();
     void requireGenerative() const;
-    void finishSubmit(const std::shared_ptr<RequestState> &st);
     void workerLoop(int worker);
     /** Pack @p group's rows into one session of bucket @p bucketIdx,
-     *  run the plan once, slice each member's rows back out and
-     *  signal completion. Single-member groups take the exact
-     *  pre-coalescing bind path. */
+     *  zero the pad tail, run the plan once, slice each member's rows
+     *  back out and signal completion. A group of one is the
+     *  pad-to-bucket case of the same path. */
     void runGroup(
         int worker, int bucketIdx,
         std::vector<std::shared_ptr<RequestState>> &group,
@@ -686,7 +643,6 @@ class ServingEngine
 
     std::atomic<int64_t> submitted_{0};
     std::atomic<int64_t> completed_{0};
-    std::atomic<int64_t> rejected_{0};
     std::atomic<int64_t> failed_{0};
     std::atomic<int64_t> maxQueueDepth_{0};
     std::atomic<int64_t> sessionsCreated_{0};
@@ -699,7 +655,7 @@ class ServingEngine
      *  numerator of ServeStats::amortizedRunUs. */
     std::atomic<int64_t> runNanos_{0};
     mutable std::mutex statsMu_; ///< latency samples
-    LatencyRing latenciesUs_{kLatencyReservoirCap};
+    Ring<double> latenciesUs_{kLatencyReservoirCap};
     std::chrono::steady_clock::time_point start_;
 
     /** Shared-run ids: every runGroup takes one, so coalesced members
@@ -707,12 +663,10 @@ class ServingEngine
      *  export knows which request lanes converge). */
     std::atomic<int64_t> runCounter_{0};
     /** Lifecycle ring (ServeOptions::traceCapacity records, oldest
-     *  overwritten). Workers append under traceMu_ only when tracing
-     *  is armed, so the untraced engine never touches it. */
+     *  overwritten), allocated only on traced engines. Workers record
+     *  under traceMu_ so ones that lap each other never share a slot. */
     mutable std::mutex traceMu_;
-    std::vector<LifecycleRecord> lifecycle_;
-    size_t lifecycleNext_ = 0;
-    int64_t lifecycleRecorded_ = 0;
+    std::unique_ptr<Ring<LifecycleRecord>> lifecycle_;
 };
 
 /**
@@ -809,7 +763,7 @@ class Session
     }
 
     /** The underlying stream id (0 before first prefill) — exposed so
-     *  migrating callers can mix Session and raw stream calls. */
+     *  callers can mix Session and async stream calls. */
     ServingEngine::StreamId stream() const { return stream_; }
 
     /** Release the handle's stream early (idempotent; destruction

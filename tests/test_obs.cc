@@ -836,6 +836,56 @@ TEST(ServingObs, MetricsPollingIsSafeAgainstLiveTraffic)
     EXPECT_EQ(hits, 48);
 }
 
+TEST(ServingObs, LifecycleRingKeepsTheNewestRequestLanes)
+{
+    // A traced engine whose lifecycle ring holds 4 records serves 10
+    // requests in order: the export must hold exactly the 4 newest
+    // request lanes (the ring wrapped; the oldest six were dropped).
+    auto store = std::make_shared<ParamStore>();
+    ServeOptions so;
+    so.buckets = {1};
+    so.workers = 1;
+    so.trace = true;
+    so.traceCapacity = 4;
+    ServingEngine engine(
+        [&](int64_t bb) { return mlpModel(bb, store.get()); }, store, so);
+
+    Rng r(43);
+    std::vector<ServingEngine::RequestId> ids;
+    for (int i = 0; i < 10; ++i) {
+        ids.push_back(engine.submit({{"x", Tensor::randn({1, 8}, r)}}));
+        engine.wait(ids.back());
+    }
+
+    std::string path = testing::TempDir() + "pe_obs_ring_trace.json";
+    ASSERT_TRUE(engine.exportChromeTrace(path));
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string text;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        text.append(buf, n);
+    std::fclose(f);
+    std::remove(path.c_str());
+
+    Json j;
+    ASSERT_TRUE(parseJson(text, j));
+    const Json *events = j.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::set<int64_t> lanes;
+    for (const Json &e : events->arr) {
+        const Json *ph = e.find("ph");
+        if (ph != nullptr && ph->str == "X" &&
+            static_cast<int>(e.find("pid")->num) == 2)
+            lanes.insert(static_cast<int64_t>(e.find("tid")->num));
+    }
+    std::set<int64_t> newest;
+    for (size_t i = 6; i < ids.size(); ++i)
+        newest.insert(static_cast<int64_t>(ids[i]));
+    EXPECT_EQ(lanes, newest);
+}
+
 // ---- 6. traced coalescing stress (the acceptance bar) ----------------
 
 TEST(ServingObs, TracedCoalescingStressExportsConvergingLanes)

@@ -191,7 +191,7 @@ TEST(ExecContext, SessionsAreIndependentAndMatchClassicApi)
     expectBitEqual(ex.fetch(*cb, out), refB, "session B untouched");
 }
 
-TEST(ExecContext, BindInputRowsZeroFillsThePad)
+TEST(ExecContext, PackedBindZeroFillsThePad)
 {
     auto store = std::make_shared<ParamStore>();
     ServedModel m = mlpModel(4, store.get());
@@ -208,15 +208,18 @@ TEST(ExecContext, BindInputRowsZeroFillsThePad)
     int xid = ex.inputId("x");
     // Dirty the staging buffer first: the zero-fill must erase it.
     ex.bindInputById(*ctx, xid, randomRows(4, r));
-    ex.bindInputRows(*ctx, xid, x3);
+    ex.bindInputRowsAt(*ctx, xid, x3, 0);
+    ex.zeroInputRowsFrom(*ctx, xid, 3);
     ex.run(*ctx);
     expectBitEqual(ex.fetch(*ctx, prog.graph().outputs()[0]), ref,
                    "padded bind");
 
     Tensor bad({3, 9});
-    EXPECT_THROW(ex.bindInputRows(*ctx, xid, bad), std::runtime_error);
+    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, bad, 0),
+                 std::runtime_error);
     Tensor tall({5, 8});
-    EXPECT_THROW(ex.bindInputRows(*ctx, xid, tall), std::runtime_error);
+    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, tall, 0),
+                 std::runtime_error);
 }
 
 // ---- Shape-bucket routing --------------------------------------------
@@ -266,6 +269,24 @@ TEST(Serving, ShapeBucketRouting)
     // Per-bucket compiled plans are introspectable.
     EXPECT_GT(engine.bucketReport(4).kernelSteps, 0);
     EXPECT_THROW(engine.bucketReport(3), std::invalid_argument);
+}
+
+TEST(Serving, ZeroRowRequestIsRejectedAsEmpty)
+{
+    auto store = std::make_shared<ParamStore>();
+    ServeOptions so;
+    so.buckets = {4};
+    ServingEngine engine(
+        [&](int64_t b) { return mlpModel(b, store.get()); }, store, so);
+    try {
+        engine.submit({{"x", Tensor({0, 8})}});
+        FAIL() << "a zero-row request must be rejected";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("feed x has no rows"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(engine.stats().submitted, 0);
 }
 
 TEST(Serving, PartialFeedSetsAreRejected)
@@ -477,7 +498,6 @@ TEST(Serving, BoundedQueueBoundsDepthUnderConcurrentSubmit)
 
     ServeStats s = engine.stats();
     EXPECT_EQ(s.completed, kThreads * kPer);
-    EXPECT_EQ(s.rejected, 0) << "blocking submit never bounces";
     EXPECT_LE(s.maxQueueDepth, 2)
         << "admission queue exceeded its bound";
     EXPECT_GT(s.throughputRps, 0.0);
@@ -801,6 +821,57 @@ TEST(Coalescing, DeadlineExpirySendsALoneRequestOutAlone)
     EXPECT_EQ(s.buckets[0].paddedRows, 0);
 }
 
+TEST(Coalescing, NonBatchLeadingOutputRunsAloneAndComesBackWhole)
+{
+    // The second output's leading dim is a feature dim, not the
+    // batch: it cannot be sliced per request, so the engine must keep
+    // every request solo even with the window open and return that
+    // output whole — byte-equal to an explicitly padded serial run.
+    auto store = std::make_shared<ParamStore>();
+    auto factory = [&](int64_t batch) {
+        Graph g;
+        Rng rng(3);
+        NetBuilder b(g, rng, store.get());
+        int x = b.input({batch, 8}, "x");
+        int y = b.linear(x, 3, "proj");
+        int yt = b.permute(y, {1, 0});
+        return ServedModel{std::move(g), {y, yt}};
+    };
+    ServeOptions so;
+    so.buckets = {4};
+    so.coalesceWindowUs = 20000;
+    ServingEngine engine(factory, store, so);
+
+    ServedModel m4 = factory(4);
+    CompileOptions opt;
+    auto prog4 = compileInference(m4.graph, m4.outputs, opt, store);
+
+    Rng r(73);
+    std::vector<Tensor> xs;
+    std::vector<ServingEngine::RequestId> ids;
+    for (int i = 0; i < 4; ++i) {
+        xs.push_back(randomRows(1, r));
+        ids.push_back(engine.submit({{"x", xs.back()}}));
+    }
+    for (int i = 0; i < 4; ++i) {
+        std::vector<Tensor> got = engine.wait(ids[i]);
+        std::vector<Tensor> full = prog4.run({{"x", padRows(xs[i], 4)}});
+        ASSERT_EQ(got.size(), 2u);
+        EXPECT_EQ(got[0].shape(), (Shape{1, 3}));
+        EXPECT_EQ(got[1].shape(), (Shape{3, 4}))
+            << "a non-batch-leading output must come back whole";
+        Tensor row0({1, 3});
+        std::memcpy(row0.data(), full[0].data(), sizeof(float) * 3);
+        expectBitEqual(got[0], row0, "sliced output " + std::to_string(i));
+        expectBitEqual(got[1], full[1],
+                       "whole output " + std::to_string(i));
+    }
+
+    ServeStats s = engine.stats();
+    EXPECT_EQ(s.runs, 4) << "non-coalescable requests always run alone";
+    EXPECT_EQ(s.coalescedRuns, 0);
+}
+
 TEST(Coalescing, WindowZeroReproducesPerRequestServingExactly)
 {
     auto store = std::make_shared<ParamStore>();
@@ -918,19 +989,6 @@ TEST(Coalescing, StressFourWorkersSixtyFourMixedRequestsBitExact)
 }
 
 // ---- Bounded latency reservoir ---------------------------------------
-
-TEST(LatencyRing, HoldsAtMostCapacityMostRecentSamples)
-{
-    LatencyRing ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    for (int i = 0; i < 10; ++i)
-        ring.add(static_cast<double>(i));
-    EXPECT_EQ(ring.size(), 4u) << "ring must not grow past capacity";
-    std::vector<double> got = ring.snapshot();
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, (std::vector<double>{6, 7, 8, 9}))
-        << "overwrites must evict the OLDEST samples";
-}
 
 TEST(Serving, LatencyReservoirStaysBoundedUnderSustainedTraffic)
 {
