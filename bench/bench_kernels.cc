@@ -3,8 +3,9 @@
  * Kernel-variant microbenchmarks (google-benchmark): the Section 4.3
  * claims that backend switching pays — blocked vs naive GEMM,
  * im2col / Winograd vs direct convolution, fused vs unfused
- * conv+bias+relu, and the SIMD kernel tier (scalar vs "@avx2"/"@neon"
- * rows for GEMM, im2col conv, int8 GEMM and int8 depthwise).
+ * conv+bias+relu, direct vs in-place im2col pointwise conv+bias+relu,
+ * and the SIMD kernel tier (scalar vs "@avx2"/"@neon" rows for GEMM,
+ * im2col conv, fused pointwise conv, int8 GEMM and int8 depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -37,15 +38,16 @@ struct ConvFixture {
     Tensor x, w, bias, out;
     DirectWorkspace ws;
 
-    ConvFixture(OpKind op, int64_t ch, int64_t hw,
+    /** A same-size, stride-1 k x k conv over ch channels (pad k/2). */
+    ConvFixture(OpKind op, int64_t ch, int64_t hw, int64_t k,
                 const std::string &variant, int64_t act = 0)
     {
         Rng rng(1);
         int xi = g.input({1, ch, hw, hw}, "x");
-        int wi = g.param({ch, ch, 3, 3}, "w", false);
+        int wi = g.param({ch, ch, k, k}, "w", false);
         Attrs a;
         a.set("stride", static_cast<int64_t>(1));
-        a.set("pad", static_cast<int64_t>(1));
+        a.set("pad", k / 2);
         if (op == OpKind::ConvBiasAct) {
             a.set("act", act);
             int bi = g.param({ch, 1, 1}, "b", false);
@@ -57,7 +59,7 @@ struct ConvFixture {
             g.node(node).attrs.set("staticWeight",
                                    static_cast<int64_t>(1));
         x = Tensor::randn({1, ch, hw, hw}, rng);
-        w = Tensor::randn({ch, ch, 3, 3}, rng, 0.2f);
+        w = Tensor::randn({ch, ch, k, k}, rng, 0.2f);
         bias = Tensor::randn({ch, 1, 1}, rng);
         out = Tensor::zeros(g.node(node).shape);
         (void)variant; // workspace attached per run()
@@ -174,7 +176,7 @@ void
 BM_ConvVariant(benchmark::State &state, const std::string &variant)
 {
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::Conv2d, ch, 16, variant);
+    ConvFixture f(OpKind::Conv2d, ch, 16, 3, variant);
     for (auto _ : state) {
         f.run(variant);
         benchmark::DoNotOptimize(f.out.data());
@@ -185,7 +187,7 @@ void
 BM_FusedConvBiasRelu(benchmark::State &state)
 {
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::ConvBiasAct, ch, 16, "", kActRelu);
+    ConvFixture f(OpKind::ConvBiasAct, ch, 16, 3, "", kActRelu);
     for (auto _ : state) {
         f.run("");
         benchmark::DoNotOptimize(f.out.data());
@@ -198,7 +200,7 @@ BM_UnfusedConvBiasRelu(benchmark::State &state)
     // Conv, then separate broadcast-add, then separate relu: three
     // dispatches and two extra buffer sweeps.
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::Conv2d, ch, 16, "");
+    ConvFixture f(OpKind::Conv2d, ch, 16, 3, "");
     Graph g2;
     int ci = g2.input(f.g.node(f.node).shape, "c");
     int bi = g2.param({ch, 1, 1}, "b", false);
@@ -223,6 +225,24 @@ BM_UnfusedConvBiasRelu(benchmark::State &state)
         r.outShape = &g2.node(relun).shape;
         lookupKernel(OpKind::Relu, "")(r);
         benchmark::DoNotOptimize(out.data());
+    }
+}
+
+/**
+ * Fused pointwise (1x1) conv + bias + relu, the MCUNet expand/project
+ * layer: the direct loop vs the in-place "im2col" GEMM that
+ * switchBackends binds (no unfold, no workspace).
+ */
+void
+BM_PointwiseConvBiasRelu(benchmark::State &state,
+                         const std::string &variant)
+{
+    int64_t ch = state.range(0);
+    ConvFixture f(OpKind::ConvBiasAct, ch, 16, 1, variant, kActRelu);
+    for (auto _ : state) {
+        f.run(variant);
+        benchmark::DoNotOptimize(f.out.data());
+        benchmark::ClobberMemory();
     }
 }
 
@@ -480,6 +500,13 @@ BM_UnfusedAttention(benchmark::State &state)
 
 BENCHMARK(BM_FusedConvBiasRelu)->Arg(16)->Arg(32);
 BENCHMARK(BM_UnfusedConvBiasRelu)->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_PointwiseConvBiasRelu, direct, std::string(""))
+    ->Arg(32)
+    ->Arg(64);
+BENCHMARK_CAPTURE(BM_PointwiseConvBiasRelu, im2col,
+                  std::string("im2col"))
+    ->Arg(32)
+    ->Arg(64);
 BENCHMARK_CAPTURE(BM_FusedAttention, base, std::string(""))
     ->Arg(4)
     ->Arg(16);
@@ -559,6 +586,12 @@ struct SimdBenchRegistrar {
                 })
                 ->Arg(16)
                 ->Arg(32);
+        if (hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx))
+            benchmark::RegisterBenchmark(
+                ("BM_PointwiseConvBiasRelu/im2col" + sfx).c_str(),
+                BM_PointwiseConvBiasRelu, "im2col" + sfx)
+                ->Arg(32)
+                ->Arg(64);
         if (hasKernelVariant(OpKind::QuantMatMul, "int8" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_QuantMatMul/int8" + sfx).c_str(), BM_QuantMatMul,

@@ -259,6 +259,12 @@ cmdInspect(const std::string &path)
                 pd.report.quant.quantizedOps,
                 pd.report.quant.prequantizedWeights,
                 pd.report.flopsPerStep);
+    std::printf("backend   : %d winograd, %d im2col, %d blocked, "
+                "%d int8 bound\n",
+                pd.report.backend.winogradBound,
+                pd.report.backend.im2colBound,
+                pd.report.backend.blockedBound,
+                pd.report.backend.int8Bound);
     return 0;
 }
 

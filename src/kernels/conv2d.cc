@@ -1,10 +1,11 @@
 /**
  * @file
  * NCHW convolution kernels: naive direct (default), im2col+GEMM
- * ("im2col"), their input/weight backward counterparts, and depthwise
- * variants. Conv2dBwdWeight honors the "limitCo" attribute so
- * sub-layer (channel-sparse) backpropagation computes gradients for
- * only the first k output channels (paper Section 2.6).
+ * ("im2col", also the ConvBiasAct variant of the same name), their
+ * input/weight backward counterparts, and depthwise variants.
+ * Conv2dBwdWeight honors the "limitCo" attribute so sub-layer
+ * (channel-sparse) backpropagation computes gradients for only the
+ * first k output channels (paper Section 2.6).
  *
  * Partitioning: forward kernels split over the flattened (image,
  * output-channel) pairs; the input backward over images (each image's
@@ -13,7 +14,8 @@
  * independently). "im2col" splits over images — every shard unfolds
  * into its own workspace column buffer (one image's column matrix),
  * so the kernel shards like any other instead of being serialized by
- * scratch.
+ * scratch. A pointwise conv reads its input image in place and has no
+ * column buffer.
  */
 
 #include <cstring>
@@ -76,37 +78,27 @@ conv2dNaive(const KernelCtx &c)
     }
 }
 
-/** im2col + GEMM; the workspace holds one image's column matrix. */
+/** dst[j] += a * src[j]: the scalar tier's im2col GEMM row update. */
+void
+axpy(float *dst, const float *src, float a, int64_t n)
+{
+    for (int64_t j = 0; j < n; ++j)
+        dst[j] += a * src[j];
+}
+
+/** im2col + GEMM (kutil::im2colConv); the workspace holds one image's
+ *  column matrix, or nothing for a pointwise conv. */
 void
 conv2dIm2col(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    ConvDims d = dimsOf(xs, ws, *c.outShape,
-                        c.node->attrs.getInt("stride", 1),
-                        c.node->attrs.getInt("pad", 0));
-    const float *x = c.in[0], *w = c.in[1];
-    int64_t k = d.ci * d.kh * d.kw;
-    int64_t cols = d.ho * d.wo;
-    float *col = c.workspace;
-    for (int64_t n = c.begin; n < partitionEnd(c, d.n); ++n) {
-        const float *xn = x + n * d.ci * d.h * d.w;
-        kutil::im2colUnfold(xn, col, d.ci, d.h, d.w, d.kh, d.kw, d.ho,
-                            d.wo, d.stride, d.pad, 0.0f);
-        // GEMM: out[co, cols] = w[co, k] x col[k, cols].
-        float *out = c.out + n * d.co * cols;
-        for (int64_t co = 0; co < d.co; ++co) {
-            float *dst = out + co * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = w + co * k;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                float wv = wrow[kk];
-                const float *src = col + kk * cols;
-                for (int64_t j = 0; j < cols; ++j)
-                    dst[j] += wv * src[j];
-            }
-        }
-    }
+    kutil::im2colConv(c, nullptr, kActNone, axpy);
+}
+
+void
+convBiasActIm2col(const KernelCtx &c)
+{
+    kutil::im2colConv(c, c.in[2], c.node->attrs.getInt("act", kActNone),
+                      axpy);
 }
 
 void
@@ -331,6 +323,8 @@ registerConvKernels()
     registerKernel(OpKind::Conv2d, "", conv2dNaive, images);
     registerKernel(OpKind::Conv2d, "im2col", conv2dIm2col, dxImages,
                    im2colWorkspace);
+    registerKernel(OpKind::ConvBiasAct, "im2col", convBiasActIm2col,
+                   dxImages, im2colWorkspace);
     registerKernel(OpKind::Conv2dBwdInput, "", conv2dBwdInput, dxImages);
     registerKernel(OpKind::Conv2dBwdWeight, "", conv2dBwdWeight,
                    dwChannels);

@@ -10,40 +10,23 @@
  *
  * Scratch requirements are declared per kernel via WorkspaceSpec in
  * each kernel's own translation unit (the Winograd ConvBiasAct
- * variant registers its cached-transform workspace in winograd.cc);
- * the direct fused kernels here need none.
+ * variant registers its cached-transform workspace in winograd.cc,
+ * the "im2col" one its column buffer in conv2d.cc); the direct fused
+ * kernels here need none.
  */
 
-#include <cmath>
-#include <cstring>
-
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 
 namespace pe {
 namespace {
 
-float
-actOf(int64_t act, float v)
-{
-    switch (act) {
-      case kActRelu:
-        return v > 0 ? v : 0.0f;
-      case kActGelu: {
-        constexpr float kC = 0.7978845608028654f;
-        return 0.5f * v *
-               (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
-      }
-      case kActSilu:
-        return v / (1.0f + std::exp(-v));
-      default:
-        return v;
-    }
-}
+using kutil::actOf;
 
 void
 convBiasActK(const KernelCtx &c)
 {
-    // Reuse the im2col structure inline: direct loops + bias + act.
+    // Direct loops + bias + act.
     const Shape &xs = *c.inShapes[0];
     const Shape &ws = *c.inShapes[1];
     int64_t stride = c.node->attrs.getInt("stride", 1);

@@ -139,6 +139,20 @@ partitionEnd(const KernelCtx &c, int64_t n)
 }
 
 /**
+ * True for a pointwise convolution (1x1 kernel, stride 1, pad 0) with
+ * weight shape @p w and conv attrs @p a. Its NCHW input image already
+ * is the [ci, h*w] GEMM operand, so the "im2col" kernels read it in
+ * place: no unfold and no column workspace. One predicate for the
+ * kernels, their workspace declaration and switchBackends.
+ */
+inline bool
+isPointwiseConv(const Shape &w, const Attrs &a)
+{
+    return w[2] == 1 && w[3] == 1 && a.getInt("stride", 1) == 1 &&
+           a.getInt("pad", 0) == 0;
+}
+
+/**
  * Look up the kernel for an op. @p variant "" selects the default;
  * unknown variants fall back to the default (a backend without the
  * tuned kernel still runs the model) — the fallback is flagged in

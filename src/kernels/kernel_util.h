@@ -2,9 +2,10 @@
  * @file
  * Helpers shared between the scalar kernel TUs and their SIMD tier
  * counterparts (simd_avx2.cc / simd_neon.cc): GEMM operand views,
- * the int8 requantization context, activation math, and the im2col
- * unfold. A SIMD variant must agree with its scalar base on all of
- * this — packing layout, padding values, requantization rounding —
+ * the int8 requantization context, activation math, the im2col
+ * unfold and the fp32 im2col conv body. A SIMD variant must agree
+ * with its scalar base on all of this — packing layout, padding
+ * values, requantization rounding —
  * for the tier contract (int8 bit-exact, fp32 within tolerance) to
  * hold, so the definitions live in one place.
  */
@@ -13,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "core/shape.h"
 #include "ir/graph.h"
@@ -173,6 +175,66 @@ im2colUnfold(const T *xn, T *col, int64_t ci, int64_t h, int64_t w,
     }
 }
 
+/**
+ * The [ci*kh*kw, ho*wo] GEMM operand of image @p n of a conv's input:
+ * the image itself for a pointwise conv (im2colConvWorkspace declares
+ * no column buffer for it), else its unfold into @p col.
+ */
+inline const float *
+im2colOperand(const KernelCtx &c, int64_t n, float *col)
+{
+    const Shape &xs = *c.inShapes[0];
+    const Shape &ws = *c.inShapes[1];
+    const float *xn = c.in[0] + n * xs[1] * xs[2] * xs[3];
+    if (isPointwiseConv(ws, c.node->attrs))
+        return xn;
+    im2colUnfold(xn, col, xs[1], xs[2], xs[3], ws[2], ws[3],
+                 (*c.outShape)[2], (*c.outShape)[3],
+                 c.node->attrs.getInt("stride", 1),
+                 c.node->attrs.getInt("pad", 0), 0.0f);
+    return col;
+}
+
+/**
+ * Shared body of the fp32 "im2col" Conv2d / ConvBiasAct kernels and
+ * their SIMD tier variants, over the images of this shard: out[co,
+ * cols] = w[co, k] x operand[k, cols], accumulated in ascending k.
+ * @p bias (may be null) and @p act are applied to the finished sum,
+ * one pass each, so the fused kernel is bit-identical to Conv2d ->
+ * Add -> act run on the same variant. @p axpy(dst, src, a, n) does
+ * dst[j] += a * src[j] for j < n — the one loop a tier vectorizes.
+ */
+template <typename Axpy>
+inline void
+im2colConv(const KernelCtx &c, const float *bias, int64_t act,
+           Axpy axpy)
+{
+    const Shape &ws = *c.inShapes[1];
+    int64_t co = ws[0], k = ws[1] * ws[2] * ws[3];
+    int64_t cols = (*c.outShape)[2] * (*c.outShape)[3];
+    const float *w = c.in[1];
+    for (int64_t n = c.begin; n < partitionEnd(c, (*c.outShape)[0]);
+         ++n) {
+        const float *src = im2colOperand(c, n, c.workspace);
+        float *out = c.out + n * co * cols;
+        for (int64_t o = 0; o < co; ++o) {
+            float *dst = out + o * cols;
+            std::memset(dst, 0, sizeof(float) * cols);
+            const float *wrow = w + o * k;
+            for (int64_t kk = 0; kk < k; ++kk)
+                axpy(dst, src + kk * cols, wrow[kk], cols);
+            if (bias) {
+                for (int64_t j = 0; j < cols; ++j)
+                    dst[j] += bias[o];
+            }
+            if (act != kActNone) {
+                for (int64_t j = 0; j < cols; ++j)
+                    dst[j] = actOf(act, dst[j]);
+            }
+        }
+    }
+}
+
 // ---- shared workspace declarations -----------------------------------
 //
 // A SIMD tier variant must declare EXACTLY the workspace of its scalar
@@ -190,14 +252,16 @@ blockedGemmWorkspace(const Graph &, const Node &)
     return spec;
 }
 
-/** One image's fp32 column matrix: ci*kh*kw rows by ho*wo columns. */
+/** One image's fp32 column matrix: ci*kh*kw rows by ho*wo columns;
+ *  none for a pointwise conv, which reads its input in place. */
 inline WorkspaceSpec
 im2colConvWorkspace(const Graph &g, const Node &n)
 {
     const Shape &w = g.node(n.inputs[1]).shape;
     int64_t ho = n.shape[2], wo = n.shape[3];
     WorkspaceSpec spec;
-    spec.bytesPerShard = w[1] * w[2] * w[3] * ho * wo * 4;
+    if (!isPointwiseConv(w, n.attrs))
+        spec.bytesPerShard = w[1] * w[2] * w[3] * ho * wo * 4;
     return spec;
 }
 

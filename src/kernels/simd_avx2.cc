@@ -1,11 +1,12 @@
 /**
  * @file
  * AVX2/FMA kernel tier: the hot quartet — fp32 panel GEMM, im2col
- * conv inner loop, int8 GEMM with vectorized requantization, and the
- * int8 depthwise conv. Registered as "<base>@avx2" variants of the
- * scalar kernels, with IDENTICAL partition domains and workspace
- * declarations (kernel_util.h), so the executor can switch tiers at
- * bind time against one memory plan.
+ * conv inner loop (Conv2d and ConvBiasAct), int8 GEMM with
+ * vectorized requantization, and the int8 depthwise conv. Registered
+ * as "<base>@avx2" variants of the scalar kernels, with IDENTICAL
+ * partition domains and workspace declarations (kernel_util.h), so
+ * the executor can switch tiers at bind time against one memory
+ * plan.
  *
  * Numerics contract (README "Kernel tiers"):
  *  - int8 kernels are BIT-EXACT to the scalar "int8" tier: int32
@@ -150,44 +151,33 @@ batchMatmulAvx2K(const KernelCtx &c)
 
 // ---- fp32 im2col conv -------------------------------------------------
 
-/** Same unfold + [co, k] x [k, cols] product as the scalar "im2col"
- *  kernel, with the cols loop FMA-vectorized. */
+/** dst[j] += a * src[j], FMA-vectorized; the tail is plain mul+add. */
+void
+axpyAvx2(float *dst, const float *src, float a, int64_t n)
+{
+    __m256 av = _mm256_set1_ps(a);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        _mm256_storeu_ps(dst + j,
+                         _mm256_fmadd_ps(av, _mm256_loadu_ps(src + j),
+                                         _mm256_loadu_ps(dst + j)));
+    for (; j < n; ++j)
+        dst[j] += a * src[j];
+}
+
+/** The scalar "im2col" body (kutil::im2colConv) with the GEMM row
+ *  update FMA-vectorized; serves Conv2d and ConvBiasAct. */
 void
 conv2dIm2colAvx2K(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t nI = xs[0], ci = xs[1], h = xs[2], w = xs[3];
-    int64_t co = ws[0], kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const float *x = c.in[0], *wt = c.in[1];
-    int64_t k = ci * kh * kw;
-    int64_t cols = ho * wo;
-    float *col = c.workspace;
-    for (int64_t n = c.begin; n < partitionEnd(c, nI); ++n) {
-        kutil::im2colUnfold(x + n * ci * h * w, col, ci, h, w, kh, kw,
-                            ho, wo, stride, pad, 0.0f);
-        float *out = c.out + n * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            float *dst = out + o * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = wt + o * k;
-            for (int64_t kx = 0; kx < k; ++kx) {
-                __m256 wv = _mm256_set1_ps(wrow[kx]);
-                const float *src = col + kx * cols;
-                int64_t j = 0;
-                for (; j + 8 <= cols; j += 8)
-                    _mm256_storeu_ps(
-                        dst + j,
-                        _mm256_fmadd_ps(wv, _mm256_loadu_ps(src + j),
-                                        _mm256_loadu_ps(dst + j)));
-                for (; j < cols; ++j)
-                    dst[j] += wrow[kx] * src[j];
-            }
-        }
-    }
+    kutil::im2colConv(c, nullptr, kActNone, axpyAvx2);
+}
+
+void
+convBiasActIm2colAvx2K(const KernelCtx &c)
+{
+    kutil::im2colConv(c, c.in[2], c.node->attrs.getInt("act", kActNone),
+                      axpyAvx2);
 }
 
 // ---- fused attention --------------------------------------------------
@@ -603,6 +593,9 @@ registerSimdAvx2Kernels()
                    kutil::blockedGemmWorkspace);
     registerKernel(OpKind::Conv2d, "im2col@avx2", conv2dIm2colAvx2K,
                    images, kutil::im2colConvWorkspace);
+    registerKernel(OpKind::ConvBiasAct, "im2col@avx2",
+                   convBiasActIm2colAvx2K, images,
+                   kutil::im2colConvWorkspace);
     registerKernel(OpKind::FusedAttention, "avx2", fusedAttentionAvx2K,
                    PartitionSpec{part::outRows, 1},
                    kutil::fusedAttentionWorkspace);

@@ -123,41 +123,25 @@ batchMatmulNeonK(const KernelCtx &c)
 
 // ---- fp32 im2col conv -------------------------------------------------
 
+/** dst[j] += a * src[j], 4 lanes at a time. */
+void
+axpyNeon(float *dst, const float *src, float a, int64_t n)
+{
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4)
+        vst1q_f32(dst + j,
+                  vmlaq_n_f32(vld1q_f32(dst + j), vld1q_f32(src + j), a));
+    for (; j < n; ++j)
+        dst[j] += a * src[j];
+}
+
+/** The scalar "im2col" Conv2d body (kutil::im2colConv) with the GEMM
+ *  row update vectorized. ConvBiasAct has no NEON variant: the tier
+ *  resolution keeps it on the scalar "im2col" kernel. */
 void
 conv2dIm2colNeonK(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t nI = xs[0], ci = xs[1], h = xs[2], w = xs[3];
-    int64_t co = ws[0], kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const float *x = c.in[0], *wt = c.in[1];
-    int64_t k = ci * kh * kw;
-    int64_t cols = ho * wo;
-    float *col = c.workspace;
-    for (int64_t n = c.begin; n < partitionEnd(c, nI); ++n) {
-        kutil::im2colUnfold(x + n * ci * h * w, col, ci, h, w, kh, kw,
-                            ho, wo, stride, pad, 0.0f);
-        float *out = c.out + n * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            float *dst = out + o * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = wt + o * k;
-            for (int64_t kx = 0; kx < k; ++kx) {
-                const float *src = col + kx * cols;
-                int64_t j = 0;
-                for (; j + 4 <= cols; j += 4)
-                    vst1q_f32(dst + j,
-                              vmlaq_n_f32(vld1q_f32(dst + j),
-                                          vld1q_f32(src + j),
-                                          wrow[kx]));
-                for (; j < cols; ++j)
-                    dst[j] += wrow[kx] * src[j];
-            }
-        }
-    }
+    kutil::im2colConv(c, nullptr, kActNone, axpyNeon);
 }
 
 // ---- fused attention --------------------------------------------------

@@ -571,15 +571,21 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                         ++stats->winogradBound;
                 }
             }
-            if (variants[id].empty() && n.op == OpKind::Conv2d &&
-                opts.enableBlocked &&
-                numel(n.shape) / n.shape[0] >=
-                    opts.blockedMinDim * opts.blockedMinDim) {
-                // Winograd-ineligible convs with a big enough
-                // per-image output lower to im2col — the variant the
-                // SIMD tier upgrades ("im2col@avx2"/"@neon"); the
-                // direct kernel's partition domain is incompatible,
-                // so a direct-bound conv can never reach the tier.
+            // Pointwise convs (any size, fused or not) and large
+            // unfused Conv2d lower to im2col — the variant the SIMD
+            // tier upgrades ("im2col@avx2"/"@neon"); the direct
+            // kernel's partition domain is incompatible, so a
+            // direct-bound conv can never reach the tier. A pointwise
+            // conv reads its input in place (no column buffer); other
+            // convs keep direct when small or fused, because their
+            // column buffers grow peak memory.
+            bool pointwise =
+                isPointwiseConv(g.node(n.inputs[1]).shape, n.attrs);
+            bool large = n.op == OpKind::Conv2d &&
+                         numel(n.shape) / n.shape[0] >=
+                             opts.blockedMinDim * opts.blockedMinDim;
+            if (variants[id].empty() && opts.enableBlocked &&
+                (pointwise || large)) {
                 variants[id] = "im2col";
                 if (stats)
                     ++stats->im2colBound;

@@ -15,7 +15,8 @@
  *                      ready so gradient buffers are recycled
  *                      ("Operator Reordering and In-place Update").
  *  - switchBackends(): per-node kernel-variant selection, including
- *                      binding frozen 3x3 convolutions to Winograd.
+ *                      binding frozen 3x3 convolutions to Winograd
+ *                      and pointwise convolutions to im2col GEMMs.
  *  - constantFold():   evaluate Const-only subgraphs at compile time.
  */
 
@@ -93,14 +94,21 @@ std::vector<int> naturalOrder(const Graph &g);
 /** Backend-switching options. */
 struct BackendOptions {
     bool enableWinograd = true; ///< frozen 3x3 s1 convs -> Winograd
-    bool enableBlocked = true;  ///< large GEMMs -> blocked variant
+    bool enableBlocked = true;  ///< large GEMMs -> blocked, pointwise
+                                ///< and large convs -> im2col
     int64_t blockedMinDim = 64; ///< GEMM size threshold
 };
 
 /**
  * Choose a kernel variant per node. Frozen-weight 3x3 stride-1
- * convolutions get "winograd" (weight transform cached across steps);
- * large GEMMs get "blocked"; quant compute ops get "int8" (ops whose
+ * convolutions get "winograd" (weight transform cached across steps).
+ * Under enableBlocked, every pointwise Conv2d / ConvBiasAct (1x1,
+ * stride 1, pad 0 — isPointwiseConv) gets "im2col" at any size: it
+ * is a GEMM over the input image read in place, with no column
+ * workspace. Other convs get "im2col" only as unfused Conv2d with at
+ * least blockedMinDim^2 outputs per image (their column buffers grow
+ * peak memory) and stay direct otherwise. Large GEMMs get "blocked";
+ * quant compute ops get "int8" (ops whose
  * int8 kernel is not registered fall back to the dequant->fp32->
  * requant reference kernel, surfaced via CompileReport's fallback
  * counters); everything else keeps the default.

@@ -233,6 +233,7 @@ buildReport(const CompileReport &r)
     w.i32(r.backend.winogradBound);
     w.i32(r.backend.blockedBound);
     w.i32(r.backend.int8Bound);
+    w.i32(r.backend.im2colBound);
     w.i32(r.quant.quantizedOps);
     w.i32(r.quant.quantizeNodes);
     w.i32(r.quant.dequantizeNodes);
@@ -441,6 +442,11 @@ readTable(const std::string &blob, bool verify_checksums)
         throw PlanTruncatedError(
             "plan: file ends inside the section table");
 
+    // The writer tiles the payloads back to back after the table; a
+    // loader that accepted any in-bounds offset would let a damaged
+    // table entry point an empty or tiny section at matching bytes
+    // elsewhere and still pass its checksum.
+    uint64_t cursor = table_end;
     std::vector<RawSection> sections(section_count);
     for (uint32_t i = 0; i < section_count; ++i) {
         const uint8_t *e = p + kHeaderBytes + i * kTableEntryBytes;
@@ -460,6 +466,10 @@ readTable(const std::string &blob, bool verify_checksums)
             throw PlanTruncatedError(
                 "plan: section '" + tagName(s.tag) +
                 "' extends past the end of the file");
+        if (s.offset != cursor)
+            throw PlanFormatError("plan: section '" + tagName(s.tag) +
+                                  "' does not follow the previous one");
+        cursor += s.bytes;
         if (verify_checksums &&
             planChecksum(p + s.offset,
                          static_cast<size_t>(s.bytes)) != s.checksum)
@@ -467,6 +477,8 @@ readTable(const std::string &blob, bool verify_checksums)
                                     "section '" +
                                     tagName(s.tag) + "'");
     }
+    if (cursor != blob.size())
+        throw PlanFormatError("plan: bytes after the last section");
     return sections;
 }
 
@@ -608,6 +620,7 @@ deserializeImpl(const std::string &bytes)
         rep.backend.winogradBound = r.get<int32_t>();
         rep.backend.blockedBound = r.get<int32_t>();
         rep.backend.int8Bound = r.get<int32_t>();
+        rep.backend.im2colBound = r.get<int32_t>();
         rep.quant.quantizedOps = r.get<int32_t>();
         rep.quant.quantizeNodes = r.get<int32_t>();
         rep.quant.dequantizeNodes = r.get<int32_t>();

@@ -66,8 +66,12 @@ namespace pe {
  *  (MemoryPlan::cacheBytes) after peakLiveBytes, and the storage-tag
  *  range admits Storage::Cache (tag 5). v1 tags 0-4 are unchanged, so
  *  the bump exists to make cross-build loads fail TYPED
- *  (PlanVersionError) instead of misreading the grown section. */
-inline constexpr uint32_t kPlanFormatVersion = 2;
+ *  (PlanVersionError) instead of misreading the grown section.
+ *  v3: RPRT grew the im2col-bound conv count (PassStats::im2colBound)
+ *  after int8Bound, so a loaded plan reports every backend counter;
+ *  the bump again makes v2 plans fail typed instead of shifting the
+ *  quant counters that follow it. */
+inline constexpr uint32_t kPlanFormatVersion = 3;
 
 // ---- typed load errors ----------------------------------------------
 // Each corruption class gets its own type so deployment code can

@@ -13,6 +13,7 @@
 #include "frontend/builder.h"
 #include "frontend/models.h"
 #include "ir/serialize.h"
+#include "kernels/kernel.h"
 
 namespace pe {
 namespace {
@@ -304,6 +305,77 @@ TEST(Engine, WinogradBindsOnlyFrozenConvs)
                                           opt);
     EXPECT_EQ(full.report.backend.winogradBound, 0)
         << "trainable convs must not use cached Winograd transforms";
+}
+
+TEST(Engine, SparseMcuNetPointwiseConvsRunAsIm2colGemms)
+{
+    // The sparse-BP MCUNet proxy: every pointwise conv binds the
+    // in-place im2col GEMM, which the SIMD tier then upgrades, and
+    // the losses still match the scalar tier and the eager reference.
+    VisionConfig cfg;
+    cfg.batch = 2;
+    cfg.resolution = 16;
+    cfg.width = 0.5;
+    cfg.blocks = 5;
+    CompileOptions opt;
+    opt.optim = OptimConfig::sgd(1e-3);
+    opt.numThreads = 1;
+    auto compile = [&](bool scalar) {
+        auto store = std::make_shared<ParamStore>();
+        Rng rng(1);
+        ModelSpec m = buildMcuNet(cfg, rng, store.get());
+        CompileOptions o = opt;
+        o.forceScalarTier = scalar;
+        return compileTraining(m.graph, m.loss,
+                               cnnSparseScheme(m, 3, 2), o, store);
+    };
+    TrainingProgram prog = compile(false);
+    TrainingProgram scalar = compile(true);
+
+    int pointwise = 0;
+    for (const Node &n : prog.graph().nodes()) {
+        if ((n.op == OpKind::Conv2d || n.op == OpKind::ConvBiasAct) &&
+            isPointwiseConv(prog.graph().node(n.inputs[1]).shape,
+                            n.attrs))
+            ++pointwise;
+    }
+    EXPECT_GT(pointwise, 0);
+    EXPECT_EQ(prog.report().backend.im2colBound, pointwise);
+    // Where the host tier has the fused variant (AVX2; NEON keeps
+    // ConvBiasAct on the scalar kernel), every pointwise conv runs it.
+    if (resolveTierVariant(OpKind::ConvBiasAct, "im2col",
+                           hostSimdTier()) != "im2col")
+        EXPECT_GE(prog.report().simdSteps, pointwise);
+    EXPECT_EQ(scalar.report().simdSteps, 0);
+
+    auto store = std::make_shared<ParamStore>();
+    Rng rng(1);
+    ModelSpec m = buildMcuNet(cfg, rng, store.get());
+    SparseUpdateScheme scheme = cnnSparseScheme(m, 3, 2);
+    std::unordered_map<std::string, bool> mask;
+    for (int id : m.graph.paramIds()) {
+        const std::string &name = m.graph.node(id).name;
+        mask[name] = scheme.ruleFor(name).update;
+    }
+    EagerEngine eager(m.graph, m.loss, store, opt.optim, &mask);
+
+    Rng data(9);
+    for (int step = 0; step < 3; ++step) {
+        Tensor x = Tensor::randn({cfg.batch, cfg.channels,
+                                  cfg.resolution, cfg.resolution},
+                                 data);
+        Tensor y({cfg.batch});
+        for (int64_t i = 0; i < cfg.batch; ++i)
+            y[i] = static_cast<float>(data.randint(cfg.numClasses));
+        std::unordered_map<std::string, Tensor> f = {{"x", x},
+                                                     {"y", y}};
+        float lc = prog.trainStep(f);
+        float ls = scalar.trainStep(f);
+        float le = eager.trainStep(f);
+        EXPECT_LE(std::fabs(lc - ls), 1e-5f * std::fabs(ls))
+            << "tier diverged at step " << step;
+        EXPECT_NEAR(lc, le, 2e-3f) << "diverged at step " << step;
+    }
 }
 
 TEST(Engine, MaskedEagerSparseGetsNoComputeSavings)

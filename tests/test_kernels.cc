@@ -123,37 +123,55 @@ TEST(MatMulVariants, BlockedMatchesNaiveWithTranspose)
 
 TEST(FusedKernels, ConvBiasReluMatchesComposition)
 {
-    Rng rng(5);
-    Graph g;
-    int x = g.input({2, 3, 8, 8}, "x");
-    int w = g.param({6, 3, 3, 3}, "w", false);
-    int b = g.param({6, 1, 1}, "b", false);
-    Attrs a;
-    a.set("stride", static_cast<int64_t>(1));
-    a.set("pad", static_cast<int64_t>(1));
-    a.set("act", static_cast<int64_t>(kActRelu));
-    int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, a);
+    // Direct: within 1e-4 of conv + bias + relu (different summation
+    // order). "im2col": bit-equal to its own unfused chain, Conv2d
+    // "im2col" -> Add -> Relu, on a pointwise and a 3x3 shape.
+    struct S {
+        int64_t k, pad;
+    };
+    for (auto [k, pad] : {S{3, 1}, S{1, 0}}) {
+        SCOPED_TRACE("k" + std::to_string(k));
+        Rng rng(5);
+        Graph g;
+        int x = g.input({2, 3, 8, 8}, "x");
+        int w = g.param({6, 3, k, k}, "w", false);
+        int b = g.param({6, 1, 1}, "b", false);
+        Attrs ca;
+        ca.set("stride", static_cast<int64_t>(1));
+        ca.set("pad", pad);
+        Attrs a = ca;
+        a.set("act", static_cast<int64_t>(kActRelu));
+        int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, a);
+        int conv = g.add(OpKind::Conv2d, {x, w}, std::move(ca));
+        int add = g.add(OpKind::Add, {conv, b});
+        int relu = g.add(OpKind::Relu, {add});
 
-    Tensor tx = Tensor::randn({2, 3, 8, 8}, rng);
-    Tensor tw = Tensor::randn({6, 3, 3, 3}, rng, 0.3f);
-    Tensor tb = Tensor::randn({6, 1, 1}, rng);
-    Tensor got = runKernel(g, fused, {tx, tw, tb}, "");
+        Tensor tx = Tensor::randn({2, 3, 8, 8}, rng);
+        Tensor tw = Tensor::randn({6, 3, k, k}, rng, 0.3f);
+        Tensor tb = Tensor::randn({6, 1, 1}, rng);
 
-    // Reference composition.
-    Attrs ca;
-    ca.set("stride", static_cast<int64_t>(1));
-    ca.set("pad", static_cast<int64_t>(1));
-    int conv = g.add(OpKind::Conv2d, {x, w}, std::move(ca));
-    Tensor conv_out = runKernel(g, conv, {tx, tw}, "");
-    for (int64_t n = 0; n < 2; ++n) {
-        for (int64_t c = 0; c < 6; ++c) {
-            for (int64_t i = 0; i < 64; ++i) {
-                int64_t idx = (n * 6 + c) * 64 + i;
-                float ref = conv_out[idx] + tb[c];
-                ref = ref > 0 ? ref : 0;
-                EXPECT_NEAR(got[idx], ref, 1e-4f);
+        Tensor got = runKernel(g, fused, {tx, tw, tb}, "");
+        Tensor conv_out = runKernel(g, conv, {tx, tw}, "");
+        for (int64_t n = 0; n < 2; ++n) {
+            for (int64_t c = 0; c < 6; ++c) {
+                for (int64_t i = 0; i < 64; ++i) {
+                    int64_t idx = (n * 6 + c) * 64 + i;
+                    float ref = conv_out[idx] + tb[c];
+                    ref = ref > 0 ? ref : 0;
+                    EXPECT_NEAR(got[idx], ref, 1e-4f);
+                }
             }
         }
+
+        Tensor fused_i2c = runKernel(g, fused, {tx, tw, tb}, "im2col");
+        Tensor chain = runKernel(
+            g, relu,
+            {runKernel(g, add,
+                       {runKernel(g, conv, {tx, tw}, "im2col"), tb},
+                       "")},
+            "");
+        for (int64_t i = 0; i < chain.size(); ++i)
+            EXPECT_EQ(fused_i2c[i], chain[i]) << "at " << i;
     }
 }
 

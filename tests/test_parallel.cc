@@ -349,6 +349,13 @@ TEST(KernelPartition, FusedKernels)
     expectShardInvariant({OpKind::ConvBiasAct,
                           {{2, 3, 8, 8}, {4, 3, 3, 3}, {4, 1, 1}},
                           std::move(cb)});
+    // Pointwise "im2col": shards over images, no column workspace.
+    Attrs pw = convAttrs(1, 0);
+    pw.set("act", kActRelu);
+    expectShardInvariant({OpKind::ConvBiasAct,
+                          {{3, 4, 5, 5}, {6, 4, 1, 1}, {6, 1, 1}},
+                          std::move(pw)},
+                         "im2col");
 }
 
 // ---- Fallback visibility ---------------------------------------------

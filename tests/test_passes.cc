@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/builder.h"
+#include "kernels/kernel.h"
 #include "passes/passes.h"
 #include "runtime/planner.h"
 #include "testutil.h"
@@ -276,6 +277,43 @@ TEST(BackendSwitch, WinogradRequiresFrozen3x3Stride1)
     EXPECT_EQ(variants[c_5x5], "");
     EXPECT_EQ(variants[c_s2], "");
     EXPECT_EQ(stats.winogradBound, 1);
+}
+
+TEST(BackendSwitch, PointwiseConvsBindIm2colAtAnySize)
+{
+    Graph g;
+    int x = g.input({1, 4, 4, 4}, "x");
+    int w_pw = g.param({4, 4, 1, 1}, "wp", true);
+    int w_3x3 = g.param({4, 4, 3, 3}, "w3", true);
+    int bias = g.param({4, 1, 1}, "b", true);
+    Attrs pw;
+    pw.set("stride", static_cast<int64_t>(1));
+    pw.set("pad", static_cast<int64_t>(0));
+    int c_pw = g.add(OpKind::Conv2d, {x, w_pw}, pw);
+    Attrs fa = pw;
+    fa.set("act", static_cast<int64_t>(kActRelu));
+    int f_pw = g.add(OpKind::ConvBiasAct, {x, w_pw, bias}, std::move(fa));
+    Attrs a3;
+    a3.set("stride", static_cast<int64_t>(1));
+    a3.set("pad", static_cast<int64_t>(1));
+    int c_3x3 = g.add(OpKind::Conv2d, {x, w_3x3}, std::move(a3));
+    for (int id : {c_pw, f_pw, c_3x3})
+        g.markOutput(id);
+    PassStats stats;
+    auto variants = switchBackends(g, BackendOptions{}, &stats);
+    // 64 outputs per image: far below the large-conv threshold.
+    EXPECT_EQ(variants[c_pw], "im2col");
+    EXPECT_EQ(variants[f_pw], "im2col");
+    EXPECT_EQ(variants[c_3x3], "");
+    EXPECT_EQ(stats.im2colBound, 2);
+    // Read in place: no column buffer.
+    EXPECT_FALSE(kernelWorkspace(g, g.node(c_pw), "im2col").any());
+    EXPECT_FALSE(kernelWorkspace(g, g.node(f_pw), "im2col").any());
+    EXPECT_TRUE(kernelWorkspace(g, g.node(c_3x3), "im2col").any());
+
+    BackendOptions off;
+    off.enableBlocked = false;
+    EXPECT_EQ(switchBackends(g, off)[c_pw], "");
 }
 
 TEST(LiveSet, TracksThroughChains)

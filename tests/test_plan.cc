@@ -148,6 +148,14 @@ TEST(PlanRoundTrip, BitParityAllPrecisionsAllModels)
             std::string blob = serialize(*prog, *b.store);
             auto loaded = loadPlanFromBytes(blob);
             EXPECT_EQ(loaded->report().precision, p);
+            const PassStats &mem = prog->report().backend;
+            const PassStats &disk = loaded->report().backend;
+            EXPECT_EQ(disk.winogradBound, mem.winogradBound);
+            EXPECT_EQ(disk.im2colBound, mem.im2colBound);
+            EXPECT_EQ(disk.blockedBound, mem.blockedBound);
+            EXPECT_EQ(disk.int8Bound, mem.int8Bound);
+            if (cnn && p == Precision::F32)
+                EXPECT_GT(mem.im2colBound, 0) << "pointwise convs";
             Tensor replay = loaded->run({{"x", x}})[0];
             EXPECT_TRUE(bitEqual(fresh, replay));
 

@@ -239,6 +239,10 @@ TEST(TierApi, CapabilityGatedRegistration)
                           OpKind::QuantDwConv2d})
             EXPECT_TRUE(hasKernelVariant(op, "int8" + sfx));
         EXPECT_TRUE(hasKernelVariant(OpKind::Conv2d, "im2col" + sfx));
+        // NEON has no fused variant: ConvBiasAct resolves to the
+        // scalar "im2col" kernel there.
+        EXPECT_EQ(hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx),
+                  host == SimdTier::Avx2);
         EXPECT_TRUE(
             hasKernelVariant(OpKind::BatchMatMul, "blocked" + sfx));
     }
@@ -302,12 +306,28 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
         Attrs a;
         a.set("stride", stride);
         a.set("pad", pad);
-        int conv = g.add(OpKind::Conv2d, {x, w}, std::move(a));
+        int conv = g.add(OpKind::Conv2d, {x, w}, a);
         Tensor tx = Tensor::randn({2, ci, hw, hw}, rng);
         Tensor tw = Tensor::randn({co, ci, k, k}, rng, 0.3f);
         Tensor scalar = runKernel(g, conv, {tx, tw}, "im2col");
         Tensor simd = runKernel(g, conv, {tx, tw}, "im2col" + sfx);
         EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
+
+        // The fused form on the host's tier variant (NEON resolves
+        // to the scalar kernel).
+        int b = g.param({co, 1, 1}, "b", false);
+        Tensor tb = Tensor::randn({co, 1, 1}, rng);
+        std::string fused_variant = resolveTierVariant(
+            OpKind::ConvBiasAct, "im2col", hostSimdTier());
+        for (int64_t act : {kActRelu, kActNone}) {
+            SCOPED_TRACE("ConvBiasAct act " + std::to_string(act));
+            Attrs fa = a;
+            fa.set("act", act);
+            int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, std::move(fa));
+            Tensor fs = runKernel(g, fused, {tx, tw, tb}, "im2col");
+            Tensor fv = runKernel(g, fused, {tx, tw, tb}, fused_variant);
+            EXPECT_LT(maxRelDiff(fs, fv), 1e-5f);
+        }
     }
 }
 
