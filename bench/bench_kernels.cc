@@ -5,7 +5,8 @@
  * im2col / Winograd vs direct convolution, fused vs unfused
  * conv+bias+relu, direct vs in-place im2col pointwise conv+bias+relu,
  * and the SIMD kernel tier (scalar vs "@avx2"/"@neon" rows for GEMM,
- * im2col conv, fused pointwise conv, int8 GEMM and int8 depthwise).
+ * im2col conv, fused pointwise conv, int8 GEMM, int8 pointwise conv
+ * and int8 depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -381,6 +382,61 @@ BM_QuantDwConv(benchmark::State &state, const std::string &variant)
 }
 
 /**
+ * Int8 pointwise conv: MCUNet's other int8 hot op (the 1x1 expand and
+ * project layers of every inverted-residual block), ch -> ch channels
+ * over a 16x16 image. "" is the dequant->fp32->requant reference,
+ * "int8" the scalar native kernel; the SIMD row registers when the
+ * host has the tier. Items processed counts multiply-accumulates.
+ */
+void
+BM_QuantConv(benchmark::State &state, const std::string &variant)
+{
+    int64_t ch = state.range(0);
+    int64_t hw = 16;
+    Graph g;
+    int xi = g.input({1, ch, hw, hw}, "x");
+    int wi = g.input({ch, ch, 1, 1}, "w");
+    int bi = g.input({ch, 1, 1}, "b");
+    int si = g.input({ch}, "s");
+    Attrs a;
+    a.set("act", static_cast<int64_t>(1)); // relu
+    a.set("hasBias", static_cast<int64_t>(1));
+    a.set("perChannel", static_cast<int64_t>(1));
+    a.set("xScale", 0.01);
+    a.set("xZp", static_cast<int64_t>(3));
+    a.set("yScale", 0.02);
+    a.set("yZp", static_cast<int64_t>(0));
+    int node = g.add(OpKind::QuantConv2d, {xi, wi, bi, si}, std::move(a));
+    std::vector<float> qx((ch * hw * hw + 3) / 4), qw((ch * ch + 3) / 4);
+    Rng vr(2);
+    for (int64_t i = 0; i < ch * hw * hw; ++i)
+        reinterpret_cast<int8_t *>(qx.data())[i] =
+            static_cast<int8_t>(vr.randint(255) - 127);
+    for (int64_t i = 0; i < ch * ch; ++i)
+        reinterpret_cast<int8_t *>(qw.data())[i] =
+            static_cast<int8_t>(vr.randint(255) - 127);
+    std::vector<float> bias(static_cast<size_t>(ch), 0.1f);
+    std::vector<float> scales(static_cast<size_t>(ch), 0.002f);
+    int64_t out_n = numel(g.node(node).shape);
+    std::vector<float> out((out_n + 3) / 4);
+    KernelCtx ctx;
+    ctx.node = &g.node(node);
+    ctx.in = {qx.data(), qw.data(), bias.data(), scales.data()};
+    ctx.inShapes = {&g.node(xi).shape, &g.node(wi).shape,
+                    &g.node(bi).shape, &g.node(si).shape};
+    ctx.out = out.data();
+    ctx.outShape = &g.node(node).shape;
+    DirectWorkspace ws;
+    ws.attach(ctx, g, g.node(node), variant);
+    KernelFn fn = lookupKernel(OpKind::QuantConv2d, variant);
+    for (auto _ : state) {
+        fn(ctx);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * out_n * ch);
+}
+
+/**
  * Fused decode attention vs the unfused five-op chain
  * (BatchMatMul^T -> Scale -> Add(mask) -> Softmax -> BatchMatMul) at
  * the decode hot-loop shape: B rows of q [B,1,Dh] against a cached
@@ -520,6 +576,12 @@ BENCHMARK_CAPTURE(BM_QuantDwConv, ref, std::string(""))
 BENCHMARK_CAPTURE(BM_QuantDwConv, int8, std::string("int8"))
     ->Arg(32)
     ->Arg(96);
+BENCHMARK_CAPTURE(BM_QuantConv, ref, std::string(""))
+    ->Arg(32)
+    ->Arg(96);
+BENCHMARK_CAPTURE(BM_QuantConv, int8, std::string("int8"))
+    ->Arg(32)
+    ->Arg(96);
 
 /**
  * Tracing overhead on the executor hot loop (src/obs/): a small MLP
@@ -601,6 +663,12 @@ struct SimdBenchRegistrar {
         if (hasKernelVariant(OpKind::QuantDwConv2d, "int8" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_QuantDwConv/int8" + sfx).c_str(), BM_QuantDwConv,
+                "int8" + sfx)
+                ->Arg(32)
+                ->Arg(96);
+        if (hasKernelVariant(OpKind::QuantConv2d, "int8" + sfx))
+            benchmark::RegisterBenchmark(
+                ("BM_QuantConv/int8" + sfx).c_str(), BM_QuantConv,
                 "int8" + sfx)
                 ->Arg(32)
                 ->Arg(96);

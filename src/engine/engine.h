@@ -20,6 +20,7 @@
 
 #include "autodiff/autodiff.h"
 #include "engine/scheme.h"
+#include "obs/profile.h"
 #include "optim/optim.h"
 #include "passes/passes.h"
 #include "runtime/executor.h"
@@ -157,29 +158,7 @@ struct CompileReport {
     std::string
     fallbackBreakdown() const
     {
-        if (kernelFallbacks == 0)
-            return "";
-        std::vector<std::pair<std::string, int>> counts;
-        for (const std::string &label : fallbackKernels) {
-            bool found = false;
-            for (auto &[l, c] : counts) {
-                if (l == label) {
-                    ++c;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                counts.emplace_back(label, 1);
-        }
-        std::string out;
-        for (size_t i = 0; i < counts.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += counts[i].first + " x" +
-                   std::to_string(counts[i].second);
-        }
-        return out;
+        return kernelFallbacks == 0 ? "" : countLabels(fallbackKernels);
     }
 
     /**
@@ -187,31 +166,7 @@ struct CompileReport {
      * first-appearance order (e.g. "avx2 x12, scalar x3") — the
      * one-line answer to "did the SIMD tier actually bind?".
      */
-    std::string
-    tierBreakdown() const
-    {
-        std::vector<std::pair<std::string, int>> counts;
-        for (const std::string &t : stepTiers) {
-            bool found = false;
-            for (auto &[l, c] : counts) {
-                if (l == t) {
-                    ++c;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                counts.emplace_back(t, 1);
-        }
-        std::string out;
-        for (size_t i = 0; i < counts.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += counts[i].first + " x" +
-                   std::to_string(counts[i].second);
-        }
-        return out;
-    }
+    std::string tierBreakdown() const { return countLabels(stepTiers); }
 };
 
 /** A compiled training step. */

@@ -1,103 +1,35 @@
 /**
  * @file
- * FusedAttention scalar kernel: softmax(Q K^T * scale + mask) V with
- * the score row held in per-shard workspace. The five-op subgraph it
- * replaces (BatchMatMul -> Scale -> Add -> Softmax -> BatchMatMul)
+ * FusedAttention: softmax(Q K^T * scale + mask) V with the score row
+ * held in per-shard workspace. The five-op subgraph it replaces
+ * (BatchMatMul -> Scale -> Add -> Softmax -> BatchMatMul)
  * materializes four arena intermediates per run; here the QK row, the
  * softmax, and the V-accumulate never leave one [M]-float scratch row,
  * so the planner sees a single output value.
  *
- * Numerics are BIT-IDENTICAL to the unfused scalar subgraph: the dot
- * product accumulates k ascending (gemmNaive's order), the scale and
- * mask-add are the same single mul/add per score, the softmax is
- * softmax.cc's exact max / exp(x-mx) / sum / multiply-by-reciprocal
- * sequence, and the V product accumulates rows ascending per output
- * column (gemmNaive again). Masked positions arrive as -1e30f adds, so
- * exp underflows to exactly 0.0f — identical either way.
- *
- * Partitioning: over logical output rows (rank-2: S; rank-3: B*S).
- * Row r reads Q row r, mask row r, and the K/V slab of batch r/S —
- * every shard writes a disjoint slab of the output. With the "heads"
- * attr (head-split form) row r is (lead r/H, head r%H): K/V rows come
- * from the [L,M,H*Dh] cache slab at column offset (r%H)*Dh with
- * stride H*Dh, and the mask row is lead-indexed.
+ * The body (kutil::fusedAttentionK, kernel_bodies.h) is shared with
+ * the SIMD tiers; on the scalar tier registered here it is
+ * bit-identical to the unfused scalar subgraph. Partitioning: over
+ * logical output rows (rank-2: S; rank-3: B*S; head-split: L*H), each
+ * shard writing a disjoint slab of the output.
  */
 
-#include <cmath>
-#include <limits>
-
 #include "kernels/kernel.h"
-#include "kernels/kernel_util.h"
+#include "kernels/kernel_bodies.h"
 
 namespace pe {
 namespace {
 
-void
-fusedAttentionK(const KernelCtx &c)
+/** One fp32 attention-score row ([M] = K's row count) per shard: the
+ *  QK product, mask add, and softmax all happen in this buffer, so the
+ *  five-op subgraph's four arena intermediates become zero. */
+WorkspaceSpec
+fusedAttentionWorkspace(const Graph &g, const Node &n)
 {
-    const Shape &qs = *c.inShapes[0];
-    const Shape &ks = *c.inShapes[1];
-    size_t rank = qs.size();
-    int64_t dh = qs[rank - 1];
-    int64_t s = qs[rank - 2];
-    int64_t m = ks[rank - 2];
-    float scale = kutil::attrF(c, "scale", 1.0);
-    // heads > 0 selects the head-split form: K/V are the raw
-    // [L,M,H*Dh] cache slabs (rows head-strided instead of copied by
-    // a permute), the mask one [L,M] row per lead shared by every
-    // head. Same values in the same order, so still bit-identical.
-    int64_t heads = kutil::attrI(c, "heads", 0);
-    int64_t kstr = heads > 0 ? heads * dh : dh;
-
-    const float *q = c.in[0];
-    const float *k = c.in[1];
-    const float *v = c.in[2];
-    const float *mask = c.in[3];
-    float *scores = c.workspace;
-
-    int64_t rows = numel(*c.outShape) / dh;
-    for (int64_t r = c.begin; r < partitionEnd(c, rows); ++r) {
-        const float *qrow = q + r * dh;
-        const float *mrow, *kb, *vb;
-        if (heads > 0) {
-            int64_t lead = r / heads, hd = r % heads;
-            mrow = mask + lead * m;
-            kb = k + lead * m * kstr + hd * dh;
-            vb = v + lead * m * kstr + hd * dh;
-        } else {
-            mrow = mask + r * m;
-            kb = k + (r / s) * m * dh;
-            vb = v + (r / s) * m * dh;
-        }
-
-        // Scores: (Q . K_i) * scale + mask_i, k ascending like
-        // gemmNaive, then softmax.cc's exact reduction sequence.
-        float mx = -std::numeric_limits<float>::infinity();
-        for (int64_t i = 0; i < m; ++i) {
-            float acc = 0;
-            for (int64_t kk = 0; kk < dh; ++kk)
-                acc += qrow[kk] * kb[i * kstr + kk];
-            scores[i] = acc * scale + mrow[i];
-            if (scores[i] > mx)
-                mx = scores[i];
-        }
-        float sum = 0.0f;
-        for (int64_t i = 0; i < m; ++i) {
-            scores[i] = std::exp(scores[i] - mx);
-            sum += scores[i];
-        }
-        float inv = 1.0f / sum;
-        for (int64_t i = 0; i < m; ++i)
-            scores[i] *= inv;
-
-        float *orow = c.out + r * dh;
-        for (int64_t j = 0; j < dh; ++j) {
-            float acc = 0;
-            for (int64_t i = 0; i < m; ++i)
-                acc += scores[i] * vb[i * kstr + j];
-            orow[j] = acc;
-        }
-    }
+    const Shape &k = g.node(n.inputs[1]).shape;
+    WorkspaceSpec spec;
+    spec.bytesPerShard = k[k.size() - 2] * 4;
+    return spec;
 }
 
 } // namespace
@@ -108,8 +40,9 @@ void
 registerAttentionKernels()
 {
     PartitionSpec rows{part::outRows, 1};
-    registerKernel(OpKind::FusedAttention, "", fusedAttentionK, rows,
-                   kutil::fusedAttentionWorkspace);
+    registerKernel(OpKind::FusedAttention, "",
+                   kutil::fusedAttentionK<kutil::ScalarLanes>, rows,
+                   fusedAttentionWorkspace);
 }
 
 } // namespace detail

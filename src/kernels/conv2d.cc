@@ -15,13 +15,14 @@
  * into its own workspace column buffer (one image's column matrix),
  * so the kernel shards like any other instead of being serialized by
  * scratch. A pointwise conv reads its input image in place and has no
- * column buffer.
+ * column buffer. The im2col body is shared with the SIMD tiers
+ * (kernel_bodies.h).
  */
 
 #include <cstring>
 
 #include "kernels/kernel.h"
-#include "kernels/kernel_util.h"
+#include "kernels/kernel_bodies.h"
 
 namespace pe {
 namespace {
@@ -76,29 +77,6 @@ conv2dNaive(const KernelCtx &c)
             }
         }
     }
-}
-
-/** dst[j] += a * src[j]: the scalar tier's im2col GEMM row update. */
-void
-axpy(float *dst, const float *src, float a, int64_t n)
-{
-    for (int64_t j = 0; j < n; ++j)
-        dst[j] += a * src[j];
-}
-
-/** im2col + GEMM (kutil::im2colConv); the workspace holds one image's
- *  column matrix, or nothing for a pointwise conv. */
-void
-conv2dIm2col(const KernelCtx &c)
-{
-    kutil::im2colConv(c, nullptr, kActNone, axpy);
-}
-
-void
-convBiasActIm2col(const KernelCtx &c)
-{
-    kutil::im2colConv(c, c.in[2], c.node->attrs.getInt("act", kActNone),
-                      axpy);
 }
 
 void
@@ -306,9 +284,19 @@ dwConv2dBwdWeight(const KernelCtx &c)
     }
 }
 
-/** One image's column matrix (kernel_util.h — shared with the SIMD
- *  tier so both declare identical bytes). */
-constexpr auto im2colWorkspace = kutil::im2colConvWorkspace;
+/** One image's fp32 column matrix (ci*kh*kw rows by ho*wo columns),
+ *  for every tier of "im2col"; none for a pointwise conv, which reads
+ *  its input in place. */
+WorkspaceSpec
+im2colWorkspace(const Graph &g, const Node &n)
+{
+    const Shape &w = g.node(n.inputs[1]).shape;
+    WorkspaceSpec spec;
+    if (!isPointwiseConv(w, n.attrs))
+        spec.bytesPerShard =
+            w[1] * w[2] * w[3] * n.shape[2] * n.shape[3] * 4;
+    return spec;
+}
 
 } // namespace
 
@@ -321,9 +309,11 @@ registerConvKernels()
     PartitionSpec dxImages{part::outDim0, 1};
     PartitionSpec dwChannels{part::outDim0, 1};
     registerKernel(OpKind::Conv2d, "", conv2dNaive, images);
-    registerKernel(OpKind::Conv2d, "im2col", conv2dIm2col, dxImages,
+    registerKernel(OpKind::Conv2d, "im2col",
+                   kutil::conv2dIm2colK<kutil::ScalarLanes>, dxImages,
                    im2colWorkspace);
-    registerKernel(OpKind::ConvBiasAct, "im2col", convBiasActIm2col,
+    registerKernel(OpKind::ConvBiasAct, "im2col",
+                   kutil::convBiasActIm2colK<kutil::ScalarLanes>,
                    dxImages, im2colWorkspace);
     registerKernel(OpKind::Conv2dBwdInput, "", conv2dBwdInput, dxImages);
     registerKernel(OpKind::Conv2dBwdWeight, "", conv2dBwdWeight,

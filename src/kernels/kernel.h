@@ -130,9 +130,10 @@ struct KernelInfo {
 /**
  * Resolve the partition range of @p c against the full domain extent
  * @p n: a default-constructed range means the whole domain. Kernels
- * call this once at entry.
+ * call this once at entry. Internal linkage, like everything the SIMD
+ * tier TUs use from headers (kernel_util.h).
  */
-inline int64_t
+static inline int64_t
 partitionEnd(const KernelCtx &c, int64_t n)
 {
     return c.end > c.begin ? std::min(c.end, n) : n;
@@ -145,12 +146,7 @@ partitionEnd(const KernelCtx &c, int64_t n)
  * place: no unfold and no column workspace. One predicate for the
  * kernels, their workspace declaration and switchBackends.
  */
-inline bool
-isPointwiseConv(const Shape &w, const Attrs &a)
-{
-    return w[2] == 1 && w[3] == 1 && a.getInt("stride", 1) == 1 &&
-           a.getInt("pad", 0) == 0;
-}
+bool isPointwiseConv(const Shape &w, const Attrs &a);
 
 /**
  * Look up the kernel for an op. @p variant "" selects the default;
@@ -279,6 +275,16 @@ std::string scalarVariantOf(const std::string &variant);
  */
 std::string resolveTierVariant(OpKind op, const std::string &variant,
                                SimdTier tier);
+
+/**
+ * Register @p fn as the @p tier variant of the registered (op, @p base)
+ * kernel — "<base>@<tier>", or the bare tier name for base "" — with
+ * the base's own PartitionSpec and WorkspaceFn, so a tier variant
+ * declares exactly its base's partition and workspace by
+ * construction. Throws if the base is not registered yet.
+ */
+void registerTierVariant(OpKind op, const char *base, SimdTier tier,
+                         KernelFn fn);
 
 /**
  * Test hook: force hostSimdTier() to report @p tier (pass Scalar to

@@ -9,21 +9,18 @@
  * Partitioning: MatMul splits over output rows, BatchMatMul over the
  * batch — each shard writes a disjoint slab of the output. The
  * blocked variant declares a per-shard workspace holding one packed
- * B panel (kBlock x kBlock), so strided/transposed B tiles are read
+ * B panel (kGemmBlock x kGemmBlock), so strided/transposed B tiles are read
  * once and then streamed contiguously; packing copies values without
  * reordering the accumulation, so results stay bit-identical to the
- * unpacked loop.
+ * unpacked loop. The blocked body is shared with the SIMD tiers
+ * (kernel_bodies.h); "" stays an independent reference.
  */
 
-#include <cstring>
-
 #include "kernels/kernel.h"
-#include "kernels/kernel_util.h"
+#include "kernels/kernel_bodies.h"
 
 namespace pe {
 namespace {
-
-constexpr int64_t kBlock = kutil::kGemmBlock;
 
 using kutil::GemmView;
 
@@ -43,90 +40,18 @@ gemmNaive(const GemmView &a, const GemmView &b, float *out, int64_t r0,
     }
 }
 
-/**
- * Blocked GEMM with k-innermost accumulation into the output tile.
- * @p ws holds the packed B panel (kBlock * kBlock floats).
- */
-void
-gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
-            int64_t r1, float *ws)
+/** The blocked GEMM on the scalar tier (kernel_bodies.h). */
+constexpr kutil::GemmFn gemmBlocked =
+    kutil::gemmBlocked<kutil::ScalarLanes>;
+
+/** One packed B panel per shard, for every tier of "blocked". */
+WorkspaceSpec
+blockedWorkspace(const Graph &, const Node &)
 {
-    int64_t n = b.cols, kk = a.cols;
-    std::memset(out + r0 * n, 0, sizeof(float) * (r1 - r0) * n);
-    for (int64_t k0 = 0; k0 < kk; k0 += kBlock) {
-        int64_t k1 = std::min(k0 + kBlock, kk);
-        for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
-            int64_t j1 = std::min(j0 + kBlock, n);
-            // Pack B[k0:k1, j0:j1] once per panel; the packed copy is
-            // value-identical, so accumulation below is bit-identical
-            // to reading B directly.
-            int64_t jw = j1 - j0;
-            for (int64_t k = k0; k < k1; ++k) {
-                float *dst = ws + (k - k0) * jw;
-                for (int64_t j = j0; j < j1; ++j)
-                    dst[j - j0] = b.at(k, j);
-            }
-            for (int64_t i0 = r0; i0 < r1; i0 += kBlock) {
-                int64_t i1 = std::min(i0 + kBlock, r1);
-                for (int64_t i = i0; i < i1; ++i) {
-                    float *orow = out + i * n + j0;
-                    for (int64_t k = k0; k < k1; ++k) {
-                        float av = a.at(i, k);
-                        const float *brow = ws + (k - k0) * jw;
-                        for (int64_t j = 0; j < jw; ++j)
-                            orow[j] += av * brow[j];
-                    }
-                }
-            }
-        }
-    }
+    WorkspaceSpec spec;
+    spec.bytesPerShard = kutil::kGemmBlock * kutil::kGemmBlock * 4;
+    return spec;
 }
-
-constexpr auto viewOf = kutil::gemmViewOf;
-
-template <void (*Gemm)(const GemmView &, const GemmView &, float *,
-                       int64_t, int64_t, float *)>
-void
-matmulK(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    GemmView a = viewOf(c.in[0], *c.inShapes[0], ta);
-    GemmView b = viewOf(c.in[1], *c.inShapes[1], tb);
-    Gemm(a, b, c.out, c.begin, partitionEnd(c, a.rows), c.workspace);
-}
-
-template <void (*Gemm)(const GemmView &, const GemmView &, float *,
-                       int64_t, int64_t, float *)>
-void
-batchMatmulK(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    const Shape &as = *c.inShapes[0];
-    const Shape &bs = *c.inShapes[1];
-    int64_t batch = as[0];
-    int64_t a_stride = as[1] * as[2];
-    int64_t b_stride = bs[1] * bs[2];
-    int64_t o_stride = (*c.outShape)[1] * (*c.outShape)[2];
-    for (int64_t n = c.begin; n < partitionEnd(c, batch); ++n) {
-        GemmView a = viewOf(c.in[0] + n * a_stride, {as[1], as[2]}, ta);
-        GemmView b = viewOf(c.in[1] + n * b_stride, {bs[1], bs[2]}, tb);
-        Gemm(a, b, c.out + n * o_stride, 0, a.rows, c.workspace);
-    }
-}
-
-/** MatMul splits over logical output rows, not outShape[0] directly —
- *  they coincide ([M, N] output), but spell it via the shared helper. */
-int64_t
-matmulRows(const KernelCtx &c)
-{
-    return (*c.outShape)[0];
-}
-
-/** One packed B panel per shard (kernel_util.h — shared with the
- *  SIMD tier so both declare identical bytes). */
-constexpr auto blockedWorkspace = kutil::blockedGemmWorkspace;
 
 } // namespace
 
@@ -135,7 +60,9 @@ namespace detail {
 void
 registerMatmulKernels()
 {
-    PartitionSpec rows{matmulRows, 8};
+    using kutil::batchMatmulK;
+    using kutil::matmulK;
+    PartitionSpec rows{part::outDim0, 8};
     PartitionSpec batch{part::outDim0, 1};
     registerKernel(OpKind::MatMul, "", matmulK<gemmNaive>, rows);
     registerKernel(OpKind::MatMul, "blocked", matmulK<gemmBlocked>, rows,

@@ -18,10 +18,11 @@
  *    and therefore CompileReport::kernelFallbacks, surfaces.
  *
  * Every quant compute op — including depthwise conv, historically the
- * largest fallback — now has a native "int8" kernel; the SIMD tier
- * (simd_avx2.cc / simd_neon.cc) adds "int8@avx2"/"int8@neon"
- * variants that are bit-exact to these (integer accumulation has no
- * reassociation hazard; requantization rounds identically).
+ * largest fallback — has a native "int8" kernel. The GEMM, conv and
+ * depthwise bodies live in kernel_bodies.h and are registered here on
+ * the scalar tier; the SIMD tiers register the same bodies as
+ * "int8@avx2"/"int8@neon", bit-exact to these (integer accumulation
+ * has no reassociation hazard; requantization rounds identically).
  *
  * Thread-count invariance: every shard computes its output elements
  * with per-element exact integer accumulation and one final rounding,
@@ -34,16 +35,37 @@
 
 #include "ir/infer.h"
 #include "kernels/kernel.h"
-#include "kernels/kernel_util.h"
+#include "kernels/kernel_bodies.h"
 #include "quant/quant.h"
 
 namespace pe {
 namespace {
 
-using kutil::AxisView;
 using kutil::attrF;
 using kutil::attrI;
-using kutil::axisView;
+using kutil::Requant;
+using kutil::requantOf;
+
+/** Flattened-index stride/extent of the per-channel axis. */
+struct AxisView {
+    int64_t inner = 1, channels = 1;
+
+    int64_t
+    channelOf(int64_t flat) const
+    {
+        return (flat / inner) % channels;
+    }
+};
+
+AxisView
+axisView(const Shape &s, int64_t axis)
+{
+    AxisView v;
+    v.channels = s[axis];
+    for (size_t i = axis + 1; i < s.size(); ++i)
+        v.inner *= s[i];
+    return v;
+}
 
 // ---- storage casts ----------------------------------------------------
 
@@ -150,160 +172,34 @@ qreluK(const KernelCtx &c)
     }
 }
 
-// ---- int8 GEMM --------------------------------------------------------
+// ---- native int8 workspaces ----------------------------------------
+//
+// The int8 bodies are kutil::qmatmulK / qconvK / qdwConvK
+// (kernel_bodies.h), shared with the SIMD tiers; these are their
+// scratch declarations, inherited by every tier variant.
 
-/** Requantization context shared by GEMM and conv (kernel_util.h —
- *  the SIMD tier must round identically). */
-using kutil::Requant;
-using kutil::requantOf;
-
-/**
- * out[M,N] i8 = requant( sum_k (a[m,k]-xZp) * w[.,.] ). The weight
- * panel is packed K-contiguous per output column into the shard's
- * workspace, so the inner loop streams two contiguous i8 vectors.
- */
-void
-qmatmulK(const KernelCtx &c)
+/** Packed i8 weight panel of the int8 GEMM ([N, K] rows). */
+WorkspaceSpec
+qmatmulWorkspace(const Graph &g, const Node &n)
 {
-    const Shape &as = *c.inShapes[0];
-    const Shape &bs = *c.inShapes[1];
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    int64_t m_hi = partitionEnd(c, (*c.outShape)[0]);
-    int64_t k = as[1];
-    int64_t n = (*c.outShape)[1];
-    const int8_t *a = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *b = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    Requant rq = requantOf(c);
-
-    // Pack W into [N, K] rows (a value-copy; accumulation order is
-    // untouched, so packing cannot perturb results).
-    int8_t *wp = reinterpret_cast<int8_t *>(c.workspace);
-    for (int64_t j = 0; j < n; ++j) {
-        for (int64_t kk = 0; kk < k; ++kk)
-            wp[j * k + kk] = tb ? b[j * k + kk] : b[kk * n + j];
-    }
-    (void)bs;
-
-    for (int64_t i = c.begin; i < m_hi; ++i) {
-        const int8_t *arow = a + i * k;
-        for (int64_t j = 0; j < n; ++j) {
-            const int8_t *wrow = wp + j * k;
-            int32_t acc = 0;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                acc += (static_cast<int32_t>(arow[kk]) - rq.xZp) *
-                       static_cast<int32_t>(wrow[kk]);
-            }
-            out[i * n + j] = rq.emit(acc, j);
-        }
-    }
+    WorkspaceSpec spec;
+    spec.bytesPerShard = numel(g.node(n.inputs[1]).shape);
+    return spec;
 }
 
-/** Packed i8 panel (kernel_util.h — shared with the SIMD tier). */
-constexpr auto qmatmulWorkspace = kutil::qgemmWorkspace;
-
-// ---- int8 conv (im2col) ----------------------------------------------
-
-void
-qconvK(const KernelCtx &c)
+/** Per-image i8 im2col column buffer of the int8 conv. */
+WorkspaceSpec
+qconvWorkspace(const Graph &g, const Node &n)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t nI = xs[0], ci = xs[1], h = xs[2], w = xs[3];
-    int64_t co = ws[0], kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    Requant rq = requantOf(c);
-
-    int64_t k = ci * kh * kw;
-    int64_t cols = ho * wo;
-    int8_t *col = reinterpret_cast<int8_t *>(c.workspace);
-    int8_t zp8 = static_cast<int8_t>(
-        std::min<int32_t>(127, std::max<int32_t>(-128, rq.xZp)));
-
-    for (int64_t ni = c.begin; ni < partitionEnd(c, nI); ++ni) {
-        const int8_t *xn = x + ni * ci * h * w;
-        // Unfold; padding cells hold the zero-point so (col - zp) is
-        // exactly zero there, matching fp32 zero padding.
-        kutil::im2colUnfold(xn, col, ci, h, w, kh, kw, ho, wo, stride,
-                            pad, zp8);
-        // GEMM: out[co, cols] = (col - zp) . w[co, k], int32 accum.
-        int8_t *on = out + ni * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            const int8_t *wrow = wt + o * k;
-            int8_t *dst = on + o * cols;
-            for (int64_t cc2 = 0; cc2 < cols; ++cc2) {
-                int32_t acc = 0;
-                for (int64_t kk = 0; kk < k; ++kk) {
-                    acc += (static_cast<int32_t>(col[kk * cols + cc2]) -
-                            rq.xZp) *
-                           static_cast<int32_t>(wrow[kk]);
-                }
-                dst[cc2] = rq.emit(acc, o);
-            }
-        }
-    }
-}
-
-/** Per-image i8 column buffer (kernel_util.h — shared with the SIMD
- *  tier). */
-constexpr auto qconvWorkspace = kutil::qconvColWorkspace;
-
-// ---- int8 depthwise conv ---------------------------------------------
-
-/**
- * Native int8 depthwise conv: direct (no workspace), int32
- * accumulation over the (kh, kw) window with out-of-bounds taps
- * skipped — (x - zp) * w summed in ascending tap order, one rounding
- * at requantization. Until this kernel existed, QuantDwConv2d was the
- * largest dequant->fp32->requant fallback on every MCUNet /
- * MobileNetV2 int8 compile.
- */
-void
-qdwConv2dK(const KernelCtx &c)
-{
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    Requant rq = requantOf(c);
-
-    int64_t hi = partitionEnd(c, xs[0] * ch);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const int8_t *xp = x + (ni * ch + ci) * h * w;
-        const int8_t *wp = wt + ci * kh * kw;
-        int8_t *op = out + (ni * ch + ci) * ho * wo;
-        for (int64_t i = 0; i < ho; ++i) {
-            for (int64_t j = 0; j < wo; ++j) {
-                int32_t acc = 0;
-                for (int64_t a = 0; a < kh; ++a) {
-                    int64_t ih = i * stride - pad + a;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    for (int64_t b = 0; b < kw; ++b) {
-                        int64_t iw = j * stride - pad + b;
-                        if (iw < 0 || iw >= w)
-                            continue;
-                        acc += (static_cast<int32_t>(xp[ih * w + iw]) -
-                                rq.xZp) *
-                               static_cast<int32_t>(wp[a * kw + b]);
-                    }
-                }
-                op[i * wo + j] = rq.emit(acc, ci);
-            }
-        }
-    }
+    const Shape &x = g.node(n.inputs[0]).shape;
+    const Shape &w = g.node(n.inputs[1]).shape;
+    int64_t stride = n.attrs.getInt("stride", 1);
+    int64_t pad = n.attrs.getInt("pad", 0);
+    WorkspaceSpec spec;
+    spec.bytesPerShard = x[1] * w[2] * w[3] *
+                         convOutDim(x[2], w[2], stride, pad) *
+                         convOutDim(x[3], w[3], stride, pad);
+    return spec;
 }
 
 // ---- reference tier: dequant -> fp32 kernel -> requant ---------------
@@ -379,12 +275,6 @@ refQuantWorkspace(const Graph &g, const Node &n)
     return spec;
 }
 
-int64_t
-qmatmulRows(const KernelCtx &c)
-{
-    return (*c.outShape)[0];
-}
-
 } // namespace
 
 namespace detail {
@@ -393,7 +283,7 @@ void
 registerQuantizedKernels()
 {
     PartitionSpec elems{part::outElems, 1024};
-    PartitionSpec rows{qmatmulRows, 8};
+    PartitionSpec rows{part::outDim0, 8};
     PartitionSpec images{part::outDim0, 1};
     PartitionSpec imageChannels{part::outDim01, 1};
 
@@ -409,13 +299,15 @@ registerQuantizedKernels()
 
     registerKernel(OpKind::QuantMatMul, "", refQMatmulK, {},
                    refQuantWorkspace);
-    registerKernel(OpKind::QuantMatMul, "int8", qmatmulK, rows,
+    registerKernel(OpKind::QuantMatMul, "int8",
+                   kutil::qmatmulK<kutil::ScalarLanes>, rows,
                    qmatmulWorkspace);
 
     registerKernel(OpKind::QuantConv2d, "",
                    refQuantK<OpKind::Conv2d, OpKind::ConvBiasAct, 0>, {},
                    refQuantWorkspace);
-    registerKernel(OpKind::QuantConv2d, "int8", qconvK, images,
+    registerKernel(OpKind::QuantConv2d, "int8",
+                   kutil::qconvK<kutil::ScalarLanes>, images,
                    qconvWorkspace);
 
     registerKernel(OpKind::QuantDwConv2d, "",
@@ -424,8 +316,8 @@ registerQuantizedKernels()
     // The native int8 depthwise tier: the former "largest fallback on
     // every MCUNet int8 compile" (ROADMAP) is now a real kernel, so
     // int8 compiles report zero QuantDwConv2d fallbacks.
-    registerKernel(OpKind::QuantDwConv2d, "int8", qdwConv2dK,
-                   imageChannels);
+    registerKernel(OpKind::QuantDwConv2d, "int8",
+                   kutil::qdwConvK<kutil::ScalarLanes>, imageChannels);
 }
 
 } // namespace detail

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "hw/cpu_features.h"
+#include "kernels/kernel_util.h"
 
 namespace pe {
 
@@ -26,6 +27,31 @@ registerKernel(OpKind op, const std::string &variant, KernelFn fn,
 {
     registry()[{op, variant}] = {fn, part, workspace, false};
 }
+
+bool
+isPointwiseConv(const Shape &w, const Attrs &a)
+{
+    return w[2] == 1 && w[3] == 1 && a.getInt("stride", 1) == 1 &&
+           a.getInt("pad", 0) == 0;
+}
+
+namespace kutil {
+
+// Out of line so the ISA-flagged tier TUs call these instead of
+// compiling their own copies of the Attrs lookup (kernel_util.h).
+float
+attrF(const KernelCtx &c, const char *key, double dflt)
+{
+    return static_cast<float>(c.node->attrs.getFloat(key, dflt));
+}
+
+int64_t
+attrI(const KernelCtx &c, const char *key, int64_t dflt)
+{
+    return c.node->attrs.getInt(key, dflt);
+}
+
+} // namespace kutil
 
 namespace part {
 
@@ -177,14 +203,38 @@ scalarVariantOf(const std::string &variant)
     return variant;
 }
 
+namespace {
+
+/** "<base>@<tier>", or the bare tier name for the default kernel. */
+std::string
+tierVariantName(const std::string &base, SimdTier tier)
+{
+    return base.empty() ? std::string(simdTierName(tier))
+                        : base + "@" + simdTierName(tier);
+}
+
+} // namespace
+
+void
+registerTierVariant(OpKind op, const char *base, SimdTier tier,
+                    KernelFn fn)
+{
+    auto it = registry().find({op, base});
+    if (it == registry().end())
+        throw std::logic_error(std::string("no base kernel for tier "
+                                           "variant of ") +
+                               opName(op) + " \"" + base + "\"");
+    KernelInfo info = it->second;
+    info.fn = fn;
+    registry()[{op, tierVariantName(base, tier)}] = info;
+}
+
 std::string
 resolveTierVariant(OpKind op, const std::string &variant, SimdTier tier)
 {
     std::string base = scalarVariantOf(variant);
     if (tier != SimdTier::Scalar) {
-        std::string candidate =
-            base.empty() ? std::string(simdTierName(tier))
-                         : base + "@" + simdTierName(tier);
+        std::string candidate = tierVariantName(base, tier);
         if (hasKernelVariant(op, candidate))
             return candidate;
     }

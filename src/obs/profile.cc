@@ -47,6 +47,28 @@ jsonEscape(std::string &out, const std::string &s)
 
 } // namespace
 
+std::string
+countLabels(const std::vector<std::string> &labels)
+{
+    std::vector<std::pair<std::string, int>> counts;
+    for (const std::string &label : labels) {
+        auto it =
+            std::find_if(counts.begin(), counts.end(),
+                         [&](const auto &c) { return c.first == label; });
+        if (it == counts.end())
+            counts.emplace_back(label, 1);
+        else
+            ++it->second;
+    }
+    std::string out;
+    for (const auto &[label, n] : counts) {
+        if (!out.empty())
+            out += ", ";
+        out += label + " x" + std::to_string(n);
+    }
+    return out;
+}
+
 ProfileReport
 profileTrace(const Executor &ex, const TraceBuffer &trace)
 {
@@ -54,29 +76,7 @@ profileTrace(const Executor &ex, const TraceBuffer &trace)
     r.droppedSpans = trace.dropped();
     r.flopsPerStep = ex.graph().totalFlops();
     r.kernelFallbacks = ex.fallbackCount();
-    // Aggregate the fallback labels the same way CompileReport does
-    // ("op/variant xN" in first-appearance order).
-    {
-        std::vector<std::pair<std::string, int>> counts;
-        for (const std::string &label : ex.fallbackKernels()) {
-            bool found = false;
-            for (auto &[l, c] : counts) {
-                if (l == label) {
-                    ++c;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                counts.emplace_back(label, 1);
-        }
-        for (size_t i = 0; i < counts.size(); ++i) {
-            if (i)
-                r.fallbackBreakdown += ", ";
-            r.fallbackBreakdown += counts[i].first + " x" +
-                                   std::to_string(counts[i].second);
-        }
-    }
+    r.fallbackBreakdown = countLabels(ex.fallbackKernels());
 
     // Per-step rows keyed by stepIndex; the trace may not cover every
     // compiled step (ring overflow), so rows exist only for recorded

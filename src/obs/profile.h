@@ -57,6 +57,13 @@ struct ProfileOpRow {
  * plan_tool profile compares against measured wall time (the
  * acceptance bar: spans explain >= 95% of the wall).
  */
+/**
+ * "label xN, ..." over @p labels, counted in first-appearance order
+ * ("MatMul/winograd x3, Conv2d/x x1"); "" when empty. The one
+ * aggregation behind the fallback and tier breakdowns.
+ */
+std::string countLabels(const std::vector<std::string> &labels);
+
 struct ProfileReport {
     int64_t runs = 0;      ///< distinct run ids seen in the trace
     int64_t stepSpans = 0; ///< step spans folded

@@ -98,7 +98,9 @@ chooseWeightScale(float max_abs)
     return max_abs < 1e-12f ? 1.0f : max_abs / 127.0f;
 }
 
-inline int8_t
+/** Internal linkage: the ISA-flagged SIMD tier TUs call this, and an
+ *  unoptimized build must not export their copy (kernel_util.h). */
+static inline int8_t
 quantizeValue(float v, float scale, int32_t zp)
 {
     float q = v / scale + static_cast<float>(zp);

@@ -341,10 +341,9 @@ TEST(Engine, SparseMcuNetPointwiseConvsRunAsIm2colGemms)
     }
     EXPECT_GT(pointwise, 0);
     EXPECT_EQ(prog.report().backend.im2colBound, pointwise);
-    // Where the host tier has the fused variant (AVX2; NEON keeps
-    // ConvBiasAct on the scalar kernel), every pointwise conv runs it.
-    if (resolveTierVariant(OpKind::ConvBiasAct, "im2col",
-                           hostSimdTier()) != "im2col")
+    // On a SIMD host (AVX2 or NEON) every pointwise conv, fused or
+    // not, runs the tier's im2col variant.
+    if (hostSimdTier() != SimdTier::Scalar)
         EXPECT_GE(prog.report().simdSteps, pointwise);
     EXPECT_EQ(scalar.report().simdSteps, 0);
 

@@ -388,6 +388,12 @@ TEST(KernelRegistry, ExecutorCountsFallbacks)
     EXPECT_EQ(ex.fallbackCount(), 1);
     ASSERT_EQ(ex.fallbackKernels().size(), 1u);
     EXPECT_EQ(ex.fallbackKernels()[0], "MatMul/no-such-backend");
+    // The breakdown format every report quotes: first-appearance
+    // order, "label xN", comma-joined.
+    EXPECT_EQ(countLabels(ex.fallbackKernels()),
+              "MatMul/no-such-backend x1");
+    EXPECT_EQ(countLabels({"b", "a", "b", "b"}), "b x3, a x1");
+    EXPECT_EQ(countLabels({}), "");
 }
 
 // ---- End-to-end: thread count does not change training ---------------

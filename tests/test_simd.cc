@@ -239,12 +239,39 @@ TEST(TierApi, CapabilityGatedRegistration)
                           OpKind::QuantDwConv2d})
             EXPECT_TRUE(hasKernelVariant(op, "int8" + sfx));
         EXPECT_TRUE(hasKernelVariant(OpKind::Conv2d, "im2col" + sfx));
-        // NEON has no fused variant: ConvBiasAct resolves to the
-        // scalar "im2col" kernel there.
-        EXPECT_EQ(hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx),
-                  host == SimdTier::Avx2);
+        EXPECT_TRUE(
+            hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx));
         EXPECT_TRUE(
             hasKernelVariant(OpKind::BatchMatMul, "blocked" + sfx));
+        EXPECT_TRUE(
+            hasKernelVariant(OpKind::FusedAttention, simdTierName(host)));
+
+        // registerTier copies each base's PartitionSpec and
+        // WorkspaceFn, so the bind-time tier switch always fits the
+        // compiled plan.
+        struct V {
+            OpKind op;
+            std::string base, tier;
+        };
+        std::vector<V> variants = {
+            {OpKind::MatMul, "blocked", "blocked" + sfx},
+            {OpKind::BatchMatMul, "blocked", "blocked" + sfx},
+            {OpKind::Conv2d, "im2col", "im2col" + sfx},
+            {OpKind::ConvBiasAct, "im2col", "im2col" + sfx},
+            {OpKind::FusedAttention, "", simdTierName(host)},
+            {OpKind::QuantMatMul, "int8", "int8" + sfx},
+            {OpKind::QuantConv2d, "int8", "int8" + sfx},
+            {OpKind::QuantDwConv2d, "int8", "int8" + sfx}};
+        for (const V &v : variants) {
+            SCOPED_TRACE(std::string(opName(v.op)) + " " + v.tier);
+            KernelInfo base = lookupKernelInfo(v.op, v.base);
+            KernelInfo tier = lookupKernelInfo(v.op, v.tier);
+            EXPECT_FALSE(tier.fellBack);
+            EXPECT_NE(tier.fn, base.fn);
+            EXPECT_EQ(tier.part.extent, base.part.extent);
+            EXPECT_EQ(tier.part.minGrain, base.part.minGrain);
+            EXPECT_EQ(tier.workspace, base.workspace);
+        }
     }
 }
 
@@ -281,6 +308,25 @@ TEST(SimdParity, Fp32GemmWithin1e5Relative)
                 Tensor scalar = runKernel(g, mm, {a, b}, "blocked");
                 Tensor simd = runKernel(g, mm, {a, b}, "blocked" + sfx);
                 EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
+
+                // A 3-item BatchMatMul of the same geometry.
+                Graph bg;
+                int ba = bg.input(ta ? Shape{3, k, m} : Shape{3, m, k},
+                                  "a");
+                int bb = bg.input(tb ? Shape{3, n, k} : Shape{3, k, n},
+                                  "b");
+                Attrs bat;
+                bat.set("transA", static_cast<int64_t>(ta));
+                bat.set("transB", static_cast<int64_t>(tb));
+                int bmm =
+                    bg.add(OpKind::BatchMatMul, {ba, bb}, std::move(bat));
+                Tensor a3 = Tensor::randn(bg.node(ba).shape, rng);
+                Tensor b3 = Tensor::randn(bg.node(bb).shape, rng);
+                Tensor bscalar = runKernel(bg, bmm, {a3, b3}, "blocked");
+                Tensor bsimd =
+                    runKernel(bg, bmm, {a3, b3}, "blocked" + sfx);
+                EXPECT_LT(maxRelDiff(bscalar, bsimd), 1e-5f)
+                    << "BatchMatMul";
             }
         }
     }
@@ -313,12 +359,10 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
         Tensor simd = runKernel(g, conv, {tx, tw}, "im2col" + sfx);
         EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
 
-        // The fused form on the host's tier variant (NEON resolves
-        // to the scalar kernel).
+        // The fused form on the host's tier variant.
         int b = g.param({co, 1, 1}, "b", false);
         Tensor tb = Tensor::randn({co, 1, 1}, rng);
-        std::string fused_variant = resolveTierVariant(
-            OpKind::ConvBiasAct, "im2col", hostSimdTier());
+        std::string fused_variant = "im2col" + sfx;
         for (int64_t act : {kActRelu, kActNone}) {
             SCOPED_TRACE("ConvBiasAct act " + std::to_string(act));
             Attrs fa = a;
@@ -328,6 +372,63 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
             Tensor fv = runKernel(g, fused, {tx, tw, tb}, fused_variant);
             EXPECT_LT(maxRelDiff(fs, fv), 1e-5f);
         }
+    }
+}
+
+TEST(SimdParity, FusedAttentionWithin1e5Relative)
+{
+    SKIP_WITHOUT_SIMD();
+    std::string tier = simdTierName(hostSimdTier());
+    Rng rng(106);
+    // dh and m off the 8- and 4-lane widths (and 1-element edges), in
+    // the rank-2, rank-3 and head-split forms; a masked position in
+    // every score row exercises the -1e30 underflow.
+    struct S {
+        int64_t lead, s, m, dh, heads; // lead 0: rank-2
+    };
+    std::vector<S> shapes = {{0, 5, 7, 13, 0}, {0, 1, 1, 1, 0},
+                             {3, 2, 9, 21, 0}, {2, 3, 33, 6, 0},
+                             {4, 1, 11, 11, 3}, {2, 1, 5, 3, 2},
+                             {2, 1, 32, 32, 4}};
+    for (auto [lead, s, m, dh, heads] : shapes) {
+        SCOPED_TRACE("attn lead" + std::to_string(lead) + " s" +
+                     std::to_string(s) + " m" + std::to_string(m) +
+                     " dh" + std::to_string(dh) + " heads" +
+                     std::to_string(heads));
+        Shape qs, kvs, ms;
+        if (heads > 0) {
+            qs = {lead * heads, 1, dh};
+            kvs = {lead, m, heads * dh};
+            ms = {lead, m};
+        } else if (lead == 0) {
+            qs = {s, dh};
+            kvs = {m, dh};
+            ms = {s, m};
+        } else {
+            qs = {lead, s, dh};
+            kvs = {lead, m, dh};
+            ms = {lead, s, m};
+        }
+        Graph g;
+        int q = g.input(qs, "q");
+        int k = g.input(kvs, "k");
+        int v = g.input(kvs, "v");
+        int mask = g.input(ms, "mask");
+        Attrs a;
+        a.set("scale", 0.37);
+        if (heads > 0)
+            a.set("heads", heads);
+        int node = g.add(OpKind::FusedAttention, {q, k, v, mask},
+                         std::move(a));
+        Tensor tq = Tensor::randn(qs, rng);
+        Tensor tk = Tensor::randn(kvs, rng);
+        Tensor tv = Tensor::randn(kvs, rng);
+        Tensor tm(ms);
+        for (int64_t i = 0; i < tm.size(); ++i)
+            tm[i] = m > 1 && i % m == m - 1 ? -1e30f : 0.0f;
+        Tensor scalar = runKernel(g, node, {tq, tk, tv, tm}, "");
+        Tensor simd = runKernel(g, node, {tq, tk, tv, tm}, tier);
+        EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
     }
 }
 
@@ -414,10 +515,80 @@ TEST(SimdParity, Int8GemmBitExact)
     }
 }
 
+/** Build + run one QuantConv2d / QuantDwConv2d twice (scalar int8 vs
+ *  SIMD int8) and require bit-exact codes. */
+void
+checkQConvBitExact(OpKind op, int64_t ch, int64_t hw, int64_t k,
+                   int64_t stride, int64_t pad, bool with_bias,
+                   bool per_channel, int64_t act, Rng &rng)
+{
+    std::string sfx = hostSuffix();
+    bool dw = op == OpKind::QuantDwConv2d;
+    int64_t N = 2, Co = dw ? ch : ch + 1;
+    Tensor x = Tensor::uniform({N, ch, hw, hw}, rng, -1.0f, 1.0f);
+    Shape wshape = dw ? Shape{ch, 1, k, k} : Shape{Co, ch, k, k};
+    Tensor w = Tensor::uniform(wshape, rng, -0.6f, 0.6f);
+    Tensor bias = Tensor::uniform({Co, 1, 1}, rng, -0.3f, 0.3f);
+    QuantParams xp = chooseQuantParams(-1.0f, 1.0f);
+    QuantParams yp = chooseQuantParams(-4.0f, 4.0f);
+    I8Buf qx(x.size()), qw(w.size());
+    quantizeInto(x, xp.scale, xp.zeroPoint, qx);
+    std::vector<float> wscales = quantizeWeight(w, 0, qw);
+
+    Graph g;
+    int ix = g.input({N, ch, hw, hw}, "x");
+    int iw = g.input(wshape, "w");
+    int ib = g.input({Co, 1, 1}, "b");
+    int is = g.input({Co}, "s");
+    Attrs at;
+    at.set("stride", stride);
+    at.set("pad", pad);
+    at.set("act", act);
+    at.set("hasBias", static_cast<int64_t>(with_bias));
+    at.set("perChannel", static_cast<int64_t>(per_channel));
+    at.set("xScale", static_cast<double>(xp.scale));
+    at.set("xZp", static_cast<int64_t>(xp.zeroPoint));
+    // Per-tensor runs broadcast one weight scale to every lane.
+    at.set("wScale", static_cast<double>(wscales[0]));
+    at.set("yScale", static_cast<double>(yp.scale));
+    at.set("yZp", static_cast<int64_t>(yp.zeroPoint));
+    std::vector<int> inputs = {ix, iw};
+    std::vector<const float *> data = {qx.asF32(), qw.asF32()};
+    if (with_bias) {
+        inputs.push_back(ib);
+        data.push_back(bias.data());
+    }
+    if (per_channel) {
+        inputs.push_back(is);
+        data.push_back(wscales.data());
+    }
+    int node = g.add(op, inputs, std::move(at));
+    const Node &nd = g.node(node);
+    int64_t out_n = numel(nd.shape);
+
+    auto run = [&](const std::string &variant, I8Buf &dst) {
+        KernelCtx c;
+        c.node = &nd;
+        c.in = data;
+        for (int in : inputs)
+            c.inShapes.push_back(&g.node(in).shape);
+        c.out = dst.asF32Mut();
+        c.outShape = &nd.shape;
+        DirectWorkspace ws;
+        ws.attach(c, g, nd, variant);
+        lookupKernel(op, variant)(c);
+    };
+    I8Buf scalar(out_n), simd(out_n);
+    run("int8", scalar);
+    run("int8" + sfx, simd);
+    EXPECT_EQ(maxCodeDiff(scalar, simd, out_n), 0)
+        << (dw ? "depthwise" : "conv") << " bias=" << with_bias
+        << " perChannel=" << per_channel << " act=" << act;
+}
+
 TEST(SimdParity, Int8ConvAndDepthwiseBitExact)
 {
     SKIP_WITHOUT_SIMD();
-    std::string sfx = hostSuffix();
     Rng rng(104);
     struct S {
         int64_t ch, hw, k, stride, pad;
@@ -425,66 +596,20 @@ TEST(SimdParity, Int8ConvAndDepthwiseBitExact)
     std::vector<S> shapes = {{1, 1, 1, 1, 0}, {3, 8, 3, 1, 1},
                              {4, 9, 3, 2, 1}, {8, 12, 5, 1, 2},
                              {5, 7, 3, 1, 0}, {2, 16, 3, 1, 1}};
+    // gelu takes the scalar-emit fallback inside the tier kernels;
+    // none/relu the vector requantization.
     for (auto [ch, hw, k, stride, pad] : shapes) {
         SCOPED_TRACE("q ch" + std::to_string(ch) + " hw" +
                      std::to_string(hw) + " k" + std::to_string(k) +
                      " s" + std::to_string(stride) + " p" +
                      std::to_string(pad));
-        for (OpKind op :
-             {OpKind::QuantConv2d, OpKind::QuantDwConv2d}) {
-            bool dw = op == OpKind::QuantDwConv2d;
-            int64_t N = 2, Co = dw ? ch : ch + 1;
-            Tensor x =
-                Tensor::uniform({N, ch, hw, hw}, rng, -1.0f, 1.0f);
-            Shape wshape = dw ? Shape{ch, 1, k, k}
-                              : Shape{Co, ch, k, k};
-            Tensor w = Tensor::uniform(wshape, rng, -0.6f, 0.6f);
-            Tensor bias =
-                Tensor::uniform({Co, 1, 1}, rng, -0.3f, 0.3f);
-            QuantParams xp = chooseQuantParams(-1.0f, 1.0f);
-            QuantParams yp = chooseQuantParams(-4.0f, 4.0f);
-            I8Buf qx(x.size()), qw(w.size());
-            quantizeInto(x, xp.scale, xp.zeroPoint, qx);
-            std::vector<float> wscales = quantizeWeight(w, 0, qw);
-
-            Graph g;
-            int ix = g.input({N, ch, hw, hw}, "x");
-            int iw = g.input(wshape, "w");
-            int ib = g.input({Co, 1, 1}, "b");
-            int is = g.input({Co}, "s");
-            Attrs at;
-            at.set("stride", stride);
-            at.set("pad", pad);
-            at.set("act", static_cast<int64_t>(kActRelu));
-            at.set("hasBias", static_cast<int64_t>(1));
-            at.set("perChannel", static_cast<int64_t>(1));
-            at.set("xScale", static_cast<double>(xp.scale));
-            at.set("xZp", static_cast<int64_t>(xp.zeroPoint));
-            at.set("yScale", static_cast<double>(yp.scale));
-            at.set("yZp", static_cast<int64_t>(yp.zeroPoint));
-            int node = g.add(op, {ix, iw, ib, is}, std::move(at));
-            const Node &nd = g.node(node);
-            int64_t out_n = numel(nd.shape);
-
-            auto run = [&](const std::string &variant, I8Buf &dst) {
-                KernelCtx c;
-                c.node = &nd;
-                c.in = {qx.asF32(), qw.asF32(), bias.data(),
-                        wscales.data()};
-                c.inShapes = {&g.node(ix).shape, &g.node(iw).shape,
-                              &g.node(ib).shape, &g.node(is).shape};
-                c.out = dst.asF32Mut();
-                c.outShape = &nd.shape;
-                DirectWorkspace ws;
-                ws.attach(c, g, nd, variant);
-                lookupKernel(op, variant)(c);
-            };
-            I8Buf scalar(out_n), simd(out_n);
-            run("int8", scalar);
-            run("int8" + sfx, simd);
-            EXPECT_EQ(maxCodeDiff(scalar, simd, out_n), 0)
-                << (dw ? "depthwise" : "conv");
-        }
+        for (OpKind op : {OpKind::QuantConv2d, OpKind::QuantDwConv2d})
+            for (int64_t act : {kActNone, kActRelu, kActGelu})
+                for (bool with_bias : {false, true})
+                    for (bool per_channel : {false, true})
+                        checkQConvBitExact(op, ch, hw, k, stride, pad,
+                                           with_bias, per_channel, act,
+                                           rng);
     }
 }
 
