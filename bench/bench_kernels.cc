@@ -86,32 +86,56 @@ struct ConvFixture {
     }
 };
 
+/** An [n,n]x[n,n] MatMul, or MatMulBiasAct(relu) with an [n] bias. */
 void
-BM_MatMul(benchmark::State &state, const std::string &variant)
+gemmBench(benchmark::State &state, OpKind op, const std::string &variant)
 {
     int64_t n = state.range(0);
     Rng rng(1);
     Graph g;
-    int a = g.input({n, n}, "a");
-    int b = g.input({n, n}, "b");
-    int node = g.add(OpKind::MatMul, {a, b});
+    std::vector<int> inputs = {g.input({n, n}, "a"), g.input({n, n}, "b")};
     Tensor ta = Tensor::randn({n, n}, rng);
     Tensor tb = Tensor::randn({n, n}, rng);
-    Tensor out({n, n});
+    Tensor tbias = Tensor::randn({n}, rng);
     KernelCtx ctx;
-    ctx.node = &g.node(node);
     ctx.in = {ta.data(), tb.data()};
-    ctx.inShapes = {&g.node(a).shape, &g.node(b).shape};
+    Attrs attrs;
+    if (op == OpKind::MatMulBiasAct) {
+        attrs.set("act", static_cast<int64_t>(kActRelu));
+        inputs.push_back(g.input({n}, "bias"));
+        ctx.in.push_back(tbias.data());
+    }
+    int node = g.add(op, inputs, std::move(attrs));
+    Tensor out({n, n});
+    ctx.node = &g.node(node);
+    for (int i : inputs)
+        ctx.inShapes.push_back(&g.node(i).shape);
     ctx.out = out.data();
     ctx.outShape = &g.node(node).shape;
     DirectWorkspace ws;
     ws.attach(ctx, g, g.node(node), variant);
-    KernelFn fn = lookupKernel(OpKind::MatMul, variant);
+    KernelFn fn = lookupKernel(op, variant);
     for (auto _ : state) {
         fn(ctx);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+}
+
+void
+BM_MatMul(benchmark::State &state, const std::string &variant)
+{
+    gemmBench(state, OpKind::MatMul, variant);
+}
+
+/** The fused GEMM on the same variants: the unfused GEMM body plus
+ *  the bias + relu epilogue (info rows, no committed baseline). */
+void
+BM_FusedMatMulBiasRelu(benchmark::State &state,
+                       const std::string &variant)
+{
+    gemmBench(state, OpKind::MatMulBiasAct, variant);
 }
 
 /**
@@ -252,6 +276,10 @@ BENCHMARK_CAPTURE(BM_MatMul, naive, std::string(""))
     ->Arg(128);
 BENCHMARK_CAPTURE(BM_MatMul, blocked, std::string("blocked"))
     ->Arg(64)
+    ->Arg(128);
+BENCHMARK_CAPTURE(BM_FusedMatMulBiasRelu, naive, std::string(""))
+    ->Arg(128);
+BENCHMARK_CAPTURE(BM_FusedMatMulBiasRelu, blocked, std::string("blocked"))
     ->Arg(128);
 BENCHMARK(BM_MatMulThreads)
     ->Args({256, 1})
@@ -639,6 +667,11 @@ struct SimdBenchRegistrar {
                 ("BM_MatMul/blocked" + sfx).c_str(), BM_MatMul,
                 "blocked" + sfx)
                 ->Arg(64)
+                ->Arg(128);
+        if (hasKernelVariant(OpKind::MatMulBiasAct, "blocked" + sfx))
+            benchmark::RegisterBenchmark(
+                ("BM_FusedMatMulBiasRelu/blocked" + sfx).c_str(),
+                BM_FusedMatMulBiasRelu, "blocked" + sfx)
                 ->Arg(128);
         if (hasKernelVariant(OpKind::Conv2d, "im2col" + sfx))
             benchmark::RegisterBenchmark(

@@ -259,7 +259,8 @@ nodeFlops(const Graph &g, const Node &n)
 
     switch (n.op) {
       case OpKind::MatMul:
-      case OpKind::MatMulBiasAct: {
+      case OpKind::MatMulBiasAct:
+      case OpKind::QuantMatMul: {
         Shape a = inShape(0);
         int64_t k = n.attrs.getInt("transA", 0) ? a[0] : a[1];
         return 2.0 * out * static_cast<double>(k);
@@ -277,7 +278,8 @@ nodeFlops(const Graph &g, const Node &n)
         return 4.0 * out * static_cast<double>(m);
       }
       case OpKind::Conv2d:
-      case OpKind::ConvBiasAct: {
+      case OpKind::ConvBiasAct:
+      case OpKind::QuantConv2d: {
         Shape w = inShape(1);
         return 2.0 * out * static_cast<double>(w[1] * w[2] * w[3]);
       }
@@ -296,7 +298,8 @@ nodeFlops(const Graph &g, const Node &n)
                static_cast<double>(full_w[1] * full_w[2] * full_w[3]);
       }
       case OpKind::DwConv2d:
-      case OpKind::DwConvBiasAct: {
+      case OpKind::DwConvBiasAct:
+      case OpKind::QuantDwConv2d: {
         Shape w = inShape(1);
         return 2.0 * out * static_cast<double>(w[2] * w[3]);
       }
@@ -340,13 +343,16 @@ nodeFlops(const Graph &g, const Node &n)
 double
 nodeBytes(const Graph &g, const Node &n)
 {
-    double bytes = 4.0 * static_cast<double>(numel(n.shape));
-    for (int i : n.inputs)
-        bytes += 4.0 * static_cast<double>(numel(g.node(i).shape));
     if (n.op == OpKind::Reshape || n.op == OpKind::Identity ||
         isSourceOp(n.op)) {
         return 0.0;
     }
+    auto bytesOf = [](const Node &v) {
+        return static_cast<double>(dtypeSize(v.dtype) * numel(v.shape));
+    };
+    double bytes = bytesOf(n);
+    for (int i : n.inputs)
+        bytes += bytesOf(g.node(i));
     return bytes;
 }
 

@@ -1,8 +1,11 @@
 /**
  * @file
  * NCHW convolution kernels: naive direct (default), im2col+GEMM
- * ("im2col", also the ConvBiasAct variant of the same name), their
- * input/weight backward counterparts, and depthwise variants.
+ * ("im2col"), their input/weight backward counterparts, and depthwise
+ * variants. Each forward kernel serves its fused op too: ConvBiasAct
+ * and DwConvBiasAct run the Conv2d / DwConv2d body of the same variant
+ * followed by the shared bias + activation epilogue (kutil::Epilogue),
+ * so a fused op is bit-identical to its unfused chain.
  * Conv2dBwdWeight honors the "limitCo" attribute so sub-layer
  * (channel-sparse) backpropagation computes gradients for only the
  * first k output channels (paper Section 2.6).
@@ -42,6 +45,7 @@ dimsOf(const Shape &x, const Shape &w, const Shape &y, int64_t stride,
             stride, pad};
 }
 
+/** Direct Conv2d / ConvBiasAct over (image, output-channel) planes. */
 void
 conv2dNaive(const KernelCtx &c)
 {
@@ -51,6 +55,7 @@ conv2dNaive(const KernelCtx &c)
                         c.node->attrs.getInt("stride", 1),
                         c.node->attrs.getInt("pad", 0));
     const float *x = c.in[0], *w = c.in[1];
+    kutil::Epilogue ep = kutil::epilogueOf(c);
     int64_t hi = partitionEnd(c, d.n * d.co);
     for (int64_t idx = c.begin; idx < hi; ++idx) {
         int64_t n = idx / d.co, co = idx % d.co;
@@ -76,6 +81,7 @@ conv2dNaive(const KernelCtx &c)
                 c.out[((n * d.co + co) * d.ho + ho) * d.wo + wo] = acc;
             }
         }
+        ep.channel(c.out + idx * d.ho * d.wo, d.ho * d.wo, co);
     }
 }
 
@@ -165,6 +171,7 @@ conv2dBwdWeight(const KernelCtx &c)
     }
 }
 
+/** Direct DwConv2d / DwConvBiasAct over (image, channel) planes. */
 void
 dwConv2d(const KernelCtx &c)
 {
@@ -175,12 +182,13 @@ dwConv2d(const KernelCtx &c)
     int64_t ch = xs[1], h = xs[2], w = xs[3];
     int64_t kh = ws[2], kw = ws[3];
     int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
+    kutil::Epilogue ep = kutil::epilogueOf(c);
     int64_t hi = partitionEnd(c, xs[0] * ch);
     for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const float *xp = c.in[0] + (ni * ch + ci) * h * w;
+        int64_t ci = idx % ch;
+        const float *xp = c.in[0] + idx * h * w;
         const float *wp = c.in[1] + ci * kh * kw;
-        float *op = c.out + (ni * ch + ci) * ho * wo;
+        float *op = c.out + idx * ho * wo;
         for (int64_t i = 0; i < ho; ++i) {
             for (int64_t j = 0; j < wo; ++j) {
                 float acc = 0;
@@ -198,6 +206,7 @@ dwConv2d(const KernelCtx &c)
                 op[i * wo + j] = acc;
             }
         }
+        ep.channel(op, ho * wo, ci);
     }
 }
 
@@ -308,17 +317,17 @@ registerConvKernels()
     PartitionSpec images{part::outDim01, 1};
     PartitionSpec dxImages{part::outDim0, 1};
     PartitionSpec dwChannels{part::outDim0, 1};
-    registerKernel(OpKind::Conv2d, "", conv2dNaive, images);
-    registerKernel(OpKind::Conv2d, "im2col",
-                   kutil::conv2dIm2colK<kutil::ScalarLanes>, dxImages,
-                   im2colWorkspace);
-    registerKernel(OpKind::ConvBiasAct, "im2col",
-                   kutil::convBiasActIm2colK<kutil::ScalarLanes>,
-                   dxImages, im2colWorkspace);
+    for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct}) {
+        registerKernel(op, "", conv2dNaive, images);
+        registerKernel(op, "im2col",
+                       kutil::im2colConvK<kutil::ScalarLanes>, dxImages,
+                       im2colWorkspace);
+    }
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
+        registerKernel(op, "", dwConv2d, images);
     registerKernel(OpKind::Conv2dBwdInput, "", conv2dBwdInput, dxImages);
     registerKernel(OpKind::Conv2dBwdWeight, "", conv2dBwdWeight,
                    dwChannels);
-    registerKernel(OpKind::DwConv2d, "", dwConv2d, images);
     registerKernel(OpKind::DwConv2dBwdInput, "", dwConv2dBwdInput,
                    images);
     registerKernel(OpKind::DwConv2dBwdWeight, "", dwConv2dBwdWeight,

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 
 namespace pe {
 namespace {
@@ -78,13 +79,6 @@ unary(const KernelCtx &ctx, F f)
 }
 
 float
-geluOf(float x)
-{
-    return 0.5f * x *
-           (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
-}
-
-float
 geluGradOf(float x)
 {
     float t = std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x));
@@ -125,20 +119,22 @@ negK(const KernelCtx &c)
 {
     unary(c, [](float x) { return -x; });
 }
+// One activation definition, kutil::actOf, serves these kernels and the
+// fused ops' epilogue, so a fused act matches its standalone op bit for bit.
 void
 reluK(const KernelCtx &c)
 {
-    unary(c, [](float x) { return x > 0 ? x : 0.0f; });
+    unary(c, [](float x) { return kutil::actOf(kActRelu, x); });
 }
 void
 geluK(const KernelCtx &c)
 {
-    unary(c, geluOf);
+    unary(c, [](float x) { return kutil::actOf(kActGelu, x); });
 }
 void
 siluK(const KernelCtx &c)
 {
-    unary(c, [](float x) { return x * sigmoidOf(x); });
+    unary(c, [](float x) { return kutil::actOf(kActSilu, x); });
 }
 void
 sigmoidK(const KernelCtx &c)

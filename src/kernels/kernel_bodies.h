@@ -1,9 +1,11 @@
 /**
  * @file
- * One body per tiered kernel. Blocked MatMul / BatchMatMul, the
- * im2col Conv2d / ConvBiasAct, FusedAttention, QuantMatMul,
- * QuantConv2d and QuantDwConv2d are each written once here, as a
- * template over a tier's lane primitives. The scalar bases instantiate
+ * One body per tiered kernel. Blocked MatMul / MatMulBiasAct /
+ * BatchMatMul, the im2col Conv2d / ConvBiasAct, FusedAttention,
+ * QuantMatMul, QuantConv2d and QuantDwConv2d are each written once
+ * here, as a template over a tier's lane primitives. A fused op runs
+ * its unfused op's body plus the shared Epilogue (kernel_util.h), so
+ * it reaches every tier its base does. The scalar bases instantiate
  * them with ScalarLanes; a SIMD tier TU (simd_avx2.cc, simd_neon.cc)
  * defines its own primitive struct and makes one registerTier call.
  *
@@ -156,7 +158,7 @@ gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
 using GemmFn = void (*)(const GemmView &, const GemmView &, float *,
                         int64_t, int64_t, float *);
 
-/** MatMul over the output rows of this shard. */
+/** MatMul / MatMulBiasAct over the output rows of this shard. */
 template <GemmFn Gemm>
 void
 matmulK(const KernelCtx &c)
@@ -166,7 +168,11 @@ matmulK(const KernelCtx &c)
                             attrI(c, "transA", 0) != 0);
     GemmView b = gemmViewOf(c.in[1], bs[0], bs[1],
                             attrI(c, "transB", 0) != 0);
-    Gemm(a, b, c.out, c.begin, partitionEnd(c, a.rows), c.workspace);
+    int64_t hi = partitionEnd(c, a.rows);
+    Gemm(a, b, c.out, c.begin, hi, c.workspace);
+    Epilogue ep = epilogueOf(c);
+    for (int64_t i = c.begin; i < hi; ++i)
+        ep.row(c.out + i * b.cols, b.cols);
 }
 
 /** BatchMatMul over the batch items of this shard. */
@@ -190,17 +196,15 @@ batchMatmulK(const KernelCtx &c)
 // ---- fp32 im2col conv -------------------------------------------------
 
 /**
- * Conv2d as a GEMM over the images of this shard: out[co, cols] =
- * w[co, k] x operand[k, cols], accumulated in ascending k. The operand
- * is the image itself for a pointwise conv (its workspace declares no
- * column buffer), else the image unfolded into the shard's workspace.
- * @p bias (may be null) and @p act are applied to the finished sum,
- * one pass each, so the fused kernel is bit-identical to Conv2d ->
- * Add -> act run on the same tier.
+ * Conv2d / ConvBiasAct as a GEMM over the images of this shard:
+ * out[co, cols] = w[co, k] x operand[k, cols], accumulated in
+ * ascending k, then the node's epilogue. The operand is the image
+ * itself for a pointwise conv (its workspace declares no column
+ * buffer), else the image unfolded into the shard's workspace.
  */
 template <class P>
 void
-im2colConv(const KernelCtx &c, const float *bias, int64_t act)
+im2colConvK(const KernelCtx &c)
 {
     const Shape &xs = *c.inShapes[0], &ws = *c.inShapes[1];
     int64_t co = ws[0], k = ws[1] * ws[2] * ws[3];
@@ -208,6 +212,7 @@ im2colConv(const KernelCtx &c, const float *bias, int64_t act)
     int64_t cols = ho * wo;
     bool pointwise = isPointwiseConv(ws, c.node->attrs);
     int64_t stride = attrI(c, "stride", 1), pad = attrI(c, "pad", 0);
+    Epilogue ep = epilogueOf(c);
     for (int64_t n = c.begin; n < partitionEnd(c, (*c.outShape)[0]);
          ++n) {
         const float *src = c.in[0] + n * xs[1] * xs[2] * xs[3];
@@ -223,30 +228,9 @@ im2colConv(const KernelCtx &c, const float *bias, int64_t act)
             const float *wrow = c.in[1] + o * k;
             for (int64_t kk = 0; kk < k; ++kk)
                 P::axpy(dst, src + kk * cols, wrow[kk], cols);
-            if (bias) {
-                for (int64_t j = 0; j < cols; ++j)
-                    dst[j] += bias[o];
-            }
-            if (act != kActNone) {
-                for (int64_t j = 0; j < cols; ++j)
-                    dst[j] = actOf(act, dst[j]);
-            }
+            ep.channel(dst, cols, o);
         }
     }
-}
-
-template <class P>
-void
-conv2dIm2colK(const KernelCtx &c)
-{
-    im2colConv<P>(c, nullptr, kActNone);
-}
-
-template <class P>
-void
-convBiasActIm2colK(const KernelCtx &c)
-{
-    im2colConv<P>(c, c.in[2], attrI(c, "act", kActNone));
 }
 
 // ---- fused attention --------------------------------------------------
@@ -540,8 +524,9 @@ qdwConvK(const KernelCtx &c)
 // ---- tier registration ------------------------------------------------
 
 /**
- * Register the @p tier variant of every body above — "blocked@avx2",
- * "im2col@avx2", FusedAttention "avx2", "int8@avx2", ... — with its
+ * Register the @p tier variant of every body above — "blocked@avx2"
+ * (MatMul, MatMulBiasAct, BatchMatMul), "im2col@avx2" (Conv2d,
+ * ConvBiasAct), FusedAttention "avx2", "int8@avx2", ... — with its
  * scalar base's own PartitionSpec and WorkspaceFn, so the executor can
  * switch tiers at bind time against one memory plan.
  */
@@ -549,14 +534,12 @@ template <class P>
 void
 registerTier(SimdTier tier)
 {
-    registerTierVariant(OpKind::MatMul, "blocked", tier,
-                        matmulK<gemmBlocked<P>>);
+    for (OpKind op : {OpKind::MatMul, OpKind::MatMulBiasAct})
+        registerTierVariant(op, "blocked", tier, matmulK<gemmBlocked<P>>);
     registerTierVariant(OpKind::BatchMatMul, "blocked", tier,
                         batchMatmulK<gemmBlocked<P>>);
-    registerTierVariant(OpKind::Conv2d, "im2col", tier,
-                        conv2dIm2colK<P>);
-    registerTierVariant(OpKind::ConvBiasAct, "im2col", tier,
-                        convBiasActIm2colK<P>);
+    for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
+        registerTierVariant(op, "im2col", tier, im2colConvK<P>);
     registerTierVariant(OpKind::FusedAttention, "", tier,
                         fusedAttentionK<P>);
     registerTierVariant(OpKind::QuantMatMul, "int8", tier, qmatmulK<P>);

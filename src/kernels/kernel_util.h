@@ -2,11 +2,11 @@
  * @file
  * Helpers shared by the scalar kernel TUs and the tier kernel bodies
  * (kernel_bodies.h): GEMM operand views, the int8 requantization
- * context, activation math and the im2col unfold. A tier variant must
- * agree with its scalar base on all of this — packing layout, padding
- * values, requantization rounding — for the tier contract (int8
- * bit-exact, fp32 within tolerance) to hold, so the definitions live
- * in one place.
+ * context, activation math, the fp32 bias + activation epilogue and
+ * the im2col unfold. A tier variant must agree with its scalar base
+ * on all of this — packing layout, padding values, requantization
+ * rounding — for the tier contract (int8 bit-exact, fp32 within
+ * tolerance) to hold, so the definitions live in one place.
  *
  * Everything defined here has internal linkage (unnamed namespace),
  * and the attribute reads are out of line in a baseline TU. The AVX2
@@ -43,6 +43,8 @@ namespace {
  *  this, and the tier register tiles work inside it. */
 constexpr int64_t kGemmBlock = 48;
 
+/** The one definition of each activation: the Relu / Gelu / Silu
+ *  kernels, the fused epilogue and int8 requantization all call it. */
 inline float
 actOf(int64_t act, float v)
 {
@@ -55,10 +57,65 @@ actOf(int64_t act, float v)
                (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
       }
       case kActSilu:
-        return v / (1.0f + std::exp(-v));
+        return v * (1.0f / (1.0f + std::exp(-v)));
       default:
         return v;
     }
+}
+
+/**
+ * The bias + activation epilogue of every fp32 linear kernel (conv,
+ * depthwise, GEMM; each variant), run on finished sums: the bias add,
+ * then the activation, one pass each. A fused op therefore computes
+ * exactly its unfused chain (linear -> Add -> act) on the same
+ * variant. An unfused op's epilogue is empty.
+ */
+struct Epilogue {
+    const float *bias; ///< the fused op's third input, else null
+    int64_t act;       ///< ActKind; kActNone unless fused
+
+    /** A run of @p n outputs of channel @p o (a conv plane). */
+    void
+    channel(float *dst, int64_t n, int64_t o) const
+    {
+        if (bias) {
+            for (int64_t j = 0; j < n; ++j)
+                dst[j] += bias[o];
+        }
+        activate(dst, n);
+    }
+
+    /** One GEMM output row: column j takes bias[j]. */
+    void
+    row(float *dst, int64_t n) const
+    {
+        if (bias) {
+            for (int64_t j = 0; j < n; ++j)
+                dst[j] += bias[j];
+        }
+        activate(dst, n);
+    }
+
+  private:
+    void
+    activate(float *dst, int64_t n) const
+    {
+        if (act != kActNone) {
+            for (int64_t j = 0; j < n; ++j)
+                dst[j] = actOf(act, dst[j]);
+        }
+    }
+};
+
+/** The epilogue of @p c's node: a fused op (Conv/DwConv/MatMul +
+ *  bias + act) has its bias as third input and an "act" attr; the
+ *  two-input unfused op has neither. */
+inline Epilogue
+epilogueOf(const KernelCtx &c)
+{
+    if (c.in.size() < 3)
+        return {nullptr, kActNone};
+    return {c.in[2], attrI(c, "act", kActNone)};
 }
 
 /** Logical (post-transpose) view of a GEMM operand. */

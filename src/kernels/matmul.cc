@@ -4,7 +4,10 @@
  * variant ("blocked") the backend-switching pass selects on CPU-class
  * devices. Transpose flags are handled without materializing
  * transposed copies, which is how the backward graph reuses the
- * forward MatMul primitive (paper Fig. 3: dW = G * X^T).
+ * forward MatMul primitive (paper Fig. 3: dW = G * X^T). MatMulBiasAct
+ * registers the same two kernels: each applies the shared bias +
+ * activation epilogue (kutil::Epilogue) to its shard's rows, so the
+ * fused op is bit-identical to MatMul -> Add -> act on either variant.
  *
  * Partitioning: MatMul splits over output rows, BatchMatMul over the
  * batch — each shard writes a disjoint slab of the output. The
@@ -64,9 +67,11 @@ registerMatmulKernels()
     using kutil::matmulK;
     PartitionSpec rows{part::outDim0, 8};
     PartitionSpec batch{part::outDim0, 1};
-    registerKernel(OpKind::MatMul, "", matmulK<gemmNaive>, rows);
-    registerKernel(OpKind::MatMul, "blocked", matmulK<gemmBlocked>, rows,
-                   blockedWorkspace);
+    for (OpKind op : {OpKind::MatMul, OpKind::MatMulBiasAct}) {
+        registerKernel(op, "", matmulK<gemmNaive>, rows);
+        registerKernel(op, "blocked", matmulK<gemmBlocked>, rows,
+                       blockedWorkspace);
+    }
     registerKernel(OpKind::BatchMatMul, "", batchMatmulK<gemmNaive>,
                    batch);
     registerKernel(OpKind::BatchMatMul, "blocked",

@@ -106,7 +106,6 @@ void registerLossKernels();
 void registerReduceKernels();
 void registerShapeOpKernels();
 void registerOptimApplyKernels();
-void registerFusedKernels();
 void registerQuantizedKernels();
 void registerSimdAvx2Kernels();
 void registerSimdNeonKernels();
@@ -128,7 +127,6 @@ ensureKernelsRegistered()
         registerReduceKernels();
         registerShapeOpKernels();
         registerOptimApplyKernels();
-        registerFusedKernels();
         registerQuantizedKernels();
 #ifndef PE_NO_SIMD
         // Tier variants register only when the RUNNING host can

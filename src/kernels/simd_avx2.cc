@@ -2,8 +2,8 @@
  * @file
  * AVX2/FMA kernel tier: the lane primitives of kernel_bodies.h in
  * 8-wide AVX2 registers, registered with one registerTier call as the
- * "<base>@avx2" variants of the blocked GEMMs, the im2col convs,
- * FusedAttention and the int8 GEMM, conv and depthwise kernels. The
+ * "<base>@avx2" variants of the blocked GEMMs (fused MatMulBiasAct
+ * included), the im2col convs (fused or not), FusedAttention and the int8 GEMM, conv and depthwise kernels. The
  * bodies, partition domains and workspaces are the scalar bases' own.
  *
  * Numerics contract (README "Kernel tiers"):

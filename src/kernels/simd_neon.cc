@@ -3,8 +3,8 @@
  * NEON kernel tier: the lane primitives of kernel_bodies.h in 4-wide
  * NEON registers, registered with one registerTier call as the
  * "<base>@neon" variants of the same kernels as the AVX2 tier (blocked
- * GEMMs, im2col Conv2d and ConvBiasAct, FusedAttention, int8 GEMM,
- * conv and depthwise), with the scalar bases' bodies, partition
+ * MatMul, MatMulBiasAct and BatchMatMul, im2col Conv2d and
+ * ConvBiasAct, FusedAttention, int8 GEMM, conv and depthwise), with the scalar bases' bodies, partition
  * domains and workspaces.
  *
  * NEON is a compile-time baseline on ARM (__ARM_NEON), so this TU

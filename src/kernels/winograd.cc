@@ -1,7 +1,9 @@
 /**
  * @file
  * Winograd F(2x2, 3x3) convolution, registered as the "winograd"
- * variant of Conv2d / ConvBiasAct.
+ * variant of Conv2d / ConvBiasAct. The fused form is the same kernel
+ * followed by the shared bias + activation epilogue (kutil::Epilogue)
+ * on each finished output row pair, so every activation is applied.
  *
  * The paper (Section 3.2) observes that Winograd's weight transform is
  * normally a poor fit for training because the weights change every
@@ -20,9 +22,11 @@
  * instead of being serialized by scratch.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 
 namespace pe {
 namespace {
@@ -100,16 +104,16 @@ staticWeight(const KernelCtx &c)
 }
 
 /**
- * Core Winograd conv. @p bias may be null; @p act is an ActKind.
- * Requires kh == kw == 3 and stride == 1 (the backend-switching pass
- * guarantees this before binding the variant).
+ * Winograd Conv2d / ConvBiasAct. Requires kh == kw == 3 and stride
+ * == 1 (the backend-switching pass guarantees this before binding the
+ * variant).
  *
  * Workspace layout (per shard): [vbuf: ci*16] and, when the weight is
  * not static, [u: co*ci*16] after it. Static weights read u from the
  * shared region instead (cached across steps and shards).
  */
 void
-winogradConv(const KernelCtx &c, const float *bias, int64_t act)
+winogradConvK(const KernelCtx &c)
 {
     const Shape &xs = *c.inShapes[0];
     const Shape &ws = *c.inShapes[1];
@@ -118,6 +122,7 @@ winogradConv(const KernelCtx &c, const float *bias, int64_t act)
     int64_t co = ws[0];
     int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
     int64_t tiles_h = (ho + 1) / 2, tiles_w = (wo + 1) / 2;
+    kutil::Epilogue ep = kutil::epilogueOf(c);
 
     float *vbuf = c.workspace; // [ci, 16]
     const float *u;            // [co, ci, 16] transformed filters
@@ -170,7 +175,6 @@ winogradConv(const KernelCtx &c, const float *bias, int64_t act)
                 }
                 float y[2][2];
                 transformOutput(m, y);
-                float b = bias ? bias[o] : 0.0f;
                 float *op = c.out + (ni * co + o) * ho * wo;
                 for (int a = 0; a < 2; ++a) {
                     int64_t oh = th * 2 + a;
@@ -180,27 +184,17 @@ winogradConv(const KernelCtx &c, const float *bias, int64_t act)
                         int64_t ow = tw * 2 + bb;
                         if (ow >= wo)
                             continue;
-                        float v = y[a][bb] + b;
-                        if (act == kActRelu && v < 0)
-                            v = 0;
-                        op[oh * wo + ow] = v;
+                        op[oh * wo + ow] = y[a][bb];
                     }
                 }
             }
         }
+        // This shard's output rows [2 th, 2 th + 2) are finished.
+        int64_t rows = std::min<int64_t>(2, ho - th * 2);
+        for (int64_t o = 0; o < co; ++o)
+            ep.channel(c.out + ((ni * co + o) * ho + th * 2) * wo,
+                       rows * wo, o);
     }
-}
-
-void
-winogradConvK(const KernelCtx &c)
-{
-    winogradConv(c, nullptr, kActNone);
-}
-
-void
-winogradConvBiasActK(const KernelCtx &c)
-{
-    winogradConv(c, c.in[2], c.node->attrs.getInt("act", kActNone));
 }
 
 /** Warm-up hook: fill the shared region with the filter transforms. */
@@ -242,10 +236,9 @@ void
 registerWinogradKernels()
 {
     PartitionSpec tileRows{winogradTileRows, 1};
-    registerKernel(OpKind::Conv2d, "winograd", winogradConvK, tileRows,
-                   winogradWorkspace);
-    registerKernel(OpKind::ConvBiasAct, "winograd", winogradConvBiasActK,
-                   tileRows, winogradWorkspace);
+    for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
+        registerKernel(op, "winograd", winogradConvK, tileRows,
+                       winogradWorkspace);
 }
 
 } // namespace detail

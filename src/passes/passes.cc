@@ -591,6 +591,7 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                     ++stats->im2colBound;
             }
         } else if ((n.op == OpKind::MatMul ||
+                    n.op == OpKind::MatMulBiasAct ||
                     n.op == OpKind::BatchMatMul) &&
                    opts.enableBlocked) {
             if (numel(n.shape) >=

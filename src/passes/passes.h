@@ -107,8 +107,11 @@ struct BackendOptions {
  * is a GEMM over the input image read in place, with no column
  * workspace. Other convs get "im2col" only as unfused Conv2d with at
  * least blockedMinDim^2 outputs per image (their column buffers grow
- * peak memory) and stay direct otherwise. Large GEMMs get "blocked";
- * quant compute ops get "int8" (ops whose
+ * peak memory) and stay direct otherwise. GEMMs with at least
+ * blockedMinDim^2 outputs get "blocked" by one rule for MatMul,
+ * MatMulBiasAct and BatchMatMul. Every fused-op variant is its unfused
+ * op's kernel plus the shared bias + activation epilogue, so it reaches
+ * the same SIMD tier forms. Quant compute ops get "int8" (ops whose
  * int8 kernel is not registered fall back to the dequant->fp32->
  * requant reference kernel, surfaced via CompileReport's fallback
  * counters); everything else keeps the default.

@@ -211,6 +211,44 @@ TEST(CostModel, FlopsScaleWithShapes)
     EXPECT_EQ(nodeFlops(g, g.node(a)), 0.0);
 }
 
+TEST(CostModel, Int8OpsCountTheirFp32MacsAndOneBytePerElement)
+{
+    // An int8 conv, depthwise conv and GEMM do their fp32 forms' MACs
+    // over one-byte elements: the same flops, a quarter of the bytes.
+    Graph g;
+    Attrs conv;
+    conv.set("stride", static_cast<int64_t>(1));
+    conv.set("pad", static_cast<int64_t>(1));
+    int x = g.input({2, 4, 8, 8}, "x");
+    int w = g.param({6, 4, 3, 3}, "w", false);
+    int dw = g.param({4, 1, 3, 3}, "dw", false);
+    int a = g.input({16, 32}, "a");
+    int b = g.param({32, 24}, "b", false);
+    int qx = g.add(OpKind::Quantize, {x});
+    int qw = g.add(OpKind::Quantize, {w});
+    int qdw = g.add(OpKind::Quantize, {dw});
+    int qa = g.add(OpKind::Quantize, {a});
+    int qb = g.add(OpKind::Quantize, {b});
+    struct Pair {
+        int fp32, int8;
+    };
+    std::vector<Pair> pairs = {
+        {g.add(OpKind::Conv2d, {x, w}, conv),
+         g.add(OpKind::QuantConv2d, {qx, qw}, conv)},
+        {g.add(OpKind::DwConv2d, {x, dw}, conv),
+         g.add(OpKind::QuantDwConv2d, {qx, qdw}, conv)},
+        {g.add(OpKind::MatMul, {a, b}), g.add(OpKind::QuantMatMul, {qa, qb})}};
+    for (auto [f, q] : pairs) {
+        SCOPED_TRACE(opName(g.node(q).op));
+        EXPECT_EQ(g.node(q).dtype, DType::I8);
+        EXPECT_GT(nodeFlops(g, g.node(f)), static_cast<double>(
+                                               numel(g.node(f).shape)));
+        EXPECT_DOUBLE_EQ(nodeFlops(g, g.node(q)), nodeFlops(g, g.node(f)));
+        EXPECT_DOUBLE_EQ(nodeBytes(g, g.node(q)),
+                         nodeBytes(g, g.node(f)) / 4.0);
+    }
+}
+
 TEST(ModelZoo, AllFamiliesBuildAndInfer)
 {
     Rng rng(1);

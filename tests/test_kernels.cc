@@ -121,78 +121,114 @@ TEST(MatMulVariants, BlockedMatchesNaiveWithTranspose)
               1e-3f);
 }
 
-TEST(FusedKernels, ConvBiasReluMatchesComposition)
+/** The standalone activation op of a fused "act" code, Identity for
+ *  none (the chain then ends at the bias Add). */
+OpKind
+actOpOf(int64_t act)
 {
-    // Direct: within 1e-4 of conv + bias + relu (different summation
-    // order). "im2col": bit-equal to its own unfused chain, Conv2d
-    // "im2col" -> Add -> Relu, on a pointwise and a 3x3 shape.
-    struct S {
-        int64_t k, pad;
+    switch (act) {
+      case kActRelu:
+        return OpKind::Relu;
+      case kActGelu:
+        return OpKind::Gelu;
+      case kActSilu:
+        return OpKind::Silu;
+      default:
+        return OpKind::Identity;
+    }
+}
+
+TEST(FusedKernels, FusedOpsMatchUnfusedChainBitForBit)
+{
+    // Every fused op is its unfused op's kernel plus the shared bias +
+    // activation epilogue, so on each variant it equals linear -> Add
+    // -> act run on that same variant, bit for bit, for every act.
+    struct Case {
+        const char *name;
+        OpKind fused, linear;
+        Shape x, w, b;
+        int64_t stride, pad;
+        std::vector<std::string> variants;
     };
-    for (auto [k, pad] : {S{3, 1}, S{1, 0}}) {
-        SCOPED_TRACE("k" + std::to_string(k));
-        Rng rng(5);
-        Graph g;
-        int x = g.input({2, 3, 8, 8}, "x");
-        int w = g.param({6, 3, k, k}, "w", false);
-        int b = g.param({6, 1, 1}, "b", false);
-        Attrs ca;
-        ca.set("stride", static_cast<int64_t>(1));
-        ca.set("pad", pad);
-        Attrs a = ca;
-        a.set("act", static_cast<int64_t>(kActRelu));
-        int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, a);
-        int conv = g.add(OpKind::Conv2d, {x, w}, std::move(ca));
-        int add = g.add(OpKind::Add, {conv, b});
-        int relu = g.add(OpKind::Relu, {add});
-
-        Tensor tx = Tensor::randn({2, 3, 8, 8}, rng);
-        Tensor tw = Tensor::randn({6, 3, k, k}, rng, 0.3f);
-        Tensor tb = Tensor::randn({6, 1, 1}, rng);
-
-        Tensor got = runKernel(g, fused, {tx, tw, tb}, "");
-        Tensor conv_out = runKernel(g, conv, {tx, tw}, "");
-        for (int64_t n = 0; n < 2; ++n) {
-            for (int64_t c = 0; c < 6; ++c) {
-                for (int64_t i = 0; i < 64; ++i) {
-                    int64_t idx = (n * 6 + c) * 64 + i;
-                    float ref = conv_out[idx] + tb[c];
-                    ref = ref > 0 ? ref : 0;
-                    EXPECT_NEAR(got[idx], ref, 1e-4f);
-                }
+    std::vector<Case> cases = {
+        {"conv3x3", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 3, 8, 8},
+         {6, 3, 3, 3}, {6, 1, 1}, 1, 1, {"", "im2col", "winograd"}},
+        {"conv3x3odd", OpKind::ConvBiasAct, OpKind::Conv2d, {1, 2, 7, 7},
+         {3, 2, 3, 3}, {3, 1, 1}, 1, 1, {"", "winograd"}},
+        {"conv3x3s2", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 3, 9, 9},
+         {5, 3, 3, 3}, {5, 1, 1}, 2, 1, {"", "im2col"}},
+        {"conv1x1", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 3, 8, 8},
+         {6, 3, 1, 1}, {6, 1, 1}, 1, 0, {"", "im2col"}},
+        {"dwconv3x3", OpKind::DwConvBiasAct, OpKind::DwConv2d,
+         {2, 4, 8, 8}, {4, 1, 3, 3}, {4, 1, 1}, 1, 1, {""}},
+        {"dwconv3x3s2", OpKind::DwConvBiasAct, OpKind::DwConv2d,
+         {2, 4, 9, 9}, {4, 1, 3, 3}, {4, 1, 1}, 2, 1, {""}},
+        {"matmul", OpKind::MatMulBiasAct, OpKind::MatMul, {13, 50},
+         {50, 70}, {70}, 0, 0, {"", "blocked"}},
+    };
+    for (const Case &cs : cases) {
+        for (int64_t act : {kActNone, kActRelu, kActGelu, kActSilu}) {
+            Rng rng(5);
+            Graph g;
+            int x = g.input(cs.x, "x");
+            int w = g.param(cs.w, "w", false);
+            int b = g.param(cs.b, "b", false);
+            Attrs la;
+            if (cs.linear != OpKind::MatMul) {
+                la.set("stride", cs.stride);
+                la.set("pad", cs.pad);
+            }
+            Attrs fa = la;
+            fa.set("act", act);
+            int fused = g.add(cs.fused, {x, w, b}, std::move(fa));
+            int lin = g.add(cs.linear, {x, w}, std::move(la));
+            int add = g.add(OpKind::Add, {lin, b});
+            int act_node = g.add(actOpOf(act), {add});
+            Tensor tx = Tensor::randn(cs.x, rng);
+            Tensor tw = Tensor::randn(cs.w, rng, 0.3f);
+            Tensor tb = Tensor::randn(cs.b, rng);
+            for (const std::string &v : cs.variants) {
+                SCOPED_TRACE(std::string(cs.name) + " act " +
+                             std::to_string(act) + " variant \"" + v +
+                             "\"");
+                Tensor got = runKernel(g, fused, {tx, tw, tb}, v);
+                Tensor chain = runKernel(
+                    g, act_node,
+                    {runKernel(g, add,
+                               {runKernel(g, lin, {tx, tw}, v), tb},
+                               "")},
+                    "");
+                ASSERT_EQ(got.size(), chain.size());
+                for (int64_t i = 0; i < chain.size(); ++i)
+                    ASSERT_EQ(got[i], chain[i]) << "at " << i;
             }
         }
-
-        Tensor fused_i2c = runKernel(g, fused, {tx, tw, tb}, "im2col");
-        Tensor chain = runKernel(
-            g, relu,
-            {runKernel(g, add,
-                       {runKernel(g, conv, {tx, tw}, "im2col"), tb},
-                       "")},
-            "");
-        for (int64_t i = 0; i < chain.size(); ++i)
-            EXPECT_EQ(fused_i2c[i], chain[i]) << "at " << i;
     }
 }
 
 TEST(FusedKernels, WinogradConvBiasActMatchesFusedDirect)
 {
-    Rng rng(5);
-    Graph g;
-    int x = g.input({1, 4, 10, 10}, "x");
-    int w = g.param({4, 4, 3, 3}, "w", false);
-    int b = g.param({4, 1, 1}, "b", false);
-    Attrs a;
-    a.set("stride", static_cast<int64_t>(1));
-    a.set("pad", static_cast<int64_t>(1));
-    a.set("act", static_cast<int64_t>(kActRelu));
-    int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, a);
-    Tensor tx = Tensor::randn({1, 4, 10, 10}, rng);
-    Tensor tw = Tensor::randn({4, 4, 3, 3}, rng, 0.3f);
-    Tensor tb = Tensor::randn({4, 1, 1}, rng);
-    Tensor direct = runKernel(g, fused, {tx, tw, tb}, "");
-    Tensor wino = runKernel(g, fused, {tx, tw, tb}, "winograd");
-    EXPECT_LT(maxAbsDiff(direct, wino), 1e-3f);
+    // Every activation, not only relu: the Winograd kernel shares the
+    // direct kernel's bias + activation epilogue.
+    for (int64_t act : {kActNone, kActRelu, kActGelu, kActSilu}) {
+        SCOPED_TRACE("act " + std::to_string(act));
+        Rng rng(5);
+        Graph g;
+        int x = g.input({1, 4, 10, 10}, "x");
+        int w = g.param({4, 4, 3, 3}, "w", false);
+        int b = g.param({4, 1, 1}, "b", false);
+        Attrs a;
+        a.set("stride", static_cast<int64_t>(1));
+        a.set("pad", static_cast<int64_t>(1));
+        a.set("act", act);
+        int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, a);
+        Tensor tx = Tensor::randn({1, 4, 10, 10}, rng);
+        Tensor tw = Tensor::randn({4, 4, 3, 3}, rng, 0.3f);
+        Tensor tb = Tensor::randn({4, 1, 1}, rng);
+        Tensor direct = runKernel(g, fused, {tx, tw, tb}, "");
+        Tensor wino = runKernel(g, fused, {tx, tw, tb}, "winograd");
+        EXPECT_LT(maxAbsDiff(direct, wino), 1e-3f);
+    }
 }
 
 TEST(WinogradCache, StaticWeightTransformIsCachedAndReused)

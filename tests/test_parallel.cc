@@ -342,8 +342,17 @@ TEST(KernelPartition, FusedKernels)
 {
     Attrs mb;
     mb.set("act", kActRelu);
+    expectShardInvariant({OpKind::MatMulBiasAct, {{13, 7}, {7, 9}, {9}}, mb});
+    // "blocked": one packed B panel per shard, rows past the 48-row
+    // tile and 48-wide panel.
     expectShardInvariant(
-        {OpKind::MatMulBiasAct, {{13, 7}, {7, 9}, {9}}, std::move(mb)});
+        {OpKind::MatMulBiasAct, {{61, 50}, {50, 53}, {53}}, std::move(mb)},
+        "blocked");
+    Attrs dw = convAttrs(2, 1);
+    dw.set("act", kActGelu);
+    expectShardInvariant({OpKind::DwConvBiasAct,
+                          {{2, 5, 9, 9}, {5, 1, 3, 3}, {5, 1, 1}},
+                          std::move(dw)});
     Attrs cb = convAttrs(1, 1);
     cb.set("act", kActRelu);
     expectShardInvariant({OpKind::ConvBiasAct,

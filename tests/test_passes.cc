@@ -246,6 +246,38 @@ TEST(BackendSwitch, BlockedOnlyForLargeGemms)
     EXPECT_EQ(variants[small], "");
 }
 
+TEST(BackendSwitch, MatMulBiasActBindsLikeMatMul)
+{
+    // One rule: a fused GEMM binds "blocked" exactly when a MatMul of
+    // the same shape does, on both sides of the blockedMinDim^2
+    // threshold and with blocking off.
+    struct S {
+        int64_t m, k, n;
+    };
+    for (auto [m, k, n] : {S{128, 32, 128}, S{64, 8, 64}, S{63, 64, 64},
+                           S{4, 4, 4}, S{4096, 2, 1}, S{1, 2, 4095}}) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+        Graph g;
+        int a = g.input({m, k}, "a");
+        int b = g.input({k, n}, "b");
+        int bias = g.param({n}, "bias", true);
+        int mm = g.add(OpKind::MatMul, {a, b});
+        Attrs fa;
+        fa.set("act", static_cast<int64_t>(kActGelu));
+        int fused = g.add(OpKind::MatMulBiasAct, {a, b, bias}, fa);
+        g.markOutput(mm);
+        g.markOutput(fused);
+        for (bool blocked : {true, false}) {
+            BackendOptions opts;
+            opts.enableBlocked = blocked;
+            auto variants = switchBackends(g, opts);
+            EXPECT_EQ(variants[fused], variants[mm]);
+            EXPECT_EQ(variants[mm] == "blocked",
+                      blocked && m * n >= 64 * 64);
+        }
+    }
+}
+
 TEST(BackendSwitch, WinogradRequiresFrozen3x3Stride1)
 {
     Graph g;

@@ -244,6 +244,8 @@ TEST(TierApi, CapabilityGatedRegistration)
         EXPECT_TRUE(
             hasKernelVariant(OpKind::BatchMatMul, "blocked" + sfx));
         EXPECT_TRUE(
+            hasKernelVariant(OpKind::MatMulBiasAct, "blocked" + sfx));
+        EXPECT_TRUE(
             hasKernelVariant(OpKind::FusedAttention, simdTierName(host)));
 
         // registerTier copies each base's PartitionSpec and
@@ -255,6 +257,7 @@ TEST(TierApi, CapabilityGatedRegistration)
         };
         std::vector<V> variants = {
             {OpKind::MatMul, "blocked", "blocked" + sfx},
+            {OpKind::MatMulBiasAct, "blocked", "blocked" + sfx},
             {OpKind::BatchMatMul, "blocked", "blocked" + sfx},
             {OpKind::Conv2d, "im2col", "im2col" + sfx},
             {OpKind::ConvBiasAct, "im2col", "im2col" + sfx},
@@ -308,6 +311,24 @@ TEST(SimdParity, Fp32GemmWithin1e5Relative)
                 Tensor scalar = runKernel(g, mm, {a, b}, "blocked");
                 Tensor simd = runKernel(g, mm, {a, b}, "blocked" + sfx);
                 EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
+
+                // The fused form: the same GEMM plus the epilogue.
+                int ibias = g.input({n}, "bias");
+                Tensor bias = Tensor::randn({n}, rng);
+                for (int64_t act :
+                     {kActNone, kActRelu, kActGelu, kActSilu}) {
+                    Attrs ft;
+                    ft.set("transA", static_cast<int64_t>(ta));
+                    ft.set("transB", static_cast<int64_t>(tb));
+                    ft.set("act", act);
+                    int fmm = g.add(OpKind::MatMulBiasAct, {ia, ib, ibias},
+                                    std::move(ft));
+                    Tensor fs = runKernel(g, fmm, {a, b, bias}, "blocked");
+                    Tensor fv =
+                        runKernel(g, fmm, {a, b, bias}, "blocked" + sfx);
+                    EXPECT_LT(maxRelDiff(fs, fv), 1e-5f)
+                        << "MatMulBiasAct act " << act;
+                }
 
                 // A 3-item BatchMatMul of the same geometry.
                 Graph bg;
@@ -363,7 +384,7 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
         int b = g.param({co, 1, 1}, "b", false);
         Tensor tb = Tensor::randn({co, 1, 1}, rng);
         std::string fused_variant = "im2col" + sfx;
-        for (int64_t act : {kActRelu, kActNone}) {
+        for (int64_t act : {kActNone, kActRelu, kActGelu, kActSilu}) {
             SCOPED_TRACE("ConvBiasAct act " + std::to_string(act));
             Attrs fa = a;
             fa.set("act", act);
