@@ -179,7 +179,7 @@ main()
             double tf_baseline = 0;
             for (const FrameworkProfile &fw : frameworks) {
                 double us = projectLatencyUs(
-                    eg.graph, eg.order, dev, fw, {},
+                    eg.graph, eg.artifact.order, dev, fw, {},
                     /*extra_ops=*/eg.report.backwardNodes);
                 double tput = throughputPerSec(us, m.batch);
                 if (fw.name == "TensorFlow")
@@ -187,10 +187,12 @@ main()
                 cells.push_back(fmt(tput, 1));
             }
             FrameworkProfile pe = FrameworkProfile::pockEngine();
-            double us_full = projectLatencyUs(pg.graph, pg.order, dev,
-                                              pe, pg.variants);
-            double us_sparse = projectLatencyUs(sg.graph, sg.order, dev,
-                                                pe, sg.variants);
+            double us_full =
+                projectLatencyUs(pg.graph, pg.artifact.order, dev, pe,
+                                 pg.artifact.variants);
+            double us_sparse =
+                projectLatencyUs(sg.graph, sg.artifact.order, dev, pe,
+                                 sg.artifact.variants);
             double t_full = throughputPerSec(us_full, m.batch);
             double t_sparse = throughputPerSec(us_sparse, m.batch);
             cells.push_back(fmt(t_full, 1));

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/tensor.h"
+#include "engine/engine.h"
 #include "frontend/builder.h"
 #include "hw/threadpool.h"
 #include "ir/graph.h"
@@ -633,7 +634,7 @@ BM_TraceOverhead(benchmark::State &state)
     h = nb.relu(nb.linear(h, 64, "fc2"));
     int logits = nb.linear(h, 4, "head");
     g.markOutput(logits);
-    Executor ex(g, naturalOrder(g), store);
+    Executor ex(g, planProgram(g), store);
     Tensor in = Tensor::randn({8, 16}, rng);
     ex.bindInput("x", in);
     if (armed)

@@ -102,17 +102,18 @@ main()
 
     FrameworkProfile pt = FrameworkProfile::pytorch();
     FrameworkProfile pe = FrameworkProfile::pockEngine();
-    double t_py_full = projectLatencyUs(py_full.graph, py_full.order,
-                                        orin, pt, {},
-                                        py_full.report.backwardNodes);
-    double t_py_lora = projectLatencyUs(py_lora.graph, py_lora.order,
-                                        orin, pt, {},
-                                        py_lora.report.backwardNodes);
-    double t_pe_full = projectLatencyUs(pe_full.graph, pe_full.order,
-                                        orin, pe, pe_full.variants);
-    double t_pe_sparse = projectLatencyUs(pe_sparse.graph,
-                                          pe_sparse.order, orin, pe,
-                                          pe_sparse.variants);
+    double t_py_full = projectLatencyUs(
+        py_full.graph, py_full.artifact.order, orin, pt, {},
+        py_full.report.backwardNodes);
+    double t_py_lora = projectLatencyUs(
+        py_lora.graph, py_lora.artifact.order, orin, pt, {},
+        py_lora.report.backwardNodes);
+    double t_pe_full =
+        projectLatencyUs(pe_full.graph, pe_full.artifact.order, orin, pe,
+                         pe_full.artifact.variants);
+    double t_pe_sparse =
+        projectLatencyUs(pe_sparse.graph, pe_sparse.artifact.order, orin,
+                         pe, pe_sparse.artifact.variants);
 
     // --- quality on the reduced decoder ------------------------------
     QualityRow q_full = quality(SparseUpdateScheme::full(), 0, steps);

@@ -336,11 +336,8 @@ attnStageUsPerStep(const DecoderConfig &cfg, int64_t streams,
     g.markOutput(ctx);
     CompileOptions opt;
     opt.fuseAttention = fused;
-    CompiledGraph c = compileInferenceGraph(g, {ctx}, opt, store);
-    ExecOptions eo;
-    eo.variants = std::move(c.variants);
-    InferenceProgram prog(std::move(c.graph), store, std::move(eo),
-                          std::move(c.report), std::move(c.order));
+    InferenceProgram prog(compileInferenceGraph(g, {ctx}, opt, store),
+                          store);
 
     Rng vr(11);
     Tensor qt({B, 1, Dh}), kt({B, M, Dh}), vt({B, M, Dh});

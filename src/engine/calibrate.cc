@@ -22,8 +22,7 @@
 
 #include <stdexcept>
 
-#include "passes/passes.h"
-#include "runtime/executor.h"
+#include "engine/engine.h"
 
 namespace pe {
 
@@ -40,7 +39,7 @@ observeRanges(const Graph &g, ParamStore &store,
     copy.outputs().clear();
     for (int id = 0; id < copy.numNodes(); ++id)
         copy.markOutput(id); // keep every value live for observation
-    Executor ex(copy, naturalOrder(copy), store);
+    Executor ex(copy, planProgram(copy), store);
 
     std::vector<CalibRange> ranges(g.numNodes());
     std::vector<bool> seen(g.numNodes(), false);

@@ -6,47 +6,53 @@
 namespace pe {
 
 void
-finalizeExecReport(CompileReport &report, const Executor &ex)
+CompileReport::recordPlan(const ProgramArtifact &art)
 {
-    report.kernelSteps = ex.numSteps();
-    const MemoryPlan &mp = ex.memoryPlan();
-    report.arenaBytes = mp.arenaBytes;
-    report.workspaceBytes = mp.workspaceBytes;
-    report.paramBytes = mp.paramBytes;
-    report.constBytes = mp.constBytes;
-    report.totalBytes = mp.totalBytes();
-    report.memoryTimeline = mp.liveBytesAtStep;
-    report.peakLiveBytes = mp.peakLiveBytes;
-    report.arenaBytesByDtype = mp.arenaValueBytesByDtype;
-    report.constBytesByDtype = mp.constBytesByDtype;
-    report.shardedSteps = ex.shardedSteps();
-    report.serializedByWorkspace = ex.serializedByWorkspace();
-    report.simdTier = simdTierName(ex.simdTier());
-    report.simdSteps = ex.simdSteps();
-    report.stepTiers = ex.stepTiers();
+    const MemoryPlan &mp = art.plan;
+    kernelSteps = static_cast<int>(art.shardsPerStep.size());
+    arenaBytes = mp.arenaBytes;
+    workspaceBytes = mp.workspaceBytes;
+    paramBytes = mp.paramBytes;
+    constBytes = mp.constBytes;
+    totalBytes = mp.totalBytes();
+    memoryTimeline = mp.liveBytesAtStep;
+    peakLiveBytes = mp.peakLiveBytes;
+    arenaBytesByDtype = mp.arenaValueBytesByDtype;
+    constBytesByDtype = mp.constBytesByDtype;
+    shardedSteps = art.shardedSteps;
+    serializedByWorkspace = art.serializedByWorkspace;
 }
 
-TrainingProgram::TrainingProgram(Graph g, int loss_id,
-                                 std::vector<int> order,
+void
+CompileReport::recordBinding(const Executor &ex)
+{
+    simdTier = simdTierName(ex.simdTier());
+    simdSteps = ex.simdSteps();
+    stepTiers = ex.stepTiers();
+    kernelFallbacks = ex.fallbackCount();
+    fallbackKernels = ex.fallbackKernels();
+}
+
+TrainingProgram::TrainingProgram(CompiledGraph step,
                                  std::shared_ptr<ParamStore> store,
                                  ExecOptions exec_options,
-                                 CompileReport report, Graph apply_graph,
+                                 CompiledGraph apply,
                                  int grad_accum_steps,
                                  std::vector<std::string> accum_buffers)
-    : graph_(std::move(g)), lossId_(loss_id), store_(std::move(store)),
-      applyGraph_(std::move(apply_graph)),
+    : graph_(std::move(step.graph)), lossId_(step.lossId),
+      store_(std::move(store)), applyGraph_(std::move(apply.graph)),
       gradAccumSteps_(grad_accum_steps),
       accumBuffers_(std::move(accum_buffers)),
-      report_(std::move(report))
+      report_(std::move(step.report))
 {
-    executor_ = std::make_unique<Executor>(graph_, std::move(order),
-                                           *store_,
-                                           std::move(exec_options));
+    executor_ = std::make_unique<Executor>(
+        graph_, std::move(step.artifact), *store_, exec_options);
     if (applyGraph_.numNodes() > 0) {
         applyExecutor_ = std::make_unique<Executor>(
-            applyGraph_, naturalOrder(applyGraph_), *store_);
+            applyGraph_, std::move(apply.artifact), *store_,
+            exec_options);
     }
-    finalizeExecReport(report_, *executor_);
+    report_.recordBinding(*executor_);
 }
 
 float
@@ -65,36 +71,15 @@ TrainingProgram::trainStep(
     return loss;
 }
 
-InferenceProgram::InferenceProgram(Graph g,
+InferenceProgram::InferenceProgram(CompiledGraph c,
                                    std::shared_ptr<ParamStore> store,
-                                   ExecOptions exec_options,
-                                   CompileReport report,
-                                   std::vector<int> order)
-    : graph_(std::move(g)), store_(std::move(store)),
-      report_(std::move(report))
+                                   ExecOptions exec_options)
+    : graph_(std::move(c.graph)), store_(std::move(store)),
+      report_(std::move(c.report))
 {
-    if (order.empty())
-        order = reorderForMemory(graph_);
-    executor_ = std::make_unique<Executor>(graph_, std::move(order),
-                                           *store_,
-                                           std::move(exec_options));
-    finalizeExecReport(report_, *executor_);
-    report_.kernelFallbacks = executor_->fallbackCount();
-    report_.fallbackKernels = executor_->fallbackKernels();
-}
-
-InferenceProgram::InferenceProgram(Graph g,
-                                   std::shared_ptr<ParamStore> store,
-                                   ProgramArtifact art,
-                                   CompileReport report)
-    : graph_(std::move(g)), store_(std::move(store)),
-      report_(std::move(report))
-{
-    executor_ =
-        std::make_unique<Executor>(graph_, std::move(art), *store_);
-    finalizeExecReport(report_, *executor_);
-    report_.kernelFallbacks = executor_->fallbackCount();
-    report_.fallbackKernels = executor_->fallbackKernels();
+    executor_ = std::make_unique<Executor>(
+        graph_, std::move(c.artifact), *store_, exec_options);
+    report_.recordBinding(*executor_);
 }
 
 std::vector<Tensor>
@@ -152,16 +137,155 @@ InferenceProgram::runBatch(
     return results;
 }
 
+ProgramArtifact
+planProgram(const Graph &g, std::vector<std::string> variants,
+            bool reorder, int numThreads, CompileReport *report)
+{
+    ProgramArtifact art;
+    art.numThreads = numThreads <= 0 ? HostDevice::hardwareThreads()
+                                     : numThreads;
+    variants.resize(g.numNodes());
+
+    // The greedy memory-aware schedule is not guaranteed to beat
+    // creation order on every graph, so plan both and keep the
+    // memory-aware one unless creation order is strictly cheaper.
+    // Launch geometry and workspace requests are node-keyed (variants
+    // read shapes only), so one summary serves both orders.
+    std::vector<int> natural = naturalOrder(g);
+    art.order = reorder ? reorderForMemory(g) : natural;
+    LaunchSummary launches =
+        planLaunches(g, art.order, variants, art.numThreads);
+    art.plan = planMemory(g, art.order, launches.workspaces);
+    int64_t naturalArena = art.plan.arenaBytes;
+    if (reorder) {
+        MemoryPlan plan = planMemory(g, natural, launches.workspaces);
+        naturalArena = plan.arenaBytes;
+        if (plan.arenaBytes < art.plan.arenaBytes) {
+            // Shard counts are listed per step of the memory-aware
+            // order; re-list them in creation order.
+            std::vector<int> shardsOf(g.numNodes(), 1);
+            size_t si = 0;
+            for (int id : art.order) {
+                if (!isSourceOp(g.node(id).op))
+                    shardsOf[id] = launches.shardsPerStep[si++];
+            }
+            launches.shardsPerStep.clear();
+            for (int id : natural) {
+                if (!isSourceOp(g.node(id).op))
+                    launches.shardsPerStep.push_back(shardsOf[id]);
+            }
+            art.order = std::move(natural);
+            art.plan = std::move(plan);
+        }
+    }
+    art.variants = std::move(variants);
+    art.shardsPerStep = std::move(launches.shardsPerStep);
+    art.shardedSteps = launches.shardedSteps;
+    art.serializedByWorkspace = launches.serializedByWorkspace;
+    if (report) {
+        report->recordPlan(art);
+        report->arenaBytesNoReorder = naturalArena;
+    }
+    return art;
+}
+
+namespace {
+
+/** Node id of the training loss (named by compileGraphOnly so it
+ *  survives graph compaction). */
+int
+findLoss(const Graph &g)
+{
+    for (int i = 0; i < g.numNodes(); ++i) {
+        if (g.node(i).name == "__loss__")
+            return i;
+    }
+    throw std::runtime_error("compileGraphOnly: loss eliminated");
+}
+
+/**
+ * The back half every compile shares: simplify -> constant fold ->
+ * fusion -> DCE -> quantization -> backend switching -> the fallback
+ * list -> the plan step. @p training selects the quantization shape:
+ * only the loss's forward cone with fp32 masters kept, versus the
+ * whole graph with frozen weights pre-quantized into consts.
+ */
+ProgramArtifact
+lowerGraph(Graph &g, const CompileOptions &options,
+           const ParamStore *store, bool training, CompileReport &report)
+{
+    report.precision = options.precision;
+    simplify(g);
+    if (options.foldConstants)
+        report.folded = constantFold(g);
+    if (options.fuse) {
+        report.fusions = fuseOperators(g);
+        if (options.fuseAttention)
+            report.fusions += fuseAttention(g);
+    }
+    report.prunedNodes = dce(g);
+
+    // Quantization runs after autodiff + fusion, which is what keeps a
+    // training graph's backward region fp32: backward ops pick up
+    // per-use Dequantize reads of the now-int8 stored activations
+    // (straight-through estimates), and trainable weights keep fp32
+    // masters re-quantized each step. Inference graphs are
+    // deployment-shaped instead: every param is frozen, so weights
+    // are pre-quantized into i8 Consts and DCE drops the fp32 masters
+    // from the graph — and from the reported footprint.
+    if (options.precision != Precision::F32) {
+        QuantizeOptions qo;
+        qo.precision = options.precision;
+        qo.root = training ? findLoss(g) : -1;
+        qo.store = store;
+        qo.prequantizeFrozen = !training;
+        quantizePass(g, qo, &report.quant);
+        dce(g); // sweep values only the fp32 forward consumed
+    }
+
+    // Backend switching. Variants are order-independent (they read
+    // shapes and trainability only), and selecting them before
+    // scheduling lets the planner include each kernel's declared
+    // workspace in every number the plan step reports.
+    BackendOptions bopt;
+    bopt.enableWinograd = options.winograd;
+    bopt.enableBlocked = options.blocked;
+    std::vector<std::string> variants =
+        switchBackends(g, bopt, &report.backend);
+
+    // Surface kernel-library gaps: a selected variant that is not
+    // registered will silently run the default at bind time. Counting
+    // only where a default exists mirrors bind behavior — a missing
+    // default throws there instead. Analysis-only compiles report
+    // these too; a bound program refreshes them from its executor.
+    for (int id = 0; id < g.numNodes(); ++id) {
+        const std::string &v = variants[id];
+        if (!isSourceOp(g.node(id).op) && !v.empty() &&
+            !hasKernelVariant(g.node(id).op, v) &&
+            hasKernelVariant(g.node(id).op, "")) {
+            ++report.kernelFallbacks;
+            report.fallbackKernels.push_back(
+                std::string(opName(g.node(id).op)) + "/" + v);
+        }
+    }
+
+    report.flopsPerStep = g.totalFlops();
+    return planProgram(g, std::move(variants), options.reorder,
+                       options.numThreads, &report);
+}
+
+} // namespace
+
 CompiledGraph
 compileGraphOnly(const Graph &forward, int loss_id,
                  const SparseUpdateScheme &scheme,
                  const CompileOptions &options, const ParamStore *store)
 {
     CompiledGraph out;
-    Graph g = forward;
-    CompileReport report;
+    Graph &g = out.graph;
+    g = forward;
+    CompileReport &report = out.report;
     report.forwardNodes = g.numNodes();
-    report.precision = options.precision;
 
     // Name the loss so its id can be tracked across graph compaction.
     g.node(loss_id).name = "__loss__";
@@ -199,114 +323,10 @@ compileGraphOnly(const Graph &forward, int loss_id,
         emitOptimizer(g, options.optim, bwd.paramGrads);
     }
 
-    // 4. Graph optimizations on the unified IR.
-    simplify(g);
-    if (options.foldConstants)
-        report.folded = constantFold(g);
-    if (options.fuse) {
-        report.fusions = fuseOperators(g);
-        if (options.fuseAttention)
-            report.fusions += fuseAttention(g);
-    }
-    report.prunedNodes = dce(g);
-
-    // Re-locate the loss node after compaction.
-    auto findLoss = [&g]() {
-        for (int i = 0; i < g.numNodes(); ++i) {
-            if (g.node(i).name == "__loss__")
-                return i;
-        }
-        throw std::runtime_error("compileGraphOnly: loss eliminated");
-    };
-    int loss = findLoss();
-
-    // 4b. Quantization: rewrite the forward region (the loss node's
-    //     ancestor cone) to int8 or f16 storage. Running after
-    //     autodiff+fusion is what keeps the backward graph fp32: the
-    //     backward ops simply pick up per-use Dequantize reads of the
-    //     now-int8 stored activations (straight-through estimates).
-    //     Trainable weights keep fp32 masters and are re-quantized
-    //     each step, so the in-place optimizer still works.
-    if (options.precision != Precision::F32) {
-        QuantizeOptions qo;
-        qo.precision = options.precision;
-        qo.root = loss;
-        qo.store = store;
-        qo.prequantizeFrozen = false; // training graphs keep masters
-        quantizePass(g, qo, &report.quant);
-        dce(g); // sweep values only the fp32 forward consumed
-        loss = findLoss();
-    }
-
-    // 5. Backend switching. Variants are order-independent (they read
-    //    shapes and trainability only), and selecting them before
-    //    scheduling lets the planner include each kernel's declared
-    //    workspace in every number below — the schedule choice, the
-    //    reorder ablation, and the reported footprint all see the
-    //    same honest arena.
-    BackendOptions bopt;
-    bopt.enableWinograd = options.winograd;
-    bopt.enableBlocked = options.blocked;
-    out.variants = switchBackends(g, bopt, &report.backend);
-
-    // Surface kernel-library gaps: a selected variant that is not
-    // registered will silently run the default at bind time. This is
-    // the single source of the report's fallback fields (analysis-only
-    // compiles see them too); counting only where a default exists
-    // mirrors bind behavior — a missing default throws there instead.
-    for (int id = 0; id < g.numNodes(); ++id) {
-        const std::string &v = out.variants[id];
-        if (!isSourceOp(g.node(id).op) && !v.empty() &&
-            !hasKernelVariant(g.node(id).op, v) &&
-            hasKernelVariant(g.node(id).op, "")) {
-            ++report.kernelFallbacks;
-            report.fallbackKernels.push_back(
-                std::string(opName(g.node(id).op)) + "/" + v);
-        }
-    }
-
-    // 6. Scheduling (+ ablation number for the report). The greedy
-    //    memory-aware schedule is not guaranteed to beat creation
-    //    order on every graph, so plan both and keep the cheaper —
-    //    both are computed at compile time anyway. Workspace requests
-    //    are node-keyed, so one launch summary serves both orders.
-    int threads = options.numThreads <= 0 ? HostDevice::hardwareThreads()
-                                          : options.numThreads;
-    std::vector<int> order = naturalOrder(g);
-    LaunchSummary launches = planLaunches(g, order, out.variants, threads);
-    MemoryPlan plan = planMemory(g, order, launches.workspaces);
-    report.arenaBytesNoReorder = plan.arenaBytes;
-    if (options.reorder) {
-        std::vector<int> reordered = reorderForMemory(g);
-        MemoryPlan replan = planMemory(g, reordered, launches.workspaces);
-        if (replan.arenaBytes < plan.arenaBytes) {
-            order = std::move(reordered);
-            plan = std::move(replan);
-        }
-    }
-
-    report.flopsPerStep = g.totalFlops();
-    report.arenaBytes = plan.arenaBytes;
-    report.workspaceBytes = plan.workspaceBytes;
-    report.paramBytes = plan.paramBytes;
-    report.constBytes = plan.constBytes;
-    report.arenaBytesByDtype = plan.arenaValueBytesByDtype;
-    report.constBytesByDtype = plan.constBytesByDtype;
-    report.totalBytes = plan.totalBytes();
-    report.memoryTimeline = std::move(plan.liveBytesAtStep);
-    report.peakLiveBytes = plan.peakLiveBytes;
-    report.shardedSteps = launches.shardedSteps;
-    report.serializedByWorkspace = launches.serializedByWorkspace;
-    report.kernelSteps = 0;
-    for (int id : order) {
-        if (!isSourceOp(g.node(id).op))
-            ++report.kernelSteps;
-    }
-
-    out.graph = std::move(g);
-    out.lossId = loss;
-    out.order = std::move(order);
-    out.report = std::move(report);
+    // 4. Graph optimizations, quantization, backend switching and the
+    //    plan step.
+    out.artifact = lowerGraph(g, options, store, /*training=*/true, report);
+    out.lossId = findLoss(g);
     return out;
 }
 
@@ -321,13 +341,11 @@ compileTraining(const Graph &forward, int loss_id,
     CompiledGraph c =
         compileGraphOnly(forward, loss_id, scheme, options, store.get());
     ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = options.numThreads;
     eopt.forceScalarTier = options.forceScalarTier;
 
     // Under gradient accumulation, build the small apply program that
     // consumes the ".gacc" buffers every N-th step.
-    Graph apply_graph;
+    CompiledGraph apply;
     std::vector<std::string> accum_buffers;
     if (options.gradAccumSteps > 1) {
         std::unordered_map<int, int> param_grads;
@@ -342,18 +360,16 @@ compileTraining(const Graph &forward, int loss_id,
             std::string base =
                 n.name.substr(0, n.name.size() - suffix.size());
             int base_id = c.graph.findParam(base);
-            int p = apply_graph.param(c.graph.node(base_id).shape, base);
-            int gacc = apply_graph.param(n.shape, n.name, false);
+            int p = apply.graph.param(c.graph.node(base_id).shape, base);
+            int gacc = apply.graph.param(n.shape, n.name, false);
             param_grads[p] = gacc;
             accum_buffers.push_back(n.name);
         }
-        emitOptimizer(apply_graph, options.optim, param_grads);
+        emitOptimizer(apply.graph, options.optim, param_grads);
+        apply.artifact = planProgram(apply.graph);
     }
-    return TrainingProgram(std::move(c.graph), c.lossId,
-                           std::move(c.order), std::move(store),
-                           std::move(eopt), std::move(c.report),
-                           std::move(apply_graph),
-                           options.gradAccumSteps,
+    return TrainingProgram(std::move(c), std::move(store), eopt,
+                           std::move(apply), options.gradAccumSteps,
                            std::move(accum_buffers));
 }
 
@@ -364,44 +380,13 @@ compileInferenceGraph(const Graph &forward,
                       std::shared_ptr<ParamStore> store)
 {
     CompiledGraph out;
-    Graph g = forward;
-    g.outputs() = output_ids;
-    for (int id : g.paramIds())
-        g.node(id).trainable = false;
-
-    out.report.forwardNodes = g.numNodes();
-    simplify(g);
-    if (options.foldConstants)
-        out.report.folded = constantFold(g);
-    if (options.fuse) {
-        out.report.fusions = fuseOperators(g);
-        if (options.fuseAttention)
-            out.report.fusions += fuseAttention(g);
-    }
-    out.report.prunedNodes = dce(g);
-
-    out.report.precision = options.precision;
-
-    // Deployment-shaped quantization: every param is frozen here, so
-    // weights are pre-quantized into i8 Consts and DCE drops the fp32
-    // masters from the graph — and from the reported footprint.
-    if (options.precision != Precision::F32) {
-        QuantizeOptions qo;
-        qo.precision = options.precision;
-        qo.root = -1; // whole graph feeds the outputs
-        qo.store = store.get();
-        qo.prequantizeFrozen = true;
-        quantizePass(g, qo, &out.report.quant);
-        dce(g);
-    }
-
-    BackendOptions bopt;
-    bopt.enableWinograd = options.winograd;
-    bopt.enableBlocked = options.blocked;
-    out.variants = switchBackends(g, bopt, &out.report.backend);
-    out.order = reorderForMemory(g);
-    out.report.flopsPerStep = g.totalFlops();
-    out.graph = std::move(g);
+    out.graph = forward;
+    out.graph.outputs() = output_ids;
+    for (int id : out.graph.paramIds())
+        out.graph.node(id).trainable = false;
+    out.report.forwardNodes = out.graph.numNodes();
+    out.artifact = lowerGraph(out.graph, options, store.get(),
+                              /*training=*/false, out.report);
     return out;
 }
 
@@ -413,16 +398,11 @@ compileInference(const Graph &forward,
 {
     if (!store)
         store = std::make_shared<ParamStore>();
-
     CompiledGraph c =
         compileInferenceGraph(forward, output_ids, options, store);
     ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = options.numThreads;
     eopt.forceScalarTier = options.forceScalarTier;
-    return InferenceProgram(std::move(c.graph), std::move(store),
-                            std::move(eopt), std::move(c.report),
-                            std::move(c.order));
+    return InferenceProgram(std::move(c), std::move(store), eopt);
 }
 
 } // namespace pe

@@ -5,8 +5,11 @@
  *
  * Pipeline: apply scheme -> compile-time autodiff -> emit in-place
  * optimizer -> simplify -> constant fold -> operator fusion -> DCE
- * (prunes the frozen layers' backward subgraphs) -> memory-aware
- * reordering -> backend/kernel switching -> memory planning -> bind.
+ * (prunes the frozen layers' backward subgraphs) -> quantization ->
+ * backend/kernel switching -> schedule (memory-aware reordering) ->
+ * launch + memory planning -> bind. Everything up to the memory plan
+ * happens once, in one lowering function shared by training and
+ * inference compiles; binding only resolves pointers into that plan.
  */
 
 #pragma once
@@ -50,8 +53,8 @@ struct CompileOptions {
      * Threads the bound executor may split partitionable kernels
      * across (1 = serial and bit-identical to the single-threaded
      * runtime; <= 0 = all hardware threads). The per-node launch plan
-     * is fixed at bind time, so this is a compile-time choice like
-     * everything else.
+     * is fixed by the plan step, so this is a compile-time choice
+     * like everything else.
      */
     int numThreads = 1;
     /**
@@ -167,16 +170,44 @@ struct CompileReport {
      * one-line answer to "did the SIMD tier actually bind?".
      */
     std::string tierBreakdown() const { return countLabels(stepTiers); }
+
+    /**
+     * Write the plan fields (kernel steps, arena/workspace/param/const
+     * bytes, memory timeline, shard stats) from @p art. The compile
+     * pipeline's plan step and the plan loader are its only callers,
+     * so a loaded program reports exactly the plan it was saved with.
+     */
+    void recordPlan(const ProgramArtifact &art);
+
+    /** Copy the bind-time facts of @p ex: the SIMD tier and per-step
+     *  tiers it bound, and the kernel lookups that fell back. */
+    void recordBinding(const Executor &ex);
+};
+
+/**
+ * One compile product: the compiled graph plus its plan (schedule,
+ * kernel variants, launch geometry, memory plan). Plain movable data
+ * with no parameters materialized and no const pool packed, so
+ * analysis-only compiles of models too large to run cost no weight
+ * memory. Binding it (TrainingProgram, InferenceProgram, a serving
+ * bucket) hands the artifact to an Executor, which plans nothing.
+ */
+struct CompiledGraph {
+    Graph graph;
+    int lossId = -1;
+    ProgramArtifact artifact;
+    CompileReport report;
 };
 
 /** A compiled training step. */
 class TrainingProgram
 {
   public:
-    TrainingProgram(Graph g, int loss_id, std::vector<int> order,
-                    std::shared_ptr<ParamStore> store,
-                    ExecOptions exec_options, CompileReport report,
-                    Graph apply_graph = {}, int grad_accum_steps = 1,
+    /** Bind @p step (and, under gradient accumulation, the optimizer
+     *  program @p apply) against @p store. Plans nothing. */
+    TrainingProgram(CompiledGraph step, std::shared_ptr<ParamStore> store,
+                    ExecOptions exec_options, CompiledGraph apply = {},
+                    int grad_accum_steps = 1,
                     std::vector<std::string> accum_buffers = {});
 
     // The executor holds a reference into graph_, so relocating a
@@ -216,20 +247,13 @@ class TrainingProgram
 class InferenceProgram
 {
   public:
-    /** @param order  execution order; empty = memory-aware reorder of
-     *                @p g (the historical behavior). */
-    InferenceProgram(Graph g, std::shared_ptr<ParamStore> store,
-                     ExecOptions exec_options,
-                     CompileReport report = {},
-                     std::vector<int> order = {});
-
     /**
-     * Bind a deserialized compiled product (src/plan/): the executor
-     * is constructed from @p art verbatim, with zero planner/
-     * scheduler/QuantizePass work. This is the loadPlan() path.
+     * Bind a compiled product — fresh from compileInferenceGraph() or
+     * deserialized by loadPlan() — with zero planner, scheduler or
+     * QuantizePass work: the executor takes @p c's artifact verbatim.
      */
-    InferenceProgram(Graph g, std::shared_ptr<ParamStore> store,
-                     ProgramArtifact art, CompileReport report);
+    InferenceProgram(CompiledGraph c, std::shared_ptr<ParamStore> store,
+                     ExecOptions exec_options = {});
 
     // Non-relocatable for the same reason as TrainingProgram: the
     // bound executor references graph_ by address.
@@ -303,15 +327,6 @@ InferenceProgram compileInference(const Graph &forward,
                                   const CompileOptions &options,
                                   std::shared_ptr<ParamStore> store);
 
-/** Intermediate compile product shared by execution and analysis. */
-struct CompiledGraph {
-    Graph graph;
-    int lossId = -1;
-    std::vector<int> order;
-    std::vector<std::string> variants;
-    CompileReport report;
-};
-
 /**
  * Run the full compile pipeline without materializing parameters or
  * binding an executor. This is how full-size (7B-parameter) models
@@ -329,13 +344,14 @@ CompiledGraph compileGraphOnly(const Graph &forward, int loss_id,
                                const ParamStore *store = nullptr);
 
 /**
- * The inference compile pipeline (freeze + simplify/fold/fuse/DCE +
- * deployment quantization + backend switch + memory-aware order)
- * WITHOUT binding an executor. The returned CompiledGraph is plain
- * movable data, which is what lets the serving runtime place one
- * compiled plan per shape bucket at a stable address and then bind
- * many concurrent session contexts against it. compileInference() is
- * a thin wrapper that binds this product into an InferenceProgram.
+ * The inference compile pipeline (freeze params, pick outputs, then
+ * the same lowering as training: simplify/fold/fuse/DCE, deployment
+ * quantization, backend switch, schedule and plan) WITHOUT binding an
+ * executor. The returned CompiledGraph is plain movable data, which
+ * is what lets the serving runtime place one compiled plan per shape
+ * bucket at a stable address and then bind many concurrent session
+ * contexts against it. compileInference() is a thin wrapper that
+ * binds this product into an InferenceProgram.
  */
 CompiledGraph compileInferenceGraph(const Graph &forward,
                                     const std::vector<int> &output_ids,
@@ -343,11 +359,22 @@ CompiledGraph compileInferenceGraph(const Graph &forward,
                                     std::shared_ptr<ParamStore> store);
 
 /**
- * Copy the bound-executor facts (kernel steps, arena/workspace/param
- * bytes, memory timeline, shard stats, fallbacks) into @p report —
- * shared by TrainingProgram / InferenceProgram construction and the
- * serving runtime's per-bucket reports.
+ * The plan step of the compile pipeline, and the only caller of
+ * planLaunches, planMemory and reorderForMemory: schedule @p g
+ * (with @p reorder, reorderForMemory's order unless creation order
+ * needs a strictly smaller arena; creation order otherwise), derive
+ * each step's launch geometry for @p numThreads (<= 0 = all hardware
+ * threads) and place every value and kernel workspace in one arena.
+ * @p variants are the kernel
+ * choices by node id ("" = default; short vectors are padded). When
+ * @p report is given, its plan fields and the natural-order arena
+ * (arenaBytesNoReorder) are written. Graphs that skip the passes —
+ * calibration runs, reference evaluation in tests and benches — get
+ * their artifact here too.
  */
-void finalizeExecReport(CompileReport &report, const Executor &ex);
+ProgramArtifact planProgram(const Graph &g,
+                            std::vector<std::string> variants = {},
+                            bool reorder = false, int numThreads = 1,
+                            CompileReport *report = nullptr);
 
 } // namespace pe

@@ -102,7 +102,7 @@ class ThreadPool
 
 /**
  * The host execution device. Owns the process's worker pool; the
- * executor asks for a pool sized to ExecOptions::numThreads at bind
+ * executor asks for a pool sized to ProgramArtifact::numThreads at bind
  * time and keeps the returned handle for the life of the program.
  */
 class HostDevice

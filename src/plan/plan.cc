@@ -918,6 +918,7 @@ deserializeImpl(const std::string &bytes)
                 opName(n.op) + "/" + v + "'");
     }
 
+    pd.report.recordPlan(pd.artifact);
     return pd;
 }
 
@@ -980,8 +981,9 @@ loadPlanFromBytes(const std::string &bytes,
     std::unique_ptr<InferenceProgram> prog;
     try {
         prog = std::make_unique<InferenceProgram>(
-            std::move(pd.graph), store, std::move(pd.artifact),
-            std::move(pd.report));
+            CompiledGraph{std::move(pd.graph), pd.lossId,
+                          std::move(pd.artifact), std::move(pd.report)},
+            store);
     } catch (const PlanError &) {
         throw;
     } catch (const std::exception &e) {

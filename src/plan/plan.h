@@ -139,9 +139,9 @@ struct PlanData {
     int lossId = -1;
     Graph graph;
     ProgramArtifact artifact;
-    CompileReport report; ///< compile-side fields; exec-side fields
-                          ///< are re-derived at bind (identically —
-                          ///< both come from the serialized plan)
+    CompileReport report; ///< RPRT fields plus the plan fields read
+                          ///< back from the artifact; tier and
+                          ///< fallback fields are recorded at bind
     /** Frozen parameter tensors, in graph paramIds() order. */
     std::vector<std::pair<std::string, Tensor>> params;
 };

@@ -10,110 +10,80 @@
 
 namespace pe {
 
-Executor::Executor(const Graph &g, std::vector<int> order,
+namespace {
+
+/**
+ * Materialize a graph's constants. Non-f32 constants (pre-quantized
+ * i8 weights) pack their integer values into raw byte storage: the
+ * graph-side const data stays a float tensor of exact small integers,
+ * but kernels read the buffer as int8_t or uint16_t codes, sized by
+ * the placement's dtype.
+ */
+std::vector<Tensor>
+packConstPool(const Graph &g)
+{
+    std::vector<Tensor> pool(g.numNodes());
+    for (int id = 0; id < g.numNodes(); ++id) {
+        const Node &n = g.node(id);
+        if (n.op != OpKind::Const)
+            continue;
+        if (n.dtype == DType::F32) {
+            pool[id] = g.hasConstData(id) ? g.constData(id).clone()
+                                          : Tensor::zeros(n.shape);
+            continue;
+        }
+        int64_t bytes = numel(n.shape) * dtypeSize(n.dtype);
+        Tensor packed({(bytes + 3) / 4});
+        if (g.hasConstData(id)) {
+            const Tensor &v = g.constData(id);
+            if (n.dtype == DType::I8) {
+                int8_t *p = reinterpret_cast<int8_t *>(packed.data());
+                for (int64_t i = 0; i < v.size(); ++i)
+                    p[i] = static_cast<int8_t>(v[i]);
+            } else {
+                uint16_t *p =
+                    reinterpret_cast<uint16_t *>(packed.data());
+                for (int64_t i = 0; i < v.size(); ++i)
+                    p[i] = floatToHalf(v[i]);
+            }
+        }
+        pool[id] = std::move(packed);
+    }
+    return pool;
+}
+
+} // namespace
+
+Executor::Executor(const Graph &g, ProgramArtifact art,
                    ParamStore &store, ExecOptions options)
-    : g_(g), order_(std::move(order)), store_(store),
-      variants_(std::move(options.variants)),
-      numThreads_(options.numThreads <= 0 ? HostDevice::hardwareThreads()
-                                          : options.numThreads),
+    : g_(g), order_(std::move(art.order)), store_(store),
+      plan_(std::move(art.plan)), constBufs_(std::move(art.constPool)),
+      variants_(std::move(art.variants)),
+      numThreads_(art.numThreads <= 0 ? HostDevice::hardwareThreads()
+                                      : art.numThreads),
+      shardedSteps_(art.shardedSteps),
+      serializedByWorkspace_(art.serializedByWorkspace),
+      shardsPerStep_(std::move(art.shardsPerStep)),
       traceByDefault_(options.trace),
       traceCapacity_(options.traceCapacity),
       traceShards_(options.traceShards)
 {
     detail::ensureKernelsRegistered();
     pool_ = HostDevice::instance().pool(numThreads_);
-    variants_.resize(g_.numNodes());
-    store_.materialize(g_);
-
-    // Bind-time tier selection happens BEFORE launch/memory planning
-    // so the plan describes exactly the kernels that will run (tier
-    // variants declare the scalar base's partition and workspace, so
-    // the plan is also valid for the base — that is what lets a saved
-    // plan downgrade on a SIMD-less host).
-    tier_ = options.forceScalarTier ? SimdTier::Scalar : hostSimdTier();
-    retargetTiers(/*checkPlan=*/false);
-
-    // Plan launch shapes from static shapes, then hand the resulting
-    // workspace intervals to the memory planner: one arena holds
-    // values AND kernel scratch, so the reported footprint is honest.
-    // The summary's shard statistics ARE the bound plan's (both
-    // derive from the same PartitionSpec extents and splitRange), so
-    // program-level stats need no context bind.
-    LaunchSummary launches =
-        planLaunches(g_, order_, variants_, numThreads_);
-    plan_ = planMemory(g_, order_, launches.workspaces);
-    shardedSteps_ = launches.shardedSteps;
-    serializedByWorkspace_ = launches.serializedByWorkspace;
-    shardsPerStep_ = std::move(launches.shardsPerStep);
-    countStepsAndFallbacks();
-
-    // Materialize constants. Non-f32 constants (pre-quantized i8
-    // weights) pack their integer values into raw byte storage: the
-    // graph-side const data stays a float tensor of exact small
-    // integers, but kernels read the buffer as int8_t*/uint16_t*,
-    // sized by the placement's dtype. The const pool is immutable
-    // after this loop and shared read-only by every session context.
-    constBufs_.resize(g_.numNodes());
-    for (int id = 0; id < g_.numNodes(); ++id) {
-        const Node &n = g_.node(id);
-        if (n.op != OpKind::Const)
-            continue;
-        if (n.dtype == DType::F32) {
-            constBufs_[id] = g_.hasConstData(id)
-                                 ? g_.constData(id).clone()
-                                 : Tensor::zeros(n.shape);
-        } else {
-            int64_t bytes = numel(n.shape) * dtypeSize(n.dtype);
-            Tensor packed({(bytes + 3) / 4});
-            if (g_.hasConstData(id)) {
-                const Tensor &v = g_.constData(id);
-                if (n.dtype == DType::I8) {
-                    int8_t *p =
-                        reinterpret_cast<int8_t *>(packed.data());
-                    for (int64_t i = 0; i < v.size(); ++i)
-                        p[i] = static_cast<int8_t>(v[i]);
-                } else {
-                    uint16_t *p =
-                        reinterpret_cast<uint16_t *>(packed.data());
-                    for (int64_t i = 0; i < v.size(); ++i)
-                        p[i] = floatToHalf(v[i]);
-                }
-            }
-            constBufs_[id] = std::move(packed);
-        }
-    }
-}
-
-Executor::Executor(const Graph &g, ProgramArtifact art,
-                   ParamStore &store)
-    : g_(g), order_(std::move(art.order)), store_(store),
-      variants_(std::move(art.variants)),
-      numThreads_(art.numThreads <= 0 ? HostDevice::hardwareThreads()
-                                      : art.numThreads)
-{
-    detail::ensureKernelsRegistered();
-    pool_ = HostDevice::instance().pool(numThreads_);
-    plan_ = std::move(art.plan);
-    shardedSteps_ = art.shardedSteps;
-    serializedByWorkspace_ = art.serializedByWorkspace;
-    shardsPerStep_ = std::move(art.shardsPerStep);
-    constBufs_ = std::move(art.constPool);
+    // The const pool is immutable from here on and shared read-only
+    // by every session context.
+    if (constBufs_.empty())
+        constBufs_ = packConstPool(g_);
     validateArtifact();
     store_.materialize(g_);
-    // Deploy-time tier resolution: a plan compiled with "@avx2"
-    // variants loads on any host — variants this registry lacks are
-    // downgraded to their scalar base, and scalar variants may be
-    // upgraded to this host's tier, but only when the swap provably
-    // reproduces the deserialized plan's workspace and launch
-    // geometry (tierSwapFitsPlan).
-    tier_ = hostSimdTier();
-    retargetTiers(/*checkPlan=*/true);
+    tier_ = options.forceScalarTier ? SimdTier::Scalar : hostSimdTier();
+    retargetTiers();
     countStepsAndFallbacks();
-    // No planLaunches/planMemory and no const repacking happened
-    // above: binding a deserialized plan is pointer resolution only.
-    // bindInto()'s shard-count tripwire still cross-checks the
-    // artifact's launch geometry against what the registry's
-    // PartitionSpecs produce on THIS machine at first context bind.
+    // No planLaunches/planMemory happened above: binding is pointer
+    // resolution only. bindInto()'s workspace and shard-count checks
+    // still cross-check the artifact against what the registry's
+    // WorkspaceSpecs and PartitionSpecs produce on THIS machine at
+    // first context bind.
 }
 
 ProgramArtifact
@@ -150,82 +120,13 @@ Executor::countStepsAndFallbacks()
 }
 
 void
-Executor::retargetTiers(bool checkPlan)
+Executor::retargetTiers()
 {
-    int si = 0;
     for (int id : order_) {
         const Node &n = g_.node(id);
-        if (isSourceOp(n.op))
-            continue;
-        int step = si++;
-        const std::string cur = variants_[id];
-        std::string want = resolveTierVariant(n.op, cur, tier_);
-        if (want == cur)
-            continue;
-        if (checkPlan) {
-            // A host-tier upgrade of a variant this registry DOES
-            // have is optional — keep the planned kernel unless the
-            // swap provably binds against the deserialized plan. A
-            // variant the registry LACKS must move regardless (its
-            // lookup would otherwise fall back to "", which has the
-            // wrong workspace/partition shape); prefer the tier
-            // candidate if it fits, else the scalar base the plan's
-            // geometry was derived from.
-            bool mandatory = !hasKernelVariant(n.op, cur);
-            if (!tierSwapFitsPlan(id, step, want)) {
-                if (!mandatory)
-                    continue;
-                want = scalarVariantOf(cur);
-            }
-        }
-        variants_[id] = want;
+        if (!isSourceOp(n.op))
+            variants_[id] = resolveTierVariant(n.op, variants_[id], tier_);
     }
-}
-
-bool
-Executor::tierSwapFitsPlan(int id, int si,
-                           const std::string &variant) const
-{
-    const Node &n = g_.node(id);
-    KernelInfo info = lookupKernelInfo(n.op, variant);
-    if (info.fellBack)
-        return false;
-
-    const WorkspacePlacement *wsp = nullptr;
-    for (const WorkspacePlacement &w : plan_.workspaces) {
-        if (w.node == id)
-            wsp = &w;
-    }
-    WorkspaceSpec spec =
-        info.workspace ? info.workspace(g_, n) : WorkspaceSpec{};
-    if (spec.bytesPerShard > 0 &&
-        (!wsp || wsp->bytesPerShard < spec.bytesPerShard))
-        return false;
-    if (spec.sharedBytes > 0 &&
-        (!wsp || wsp->sharedBytes < spec.sharedBytes))
-        return false;
-
-    // Launch geometry: replay bindInto's shard computation for this
-    // candidate (extents are compared by VALUE — tier kernels
-    // register their own extent functions, so pointer identity says
-    // nothing) and require the artifact's compile-time shard count.
-    KernelCtx probe;
-    probe.node = &n;
-    probe.outShape = &n.shape;
-    for (int in : n.inputs)
-        probe.inShapes.push_back(&g_.node(in).shape);
-    int shards = 1;
-    if (pool_ && info.part.splittable()) {
-        std::vector<int64_t> bounds = splitRange(
-            info.part.extent(probe), info.part.minGrain, numThreads_);
-        if (bounds.size() > 2)
-            shards = static_cast<int>(bounds.size()) - 1;
-    }
-    if (shards != shardsPerStep_[si])
-        return false;
-    if (wsp && shards > wsp->shards)
-        return false;
-    return true;
 }
 
 void
@@ -502,11 +403,11 @@ Executor::bindInto(ExecContext &ctx) const
         const WorkspacePlacement *wsp = wsOf[s.node];
 
         // Resolve the node's workspace placement to arena pointers.
-        // The planned placement may be LARGER than the bound kernel
-        // needs (a SIMD-planned step downgraded to its scalar base on
-        // this host, or vice versa after an artifact-load upgrade) —
-        // binding into a roomier placement is fine; needing bytes the
-        // plan never reserved is not.
+        // The planned placement may be larger than the bound kernel
+        // needs — binding into a roomier placement is fine; needing
+        // bytes the plan never reserved is not. This is the one check
+        // that a plan (possibly from another host or build) fits the
+        // kernels this registry binds.
         WorkspaceSpec spec = info.workspace ? info.workspace(g_, n)
                                             : WorkspaceSpec{};
         if (spec.any() && !wsp)

@@ -53,16 +53,8 @@
 
 namespace pe {
 
-/** Executor construction options. */
+/** Executor bind options: nothing here changes the plan. */
 struct ExecOptions {
-    /** Kernel variant per node id ("" = default); from backend switch. */
-    std::vector<std::string> variants;
-    /**
-     * Worker threads (including the calling thread) to split
-     * partitionable kernels across. 1 = serial, bit-identical to the
-     * single-threaded executor; <= 0 = all hardware threads.
-     */
-    int numThreads = 1;
     /**
      * Determinism escape hatch: bind scalar-tier kernels even when
      * the host has AVX2/NEON. int8 SIMD kernels are bit-exact to
@@ -92,10 +84,11 @@ struct ExecOptions {
  * executor: execution order, kernel-variant choices, the memory plan,
  * the launch geometry (per-step shard counts + thread count), and the
  * packed const pool (non-f32 consts already in their deployed byte
- * layout). An Executor can export one (savePlan) and be constructed
- * from one (loadPlan) — the artifact constructor performs ZERO
- * planner/scheduler invocations, which is what makes binary-plan
- * deployment "load and run" rather than "recompile" (src/plan/).
+ * layout). The compile pipeline's plan step (pe::planProgram) and the
+ * plan loader produce one; an Executor binds it and can export it
+ * again (savePlan). Binding performs ZERO planner/scheduler
+ * invocations, which is what makes binary-plan deployment "load and
+ * run" rather than "recompile" (src/plan/).
  */
 struct ProgramArtifact {
     std::vector<int> order;
@@ -108,7 +101,9 @@ struct ProgramArtifact {
     int numThreads = 1;
     /** Packed const buffers by node id (Const nodes only). Non-f32
      *  consts hold raw i8/f16 bytes exactly as kernels read them, so
-     *  binding an artifact repacks nothing. */
+     *  binding a loaded artifact repacks nothing. Empty in a fresh
+     *  compile product (analysis-only compiles allocate no consts):
+     *  the Executor packs it from the graph at bind. */
     std::vector<Tensor> constPool;
 };
 
@@ -176,18 +171,17 @@ class ExecContext
 class Executor
 {
   public:
-    Executor(const Graph &g, std::vector<int> order, ParamStore &store,
-             ExecOptions options = {});
-
     /**
-     * Bind a deserialized compiled product: everything the planning
-     * constructor computes (memory plan, launch geometry, packed
-     * consts) is taken from @p art verbatim — planLaunches/planMemory
-     * are NOT called (the plan loader asserts this via
-     * pipelineCounters). Throws std::runtime_error when the artifact
-     * is inconsistent with @p g.
+     * Bind a compiled product: the order, memory plan and launch
+     * geometry are taken from @p art verbatim — planLaunches/
+     * planMemory are NOT called (the plan loader asserts this via
+     * pipelineCounters). The only bind-time choices are the kernel
+     * tier (see retargetTiers) and packing the const pool when @p art
+     * carries none. Throws std::runtime_error when the artifact is
+     * inconsistent with @p g.
      */
-    Executor(const Graph &g, ProgramArtifact art, ParamStore &store);
+    Executor(const Graph &g, ProgramArtifact art, ParamStore &store,
+             ExecOptions options = {});
 
     /** Copy out this program's compiled product (for savePlan). */
     ProgramArtifact exportArtifact() const;
@@ -353,32 +347,21 @@ class Executor
   private:
     float *resolve(ExecContext &ctx, int id) const;
 
-    /** Shared ctor tail: count kernel steps + registry fallbacks. */
+    /** Ctor tail: count kernel steps + registry fallbacks. */
     void countStepsAndFallbacks();
 
     /**
-     * Re-point every step's variant at the kernel tier this host can
-     * actually execute. Planning path: upgrades scalar variants to
-     * "@avx2"/"@neon" equivalents (tier variants register with the
-     * scalar base's partition domain and workspace bytes, so launch
-     * and memory planning see identical geometry). Artifact path:
-     * additionally DOWNGRADES variants the local registry lacks —
-     * a plan saved on an AVX2 box binds its scalar bases on a
-     * SIMD-less host instead of dying in PlanUnknownKernel-style
-     * failure — and accepts a swap only after proving it against the
-     * deserialized plan (workspace fits the placement, launch
-     * geometry reproduces shardsPerStep). @p checkPlan selects that
-     * proof (artifact ctor); the planning ctor resolves before any
-     * planning, so there is no plan to check against yet.
+     * Re-point every step's variant at the kernel tier this program
+     * binds (resolveTierVariant): scalar variants upgrade to this
+     * host's "@avx2"/"@neon" equivalent, and tier variants this
+     * registry lacks — a plan saved on another host — drop to their
+     * scalar base. Tier variants register with their base's
+     * partition and workspace, so every swap fits the plan; bindInto's
+     * workspace and shard checks remain the safety net.
      */
-    void retargetTiers(bool checkPlan);
+    void retargetTiers();
 
-    /** True when binding @p variant would reproduce the deserialized
-     *  plan for step @p si of node @p id (see retargetTiers). */
-    bool tierSwapFitsPlan(int id, int si,
-                          const std::string &variant) const;
-
-    /** Artifact-ctor validation: sizes/ids consistent with g_. */
+    /** Ctor validation: artifact sizes/ids consistent with g_. */
     void validateArtifact() const;
 
     /** run(ctx) with @p tb armed: the same step loop, recording one

@@ -213,12 +213,27 @@ planMemory(const Graph &g, const std::vector<int> &order,
     // Shared workspace regions (cached Winograd transforms) persist
     // across steps: carve them out first so they sit at the bottom of
     // the arena and never fragment the per-step churn above them.
-    plan.workspaces.reserve(workspaces.size());
-    std::vector<int> wsAtPos(order.size(), -1);
+    // Requests are node-keyed, so one launch summary can serve
+    // several candidate orders: place them in THIS order's step
+    // sequence, which keeps the plan independent of the order the
+    // caller listed them in.
+    std::vector<const WorkspaceRequest *> requests;
+    requests.reserve(workspaces.size());
     for (const WorkspaceRequest &req : workspaces) {
         if (req.node < 0 || req.node >= n || pos[req.node] < 0)
             throw std::runtime_error(
                 "planMemory: workspace request for unscheduled node");
+        requests.push_back(&req);
+    }
+    std::stable_sort(requests.begin(), requests.end(),
+                     [&pos](const WorkspaceRequest *a,
+                            const WorkspaceRequest *b) {
+                         return pos[a->node] < pos[b->node];
+                     });
+    plan.workspaces.reserve(requests.size());
+    std::vector<int> wsAtPos(order.size(), -1);
+    for (const WorkspaceRequest *r : requests) {
+        const WorkspaceRequest &req = *r;
         WorkspacePlacement w;
         w.node = req.node;
         w.stepPos = pos[req.node];

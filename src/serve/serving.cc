@@ -361,11 +361,8 @@ ServingEngine::buildBucket(const ModelFactory &model, int64_t batch,
             store_->set(name, std::move(t));
         b->cg.graph = std::move(pd.graph);
         b->cg.lossId = pd.lossId;
-        b->cg.order = pd.artifact.order;
-        b->cg.variants = pd.artifact.variants;
+        b->cg.artifact = std::move(pd.artifact);
         b->cg.report = std::move(pd.report);
-        b->exec = std::make_unique<Executor>(
-            b->cg.graph, std::move(pd.artifact), *store_);
     } else {
         ServedModel m = model(batch);
         if (m.outputs.empty())
@@ -402,16 +399,14 @@ ServingEngine::buildBucket(const ModelFactory &model, int64_t batch,
         }
         b->cg = compileInferenceGraph(m.graph, m.outputs,
                                       options_.compile, store_);
-        ExecOptions eopt;
-        eopt.variants = b->cg.variants;
-        eopt.numThreads = 1;
-        eopt.forceScalarTier = options_.compile.forceScalarTier;
-        b->exec = std::make_unique<Executor>(
-            b->cg.graph, b->cg.order, *store_, std::move(eopt));
     }
-    finalizeExecReport(b->cg.report, *b->exec);
-    b->cg.report.kernelFallbacks = b->exec->fallbackCount();
-    b->cg.report.fallbackKernels = b->exec->fallbackKernels();
+    // Both branches bind the same way; the executor takes the
+    // artifact, so b->cg keeps the graph and report only.
+    ExecOptions eopt;
+    eopt.forceScalarTier = options_.compile.forceScalarTier;
+    b->exec = std::make_unique<Executor>(
+        b->cg.graph, std::move(b->cg.artifact), *store_, eopt);
+    b->cg.report.recordBinding(*b->exec);
     return b;
 }
 

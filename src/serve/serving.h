@@ -502,9 +502,9 @@ class ServingEngine
 
     /** One (precision, shape-bucket) compiled plan. The CompiledGraph
      *  lives at a stable heap address so the Executor's graph
-     *  reference stays valid for the engine's lifetime; its report is
-     *  finalized in place at construction (the one copy bucketReport
-     *  serves). */
+     *  reference stays valid for the engine's lifetime; its artifact
+     *  moves into the Executor at construction, and its report (the
+     *  one copy bucketReport serves) records the binding then. */
     struct Bucket {
         int64_t batch = 0;
         bool decode = false; ///< decode-domain bucket (batch = streams)

@@ -135,12 +135,10 @@ TEST(ArenaPlan, WorkspacesNeverOverlapLiveValues)
     opt.numThreads = 4;
     CompiledGraph c =
         compileGraphOnly(n.g, n.loss, headOnlyScheme(), opt);
-    LaunchSummary launches =
-        planLaunches(c.graph, c.order, c.variants, 4);
-    ASSERT_FALSE(launches.workspaces.empty())
+    const MemoryPlan &plan = c.artifact.plan;
+    ASSERT_FALSE(plan.workspaces.empty())
         << "frozen 3x3 convs should bind the Winograd variant";
-    MemoryPlan plan = planMemory(c.graph, c.order, launches.workspaces);
-    expectNoLiveOverlap(c.graph, c.order, plan);
+    expectNoLiveOverlap(c.graph, c.artifact.order, plan);
 }
 
 TEST(ArenaPlan, SparseSchemeWinogradWorkspacesDontOverlap)
@@ -150,10 +148,8 @@ TEST(ArenaPlan, SparseSchemeWinogradWorkspacesDontOverlap)
     opt.numThreads = 4;
     CompiledGraph c =
         compileGraphOnly(n.g, n.loss, headOnlyScheme(), opt);
-    LaunchSummary launches =
-        planLaunches(c.graph, c.order, c.variants, 4);
-    MemoryPlan plan = planMemory(c.graph, c.order, launches.workspaces);
-    expectNoLiveOverlap(c.graph, c.order, plan);
+    const MemoryPlan &plan = c.artifact.plan;
+    expectNoLiveOverlap(c.graph, c.artifact.order, plan);
     // Frozen layers bind Winograd -> a persistent shared region.
     bool has_shared = false;
     for (const WorkspacePlacement &w : plan.workspaces)
@@ -239,17 +235,13 @@ TEST(ArenaPlan, PlanIsDeterministicAcrossCompiles)
             compileGraphOnly(n1.g, n1.loss, headOnlyScheme(), opt);
         CompiledGraph b =
             compileGraphOnly(n2.g, n2.loss, headOnlyScheme(), opt);
-        ASSERT_EQ(a.order, b.order);
-        ASSERT_EQ(a.variants, b.variants);
+        ASSERT_EQ(a.artifact.order, b.artifact.order);
+        ASSERT_EQ(a.artifact.variants, b.artifact.variants);
         EXPECT_EQ(a.report.arenaBytes, b.report.arenaBytes);
         EXPECT_EQ(a.report.workspaceBytes, b.report.workspaceBytes);
         EXPECT_EQ(a.report.memoryTimeline, b.report.memoryTimeline);
-        MemoryPlan pa = planMemory(
-            a.graph, a.order,
-            planLaunches(a.graph, a.order, a.variants, 4).workspaces);
-        MemoryPlan pb = planMemory(
-            b.graph, b.order,
-            planLaunches(b.graph, b.order, b.variants, 4).workspaces);
+        const MemoryPlan &pa = a.artifact.plan;
+        const MemoryPlan &pb = b.artifact.plan;
         ASSERT_EQ(pa.values.size(), pb.values.size());
         for (size_t i = 0; i < pa.values.size(); ++i) {
             EXPECT_EQ(pa.values[i].offset, pb.values[i].offset);
@@ -393,11 +385,9 @@ TEST(ArenaExec, Im2colVariantShardsPerImage)
         Rng wr(4);
         store.set("w", Tensor::randn({8, 3, 3, 3}, wr, 0.3f));
         store.materialize(g);
-        ExecOptions eo;
-        eo.variants.assign(g.numNodes(), "");
-        eo.variants[conv] = variant;
-        eo.numThreads = nt;
-        Executor ex(g, naturalOrder(g), store, eo);
+        std::vector<std::string> variants(g.numNodes());
+        variants[conv] = variant;
+        Executor ex(g, planProgram(g, variants, false, nt), store);
         ex.bindInput("x", tx);
         ex.run();
         return std::make_pair(ex.fetch(conv), ex.shardedSteps());
@@ -425,7 +415,7 @@ TEST(ArenaExec, ReportIncludesWorkspaceInFootprint)
     EXPECT_GT(c.report.shardedSteps, 0);
     EXPECT_GE(c.report.totalBytes,
               c.report.arenaBytes + c.report.paramBytes);
-    EXPECT_EQ(c.report.memoryTimeline.size(), c.order.size());
+    EXPECT_EQ(c.report.memoryTimeline.size(), c.artifact.order.size());
     int64_t peak = 0;
     for (int64_t b : c.report.memoryTimeline)
         peak = std::max(peak, b);

@@ -96,12 +96,7 @@ makePrefill(int64_t prompt_len)
     opt.numThreads = 1;
     CompiledGraph c =
         compileInferenceGraph(m.graph, {m.logits}, opt, b.store);
-    ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = 1;
-    b.prog = std::make_unique<InferenceProgram>(
-        std::move(c.graph), b.store, std::move(eopt),
-        std::move(c.report), std::move(c.order));
+    b.prog = std::make_unique<InferenceProgram>(std::move(c), b.store);
     const Graph &g = b.prog->graph();
     for (int id = 0; id < g.numNodes(); ++id)
         if (g.node(id).op == OpKind::CacheWrite &&
@@ -609,12 +604,9 @@ makeDecodeProg(const DecoderConfig &cfg, int64_t streams, bool fused,
     CompiledGraph c =
         compileInferenceGraph(m.graph, {m.logits}, opt, b.store);
     ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = 1;
     eopt.forceScalarTier = force_scalar;
-    b.prog = std::make_unique<InferenceProgram>(
-        std::move(c.graph), b.store, std::move(eopt),
-        std::move(c.report), std::move(c.order));
+    b.prog =
+        std::make_unique<InferenceProgram>(std::move(c), b.store, eopt);
     return b;
 }
 
@@ -633,12 +625,9 @@ makePrefillProg(const DecoderConfig &cfg, int64_t prompt, bool fused,
     CompiledGraph c =
         compileInferenceGraph(m.graph, {m.logits}, opt, b.store);
     ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = 1;
     eopt.forceScalarTier = force_scalar;
-    b.prog = std::make_unique<InferenceProgram>(
-        std::move(c.graph), b.store, std::move(eopt),
-        std::move(c.report), std::move(c.order));
+    b.prog =
+        std::make_unique<InferenceProgram>(std::move(c), b.store, eopt);
     return b;
 }
 

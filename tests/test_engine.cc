@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baseline/eager.h"
 #include "data/synthetic.h"
 #include "engine/engine.h"
@@ -224,6 +226,42 @@ TEST(Engine, InferenceSharesTrainedWeights)
     EXPECT_GE(correct, 12) << "trained classifier should beat chance";
 }
 
+TEST(Engine, InferenceHonoursTheReorderOption)
+{
+    // Inference compiles share training's schedule rule: reorder =
+    // false keeps creation order, and the natural-order arena is
+    // always reported as the ablation number.
+    Rng rng(1);
+    VisionConfig cfg;
+    cfg.batch = 2;
+    cfg.resolution = 16;
+    cfg.blocks = 3;
+    auto store = std::make_shared<ParamStore>();
+    ModelSpec m = buildMcuNet(cfg, rng, store.get());
+    CompileOptions natural;
+    natural.reorder = false;
+    InferenceProgram plain =
+        compileInference(m.graph, {m.logits}, natural, store);
+    EXPECT_EQ(plain.executor().order(), naturalOrder(plain.graph()));
+    EXPECT_EQ(plain.report().arenaBytesNoReorder,
+              plain.report().arenaBytes);
+
+    InferenceProgram dflt =
+        compileInference(m.graph, {m.logits}, CompileOptions{}, store);
+    EXPECT_GT(dflt.report().arenaBytesNoReorder, 0);
+    EXPECT_LE(dflt.report().arenaBytes,
+              dflt.report().arenaBytesNoReorder);
+
+    Rng xr(2);
+    Tensor x = Tensor::randn({2, 3, 16, 16}, xr);
+    Tensor a = plain.run({{"x", x}})[0];
+    Tensor b = dflt.run({{"x", x}})[0];
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          sizeof(float) * static_cast<size_t>(a.size())),
+              0);
+}
+
 TEST(Engine, ChannelSparseTrainsAndRestUnchanged)
 {
     Rng rng(2);
@@ -322,7 +360,7 @@ TEST(Engine, BertFusedGemmsReachTheBlockedKernel)
         if (n.op != OpKind::MatMulBiasAct || numel(n.shape) < 64 * 64)
             continue;
         ++large;
-        naive += cg.variants[n.id].empty();
+        naive += cg.artifact.variants[n.id].empty();
     }
     EXPECT_GT(large, 0);
     EXPECT_EQ(naive, 0);

@@ -557,7 +557,7 @@ TEST(ExecTrace, ExecOptionsArmEveryMintedContext)
     ExecOptions opt;
     opt.trace = true;
     opt.traceCapacity = 64;
-    Executor ex(g, naturalOrder(g), store, opt);
+    Executor ex(g, planProgram(g), store, opt);
 
     auto ctx = ex.makeContext();
     ASSERT_NE(ctx->trace(), nullptr)

@@ -387,13 +387,12 @@ TEST(KernelRegistry, ExecutorCountsFallbacks)
     int h = b.linear(x, 8, "l1", /*bias=*/false);
     g.markOutput(h);
 
-    ExecOptions opt;
-    opt.variants.assign(g.numNodes(), "");
+    std::vector<std::string> variants(g.numNodes());
     for (int id = 0; id < g.numNodes(); ++id) {
         if (g.node(id).op == OpKind::MatMul)
-            opt.variants[id] = "no-such-backend";
+            variants[id] = "no-such-backend";
     }
-    Executor ex(g, naturalOrder(g), store, std::move(opt));
+    Executor ex(g, planProgram(g, variants), store);
     EXPECT_EQ(ex.fallbackCount(), 1);
     ASSERT_EQ(ex.fallbackKernels().size(), 1u);
     EXPECT_EQ(ex.fallbackKernels()[0], "MatMul/no-such-backend");

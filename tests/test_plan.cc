@@ -96,14 +96,9 @@ compileProg(Built &b, Precision p, int nt)
     CompileOptions opt;
     opt.precision = p;
     opt.numThreads = nt;
-    CompiledGraph c =
-        compileInferenceGraph(b.graph, {b.logits}, opt, b.store);
-    ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = nt;
     return std::make_unique<InferenceProgram>(
-        std::move(c.graph), b.store, std::move(eopt),
-        std::move(c.report), std::move(c.order));
+        compileInferenceGraph(b.graph, {b.logits}, opt, b.store),
+        b.store);
 }
 
 std::string
@@ -240,6 +235,67 @@ TEST(PlanLoad, ZeroPipelineInvocations)
     PipelineCounters after = pipelineCounters();
     EXPECT_TRUE(before == after)
         << "loading or running a plan invoked a compile stage";
+}
+
+/** Pipeline-stage invocations since @p before. */
+PipelineCounters
+countersSince(const PipelineCounters &before)
+{
+    PipelineCounters now = pipelineCounters();
+    now.planMemory -= before.planMemory;
+    now.planLaunches -= before.planLaunches;
+    now.reorder -= before.reorder;
+    now.quantizePass -= before.quantizePass;
+    return now;
+}
+
+TEST(PlanLoad, CompilePlansOnceAndBindingPlansNothing)
+{
+    // One compile runs the plan step once: compileTraining costs the
+    // planner exactly what compileGraphOnly does, and binding a
+    // compiled graph into a program adds no planner call at all.
+    VisionConfig cfg;
+    cfg.batch = 2;
+    cfg.resolution = 12;
+    cfg.width = 0.5;
+    cfg.blocks = 2;
+    Rng rng(13);
+    auto store = std::make_shared<ParamStore>();
+    ModelSpec m = buildMcuNet(cfg, rng, store.get());
+    const SparseUpdateScheme scheme = cnnSparseScheme(m, 2, 1);
+    const CompileOptions opt;
+
+    PipelineCounters before = pipelineCounters();
+    CompiledGraph c =
+        compileGraphOnly(m.graph, m.loss, scheme, opt, store.get());
+    PipelineCounters graph_only = countersSince(before);
+    EXPECT_GT(graph_only.planMemory, 0);
+    EXPECT_GT(graph_only.planLaunches, 0);
+
+    before = pipelineCounters();
+    TrainingProgram compiled =
+        compileTraining(m.graph, m.loss, scheme, opt, store);
+    PipelineCounters training = countersSince(before);
+    EXPECT_EQ(training.planMemory, graph_only.planMemory);
+    EXPECT_EQ(training.planLaunches, graph_only.planLaunches);
+    EXPECT_EQ(training.reorder, graph_only.reorder);
+    EXPECT_EQ(training.quantizePass, graph_only.quantizePass);
+
+    const CompileReport planned = c.report;
+    before = pipelineCounters();
+    TrainingProgram bound(std::move(c), store, ExecOptions{});
+    EXPECT_TRUE(countersSince(before) == PipelineCounters{})
+        << "binding a compiled training graph invoked the planner";
+    EXPECT_EQ(bound.report().arenaBytes, planned.arenaBytes);
+    EXPECT_EQ(bound.report().memoryTimeline, planned.memoryTimeline);
+    EXPECT_EQ(bound.report().kernelSteps, planned.kernelSteps);
+
+    CompiledGraph ic =
+        compileInferenceGraph(m.graph, {m.logits}, opt, store);
+    before = pipelineCounters();
+    InferenceProgram infer(std::move(ic), store);
+    EXPECT_TRUE(countersSince(before) == PipelineCounters{})
+        << "binding a compiled inference graph invoked the planner";
 }
 
 // ---- 3. determinism --------------------------------------------------

@@ -118,7 +118,7 @@ TEST(Executor, FetchesCorrectForwardValues)
                     Attrs{{"alpha", AttrValue(1.0)}});
     g.markOutput(out);
     ParamStore store;
-    Executor ex(g, naturalOrder(g), store);
+    Executor ex(g, planProgram(g), store);
     ex.bindInput("x", Tensor::fromVector({3}, {1, 2, 3}));
     ex.run();
     Tensor result = ex.fetch(out);
@@ -133,7 +133,7 @@ TEST(Executor, BindInputValidatesShape)
     g.input({2, 2}, "x");
     g.markOutput(0);
     ParamStore store;
-    Executor ex(g, naturalOrder(g), store);
+    Executor ex(g, planProgram(g), store);
     EXPECT_THROW(ex.bindInput("x", Tensor::zeros({3})),
                  std::runtime_error);
     EXPECT_THROW(ex.bindInput("nope", Tensor::zeros({2, 2})),
@@ -152,7 +152,7 @@ TEST(Executor, InPlaceApplyMutatesStoreTensor)
     g.markOutput(apply);
     ParamStore store;
     store.set("w", Tensor::ones({4}));
-    Executor ex(g, naturalOrder(g), store);
+    Executor ex(g, planProgram(g), store);
     ex.bindInput("g", Tensor::full({4}, 2.0f));
     ex.run();
     for (int i = 0; i < 4; ++i)
@@ -171,7 +171,7 @@ TEST(Executor, RerunIsDeterministic)
     int x = b.input({4, 8}, "x");
     int h = b.softmax(b.linear(x, 8, "l"));
     g.markOutput(h);
-    Executor ex(g, naturalOrder(g), store);
+    Executor ex(g, planProgram(g), store);
     Tensor tx = Tensor::randn({4, 8}, rng);
     ex.bindInput("x", tx);
     ex.run();

@@ -14,7 +14,9 @@
  *  4. Deployment: a plan saved with SIMD variants loads on a host
  *     whose tier is forced to scalar (setSimdTierForTesting), binds
  *     the scalar bases, and reproduces the scalar compile bit for
- *     bit.
+ *     bit; a plan naming the other SIMD family's variants binds this
+ *     host's tier; a workspace placement cut below its kernel's
+ *     declaration is rejected at bind.
  *
  * All tier-dependent cases skip on hosts with no SIMD tier (the
  * PE_SIMD=OFF CI leg runs only the API and scalar-path cases, which
@@ -23,8 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -831,6 +835,119 @@ TEST(TierDeploy, PlanWithSimdVariantsDowngradesOnScalarHost)
     EXPECT_GT(native->report().simdSteps, 0);
     Tensor same = native->run({{"x", x}})[0];
     EXPECT_LT(maxRelDiff(same, downgraded), 1e-4f);
+}
+
+TEST(TierDeploy, PlanFromAnotherHostBindsThisHostsTier)
+{
+    // A plan saved on the other SIMD family names tier variants this
+    // registry lacks ("@neon" on x86, "@avx2" on ARM). Loading it must
+    // bind this host's tier: the int8 tiers are bit-exact, so the
+    // outputs match the native plan's bit for bit.
+    CompiledMcuNet f;
+    CompileOptions opt;
+    opt.precision = Precision::Int8;
+    InferenceProgram prog =
+        compileInference(f.m.graph, {f.m.logits}, opt, f.store);
+    const ProgramArtifact native = prog.executor().exportArtifact();
+    const SimdTier host = hostSimdTier();
+    const std::string foreign = host == SimdTier::Neon ? "avx2" : "neon";
+    ProgramArtifact art = native;
+    int renamed = 0;
+    for (int id : art.order) {
+        const Node &n = prog.graph().node(id);
+        std::string &v = art.variants[id];
+        // A scalar-only host (PE_SIMD=OFF) binds no tier variant to
+        // rename, so tag its int8 kernels with the foreign tier.
+        bool tiered = variantTier(v) != SimdTier::Scalar ||
+                      (host == SimdTier::Scalar && v == "int8");
+        if (isSourceOp(n.op) || !tiered)
+            continue;
+        std::string base = scalarVariantOf(v);
+        v = base.empty() ? foreign : base + "@" + foreign;
+        ASSERT_FALSE(hasKernelVariant(n.op, v)) << v;
+        ++renamed;
+    }
+    ASSERT_GT(renamed, 0);
+
+    auto mine = loadPlanFromBytes(
+        serializePlan(prog.graph(), native, prog.report(), *f.store));
+    auto other = loadPlanFromBytes(
+        serializePlan(prog.graph(), art, prog.report(), *f.store));
+    EXPECT_EQ(other->report().simdTier, simdTierName(host));
+    EXPECT_EQ(other->report().stepTiers, mine->report().stepTiers);
+    EXPECT_EQ(other->report().simdSteps, mine->report().simdSteps);
+    if (host != SimdTier::Scalar)
+        EXPECT_GT(other->report().simdSteps, 0);
+    EXPECT_EQ(other->report().kernelFallbacks, 0);
+    EXPECT_EQ(other->executor().exportArtifact().variants,
+              mine->executor().exportArtifact().variants);
+
+    Rng rng(36);
+    Tensor x = Tensor::randn(f.inShape, rng);
+    Tensor want = mine->run({{"x", x}})[0];
+    Tensor got = other->run({{"x", x}})[0];
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) *
+                              static_cast<size_t>(want.size())),
+              0);
+}
+
+TEST(TierDeploy, ShrunkenWorkspaceIsRejectedBeforeAnyKernelRuns)
+{
+    // Binding checks every workspace placement against the WorkspaceSpec
+    // of the kernel this host binds. Cut a Winograd or blocked-GEMM
+    // placement below it: the plan must throw from that check — at
+    // load or at the first run's context bind, before any kernel runs
+    // — natively and when the variant drops to its scalar base.
+    auto store = std::make_shared<ParamStore>();
+    Graph g;
+    Rng rng(35);
+    NetBuilder nb(g, rng, store.get());
+    int img = nb.conv2d(nb.input({2, 4, 8, 8}, "img"), 8, 3, 1, 1, "c");
+    int fc = nb.linear(nb.input({64, 32}, "x"), 64, "fc");
+    InferenceProgram prog =
+        compileInference(g, {img, fc}, CompileOptions{}, store);
+    const ProgramArtifact art = prog.executor().exportArtifact();
+    Rng frng(37);
+    Feeds feeds{{"img", Tensor::randn({2, 4, 8, 8}, frng)},
+                {"x", Tensor::randn({64, 32}, frng)}};
+    EXPECT_NO_THROW(loadPlanFromBytes(serializePlan(
+                        prog.graph(), art, prog.report(), *store))
+                        ->run(feeds));
+
+    std::vector<std::string> cut_kinds;
+    for (size_t i = 0; i < art.plan.workspaces.size(); ++i) {
+        const std::string base =
+            scalarVariantOf(art.variants[art.plan.workspaces[i].node]);
+        if (base != "winograd" && base != "blocked")
+            continue;
+        cut_kinds.push_back(base);
+        ProgramArtifact cut = art;
+        WorkspacePlacement &w = cut.plan.workspaces[i];
+        (w.bytesPerShard > 0 ? w.bytesPerShard : w.sharedBytes) -= 4;
+        std::string blob =
+            serializePlan(prog.graph(), cut, prog.report(), *store);
+        for (bool scalar_host : {false, true}) {
+            SCOPED_TRACE(base + (scalar_host ? " on a scalar host"
+                                             : " natively"));
+            std::unique_ptr<TierOverride> scalar;
+            if (scalar_host)
+                scalar = std::make_unique<TierOverride>(SimdTier::Scalar);
+            try {
+                loadPlanFromBytes(blob)->run(feeds);
+                ADD_FAILURE() << "a shrunken workspace placement ran";
+            } catch (const std::exception &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "needs more workspace than planned"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    std::sort(cut_kinds.begin(), cut_kinds.end());
+    EXPECT_EQ(cut_kinds,
+              (std::vector<std::string>{"blocked", "winograd"}));
 }
 
 TEST(TierDeploy, ScalarPlanUpgradesOnSimdHost)

@@ -113,15 +113,15 @@ TEST(DeviceModel, LatencyDecreasesWithFasterDevice)
     CompiledGraph c = compileGraphOnly(m.graph, m.loss,
                                        SparseUpdateScheme::full(), opt);
     FrameworkProfile pe = FrameworkProfile::pockEngine();
-    double pi = projectLatencyUs(c.graph, c.order,
+    double pi = projectLatencyUs(c.graph, c.artifact.order,
                                  DeviceModel::raspberryPi4(), pe,
-                                 c.variants);
-    double orin = projectLatencyUs(c.graph, c.order,
+                                 c.artifact.variants);
+    double orin = projectLatencyUs(c.graph, c.artifact.order,
                                    DeviceModel::jetsonOrin(), pe,
-                                   c.variants);
-    double mcu = projectLatencyUs(c.graph, c.order,
+                                   c.artifact.variants);
+    double mcu = projectLatencyUs(c.graph, c.artifact.order,
                                   DeviceModel::stm32f746(), pe,
-                                  c.variants);
+                                  c.artifact.variants);
     EXPECT_LT(orin, pi);
     EXPECT_LT(pi, mcu);
 }
@@ -138,12 +138,12 @@ TEST(DeviceModel, HostOverheadPenalizesEagerFrameworks)
     CompiledGraph c = compileGraphOnly(m.graph, m.loss,
                                        SparseUpdateScheme::full(), opt);
     DeviceModel dev = DeviceModel::raspberryPi4();
-    double tf = projectLatencyUs(c.graph, c.order, dev,
+    double tf = projectLatencyUs(c.graph, c.artifact.order, dev,
                                  FrameworkProfile::tensorflow(),
-                                 c.variants);
-    double pe = projectLatencyUs(c.graph, c.order, dev,
+                                 c.artifact.variants);
+    double pe = projectLatencyUs(c.graph, c.artifact.order, dev,
                                  FrameworkProfile::pockEngine(),
-                                 c.variants);
+                                 c.artifact.variants);
     EXPECT_GT(tf, 2.0 * pe);
 }
 
@@ -164,10 +164,10 @@ TEST(DeviceModel, SparseGraphProjectsFaster)
                                             opt);
     FrameworkProfile pe = FrameworkProfile::pockEngine();
     for (const DeviceModel &dev : DeviceModel::all()) {
-        EXPECT_LT(projectLatencyUs(sparse.graph, sparse.order, dev, pe,
-                                   sparse.variants),
-                  projectLatencyUs(full.graph, full.order, dev, pe,
-                                   full.variants))
+        EXPECT_LT(projectLatencyUs(sparse.graph, sparse.artifact.order,
+                                   dev, pe, sparse.artifact.variants),
+                  projectLatencyUs(full.graph, full.artifact.order, dev,
+                                   pe, full.artifact.variants))
             << dev.name;
     }
 }

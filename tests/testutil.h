@@ -13,9 +13,9 @@
 
 #include "autodiff/autodiff.h"
 #include "core/tensor.h"
+#include "engine/engine.h"
 #include "ir/graph.h"
 #include "passes/passes.h"
-#include "runtime/executor.h"
 
 namespace pe::test {
 
@@ -28,7 +28,7 @@ evalNode(const Graph &g, int node_id, ParamStore &store,
 {
     Graph copy = g;
     copy.markOutput(node_id);
-    Executor ex(copy, naturalOrder(copy), store);
+    Executor ex(copy, planProgram(copy), store);
     for (const auto &[name, t] : feeds)
         ex.bindInput(name, t);
     ex.run();
@@ -64,7 +64,7 @@ gradCheck(Graph g, int loss_id, ParamStore &store, const Feeds &feeds,
         grads.emplace_back(g.node(pid).name, resolved);
     }
 
-    Executor ex(g, naturalOrder(g), store);
+    Executor ex(g, planProgram(g), store);
     for (const auto &[name, t] : feeds)
         ex.bindInput(name, t);
     ex.run();
