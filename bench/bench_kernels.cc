@@ -4,9 +4,9 @@
  * claims that backend switching pays — blocked vs naive GEMM,
  * im2col / Winograd vs direct convolution, fused vs unfused
  * conv+bias+relu, direct vs in-place im2col pointwise conv+bias+relu,
- * and the SIMD kernel tier (scalar vs "@avx2"/"@neon" rows for GEMM,
- * im2col conv, fused pointwise conv, int8 GEMM, int8 pointwise conv
- * and int8 depthwise).
+ * naive vs blocked GEMM at the decode shape, and the SIMD kernel tier
+ * (scalar vs "@avx2"/"@neon" rows for GEMM, im2col conv, fused
+ * pointwise conv, int8 GEMM, int8 pointwise conv and int8 depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -87,16 +87,16 @@ struct ConvFixture {
     }
 };
 
-/** An [n,n]x[n,n] MatMul, or MatMulBiasAct(relu) with an [n] bias. */
+/** An [m,k]x[k,n] MatMul, or MatMulBiasAct(relu) with an [n] bias. */
 void
-gemmBench(benchmark::State &state, OpKind op, const std::string &variant)
+gemmBench(benchmark::State &state, OpKind op, const std::string &variant,
+          int64_t m, int64_t k, int64_t n)
 {
-    int64_t n = state.range(0);
     Rng rng(1);
     Graph g;
-    std::vector<int> inputs = {g.input({n, n}, "a"), g.input({n, n}, "b")};
-    Tensor ta = Tensor::randn({n, n}, rng);
-    Tensor tb = Tensor::randn({n, n}, rng);
+    std::vector<int> inputs = {g.input({m, k}, "a"), g.input({k, n}, "b")};
+    Tensor ta = Tensor::randn({m, k}, rng);
+    Tensor tb = Tensor::randn({k, n}, rng);
     Tensor tbias = Tensor::randn({n}, rng);
     KernelCtx ctx;
     ctx.in = {ta.data(), tb.data()};
@@ -107,7 +107,7 @@ gemmBench(benchmark::State &state, OpKind op, const std::string &variant)
         ctx.in.push_back(tbias.data());
     }
     int node = g.add(op, inputs, std::move(attrs));
-    Tensor out({n, n});
+    Tensor out({m, n});
     ctx.node = &g.node(node);
     for (int i : inputs)
         ctx.inShapes.push_back(&g.node(i).shape);
@@ -121,13 +121,26 @@ gemmBench(benchmark::State &state, OpKind op, const std::string &variant)
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 
 void
 BM_MatMul(benchmark::State &state, const std::string &variant)
 {
-    gemmBench(state, OpKind::MatMul, variant);
+    int64_t n = state.range(0);
+    gemmBench(state, OpKind::MatMul, variant, n, n, n);
+}
+
+/**
+ * One LLaMA-proxy decode projection: 4 stream rows x 128 x 256
+ * (info rows, no committed baseline). Every GEMM binds "blocked", so
+ * these rows show what naive -> blocked -> tier buys at M = 4, where
+ * the body reads B in place instead of packing it.
+ */
+void
+BM_DecodeMatMul(benchmark::State &state, const std::string &variant)
+{
+    gemmBench(state, OpKind::MatMul, variant, 4, 128, 256);
 }
 
 /** The fused GEMM on the same variants: the unfused GEMM body plus
@@ -136,7 +149,8 @@ void
 BM_FusedMatMulBiasRelu(benchmark::State &state,
                        const std::string &variant)
 {
-    gemmBench(state, OpKind::MatMulBiasAct, variant);
+    int64_t n = state.range(0);
+    gemmBench(state, OpKind::MatMulBiasAct, variant, n, n, n);
 }
 
 /**
@@ -278,6 +292,8 @@ BENCHMARK_CAPTURE(BM_MatMul, naive, std::string(""))
 BENCHMARK_CAPTURE(BM_MatMul, blocked, std::string("blocked"))
     ->Arg(64)
     ->Arg(128);
+BENCHMARK_CAPTURE(BM_DecodeMatMul, naive, std::string(""));
+BENCHMARK_CAPTURE(BM_DecodeMatMul, blocked, std::string("blocked"));
 BENCHMARK_CAPTURE(BM_FusedMatMulBiasRelu, naive, std::string(""))
     ->Arg(128);
 BENCHMARK_CAPTURE(BM_FusedMatMulBiasRelu, blocked, std::string("blocked"))
@@ -473,9 +489,8 @@ BM_QuantConv(benchmark::State &state, const std::string &variant)
  * decode bucket (4 streams x 4 heads, dim 128); B = 4 one stream.
  * Both ops in one graph; kernels are invoked directly, so the delta
  * is kernel work plus the chain's intermediate-buffer sweeps. The
- * chain's BatchMatMuls use the "" variant — at decode sizes the
- * scores tensor sits far below the blocked-GEMM threshold, so that
- * is exactly what the compiled decode plan binds.
+ * chain's BatchMatMuls use the naive "" reference variant; a compiled
+ * decode plan never runs the chain, because it fuses it.
  */
 struct AttnFixture {
     Graph g;
@@ -669,6 +684,10 @@ struct SimdBenchRegistrar {
                 "blocked" + sfx)
                 ->Arg(64)
                 ->Arg(128);
+        if (hasKernelVariant(OpKind::MatMul, "blocked" + sfx))
+            benchmark::RegisterBenchmark(
+                ("BM_DecodeMatMul/blocked" + sfx).c_str(),
+                BM_DecodeMatMul, "blocked" + sfx);
         if (hasKernelVariant(OpKind::MatMulBiasAct, "blocked" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_FusedMatMulBiasRelu/blocked" + sfx).c_str(),

@@ -59,8 +59,8 @@ Three file shapes are understood, auto-detected:
 
   The gbench gate also pairs rows: every fresh BM_FusedAttention
   tier row must beat the BM_UnfusedAttention row at the same shape
-  arg by >= 1.5x (the serving-bound comparison — the chain has no
-  tier variants at decode sizes), the scalar base row must never
+  arg by >= 1.5x (the chain runs the naive "" GEMM reference; a
+  compiled decode plan fuses it), the scalar base row must never
   lose to the chain, and a missing counterpart fails (the claim
   would be unverifiable).
 
@@ -116,10 +116,9 @@ def row_tier(name):
 # The fused-attention kernel claim at the decode shape: the fused
 # kernel the executor binds on a SIMD host (the tier row) must beat
 # the five-dispatch unfused chain by at least this factor. The chain
-# has no tier variants at decode sizes (the scores tensor sits below
-# the blocked-GEMM threshold), so tier-fused vs scalar-chain is
-# exactly the serving comparison. Same-snapshot pairing, so machine
-# speed cancels.
+# runs the naive "" GEMM reference; a compiled decode plan fuses it,
+# so the chain is the unfused baseline, not what serving runs.
+# Same-snapshot pairing, so machine speed cancels.
 MIN_FUSED_ATTN_SPEEDUP = 1.5
 # The scalar fused kernel's contract is bit-exactness with the chain,
 # not speed — but it strictly eliminates the chain's intermediate

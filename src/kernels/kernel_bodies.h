@@ -17,8 +17,9 @@
  *   dot(a, b, n)                sum of a[k] * b[k], k < n
  *   kTileRows, kTileCols,       the GEMM register tile: out[i0+r, j] +=
  *   gemmTile(a, i0, rows, k0,   a[i0+r, k0:k1] . panel[:, j] for r < rows
- *            k1, panel, jw,     and j < cols, a multiple of kTileCols
- *            cols, out, n)      (the body finishes the panel's columns)
+ *            k1, panel, jw,     and j < cols, a multiple of kTileCols;
+ *            cols, out, n)      panel rows are jw floats apart (the body
+ *                               finishes the panel's columns)
  *   dotI8(a, w, k, zp)          sum of (a[k] - zp) * w[k], int32
  *   kLanes, I32, zeroI32(),     kLanes int32 accumulators;
  *   loadI32(p), macI8(acc, x,   macI8 adds (x[l] - zp) * w to lane l
@@ -115,10 +116,12 @@ struct ScalarLanes {
 // ---- fp32 GEMM --------------------------------------------------------
 
 /**
- * Rows [r0, r1) of a x b into out. Each kGemmBlock-square panel of b
- * is packed into @p ws once (a value copy, so the accumulation order
- * is untouched) and multiplied by the tier's register tile; panel
- * columns past the tile's multiple take a per-panel scalar dot.
+ * Rows [r0, r1) of a x b into out, one kGemmBlock-square panel of b at
+ * a time. When gemmPacksB says so, each panel is packed into @p ws
+ * (a value copy, so the accumulation order is untouched); otherwise
+ * the tile reads b's row-major panel in place, rows n apart. The
+ * tier's register tile multiplies it; panel columns past the tile's
+ * multiple take a per-panel scalar dot.
  */
 template <class P>
 void
@@ -126,25 +129,32 @@ gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
             int64_t r1, float *ws)
 {
     int64_t n = b.cols, kk = a.cols;
+    bool pack = gemmPacksB(a.rows, b.trans);
     std::memset(out + r0 * n, 0, sizeof(float) * (r1 - r0) * n);
     for (int64_t k0 = 0; k0 < kk; k0 += kGemmBlock) {
         int64_t k1 = std::min(k0 + kGemmBlock, kk);
         for (int64_t j0 = 0; j0 < n; j0 += kGemmBlock) {
             int64_t jw = std::min(j0 + kGemmBlock, n) - j0;
-            for (int64_t k = k0; k < k1; ++k) {
-                for (int64_t j = 0; j < jw; ++j)
-                    ws[(k - k0) * jw + j] = b.at(k, j0 + j);
+            const float *panel = b.data + k0 * n + j0;
+            int64_t ld = n;
+            if (pack) {
+                for (int64_t k = k0; k < k1; ++k) {
+                    for (int64_t j = 0; j < jw; ++j)
+                        ws[(k - k0) * jw + j] = b.at(k, j0 + j);
+                }
+                panel = ws;
+                ld = jw;
             }
             int64_t cols = jw - jw % P::kTileCols;
             for (int64_t i0 = r0; i0 < r1; i0 += P::kTileRows) {
                 int64_t rows = std::min(P::kTileRows, r1 - i0);
-                P::gemmTile(a, i0, rows, k0, k1, ws, jw, cols, out + j0,
-                            n);
+                P::gemmTile(a, i0, rows, k0, k1, panel, ld, cols,
+                            out + j0, n);
                 for (int64_t j = cols; j < jw; ++j) {
                     for (int64_t r = 0; r < rows; ++r) {
                         float s = 0.0f;
                         for (int64_t k = k0; k < k1; ++k)
-                            s += a.at(i0 + r, k) * ws[(k - k0) * jw + j];
+                            s += a.at(i0 + r, k) * panel[(k - k0) * ld + j];
                         out[(i0 + r) * n + j0 + j] += s;
                     }
                 }

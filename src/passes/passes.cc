@@ -594,12 +594,12 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                     n.op == OpKind::MatMulBiasAct ||
                     n.op == OpKind::BatchMatMul) &&
                    opts.enableBlocked) {
-            if (numel(n.shape) >=
-                opts.blockedMinDim * opts.blockedMinDim) {
-                variants[id] = "blocked";
-                if (stats)
-                    ++stats->blockedBound;
-            }
+            // Every GEMM, at any size: "blocked" is the variant the
+            // SIMD tier upgrades, and its body reads a short row-major
+            // B in place, so even decode's M = 4 projections gain.
+            variants[id] = "blocked";
+            if (stats)
+                ++stats->blockedBound;
         } else if (isQuantComputeOp(n.op)) {
             // Quant compute ops want the real int8 kernels (every
             // quant compute op has one, depthwise included). Should a

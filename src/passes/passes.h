@@ -94,9 +94,11 @@ std::vector<int> naturalOrder(const Graph &g);
 /** Backend-switching options. */
 struct BackendOptions {
     bool enableWinograd = true; ///< frozen 3x3 s1 convs -> Winograd
-    bool enableBlocked = true;  ///< large GEMMs -> blocked, pointwise
+    bool enableBlocked = true;  ///< GEMMs -> blocked, pointwise
                                 ///< and large convs -> im2col
-    int64_t blockedMinDim = 64; ///< GEMM size threshold
+    /** Unfused spatial Conv2d binds im2col from blockedMinDim^2
+     *  outputs per image; GEMMs and pointwise convs ignore it. */
+    int64_t blockedMinDim = 64;
 };
 
 /**
@@ -107,11 +109,13 @@ struct BackendOptions {
  * is a GEMM over the input image read in place, with no column
  * workspace. Other convs get "im2col" only as unfused Conv2d with at
  * least blockedMinDim^2 outputs per image (their column buffers grow
- * peak memory) and stay direct otherwise. GEMMs with at least
- * blockedMinDim^2 outputs get "blocked" by one rule for MatMul,
- * MatMulBiasAct and BatchMatMul. Every fused-op variant is its unfused
- * op's kernel plus the shared bias + activation epilogue, so it reaches
- * the same SIMD tier forms. Quant compute ops get "int8" (ops whose
+ * peak memory) and stay direct otherwise. Every MatMul,
+ * MatMulBiasAct and BatchMatMul gets "blocked" at any size: a GEMM
+ * with a short row-major B reads it in place (no workspace), so the
+ * blocked body beats the naive loop down to decode's M = 4, and it is
+ * the form the SIMD tier upgrades. Every fused-op variant is its
+ * unfused op's kernel plus the shared bias + activation epilogue, so
+ * it reaches the same SIMD tier forms. Quant compute ops get "int8" (ops whose
  * int8 kernel is not registered fall back to the dequant->fp32->
  * requant reference kernel, surfaced via CompileReport's fallback
  * counters); everything else keeps the default.

@@ -322,7 +322,7 @@ TEST(ArenaExec, WinogradStepActuallySharded)
 
 TEST(ArenaExec, BlockedGemmShardsWithWorkspaceAndMatchesSerial)
 {
-    // A GEMM big enough for the "blocked" variant (numel >= 64^2),
+    // 64-row "blocked" GEMMs, which pack B panels into a workspace,
     // run through compiled training so the workspace-bearing kernel
     // executes inside the arena at both thread counts.
     auto traj = [&](int nt) {

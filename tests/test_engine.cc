@@ -348,21 +348,20 @@ TEST(Engine, WinogradBindsOnlyFrozenConvs)
 TEST(Engine, BertFusedGemmsReachTheBlockedKernel)
 {
     // The default BERT proxy under full BP fuses its projection and
-    // FFN layers into MatMulBiasAct. Each one with at least 64^2
-    // outputs binds "blocked" like a MatMul of its size; none is left
-    // on the naive "" kernel.
+    // FFN layers into MatMulBiasAct. Each one binds "blocked" like a
+    // MatMul, whatever its size; none is left on the naive "" kernel.
     Rng rng(1);
     ModelSpec m = buildBert(NlpConfig{}, rng, nullptr);
     CompiledGraph cg = compileGraphOnly(
         m.graph, m.loss, SparseUpdateScheme::full(), CompileOptions{});
-    int large = 0, naive = 0;
+    int fused = 0, naive = 0;
     for (const Node &n : cg.graph.nodes()) {
-        if (n.op != OpKind::MatMulBiasAct || numel(n.shape) < 64 * 64)
+        if (n.op != OpKind::MatMulBiasAct)
             continue;
-        ++large;
+        ++fused;
         naive += cg.artifact.variants[n.id].empty();
     }
-    EXPECT_GT(large, 0);
+    EXPECT_GT(fused, 0);
     EXPECT_EQ(naive, 0);
 }
 

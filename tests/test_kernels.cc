@@ -89,8 +89,20 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{1, 2, 7, 1, 0}, ConvParam{3, 8, 8, 2, 1},
                       ConvParam{8, 16, 12, 1, 1}));
 
+/** Bit equality of two tensors of one shape. */
+void
+expectSameBits(const Tensor &got, const Tensor &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (int64_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "at " << i;
+}
+
 TEST(MatMulVariants, BlockedMatchesNaive)
 {
+    // Scalar "blocked" keeps gemmNaive's per-output accumulation order
+    // whether it packs B (transposed, or >= 48 rows) or reads it in
+    // place, so the two agree bit for bit on both branches.
     for (int64_t n : {5, 17, 48, 100}) {
         Rng rng(1);
         Graph g;
@@ -99,9 +111,68 @@ TEST(MatMulVariants, BlockedMatchesNaive)
         int mm = g.add(OpKind::MatMul, {a, b});
         Tensor ta = Tensor::randn({n, n + 3}, rng);
         Tensor tb = Tensor::randn({n + 3, n - 1}, rng);
-        Tensor naive = runKernel(g, mm, {ta, tb}, "");
-        Tensor blocked = runKernel(g, mm, {ta, tb}, "blocked");
-        EXPECT_LT(maxAbsDiff(naive, blocked), 1e-3f) << "n=" << n;
+        SCOPED_TRACE("n=" + std::to_string(n));
+        expectSameBits(runKernel(g, mm, {ta, tb}, "blocked"),
+                       runKernel(g, mm, {ta, tb}, ""));
+    }
+    constexpr int64_t k = 50;
+    for (int64_t m : {1, 4, 47, 48, 61}) {
+        for (int64_t n : {96, 130}) {
+            for (bool tra : {false, true}) {
+                for (bool trb : {false, true}) {
+                    SCOPED_TRACE(std::to_string(m) + "x" +
+                                 std::to_string(n) + " transA " +
+                                 std::to_string(tra) + " transB " +
+                                 std::to_string(trb));
+                    Rng rng(2);
+                    Graph g;
+                    int a = g.input(tra ? Shape{k, m} : Shape{m, k}, "a");
+                    int b = g.input(trb ? Shape{n, k} : Shape{k, n}, "b");
+                    Attrs at;
+                    at.set("transA", static_cast<int64_t>(tra));
+                    at.set("transB", static_cast<int64_t>(trb));
+                    int mm = g.add(OpKind::MatMul, {a, b}, std::move(at));
+                    Tensor ta = Tensor::randn(g.node(a).shape, rng);
+                    Tensor tb = Tensor::randn(g.node(b).shape, rng);
+                    expectSameBits(runKernel(g, mm, {ta, tb}, "blocked"),
+                                   runKernel(g, mm, {ta, tb}, ""));
+                }
+            }
+        }
+    }
+}
+
+TEST(MatMulVariants, BlockedWorkspaceOnlyWhenPacking)
+{
+    // A short row-major B is read in place: no workspace. A transposed
+    // B, or >= 48 rows, packs one panel of min(K, 48) x min(N, 48).
+    struct S {
+        Shape a, b;
+        bool transB;
+        int64_t bytes;
+    };
+    for (const S &s : {S{{4, 128}, {128, 256}, false, 0},
+                       S{{47, 30}, {30, 20}, false, 0},
+                       S{{48, 30}, {30, 20}, false, 30 * 20 * 4},
+                       S{{4, 128}, {96, 128}, true, 48 * 48 * 4},
+                       S{{4, 10}, {20, 10}, true, 10 * 20 * 4},
+                       S{{2, 4, 8}, {2, 8, 5}, false, 0},
+                       S{{2, 4, 8}, {2, 5, 8}, true, 8 * 5 * 4},
+                       S{{2, 64, 8}, {2, 8, 5}, false, 8 * 5 * 4}}) {
+        bool batched = s.a.size() == 3;
+        SCOPED_TRACE(std::string(batched ? "BatchMatMul" : "MatMul") +
+                     " rows " + std::to_string(s.a[s.a.size() - 2]) +
+                     " transB " + std::to_string(s.transB));
+        Graph g;
+        int a = g.input(s.a, "a");
+        int b = g.input(s.b, "b");
+        Attrs at;
+        at.set("transB", static_cast<int64_t>(s.transB));
+        int mm = g.add(batched ? OpKind::BatchMatMul : OpKind::MatMul,
+                       {a, b}, std::move(at));
+        WorkspaceSpec ws = kernelWorkspace(g, g.node(mm), "blocked");
+        EXPECT_EQ(ws.bytesPerShard, s.bytes);
+        EXPECT_EQ(ws.sharedBytes, 0);
     }
 }
 
@@ -198,9 +269,7 @@ TEST(FusedKernels, FusedOpsMatchUnfusedChainBitForBit)
                                {runKernel(g, lin, {tx, tw}, v), tb},
                                "")},
                     "");
-                ASSERT_EQ(got.size(), chain.size());
-                for (int64_t i = 0; i < chain.size(); ++i)
-                    ASSERT_EQ(got[i], chain[i]) << "at " << i;
+                expectSameBits(got, chain);
             }
         }
     }

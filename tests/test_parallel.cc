@@ -346,7 +346,13 @@ TEST(KernelPartition, FusedKernels)
     // "blocked": one packed B panel per shard, rows past the 48-row
     // tile and 48-wide panel.
     expectShardInvariant(
-        {OpKind::MatMulBiasAct, {{61, 50}, {50, 53}, {53}}, std::move(mb)},
+        {OpKind::MatMulBiasAct, {{61, 50}, {50, 53}, {53}}, mb},
+        "blocked");
+    // A short row-major "blocked" GEMM (decode's M = 4): B is read in
+    // place across several K and N panels, with no workspace.
+    expectShardInvariant(
+        {OpKind::MatMulBiasAct, {{4, 130}, {130, 100}, {100}},
+         std::move(mb)},
         "blocked");
     Attrs dw = convAttrs(2, 1);
     dw.set("act", kActGelu);

@@ -230,8 +230,11 @@ TEST(Reorder, InPlaceUpdateRunsAfterAllParamReaders)
     }
 }
 
-TEST(BackendSwitch, BlockedOnlyForLargeGemms)
+TEST(BackendSwitch, EveryGemmBindsBlocked)
 {
+    // Every GEMM binds "blocked" at any size, 1x1x1 included; only an
+    // unfused spatial Conv2d still needs blockedMinDim^2 outputs per
+    // image for "im2col".
     Graph g;
     int a = g.input({128, 128}, "a");
     int b = g.input({128, 128}, "b");
@@ -239,23 +242,44 @@ TEST(BackendSwitch, BlockedOnlyForLargeGemms)
     int c = g.input({4, 4}, "c");
     int d = g.input({4, 4}, "d");
     int small = g.add(OpKind::MatMul, {c, d});
-    g.markOutput(big);
-    g.markOutput(small);
-    auto variants = switchBackends(g, BackendOptions{});
-    EXPECT_EQ(variants[big], "blocked");
-    EXPECT_EQ(variants[small], "");
+    int e = g.input({1, 1}, "e");
+    int unit = g.add(OpKind::MatMul, {e, e});
+    int q = g.input({2, 4, 8}, "q");
+    int k = g.input({2, 8, 4}, "k");
+    int bmm = g.add(OpKind::BatchMatMul, {q, k});
+    int x = g.input({1, 4, 8, 8}, "x");
+    int w = g.param({4, 4, 3, 3}, "w", true);
+    Attrs ca;
+    ca.set("stride", static_cast<int64_t>(1));
+    ca.set("pad", static_cast<int64_t>(1));
+    int conv = g.add(OpKind::Conv2d, {x, w}, std::move(ca));
+    for (int id : {big, small, unit, bmm, conv})
+        g.markOutput(id);
+    PassStats stats;
+    auto variants = switchBackends(g, BackendOptions{}, &stats);
+    for (int id : {big, small, unit, bmm})
+        EXPECT_EQ(variants[id], "blocked") << "node " << id;
+    EXPECT_EQ(stats.blockedBound, 4);
+    // 64 outputs per image: the small spatial conv stays direct.
+    EXPECT_EQ(variants[conv], "");
+
+    BackendOptions off;
+    off.enableBlocked = false;
+    auto none = switchBackends(g, off);
+    for (int id : {big, small, unit, bmm})
+        EXPECT_EQ(none[id], "");
 }
 
 TEST(BackendSwitch, MatMulBiasActBindsLikeMatMul)
 {
-    // One rule: a fused GEMM binds "blocked" exactly when a MatMul of
-    // the same shape does, on both sides of the blockedMinDim^2
-    // threshold and with blocking off.
+    // One rule: a fused GEMM binds like a MatMul of the same shape —
+    // "blocked" at every size with blocking on, "" with it off.
     struct S {
         int64_t m, k, n;
     };
     for (auto [m, k, n] : {S{128, 32, 128}, S{64, 8, 64}, S{63, 64, 64},
-                           S{4, 4, 4}, S{4096, 2, 1}, S{1, 2, 4095}}) {
+                           S{4, 4, 4}, S{4096, 2, 1}, S{1, 2, 4095},
+                           S{1, 1, 1}}) {
         SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
         Graph g;
         int a = g.input({m, k}, "a");
@@ -272,8 +296,7 @@ TEST(BackendSwitch, MatMulBiasActBindsLikeMatMul)
             opts.enableBlocked = blocked;
             auto variants = switchBackends(g, opts);
             EXPECT_EQ(variants[fused], variants[mm]);
-            EXPECT_EQ(variants[mm] == "blocked",
-                      blocked && m * n >= 64 * 64);
+            EXPECT_EQ(variants[mm], blocked ? "blocked" : "");
         }
     }
 }

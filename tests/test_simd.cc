@@ -290,14 +290,16 @@ TEST(SimdParity, Fp32GemmWithin1e5Relative)
     std::string sfx = hostSuffix();
     Rng rng(101);
     // Shapes chosen to hit register-tile and vector-width tails: the
-    // 8-row x 8-col microkernel, 1-element edges, and sizes straddling
-    // the 48-wide panel.
+    // 8-row x 8-col microkernel, 1-element edges, sizes straddling
+    // the 48-wide panel, decode's 4x128x96 and both sides of the
+    // 48-row pack rule (B read in place below it).
     struct S {
         int64_t m, k, n;
     };
-    std::vector<S> shapes = {{1, 1, 1},   {8, 8, 8},    {7, 13, 9},
-                             {16, 48, 48}, {17, 49, 50}, {3, 100, 1},
-                             {1, 5, 31},  {23, 7, 65}};
+    std::vector<S> shapes = {{1, 1, 1},    {8, 8, 8},    {7, 13, 9},
+                             {16, 48, 48},  {17, 49, 50}, {3, 100, 1},
+                             {1, 5, 31},   {23, 7, 65},  {4, 128, 96},
+                             {47, 49, 50}, {48, 49, 50}};
     for (auto [m, k, n] : shapes) {
         SCOPED_TRACE("gemm " + std::to_string(m) + "x" +
                      std::to_string(k) + "x" + std::to_string(n));
