@@ -117,10 +117,10 @@ struct ScalarLanes {
 
 /**
  * Rows [r0, r1) of a x b into out, one kGemmBlock-square panel of b at
- * a time. When gemmPacksB says so, each panel is packed into @p ws
- * (a value copy, so the accumulation order is untouched); otherwise
- * the tile reads b's row-major panel in place, rows n apart. The
- * tier's register tile multiplies it; panel columns past the tile's
+ * a time. A transposed b is strided, so each panel is packed into
+ * @p ws (a value copy, so the accumulation order is untouched); a
+ * row-major b is read in place, panel rows n apart. The tier's
+ * register tile multiplies the panel; panel columns past the tile's
  * multiple take a per-panel scalar dot.
  */
 template <class P>
@@ -129,7 +129,6 @@ gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
             int64_t r1, float *ws)
 {
     int64_t n = b.cols, kk = a.cols;
-    bool pack = gemmPacksB(a.rows, b.trans);
     std::memset(out + r0 * n, 0, sizeof(float) * (r1 - r0) * n);
     for (int64_t k0 = 0; k0 < kk; k0 += kGemmBlock) {
         int64_t k1 = std::min(k0 + kGemmBlock, kk);
@@ -137,7 +136,7 @@ gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
             int64_t jw = std::min(j0 + kGemmBlock, n) - j0;
             const float *panel = b.data + k0 * n + j0;
             int64_t ld = n;
-            if (pack) {
+            if (b.trans) {
                 for (int64_t k = k0; k < k1; ++k) {
                     for (int64_t j = 0; j < jw; ++j)
                         ws[(k - k0) * jw + j] = b.at(k, j0 + j);

@@ -43,20 +43,6 @@ namespace {
  *  this, and the tier register tiles work inside it. */
 constexpr int64_t kGemmBlock = 48;
 
-/**
- * Whether the blocked GEMM packs each B panel into its workspace. A
- * transposed B is strided, and @p rows (the GEMM's output rows, never
- * a shard's) >= kGemmBlock amortize the copy. Otherwise the body reads
- * a row-major B panel in place, and the workspace declares nothing.
- * The body and its workspace both ask this, so they agree for every
- * shard and thread count.
- */
-inline bool
-gemmPacksB(int64_t rows, bool transB)
-{
-    return transB || rows >= kGemmBlock;
-}
-
 /** The one definition of each activation: the Relu / Gelu / Silu
  *  kernels, the fused epilogue and int8 requantization all call it. */
 inline float

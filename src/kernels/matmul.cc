@@ -11,15 +11,14 @@
  *
  * Partitioning: MatMul splits over output rows, BatchMatMul over the
  * batch — each shard writes a disjoint slab of the output. The blocked
- * variant walks B in kGemmBlock-square panels. A transposed B, or one
- * multiplied by at least kGemmBlock rows, is packed panel by panel
- * into a per-shard workspace, so strided tiles are read once and then
- * streamed contiguously. A short row-major B (decode's M = 4
- * projections) is already contiguous per panel row and is read in
- * place, with no workspace. Packing copies values without reordering
- * the accumulation, so both branches stay bit-identical to the naive
- * loop. The blocked body is shared with the SIMD tiers
- * (kernel_bodies.h); "" stays an independent reference.
+ * variant walks B in kGemmBlock-square panels. A transposed B is
+ * packed panel by panel into a per-shard workspace, so its strided
+ * tiles are read once and then streamed contiguously. A row-major B is
+ * already contiguous per panel row and is read in place, with no
+ * workspace. Packing copies values without reordering the
+ * accumulation, so both branches stay bit-identical to the naive loop.
+ * The blocked body is shared with the SIMD tiers (kernel_bodies.h);
+ * "" stays an independent reference.
  */
 
 #include "kernels/kernel.h"
@@ -51,19 +50,18 @@ constexpr kutil::GemmFn gemmBlocked =
     kutil::gemmBlocked<kutil::ScalarLanes>;
 
 /** One packed B panel per shard, min(K, kGemmBlock) x
- *  min(N, kGemmBlock), for every tier of "blocked"; none when the body
- *  reads B in place (kutil::gemmPacksB). */
+ *  min(N, kGemmBlock), for every tier of "blocked" with a transposed
+ *  B; none for a row-major B, which the body reads in place. */
 WorkspaceSpec
 blockedWorkspace(const Graph &g, const Node &n)
 {
-    const Shape &b = g.node(n.inputs[1]).shape;
-    size_t r = n.shape.size();
-    bool tb = n.attrs.getInt("transB", 0) != 0;
-    int64_t k = tb ? b[r - 1] : b[r - 2], cols = n.shape[r - 1];
     WorkspaceSpec spec;
-    if (kutil::gemmPacksB(n.shape[r - 2], tb))
-        spec.bytesPerShard = std::min(k, kutil::kGemmBlock) *
-                             std::min(cols, kutil::kGemmBlock) * 4;
+    if (n.attrs.getInt("transB", 0) == 0)
+        return spec;
+    size_t r = n.shape.size();
+    int64_t k = g.node(n.inputs[1]).shape[r - 1], cols = n.shape[r - 1];
+    spec.bytesPerShard = std::min(k, kutil::kGemmBlock) *
+                         std::min(cols, kutil::kGemmBlock) * 4;
     return spec;
 }
 

@@ -590,16 +590,23 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                 if (stats)
                     ++stats->im2colBound;
             }
-        } else if ((n.op == OpKind::MatMul ||
-                    n.op == OpKind::MatMulBiasAct ||
-                    n.op == OpKind::BatchMatMul) &&
-                   opts.enableBlocked) {
+        } else if (n.op == OpKind::MatMul ||
+                   n.op == OpKind::MatMulBiasAct ||
+                   n.op == OpKind::BatchMatMul) {
             // Every GEMM, at any size: "blocked" is the variant the
-            // SIMD tier upgrades, and its body reads a short row-major
-            // B in place, so even decode's M = 4 projections gain.
-            variants[id] = "blocked";
-            if (stats)
-                ++stats->blockedBound;
+            // SIMD tier upgrades, and its body reads a row-major B in
+            // place, so even decode's M = 4 projections gain. The
+            // exception is one output row against a transposed B: the
+            // naive loop is then a run of contiguous dot products,
+            // while "blocked" would first pack all of B, as much work
+            // as the product itself.
+            bool gemv_bt = n.attrs.getInt("transB", 0) != 0 &&
+                           n.shape[n.shape.size() - 2] == 1;
+            if (opts.enableBlocked && !gemv_bt) {
+                variants[id] = "blocked";
+                if (stats)
+                    ++stats->blockedBound;
+            }
         } else if (isQuantComputeOp(n.op)) {
             // Quant compute ops want the real int8 kernels (every
             // quant compute op has one, depthwise included). Should a

@@ -110,10 +110,12 @@ struct BackendOptions {
  * workspace. Other convs get "im2col" only as unfused Conv2d with at
  * least blockedMinDim^2 outputs per image (their column buffers grow
  * peak memory) and stay direct otherwise. Every MatMul,
- * MatMulBiasAct and BatchMatMul gets "blocked" at any size: a GEMM
- * with a short row-major B reads it in place (no workspace), so the
- * blocked body beats the naive loop down to decode's M = 4, and it is
- * the form the SIMD tier upgrades. Every fused-op variant is its
+ * MatMulBiasAct and BatchMatMul gets "blocked" at any size: the body
+ * reads a row-major B in place (no workspace), so it beats the naive
+ * loop down to decode's M = 4, and it is the form the SIMD tier
+ * upgrades. Only a one-row GEMM with a transposed B keeps the default:
+ * the naive loop reads both operands contiguously, and blocked would
+ * pack all of B for a single row. Every fused-op variant is its
  * unfused op's kernel plus the shared bias + activation epilogue, so
  * it reaches the same SIMD tier forms. Quant compute ops get "int8" (ops whose
  * int8 kernel is not registered fall back to the dequant->fp32->

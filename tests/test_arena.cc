@@ -322,9 +322,10 @@ TEST(ArenaExec, WinogradStepActuallySharded)
 
 TEST(ArenaExec, BlockedGemmShardsWithWorkspaceAndMatchesSerial)
 {
-    // 64-row "blocked" GEMMs, which pack B panels into a workspace,
-    // run through compiled training so the workspace-bearing kernel
-    // executes inside the arena at both thread counts.
+    // "blocked" GEMMs run through compiled training; the backward
+    // dX = dY . W^T reads a transposed B, which packs panels into a
+    // workspace, so the workspace-bearing kernel executes inside the
+    // arena at both thread counts.
     auto traj = [&](int nt) {
         Graph g;
         Rng rng(7);

@@ -101,8 +101,8 @@ expectSameBits(const Tensor &got, const Tensor &want)
 TEST(MatMulVariants, BlockedMatchesNaive)
 {
     // Scalar "blocked" keeps gemmNaive's per-output accumulation order
-    // whether it packs B (transposed, or >= 48 rows) or reads it in
-    // place, so the two agree bit for bit on both branches.
+    // whether it packs B (transposed) or reads it in place (row-major),
+    // so the two agree bit for bit on both branches.
     for (int64_t n : {5, 17, 48, 100}) {
         Rng rng(1);
         Graph g;
@@ -144,8 +144,8 @@ TEST(MatMulVariants, BlockedMatchesNaive)
 
 TEST(MatMulVariants, BlockedWorkspaceOnlyWhenPacking)
 {
-    // A short row-major B is read in place: no workspace. A transposed
-    // B, or >= 48 rows, packs one panel of min(K, 48) x min(N, 48).
+    // A row-major B is read in place at any row count: no workspace.
+    // A transposed B packs one panel of min(K, 48) x min(N, 48).
     struct S {
         Shape a, b;
         bool transB;
@@ -153,12 +153,14 @@ TEST(MatMulVariants, BlockedWorkspaceOnlyWhenPacking)
     };
     for (const S &s : {S{{4, 128}, {128, 256}, false, 0},
                        S{{47, 30}, {30, 20}, false, 0},
-                       S{{48, 30}, {30, 20}, false, 30 * 20 * 4},
+                       S{{48, 30}, {30, 20}, false, 0},
+                       S{{256, 1024}, {1024, 1024}, false, 0},
                        S{{4, 128}, {96, 128}, true, 48 * 48 * 4},
                        S{{4, 10}, {20, 10}, true, 10 * 20 * 4},
                        S{{2, 4, 8}, {2, 8, 5}, false, 0},
                        S{{2, 4, 8}, {2, 5, 8}, true, 8 * 5 * 4},
-                       S{{2, 64, 8}, {2, 8, 5}, false, 8 * 5 * 4}}) {
+                       S{{2, 64, 8}, {2, 8, 5}, false, 0},
+                       S{{2, 64, 8}, {2, 5, 8}, true, 8 * 5 * 4}}) {
         bool batched = s.a.size() == 3;
         SCOPED_TRACE(std::string(batched ? "BatchMatMul" : "MatMul") +
                      " rows " + std::to_string(s.a[s.a.size() - 2]) +

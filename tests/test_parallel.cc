@@ -343,16 +343,20 @@ TEST(KernelPartition, FusedKernels)
     Attrs mb;
     mb.set("act", kActRelu);
     expectShardInvariant({OpKind::MatMulBiasAct, {{13, 7}, {7, 9}, {9}}, mb});
-    // "blocked": one packed B panel per shard, rows past the 48-row
-    // tile and 48-wide panel.
+    // "blocked" with a row-major B: read in place, rows past the
+    // 48-row tile and 48-wide panel, with no workspace.
     expectShardInvariant(
         {OpKind::MatMulBiasAct, {{61, 50}, {50, 53}, {53}}, mb},
         "blocked");
-    // A short row-major "blocked" GEMM (decode's M = 4): B is read in
-    // place across several K and N panels, with no workspace.
+    // A short one (decode's M = 4) across several K and N panels.
     expectShardInvariant(
-        {OpKind::MatMulBiasAct, {{4, 130}, {130, 100}, {100}},
-         std::move(mb)},
+        {OpKind::MatMulBiasAct, {{4, 130}, {130, 100}, {100}}, mb},
+        "blocked");
+    // A transposed B: one packed B panel per shard.
+    Attrs mbt = std::move(mb);
+    mbt.set("transB", static_cast<int64_t>(1));
+    expectShardInvariant(
+        {OpKind::MatMulBiasAct, {{61, 50}, {53, 50}, {53}}, std::move(mbt)},
         "blocked");
     Attrs dw = convAttrs(2, 1);
     dw.set("act", kActGelu);

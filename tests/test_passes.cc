@@ -270,33 +270,74 @@ TEST(BackendSwitch, EveryGemmBindsBlocked)
         EXPECT_EQ(none[id], "");
 }
 
+TEST(BackendSwitch, OneRowTransposedBKeepsNaive)
+{
+    // One output row against a transposed B (a GEMV such as decode's
+    // unfused q . K^T) keeps the naive kernel: blocked would pack all of
+    // B for that row. Two rows, or a transposed A, bind "blocked".
+    Attrs tb;
+    tb.set("transB", static_cast<int64_t>(1));
+    Attrs ta;
+    ta.set("transA", static_cast<int64_t>(1));
+    Graph g;
+    int x1 = g.input({1, 32}, "x1");
+    int x2 = g.input({2, 32}, "x2");
+    int xt = g.input({32, 1}, "xt");
+    int w = g.input({64, 32}, "w");
+    int wr = g.input({32, 64}, "wr");
+    int gemv = g.add(OpKind::MatMul, {x1, w}, tb);
+    int two = g.add(OpKind::MatMul, {x2, w}, tb);
+    int trans_a = g.add(OpKind::MatMul, {xt, wr}, std::move(ta));
+    int q = g.input({8, 1, 16}, "q");
+    int k = g.input({8, 32, 16}, "k");
+    int scores = g.add(OpKind::BatchMatMul, {q, k}, tb);
+    for (int id : {gemv, two, trans_a, scores})
+        g.markOutput(id);
+    PassStats stats;
+    auto variants = switchBackends(g, BackendOptions{}, &stats);
+    EXPECT_EQ(variants[gemv], "");
+    EXPECT_EQ(variants[scores], "");
+    EXPECT_EQ(variants[two], "blocked");
+    EXPECT_EQ(variants[trans_a], "blocked");
+    EXPECT_EQ(stats.blockedBound, 2);
+}
+
 TEST(BackendSwitch, MatMulBiasActBindsLikeMatMul)
 {
     // One rule: a fused GEMM binds like a MatMul of the same shape —
-    // "blocked" at every size with blocking on, "" with it off.
+    // "blocked" at every size with blocking on, except one row against
+    // a transposed B, and "" with it off.
     struct S {
         int64_t m, k, n;
     };
     for (auto [m, k, n] : {S{128, 32, 128}, S{64, 8, 64}, S{63, 64, 64},
                            S{4, 4, 4}, S{4096, 2, 1}, S{1, 2, 4095},
                            S{1, 1, 1}}) {
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
-        Graph g;
-        int a = g.input({m, k}, "a");
-        int b = g.input({k, n}, "b");
-        int bias = g.param({n}, "bias", true);
-        int mm = g.add(OpKind::MatMul, {a, b});
-        Attrs fa;
-        fa.set("act", static_cast<int64_t>(kActGelu));
-        int fused = g.add(OpKind::MatMulBiasAct, {a, b, bias}, fa);
-        g.markOutput(mm);
-        g.markOutput(fused);
-        for (bool blocked : {true, false}) {
-            BackendOptions opts;
-            opts.enableBlocked = blocked;
-            auto variants = switchBackends(g, opts);
-            EXPECT_EQ(variants[fused], variants[mm]);
-            EXPECT_EQ(variants[mm], blocked ? "blocked" : "");
+        for (bool trb : {false, true}) {
+            SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n) +
+                         " transB " + std::to_string(trb));
+            Graph g;
+            int a = g.input({m, k}, "a");
+            int b = g.input(trb ? Shape{n, k} : Shape{k, n}, "b");
+            int bias = g.param({n}, "bias", true);
+            Attrs ma;
+            ma.set("transB", static_cast<int64_t>(trb));
+            Attrs fa = ma;
+            fa.set("act", static_cast<int64_t>(kActGelu));
+            int mm = g.add(OpKind::MatMul, {a, b}, std::move(ma));
+            int fused =
+                g.add(OpKind::MatMulBiasAct, {a, b, bias}, std::move(fa));
+            g.markOutput(mm);
+            g.markOutput(fused);
+            for (bool blocked : {true, false}) {
+                BackendOptions opts;
+                opts.enableBlocked = blocked;
+                auto variants = switchBackends(g, opts);
+                EXPECT_EQ(variants[fused], variants[mm]);
+                bool gemv = trb && m == 1;
+                EXPECT_EQ(variants[mm],
+                          blocked && !gemv ? "blocked" : "");
+            }
         }
     }
 }

@@ -291,8 +291,8 @@ TEST(SimdParity, Fp32GemmWithin1e5Relative)
     Rng rng(101);
     // Shapes chosen to hit register-tile and vector-width tails: the
     // 8-row x 8-col microkernel, 1-element edges, sizes straddling
-    // the 48-wide panel, decode's 4x128x96 and both sides of the
-    // 48-row pack rule (B read in place below it).
+    // the 48-wide panel, decode's 4x128x96, and 47 and 48 rows (one
+    // short of and exactly one 48-row scalar tile).
     struct S {
         int64_t m, k, n;
     };
@@ -907,7 +907,12 @@ TEST(TierDeploy, ShrunkenWorkspaceIsRejectedBeforeAnyKernelRuns)
     Rng rng(35);
     NetBuilder nb(g, rng, store.get());
     int img = nb.conv2d(nb.input({2, 4, 8, 8}, "img"), 8, 3, 1, 1, "c");
-    int fc = nb.linear(nb.input({64, 32}, "x"), 64, "fc");
+    // x . W^T: a transposed B is the GEMM that packs into a workspace.
+    Attrs tb;
+    tb.set("transB", static_cast<int64_t>(1));
+    int fc = g.add(OpKind::MatMul,
+                   {nb.input({64, 32}, "x"), nb.param({64, 32}, "fc", 0.1f)},
+                   std::move(tb));
     InferenceProgram prog =
         compileInference(g, {img, fc}, CompileOptions{}, store);
     const ProgramArtifact art = prog.executor().exportArtifact();
