@@ -4,9 +4,12 @@
  * claims that backend switching pays — blocked vs naive GEMM,
  * im2col / Winograd vs direct convolution, fused vs unfused
  * conv+bias+relu, direct vs in-place im2col pointwise conv+bias+relu,
- * naive vs blocked GEMM at the decode shape, and the SIMD kernel tier
- * (scalar vs "@avx2"/"@neon" rows for GEMM, im2col conv, fused
- * pointwise conv, int8 GEMM, int8 pointwise conv and int8 depthwise).
+ * naive vs blocked GEMM at the decode shape, the sparse train step's
+ * direct vs bounded-im2col stem, direct vs GEMM pointwise conv
+ * gradients and thin pointwise conv with and without its ReLU
+ * epilogue, and the SIMD kernel tier (scalar vs "@avx2"/"@neon" rows
+ * for GEMM, im2col conv, fused pointwise conv, the train-step rows,
+ * int8 GEMM, int8 pointwise conv and int8 depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -284,6 +287,122 @@ BM_PointwiseConvBiasRelu(benchmark::State &state,
         benchmark::DoNotOptimize(f.out.data());
         benchmark::ClobberMemory();
     }
+}
+
+/** Time one node's kernel @p variant over fixed random inputs;
+ *  @p flops per call feeds items_per_second. */
+void
+nodeBench(benchmark::State &state, const Graph &g, int node,
+          const std::string &variant, double flops)
+{
+    Rng rng(1);
+    const Node &n = g.node(node);
+    std::vector<Tensor> ins;
+    KernelCtx ctx;
+    ctx.node = &n;
+    for (int i : n.inputs)
+        ins.push_back(Tensor::randn(g.node(i).shape, rng, 0.5f));
+    for (size_t i = 0; i < ins.size(); ++i) {
+        ctx.in.push_back(ins[i].data());
+        ctx.inShapes.push_back(&g.node(n.inputs[i]).shape);
+    }
+    Tensor out(n.shape);
+    ctx.out = out.data();
+    ctx.outShape = &n.shape;
+    DirectWorkspace ws;
+    ws.attach(ctx, g, n, variant);
+    KernelFn fn = lookupKernel(n.op, variant);
+    for (auto _ : state) {
+        fn(ctx);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * flops));
+}
+
+Attrs
+convAttrs(int64_t stride, int64_t pad)
+{
+    Attrs a;
+    a.set("stride", stride);
+    a.set("pad", pad);
+    return a;
+}
+
+/**
+ * The MCUNet stem at the sparse train step's shape: 8 images of 3 x
+ * 16 x 16, a 3x3 stride-2 conv to 8 channels, fused bias + relu. The
+ * direct loop vs the bounded-panel "im2col" GEMM (64 output pixels:
+ * one 48-column panel and a 16-column one).
+ */
+void
+BM_StemConvBiasRelu(benchmark::State &state, const std::string &variant)
+{
+    Graph g;
+    int x = g.input({8, 3, 16, 16}, "x");
+    int w = g.param({8, 3, 3, 3}, "w", false);
+    int b = g.param({8, 1, 1}, "b", false);
+    Attrs a = convAttrs(2, 1);
+    a.set("act", static_cast<int64_t>(kActRelu));
+    int node = g.add(OpKind::ConvBiasAct, {x, w, b}, std::move(a));
+    nodeBench(state, g, node, variant, 2.0 * 8 * 8 * 64 * 27);
+}
+
+/**
+ * The pointwise conv gradients of a train step's late block: 8 images,
+ * 48 input and 16 output channels, an h x h plane (the arg). The
+ * direct scatter loops ("") vs the "im2col" GEMMs: dX = W^T dY and
+ * dW = sum over images of dY X^T.
+ */
+void
+BM_PointwiseConvBwdInput(benchmark::State &state,
+                         const std::string &variant)
+{
+    int64_t hw = state.range(0);
+    Graph g;
+    int w = g.input({16, 48, 1, 1}, "w");
+    int dy = g.input({8, 16, hw, hw}, "dy");
+    Attrs a = convAttrs(1, 0);
+    a.set("xshape", Shape{8, 48, hw, hw});
+    int node = g.add(OpKind::Conv2dBwdInput, {w, dy}, std::move(a));
+    nodeBench(state, g, node, variant, 2.0 * 8 * 48 * 16 * hw * hw);
+}
+
+void
+BM_PointwiseConvBwdWeight(benchmark::State &state,
+                          const std::string &variant)
+{
+    int64_t hw = state.range(0);
+    Graph g;
+    int x = g.input({8, 48, hw, hw}, "x");
+    int dy = g.input({8, 16, hw, hw}, "dy");
+    Attrs a = convAttrs(1, 0);
+    a.set("wshape", Shape{16, 48, 1, 1});
+    int node = g.add(OpKind::Conv2dBwdWeight, {x, dy}, std::move(a));
+    nodeBench(state, g, node, variant, 2.0 * 8 * 48 * 16 * hw * hw);
+}
+
+/**
+ * A thin pointwise ConvBiasAct (8 images, 8 -> 48 channels, 8 x 8):
+ * with K = 8 the GEMM is cheap, so the bias + activation epilogue
+ * shows. Arg 0 runs no activation, arg 1 ReLU: the gap between the
+ * rows is the ReLU pass, one branch-free select per element (random
+ * signs made a per-element branch cost several times the GEMM).
+ */
+void
+BM_ThinPointwiseConvBiasAct(benchmark::State &state,
+                            const std::string &variant)
+{
+    Graph g;
+    int x = g.input({8, 8, 8, 8}, "x");
+    int w = g.param({48, 8, 1, 1}, "w", false);
+    int b = g.param({48, 1, 1}, "b", false);
+    Attrs a = convAttrs(1, 0);
+    a.set("act", state.range(0) != 0 ? static_cast<int64_t>(kActRelu)
+                                     : static_cast<int64_t>(kActNone));
+    int node = g.add(OpKind::ConvBiasAct, {x, w, b}, std::move(a));
+    nodeBench(state, g, node, variant, 2.0 * 8 * 48 * 8 * 64);
 }
 
 BENCHMARK_CAPTURE(BM_MatMul, naive, std::string(""))
@@ -607,6 +726,25 @@ BENCHMARK_CAPTURE(BM_PointwiseConvBiasRelu, im2col,
                   std::string("im2col"))
     ->Arg(32)
     ->Arg(64);
+BENCHMARK_CAPTURE(BM_StemConvBiasRelu, direct, std::string(""));
+BENCHMARK_CAPTURE(BM_StemConvBiasRelu, im2col, std::string("im2col"));
+BENCHMARK_CAPTURE(BM_PointwiseConvBwdInput, direct, std::string(""))
+    ->Arg(2)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_PointwiseConvBwdInput, im2col, std::string("im2col"))
+    ->Arg(2)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_PointwiseConvBwdWeight, direct, std::string(""))
+    ->Arg(2)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_PointwiseConvBwdWeight, im2col,
+                  std::string("im2col"))
+    ->Arg(2)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_ThinPointwiseConvBiasAct, im2col,
+                  std::string("im2col"))
+    ->Arg(0)
+    ->Arg(1);
 BENCHMARK_CAPTURE(BM_FusedAttention, base, std::string(""))
     ->Arg(4)
     ->Arg(16);
@@ -707,6 +845,28 @@ struct SimdBenchRegistrar {
                 BM_PointwiseConvBiasRelu, "im2col" + sfx)
                 ->Arg(32)
                 ->Arg(64);
+        if (hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx)) {
+            benchmark::RegisterBenchmark(
+                ("BM_StemConvBiasRelu/im2col" + sfx).c_str(),
+                BM_StemConvBiasRelu, "im2col" + sfx);
+            benchmark::RegisterBenchmark(
+                ("BM_ThinPointwiseConvBiasAct/im2col" + sfx).c_str(),
+                BM_ThinPointwiseConvBiasAct, "im2col" + sfx)
+                ->Arg(0)
+                ->Arg(1);
+        }
+        if (hasKernelVariant(OpKind::Conv2dBwdInput, "im2col" + sfx))
+            benchmark::RegisterBenchmark(
+                ("BM_PointwiseConvBwdInput/im2col" + sfx).c_str(),
+                BM_PointwiseConvBwdInput, "im2col" + sfx)
+                ->Arg(2)
+                ->Arg(8);
+        if (hasKernelVariant(OpKind::Conv2dBwdWeight, "im2col" + sfx))
+            benchmark::RegisterBenchmark(
+                ("BM_PointwiseConvBwdWeight/im2col" + sfx).c_str(),
+                BM_PointwiseConvBwdWeight, "im2col" + sfx)
+                ->Arg(2)
+                ->Arg(8);
         if (hasKernelVariant(OpKind::QuantMatMul, "int8" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_QuantMatMul/int8" + sfx).c_str(), BM_QuantMatMul,

@@ -15,13 +15,16 @@
  * dx is scattered to independently); the weight backward over output
  * channels (each channel's dw rows accumulate over images
  * independently). "im2col" splits over images — every shard unfolds
- * into its own workspace column buffer (one image's column matrix),
- * so the kernel shards like any other instead of being serialized by
- * scratch. A pointwise conv reads its input image in place and has no
- * column buffer. The im2col body is shared with the SIMD tiers
- * (kernel_bodies.h).
+ * into its own workspace column buffer (one kGemmBlock-column panel of
+ * one image's column matrix at a time), so the kernel shards like any
+ * other instead of being serialized by scratch. A pointwise conv reads
+ * its input image in place and has no column buffer. For pointwise
+ * convs the input and weight backward have "im2col" GEMM forms too,
+ * bit-identical to the loops here on the scalar tier. The im2col
+ * bodies are shared with the SIMD tiers (kernel_bodies.h).
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernels/kernel.h"
@@ -293,9 +296,9 @@ dwConv2dBwdWeight(const KernelCtx &c)
     }
 }
 
-/** One image's fp32 column matrix (ci*kh*kw rows by ho*wo columns),
- *  for every tier of "im2col"; none for a pointwise conv, which reads
- *  its input in place. */
+/** One column panel of the unfolded image — ci*kh*kw rows by
+ *  min(ho*wo, kGemmBlock) columns — for every tier of "im2col"; none
+ *  for a pointwise conv, which reads its input in place. */
 WorkspaceSpec
 im2colWorkspace(const Graph &g, const Node &n)
 {
@@ -303,7 +306,20 @@ im2colWorkspace(const Graph &g, const Node &n)
     WorkspaceSpec spec;
     if (!isPointwiseConv(w, n.attrs))
         spec.bytesPerShard =
-            w[1] * w[2] * w[3] * n.shape[2] * n.shape[3] * 4;
+            w[1] * w[2] * w[3] *
+            std::min(n.shape[2] * n.shape[3], kutil::kGemmBlock) * 4;
+    return spec;
+}
+
+/** The pointwise weight backward's packed X^T panel: min(h*w,
+ *  kGemmBlock) x min(ci, kGemmBlock) floats per shard. */
+WorkspaceSpec
+bwdWeightWorkspace(const Graph &g, const Node &n)
+{
+    const Shape &x = g.node(n.inputs[0]).shape;
+    WorkspaceSpec spec;
+    spec.bytesPerShard = std::min(x[2] * x[3], kutil::kGemmBlock) *
+                         std::min(x[1], kutil::kGemmBlock) * 4;
     return spec;
 }
 
@@ -328,6 +344,12 @@ registerConvKernels()
     registerKernel(OpKind::Conv2dBwdInput, "", conv2dBwdInput, dxImages);
     registerKernel(OpKind::Conv2dBwdWeight, "", conv2dBwdWeight,
                    dwChannels);
+    registerKernel(OpKind::Conv2dBwdInput, "im2col",
+                   kutil::pointwiseBwdInputK<kutil::ScalarLanes>,
+                   dxImages);
+    registerKernel(OpKind::Conv2dBwdWeight, "im2col",
+                   kutil::pointwiseBwdWeightK<kutil::ScalarLanes>,
+                   dwChannels, bwdWeightWorkspace);
     registerKernel(OpKind::DwConv2dBwdInput, "", dwConv2dBwdInput,
                    images);
     registerKernel(OpKind::DwConv2dBwdWeight, "", dwConv2dBwdWeight,

@@ -176,12 +176,18 @@ addScalarK(const KernelCtx &c)
     unary(c, [alpha](float x) { return x + alpha; });
 }
 
+/** Both operands are loaded unconditionally, so the select needs no
+ *  branch and vectorizes: x > 0 passes the gradient, anything else
+ *  (NaN and -0 included) gives +0. */
 void
 reluGradK(const KernelCtx &c)
 {
+    const float *x = c.in[0], *g = c.in[1];
     int64_t hi = partitionEnd(c, numel(*c.outShape));
-    for (int64_t i = c.begin; i < hi; ++i)
-        c.out[i] = c.in[0][i] > 0 ? c.in[1][i] : 0.0f;
+    for (int64_t i = c.begin; i < hi; ++i) {
+        float gi = g[i];
+        c.out[i] = x[i] > 0 ? gi : 0.0f;
+    }
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
  * One body per tiered kernel. Blocked MatMul / MatMulBiasAct /
- * BatchMatMul, the im2col Conv2d / ConvBiasAct, FusedAttention,
+ * BatchMatMul, the im2col Conv2d / ConvBiasAct, the pointwise
+ * Conv2dBwdInput / Conv2dBwdWeight GEMMs, FusedAttention,
  * QuantMatMul, QuantConv2d and QuantDwConv2d are each written once
  * here, as a template over a tier's lane primitives. A fused op runs
  * its unfused op's body plus the shared Epilogue (kernel_util.h), so
@@ -116,20 +117,45 @@ struct ScalarLanes {
 // ---- fp32 GEMM --------------------------------------------------------
 
 /**
- * Rows [r0, r1) of a x b into out, one kGemmBlock-square panel of b at
- * a time. A transposed b is strided, so each panel is packed into
- * @p ws (a value copy, so the accumulation order is untouched); a
- * row-major b is read in place, panel rows n apart. The tier's
- * register tile multiplies the panel; panel columns past the tile's
- * multiple take a per-panel scalar dot.
+ * out[i, j] += a[i, k0:k1] . panel[:, j] for rows i in [r0, r1) and
+ * columns j < jw, panel rows @p ld apart and out rows @p n apart. The
+ * tier's register tile covers the columns up to its multiple; the
+ * rest take a per-panel scalar dot. On the scalar tier every entry
+ * accumulates straight into out, k ascending.
  */
 template <class P>
 void
-gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
-            int64_t r1, float *ws)
+gemmPanel(const GemmView &a, int64_t r0, int64_t r1, int64_t k0,
+          int64_t k1, const float *panel, int64_t ld, int64_t jw,
+          float *out, int64_t n)
+{
+    int64_t cols = jw - jw % P::kTileCols;
+    for (int64_t i0 = r0; i0 < r1; i0 += P::kTileRows) {
+        int64_t rows = std::min(P::kTileRows, r1 - i0);
+        P::gemmTile(a, i0, rows, k0, k1, panel, ld, cols, out, n);
+        for (int64_t j = cols; j < jw; ++j) {
+            for (int64_t r = 0; r < rows; ++r) {
+                float s = 0.0f;
+                for (int64_t k = k0; k < k1; ++k)
+                    s += a.at(i0 + r, k) * panel[(k - k0) * ld + j];
+                out[(i0 + r) * n + j] += s;
+            }
+        }
+    }
+}
+
+/**
+ * Rows [r0, r1) of a x b added into out, one kGemmBlock-square panel
+ * of b at a time. A transposed b is strided, so each panel is packed
+ * into @p ws (a value copy, so the accumulation order is untouched);
+ * a row-major b is read in place, panel rows n apart.
+ */
+template <class P>
+void
+gemmAccumulate(const GemmView &a, const GemmView &b, float *out,
+               int64_t r0, int64_t r1, float *ws)
 {
     int64_t n = b.cols, kk = a.cols;
-    std::memset(out + r0 * n, 0, sizeof(float) * (r1 - r0) * n);
     for (int64_t k0 = 0; k0 < kk; k0 += kGemmBlock) {
         int64_t k1 = std::min(k0 + kGemmBlock, kk);
         for (int64_t j0 = 0; j0 < n; j0 += kGemmBlock) {
@@ -144,22 +170,19 @@ gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
                 panel = ws;
                 ld = jw;
             }
-            int64_t cols = jw - jw % P::kTileCols;
-            for (int64_t i0 = r0; i0 < r1; i0 += P::kTileRows) {
-                int64_t rows = std::min(P::kTileRows, r1 - i0);
-                P::gemmTile(a, i0, rows, k0, k1, panel, ld, cols,
-                            out + j0, n);
-                for (int64_t j = cols; j < jw; ++j) {
-                    for (int64_t r = 0; r < rows; ++r) {
-                        float s = 0.0f;
-                        for (int64_t k = k0; k < k1; ++k)
-                            s += a.at(i0 + r, k) * panel[(k - k0) * ld + j];
-                        out[(i0 + r) * n + j0 + j] += s;
-                    }
-                }
-            }
+            gemmPanel<P>(a, r0, r1, k0, k1, panel, ld, jw, out + j0, n);
         }
     }
+}
+
+/** Rows [r0, r1) of a x b into out (gemmAccumulate from zero). */
+template <class P>
+void
+gemmBlocked(const GemmView &a, const GemmView &b, float *out, int64_t r0,
+            int64_t r1, float *ws)
+{
+    std::memset(out + r0 * b.cols, 0, sizeof(float) * (r1 - r0) * b.cols);
+    gemmAccumulate<P>(a, b, out, r0, r1, ws);
 }
 
 /** GEMM signature shared by gemmBlocked<P> and matmul.cc's naive
@@ -209,7 +232,9 @@ batchMatmulK(const KernelCtx &c)
  * out[co, cols] = w[co, k] x operand[k, cols], accumulated in
  * ascending k, then the node's epilogue. The operand is the image
  * itself for a pointwise conv (its workspace declares no column
- * buffer), else the image unfolded into the shard's workspace.
+ * buffer). Any other conv unfolds one column panel of at most
+ * kGemmBlock output pixels at a time into the shard's workspace, so
+ * the buffer is k x min(cols, kGemmBlock) whatever the image size.
  */
 template <class P>
 void
@@ -217,28 +242,73 @@ im2colConvK(const KernelCtx &c)
 {
     const Shape &xs = *c.inShapes[0], &ws = *c.inShapes[1];
     int64_t co = ws[0], k = ws[1] * ws[2] * ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    int64_t cols = ho * wo;
+    int64_t wo = (*c.outShape)[3];
+    int64_t cols = (*c.outShape)[2] * wo;
     bool pointwise = isPointwiseConv(ws, c.node->attrs);
+    int64_t panel = pointwise ? cols : std::min(cols, kGemmBlock);
     int64_t stride = attrI(c, "stride", 1), pad = attrI(c, "pad", 0);
+    GemmView wv{c.in[1], co, k, false};
     Epilogue ep = epilogueOf(c);
     for (int64_t n = c.begin; n < partitionEnd(c, (*c.outShape)[0]);
          ++n) {
-        const float *src = c.in[0] + n * xs[1] * xs[2] * xs[3];
-        if (!pointwise) {
-            im2colUnfold(src, c.workspace, xs[1], xs[2], xs[3], ws[2],
-                         ws[3], ho, wo, stride, pad, 0.0f);
-            src = c.workspace;
-        }
+        const float *xn = c.in[0] + n * xs[1] * xs[2] * xs[3];
         float *out = c.out + n * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            float *dst = out + o * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = c.in[1] + o * k;
-            for (int64_t kk = 0; kk < k; ++kk)
-                P::axpy(dst, src + kk * cols, wrow[kk], cols);
-            ep.channel(dst, cols, o);
+        for (int64_t q0 = 0; q0 < cols; q0 += panel) {
+            int64_t pw = std::min(panel, cols - q0);
+            const float *src = xn + q0;
+            int64_t ld = cols;
+            if (!pointwise) {
+                im2colUnfold(xn, c.workspace, xs[1], xs[2], xs[3], ws[2],
+                             ws[3], wo, stride, pad, 0.0f, q0, q0 + pw);
+                src = c.workspace;
+                ld = pw;
+            }
+            for (int64_t o = 0; o < co; ++o)
+                std::memset(out + o * cols + q0, 0, sizeof(float) * pw);
+            gemmPanel<P>(wv, 0, co, 0, k, src, ld, pw, out + q0, cols);
         }
+        for (int64_t o = 0; o < co; ++o)
+            ep.channel(out + o * cols, cols, o);
+    }
+}
+
+/**
+ * Pointwise Conv2dBwdInput over the images of this shard: dX[n] =
+ * W^T x dY[n], i.e. dX[n, ci, :] += W[co, ci] * dY[n, co, :] with co
+ * ascending, dY[n] read in place. Only bound to pointwise convs.
+ */
+template <class P>
+void
+pointwiseBwdInputK(const KernelCtx &c)
+{
+    const Shape &ws = *c.inShapes[0], &xs = *c.outShape;
+    int64_t co = ws[0], ci = ws[1], hw = xs[2] * xs[3];
+    GemmView wt = gemmViewOf(c.in[0], co, ci, true);
+    for (int64_t n = c.begin; n < partitionEnd(c, xs[0]); ++n) {
+        GemmView dy{c.in[1] + n * co * hw, co, hw, false};
+        gemmBlocked<P>(wt, dy, c.out + n * ci * hw, 0, ci, nullptr);
+    }
+}
+
+/**
+ * Pointwise Conv2dBwdWeight over the output channels of this shard
+ * (the first "limitCo" channels at most, the output's first dim):
+ * dW[co, :] += dY[n, co, p] * X^T[p, :], n then p ascending. X^T is a
+ * transposed view of each image, packed panel by panel into the
+ * shard's workspace. Only bound to pointwise convs.
+ */
+template <class P>
+void
+pointwiseBwdWeightK(const KernelCtx &c)
+{
+    const Shape &xs = *c.inShapes[0], &dys = *c.inShapes[1];
+    int64_t ci = xs[1], hw = xs[2] * xs[3], co = dys[1];
+    int64_t lo = c.begin, hi = partitionEnd(c, (*c.outShape)[0]);
+    std::memset(c.out + lo * ci, 0, sizeof(float) * (hi - lo) * ci);
+    for (int64_t n = 0; n < xs[0]; ++n) {
+        GemmView dy{c.in[1] + n * co * hw, co, hw, false};
+        GemmView xt = gemmViewOf(c.in[0] + n * ci * hw, ci, hw, true);
+        gemmAccumulate<P>(dy, xt, c.out, lo, hi, c.workspace);
     }
 }
 
@@ -417,8 +487,8 @@ qconvK(const KernelCtx &c)
     bool vec = P::vectorEmitOk(rq);
 
     for (int64_t ni = c.begin; ni < partitionEnd(c, xs[0]); ++ni) {
-        im2colUnfold(x + ni * ci * h * w, col, ci, h, w, kh, kw, ho, wo,
-                     stride, pad, zp8);
+        im2colUnfold(x + ni * ci * h * w, col, ci, h, w, kh, kw, wo,
+                     stride, pad, zp8, int64_t{0}, cols);
         int8_t *on = out + ni * co * cols;
         for (int64_t o = 0; o < co; ++o) {
             const int8_t *wrow = wt + o * k;
@@ -535,7 +605,8 @@ qdwConvK(const KernelCtx &c)
 /**
  * Register the @p tier variant of every body above — "blocked@avx2"
  * (MatMul, MatMulBiasAct, BatchMatMul), "im2col@avx2" (Conv2d,
- * ConvBiasAct), FusedAttention "avx2", "int8@avx2", ... — with its
+ * ConvBiasAct, and the pointwise Conv2dBwdInput / Conv2dBwdWeight),
+ * FusedAttention "avx2", "int8@avx2", ... — with its
  * scalar base's own PartitionSpec and WorkspaceFn, so the executor can
  * switch tiers at bind time against one memory plan.
  */
@@ -549,6 +620,10 @@ registerTier(SimdTier tier)
                         batchMatmulK<gemmBlocked<P>>);
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
         registerTierVariant(op, "im2col", tier, im2colConvK<P>);
+    registerTierVariant(OpKind::Conv2dBwdInput, "im2col", tier,
+                        pointwiseBwdInputK<P>);
+    registerTierVariant(OpKind::Conv2dBwdWeight, "im2col", tier,
+                        pointwiseBwdWeightK<P>);
     registerTierVariant(OpKind::FusedAttention, "", tier,
                         fusedAttentionK<P>);
     registerTierVariant(OpKind::QuantMatMul, "int8", tier, qmatmulK<P>);

@@ -3,10 +3,11 @@
  * Helpers shared by the scalar kernel TUs and the tier kernel bodies
  * (kernel_bodies.h): GEMM operand views, the int8 requantization
  * context, activation math, the fp32 bias + activation epilogue and
- * the im2col unfold. A tier variant must agree with its scalar base
- * on all of this — packing layout, padding values, requantization
- * rounding — for the tier contract (int8 bit-exact, fp32 within
- * tolerance) to hold, so the definitions live in one place.
+ * the im2col unfold (whole, or one column panel). A tier variant must
+ * agree with its scalar base on all of this — packing layout, padding
+ * values, requantization rounding — for the tier contract (int8
+ * bit-exact, fp32 within tolerance) to hold, so the definitions live
+ * in one place.
  *
  * Everything defined here has internal linkage (unnamed namespace),
  * and the attribute reads are out of line in a baseline TU. The AVX2
@@ -19,6 +20,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -97,13 +99,31 @@ struct Epilogue {
     }
 
   private:
+    /** The act is dispatched once per run, not per element: each
+     *  case runs actRun with a compile-time act, where actOf's switch
+     *  folds away (ReLU becomes a branch-free select the compiler can
+     *  vectorize). */
     void
     activate(float *dst, int64_t n) const
     {
-        if (act != kActNone) {
-            for (int64_t j = 0; j < n; ++j)
-                dst[j] = actOf(act, dst[j]);
+        switch (act) {
+          case kActRelu:
+            return actRun<kActRelu>(dst, n);
+          case kActGelu:
+            return actRun<kActGelu>(dst, n);
+          case kActSilu:
+            return actRun<kActSilu>(dst, n);
+          default:
+            return;
         }
+    }
+
+    template <int64_t Act>
+    static void
+    actRun(float *dst, int64_t n)
+    {
+        for (int64_t j = 0; j < n; ++j)
+            dst[j] = actOf(Act, dst[j]);
     }
 };
 
@@ -187,34 +207,51 @@ requantOf(const KernelCtx &c)
 }
 
 /**
- * Unfold one NCHW image into its [ci*kh*kw, ho*wo] column matrix.
- * Out-of-bounds taps read @p padval (0.0f for fp32; the input
- * zero-point for int8, so (col - zp) vanishes exactly where fp32
- * would pad zeros). Row order is (ci, kh, kw) ascending — the
- * accumulation order every consumer relies on for bit-exactness
- * against the direct kernels.
+ * Unfold columns [q0, q1) of one NCHW image's [ci*kh*kw, ho*wo]
+ * column matrix into @p col, whose rows are q1 - q0 elements apart
+ * (q0 = 0, q1 = ho*wo is the whole matrix). Out-of-bounds taps read
+ * @p padval (0.0f for fp32; the input zero-point for int8, so
+ * (col - zp) vanishes exactly where fp32 would pad zeros). Row order
+ * is (ci, kh, kw) ascending — the accumulation order every consumer
+ * relies on for bit-exactness against the direct kernels.
  */
 template <typename T>
 inline void
 im2colUnfold(const T *xn, T *col, int64_t ci, int64_t h, int64_t w,
-             int64_t kh, int64_t kw, int64_t ho, int64_t wo,
-             int64_t stride, int64_t pad, T padval)
+             int64_t kh, int64_t kw, int64_t wo, int64_t stride,
+             int64_t pad, T padval, int64_t q0, int64_t q1)
 {
-    int64_t cols = ho * wo;
+    int64_t width = q1 - q0;
+    int64_t i0 = q0 / wo;
+    // Pad the whole panel in one pass, then copy each output row's
+    // in-bounds run over it.
+    std::fill_n(col, ci * kh * kw * width, padval);
     int64_t r = 0;
     for (int64_t cc = 0; cc < ci; ++cc) {
+        const T *xc = xn + cc * h * w;
         for (int64_t a = 0; a < kh; ++a) {
             for (int64_t b = 0; b < kw; ++b, ++r) {
-                T *dst = col + r * cols;
-                for (int64_t i = 0; i < ho; ++i) {
+                // Output columns j in [jlo, jhi) read x column
+                // j * stride - pad + b inside [0, w).
+                int64_t jlo = pad > b ? (pad - b + stride - 1) / stride
+                                      : 0;
+                int64_t jhi = w + pad - b > 0
+                                  ? (w - 1 + pad - b) / stride + 1
+                                  : 0;
+                // One output row's segment at a time: col[base + j]
+                // holds column i * wo + j of the full matrix.
+                int64_t base = r * width - (q0 - i0 * wo);
+                for (int64_t i = i0; i * wo < q1; ++i, base += wo) {
+                    int64_t j0 = std::max(q0 - i * wo, int64_t{0});
+                    int64_t j1 = std::min(wo, q1 - i * wo);
                     int64_t ih = i * stride - pad + a;
-                    for (int64_t j = 0; j < wo; ++j) {
-                        int64_t iw = j * stride - pad + b;
-                        bool ok = ih >= 0 && ih < h && iw >= 0 &&
-                                  iw < w;
-                        dst[i * wo + j] =
-                            ok ? xn[(cc * h + ih) * w + iw] : padval;
-                    }
+                    if (ih < 0 || ih >= h)
+                        continue;
+                    int64_t lo = std::max(jlo, j0);
+                    int64_t hi = std::min(jhi, j1);
+                    int64_t xoff = ih * w - pad + b;
+                    for (int64_t j = lo; j < hi; ++j)
+                        col[base + j] = xc[xoff + j * stride];
                 }
             }
         }

@@ -10,6 +10,7 @@
  * flattened output.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernels/kernel.h"
@@ -46,23 +47,41 @@ reduce(const KernelCtx &c, bool mean)
     for (size_t d = kext.size(); d-- > 1;)
         ostr[d - 1] = ostr[d] * kext[d];
 
+    // A block of kSlots output slots walks the reduced subspace
+    // together, one independent accumulator per slot, so the adds
+    // overlap instead of waiting on one chain; the innermost reduced
+    // dim runs as a plain strided loop and the odometer steps only
+    // the outer ones. A short last block repeats its first slot in
+    // the spare lanes and discards them.
+    constexpr int64_t kSlots = 8;
+    int64_t inner = rext.empty() ? 1 : rext.back();
+    int64_t istr = rext.empty() ? 0 : rstr.back();
+    size_t outer = rext.empty() ? 0 : rext.size() - 1;
     int64_t lo = c.begin, hi = partitionEnd(c, numel(*c.outShape));
     float inv = 1.0f / static_cast<float>(reduce_count);
-    std::vector<int64_t> coord(rext.size(), 0);
-    for (int64_t oi = lo; oi < hi; ++oi) {
-        int64_t rem = oi, base = 0;
-        for (size_t d = 0; d < kext.size(); ++d) {
-            int64_t k = rem / ostr[d];
-            rem -= k * ostr[d];
-            base += k * kstr[d];
+    std::vector<int64_t> coord(outer, 0);
+    for (int64_t o0 = lo; o0 < hi; o0 += kSlots) {
+        int64_t nb = std::min(kSlots, hi - o0);
+        const float *src[kSlots];
+        for (int64_t b = 0; b < kSlots; ++b) {
+            int64_t rem = o0 + (b < nb ? b : 0), base = 0;
+            for (size_t d = 0; d < kext.size(); ++d) {
+                int64_t k = rem / ostr[d];
+                rem -= k * ostr[d];
+                base += k * kstr[d];
+            }
+            src[b] = c.in[0] + base;
         }
-        float acc = 0;
+        float acc[kSlots] = {};
         std::fill(coord.begin(), coord.end(), 0);
         int64_t off = 0;
         for (;;) {
-            acc += c.in[0][base + off];
-            // Odometer over the reduced dims, innermost fastest.
-            size_t d = rext.size();
+            for (int64_t t = 0; t < inner; ++t) {
+                for (int64_t b = 0; b < kSlots; ++b)
+                    acc[b] += src[b][off + t * istr];
+            }
+            // Odometer over the outer reduced dims, innermost fastest.
+            size_t d = outer;
             while (d-- > 0) {
                 off += rstr[d];
                 if (++coord[d] < rext[d])
@@ -73,7 +92,8 @@ reduce(const KernelCtx &c, bool mean)
             if (d == static_cast<size_t>(-1))
                 break;
         }
-        c.out[oi] = mean ? acc * inv : acc;
+        for (int64_t b = 0; b < nb; ++b)
+            c.out[o0 + b] = mean ? acc[b] * inv : acc[b];
     }
 }
 

@@ -3,8 +3,10 @@
  * AVX2/FMA kernel tier: the lane primitives of kernel_bodies.h in
  * 8-wide AVX2 registers, registered with one registerTier call as the
  * "<base>@avx2" variants of the blocked GEMMs (fused MatMulBiasAct
- * included), the im2col convs (fused or not), FusedAttention and the int8 GEMM, conv and depthwise kernels. The
- * bodies, partition domains and workspaces are the scalar bases' own.
+ * included), the im2col convs (fused or not) and pointwise conv
+ * gradients, FusedAttention and the int8 GEMM, conv and depthwise
+ * kernels. The bodies, partition domains and workspaces are the scalar
+ * bases' own.
  *
  * Numerics contract (README "Kernel tiers"):
  *  - int8 kernels are BIT-EXACT to the scalar "int8" tier: int32
@@ -16,7 +18,9 @@
  *    transcendental approximations.
  *  - fp32 kernels use FMA (one rounding per multiply-add) and
  *    per-panel partial sums, so results differ from scalar in the
- *    last bits: within 1e-5 relative (asserted by test_simd).
+ *    last bits: within 1e-5 relative (asserted by test_simd), and a
+ *    pointwise weight gradient summing k > 64 products over images
+ *    and pixels within k * 2^-24 * sum|products| of the exact sum.
  *    Thread-count invariance still holds — every output element's
  *    accumulation order is independent of the shard bounds.
  *
@@ -93,17 +97,19 @@ struct Avx2Lanes {
         return s;
     }
 
-    /** 8-row x 8-column FMA tile: accumulators stay in ymm registers
-     *  across the panel's k-loop, and each panel's partial sum is
-     *  added to the output once. */
-    static constexpr int64_t kTileRows = 8, kTileCols = 8;
+    /** 8-row FMA tile over 8-column ymm chunks, with one 4-column
+     *  xmm chunk for a remainder of 4 (so 2x2 and 4x4 conv planes stay
+     *  in registers): accumulators live across the panel's k-loop, and
+     *  each panel's partial sum is added to the output once. */
+    static constexpr int64_t kTileRows = 8, kTileCols = 4;
 
     static void
     gemmTile(const GemmView &a, int64_t i0, int64_t rows, int64_t k0,
              int64_t k1, const float *panel, int64_t jw, int64_t cols,
              float *out, int64_t n)
     {
-        for (int64_t j = 0; j < cols; j += 8) {
+        int64_t j = 0;
+        for (; j + 8 <= cols; j += 8) {
             __m256 acc[8];
             for (int64_t r = 0; r < rows; ++r)
                 acc[r] = _mm256_setzero_ps();
@@ -117,6 +123,22 @@ struct Avx2Lanes {
                 float *orow = out + (i0 + r) * n + j;
                 _mm256_storeu_ps(
                     orow, _mm256_add_ps(_mm256_loadu_ps(orow), acc[r]));
+            }
+        }
+        if (j < cols) {
+            __m128 acc[8];
+            for (int64_t r = 0; r < rows; ++r)
+                acc[r] = _mm_setzero_ps();
+            for (int64_t k = k0; k < k1; ++k) {
+                __m128 bv = _mm_loadu_ps(panel + (k - k0) * jw + j);
+                for (int64_t r = 0; r < rows; ++r)
+                    acc[r] = _mm_fmadd_ps(_mm_set1_ps(a.at(i0 + r, k)),
+                                          bv, acc[r]);
+            }
+            for (int64_t r = 0; r < rows; ++r) {
+                float *orow = out + (i0 + r) * n + j;
+                _mm_storeu_ps(orow,
+                              _mm_add_ps(_mm_loadu_ps(orow), acc[r]));
             }
         }
     }

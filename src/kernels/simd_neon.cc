@@ -3,9 +3,10 @@
  * NEON kernel tier: the lane primitives of kernel_bodies.h in 4-wide
  * NEON registers, registered with one registerTier call as the
  * "<base>@neon" variants of the same kernels as the AVX2 tier (blocked
- * MatMul, MatMulBiasAct and BatchMatMul, im2col Conv2d and
- * ConvBiasAct, FusedAttention, int8 GEMM, conv and depthwise), with the scalar bases' bodies, partition
- * domains and workspaces.
+ * MatMul, MatMulBiasAct and BatchMatMul, im2col Conv2d, ConvBiasAct,
+ * Conv2dBwdInput and Conv2dBwdWeight, FusedAttention, int8 GEMM, conv
+ * and depthwise), with the scalar bases' bodies, partition domains and
+ * workspaces.
  *
  * NEON is a compile-time baseline on ARM (__ARM_NEON), so this TU
  * needs no special flags; it compiles empty elsewhere. The numerics

@@ -571,21 +571,27 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                         ++stats->winogradBound;
                 }
             }
-            // Pointwise convs (any size, fused or not) and large
-            // unfused Conv2d lower to im2col — the variant the SIMD
-            // tier upgrades ("im2col@avx2"/"@neon"); the direct
+            // Every other conv lowers to im2col — the variant the
+            // SIMD tier upgrades ("im2col@avx2"/"@neon"); the direct
             // kernel's partition domain is incompatible, so a
             // direct-bound conv can never reach the tier. A pointwise
-            // conv reads its input in place (no column buffer); other
-            // convs keep direct when small or fused, because their
-            // column buffers grow peak memory.
-            bool pointwise =
-                isPointwiseConv(g.node(n.inputs[1]).shape, n.attrs);
-            bool large = n.op == OpKind::Conv2d &&
-                         numel(n.shape) / n.shape[0] >=
-                             opts.blockedMinDim * opts.blockedMinDim;
-            if (variants[id].empty() && opts.enableBlocked &&
-                (pointwise || large)) {
+            // conv reads its input in place, and any other conv
+            // unfolds one bounded column panel at a time, so neither
+            // grows peak memory by an image's column matrix.
+            if (variants[id].empty() && opts.enableBlocked) {
+                variants[id] = "im2col";
+                if (stats)
+                    ++stats->im2colBound;
+            }
+        } else if (n.op == OpKind::Conv2dBwdInput ||
+                   n.op == OpKind::Conv2dBwdWeight) {
+            // A pointwise conv's input and weight gradients are GEMMs
+            // (W^T dY and dY X^T): the "im2col" GEMM forms, which the
+            // SIMD tier upgrades. Spatial ones keep the direct loops.
+            const Shape &w = n.op == OpKind::Conv2dBwdInput
+                                 ? g.node(n.inputs[0]).shape
+                                 : n.shape;
+            if (opts.enableBlocked && isPointwiseConv(w, n.attrs)) {
                 variants[id] = "im2col";
                 if (stats)
                     ++stats->im2colBound;

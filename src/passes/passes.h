@@ -94,33 +94,32 @@ std::vector<int> naturalOrder(const Graph &g);
 /** Backend-switching options. */
 struct BackendOptions {
     bool enableWinograd = true; ///< frozen 3x3 s1 convs -> Winograd
-    bool enableBlocked = true;  ///< GEMMs -> blocked, pointwise
-                                ///< and large convs -> im2col
-    /** Unfused spatial Conv2d binds im2col from blockedMinDim^2
-     *  outputs per image; GEMMs and pointwise convs ignore it. */
-    int64_t blockedMinDim = 64;
+    bool enableBlocked = true;  ///< GEMMs -> blocked, convs and
+                                ///< pointwise conv grads -> im2col
 };
 
 /**
  * Choose a kernel variant per node. Frozen-weight 3x3 stride-1
  * convolutions get "winograd" (weight transform cached across steps).
- * Under enableBlocked, every pointwise Conv2d / ConvBiasAct (1x1,
- * stride 1, pad 0 — isPointwiseConv) gets "im2col" at any size: it
- * is a GEMM over the input image read in place, with no column
- * workspace. Other convs get "im2col" only as unfused Conv2d with at
- * least blockedMinDim^2 outputs per image (their column buffers grow
- * peak memory) and stay direct otherwise. Every MatMul,
- * MatMulBiasAct and BatchMatMul gets "blocked" at any size: the body
- * reads a row-major B in place (no workspace), so it beats the naive
- * loop down to decode's M = 4, and it is the form the SIMD tier
- * upgrades. Only a one-row GEMM with a transposed B keeps the default:
- * the naive loop reads both operands contiguously, and blocked would
- * pack all of B for a single row. Every fused-op variant is its
- * unfused op's kernel plus the shared bias + activation epilogue, so
- * it reaches the same SIMD tier forms. Quant compute ops get "int8" (ops whose
- * int8 kernel is not registered fall back to the dequant->fp32->
- * requant reference kernel, surfaced via CompileReport's fallback
- * counters); everything else keeps the default.
+ * Under enableBlocked, every other Conv2d / ConvBiasAct gets "im2col"
+ * at any size, fused or not: a pointwise conv (1x1, stride 1, pad 0 —
+ * isPointwiseConv) is a GEMM over the input image read in place, with
+ * no column workspace, and any other conv unfolds one kGemmBlock-wide
+ * column panel at a time into a k x min(ho*wo, kGemmBlock) workspace.
+ * The Conv2dBwdInput / Conv2dBwdWeight of a pointwise conv get
+ * "im2col" too (the GEMMs W^T dY and dY X^T); spatial ones keep the
+ * direct loops. Every MatMul, MatMulBiasAct and BatchMatMul gets
+ * "blocked" at any size: the body reads a row-major B in place (no
+ * workspace), so it beats the naive loop down to decode's M = 4, and
+ * it is the form the SIMD tier upgrades. Only a one-row GEMM with a
+ * transposed B keeps the default: the naive loop reads both operands
+ * contiguously, and blocked would pack all of B for a single row.
+ * Every fused-op variant is its unfused op's kernel plus the shared
+ * bias + activation epilogue, so it reaches the same SIMD tier forms.
+ * Quant compute ops get "int8" (ops whose int8 kernel is not
+ * registered fall back to the dequant->fp32->requant reference
+ * kernel, surfaced via CompileReport's fallback counters); everything
+ * else keeps the default.
  */
 std::vector<std::string> switchBackends(Graph &g,
                                         const BackendOptions &opts,

@@ -365,11 +365,13 @@ TEST(Engine, BertFusedGemmsReachTheBlockedKernel)
     EXPECT_EQ(naive, 0);
 }
 
-TEST(Engine, SparseMcuNetPointwiseConvsRunAsIm2colGemms)
+TEST(Engine, SparseMcuNetConvsRunAsIm2colGemms)
 {
-    // The sparse-BP MCUNet proxy: every pointwise conv binds the
-    // in-place im2col GEMM, which the SIMD tier then upgrades, and
-    // the losses still match the scalar tier and the eager reference.
+    // The sparse-BP MCUNet proxy: every conv (the spatial stem
+    // included) binds the im2col GEMM, as do the input and weight
+    // gradients of its pointwise convs; the SIMD tier then upgrades
+    // them all, and the losses still match the scalar tier and the
+    // eager reference.
     VisionConfig cfg;
     cfg.batch = 2;
     cfg.resolution = 16;
@@ -390,19 +392,27 @@ TEST(Engine, SparseMcuNetPointwiseConvsRunAsIm2colGemms)
     TrainingProgram prog = compile(false);
     TrainingProgram scalar = compile(true);
 
-    int pointwise = 0;
-    for (const Node &n : prog.graph().nodes()) {
-        if ((n.op == OpKind::Conv2d || n.op == OpKind::ConvBiasAct) &&
-            isPointwiseConv(prog.graph().node(n.inputs[1]).shape,
-                            n.attrs))
-            ++pointwise;
+    const Graph &pg = prog.graph();
+    int convs = 0, spatial = 0, grads = 0;
+    for (const Node &n : pg.nodes()) {
+        if (n.op == OpKind::Conv2d || n.op == OpKind::ConvBiasAct) {
+            ++convs;
+            spatial += !isPointwiseConv(pg.node(n.inputs[1]).shape,
+                                        n.attrs);
+        } else if (n.op == OpKind::Conv2dBwdInput) {
+            grads += isPointwiseConv(pg.node(n.inputs[0]).shape, n.attrs);
+        } else if (n.op == OpKind::Conv2dBwdWeight) {
+            grads += isPointwiseConv(n.shape, n.attrs);
+        }
     }
-    EXPECT_GT(pointwise, 0);
-    EXPECT_EQ(prog.report().backend.im2colBound, pointwise);
-    // On a SIMD host (AVX2 or NEON) every pointwise conv, fused or
-    // not, runs the tier's im2col variant.
+    EXPECT_GT(spatial, 0);
+    EXPECT_GT(grads, 0);
+    EXPECT_EQ(prog.report().backend.winogradBound, 0);
+    EXPECT_EQ(prog.report().backend.im2colBound, convs + grads);
+    // On a SIMD host (AVX2 or NEON) each of them runs the tier's
+    // im2col variant.
     if (hostSimdTier() != SimdTier::Scalar)
-        EXPECT_GE(prog.report().simdSteps, pointwise);
+        EXPECT_GE(prog.report().simdSteps, convs + grads);
     EXPECT_EQ(scalar.report().simdSteps, 0);
 
     auto store = std::make_shared<ParamStore>();

@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "core/tensor.h"
 #include "frontend/builder.h"
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 #include "testutil.h"
 
 namespace pe {
@@ -34,6 +40,67 @@ runKernel(const Graph &g, int node, const std::vector<Tensor> &inputs,
     DirectWorkspace ws;
     ws.attach(ctx, g, n, variant);
     lookupKernel(n.op, variant)(ctx);
+    return out;
+}
+
+/**
+ * Evaluate a single node split into @p shards equal ranges of its
+ * kernel's partition domain, each with its own workspace — the
+ * executor's launch for that thread count.
+ */
+Tensor
+runKernelShards(const Graph &g, int node,
+                const std::vector<Tensor> &inputs,
+                const std::string &variant, int64_t shards)
+{
+    const Node &n = g.node(node);
+    Tensor out(n.shape);
+    KernelCtx ctx;
+    ctx.node = &n;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        ctx.in.push_back(inputs[i].data());
+        ctx.inShapes.push_back(&g.node(n.inputs[i]).shape);
+    }
+    ctx.out = out.data();
+    ctx.outShape = &n.shape;
+    KernelInfo info = lookupKernelInfo(n.op, variant);
+    EXPECT_FALSE(info.fellBack) << variant;
+    int64_t extent = info.part.extent(ctx);
+    for (int64_t s = 0; s < shards; ++s) {
+        KernelCtx shard = ctx;
+        shard.begin = extent * s / shards;
+        shard.end = extent * (s + 1) / shards;
+        if (shard.end == shard.begin)
+            continue;
+        DirectWorkspace ws;
+        ws.attach(shard, g, n, variant);
+        info.fn(shard);
+    }
+    return out;
+}
+
+/** Bit equality, NaN payloads and signed zeros included. */
+void
+expectSameRawBits(const Tensor &got, const Tensor &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * want.size()),
+              0);
+}
+
+/** @p base and, where this host registers it, its SIMD tier form. */
+std::vector<std::string>
+variantAndTier(OpKind op, const std::string &base)
+{
+    detail::ensureKernelsRegistered();
+    std::vector<std::string> out = {base};
+    SimdTier t = hostSimdTier();
+    std::string tiered = base.empty()
+                             ? std::string(simdTierName(t))
+                             : base + "@" + simdTierName(t);
+    if (t != SimdTier::Scalar && hasKernelVariant(op, tiered))
+        out.push_back(tiered);
     return out;
 }
 
@@ -274,6 +341,272 @@ TEST(FusedKernels, FusedOpsMatchUnfusedChainBitForBit)
                 expectSameBits(got, chain);
             }
         }
+    }
+}
+
+TEST(ConvVariants, BoundedIm2colMatchesDirectBitForBit)
+{
+    // A spatial "im2col" conv unfolds one column panel of at most
+    // kGemmBlock output pixels at a time; on the scalar tier every
+    // output still sums its taps in the direct loop's (ci, kh, kw)
+    // order, so the two agree bit for bit, fused or not, with panels
+    // that do not divide ho*wo.
+    struct S {
+        int64_t ci, co, hw, k, stride, pad;
+    };
+    for (auto [ci, co, hw, k, stride, pad] :
+         {S{3, 8, 16, 3, 2, 1}, S{3, 5, 9, 3, 1, 0}, S{2, 4, 13, 3, 1, 1},
+          S{4, 3, 11, 5, 1, 2}, S{2, 6, 12, 3, 2, 2}, S{1, 2, 7, 2, 2, 0},
+          S{3, 4, 20, 3, 1, 1}}) {
+        Rng rng(11);
+        Graph g;
+        int x = g.input({2, ci, hw, hw}, "x");
+        int w = g.param({co, ci, k, k}, "w", true);
+        int b = g.param({co, 1, 1}, "b", true);
+        Attrs a;
+        a.set("stride", stride);
+        a.set("pad", pad);
+        Attrs fa = a;
+        fa.set("act", static_cast<int64_t>(kActRelu));
+        int conv = g.add(OpKind::Conv2d, {x, w}, std::move(a));
+        int fused = g.add(OpKind::ConvBiasAct, {x, w, b}, std::move(fa));
+        const Shape &os = g.node(conv).shape;
+        int64_t cols = os[2] * os[3];
+        SCOPED_TRACE("ci " + std::to_string(ci) + " hw " +
+                     std::to_string(hw) + " k " + std::to_string(k) +
+                     " stride " + std::to_string(stride) + " pad " +
+                     std::to_string(pad) + " cols " +
+                     std::to_string(cols));
+        Tensor tx = Tensor::randn({2, ci, hw, hw}, rng);
+        Tensor tw = Tensor::randn({co, ci, k, k}, rng, 0.3f);
+        Tensor tb = Tensor::randn({co, 1, 1}, rng);
+        expectSameRawBits(runKernel(g, conv, {tx, tw}, "im2col"),
+                          runKernel(g, conv, {tx, tw}, ""));
+        expectSameRawBits(runKernel(g, fused, {tx, tw, tb}, "im2col"),
+                          runKernel(g, fused, {tx, tw, tb}, ""));
+        // Two shards of images, each with its own panel buffer.
+        expectSameRawBits(
+            runKernelShards(g, conv, {tx, tw}, "im2col", 2),
+            runKernel(g, conv, {tx, tw}, ""));
+        for (int id : {conv, fused}) {
+            EXPECT_EQ(
+                kernelWorkspace(g, g.node(id), "im2col").bytesPerShard,
+                ci * k * k * std::min(cols, kutil::kGemmBlock) * 4);
+        }
+    }
+}
+
+TEST(ConvBwdVariants, PointwiseIm2colMatchesDirectBitForBit)
+{
+    // The pointwise input and weight gradients as GEMMs ("im2col")
+    // keep the direct loops' per-entry order — dX over co ascending,
+    // dW over images then pixels ascending — so on the scalar tier
+    // they agree bit for bit, under "limitCo" and at 1 and 4 shards.
+    struct S {
+        int64_t n, ci, co, hw, limit;
+    };
+    for (auto [n, ci, co, hw, limit] :
+         {S{3, 5, 7, 4, 0}, S{3, 5, 7, 4, 3}, S{2, 9, 4, 1, 0},
+          S{1, 3, 50, 8, 49}, S{5, 60, 6, 7, 2}, S{2, 16, 24, 2, 0}}) {
+        SCOPED_TRACE("n " + std::to_string(n) + " ci " +
+                     std::to_string(ci) + " co " + std::to_string(co) +
+                     " hw " + std::to_string(hw) + " limit " +
+                     std::to_string(limit));
+        Rng rng(13);
+        Graph g;
+        int x = g.input({n, ci, hw, hw}, "x");
+        int dy = g.input({n, co, hw, hw}, "dy");
+        int w = g.input({co, ci, 1, 1}, "w");
+        Attrs a;
+        a.set("stride", static_cast<int64_t>(1));
+        a.set("pad", static_cast<int64_t>(0));
+        Attrs ai = a;
+        ai.set("xshape", Shape{n, ci, hw, hw});
+        Attrs aw = a;
+        aw.set("wshape", Shape{co, ci, 1, 1});
+        if (limit > 0)
+            aw.set("limitCo", limit);
+        int dx = g.add(OpKind::Conv2dBwdInput, {w, dy}, std::move(ai));
+        int dw = g.add(OpKind::Conv2dBwdWeight, {x, dy}, std::move(aw));
+        Tensor tx = Tensor::randn({n, ci, hw, hw}, rng);
+        Tensor tdy = Tensor::randn({n, co, hw, hw}, rng);
+        Tensor tw = Tensor::randn({co, ci, 1, 1}, rng, 0.3f);
+        // Exact zeros in dY, which the direct loops skip.
+        for (int64_t i = 0; i < tdy.size(); i += 3)
+            tdy[i] = 0.0f;
+        Tensor ref_dx = runKernel(g, dx, {tw, tdy}, "");
+        Tensor ref_dw = runKernel(g, dw, {tx, tdy}, "");
+        for (int64_t shards : {1, 4}) {
+            SCOPED_TRACE("shards " + std::to_string(shards));
+            expectSameRawBits(
+                runKernelShards(g, dx, {tw, tdy}, "im2col", shards),
+                ref_dx);
+            expectSameRawBits(
+                runKernelShards(g, dw, {tx, tdy}, "im2col", shards),
+                ref_dw);
+        }
+    }
+}
+
+/** Inputs that stress an activation's edge cases: NaN, infinities,
+ *  signed zeros, denormals of both signs and ordinary values. */
+Tensor
+specialValues(const Shape &s)
+{
+    const float vals[] = {std::numeric_limits<float>::quiet_NaN(),
+                          -0.0f,
+                          0.0f,
+                          1e-40f,
+                          -1e-40f,
+                          3e-39f,
+                          -3e-39f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          1.5f,
+                          -2.5f};
+    constexpr int64_t kVals = sizeof(vals) / sizeof(vals[0]);
+    Tensor t(s);
+    for (int64_t i = 0; i < t.size(); ++i)
+        t[i] = vals[(i * 7) % kVals];
+    return t;
+}
+
+TEST(ReluKernels, EpilogueMatchesReluKernelBitForBit)
+{
+    // The fused epilogue's ReLU is actOf's, like the Relu kernel's:
+    // NaN and -0 give +0, denormals pass unchanged.
+    detail::ensureKernelsRegistered();
+    Graph g;
+    int x = g.input({97}, "x");
+    int relu = g.add(OpKind::Relu, {x});
+    Tensor tx = specialValues({97});
+    Tensor want = runKernel(g, relu, {tx}, "");
+    Tensor got = tx.clone();
+    kutil::Epilogue{nullptr, kActRelu}.channel(got.data(), got.size(), 0);
+    expectSameRawBits(got, want);
+    for (int64_t i = 0; i < tx.size(); ++i) {
+        bool pos = tx[i] > 0;
+        uint32_t bits;
+        std::memcpy(&bits, &want[i], 4);
+        if (!pos)
+            EXPECT_EQ(bits, 0u) << "relu(" << tx[i] << ") is not +0";
+    }
+
+    // Every fused op on every variant and tier form: the fused output
+    // equals Relu(linear + bias) on the same variant, bit for bit, for
+    // operands full of special values. A -0 bias keeps each sum's
+    // bits through the add.
+    struct Case {
+        const char *name;
+        OpKind fused, linear;
+        Shape x, w, b;
+        int64_t stride, pad;
+        std::vector<std::string> variants;
+    };
+    std::vector<Case> cases = {
+        {"conv1x1", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 3, 5, 5},
+         {9, 3, 1, 1}, {9, 1, 1}, 1, 0, {"", "im2col"}},
+        {"conv3x3s2", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 2, 9, 9},
+         {5, 2, 3, 3}, {5, 1, 1}, 2, 1, {"", "im2col"}},
+        {"dwconv3x3", OpKind::DwConvBiasAct, OpKind::DwConv2d,
+         {2, 4, 7, 7}, {4, 1, 3, 3}, {4, 1, 1}, 1, 1, {""}},
+        {"matmul", OpKind::MatMulBiasAct, OpKind::MatMul, {11, 3},
+         {3, 21}, {21}, 0, 0, {"", "blocked"}},
+    };
+    for (const Case &cs : cases) {
+        Graph cg;
+        int cx = cg.input(cs.x, "x");
+        int cw = cg.param(cs.w, "w", false);
+        int cb = cg.param(cs.b, "b", false);
+        Attrs la;
+        if (cs.linear != OpKind::MatMul) {
+            la.set("stride", cs.stride);
+            la.set("pad", cs.pad);
+        }
+        Attrs fa = la;
+        fa.set("act", static_cast<int64_t>(kActRelu));
+        int fused = cg.add(cs.fused, {cx, cw, cb}, std::move(fa));
+        int lin = cg.add(cs.linear, {cx, cw}, std::move(la));
+        int add = cg.add(OpKind::Add, {lin, cb});
+        int act = cg.add(OpKind::Relu, {add});
+        Tensor ox = specialValues(cs.x);
+        Tensor ow = Tensor::ones(cs.w);
+        for (int64_t i = 1; i < ow.size(); i += 2)
+            ow[i] = -1.0f;
+        Tensor ob = Tensor::zeros(cs.b);
+        for (int64_t i = 0; i < ob.size(); ++i)
+            ob[i] = -0.0f;
+        for (const std::string &base : cs.variants) {
+            for (const std::string &v : variantAndTier(cs.fused, base)) {
+                SCOPED_TRACE(std::string(cs.name) + " variant \"" + v +
+                             "\"");
+                Tensor pre = runKernel(
+                    cg, add, {runKernel(cg, lin, {ox, ow}, v), ob}, "");
+                expectSameRawBits(runKernel(cg, fused, {ox, ow, ob}, v),
+                                  runKernel(cg, act, {pre}, ""));
+            }
+        }
+    }
+}
+
+TEST(ReluKernels, ReluGradSelectsBitForBit)
+{
+    // dx = x > 0 ? g : +0 — NaN and -0 inputs give +0, the gradient's
+    // own bits (a -0 or a denormal) pass where x > 0.
+    Graph g;
+    int x = g.input({121}, "x");
+    int gr = g.input({121}, "g");
+    int rg = g.add(OpKind::ReluGrad, {x, gr});
+    Tensor tx = specialValues({121});
+    Tensor tg({121});
+    for (int64_t i = 0; i < tg.size(); ++i)
+        tg[i] = specialValues({13})[i % 13];
+    for (int shards : {1, 4}) {
+        Tensor got = runKernelShards(g, rg, {tx, tg}, "", shards);
+        for (int64_t i = 0; i < tx.size(); ++i) {
+            float want = tx[i] > 0 ? tg[i] : 0.0f;
+            EXPECT_EQ(std::memcmp(&got[i], &want, 4), 0)
+                << "x " << tx[i] << " g " << tg[i];
+        }
+    }
+}
+
+TEST(ReduceKernels, SlotBlocksKeepAscendingOrderBitForBit)
+{
+    // ReduceSum walks blocks of output slots together, but each slot
+    // still adds its inputs in ascending order: the same bits as a
+    // scatter over the input in memory order, at 1 and 4 shards, with
+    // short last blocks.
+    struct C {
+        Shape x;
+        std::vector<int64_t> axes;
+    };
+    for (const C &cs : {C{{8, 13, 4, 4}, {0, 2, 3}}, C{{3, 21, 2, 2}, {0, 2, 3}},
+                        C{{7, 33}, {0}}, C{{5, 9, 6}, {0, 2}},
+                        C{{4, 6, 5}, {1}}, C{{2, 3, 4}, {2}}}) {
+        Rng rng(17);
+        Graph g;
+        int x = g.input(cs.x, "x");
+        Attrs a;
+        a.set("axes", cs.axes);
+        int r = g.add(OpKind::ReduceSum, {x}, std::move(a));
+        const Shape &os = g.node(r).shape;
+        Tensor tx = Tensor::randn(cs.x, rng);
+        Tensor want = Tensor::zeros(os);
+        auto xstr = rowMajorStrides(cs.x);
+        for (int64_t i = 0; i < tx.size(); ++i) {
+            int64_t slot = 0;
+            for (size_t d = 0; d < cs.x.size(); ++d) {
+                bool reduced = std::find(cs.axes.begin(), cs.axes.end(),
+                                         static_cast<int64_t>(d)) !=
+                               cs.axes.end();
+                if (!reduced)
+                    slot = slot * cs.x[d] + (i / xstr[d]) % cs.x[d];
+            }
+            want[slot] += tx[i];
+        }
+        for (int64_t shards : {1, 4})
+            expectSameRawBits(runKernelShards(g, r, {tx}, "", shards), want);
     }
 }
 

@@ -293,6 +293,25 @@ TEST(KernelPartition, Conv)
     expectShardInvariant({OpKind::Conv2dBwdWeight,
                           {{2, 3, 8, 8}, {2, 4, 8, 8}},
                           std::move(bw)});
+
+    // The bounded-panel im2col conv, and the pointwise gradients'
+    // GEMM forms (the weight one under "limitCo").
+    expectShardInvariant(
+        {OpKind::Conv2d, {{3, 3, 9, 9}, {4, 3, 3, 3}}, convAttrs(2, 1)},
+        "im2col");
+    Attrs pi = convAttrs(1, 0);
+    pi.set("xshape", std::vector<int64_t>{3, 5, 4, 4});
+    expectShardInvariant({OpKind::Conv2dBwdInput,
+                          {{6, 5, 1, 1}, {3, 6, 4, 4}},
+                          std::move(pi)},
+                         "im2col");
+    Attrs pw = convAttrs(1, 0);
+    pw.set("wshape", std::vector<int64_t>{6, 5, 1, 1});
+    pw.set("limitCo", static_cast<int64_t>(4));
+    expectShardInvariant({OpKind::Conv2dBwdWeight,
+                          {{3, 5, 4, 4}, {3, 6, 4, 4}},
+                          std::move(pw)},
+                         "im2col");
 }
 
 TEST(KernelPartition, RowKernels)
@@ -320,6 +339,12 @@ TEST(KernelPartition, Reduce)
     Attrs a2;
     a2.set("axes", std::vector<int64_t>{0, 2});
     expectShardInvariant({OpKind::ReduceSum, {{4, 9, 5}}, std::move(a2)});
+    // A conv bias gradient: 13 slots, one full block of 8 and a
+    // short one.
+    Attrs a3;
+    a3.set("axes", std::vector<int64_t>{0, 2, 3});
+    expectShardInvariant(
+        {OpKind::ReduceSum, {{3, 13, 3, 2}}, std::move(a3)});
 }
 
 TEST(KernelPartition, LossGradAndOptim)

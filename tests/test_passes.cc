@@ -232,9 +232,8 @@ TEST(Reorder, InPlaceUpdateRunsAfterAllParamReaders)
 
 TEST(BackendSwitch, EveryGemmBindsBlocked)
 {
-    // Every GEMM binds "blocked" at any size, 1x1x1 included; only an
-    // unfused spatial Conv2d still needs blockedMinDim^2 outputs per
-    // image for "im2col".
+    // Every GEMM binds "blocked" at any size, 1x1x1 included, and
+    // every conv binds "im2col" at any size, spatial ones included.
     Graph g;
     int a = g.input({128, 128}, "a");
     int b = g.input({128, 128}, "b");
@@ -260,13 +259,14 @@ TEST(BackendSwitch, EveryGemmBindsBlocked)
     for (int id : {big, small, unit, bmm})
         EXPECT_EQ(variants[id], "blocked") << "node " << id;
     EXPECT_EQ(stats.blockedBound, 4);
-    // 64 outputs per image: the small spatial conv stays direct.
-    EXPECT_EQ(variants[conv], "");
+    // 64 outputs per image: the small spatial conv unfolds in bounded
+    // panels, so it binds "im2col" too.
+    EXPECT_EQ(variants[conv], "im2col");
 
     BackendOptions off;
     off.enableBlocked = false;
     auto none = switchBackends(g, off);
-    for (int id : {big, small, unit, bmm})
+    for (int id : {big, small, unit, bmm, conv})
         EXPECT_EQ(none[id], "");
 }
 
@@ -369,14 +369,20 @@ TEST(BackendSwitch, WinogradRequiresFrozen3x3Stride1)
     PassStats stats;
     auto variants = switchBackends(g, BackendOptions{}, &stats);
     EXPECT_EQ(variants[c_ok], "winograd");
-    EXPECT_EQ(variants[c_train], "");
-    EXPECT_EQ(variants[c_5x5], "");
-    EXPECT_EQ(variants[c_s2], "");
+    // The rest lower to the bounded im2col GEMM instead.
+    EXPECT_EQ(variants[c_train], "im2col");
+    EXPECT_EQ(variants[c_5x5], "im2col");
+    EXPECT_EQ(variants[c_s2], "im2col");
     EXPECT_EQ(stats.winogradBound, 1);
+    EXPECT_EQ(stats.im2colBound, 3);
 }
 
-TEST(BackendSwitch, PointwiseConvsBindIm2colAtAnySize)
+TEST(BackendSwitch, EveryConvBindsIm2colAtAnySize)
 {
+    // Pointwise or spatial, fused or not, at 16 outputs per image:
+    // every non-Winograd conv binds "im2col". A pointwise conv reads
+    // its input in place; a spatial one unfolds one bounded column
+    // panel at a time.
     Graph g;
     int x = g.input({1, 4, 4, 4}, "x");
     int w_pw = g.param({4, 4, 1, 1}, "wp", true);
@@ -392,24 +398,78 @@ TEST(BackendSwitch, PointwiseConvsBindIm2colAtAnySize)
     Attrs a3;
     a3.set("stride", static_cast<int64_t>(1));
     a3.set("pad", static_cast<int64_t>(1));
-    int c_3x3 = g.add(OpKind::Conv2d, {x, w_3x3}, std::move(a3));
-    for (int id : {c_pw, f_pw, c_3x3})
+    int c_3x3 = g.add(OpKind::Conv2d, {x, w_3x3}, a3);
+    Attrs f3 = a3;
+    f3.set("act", static_cast<int64_t>(kActRelu));
+    int f_3x3 =
+        g.add(OpKind::ConvBiasAct, {x, w_3x3, bias}, std::move(f3));
+    for (int id : {c_pw, f_pw, c_3x3, f_3x3})
         g.markOutput(id);
     PassStats stats;
     auto variants = switchBackends(g, BackendOptions{}, &stats);
-    // 64 outputs per image: far below the large-conv threshold.
-    EXPECT_EQ(variants[c_pw], "im2col");
-    EXPECT_EQ(variants[f_pw], "im2col");
-    EXPECT_EQ(variants[c_3x3], "");
-    EXPECT_EQ(stats.im2colBound, 2);
+    for (int id : {c_pw, f_pw, c_3x3, f_3x3})
+        EXPECT_EQ(variants[id], "im2col") << "node " << id;
+    EXPECT_EQ(stats.im2colBound, 4);
     // Read in place: no column buffer.
     EXPECT_FALSE(kernelWorkspace(g, g.node(c_pw), "im2col").any());
     EXPECT_FALSE(kernelWorkspace(g, g.node(f_pw), "im2col").any());
-    EXPECT_TRUE(kernelWorkspace(g, g.node(c_3x3), "im2col").any());
+    // K = 4*3*3 rows by min(16 outputs, panel) columns.
+    EXPECT_EQ(kernelWorkspace(g, g.node(c_3x3), "im2col").bytesPerShard,
+              4 * 3 * 3 * 16 * 4);
 
     BackendOptions off;
     off.enableBlocked = false;
-    EXPECT_EQ(switchBackends(g, off)[c_pw], "");
+    auto none = switchBackends(g, off);
+    for (int id : {c_pw, f_pw, c_3x3, f_3x3})
+        EXPECT_EQ(none[id], "");
+}
+
+TEST(BackendSwitch, PointwiseConvGradsBindIm2col)
+{
+    // The input and weight gradients of a pointwise conv are GEMMs and
+    // bind "im2col"; a spatial conv's keep the direct loops.
+    Graph g;
+    int x = g.input({2, 4, 5, 5}, "x");
+    int dy = g.input({2, 6, 5, 5}, "dy");
+    int w_pw = g.param({6, 4, 1, 1}, "wp", true);
+    int w_3x3 = g.param({6, 4, 3, 3}, "w3", true);
+    auto attrs = [](int64_t pad, Shape wshape, int64_t limit) {
+        Attrs a;
+        a.set("stride", static_cast<int64_t>(1));
+        a.set("pad", pad);
+        a.set("xshape", Shape{2, 4, 5, 5});
+        a.set("wshape", std::move(wshape));
+        if (limit > 0)
+            a.set("limitCo", limit);
+        return a;
+    };
+    int dx_pw = g.add(OpKind::Conv2dBwdInput, {w_pw, dy},
+                      attrs(0, {6, 4, 1, 1}, 0));
+    int dw_pw = g.add(OpKind::Conv2dBwdWeight, {x, dy},
+                      attrs(0, {6, 4, 1, 1}, 3));
+    int dx_3x3 = g.add(OpKind::Conv2dBwdInput, {w_3x3, dy},
+                       attrs(1, {6, 4, 3, 3}, 0));
+    int dw_3x3 = g.add(OpKind::Conv2dBwdWeight, {x, dy},
+                       attrs(1, {6, 4, 3, 3}, 0));
+    for (int id : {dx_pw, dw_pw, dx_3x3, dw_3x3})
+        g.markOutput(id);
+    PassStats stats;
+    auto variants = switchBackends(g, BackendOptions{}, &stats);
+    EXPECT_EQ(variants[dx_pw], "im2col");
+    EXPECT_EQ(variants[dw_pw], "im2col");
+    EXPECT_EQ(variants[dx_3x3], "");
+    EXPECT_EQ(variants[dw_3x3], "");
+    EXPECT_EQ(stats.im2colBound, 2);
+    // The weight gradient packs X^T panels: min(25, 48) x min(4, 48).
+    EXPECT_EQ(kernelWorkspace(g, g.node(dw_pw), "im2col").bytesPerShard,
+              25 * 4 * 4);
+    EXPECT_FALSE(kernelWorkspace(g, g.node(dx_pw), "im2col").any());
+
+    BackendOptions off;
+    off.enableBlocked = false;
+    auto none = switchBackends(g, off);
+    EXPECT_EQ(none[dx_pw], "");
+    EXPECT_EQ(none[dw_pw], "");
 }
 
 TEST(LiveSet, TracksThroughChains)

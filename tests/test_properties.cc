@@ -4,11 +4,16 @@
  * MLP/CNN topologies the compile pipeline must (1) produce gradients
  * matching finite differences, (2) plan non-overlapping memory under
  * any valid schedule, (3) keep fusion/reordering functional-
- * preserving, and (4) round-trip through the serializer.
+ * preserving, (4) round-trip through the serializer, and (5) train
+ * random CNNs like the eager reference whichever kernels the backend
+ * switch binds (the differential harness).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "baseline/eager.h"
 #include "engine/engine.h"
 #include "frontend/builder.h"
 #include "ir/serialize.h"
@@ -164,6 +169,112 @@ TEST_P(RandomGraphSerialize, RoundTripAndEquivalentExecution)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSerialize,
                          ::testing::Values(1, 2, 3, 4));
+
+/**
+ * A random small CNN classifier: a few conv layers (pointwise, 3x3 or
+ * 5x5 at stride 1 or 2 with random padding, or depthwise), each with
+ * a ReLU that fusion folds into ConvBiasAct / DwConvBiasAct, then a
+ * global pool and a linear head. Some layers are frozen, so the
+ * sparse backward graph, Winograd-bound frozen convs and
+ * input-gradient-only convs all occur.
+ */
+struct RandomCnn {
+    std::shared_ptr<ParamStore> store = std::make_shared<ParamStore>();
+    Graph g;
+    test::Feeds feeds;
+    SparseUpdateScheme scheme = SparseUpdateScheme::frozen();
+    int loss = -1;
+};
+
+RandomCnn
+randomCnn(uint64_t seed)
+{
+    RandomCnn net;
+    Rng rng(seed);
+    NetBuilder b(net.g, rng, net.store.get());
+    int64_t batch = 1 + rng.randint(3);
+    int64_t ch = 1 + rng.randint(4);
+    int64_t hw = 5 + rng.randint(6);
+    int x = b.input({batch, ch, hw, hw}, "x");
+    int h = x;
+    int depth = 2 + static_cast<int>(rng.randint(3));
+    for (int i = 0; i < depth; ++i) {
+        std::string name = "c" + std::to_string(i);
+        int64_t kind = rng.randint(4);
+        int64_t cur = net.g.node(h).shape[2];
+        if (kind == 3 && i > 0) {
+            h = b.dwConv2d(h, 3, 1, 1, name);
+        } else {
+            int64_t k = kind == 0 ? 1 : kind == 1 ? 3 : 5;
+            if (k > cur)
+                k = 1;
+            int64_t stride = k > 1 && cur > 4 ? 1 + rng.randint(2) : 1;
+            int64_t pad = k > 1 ? rng.randint(k / 2 + 1) : 0;
+            h = b.conv2d(h, 2 + rng.randint(6), k, stride, pad, name);
+        }
+        h = b.relu(h);
+        // Train the later layers; freeze an earlier one at random.
+        if (i + 1 == depth || rng.randint(3) != 0) {
+            net.scheme.updatePrefix(name + ".");
+            net.scheme.updateBiasPrefix(name + ".");
+        }
+    }
+    int logits = b.linear(b.globalAvgPool(h), 3, "head");
+    net.scheme.updatePrefix("head.");
+    net.scheme.updateBiasPrefix("head.");
+    int y = b.input({batch}, "y");
+    net.loss = b.crossEntropy(logits, y);
+    net.feeds["x"] = Tensor::randn({batch, ch, hw, hw}, rng);
+    Tensor ty({batch});
+    for (int64_t i = 0; i < batch; ++i)
+        ty[i] = static_cast<float>(rng.randint(3));
+    net.feeds["y"] = ty;
+    return net;
+}
+
+class RandomCnnDifferential : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(RandomCnnDifferential, BlockedKernelsTrainLikeEager)
+{
+    // Compiled with the tuned kernels (im2col, blocked, Winograd and
+    // their SIMD tier forms) and without them, a sparse training step
+    // matches the masked eager reference within 2e-3 in loss — the
+    // perfbench reference tolerance — step after step.
+    uint64_t seed = GetParam();
+    constexpr float kTol = 2e-3f;
+    for (bool blocked : {true, false}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " blocked " +
+                     std::to_string(blocked));
+        RandomCnn net = randomCnn(seed);
+        RandomCnn ref = randomCnn(seed);
+        CompileOptions opt;
+        opt.optim = OptimConfig::sgd(0.05);
+        opt.blocked = blocked;
+        TrainingProgram prog = compileTraining(net.g, net.loss, net.scheme,
+                                               opt, net.store);
+        if (blocked)
+            EXPECT_GT(prog.report().backend.im2colBound, 0);
+        else
+            EXPECT_EQ(prog.report().backend.im2colBound, 0);
+        std::unordered_map<std::string, bool> mask;
+        for (int id : ref.g.paramIds()) {
+            const std::string &name = ref.g.node(id).name;
+            mask[name] = ref.scheme.ruleFor(name).update;
+        }
+        EagerEngine eager(ref.g, ref.loss, ref.store, opt.optim, &mask);
+        for (int step = 0; step < 3; ++step) {
+            float lc = prog.trainStep(net.feeds);
+            float le = eager.trainStep(ref.feeds);
+            ASSERT_TRUE(std::isfinite(lc));
+            EXPECT_NEAR(lc, le, kTol) << "step " << step;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnnDifferential,
+                         ::testing::Values(3, 17, 29, 41, 53, 67, 79, 97));
 
 TEST(SparseMonotonicity, MoreFrozenBlocksNeverCostMore)
 {

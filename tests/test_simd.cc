@@ -265,6 +265,8 @@ TEST(TierApi, CapabilityGatedRegistration)
             {OpKind::BatchMatMul, "blocked", "blocked" + sfx},
             {OpKind::Conv2d, "im2col", "im2col" + sfx},
             {OpKind::ConvBiasAct, "im2col", "im2col" + sfx},
+            {OpKind::Conv2dBwdInput, "im2col", "im2col" + sfx},
+            {OpKind::Conv2dBwdWeight, "im2col", "im2col" + sfx},
             {OpKind::FusedAttention, "", simdTierName(host)},
             {OpKind::QuantMatMul, "int8", "int8" + sfx},
             {OpKind::QuantConv2d, "int8", "int8" + sfx},
@@ -367,9 +369,12 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
     struct S {
         int64_t ci, co, hw, k, stride, pad;
     };
-    std::vector<S> shapes = {{1, 1, 1, 1, 1, 0}, {3, 8, 9, 3, 1, 1},
-                             {4, 5, 7, 3, 2, 1}, {2, 16, 13, 5, 1, 2},
-                             {8, 3, 8, 1, 1, 0}};
+    // Spatial shapes span one to five column panels, the last one
+    // partial (16x16 s2 is the MCUNet stem's 64 outputs).
+    std::vector<S> shapes = {{1, 1, 1, 1, 1, 0},  {3, 8, 9, 3, 1, 1},
+                             {4, 5, 7, 3, 2, 1},  {2, 16, 13, 5, 1, 2},
+                             {8, 3, 8, 1, 1, 0},  {3, 8, 16, 3, 2, 1},
+                             {3, 10, 15, 3, 1, 1}};
     for (auto [ci, co, hw, k, stride, pad] : shapes) {
         SCOPED_TRACE("conv ci" + std::to_string(ci) + " co" +
                      std::to_string(co) + " hw" + std::to_string(hw));
@@ -399,6 +404,95 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
             Tensor fv = runKernel(g, fused, {tx, tw, tb}, fused_variant);
             EXPECT_LT(maxRelDiff(fs, fv), 1e-5f);
         }
+    }
+}
+
+/**
+ * Every entry of @p got within the recursive-summation error bound of
+ * the exact sum: |got - sum| <= k * 2^-24 * sum|terms|, where @p exact
+ * and @p magnitude hold the double-precision sum and sum of |terms|
+ * of each entry and @p k its term count.
+ */
+void
+expectWithinSumBound(const Tensor &got, const std::vector<double> &exact,
+                     const std::vector<double> &magnitude, int64_t k)
+{
+    ASSERT_EQ(static_cast<size_t>(got.size()), exact.size());
+    double u = std::ldexp(1.0, -24);
+    for (int64_t i = 0; i < got.size(); ++i)
+        ASSERT_LE(std::fabs(got[i] - exact[i]), k * u * magnitude[i])
+            << "entry " << i;
+}
+
+TEST(SimdParity, PointwiseConvGradsWithinSumBound)
+{
+    // The tier forms of the pointwise input / weight gradient GEMMs
+    // sum in FMA register tiles, the scalar forms (bit-identical to
+    // the direct loops) in plain order. Both stay within the textbook
+    // float summation bound of the exact sums — k * 2^-24 * sum|terms|,
+    // k = co terms per dX entry and n*h*w per dW entry — and within
+    // 1e-5 relative of each other where k <= 64, under "limitCo" too.
+    SKIP_WITHOUT_SIMD();
+    std::string sfx = hostSuffix();
+    Rng rng(103);
+    struct S {
+        int64_t n, ci, co, hw, limit;
+    };
+    for (auto [n, ci, co, hw, limit] :
+         {S{2, 5, 7, 4, 0}, S{8, 16, 24, 2, 0}, S{8, 24, 16, 4, 10},
+          S{3, 60, 50, 8, 0}, S{1, 9, 13, 1, 5}, S{2, 8, 8, 7, 0}}) {
+        SCOPED_TRACE("n" + std::to_string(n) + " ci" + std::to_string(ci) +
+                     " co" + std::to_string(co) + " hw" +
+                     std::to_string(hw) + " limit" + std::to_string(limit));
+        int64_t p = hw * hw, rows = limit > 0 ? limit : co;
+        Graph g;
+        int x = g.input({n, ci, hw, hw}, "x");
+        int dy = g.input({n, co, hw, hw}, "dy");
+        int w = g.input({co, ci, 1, 1}, "w");
+        Attrs ai;
+        ai.set("xshape", Shape{n, ci, hw, hw});
+        Attrs aw;
+        aw.set("wshape", Shape{co, ci, 1, 1});
+        if (limit > 0)
+            aw.set("limitCo", limit);
+        int dx = g.add(OpKind::Conv2dBwdInput, {w, dy}, std::move(ai));
+        int dw = g.add(OpKind::Conv2dBwdWeight, {x, dy}, std::move(aw));
+        Tensor tx = Tensor::randn({n, ci, hw, hw}, rng);
+        Tensor tdy = Tensor::randn({n, co, hw, hw}, rng);
+        Tensor tw = Tensor::randn({co, ci, 1, 1}, rng, 0.3f);
+
+        std::vector<double> dx_sum(n * ci * p), dx_mag(n * ci * p);
+        for (int64_t b = 0; b < n; ++b)
+            for (int64_t c = 0; c < ci; ++c)
+                for (int64_t q = 0; q < p; ++q)
+                    for (int64_t o = 0; o < co; ++o) {
+                        double t = double(tw[o * ci + c]) *
+                                   tdy[(b * co + o) * p + q];
+                        dx_sum[(b * ci + c) * p + q] += t;
+                        dx_mag[(b * ci + c) * p + q] += std::fabs(t);
+                    }
+        std::vector<double> dw_sum(rows * ci), dw_mag(rows * ci);
+        for (int64_t o = 0; o < rows; ++o)
+            for (int64_t c = 0; c < ci; ++c)
+                for (int64_t b = 0; b < n; ++b)
+                    for (int64_t q = 0; q < p; ++q) {
+                        double t = double(tdy[(b * co + o) * p + q]) *
+                                   tx[(b * ci + c) * p + q];
+                        dw_sum[o * ci + c] += t;
+                        dw_mag[o * ci + c] += std::fabs(t);
+                    }
+
+        Tensor dx_s = runKernel(g, dx, {tw, tdy}, "im2col");
+        Tensor dx_v = runKernel(g, dx, {tw, tdy}, "im2col" + sfx);
+        Tensor dw_s = runKernel(g, dw, {tx, tdy}, "im2col");
+        Tensor dw_v = runKernel(g, dw, {tx, tdy}, "im2col" + sfx);
+        for (const Tensor *t : {&dx_s, &dx_v})
+            expectWithinSumBound(*t, dx_sum, dx_mag, co);
+        for (const Tensor *t : {&dw_s, &dw_v})
+            expectWithinSumBound(*t, dw_sum, dw_mag, n * p);
+        EXPECT_LT(maxRelDiff(dx_s, dx_v), 1e-5f);
+        if (n * p <= 64)
+            EXPECT_LT(maxRelDiff(dw_s, dw_v), 1e-5f);
     }
 }
 
