@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,6 +96,18 @@ jsonPathFromArgs(int argc, char **argv)
             return argv[i + 1];
     }
     return "";
+}
+
+/** Median of a sample of per-round timings (0 when empty). The
+ *  --json benches time interleaved rounds and report this, so one
+ *  preempted round does not move a gated ratio. */
+inline double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
 }
 
 inline bool

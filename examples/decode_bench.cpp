@@ -20,9 +20,10 @@
  *  - run sharing: N x T decode requests vs the decode-bucket runs
  *    that actually executed (the >= 2x acceptance bar at 4 streams);
  *  - prefill-vs-decode amortized cost per token (from the engine's
- *    per-bucket run-time accumulators; wall-clock-dependent, NOT
- *    gated) and the cache bytes a session pins (machine-independent,
- *    gated).
+ *    per-bucket run-time accumulators, the median of interleaved solo
+ *    and shared rounds on warm engines; gated only as the
+ *    shared/solo ratio, so host speed cancels) and the cache bytes a
+ *    session pins (machine-independent, gated).
  *
  *   ./build/decode_bench [tokens-per-stream]   (default: 8)
  *   ./build/decode_bench --json BENCH_decode.json
@@ -229,18 +230,105 @@ struct DecodeRow {
     int64_t peakLiveUnfused = 0;    ///< gate: fused strictly below
 };
 
-void
-bucketCost(const ServeStats &st, bool decode, int64_t &hits,
-           int64_t &runs, int64_t &runNs)
+/** Timing rounds per --json column: solo and shared decode (and the
+ *  fused and unfused attention stage) alternate round by round on warm
+ *  engines, and each column reports its median round. */
+constexpr int kRounds = 31;
+
+/** Hits, runs and summed run time of one bucket domain so far. */
+struct BucketCost {
+    int64_t hits = 0, runs = 0, runNs = 0;
+};
+
+BucketCost
+bucketCost(ServingEngine &e, bool decode)
 {
-    hits = runs = runNs = 0;
-    for (const BucketStats &b : st.buckets) {
+    BucketCost c;
+    for (const BucketStats &b : e.stats().buckets) {
         if (b.decode != decode)
             continue;
-        hits += b.hits;
-        runs += b.runs;
-        runNs += b.runNs;
+        c.hits += b.hits;
+        c.runs += b.runs;
+        c.runNs += b.runNs;
     }
+    return c;
+}
+
+/** Run microseconds per hit since @p before, per @p tokensPerHit. */
+double
+usPerToken(ServingEngine &e, bool decode, const BucketCost &before,
+           int64_t tokensPerHit = 1)
+{
+    BucketCost now = bucketCost(e, decode);
+    int64_t hits = now.hits - before.hits;
+    return hits > 0 ? static_cast<double>(now.runNs - before.runNs) /
+                          (hits * tokensPerHit) / 1e3
+                    : 0;
+}
+
+/** The serial reference: each stream decodes alone, one after another. */
+std::vector<std::vector<Tensor>>
+driveSolo(ServingEngine &e, const StreamPlan &p, int64_t tokens)
+{
+    std::vector<std::vector<Tensor>> out;
+    for (size_t s = 0; s < p.prompts.size(); ++s) {
+        StreamPlan one;
+        one.prompts = {p.prompts[s]};
+        one.next = {p.next[s]};
+        out.push_back(driveStreams(e, one, tokens)[0]);
+    }
+    return out;
+}
+
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) ==
+               0;
+}
+
+/**
+ * Drive the coalesced engine once for parity against @p ref (the
+ * serial outputs of @p solo) and the run-count columns, then time
+ * solo vs shared decode over kRounds interleaved rounds.
+ */
+void
+measureStreams(DecodeRow &row, ServingEngine &solo, ServingEngine &eng,
+               const std::vector<std::vector<Tensor>> &ref,
+               const StreamPlan &traffic)
+{
+    const int64_t tokens = row.tokens;
+    std::vector<std::vector<Tensor>> got =
+        driveStreams(eng, traffic, tokens);
+    for (size_t s = 0; s < got.size(); ++s)
+        for (size_t i = 0; i < got[s].size(); ++i)
+            row.parity = row.parity && bitEqual(ref[s][i], got[s][i]);
+
+    row.runsSolo = bucketCost(solo, true).runs;
+    row.runsCoalesced = bucketCost(eng, true).runs;
+    row.runReduction =
+        row.runsCoalesced > 0
+            ? static_cast<double>(row.runsSolo) / row.runsCoalesced
+            : 0;
+    row.coalesceRate = eng.stats().coalesceRate;
+    row.cacheBytesPerSession = eng.streamCacheBytes();
+
+    std::vector<double> soloUs, sharedUs, prefillUs;
+    for (int r = 0; r < kRounds; ++r) {
+        BucketCost before = bucketCost(solo, true);
+        driveSolo(solo, traffic, tokens);
+        soloUs.push_back(usPerToken(solo, true, before));
+        before = bucketCost(eng, true);
+        BucketCost prefill = bucketCost(eng, false);
+        driveStreams(eng, traffic, tokens);
+        sharedUs.push_back(usPerToken(eng, true, before));
+        prefillUs.push_back(
+            usPerToken(eng, false, prefill, row.promptLen));
+    }
+    row.decodeUsPerTokenSolo = pe::bench::median(soloUs);
+    row.decodeUsPerTokenShared = pe::bench::median(sharedUs);
+    row.prefillUsPerToken = pe::bench::median(prefillUs);
 }
 
 DecodeRow
@@ -254,52 +342,14 @@ runScenario(const std::string &scenario, Precision prec, int streams,
     row.tokens = tokens;
     row.decodeRequests = static_cast<int64_t>(streams) * tokens;
 
-    // Serial reference: one stream at a time, coalescing off.
+    // Serial reference: coalescing off. Coalesced: all streams in
+    // lockstep share decode-bucket runs.
     auto soloStore = std::make_shared<ParamStore>();
     auto solo = makeEngine(soloStore, 0, 1, prec, cfg);
-    std::vector<std::vector<Tensor>> ref(streams);
-    for (int s = 0; s < streams; ++s) {
-        StreamPlan one;
-        one.prompts = {traffic.prompts[s]};
-        one.next = {traffic.next[s]};
-        ref[s] = driveStreams(*solo, one, tokens)[0];
-    }
-
-    // Coalesced: all streams in lockstep share decode-bucket runs.
     auto store = std::make_shared<ParamStore>();
     auto eng = makeEngine(store, 20000, 1, prec, cfg);
-    std::vector<std::vector<Tensor>> got =
-        driveStreams(*eng, traffic, tokens);
-
-    for (int s = 0; s < streams; ++s)
-        for (size_t i = 0; i < got[s].size(); ++i)
-            row.parity = row.parity &&
-                         ref[s][i].shape() == got[s][i].shape() &&
-                         std::memcmp(ref[s][i].data(), got[s][i].data(),
-                                     sizeof(float) *
-                                         ref[s][i].size()) == 0;
-
-    ServeStats ss = solo->stats(), cs = eng->stats();
-    int64_t hits = 0, runs = 0, runNs = 0;
-    bucketCost(ss, true, hits, runs, runNs);
-    row.runsSolo = runs;
-    row.decodeUsPerTokenSolo =
-        hits > 0 ? static_cast<double>(runNs) / hits / 1e3 : 0;
-    bucketCost(cs, true, hits, runs, runNs);
-    row.runsCoalesced = runs;
-    row.decodeUsPerTokenShared =
-        hits > 0 ? static_cast<double>(runNs) / hits / 1e3 : 0;
-    row.runReduction =
-        row.runsCoalesced > 0
-            ? static_cast<double>(row.runsSolo) / row.runsCoalesced
-            : 0;
-    row.coalesceRate = cs.coalesceRate;
-    row.cacheBytesPerSession = eng->streamCacheBytes();
-    bucketCost(cs, false, hits, runs, runNs);
-    row.prefillUsPerToken =
-        hits > 0 ? static_cast<double>(runNs) / (hits * row.promptLen) /
-                       1e3
-                 : 0;
+    measureStreams(row, *solo, *eng, driveSolo(*solo, traffic, tokens),
+                   traffic);
     return row;
 }
 
@@ -312,54 +362,62 @@ runScenario(const std::string &scenario, Precision prec, int streams,
  * FusedAttention rewrite collapses, so fused/unfused is the
  * fusion speedup with the rest of the layer held constant.
  */
-double
-attnStageUsPerStep(const DecoderConfig &cfg, int64_t streams,
-                   bool fused)
-{
-    const int64_t B = streams * cfg.heads;
-    const int64_t M = cfg.maxSeq;
-    const int64_t Dh = cfg.dim / cfg.heads;
-    auto store = std::make_shared<ParamStore>();
-    Graph g;
-    Rng rng(5);
-    NetBuilder b(g, rng, store.get());
-    int q = b.input({B, 1, Dh}, "q");
-    int k = b.input({B, M, Dh}, "k");
-    int v = b.input({B, M, Dh}, "v");
-    int m = b.input({B, 1, M}, "mask");
-    Attrs tb;
-    tb.set("transB", static_cast<int64_t>(1));
-    int scores = g.add(OpKind::BatchMatMul, {q, k}, std::move(tb));
-    scores = b.scale(scores, 1.0 / std::sqrt(static_cast<double>(Dh)));
-    scores = b.add(scores, m);
-    int ctx = g.add(OpKind::BatchMatMul, {b.softmax(scores), v});
-    g.markOutput(ctx);
-    CompileOptions opt;
-    opt.fuseAttention = fused;
-    InferenceProgram prog(compileInferenceGraph(g, {ctx}, opt, store),
-                          store);
+struct AttnStage {
+    std::unique_ptr<InferenceProgram> prog;
+    std::unordered_map<std::string, Tensor> feeds;
 
-    Rng vr(11);
-    Tensor qt({B, 1, Dh}), kt({B, M, Dh}), vt({B, M, Dh});
-    Tensor mt = Tensor::zeros({B, 1, M});
-    for (int64_t i = 0; i < qt.size(); ++i)
-        qt[i] = vr.uniform(-1.0f, 1.0f);
-    for (int64_t i = 0; i < kt.size(); ++i)
-        kt[i] = vr.uniform(-1.0f, 1.0f);
-    for (int64_t i = 0; i < vt.size(); ++i)
-        vt[i] = vr.uniform(-1.0f, 1.0f);
-    std::unordered_map<std::string, Tensor> feeds = {
-        {"q", qt}, {"k", kt}, {"v", vt}, {"mask", mt}};
-    const int iters = 1500;
-    for (int i = 0; i < 50; ++i)
-        prog.run(feeds);
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i)
-        prog.run(feeds);
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(t1 - t0).count() /
-           iters;
-}
+    AttnStage(const DecoderConfig &cfg, int64_t streams, bool fused)
+    {
+        const int64_t B = streams * cfg.heads;
+        const int64_t M = cfg.maxSeq;
+        const int64_t Dh = cfg.dim / cfg.heads;
+        auto store = std::make_shared<ParamStore>();
+        Graph g;
+        Rng rng(5);
+        NetBuilder b(g, rng, store.get());
+        int q = b.input({B, 1, Dh}, "q");
+        int k = b.input({B, M, Dh}, "k");
+        int v = b.input({B, M, Dh}, "v");
+        int m = b.input({B, 1, M}, "mask");
+        Attrs tb;
+        tb.set("transB", static_cast<int64_t>(1));
+        int scores = g.add(OpKind::BatchMatMul, {q, k}, std::move(tb));
+        scores =
+            b.scale(scores, 1.0 / std::sqrt(static_cast<double>(Dh)));
+        scores = b.add(scores, m);
+        int ctx = g.add(OpKind::BatchMatMul, {b.softmax(scores), v});
+        g.markOutput(ctx);
+        CompileOptions opt;
+        opt.fuseAttention = fused;
+        prog = std::make_unique<InferenceProgram>(
+            compileInferenceGraph(g, {ctx}, opt, store), store);
+
+        Rng vr(11);
+        Tensor qt({B, 1, Dh}), kt({B, M, Dh}), vt({B, M, Dh});
+        for (Tensor *t : {&qt, &kt, &vt})
+            for (int64_t i = 0; i < t->size(); ++i)
+                (*t)[i] = vr.uniform(-1.0f, 1.0f);
+        feeds = {{"q", qt},
+                 {"k", kt},
+                 {"v", vt},
+                 {"mask", Tensor::zeros({B, 1, M})}};
+        for (int i = 0; i < 50; ++i)
+            prog->run(feeds);
+    }
+
+    /** Microseconds per step over one round of @p iters runs. */
+    double
+    usPerStep(int iters)
+    {
+        auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < iters; ++i)
+            prog->run(feeds);
+        auto t1 = std::chrono::steady_clock::now();
+        return std::chrono::duration<double, std::micro>(t1 - t0)
+                   .count() /
+               iters;
+    }
+};
 
 /** Every fused logit within 1e-5 (relative, floored at 1) of the
  *  unfused reference. */
@@ -406,72 +464,37 @@ runLlamaScenario(int64_t tokens)
     auto ustore = std::make_shared<ParamStore>();
     auto unfused =
         makeEngine(ustore, 0, 1, Precision::F32, cfg, false);
-    std::vector<std::vector<Tensor>> refU(streams);
-    for (int s = 0; s < streams; ++s) {
-        StreamPlan one;
-        one.prompts = {traffic.prompts[s]};
-        one.next = {traffic.next[s]};
-        refU[s] = driveStreams(*unfused, one, tokens)[0];
-    }
+    std::vector<std::vector<Tensor>> refU =
+        driveSolo(*unfused, traffic, tokens);
 
-    // Fused serial: the bit reference for shared runs.
+    // Fused serial (the bit reference for shared runs) and fused
+    // coalesced: lockstep streams share decode-bucket runs.
     auto sstore = std::make_shared<ParamStore>();
     auto solo = makeEngine(sstore, 0, 1, Precision::F32, cfg);
-    std::vector<std::vector<Tensor>> refF(streams);
-    for (int s = 0; s < streams; ++s) {
-        StreamPlan one;
-        one.prompts = {traffic.prompts[s]};
-        one.next = {traffic.next[s]};
-        refF[s] = driveStreams(*solo, one, tokens)[0];
-    }
-
-    // Fused coalesced: lockstep streams share decode-bucket runs.
+    std::vector<std::vector<Tensor>> refF =
+        driveSolo(*solo, traffic, tokens);
     auto store = std::make_shared<ParamStore>();
     auto eng = makeEngine(store, 20000, 1, Precision::F32, cfg);
-    std::vector<std::vector<Tensor>> got =
-        driveStreams(*eng, traffic, tokens);
+    measureStreams(row, *solo, *eng, refF, traffic);
 
     row.parityVsUnfused1e5 = 1;
-    for (int s = 0; s < streams; ++s) {
-        for (size_t i = 0; i < got[s].size(); ++i) {
-            row.parity =
-                row.parity &&
-                refF[s][i].shape() == got[s][i].shape() &&
-                std::memcmp(refF[s][i].data(), got[s][i].data(),
-                            sizeof(float) * refF[s][i].size()) == 0;
+    for (int s = 0; s < streams; ++s)
+        for (size_t i = 0; i < refF[s].size(); ++i)
             if (!within1e5(refF[s][i], refU[s][i]))
                 row.parityVsUnfused1e5 = 0;
-        }
-    }
-
-    ServeStats ss = solo->stats(), cs = eng->stats();
-    int64_t hits = 0, runs = 0, runNs = 0;
-    bucketCost(ss, true, hits, runs, runNs);
-    row.runsSolo = runs;
-    row.decodeUsPerTokenSolo =
-        hits > 0 ? static_cast<double>(runNs) / hits / 1e3 : 0;
-    bucketCost(cs, true, hits, runs, runNs);
-    row.runsCoalesced = runs;
-    row.decodeUsPerTokenShared =
-        hits > 0 ? static_cast<double>(runNs) / hits / 1e3 : 0;
-    row.runReduction =
-        row.runsCoalesced > 0
-            ? static_cast<double>(row.runsSolo) / row.runsCoalesced
-            : 0;
-    row.coalesceRate = cs.coalesceRate;
-    row.cacheBytesPerSession = eng->streamCacheBytes();
-    bucketCost(cs, false, hits, runs, runNs);
-    row.prefillUsPerToken =
-        hits > 0 ? static_cast<double>(runNs) / (hits * row.promptLen) /
-                       1e3
-                 : 0;
 
     // Decode-bucket (batch 4) planned peak-live, fused vs unfused.
     row.peakLiveFused = eng->bucketReport(4).peakLiveBytes;
     row.peakLiveUnfused = unfused->bucketReport(4).peakLiveBytes;
 
-    row.attnUsFused = attnStageUsPerStep(cfg, 4, true);
-    row.attnUsUnfused = attnStageUsPerStep(cfg, 4, false);
+    AttnStage fusedStage(cfg, 4, true), unfusedStage(cfg, 4, false);
+    std::vector<double> fusedUs, unfusedUs;
+    for (int r = 0; r < kRounds; ++r) {
+        fusedUs.push_back(fusedStage.usPerStep(500));
+        unfusedUs.push_back(unfusedStage.usPerStep(500));
+    }
+    row.attnUsFused = pe::bench::median(fusedUs);
+    row.attnUsUnfused = pe::bench::median(unfusedUs);
     row.attnSpeedup =
         row.attnUsFused > 0 ? row.attnUsUnfused / row.attnUsFused : 0;
     return row;
@@ -509,9 +532,9 @@ printRows(const std::vector<DecodeRow> &rows)
     }
 }
 
-/** BENCH_decode.json rows. Gated fields (parity, run counts, cache
- *  bytes) are machine-independent; the us/token columns are
- *  informational wall-clock. */
+/** BENCH_decode.json rows. Parity, run counts and cache bytes are
+ *  machine-independent; the us/token columns are median rounds, gated
+ *  only as self-normalized ratios. */
 bool
 saveRows(const std::vector<DecodeRow> &rows, const std::string &path)
 {

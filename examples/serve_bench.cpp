@@ -35,7 +35,9 @@
  *   ./build/serve_bench --json BENCH_serve.json
  *       runs ONLY the (fast, deterministic) coalescing scenarios and
  *       writes the machine-readable rows scripts/bench_json.sh
- *       snapshots and scripts/bench_check.py gates.
+ *       snapshots and scripts/bench_check.py gates. The amortized
+ *       us/request columns are the median of interleaved solo and
+ *       coalesced rounds on warm engines.
  *   ./build/serve_bench --trace OUT.json
  *       runs a 4-worker coalesced burst with request-lifecycle and
  *       executor tracing armed (ServeOptions::trace) and exports a
@@ -158,6 +160,32 @@ pumpBurst(ServingEngine &e, const std::vector<Tensor> &xs)
     return outs;
 }
 
+/** Plan run time summed over every bucket so far (ns). */
+int64_t
+totalRunNs(const ServeStats &s)
+{
+    int64_t ns = 0;
+    for (const auto &b : s.buckets)
+        ns += b.runNs;
+    return ns;
+}
+
+/** Amortized run microseconds per request of one more pass of @p xs. */
+double
+amortizedRoundUs(ServingEngine &e, const std::vector<Tensor> &xs)
+{
+    ServeStats before = e.stats();
+    pumpBurst(e, xs);
+    ServeStats after = e.stats();
+    return static_cast<double>(totalRunNs(after) - totalRunNs(before)) /
+           1e3 / static_cast<double>(after.completed - before.completed);
+}
+
+/** Timing rounds per amortized-latency column: solo and coalesced
+ *  alternate round by round on warm engines, and each column reports
+ *  its median round. */
+constexpr int kRounds = 201;
+
 CoalesceRow
 runCoalesceScenario(const std::string &scenario,
                     const std::shared_ptr<ParamStore> &store,
@@ -192,10 +220,16 @@ runCoalesceScenario(const std::string &scenario,
                                          static_cast<double>(cs.runs)
                                    : 0;
     row.coalesceRate = cs.coalesceRate;
-    row.amortSoloUs = ss.amortizedRunUs;
-    row.amortCoalescedUs = cs.amortizedRunUs;
     row.padSolo = totalPad(ss);
     row.padCoalesced = totalPad(cs);
+
+    std::vector<double> soloUs, coUs;
+    for (int r = 0; r < kRounds; ++r) {
+        soloUs.push_back(amortizedRoundUs(soloE, xs));
+        coUs.push_back(amortizedRoundUs(coE, xs));
+    }
+    row.amortSoloUs = pe::bench::median(soloUs);
+    row.amortCoalescedUs = pe::bench::median(coUs);
     return row;
 }
 
