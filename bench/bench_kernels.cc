@@ -45,7 +45,7 @@ struct ConvFixture {
 
     /** A same-size, stride-1 k x k conv over ch channels (pad k/2). */
     ConvFixture(OpKind op, int64_t ch, int64_t hw, int64_t k,
-                const std::string &variant, int64_t act = 0)
+                int64_t act = 0)
     {
         Rng rng(1);
         int xi = g.input({1, ch, hw, hw}, "x");
@@ -60,14 +60,10 @@ struct ConvFixture {
         } else {
             node = g.add(op, {xi, wi}, std::move(a));
         }
-        if (variant == "winograd")
-            g.node(node).attrs.set("staticWeight",
-                                   static_cast<int64_t>(1));
         x = Tensor::randn({1, ch, hw, hw}, rng);
         w = Tensor::randn({ch, ch, k, k}, rng, 0.2f);
         bias = Tensor::randn({ch, 1, 1}, rng);
         out = Tensor::zeros(g.node(node).shape);
-        (void)variant; // workspace attached per run()
     }
 
     void
@@ -219,7 +215,7 @@ void
 BM_ConvVariant(benchmark::State &state, const std::string &variant)
 {
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::Conv2d, ch, 16, 3, variant);
+    ConvFixture f(OpKind::Conv2d, ch, 16, 3);
     for (auto _ : state) {
         f.run(variant);
         benchmark::DoNotOptimize(f.out.data());
@@ -230,7 +226,7 @@ void
 BM_FusedConvBiasRelu(benchmark::State &state)
 {
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::ConvBiasAct, ch, 16, 3, "", kActRelu);
+    ConvFixture f(OpKind::ConvBiasAct, ch, 16, 3, kActRelu);
     for (auto _ : state) {
         f.run("");
         benchmark::DoNotOptimize(f.out.data());
@@ -243,7 +239,7 @@ BM_UnfusedConvBiasRelu(benchmark::State &state)
     // Conv, then separate broadcast-add, then separate relu: three
     // dispatches and two extra buffer sweeps.
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::Conv2d, ch, 16, 3, "");
+    ConvFixture f(OpKind::Conv2d, ch, 16, 3);
     Graph g2;
     int ci = g2.input(f.g.node(f.node).shape, "c");
     int bi = g2.param({ch, 1, 1}, "b", false);
@@ -281,7 +277,7 @@ BM_PointwiseConvBiasRelu(benchmark::State &state,
                          const std::string &variant)
 {
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::ConvBiasAct, ch, 16, 1, variant, kActRelu);
+    ConvFixture f(OpKind::ConvBiasAct, ch, 16, 1, kActRelu);
     for (auto _ : state) {
         f.run(variant);
         benchmark::DoNotOptimize(f.out.data());

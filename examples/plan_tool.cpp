@@ -245,7 +245,8 @@ cmdInspect(const std::string &path)
                 pd.graph.numNodes(), pd.graph.inputIds().size(),
                 pd.graph.outputs().size(), pd.params.size(), steps);
     std::printf("launch    : %d threads, %d sharded steps\n",
-                pd.artifact.numThreads, pd.artifact.shardedSteps);
+                pd.artifact.numThreads,
+                countShardedSteps(pd.artifact.shardsPerStep));
     std::printf("memory    : arena %lld B (peak live %lld B), "
                 "workspaces %lld B, params %lld B, consts %lld B\n",
                 static_cast<long long>(mp.arenaBytes),
@@ -321,9 +322,9 @@ cmdProfile(const std::string &path, int iters, uint64_t seed,
     for (auto &[name, t] : feeds)
         ex.bindInput(name, t);
 
-    // One untraced warm-up run: first-run init hooks (Winograd
-    // transform caches etc.) execute outside the profiled window, so
-    // the tables show steady-state kernel time only.
+    // One untraced warm-up run: first-touch page faults and cold
+    // caches land outside the profiled window, so the tables show
+    // steady-state kernel time only.
     ex.run();
 
     // Size the ring for every span the loop can record (steps plus

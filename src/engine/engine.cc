@@ -19,8 +19,7 @@ CompileReport::recordPlan(const ProgramArtifact &art)
     peakLiveBytes = mp.peakLiveBytes;
     arenaBytesByDtype = mp.arenaValueBytesByDtype;
     constBytesByDtype = mp.constBytesByDtype;
-    shardedSteps = art.shardedSteps;
-    serializedByWorkspace = art.serializedByWorkspace;
+    shardedSteps = countShardedSteps(art.shardsPerStep);
 }
 
 void
@@ -180,8 +179,6 @@ planProgram(const Graph &g, std::vector<std::string> variants,
     }
     art.variants = std::move(variants);
     art.shardsPerStep = std::move(launches.shardsPerStep);
-    art.shardedSteps = launches.shardedSteps;
-    art.serializedByWorkspace = launches.serializedByWorkspace;
     if (report) {
         report->recordPlan(art);
         report->arenaBytesNoReorder = naturalArena;

@@ -91,10 +91,10 @@ struct CompileReport {
      *  workspaces (Arena v2 — scratch no longer hides off-plan). */
     int64_t arenaBytes = 0;
     int64_t arenaBytesNoReorder = 0; ///< ablation: natural order
-    /** Peak kernel-workspace bytes inside the arena (per-shard
-     *  instances of the heaviest step + persistent shared regions).
-     *  Reported separately so footprint columns remain comparable
-     *  with pre-workspace-aware numbers. */
+    /** Peak kernel-workspace bytes inside the arena (the per-shard
+     *  instances of the heaviest step). Reported separately so
+     *  footprint columns remain comparable with pre-workspace-aware
+     *  numbers. */
     int64_t workspaceBytes = 0;
     int64_t paramBytes = 0;
     int64_t totalBytes = 0;          ///< Table 4 metric
@@ -104,9 +104,6 @@ struct CompileReport {
     int64_t peakLiveBytes = 0;       ///< max over memoryTimeline
     /** Steps whose bound launch plan has more than one shard. */
     int shardedSteps = 0;
-    /** Splittable steps serialized solely by their scratch — the
-     *  pre-Arena-v2 executor rule. Must be 0; tests assert on it. */
-    int serializedByWorkspace = 0;
     /**
      * Kernel lookups that silently degraded to the default variant
      * because the requested one is not registered — nonzero means the

@@ -21,12 +21,12 @@
  *
  * Workspaces (Arena v2): a kernel that needs scratch declares a
  * WorkspaceSpec — bytes per shard (each shard of a partitioned launch
- * gets its own instance, so scratch no longer serializes a kernel)
- * plus an optional shared once-per-bind region for data that persists
- * across steps (Winograd's cached filter transforms). The memory
- * planner places workspaces in the SAME arena as values, live only
- * during their step, so the reported footprint finally includes them
- * and best-fit reuses the space across steps.
+ * gets its own instance, so scratch never serializes a kernel). Nothing
+ * persists across calls: a kernel that derives data from its inputs
+ * (Winograd's filter transforms) recomputes it into its shard's
+ * workspace on every call. The memory planner places workspaces in the
+ * SAME arena as values, live only during their step, so the reported
+ * footprint includes them and best-fit reuses the space across steps.
  */
 
 #pragma once
@@ -53,10 +53,6 @@ struct KernelCtx {
     int64_t step = 0;                 ///< global optimizer step (Adam)
     float *workspace = nullptr;       ///< THIS shard's private scratch
                                       ///< (WorkspaceSpec::bytesPerShard)
-    float *shared = nullptr;          ///< once-per-bind region, shared
-                                      ///< by all shards of the node
-    bool *sharedReady = nullptr;      ///< true once `shared` holds
-                                      ///< valid data (Winograd cache)
     int64_t begin = 0;                ///< partition range over the
     int64_t end = 0;                  ///< kernel's declared domain;
                                       ///< begin == end == 0 -> full
@@ -99,20 +95,6 @@ struct WorkspaceSpec {
     /** Private scratch per shard; every shard of a partitioned launch
      *  gets its own instance at a distinct arena offset. */
     int64_t bytesPerShard = 0;
-    /** One region per node, shared by all shards and persistent
-     *  across steps (e.g. cached Winograd filter transforms). */
-    int64_t sharedBytes = 0;
-    /**
-     * Optional hook that fills `shared` and sets *sharedReady. The
-     * executor runs it serially during warm-up (before the first
-     * sharded launch touches the region), so shards never race on the
-     * shared region. Direct callers may skip it — kernels fall back
-     * to lazily initializing `shared` themselves, which is safe
-     * because direct calls are serial.
-     */
-    void (*init)(const KernelCtx &) = nullptr;
-
-    bool any() const { return bytesPerShard > 0 || sharedBytes > 0; }
 };
 
 /** Workspace query: sizes from static shapes, at compile time. */
@@ -176,7 +158,7 @@ void registerKernel(OpKind op, const std::string &variant, KernelFn fn,
 /**
  * Owns workspace storage for one direct (un-planned) kernel call —
  * tests, the eager baseline, constant folding. Attach before
- * invoking; reuse across calls to exercise the shared-region cache.
+ * invoking; reattaching with the same size reuses the storage.
  */
 class DirectWorkspace
 {
@@ -184,44 +166,23 @@ class DirectWorkspace
     void
     attach(KernelCtx &c, const WorkspaceSpec &spec)
     {
-        // Idempotent: reattaching with the same spec keeps the shared
-        // region's cached contents (and its ready flag) intact.
         size_t per = static_cast<size_t>((spec.bytesPerShard + 3) / 4);
         if (perShard_.size() != per)
             perShard_.assign(per, 0.0f);
         if (per > 0)
             c.workspace = perShard_.data();
-        size_t sh = static_cast<size_t>((spec.sharedBytes + 3) / 4);
-        if (shared_.size() != sh) {
-            shared_.assign(sh, 0.0f);
-            ready_ = false;
-        }
-        if (sh > 0)
-            c.shared = shared_.data();
-        c.sharedReady = &ready_;
     }
 
-    /** Attach the workspace declared for (node, variant). The cached
-     *  shared region is invalidated when the node changes, so one
-     *  DirectWorkspace reused across different nodes never serves
-     *  another node's cached transforms. */
+    /** Attach the workspace declared for (node, variant). */
     void
     attach(KernelCtx &c, const Graph &g, const Node &n,
            const std::string &variant = "")
     {
-        if (&n != boundNode_) {
-            ready_ = false;
-            boundNode_ = &n;
-        }
         attach(c, kernelWorkspace(g, n, variant));
     }
 
-    bool ready() const { return ready_; }
-
   private:
-    std::vector<float> perShard_, shared_;
-    const Node *boundNode_ = nullptr;
-    bool ready_ = false;
+    std::vector<float> perShard_;
 };
 
 namespace detail {

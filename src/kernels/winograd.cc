@@ -9,17 +9,17 @@
  * normally a poor fit for training because the weights change every
  * step — but under sparse backpropagation many layers are frozen, and
  * the compiler knows which. The backend-switching pass binds frozen
- * 3x3 stride-1 convolutions to this kernel and marks the weight as
- * static ("staticWeight" attr); the transformed weights are then
- * computed once and cached in the node's SHARED workspace region,
- * which the executor initializes serially at warm-up.
+ * 3x3 stride-1 convolutions to this kernel. The filter transforms are
+ * recomputed on every call from the current weight (no per-context
+ * cache), so the kernel reads its weight like every other conv
+ * variant does.
  *
  * Partitioning: the domain is the flattened (image, tile-row) pairs —
  * each tile row owns two output rows, so shards write disjoint output
- * slabs. Every shard carries a private workspace holding the
- * transformed-input buffer (and, for non-static weights, its own
- * filter transforms), so the kernel participates in the launch plan
- * instead of being serialized by scratch.
+ * slabs. Every shard carries a private workspace holding its filter
+ * transforms and the transformed-input buffer, so the kernel
+ * participates in the launch plan instead of being serialized by
+ * scratch.
  */
 
 #include <algorithm>
@@ -97,20 +97,12 @@ transformOutput(const float m[4][4], float y[2][2])
     }
 }
 
-bool
-staticWeight(const KernelCtx &c)
-{
-    return c.node->attrs.getInt("staticWeight", 0) != 0;
-}
-
 /**
  * Winograd Conv2d / ConvBiasAct. Requires kh == kw == 3 and stride
  * == 1 (the backend-switching pass guarantees this before binding the
  * variant).
  *
- * Workspace layout (per shard): [vbuf: ci*16] and, when the weight is
- * not static, [u: co*ci*16] after it. Static weights read u from the
- * shared region instead (cached across steps and shards).
+ * Workspace layout (per shard): [vbuf: ci*16] then [u: co*ci*16].
  */
 void
 winogradConvK(const KernelCtx &c)
@@ -124,22 +116,9 @@ winogradConvK(const KernelCtx &c)
     int64_t tiles_h = (ho + 1) / 2, tiles_w = (wo + 1) / 2;
     kutil::Epilogue ep = kutil::epilogueOf(c);
 
-    float *vbuf = c.workspace; // [ci, 16]
-    const float *u;            // [co, ci, 16] transformed filters
-    if (staticWeight(c) && c.shared) {
-        // Cached across calls; normally filled by the executor's
-        // warm-up (via the init hook) before any sharded launch. The
-        // lazy branch serves direct serial callers only.
-        if (c.sharedReady && !*c.sharedReady) {
-            transformAllFilters(c.in[1], co, ci, c.shared);
-            *c.sharedReady = true;
-        }
-        u = c.shared;
-    } else {
-        float *uw = c.workspace + ci * 16;
-        transformAllFilters(c.in[1], co, ci, uw);
-        u = uw;
-    }
+    float *vbuf = c.workspace;       // [ci, 16]
+    float *u = c.workspace + ci * 16; // [co, ci, 16] filter transforms
+    transformAllFilters(c.in[1], co, ci, u);
 
     int64_t hi = partitionEnd(c, xs[0] * tiles_h);
     for (int64_t idx = c.begin; idx < hi; ++idx) {
@@ -197,28 +176,12 @@ winogradConvK(const KernelCtx &c)
     }
 }
 
-/** Warm-up hook: fill the shared region with the filter transforms. */
-void
-winogradInitShared(const KernelCtx &c)
-{
-    const Shape &ws = *c.inShapes[1];
-    transformAllFilters(c.in[1], ws[0], ws[1], c.shared);
-    if (c.sharedReady)
-        *c.sharedReady = true;
-}
-
 WorkspaceSpec
 winogradWorkspace(const Graph &g, const Node &n)
 {
     const Shape &w = g.node(n.inputs[1]).shape;
     int64_t co = w[0], ci = w[1];
-    bool is_static = n.attrs.getInt("staticWeight", 0) != 0;
-    WorkspaceSpec spec;
-    spec.bytesPerShard =
-        (ci * 16 + (is_static ? 0 : co * ci * 16)) * 4;
-    spec.sharedBytes = is_static ? co * ci * 16 * 4 : 0;
-    spec.init = is_static ? winogradInitShared : nullptr;
-    return spec;
+    return {(ci * 16 + co * ci * 16) * 4};
 }
 
 /** Flattened (image, output-tile-row) pairs. */

@@ -105,8 +105,7 @@ profileTrace(const Executor &ex, const TraceBuffer &trace)
                 if (w.node == s.node)
                     row.workspaceBytes =
                         static_cast<int64_t>(w.shards) *
-                            w.bytesPerShard +
-                        w.sharedBytes;
+                        w.bytesPerShard;
             }
         }
         ++row.calls;

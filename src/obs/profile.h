@@ -38,7 +38,6 @@ struct ProfileStepRow {
     double gflops = 0;       ///< achieved: calls * flops / totalNs
     int64_t outBytes = 0;    ///< the step's output placement bytes
     int64_t workspaceBytes = 0; ///< planned scratch: shards * perShard
-                                ///< + shared region
 };
 
 /** One op type's aggregated profile (rows merged across steps). */

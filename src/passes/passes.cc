@@ -552,11 +552,12 @@ reorderForMemory(const Graph &g)
 }
 
 std::vector<std::string>
-switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
+switchBackends(const Graph &g, const BackendOptions &opts,
+               PassStats *stats)
 {
     std::vector<std::string> variants(g.numNodes());
     for (int id = 0; id < g.numNodes(); ++id) {
-        Node &n = g.node(id);
+        const Node &n = g.node(id);
         if (n.op == OpKind::Conv2d || n.op == OpKind::ConvBiasAct) {
             if (opts.enableWinograd) {
                 const Node &w = g.node(n.inputs[1]);
@@ -565,8 +566,6 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                                 n.attrs.getInt("stride", 1) == 1;
                 if (frozen && shape_ok) {
                     variants[id] = "winograd";
-                    n.attrs.set("staticWeight",
-                                static_cast<int64_t>(1));
                     if (stats)
                         ++stats->winogradBound;
                 }

@@ -100,7 +100,7 @@ struct BackendOptions {
 
 /**
  * Choose a kernel variant per node. Frozen-weight 3x3 stride-1
- * convolutions get "winograd" (weight transform cached across steps).
+ * convolutions get "winograd" (filters transformed on every call).
  * Under enableBlocked, every other Conv2d / ConvBiasAct gets "im2col"
  * at any size, fused or not: a pointwise conv (1x1, stride 1, pad 0 —
  * isPointwiseConv) is a GEMM over the input image read in place, with
@@ -121,7 +121,7 @@ struct BackendOptions {
  * kernel, surfaced via CompileReport's fallback counters); everything
  * else keeps the default.
  */
-std::vector<std::string> switchBackends(Graph &g,
+std::vector<std::string> switchBackends(const Graph &g,
                                         const BackendOptions &opts,
                                         PassStats *stats = nullptr);
 

@@ -203,14 +203,12 @@ readAttr(ByteReader &r)
 // ---- section payload builders ----------------------------------------
 
 std::string
-buildMeta(const std::string &tag, Precision precision, int loss_id,
-          int num_nodes)
+buildMeta(const std::string &tag, Precision precision, int loss_id)
 {
     ByteWriter w;
     w.str(tag);
     w.u8(static_cast<uint8_t>(precision));
     w.i32(loss_id);
-    w.u32(static_cast<uint32_t>(num_nodes));
     return w.take();
 }
 
@@ -218,7 +216,6 @@ std::string
 buildReport(const CompileReport &r)
 {
     ByteWriter w;
-    w.u8(static_cast<uint8_t>(r.precision));
     w.i32(r.forwardNodes);
     w.i32(r.backwardNodes);
     w.i32(r.trainableTensors);
@@ -296,8 +293,6 @@ buildLaunch(const ProgramArtifact &art)
 {
     ByteWriter w;
     w.i32(art.numThreads);
-    w.i32(art.shardedSteps);
-    w.i32(art.serializedByWorkspace);
     w.u32(static_cast<uint32_t>(art.shardsPerStep.size()));
     for (int s : art.shardsPerStep)
         w.i32(s);
@@ -325,8 +320,6 @@ buildMemPlan(const MemoryPlan &p)
         w.i64(ws.bytesPerShard);
         w.i64(ws.shardStride);
         w.i64(ws.offset);
-        w.i64(ws.sharedBytes);
-        w.i64(ws.sharedOffset);
     }
     w.i64(p.arenaBytes);
     w.i64(p.workspaceBytes);
@@ -542,7 +535,7 @@ serializePlan(const Graph &g, const ProgramArtifact &art,
     sections.reserve(kNumSections);
     sections.emplace_back(
         kSecMeta,
-        buildMeta(tag, report.precision, loss_id, g.numNodes()));
+        buildMeta(tag, report.precision, loss_id));
     sections.emplace_back(kSecReport, buildReport(report));
     sections.emplace_back(kSecGraph, buildGraph(g));
     sections.emplace_back(kSecOrder, buildOrder(art.order));
@@ -594,7 +587,6 @@ deserializeImpl(const std::string &bytes)
             throw PlanFormatError("plan: bad precision tag");
         pd.precision = static_cast<Precision>(prec);
         pd.lossId = r.get<int32_t>();
-        r.get<uint32_t>(); // node count; cross-checked against GRPH
         r.finish();
     }
 
@@ -602,10 +594,7 @@ deserializeImpl(const std::string &bytes)
         ByteReader r =
             sectionReader(bytes, sections, kSecReport, "RPRT");
         CompileReport &rep = pd.report;
-        uint8_t prec = r.get<uint8_t>();
-        if (prec > static_cast<uint8_t>(Precision::Int8))
-            throw PlanFormatError("plan: bad report precision tag");
-        rep.precision = static_cast<Precision>(prec);
+        rep.precision = pd.precision;
         rep.forwardNodes = r.get<int32_t>();
         rep.backwardNodes = r.get<int32_t>();
         rep.trainableTensors = r.get<int32_t>();
@@ -746,8 +735,6 @@ deserializeImpl(const std::string &bytes)
         ByteReader r =
             sectionReader(bytes, sections, kSecLaunch, "LNCH");
         pd.artifact.numThreads = r.get<int32_t>();
-        pd.artifact.shardedSteps = r.get<int32_t>();
-        pd.artifact.serializedByWorkspace = r.get<int32_t>();
         uint32_t count = r.get<uint32_t>();
         r.need(static_cast<size_t>(count) * 4);
         pd.artifact.shardsPerStep.reserve(count);
@@ -783,7 +770,7 @@ deserializeImpl(const std::string &bytes)
             v.lastUsePos = r.get<int32_t>();
         }
         uint32_t num_ws = r.get<uint32_t>();
-        r.need(static_cast<size_t>(num_ws) * 52); // 3x i32 + 5x i64
+        r.need(static_cast<size_t>(num_ws) * 36); // 3x i32 + 3x i64
         p.workspaces.resize(num_ws);
         for (WorkspacePlacement &ws : p.workspaces) {
             ws.node = r.get<int32_t>();
@@ -792,8 +779,6 @@ deserializeImpl(const std::string &bytes)
             ws.bytesPerShard = r.get<int64_t>();
             ws.shardStride = r.get<int64_t>();
             ws.offset = r.get<int64_t>();
-            ws.sharedBytes = r.get<int64_t>();
-            ws.sharedOffset = r.get<int64_t>();
             if (ws.shards < 1)
                 throw PlanFormatError(
                     "plan: workspace shard count < 1");

@@ -24,7 +24,7 @@
  *   then per section: u32 tag, u64 offset, u64 bytes, u64 checksum
  *   then the section payloads.
  *
- * Sections: META (provenance tag, precision, node count), RPRT
+ * Sections: META (provenance tag, precision, loss id), RPRT
  * (compile-side report fields), GRPH (nodes + attrs + shapes +
  * dtypes), ORDR (execution order), VRNT (kernel variants by name),
  * LNCH (thread count + per-step shard counts), MPLN (value
@@ -70,8 +70,11 @@ namespace pe {
  *  v3: RPRT grew the im2col-bound conv count (PassStats::im2colBound)
  *  after int8Bound, so a loaded plan reports every backend counter;
  *  the bump again makes v2 plans fail typed instead of shifting the
- *  quant counters that follow it. */
-inline constexpr uint32_t kPlanFormatVersion = 3;
+ *  quant counters that follow it.
+ *  v4: workspace records lost the shared region (36 bytes each), LNCH
+ *  lost its derived sharded-step and serialized-by-workspace counts,
+ *  META its node count and RPRT its copy of META's precision. */
+inline constexpr uint32_t kPlanFormatVersion = 4;
 
 // ---- typed load errors ----------------------------------------------
 // Each corruption class gets its own type so deployment code can

@@ -61,8 +61,6 @@ Executor::Executor(const Graph &g, ProgramArtifact art,
       variants_(std::move(art.variants)),
       numThreads_(art.numThreads <= 0 ? HostDevice::hardwareThreads()
                                       : art.numThreads),
-      shardedSteps_(art.shardedSteps),
-      serializedByWorkspace_(art.serializedByWorkspace),
       shardsPerStep_(std::move(art.shardsPerStep)),
       traceByDefault_(options.trace),
       traceCapacity_(options.traceCapacity),
@@ -94,8 +92,6 @@ Executor::exportArtifact() const
     art.variants = variants_;
     art.plan = plan_;
     art.shardsPerStep = shardsPerStep_;
-    art.shardedSteps = shardedSteps_;
-    art.serializedByWorkspace = serializedByWorkspace_;
     art.numThreads = numThreads_;
     art.constPool = constBufs_;
     return art;
@@ -265,7 +261,7 @@ Executor::validateArtifact() const
             throw std::runtime_error(
                 "Executor: artifact workspace names a bad node");
         if (w.shards < 1 || w.bytesPerShard < 0 ||
-            w.shardStride < 0 || w.sharedBytes < 0)
+            w.shardStride < 0)
             throw std::runtime_error(
                 "Executor: artifact workspace has negative sizes");
         if (w.bytesPerShard > 0) {
@@ -280,10 +276,6 @@ Executor::validateArtifact() const
                 throw std::runtime_error(
                     "Executor: artifact workspace exceeds the arena");
         }
-        if (w.sharedBytes > 0 &&
-            !fits(w.sharedOffset, w.sharedBytes))
-            throw std::runtime_error(
-                "Executor: artifact shared region exceeds the arena");
     }
 }
 
@@ -389,18 +381,7 @@ Executor::bindInto(ExecContext &ctx) const
         s.ctx.out = resolve(ctx, id);
         s.ctx.outShape = &g_.node(id).shape;
         s.ctx.pool = pool_;
-        ctx.steps_.push_back(std::move(s));
-    }
-
-    // Shard-ready flags need stable addresses across the ctx copies
-    // below; size once, then never resize.
-    ctx.sharedReady_.assign(ctx.steps_.size(), 0);
-
-    for (size_t si = 0; si < ctx.steps_.size(); ++si) {
-        BoundStep &s = ctx.steps_[si];
-        const Node &n = g_.node(s.node);
-        KernelInfo info = lookupKernelInfo(n.op, variants_[s.node]);
-        const WorkspacePlacement *wsp = wsOf[s.node];
+        const WorkspacePlacement *wsp = wsOf[id];
 
         // Resolve the node's workspace placement to arena pointers.
         // The planned placement may be larger than the bound kernel
@@ -408,29 +389,19 @@ Executor::bindInto(ExecContext &ctx) const
         // bytes the plan never reserved is not. This is the one check
         // that a plan (possibly from another host or build) fits the
         // kernels this registry binds.
-        WorkspaceSpec spec = info.workspace ? info.workspace(g_, n)
-                                            : WorkspaceSpec{};
-        if (spec.any() && !wsp)
+        int64_t wsBytes =
+            info.workspace ? info.workspace(g_, n).bytesPerShard : 0;
+        if (wsBytes > 0 && !wsp)
             throw std::runtime_error(
                 "Executor: workspace plan out of sync for " +
                 std::string(opName(n.op)));
-        if (wsp && (spec.bytesPerShard > wsp->bytesPerShard ||
-                    spec.sharedBytes > wsp->sharedBytes))
+        if (wsp && wsBytes > wsp->bytesPerShard)
             throw std::runtime_error(
                 "Executor: kernel needs more workspace than planned "
                 "for " +
                 std::string(opName(n.op)));
-        if (wsp) {
-            if (spec.bytesPerShard > 0)
-                s.ctx.workspace =
-                    ctx.arena_.at<float>(wsp->shardOffset(0));
-            if (spec.sharedBytes > 0) {
-                s.ctx.shared = ctx.arena_.at<float>(wsp->sharedOffset);
-                s.init = spec.init;
-            }
-        }
-        s.ctx.sharedReady =
-            reinterpret_cast<bool *>(&ctx.sharedReady_[si]);
+        if (wsBytes > 0)
+            s.ctx.workspace = ctx.arena_.at<float>(wsp->shardOffset(0));
 
         // Launch plan: how many shards, over which ranges. Decided
         // here, once, from static shapes — run() only replays it.
@@ -454,7 +425,7 @@ Executor::bindInto(ExecContext &ctx) const
                     shard.pool = nullptr;
                     shard.begin = bounds[i];
                     shard.end = bounds[i + 1];
-                    if (wsp && spec.bytesPerShard > 0)
+                    if (wsBytes > 0)
                         shard.workspace =
                             ctx.arena_.at<float>(wsp->shardOffset(i));
                     s.shards.push_back(std::move(shard));
@@ -469,6 +440,7 @@ Executor::bindInto(ExecContext &ctx) const
         // "scratch serializes the kernel" gate — which would skew
         // every shard statistic the reports assert on, so fail loudly
         // on the first context bind instead.
+        size_t si = ctx.steps_.size();
         int bound = s.shards.empty() ? 1
                                      : static_cast<int>(s.shards.size());
         if (bound != shardsPerStep_[si])
@@ -478,6 +450,7 @@ Executor::bindInto(ExecContext &ctx) const
                 std::string(opName(n.op)) + " (bound " +
                 std::to_string(bound) + " shards, planned " +
                 std::to_string(shardsPerStep_[si]) + ")");
+        ctx.steps_.push_back(std::move(s));
     }
 }
 
@@ -575,17 +548,6 @@ Executor::run()
 void
 Executor::run(ExecContext &ctx) const
 {
-    if (!ctx.warm_) {
-        // Serial warm-up: fill every declared shared region (cached
-        // Winograd filter transforms) before any sharded launch can
-        // touch it. Runs once per context; kernels then see
-        // sharedReady == true and never write the region again.
-        for (BoundStep &s : ctx.steps_) {
-            if (s.init && !*s.ctx.sharedReady)
-                s.init(s.ctx);
-        }
-        ctx.warm_ = true;
-    }
     ++ctx.step_;
     // The entire cost of disarmed tracing is this one pointer test
     // (BM_TraceOverhead asserts it stays in the noise); the traced

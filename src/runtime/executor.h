@@ -16,24 +16,21 @@
  *
  * Arena v2: kernel scratch is no longer ad-hoc per-node vectors. The
  * planner places every workspace in the arena (live only during its
- * step), bind resolves each shard's private instance and the node's
- * shared region to arena offsets, and the first run() executes the
- * declared init hooks serially (warming Winograd's cached transforms
- * before any sharded launch can race on them). Scratch-bearing
- * kernels therefore shard like any other.
+ * step) and bind resolves each shard's private instance to an arena
+ * offset. Nothing in a workspace outlives its step, so scratch-bearing
+ * kernels shard like any other and run() has no warm-up.
  *
  * Sessions (serving runtime): the Executor itself is an IMMUTABLE
  * compiled program — graph, order, memory plan, const pool, launch
  * geometry. All per-run mutable state (the arena, input staging
- * buffers, shared-region warm-up flags, the step counter, and the
- * per-shard bound KernelCtx copies whose pointers land in the arena)
- * lives in an ExecContext. makeContext() mints additional contexts
- * over the same plan + frozen ParamStore, so N sessions execute the
- * one compiled program concurrently — one thread per context — with
- * no shared mutable state and no locking on the hot path. The classic
- * single-session API (run()/bindInput()/fetch()) operates on a
- * default context owned by the executor and behaves exactly as
- * before.
+ * buffers, the step counter, and the per-shard bound KernelCtx copies
+ * whose pointers land in the arena) lives in an ExecContext.
+ * makeContext() mints additional contexts over the same plan + frozen
+ * ParamStore, so N sessions execute the one compiled program
+ * concurrently — one thread per context — with no shared mutable
+ * state and no locking on the hot path. The classic single-session
+ * API (run()/bindInput()/fetch()) operates on a default context owned
+ * by the executor and behaves exactly as before.
  */
 
 #pragma once
@@ -96,8 +93,6 @@ struct ProgramArtifact {
     MemoryPlan plan;
     /** Compile-time shard count per kernel step (planLaunches). */
     std::vector<int> shardsPerStep;
-    int shardedSteps = 0;
-    int serializedByWorkspace = 0;
     int numThreads = 1;
     /** Packed const buffers by node id (Const nodes only). Non-f32
      *  consts hold raw i8/f16 bytes exactly as kernels read them, so
@@ -114,17 +109,15 @@ struct BoundStep {
     int node;
     KernelFn fn;
     KernelCtx ctx;
-    /** Warm-up hook: fills ctx.shared before the first run. */
-    void (*init)(const KernelCtx &) = nullptr;
     /** Precomputed per-shard contexts; empty = run ctx serially. */
     std::vector<KernelCtx> shards;
 };
 
 /**
  * One session's mutable execution state over a compiled program: its
- * private arena (values + workspaces + shared regions), input staging
- * buffers, warm-up flags and step counter, plus the bound step list
- * whose pointers resolve into this context's storage. Contexts from
+ * private arena (values + workspaces), input staging buffers and
+ * step counter, plus the bound step list whose pointers resolve into
+ * this context's storage. Contexts from
  * the same Executor share the graph, memory plan, kernel variants,
  * ParamStore and const pool strictly read-only, so distinct contexts
  * may run() concurrently from distinct threads. A single context is
@@ -154,11 +147,7 @@ class ExecContext
     Arena cache_;
     std::vector<Tensor> inputBufs_; ///< by node id (Input staging)
     std::vector<BoundStep> steps_;
-    /** Shared-region validity flags, by step index (stable storage
-     *  for KernelCtx::sharedReady across shard copies). */
-    std::vector<char> sharedReady_;
     int64_t step_ = 0;
-    bool warm_ = false; ///< init hooks run on the first run()
     /** Armed span ring (null = disarmed, the hot-path test). */
     std::unique_ptr<TraceBuffer> trace_;
     bool traceShards_ = true;
@@ -312,15 +301,7 @@ class Executor
     int numSteps() const { return numSteps_; }
 
     /** Steps whose launch plan has more than one shard. */
-    int shardedSteps() const { return shardedSteps_; }
-
-    /**
-     * Splittable steps whose launch plan stayed serial only because
-     * they carry a workspace — the pre-Arena-v2 rule. Always 0 now
-     * (each shard gets its own planned workspace instance); exposed
-     * so the compile report can assert the regression never returns.
-     */
-    int serializedByWorkspace() const { return serializedByWorkspace_; }
+    int shardedSteps() const { return countShardedSteps(shardsPerStep_); }
 
     /** Effective thread count of this executor's launch plan. */
     int numThreads() const { return numThreads_; }
@@ -371,9 +352,9 @@ class Executor
 
     /** Build @p ctx's arena, staging and bound steps. Mutates only
      *  @p ctx: program-level stats (step/shard counts, fallback
-     *  labels, the serialized-by-workspace tripwire) come from the
-     *  compile-time launch summary in the constructor, so contexts
-     *  are interchangeable and bind is re-entrant. */
+     *  labels) come from the compile-time launch summary in the
+     *  constructor, so contexts are interchangeable and bind is
+     *  re-entrant. */
     void bindInto(ExecContext &ctx) const;
 
     /** The classic API's session, minted on first use so executors
@@ -394,8 +375,6 @@ class Executor
     std::vector<std::string> stepTiers_; ///< tier name per step
     int numThreads_ = 1;
     int numSteps_ = 0;
-    int shardedSteps_ = 0;
-    int serializedByWorkspace_ = 0;
     /** Compile-time shard count per kernel step; bindInto verifies
      *  every context's bound plan against it (see planLaunches). */
     std::vector<int> shardsPerStep_;

@@ -208,11 +208,7 @@ planMemory(const Graph &g, const std::vector<int> &order,
 
     FreeList arena;
     int64_t live = 0;      ///< running live bytes (aligned)
-    int64_t sharedTotal = 0;
 
-    // Shared workspace regions (cached Winograd transforms) persist
-    // across steps: carve them out first so they sit at the bottom of
-    // the arena and never fragment the per-step churn above them.
     // Requests are node-keyed, so one launch summary can serve
     // several candidate orders: place them in THIS order's step
     // sequence, which keeps the plan independent of the order the
@@ -240,11 +236,6 @@ planMemory(const Graph &g, const std::vector<int> &order,
         w.shards = std::max(1, req.shards);
         w.bytesPerShard = req.bytesPerShard;
         w.shardStride = alignUp(req.bytesPerShard);
-        w.sharedBytes = req.sharedBytes;
-        if (w.sharedBytes > 0) {
-            w.sharedOffset = arena.alloc(w.sharedBytes);
-            sharedTotal += alignUp(w.sharedBytes);
-        }
         int idx = static_cast<int>(plan.workspaces.size());
         if (wsAtPos[w.stepPos] != -1)
             throw std::runtime_error(
@@ -252,7 +243,6 @@ planMemory(const Graph &g, const std::vector<int> &order,
         wsAtPos[w.stepPos] = idx;
         plan.workspaces.push_back(w);
     }
-    live += sharedTotal;
 
     // Greedy allocation sweep in execution order. Workspaces are
     // interval-allocated exactly like values, with a one-step
@@ -307,7 +297,7 @@ planMemory(const Graph &g, const std::vector<int> &order,
         plan.peakLiveBytes = std::max(plan.peakLiveBytes, live);
     }
     plan.arenaBytes = arena.top();
-    plan.workspaceBytes = sharedTotal + peakWsBlock;
+    plan.workspaceBytes = peakWsBlock;
     return plan;
 }
 
@@ -342,29 +332,27 @@ planLaunches(const Graph &g, const std::vector<int> &order,
             shards = std::max<int>(
                 1, static_cast<int>(bounds.size()) - 1);
         }
-        if (shards > 1)
-            ++out.shardedSteps;
         out.shardsPerStep.push_back(shards);
 
-        WorkspaceSpec ws =
-            info.workspace ? info.workspace(g, n) : WorkspaceSpec{};
-        if (ws.any()) {
-            WorkspaceRequest req;
-            req.node = id;
-            req.bytesPerShard = ws.bytesPerShard;
-            req.shards = shards;
-            req.sharedBytes = ws.sharedBytes;
-            out.workspaces.push_back(req);
-        }
+        int64_t bytes =
+            info.workspace ? info.workspace(g, n).bytesPerShard : 0;
+        if (bytes > 0)
+            out.workspaces.push_back({id, bytes, shards});
     }
-    // serializedByWorkspace stays 0 here BY CONSTRUCTION: the shard
-    // counts above never consult the workspace, which is Arena v2's
-    // whole point. The tripwire is shardsPerStep: every context bind
-    // (Executor::bindInto) verifies its actually-bound shard count
-    // against this summary and THROWS on divergence, so a
-    // reintroduced scratch-serializes-kernels gate fails the first
-    // bind instead of silently zeroing the report field.
+    // The shard counts above never consult the workspace, which is
+    // Arena v2's whole point. Every context bind (Executor::bindInto)
+    // verifies its actually-bound shard count against shardsPerStep
+    // and THROWS on divergence, so a reintroduced
+    // scratch-serializes-kernels gate fails the first bind.
     return out;
+}
+
+int
+countShardedSteps(const std::vector<int> &shardsPerStep)
+{
+    return static_cast<int>(std::count_if(shardsPerStep.begin(),
+                                          shardsPerStep.end(),
+                                          [](int s) { return s > 1; }));
 }
 
 } // namespace pe

@@ -8,11 +8,10 @@
  * planned in the same arena with the same lifetime machinery: a
  * step's workspace is live only during that step (so best-fit reuses
  * the space across steps), with one instance per shard of the step's
- * launch plan, plus an optional shared region that persists across
- * steps (Winograd's cached filter transforms). The arena size IS the
- * measured activation/gradient/scratch memory of the training step,
- * so the operator-reordering ablation and Table 4 read honest numbers
- * from here — kernel scratch no longer hides outside the plan.
+ * launch plan. The arena size IS the measured activation/gradient/
+ * scratch memory of the training step, so the operator-reordering
+ * ablation and Table 4 read honest numbers from here — kernel scratch
+ * no longer hides outside the plan.
  */
 
 #pragma once
@@ -53,16 +52,14 @@ struct ValuePlacement {
 
 /**
  * A kernel workspace the planner must place: @p shards private
- * instances of @p bytesPerShard bytes live only during the step, and
- * @p sharedBytes that persist for the whole program. Built by
- * planLaunches() from the kernel registry's WorkspaceSpec
+ * instances of @p bytesPerShard bytes live only during the step.
+ * Built by planLaunches() from the kernel registry's WorkspaceSpec
  * declarations and the bind-time shard counts.
  */
 struct WorkspaceRequest {
     int node = -1;            ///< graph node id of the step
     int64_t bytesPerShard = 0;
     int shards = 1;
-    int64_t sharedBytes = 0;
 };
 
 /** Where a step's workspace landed in the arena. */
@@ -73,8 +70,6 @@ struct WorkspacePlacement {
     int64_t bytesPerShard = 0; ///< declared (pre-alignment) size
     int64_t shardStride = 0;   ///< aligned distance between instances
     int64_t offset = 0;        ///< base of shard 0 (arena byte offset)
-    int64_t sharedBytes = 0;
-    int64_t sharedOffset = 0;  ///< valid when sharedBytes > 0
 
     /** Arena byte offset of shard @p i's workspace instance. */
     int64_t
@@ -90,10 +85,10 @@ struct MemoryPlan {
     /** One entry per scratch-bearing step, in execution order. */
     std::vector<WorkspacePlacement> workspaces;
     int64_t arenaBytes = 0; ///< arena extent: values + workspaces
-    /** Peak bytes of workspace storage live at any step (per-shard
-     *  instances of the heaviest step + all persistent shared
-     *  regions). Reported separately so footprint columns stay
-     *  comparable with pre-Arena-v2 numbers. */
+    /** Peak bytes of workspace storage live at any step (the
+     *  per-shard instances of the heaviest step). Reported separately
+     *  so footprint columns stay comparable with pre-Arena-v2
+     *  numbers. */
     int64_t workspaceBytes = 0;
     int64_t paramBytes = 0; ///< weights + optimizer state
     int64_t constBytes = 0;
@@ -136,7 +131,7 @@ struct MemoryPlan {
  * Values are freed at their last use; graph outputs stay live to the
  * end of the step. In-place optimizer outputs alias their parameter
  * and consume no arena space. Each request in @p workspaces is
- * placed for exactly its step's duration (shared regions persist).
+ * placed for exactly its step's duration.
  */
 MemoryPlan planMemory(const Graph &g, const std::vector<int> &order,
                       const std::vector<WorkspaceRequest> &workspaces = {});
@@ -145,17 +140,10 @@ MemoryPlan planMemory(const Graph &g, const std::vector<int> &order,
  * The compile-time launch summary: per-step workspace requests (with
  * shard counts exactly matching what the executor's bind will build,
  * since both derive from the same PartitionSpec extents and
- * splitRange()) plus the shard statistics the compile report
- * surfaces.
+ * splitRange()) plus the planned shard count of every step.
  */
 struct LaunchSummary {
     std::vector<WorkspaceRequest> workspaces;
-    int shardedSteps = 0; ///< steps whose launch plan has > 1 shard
-    /** Splittable steps left serial solely because they carry scratch
-     *  — the pre-Arena-v2 executor rule. Structurally zero now that
-     *  every shard gets its own workspace instance; kept as a
-     *  regression tripwire. */
-    int serializedByWorkspace = 0;
     /** Planned shard count per kernel step, in execution order
      *  (source ops skipped) — the executor's bind verifies its
      *  actually-bound count against this, so any divergence (e.g. a
@@ -172,6 +160,9 @@ struct LaunchSummary {
 LaunchSummary planLaunches(const Graph &g, const std::vector<int> &order,
                            const std::vector<std::string> &variants,
                            int numThreads);
+
+/** Steps whose launch plan has more than one shard. */
+int countShardedSteps(const std::vector<int> &shardsPerStep);
 
 /**
  * Process-wide invocation counts of the compile pipeline's expensive

@@ -10,8 +10,7 @@
  *  2. Executor integration: scratch-bearing kernels (Winograd conv,
  *     blocked GEMM, im2col conv) produce multi-shard launch plans at
  *     numThreads=4 whose outputs match the 1-thread run bit for bit,
- *     and the serialized-by-scratch count of the pre-Arena-v2
- *     executor rule stays zero.
+ *     and a Winograd conv reads its current weight on every run.
  *  3. Report: CompileReport::workspaceBytes is nonzero whenever a
  *     scratch-bearing variant is bound, and the footprint includes
  *     it.
@@ -42,8 +41,7 @@ bytesOverlap(int64_t ao, int64_t ab, int64_t bo, int64_t bb)
 /**
  * Every pair of simultaneously-live arena placements must occupy
  * disjoint byte ranges. Checks value-vs-value, value-vs-workspace,
- * workspace-vs-workspace (including the per-shard instances), and
- * persistent shared regions against everything.
+ * and workspace-vs-workspace (including the per-shard instances).
  */
 void
 expectNoLiveOverlap(const Graph &g, const std::vector<int> &order,
@@ -62,16 +60,12 @@ expectNoLiveOverlap(const Graph &g, const std::vector<int> &order,
         iv.push_back({v.offset, v.bytes, v.defPos, v.lastUsePos,
                       "value"});
     }
-    int last = static_cast<int>(order.size());
     for (const WorkspacePlacement &w : plan.workspaces) {
         for (int s = 0; s < w.shards; ++s) {
             if (w.bytesPerShard > 0)
                 iv.push_back({w.shardOffset(s), w.bytesPerShard,
                               w.stepPos, w.stepPos, "workspace"});
         }
-        if (w.sharedBytes > 0)
-            iv.push_back({w.sharedOffset, w.sharedBytes, 0, last,
-                          "shared"});
     }
     for (size_t i = 0; i < iv.size(); ++i) {
         for (size_t j = i + 1; j < iv.size(); ++j) {
@@ -88,35 +82,8 @@ expectNoLiveOverlap(const Graph &g, const std::vector<int> &order,
     }
 }
 
-/**
- * A small net with Winograd-eligible convs (3x3, stride 1) and a
- * linear head. Under a frozen-backbone scheme (or inference) the
- * convs bind the "winograd" variant with its cached-transform shared
- * region. Deterministic: same call -> same graph and weights.
- */
-struct WinoNet {
-    Graph g;
-    int x = -1, logits = -1, loss = -1;
-    std::shared_ptr<ParamStore> store;
-};
-
-WinoNet
-winoNet(int64_t batch = 2)
-{
-    WinoNet n;
-    n.store = std::make_shared<ParamStore>();
-    Rng rng(13);
-    NetBuilder b(n.g, rng, n.store.get());
-    n.x = b.input({batch, 4, 12, 12}, "x");
-    int h = b.relu(b.conv2d(n.x, 8, 3, 1, 1, "c1"));
-    h = b.relu(b.conv2d(h, 8, 3, 1, 1, "c2"));
-    h = b.globalAvgPool(h);
-    h = b.reshape(h, {batch, 8});
-    n.logits = b.linear(h, 4, "head");
-    int y = b.input({batch}, "y");
-    n.loss = b.crossEntropy(n.logits, y);
-    return n;
-}
+using test::WinoNet;
+using test::winoNet;
 
 /** Backbone frozen, head training: convs bind Winograd. */
 SparseUpdateScheme
@@ -150,12 +117,21 @@ TEST(ArenaPlan, SparseSchemeWinogradWorkspacesDontOverlap)
         compileGraphOnly(n.g, n.loss, headOnlyScheme(), opt);
     const MemoryPlan &plan = c.artifact.plan;
     expectNoLiveOverlap(c.graph, c.artifact.order, plan);
-    // Frozen layers bind Winograd -> a persistent shared region.
-    bool has_shared = false;
-    for (const WorkspacePlacement &w : plan.workspaces)
-        has_shared |= w.sharedBytes > 0;
-    EXPECT_TRUE(has_shared)
-        << "frozen convs should carry a cached-transform region";
+    // Every frozen conv binds Winograd, whose shards each hold their
+    // own filter transforms and transformed-input tile.
+    int wino = 0;
+    for (const WorkspacePlacement &w : plan.workspaces) {
+        if (c.artifact.variants[w.node] != "winograd")
+            continue;
+        ++wino;
+        const Graph &g = c.graph;
+        const Shape &ws = g.node(g.node(w.node).inputs[1]).shape;
+        EXPECT_EQ(w.bytesPerShard, (1 + ws[0]) * ws[1] * 16 * 4);
+        EXPECT_GT(w.shards, 1) << "a Winograd step should shard";
+        EXPECT_GE(w.shardStride, w.bytesPerShard);
+    }
+    EXPECT_EQ(wino, c.report.backend.winogradBound);
+    EXPECT_GT(wino, 0) << "frozen 3x3 convs should bind Winograd";
 }
 
 TEST(ArenaPlan, InPlaceAliasesConsumeNoArena)
@@ -250,8 +226,8 @@ TEST(ArenaPlan, PlanIsDeterministicAcrossCompiles)
         ASSERT_EQ(pa.workspaces.size(), pb.workspaces.size());
         for (size_t i = 0; i < pa.workspaces.size(); ++i) {
             EXPECT_EQ(pa.workspaces[i].offset, pb.workspaces[i].offset);
-            EXPECT_EQ(pa.workspaces[i].sharedOffset,
-                      pb.workspaces[i].sharedOffset);
+            EXPECT_EQ(pa.workspaces[i].shardStride,
+                      pb.workspaces[i].shardStride);
         }
     }
 }
@@ -273,7 +249,7 @@ TEST(ArenaPlan, DtypeTagsSizePlacements)
 TEST(ArenaExec, WinogradShardsAndMatchesSerialBitForBit)
 {
     // compileInference freezes every param -> all 3x3 stride-1 convs
-    // bind the Winograd variant with a shared transform cache.
+    // bind the Winograd variant.
     std::unordered_map<std::string, Tensor> feeds;
     {
         Rng r(5);
@@ -316,8 +292,6 @@ TEST(ArenaExec, WinogradStepActuallySharded)
     EXPECT_TRUE(sharded_scratch_step)
         << "no scratch-bearing kernel produced a multi-shard launch "
            "plan at numThreads=4";
-    EXPECT_EQ(ex.serializedByWorkspace(), 0)
-        << "Arena v2 must not serialize kernels for carrying scratch";
 }
 
 TEST(ArenaExec, BlockedGemmShardsWithWorkspaceAndMatchesSerial)
@@ -343,7 +317,6 @@ TEST(ArenaExec, BlockedGemmShardsWithWorkspaceAndMatchesSerial)
                                     opt, store);
         EXPECT_GT(prog.report().workspaceBytes, 0)
             << "blocked GEMM should declare a packing workspace";
-        EXPECT_EQ(prog.report().serializedByWorkspace, 0);
         if (nt > 1)
             EXPECT_GT(prog.report().shardedSteps, 0);
         Rng r(11);
@@ -412,7 +385,6 @@ TEST(ArenaExec, ReportIncludesWorkspaceInFootprint)
     CompiledGraph c =
         compileGraphOnly(n.g, n.loss, headOnlyScheme(), opt);
     EXPECT_GT(c.report.workspaceBytes, 0);
-    EXPECT_EQ(c.report.serializedByWorkspace, 0);
     EXPECT_GT(c.report.shardedSteps, 0);
     EXPECT_GE(c.report.totalBytes,
               c.report.arenaBytes + c.report.paramBytes);
@@ -424,36 +396,48 @@ TEST(ArenaExec, ReportIncludesWorkspaceInFootprint)
     EXPECT_LE(c.report.peakLiveBytes, c.report.arenaBytes);
 }
 
-TEST(ArenaExec, StaticWinogradCacheSurvivesWeightCorruption)
+TEST(ArenaExec, WinogradReadsCurrentWeightEveryRun)
 {
-    // Executor semantics: the shared transform cache is warmed on the
-    // FIRST run (so weights loaded after compile are honored), then
-    // never recomputed — corrupting a frozen weight afterwards must
-    // not change the output. This pins the once-per-bind contract.
-    WinoNet n = winoNet(1);
-    CompileOptions opt;
-    auto prog = compileInference(n.g, {n.logits}, opt, n.store);
+    // A Winograd conv transforms its filters on every call, so a
+    // frozen weight changed in the ParamStore after the first run
+    // must give the same bits as a fresh compile with that weight.
     Rng r(5);
     Tensor tx = Tensor::randn({1, 4, 12, 12}, r);
-    Tensor first = prog.run({{"x", tx}})[0];
-    // Find a frozen 3x3 conv weight the backend bound to Winograd.
-    std::string frozen;
+    WinoNet n = winoNet(1);
+    auto prog = compileInference(n.g, {n.logits}, {}, n.store);
     const Graph &g = prog.graph();
-    for (int id = 0; id < g.numNodes(); ++id) {
-        const Node &n = g.node(id);
-        if (n.attrs.getInt("staticWeight", 0) != 0) {
-            frozen = g.node(n.inputs[1]).name;
-            break;
-        }
+    const std::vector<std::string> variants =
+        prog.executor().exportArtifact().variants;
+    std::string frozen;
+    for (int id = 0; id < g.numNodes() && frozen.empty(); ++id) {
+        if (variants[id] == "winograd")
+            frozen = g.node(g.node(id).inputs[1]).name;
     }
     ASSERT_FALSE(frozen.empty()) << "no Winograd-bound conv found";
-    n.store->get(frozen).fill(0.0f);
-    Tensor second = prog.run({{"x", tx}})[0];
-    EXPECT_EQ(std::memcmp(first.data(), second.data(),
-                          sizeof(float) * first.size()),
+    auto perturb = [&](ParamStore &store) {
+        Tensor &w = store.get(frozen);
+        for (int64_t i = 0; i < w.size(); ++i)
+            w[i] = -0.5f * w[i] + 0.01f * static_cast<float>(i % 7);
+    };
+
+    Tensor before = prog.run({{"x", tx}})[0];
+    perturb(*n.store);
+    Tensor after = prog.run({{"x", tx}})[0];
+
+    WinoNet f = winoNet(1);
+    perturb(*f.store);
+    auto fresh = compileInference(f.g, {f.logits}, {}, f.store);
+    Tensor want = fresh.run({{"x", tx}})[0];
+
+    ASSERT_EQ(after.size(), want.size());
+    EXPECT_NE(std::memcmp(before.data(), after.data(),
+                          sizeof(float) * after.size()),
               0)
-        << "cached transforms must shield the output from weight "
-           "changes after warm-up";
+        << "the weight change should move the output";
+    EXPECT_EQ(std::memcmp(after.data(), want.data(),
+                          sizeof(float) * after.size()),
+              0)
+        << "a weight changed after the first run must be honored";
 }
 
 // ---- DirectWorkspace (the un-planned-caller path) --------------------
@@ -490,76 +474,15 @@ TEST(DirectWorkspace_, BuffersAreFloatAlignedAndByteSized)
     DirectWorkspace ws;
     WorkspaceSpec spec;
     spec.bytesPerShard = 13;
-    spec.sharedBytes = 7;
     KernelCtx c;
     ws.attach(c, spec);
     ASSERT_NE(c.workspace, nullptr);
-    ASSERT_NE(c.shared, nullptr);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(c.workspace) %
                   alignof(float),
-              0u);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(c.shared) % alignof(float),
               0u);
     // 13 bytes -> 4 floats: writing the final byte must be in
     // bounds (exercised hard under ASan).
     reinterpret_cast<int8_t *>(c.workspace)[12] = 1;
-    reinterpret_cast<int8_t *>(c.shared)[6] = 1;
-}
-
-TEST(DirectWorkspace_, SharedRegionInitSemantics)
-{
-    DirectWorkspace ws;
-    WorkspaceSpec spec;
-    spec.sharedBytes = 64;
-    KernelCtx c;
-    ws.attach(c, spec);
-    ASSERT_NE(c.shared, nullptr);
-    ASSERT_NE(c.sharedReady, nullptr);
-    EXPECT_FALSE(*c.sharedReady) << "fresh shared region starts cold";
-    // A kernel lazily fills the region and marks it ready.
-    c.shared[0] = 7.0f;
-    *c.sharedReady = true;
-    // Same spec again: cache survives — ready flag and contents.
-    KernelCtx c2;
-    ws.attach(c2, spec);
-    EXPECT_TRUE(*c2.sharedReady);
-    EXPECT_EQ(c2.shared[0], 7.0f);
-    EXPECT_TRUE(ws.ready());
-    // Resizing the shared region invalidates the cache.
-    spec.sharedBytes = 128;
-    KernelCtx c3;
-    ws.attach(c3, spec);
-    EXPECT_FALSE(*c3.sharedReady);
-}
-
-TEST(DirectWorkspace_, NodeChangeInvalidatesSharedCache)
-{
-    // One DirectWorkspace reused across two DIFFERENT Winograd conv
-    // nodes must never serve the first node's cached transforms to
-    // the second — the node-aware attach resets the ready flag.
-    Graph g;
-    int x = g.input({1, 4, 8, 8}, "x");
-    int w1 = g.param({4, 4, 3, 3}, "w1", false);
-    int w2 = g.param({4, 4, 3, 3}, "w2", false);
-    Attrs a;
-    a.set("stride", static_cast<int64_t>(1));
-    a.set("pad", static_cast<int64_t>(1));
-    a.set("staticWeight", static_cast<int64_t>(1));
-    int c1 = g.add(OpKind::Conv2d, {x, w1}, a);
-    int c2 = g.add(OpKind::Conv2d, {x, w2}, a);
-
-    DirectWorkspace ws;
-    KernelCtx k1;
-    ws.attach(k1, g, g.node(c1), "winograd");
-    ASSERT_NE(k1.sharedReady, nullptr);
-    *k1.sharedReady = true; // simulate a warmed cache for node c1
-    KernelCtx again;
-    ws.attach(again, g, g.node(c1), "winograd");
-    EXPECT_TRUE(*again.sharedReady) << "same node keeps the cache";
-    KernelCtx k2;
-    ws.attach(k2, g, g.node(c2), "winograd");
-    EXPECT_FALSE(*k2.sharedReady)
-        << "switching nodes must invalidate the cached transforms";
 }
 
 } // namespace

@@ -135,9 +135,7 @@ struct KernelCase {
  * bit for bit. In-place kernels mutate their inputs, so each variant
  * runs on a fresh clone of every buffer. Workspaces follow the
  * executor's Arena v2 contract: every shard gets its own private
- * instance, all shards of a node see one shared region, and shared
- * regions are warmed (via the declared init hook) before any
- * concurrent launch.
+ * instance.
  */
 void
 expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
@@ -146,10 +144,8 @@ expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
     KernelInfo info = lookupKernelInfo(node.op, variant);
     ASSERT_FALSE(info.fellBack);
     ASSERT_TRUE(info.part.splittable());
-    WorkspaceSpec spec = kernelWorkspace(kc.g, node, variant);
-    auto ws_floats = [](int64_t bytes) {
-        return static_cast<size_t>((bytes + 3) / 4);
-    };
+    size_t wsFloats = static_cast<size_t>(
+        (kernelWorkspace(kc.g, node, variant).bytesPerShard + 3) / 4);
 
     auto clone_inputs = [&] {
         std::vector<Tensor> c;
@@ -163,14 +159,9 @@ expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
     std::vector<Tensor> in_ref = clone_inputs();
     Tensor out_ref = Tensor::zeros(os);
     KernelCtx ref = kc.ctxFor(in_ref, out_ref);
-    std::vector<float> ref_ws(ws_floats(spec.bytesPerShard));
-    std::vector<float> ref_shared(ws_floats(spec.sharedBytes));
-    bool ref_ready = false;
+    std::vector<float> ref_ws(wsFloats);
     if (!ref_ws.empty())
         ref.workspace = ref_ws.data();
-    if (!ref_shared.empty())
-        ref.shared = ref_shared.data();
-    ref.sharedReady = &ref_ready;
     info.fn(ref);
 
     int64_t extent = info.part.extent(ref);
@@ -181,19 +172,14 @@ expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
         std::vector<Tensor> ins = clone_inputs();
         Tensor out = Tensor::zeros(os);
         KernelCtx base = kc.ctxFor(ins, out);
-        std::vector<float> shared(ws_floats(spec.sharedBytes));
-        bool ready = false;
         int64_t cuts[4] = {0, extent / 3, 2 * extent / 3, extent};
         for (int s = 0; s < 3; ++s) {
             KernelCtx shard = base;
             shard.begin = cuts[s];
             shard.end = cuts[s + 1];
-            std::vector<float> ws(ws_floats(spec.bytesPerShard));
+            std::vector<float> ws(wsFloats);
             if (!ws.empty())
                 shard.workspace = ws.data();
-            if (!shared.empty())
-                shard.shared = shared.data();
-            shard.sharedReady = &ready;
             info.fn(shard);
         }
         EXPECT_EQ(std::memcmp(out.data(), out_ref.data(),
@@ -214,23 +200,11 @@ expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
         std::vector<Tensor> ins = clone_inputs();
         Tensor out = Tensor::zeros(os);
         KernelCtx base = kc.ctxFor(ins, out);
-        std::vector<float> shared(ws_floats(spec.sharedBytes));
-        bool ready = false;
-        if (!shared.empty()) {
-            base.shared = shared.data();
-            base.sharedReady = &ready;
-            // Executor contract: shared regions are warmed serially
-            // before any concurrent launch touches them.
-            ASSERT_NE(spec.init, nullptr)
-                << "shared workspace without an init hook cannot be "
-                   "safely sharded";
-            spec.init(base);
-        }
         pool.parallelFor(extent, 1, [&](int64_t b, int64_t e) {
             KernelCtx shard = base;
             shard.begin = b;
             shard.end = e;
-            std::vector<float> ws(ws_floats(spec.bytesPerShard));
+            std::vector<float> ws(wsFloats);
             if (!ws.empty())
                 shard.workspace = ws.data();
             info.fn(shard);
@@ -299,6 +273,11 @@ TEST(KernelPartition, Conv)
     expectShardInvariant(
         {OpKind::Conv2d, {{3, 3, 9, 9}, {4, 3, 3, 3}}, convAttrs(2, 1)},
         "im2col");
+    // Winograd: each shard transforms the filters into its own
+    // workspace.
+    expectShardInvariant(
+        {OpKind::Conv2d, {{2, 3, 8, 8}, {4, 3, 3, 3}}, convAttrs(1, 1)},
+        "winograd");
     Attrs pi = convAttrs(1, 0);
     pi.set("xshape", std::vector<int64_t>{3, 5, 4, 4});
     expectShardInvariant({OpKind::Conv2dBwdInput,

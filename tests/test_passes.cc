@@ -411,8 +411,8 @@ TEST(BackendSwitch, EveryConvBindsIm2colAtAnySize)
         EXPECT_EQ(variants[id], "im2col") << "node " << id;
     EXPECT_EQ(stats.im2colBound, 4);
     // Read in place: no column buffer.
-    EXPECT_FALSE(kernelWorkspace(g, g.node(c_pw), "im2col").any());
-    EXPECT_FALSE(kernelWorkspace(g, g.node(f_pw), "im2col").any());
+    EXPECT_EQ(kernelWorkspace(g, g.node(c_pw), "im2col").bytesPerShard, 0);
+    EXPECT_EQ(kernelWorkspace(g, g.node(f_pw), "im2col").bytesPerShard, 0);
     // K = 4*3*3 rows by min(16 outputs, panel) columns.
     EXPECT_EQ(kernelWorkspace(g, g.node(c_3x3), "im2col").bytesPerShard,
               4 * 3 * 3 * 16 * 4);
@@ -463,7 +463,7 @@ TEST(BackendSwitch, PointwiseConvGradsBindIm2col)
     // The weight gradient packs X^T panels: min(25, 48) x min(4, 48).
     EXPECT_EQ(kernelWorkspace(g, g.node(dw_pw), "im2col").bytesPerShard,
               25 * 4 * 4);
-    EXPECT_FALSE(kernelWorkspace(g, g.node(dx_pw), "im2col").any());
+    EXPECT_EQ(kernelWorkspace(g, g.node(dx_pw), "im2col").bytesPerShard, 0);
 
     BackendOptions off;
     off.enableBlocked = false;

@@ -5,7 +5,8 @@
  * Layers of guarantees:
  *  1. Round-trip: save/load/run is BIT-identical to the freshly
  *     compiled program, for fp32/fp16/int8 x {MLP, MCUNet}, and for
- *     nt=1 vs nt=4 launch geometry.
+ *     nt=1 vs nt=4 launch geometry (MCUNet, and a Winograd-bound
+ *     net whose workspace records the plan must carry).
  *  2. Zero recompile: loading performs no planner / scheduler /
  *     QuantizePass invocations (pipelineCounters delta == 0).
  *  3. Determinism: compiling the same model twice yields
@@ -34,6 +35,7 @@
 #include "quant/quant.h"
 #include "runtime/planner.h"
 #include "serve/serving.h"
+#include "testutil.h"
 
 namespace pe {
 namespace {
@@ -79,6 +81,20 @@ makeCnn(int64_t batch)
     b.graph = std::move(m.graph);
     b.logits = m.logits;
     b.inShape = {batch, 3, 12, 12};
+    return b;
+}
+
+/** test::winoNet: frozen 3x3 stride-1 convs, so inference binds
+ *  Winograd (MLP and MCUNet have no such conv). */
+Built
+makeWino(int64_t batch)
+{
+    test::WinoNet n = test::winoNet(batch);
+    Built b;
+    b.graph = std::move(n.g);
+    b.logits = n.logits;
+    b.store = std::move(n.store);
+    b.inShape = {batch, 4, 12, 12};
     return b;
 }
 
@@ -185,6 +201,44 @@ TEST(PlanRoundTrip, ThreadCountParityOnLoadedPlan)
     EXPECT_TRUE(bitEqual(fresh1, r1));
     EXPECT_TRUE(bitEqual(fresh4, r4));
     EXPECT_TRUE(bitEqual(r1, r4));
+}
+
+TEST(PlanRoundTrip, WinogradBitParityAtOneAndFourThreads)
+{
+    Tensor x = seededInput({2, 4, 12, 12});
+    std::vector<Tensor> outs;
+    for (int nt : {1, 4}) {
+        SCOPED_TRACE("numThreads " + std::to_string(nt));
+        Built b = makeWino(2);
+        auto prog = compileProg(b, Precision::F32, nt);
+        ASSERT_GT(prog->report().backend.winogradBound, 0);
+        Tensor fresh = prog->run({{"x", x}})[0];
+
+        auto loaded = loadPlanFromBytes(serialize(*prog, *b.store));
+        const std::vector<WorkspacePlacement> &mem =
+            prog->executor().memoryPlan().workspaces;
+        const std::vector<WorkspacePlacement> &disk =
+            loaded->executor().memoryPlan().workspaces;
+        ASSERT_EQ(disk.size(), mem.size());
+        ASSERT_FALSE(mem.empty());
+        for (size_t i = 0; i < mem.size(); ++i) {
+            EXPECT_EQ(disk[i].node, mem[i].node);
+            EXPECT_EQ(disk[i].stepPos, mem[i].stepPos);
+            EXPECT_EQ(disk[i].shards, mem[i].shards);
+            EXPECT_EQ(disk[i].bytesPerShard, mem[i].bytesPerShard);
+            EXPECT_EQ(disk[i].shardStride, mem[i].shardStride);
+            EXPECT_EQ(disk[i].offset, mem[i].offset);
+        }
+        EXPECT_EQ(loaded->executor().shardedSteps(),
+                  prog->executor().shardedSteps());
+        if (nt > 1)
+            EXPECT_GT(loaded->executor().shardedSteps(), 0);
+        Tensor replay = loaded->run({{"x", x}})[0];
+        EXPECT_TRUE(bitEqual(fresh, replay));
+        EXPECT_TRUE(bitEqual(replay, loaded->run({{"x", x}})[0]));
+        outs.push_back(std::move(replay));
+    }
+    EXPECT_TRUE(bitEqual(outs[0], outs[1]));
 }
 
 TEST(PlanRoundTrip, FileRoundTripAndSections)
@@ -346,10 +400,12 @@ TEST_F(PlanErrorsTest, BadMagic)
 
 TEST_F(PlanErrorsTest, VersionMismatch)
 {
-    std::string bad = blob_;
-    uint32_t v = kPlanFormatVersion + 41;
-    std::memcpy(&bad[8], &v, 4);
-    EXPECT_THROW(loadPlanFromBytes(bad), PlanVersionError);
+    // v3 is the previous format (shared workspace regions).
+    for (uint32_t v : {kPlanFormatVersion + 41, uint32_t{3}}) {
+        std::string bad = blob_;
+        std::memcpy(&bad[8], &v, 4);
+        EXPECT_THROW(loadPlanFromBytes(bad), PlanVersionError) << v;
+    }
 }
 
 TEST_F(PlanErrorsTest, ChecksumFailure)
@@ -454,7 +510,7 @@ TEST_F(PlanErrorsTest, CraftedPlanHardening)
         std::string blob = blob_;
         size_t lnch = sectionOffset(blob, "LNCH");
         uint32_t evil = 0xFFFFFFFFu;
-        std::memcpy(&blob[lnch + 12], &evil, 4); // shardsPerStep count
+        std::memcpy(&blob[lnch + 4], &evil, 4); // shardsPerStep count
         resealPlan(blob);
         EXPECT_THROW(loadPlanFromBytes(blob), PlanFormatError);
     }

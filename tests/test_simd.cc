@@ -1026,7 +1026,7 @@ TEST(TierDeploy, ShrunkenWorkspaceIsRejectedBeforeAnyKernelRuns)
         cut_kinds.push_back(base);
         ProgramArtifact cut = art;
         WorkspacePlacement &w = cut.plan.workspaces[i];
-        (w.bytesPerShard > 0 ? w.bytesPerShard : w.sharedBytes) -= 4;
+        w.bytesPerShard -= 4;
         std::string blob =
             serializePlan(prog.graph(), cut, prog.report(), *store);
         for (bool scalar_host : {false, true}) {

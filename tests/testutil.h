@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,12 +15,43 @@
 #include "autodiff/autodiff.h"
 #include "core/tensor.h"
 #include "engine/engine.h"
+#include "frontend/builder.h"
 #include "ir/graph.h"
 #include "passes/passes.h"
 
 namespace pe::test {
 
 using Feeds = std::unordered_map<std::string, Tensor>;
+
+/**
+ * A small net with Winograd-eligible convs (3x3, stride 1) and a
+ * linear head. Under a frozen-backbone scheme (or inference) the
+ * convs bind the "winograd" variant. Deterministic: same call -> same
+ * graph and weights; input "x" is [batch, 4, 12, 12].
+ */
+struct WinoNet {
+    Graph g;
+    int x = -1, logits = -1, loss = -1;
+    std::shared_ptr<ParamStore> store;
+};
+
+inline WinoNet
+winoNet(int64_t batch = 2)
+{
+    WinoNet n;
+    n.store = std::make_shared<ParamStore>();
+    Rng rng(13);
+    NetBuilder b(n.g, rng, n.store.get());
+    n.x = b.input({batch, 4, 12, 12}, "x");
+    int h = b.relu(b.conv2d(n.x, 8, 3, 1, 1, "c1"));
+    h = b.relu(b.conv2d(h, 8, 3, 1, 1, "c2"));
+    h = b.globalAvgPool(h);
+    h = b.reshape(h, {batch, 8});
+    n.logits = b.linear(h, 4, "head");
+    int y = b.input({batch}, "y");
+    n.loss = b.crossEntropy(n.logits, y);
+    return n;
+}
 
 /** Run a graph once and fetch one value. */
 inline Tensor
