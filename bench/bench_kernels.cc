@@ -7,9 +7,11 @@
  * naive vs blocked GEMM at the decode shape, the sparse train step's
  * direct vs bounded-im2col stem, direct vs GEMM pointwise conv
  * gradients and thin pointwise conv with and without its ReLU
- * epilogue, and the SIMD kernel tier (scalar vs "@avx2"/"@neon" rows
- * for GEMM, im2col conv, fused pointwise conv, the train-step rows,
- * int8 GEMM, int8 pointwise conv and int8 depthwise).
+ * epilogue, the train step's depthwise layers (direct vs packed,
+ * forward and input gradient), and the SIMD kernel tier (scalar vs
+ * "@avx2"/"@neon" rows for GEMM, im2col conv, fused pointwise conv,
+ * the train-step rows, packed depthwise, int8 GEMM, int8 pointwise
+ * conv and int8 depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -22,6 +24,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +34,7 @@
 #include "frontend/builder.h"
 #include "hw/threadpool.h"
 #include "ir/graph.h"
+#include "ir/infer.h"
 #include "kernels/kernel.h"
 #include "passes/passes.h"
 #include "runtime/executor.h"
@@ -482,63 +487,208 @@ BM_QuantMatMul(benchmark::State &state, const std::string &variant)
         benchmark::Counter::kIsRate);
 }
 
+/** The five depthwise layers of the MCUNet proxy's sparse train step
+ *  (batch 8, 16 x 16 input, width 0.5, 5 blocks): x channels and
+ *  plane, kernel, stride, pad. */
+struct DwShape {
+    int64_t ch, hw, k, stride, pad;
+};
+constexpr DwShape kMcuNetDw[] = {{8, 8, 3, 1, 1},
+                                 {24, 8, 5, 2, 2},
+                                 {36, 4, 3, 1, 1},
+                                 {36, 4, 7, 2, 3},
+                                 {60, 2, 3, 1, 1}};
+constexpr int64_t kDwImages = 8;
+
+/** One kernel call per depthwise shape, inputs fixed and random. */
+struct DwSuite {
+    Graph g;
+    std::vector<int> nodes;
+    std::vector<std::vector<Tensor>> ins;
+    std::vector<Tensor> outs;
+    std::vector<KernelCtx> ctxs;
+    std::vector<DirectWorkspace> ws;
+    double macs = 0;
+
+    /** @p backward: DwConv2dBwdInput of each layer, else its fused
+     *  DwConvBiasAct with ReLU. */
+    DwSuite(bool backward, const std::string &variant)
+        : ws(std::size(kMcuNetDw))
+    {
+        Rng rng(1);
+        for (const DwShape &s : kMcuNetDw) {
+            Shape xs{kDwImages, s.ch, s.hw, s.hw}, w{s.ch, 1, s.k, s.k};
+            Attrs a = convAttrs(s.stride, s.pad);
+            int64_t o = convOutDim(s.hw, s.k, s.stride, s.pad);
+            Shape ys{kDwImages, s.ch, o, o};
+            std::vector<int> in;
+            if (backward) {
+                a.set("xshape", xs);
+                in = {g.input(w, "w"), g.input(ys, "dy")};
+                nodes.push_back(
+                    g.add(OpKind::DwConv2dBwdInput, in, std::move(a)));
+            } else {
+                a.set("act", static_cast<int64_t>(kActRelu));
+                in = {g.input(xs, "x"), g.input(w, "w"),
+                      g.input({s.ch, 1, 1}, "b")};
+                nodes.push_back(
+                    g.add(OpKind::DwConvBiasAct, in, std::move(a)));
+            }
+            ins.emplace_back();
+            for (int i : in)
+                ins.back().push_back(
+                    Tensor::randn(g.node(i).shape, rng, 0.5f));
+            macs += static_cast<double>(numel(ys)) * s.k * s.k;
+        }
+        for (size_t i = 0; i < nodes.size(); ++i) {
+            const Node &n = g.node(nodes[i]);
+            outs.emplace_back(n.shape);
+            KernelCtx c;
+            c.node = &n;
+            for (size_t j = 0; j < ins[i].size(); ++j) {
+                c.in.push_back(ins[i][j].data());
+                c.inShapes.push_back(&g.node(n.inputs[j]).shape);
+            }
+            c.out = outs.back().data();
+            c.outShape = &n.shape;
+            ws[i].attach(c, g, n, variant);
+            ctxs.push_back(c);
+        }
+    }
+};
+
+/** Run every layer of a DwSuite per iteration; items count MACs. */
+void
+dwSuiteBench(benchmark::State &state, bool backward,
+             const std::string &variant)
+{
+    DwSuite f(backward, variant);
+    KernelFn fn = lookupKernel(f.g.node(f.nodes[0]).op, variant);
+    for (auto _ : state) {
+        for (const KernelCtx &c : f.ctxs)
+            fn(c);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * 2 * f.macs));
+}
+
 /**
- * Int8 depthwise conv: the MCUNet/MobileNetV2 hot loop. "" is the
- * dequant->fp32->requant reference tier the native kernel replaced;
- * "int8" is the scalar native kernel; the SIMD row registers when the
- * host has the tier. Items processed counts multiply-accumulates.
+ * The sparse train step's depthwise layers, forward (fused bias +
+ * ReLU) and input gradient: the direct NCHW loops ("") vs the
+ * channel-lane "packed" body, whose tier forms are bit-identical to
+ * it. bench_check.py holds each tier row to 2x its direct row
+ * (DwSuiteRegistrar).
+ */
+void
+BM_DwConvBiasRelu(benchmark::State &state, const std::string &variant)
+{
+    dwSuiteBench(state, false, variant);
+}
+
+void
+BM_DwConvBwdInput(benchmark::State &state, const std::string &variant)
+{
+    dwSuiteBench(state, true, variant);
+}
+
+/**
+ * One int8 depthwise layer over random i8 codes: per-channel scales,
+ * bias and ReLU, the kernel bound with its workspace. Items count
+ * multiply-accumulates.
+ */
+struct QuantDwLayer {
+    Graph g;
+    std::vector<float> x, w, bias, scales, out;
+    KernelCtx ctx;
+    DirectWorkspace ws;
+    double macs = 0;
+
+    QuantDwLayer(const DwShape &s, int64_t images,
+                 const std::string &variant)
+    {
+        int64_t nx = images * s.ch * s.hw * s.hw, nw = s.ch * s.k * s.k;
+        int xi = g.input({images, s.ch, s.hw, s.hw}, "x");
+        int wi = g.input({s.ch, 1, s.k, s.k}, "w");
+        int bi = g.input({s.ch, 1, 1}, "b");
+        int si = g.input({s.ch}, "s");
+        Attrs a = convAttrs(s.stride, s.pad);
+        a.set("act", static_cast<int64_t>(kActRelu));
+        a.set("hasBias", static_cast<int64_t>(1));
+        a.set("perChannel", static_cast<int64_t>(1));
+        a.set("xScale", 0.01);
+        a.set("xZp", static_cast<int64_t>(3));
+        a.set("yScale", 0.02);
+        a.set("yZp", static_cast<int64_t>(0));
+        int node =
+            g.add(OpKind::QuantDwConv2d, {xi, wi, bi, si}, std::move(a));
+        x.resize((nx + 3) / 4);
+        w.resize((nw + 3) / 4);
+        Rng vr(2);
+        for (int64_t i = 0; i < nx; ++i)
+            reinterpret_cast<int8_t *>(x.data())[i] =
+                static_cast<int8_t>(vr.randint(255) - 127);
+        for (int64_t i = 0; i < nw; ++i)
+            reinterpret_cast<int8_t *>(w.data())[i] =
+                static_cast<int8_t>(vr.randint(255) - 127);
+        bias.assign(static_cast<size_t>(s.ch), 0.1f);
+        scales.assign(static_cast<size_t>(s.ch), 0.02f);
+        const Node &n = g.node(node);
+        int64_t out_n = numel(n.shape);
+        out.resize((out_n + 3) / 4);
+        ctx.node = &n;
+        ctx.in = {x.data(), w.data(), bias.data(), scales.data()};
+        for (int in : n.inputs)
+            ctx.inShapes.push_back(&g.node(in).shape);
+        ctx.out = out.data();
+        ctx.outShape = &n.shape;
+        ws.attach(ctx, g, n, variant);
+        macs = static_cast<double>(out_n) * s.k * s.k;
+    }
+};
+
+/**
+ * Int8 depthwise conv: the MCUNet/MobileNetV2 hot loop, one 16 x 16
+ * image of range(0) channels. "" is the dequant->fp32->requant
+ * reference tier the native kernel replaced; "int8" is the scalar
+ * native kernel; the SIMD row registers when the host has the tier.
  */
 void
 BM_QuantDwConv(benchmark::State &state, const std::string &variant)
 {
-    int64_t ch = state.range(0);
-    int64_t hw = 16, k = 3;
-    Graph g;
-    int xi = g.input({1, ch, hw, hw}, "x");
-    int wi = g.input({ch, 1, k, k}, "w");
-    int bi = g.input({ch, 1, 1}, "b");
-    int si = g.input({ch}, "s");
-    Attrs a;
-    a.set("stride", static_cast<int64_t>(1));
-    a.set("pad", static_cast<int64_t>(1));
-    a.set("act", static_cast<int64_t>(1)); // relu
-    a.set("hasBias", static_cast<int64_t>(1));
-    a.set("perChannel", static_cast<int64_t>(1));
-    a.set("xScale", 0.01);
-    a.set("xZp", static_cast<int64_t>(3));
-    a.set("yScale", 0.02);
-    a.set("yZp", static_cast<int64_t>(0));
-    int node =
-        g.add(OpKind::QuantDwConv2d, {xi, wi, bi, si}, std::move(a));
-    std::vector<float> qx((ch * hw * hw + 3) / 4),
-        qw((ch * k * k + 3) / 4);
-    Rng vr(2);
-    for (int64_t i = 0; i < ch * hw * hw; ++i)
-        reinterpret_cast<int8_t *>(qx.data())[i] =
-            static_cast<int8_t>(vr.randint(255) - 127);
-    for (int64_t i = 0; i < ch * k * k; ++i)
-        reinterpret_cast<int8_t *>(qw.data())[i] =
-            static_cast<int8_t>(vr.randint(255) - 127);
-    std::vector<float> bias(static_cast<size_t>(ch), 0.1f);
-    std::vector<float> scales(static_cast<size_t>(ch), 0.02f);
-    int64_t out_n = numel(g.node(node).shape);
-    std::vector<float> out((out_n + 3) / 4);
-    KernelCtx ctx;
-    ctx.node = &g.node(node);
-    ctx.in = {qx.data(), qw.data(), bias.data(), scales.data()};
-    ctx.inShapes = {&g.node(xi).shape, &g.node(wi).shape,
-                    &g.node(bi).shape, &g.node(si).shape};
-    ctx.out = out.data();
-    ctx.outShape = &g.node(node).shape;
-    DirectWorkspace ws;
-    ws.attach(ctx, g, g.node(node), variant);
+    QuantDwLayer l({state.range(0), 16, 3, 1, 1}, 1, variant);
     KernelFn fn = lookupKernel(OpKind::QuantDwConv2d, variant);
     for (auto _ : state) {
-        fn(ctx);
-        benchmark::DoNotOptimize(out.data());
+        fn(l.ctx);
+        benchmark::DoNotOptimize(l.out.data());
     }
-    int64_t macs = out_n * k * k;
-    state.SetItemsProcessed(state.iterations() * 2 * macs);
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * 2 * l.macs));
+}
+
+/**
+ * The int8 depthwise over the same five layers (the int8 burst's
+ * shapes at batch 8), registered as "BM_QuantDwConv/<variant>/mcunet"
+ * (DwSuiteRegistrar).
+ */
+void
+BM_QuantDwConvSuite(benchmark::State &state, const std::string &variant)
+{
+    std::vector<std::unique_ptr<QuantDwLayer>> layers;
+    double macs = 0;
+    for (const DwShape &s : kMcuNetDw) {
+        layers.push_back(
+            std::make_unique<QuantDwLayer>(s, kDwImages, variant));
+        macs += layers.back()->macs;
+    }
+    KernelFn fn = lookupKernel(OpKind::QuantDwConv2d, variant);
+    for (auto _ : state) {
+        for (const auto &l : layers)
+            fn(l->ctx);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * 2 * macs));
 }
 
 /**
@@ -754,6 +904,43 @@ BENCHMARK_CAPTURE(BM_QuantDwConv, ref, std::string(""))
 BENCHMARK_CAPTURE(BM_QuantDwConv, int8, std::string("int8"))
     ->Arg(32)
     ->Arg(96);
+/**
+ * The three depthwise suites, each reference row ("direct" / "ref")
+ * registered right before its scalar and tier rows, so the rows
+ * bench_check.py pairs in one snapshot run seconds apart.
+ */
+struct DwSuiteRegistrar {
+    DwSuiteRegistrar()
+    {
+        detail::ensureKernelsRegistered();
+        SimdTier t = hostSimdTier();
+        std::string sfx =
+            t == SimdTier::Scalar ? "" : std::string("@") + simdTierName(t);
+        struct Suite {
+            const char *family, *ref, *base, *tail;
+            OpKind op;
+            void (*fn)(benchmark::State &, const std::string &);
+        };
+        for (const Suite &s :
+             {Suite{"BM_DwConvBiasRelu", "direct", "packed", "",
+                    OpKind::DwConvBiasAct, BM_DwConvBiasRelu},
+              Suite{"BM_DwConvBwdInput", "direct", "packed", "",
+                    OpKind::DwConv2dBwdInput, BM_DwConvBwdInput},
+              Suite{"BM_QuantDwConv", "ref", "int8", "/mcunet",
+                    OpKind::QuantDwConv2d, BM_QuantDwConvSuite}}) {
+            std::string family = std::string(s.family) + "/";
+            std::vector<std::pair<std::string, std::string>> rows = {
+                {s.ref, ""}, {s.base, s.base}};
+            if (!sfx.empty() && hasKernelVariant(s.op, s.base + sfx))
+                rows.push_back({s.base + sfx, s.base + sfx});
+            for (const auto &[name, variant] : rows)
+                benchmark::RegisterBenchmark(
+                    (family + name + s.tail).c_str(), s.fn, variant);
+        }
+    }
+};
+DwSuiteRegistrar g_dwSuiteRegistrar;
+
 BENCHMARK_CAPTURE(BM_QuantConv, ref, std::string(""))
     ->Arg(32)
     ->Arg(96);

@@ -12,8 +12,10 @@
  *       `cmp`s them to prove it.
  *
  *   plan_tool inspect FILE
- *       Print the header, section table (sizes + checksums), and the
- *       compiled program's vital signs without executing anything.
+ *       Print the header, section table (sizes + checksums), the
+ *       compiled program's vital signs, and how this host binds it
+ *       (SIMD tier, kernel fallbacks, tier misses) without executing
+ *       anything.
  *
  *   plan_tool run FILE [--seed N] [--verify]
  *       Load the plan (zero compile work — asserted), run it on a
@@ -266,6 +268,18 @@ cmdInspect(const std::string &path)
                 pd.report.backend.im2colBound,
                 pd.report.backend.blockedBound,
                 pd.report.backend.int8Bound);
+    // Binding resolves kernels against this host's registry (no
+    // kernel runs): which tier each step got, and what missed it.
+    auto loaded = loadPlanFromBytes(bytes);
+    const CompileReport &br = loaded->report();
+    auto orNone = [](const std::string &s) {
+        return s.empty() ? std::string("none") : s;
+    };
+    std::printf("binding   : %s tier (%s); kernel fallbacks: %s; "
+                "tier misses: %s\n",
+                br.simdTier.c_str(), br.tierBreakdown().c_str(),
+                orNone(br.fallbackBreakdown()).c_str(),
+                orNone(br.tierMissBreakdown()).c_str());
     return 0;
 }
 

@@ -15,8 +15,9 @@ applies them all:
   (kernels also stamp the host SIMD tier). A missing stamp fails.
 * Floors: machine-independent bars on the fresh rows themselves
   (bit parity, the 2.0x run reduction, a live KV cache, the three
-  fused-attention floors, fused vs unfused attention kernels paired
-  within one snapshot). A column a floor reads that is missing fails.
+  fused-attention floors, fused vs unfused attention kernels and
+  depthwise tier vs direct / reference kernels paired within one
+  snapshot). A column a floor reads that is missing fails.
 * Gates: a gated metric may not regress beyond its tolerance (25% for
   throughput and self-normalized latency ratios, 5% for table4 peak
   memory). A metric gates once the baseline row has it; from then on,
@@ -49,6 +50,10 @@ MIN_RUN_REDUCTION = 2.0
 # cancels. The decode scenario's attention stage has the same bar.
 MIN_FUSED_ATTN_SPEEDUP = 1.5
 MIN_FUSED_ATTN_SCALAR_SPEEDUP = 1.0
+# A depthwise tier row ("packed@<tier>", "int8@<tier>") must beat its
+# direct-loop / dequant-reference row at the same shape by this factor,
+# paired within one snapshot like the attention floors.
+MIN_DW_TIER_SPEEDUP = 2.0
 
 # label: printed name; value: row -> number (KeyError if a column is
 # missing); better: "higher"/"lower", or None for a reported-only
@@ -110,6 +115,17 @@ def attention_pairing(row, key, rows):
     return throughput(row) / throughput(other) >= floor
 
 
+def depthwise_pairing(row, key, rows):
+    """Every depthwise tier row beats its "direct" (fp32) or "ref"
+    (int8) row in the same snapshot (KeyError if that vanished)."""
+    tier = row_tier(key)
+    if not tier or not key.startswith(("BM_DwConv", "BM_QuantDwConv")):
+        return True
+    base = key.replace("packed@" + tier, "direct").replace(
+        "int8@" + tier, "ref")
+    return throughput(row) / throughput(rows[base]) >= MIN_DW_TIER_SPEEDUP
+
+
 def table4_key(row):
     return "/".join(str(row[k]) for k in ("kind", "platform", "model",
                                           "method", "mode", "precision")
@@ -139,7 +155,9 @@ RULES = {
         floors=[("fused attention beats the unfused chain "
                  f"({MIN_FUSED_ATTN_SPEEDUP}x tier, "
                  f"{MIN_FUSED_ATTN_SCALAR_SPEEDUP}x scalar)",
-                 attention_pairing)],
+                 attention_pairing),
+                (f"depthwise tier row >= {MIN_DW_TIER_SPEEDUP}x its "
+                 "direct / ref row", depthwise_pairing)],
         metrics=[Metric("ops/s", throughput, "higher", RATIO_TOL,
                         single_thread)]),
     "table4": Rule(

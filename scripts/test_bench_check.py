@@ -169,6 +169,13 @@ CASES = [
      scale_kernel("BM_UnfusedAttention/16", 10.0), 1),
     ("kernels unfused counterpart vanished", "kernels",
      drop_kernels(lambda n: n.startswith("BM_UnfusedAttention")), 1),
+    # A faster direct / ref row breaks only the floor, not a gate.
+    ("kernels depthwise tier row under 2x its direct row", "kernels",
+     scale_kernel("BM_DwConvBiasRelu/direct", 5.0), 1),
+    ("kernels int8 depthwise tier row under 2x its ref row", "kernels",
+     scale_kernel("BM_QuantDwConv/ref/mcunet", 5.0), 1),
+    ("kernels depthwise direct counterpart vanished", "kernels",
+     drop_kernels(lambda n: n == "BM_DwConvBwdInput/direct"), 1),
     ("kernels repetitions: the median aggregate is read", "kernels",
      as_aggregates(mean=0.5, median=1.0), 0),
     ("kernels repetitions: 30% drop in the median", "kernels",

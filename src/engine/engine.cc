@@ -28,6 +28,8 @@ CompileReport::recordBinding(const Executor &ex)
     simdTier = simdTierName(ex.simdTier());
     simdSteps = ex.simdSteps();
     stepTiers = ex.stepTiers();
+    tierMissKernels = ex.tierMisses();
+    tierMisses = static_cast<int>(tierMissKernels.size());
     kernelFallbacks = ex.fallbackCount();
     fallbackKernels = ex.fallbackKernels();
 }

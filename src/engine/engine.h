@@ -120,6 +120,15 @@ struct CompileReport {
     int simdSteps = 0;
     /** Chosen tier per kernel step, in execution order. */
     std::vector<std::string> stepTiers;
+    /**
+     * Steps bound to a variant with no form at the bound SIMD tier
+     * while another variant of the same op has one: the op reaches
+     * the tier, this step silently does not (a one-row GEMM with a
+     * transposed B keeps the naive loop; a spatial conv gradient keeps
+     * the direct loop). Always zero on a scalar binding.
+     */
+    int tierMisses = 0;
+    std::vector<std::string> tierMissKernels; ///< "op/variant" labels
     /** Storage precision this program was compiled at. */
     Precision precision = Precision::F32;
     /** What the QuantizePass did (zeros when precision == F32). */
@@ -168,6 +177,14 @@ struct CompileReport {
      */
     std::string tierBreakdown() const { return countLabels(stepTiers); }
 
+    /** Per-op aggregation of tierMissKernels, like fallbackBreakdown;
+     *  empty when every step that could bind the tier does. */
+    std::string
+    tierMissBreakdown() const
+    {
+        return countLabels(tierMissKernels);
+    }
+
     /**
      * Write the plan fields (kernel steps, arena/workspace/param/const
      * bytes, memory timeline, shard stats) from @p art. The compile
@@ -177,7 +194,8 @@ struct CompileReport {
     void recordPlan(const ProgramArtifact &art);
 
     /** Copy the bind-time facts of @p ex: the SIMD tier and per-step
-     *  tiers it bound, and the kernel lookups that fell back. */
+     *  tiers it bound, the steps that missed it, and the kernel
+     *  lookups that fell back. */
     void recordBinding(const Executor &ex);
 };
 

@@ -2,8 +2,9 @@
  * @file
  * NCHW convolution kernels: naive direct (default), im2col+GEMM
  * ("im2col"), their input/weight backward counterparts, and depthwise
- * variants. Each forward kernel serves its fused op too: ConvBiasAct
- * and DwConvBiasAct run the Conv2d / DwConv2d body of the same variant
+ * variants: direct (default) and channel-lane packed ("packed"). Each
+ * forward kernel serves its fused op too: ConvBiasAct and
+ * DwConvBiasAct run the Conv2d / DwConv2d body of the same variant
  * followed by the shared bias + activation epilogue (kutil::Epilogue),
  * so a fused op is bit-identical to its unfused chain.
  * Conv2dBwdWeight honors the "limitCo" attribute so sub-layer
@@ -22,6 +23,16 @@
  * convs the input and weight backward have "im2col" GEMM forms too,
  * bit-identical to the loops here on the scalar tier. The im2col
  * bodies are shared with the SIMD tiers (kernel_bodies.h).
+ *
+ * The depthwise forward and input gradient have a "packed" form that
+ * shards over (image, 8-channel block) pairs: each shard packs its
+ * block's input channel-lane-major into its workspace, a bounded band
+ * of rows at a time, and runs 8 lanes over every output pixel's
+ * in-bounds taps (kernel_bodies.h). It multiplies
+ * then adds in the direct loops' order, so it is bit-identical to them
+ * on every tier (the input gradient does not skip dY == 0, which
+ * changes bits only for non-finite weights). The direct loops stay
+ * the "" reference the eager baseline and the tests use.
  */
 
 #include <algorithm>
@@ -311,6 +322,16 @@ im2colWorkspace(const Graph &g, const Node &n)
     return spec;
 }
 
+/** The packed depthwise forward and input gradient: one band of x
+ *  rows and the taps, kDwBlock fp32 lanes each, per shard. */
+WorkspaceSpec
+dwPackedWorkspace(const Graph &g, const Node &n)
+{
+    WorkspaceSpec spec;
+    spec.bytesPerShard = kutil::dwPackedElems(g, n) * 4;
+    return spec;
+}
+
 /** The pointwise weight backward's packed X^T panel: min(h*w,
  *  kGemmBlock) x min(ci, kGemmBlock) floats per shard. */
 WorkspaceSpec
@@ -333,14 +354,18 @@ registerConvKernels()
     PartitionSpec images{part::outDim01, 1};
     PartitionSpec dxImages{part::outDim0, 1};
     PartitionSpec dwChannels{part::outDim0, 1};
+    PartitionSpec channelBlocks{part::outChannelBlocks, 1};
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct}) {
         registerKernel(op, "", conv2dNaive, images);
         registerKernel(op, "im2col",
                        kutil::im2colConvK<kutil::ScalarLanes>, dxImages,
                        im2colWorkspace);
     }
-    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct}) {
         registerKernel(op, "", dwConv2d, images);
+        registerKernel(op, "packed", kutil::dwConvK<kutil::ScalarLanes>,
+                       channelBlocks, dwPackedWorkspace);
+    }
     registerKernel(OpKind::Conv2dBwdInput, "", conv2dBwdInput, dxImages);
     registerKernel(OpKind::Conv2dBwdWeight, "", conv2dBwdWeight,
                    dwChannels);
@@ -352,6 +377,9 @@ registerConvKernels()
                    dwChannels, bwdWeightWorkspace);
     registerKernel(OpKind::DwConv2dBwdInput, "", dwConv2dBwdInput,
                    images);
+    registerKernel(OpKind::DwConv2dBwdInput, "packed",
+                   kutil::dwConvBwdInputK<kutil::ScalarLanes>,
+                   channelBlocks, dwPackedWorkspace);
     registerKernel(OpKind::DwConv2dBwdWeight, "", dwConv2dBwdWeight,
                    dwChannels);
 }

@@ -238,6 +238,13 @@ std::string resolveTierVariant(OpKind op, const std::string &variant,
                                SimdTier tier);
 
 /**
+ * True if some registered variant of @p op is a @p tier form. A step
+ * bound to a scalar variant of such an op misses the tier silently:
+ * the compile report counts it (CompileReport::tierMisses).
+ */
+bool hasTierForm(OpKind op, SimdTier tier);
+
+/**
  * Register @p fn as the @p tier variant of the registered (op, @p base)
  * kernel — "<base>@<tier>", or the bare tier name for base "" — with
  * the base's own PartitionSpec and WorkspaceFn, so a tier variant
@@ -266,6 +273,9 @@ int64_t outRows(const KernelCtx &c);
 int64_t outDim0(const KernelCtx &c);
 /** First two output dims flattened (e.g. N*C of an NCHW output). */
 int64_t outDim01(const KernelCtx &c);
+/** N * ceil(C / kutil::kDwBlock) of an NCHW output: the (image,
+ *  channel-block) shards of the packed depthwise kernels. */
+int64_t outChannelBlocks(const KernelCtx &c);
 /** Elements of input 1 (optimizer kernels: the gradient). */
 int64_t in1Elems(const KernelCtx &c);
 } // namespace part

@@ -2,17 +2,19 @@
  * @file
  * One body per tiered kernel. Blocked MatMul / MatMulBiasAct /
  * BatchMatMul, the im2col Conv2d / ConvBiasAct, the pointwise
- * Conv2dBwdInput / Conv2dBwdWeight GEMMs, FusedAttention,
- * QuantMatMul, QuantConv2d and QuantDwConv2d are each written once
- * here, as a template over a tier's lane primitives. A fused op runs
- * its unfused op's body plus the shared Epilogue (kernel_util.h), so
- * it reaches every tier its base does. The scalar bases instantiate
- * them with ScalarLanes; a SIMD tier TU (simd_avx2.cc, simd_neon.cc)
- * defines its own primitive struct and makes one registerTier call.
+ * Conv2dBwdInput / Conv2dBwdWeight GEMMs, the packed DwConv2d /
+ * DwConvBiasAct / DwConv2dBwdInput, FusedAttention, QuantMatMul,
+ * QuantConv2d and QuantDwConv2d are each written once here, as a
+ * template over a tier's lane primitives. A fused op runs its unfused
+ * op's body plus the shared Epilogue (kernel_util.h), so it reaches
+ * every tier its base does. The scalar bases instantiate them with
+ * ScalarLanes; a SIMD tier TU (simd_avx2.cc, simd_neon.cc) defines its
+ * own primitive struct and makes one registerTier call.
  *
- * A body owns partitioning, operand addressing, panel packing, the
- * unfold, depthwise borders, the scalar requantize fallback and every
- * scalar tail. A tier supplies only the loops it vectorizes:
+ * A body owns partitioning, operand addressing, panel and channel-lane
+ * packing, the unfold, depthwise tap windows, the scalar requantize
+ * fallback and every scalar tail. A tier supplies only the loops it
+ * vectorizes:
  *
  *   axpy(dst, src, a, n)        dst[j] += a * src[j], j < n
  *   dot(a, b, n)                sum of a[k] * b[k], k < n
@@ -21,10 +23,16 @@
  *            k1, panel, jw,     and j < cols, a multiple of kTileCols;
  *            cols, out, n)      panel rows are jw floats apart (the body
  *                               finishes the panel's columns)
+ *   F8, zeroF8(), loadF8(p),    kDwBlock fp32 channel lanes;
+ *   storeF8(p, v),              mulAddF8 is acc[l] + a[l] * b[l], a
+ *   mulAddF8(acc, a, b)         rounded multiply then a rounded add
+ *                               (never FMA), so every tier matches the
+ *                               direct depthwise loops bit for bit
  *   dotI8(a, w, k, zp)          sum of (a[k] - zp) * w[k], int32
  *   kLanes, I32, zeroI32(),     kLanes int32 accumulators;
- *   loadI32(p), macI8(acc, x,   macI8 adds (x[l] - zp) * w to lane l
- *   zp, w)
+ *   loadI32(p), macI8(acc, x,   macI8 adds (x[l] - zp) * w to lane l,
+ *   zp, w)                      w one int32 for every lane or an int8
+ *                               pointer with one weight per lane
  *   vectorEmitOk(rq)            emitLanes matches Requant::emit for rq
  *   emitLanes(acc, sw, bias,    requantize kLanes outputs with weight
  *             rq, dst)          scales sw[l] and bias[l] (bias may be
@@ -48,8 +56,10 @@ namespace pe {
 namespace kutil {
 namespace {
 
-/** The scalar tier: one lane, plain loops. Every host runs it, and
- *  the SIMD tiers are tested against it. */
+/** The scalar tier: plain loops, one fp32 lane for the GEMM
+ *  primitives and a plain-array lane run for the channel-lane and int8
+ *  ones. Every host runs it, and the SIMD tiers are tested against
+ *  it. */
 struct ScalarLanes {
     static void
     axpy(float *dst, const float *src, float a, int64_t n)
@@ -82,6 +92,35 @@ struct ScalarLanes {
         }
     }
 
+    /** The depthwise channel lanes as a plain array: each lane's
+     *  multiply and add round separately, like the direct loops. */
+    struct F8 {
+        float v[kDwBlock];
+    };
+
+    static F8 zeroF8() { return F8{}; }
+
+    static F8
+    loadF8(const float *p)
+    {
+        F8 r;
+        std::memcpy(r.v, p, sizeof r.v);
+        return r;
+    }
+
+    static void storeF8(float *p, const F8 &a)
+    {
+        std::memcpy(p, a.v, sizeof a.v);
+    }
+
+    static F8
+    mulAddF8(F8 acc, const F8 &a, const F8 &b)
+    {
+        for (int64_t l = 0; l < kDwBlock; ++l)
+            acc.v[l] += a.v[l] * b.v[l];
+        return acc;
+    }
+
     static int32_t
     dotI8(const int8_t *a, const int8_t *w, int64_t k, int32_t zp)
     {
@@ -92,25 +131,58 @@ struct ScalarLanes {
         return s;
     }
 
-    static constexpr int64_t kLanes = 1;
-    using I32 = int32_t;
+    /** int32 lanes as a plain array as wide as the depthwise channel
+     *  block (one accumulator per block, as in one AVX2 register). */
+    static constexpr int64_t kLanes = kDwBlock;
+    struct I32 {
+        int32_t v[kLanes];
+    };
 
-    static I32 zeroI32() { return 0; }
-    static I32 loadI32(const int32_t *p) { return *p; }
+    static I32 zeroI32() { return I32{}; }
+
+    static I32
+    loadI32(const int32_t *p)
+    {
+        I32 r;
+        std::memcpy(r.v, p, sizeof r.v);
+        return r;
+    }
 
     static I32
     macI8(I32 acc, const int8_t *x, int32_t zp, int32_t w)
     {
-        return acc + (static_cast<int32_t>(*x) - zp) * w;
+        for (int64_t l = 0; l < kLanes; ++l)
+            acc.v[l] += (static_cast<int32_t>(x[l]) - zp) * w;
+        return acc;
+    }
+
+    /** A zero-point is an int8 code (chooseQuantParams; qconvK pads
+     *  with it as one), so every (x - zp) * w lies in [-32640, 32640]:
+     *  the products are exact in 16 bits, and the compiler forms them
+     *  8 to a 16-bit vector multiply. */
+    static I32
+    macI8(I32 acc, const int8_t *x, int32_t zp, const int8_t *w)
+    {
+        int16_t z = static_cast<int16_t>(zp);
+        for (int64_t l = 0; l < kLanes; ++l)
+            acc.v[l] += static_cast<int16_t>((x[l] - z) * w[l]);
+        return acc;
     }
 
     static bool vectorEmitOk(const Requant &) { return true; }
 
+    /** Requant::emitWith per lane, each step a loop over the lanes:
+     *  the scale, the Epilogue's bias and activation, the quantize. */
     static void
-    emitLanes(I32 acc, const float *sw, const float *bias,
+    emitLanes(const I32 &acc, const float *sw, const float *bias,
               const Requant &rq, int8_t *dst)
     {
-        *dst = rq.emitWith(acc, *sw, bias);
+        float r[kLanes];
+        for (int64_t l = 0; l < kLanes; ++l)
+            r[l] = static_cast<float>(acc.v[l]) * rq.xScale * sw[l];
+        Epilogue{bias, rq.act}.row(r, kLanes);
+        for (int64_t l = 0; l < kLanes; ++l)
+            dst[l] = quantizeValue(r[l], rq.yScale, rq.yZp);
     }
 };
 
@@ -309,6 +381,229 @@ pointwiseBwdWeightK(const KernelCtx &c)
         GemmView dy{c.in[1] + n * co * hw, co, hw, false};
         GemmView xt = gemmViewOf(c.in[0] + n * ci * hw, ci, hw, true);
         gemmAccumulate<P>(dy, xt, c.out, lo, hi, c.workspace);
+    }
+}
+
+// ---- packed depthwise conv --------------------------------------------
+//
+// Depthwise planes are small (2x2 to 8x8 in the MCUNet proxy), so the
+// lanes run across channels, not along a row (the channel-tiled layout
+// of Zhang, Lo & Lu, AAAI 2020). A shard is one (image, kDwBlock-
+// channel block). It packs the block's x plane [pixel][lane] into its
+// workspace, one band of at most kDwBandPixels pixels at a time (a
+// whole MCUNet plane is one band), and the taps [tap][lane]; every
+// output pixel runs kDwBlock lanes over its in-bounds taps in the
+// direct loop's order. Padding lanes of a short last block are zero
+// and never stored.
+
+/** Input pixels one packed band holds, whole rows of them: the bound
+ *  on a depthwise shard's workspace whatever the plane size. */
+constexpr int64_t kDwBandPixels = 1024;
+
+/** One depthwise conv's geometry: x [n, ch, h, w] to y [n, ch, ho, wo]
+ *  through a kh x kw window, ch split into blocks of kDwBlock, x
+ *  packed band rows at a time. */
+struct DwGeom {
+    int64_t ch, blocks, h, w, kh, kw, ho, wo, stride, pad, band;
+};
+
+/** x rows per packed band: the whole plane if it fits kDwBandPixels,
+ *  else as many rows as fit but at least one window's kh. */
+inline int64_t
+dwBandRows(int64_t h, int64_t w, int64_t kh)
+{
+    return std::min(h, std::max(kh, kDwBandPixels / w));
+}
+
+inline DwGeom
+dwGeomOf(const KernelCtx &c, const Shape &x, const Shape &wt,
+         const Shape &y)
+{
+    return {x[1],  (x[1] + kDwBlock - 1) / kDwBlock,
+            x[2],  x[3],
+            wt[2], wt[3],
+            y[2],  y[3],
+            attrI(c, "stride", 1), attrI(c, "pad", 0),
+            dwBandRows(x[2], x[3], wt[2])};
+}
+
+/** Elements of a packed depthwise workspace: one band of x rows and
+ *  the taps, kDwBlock lanes each. The fp32 forms count floats, the
+ *  int8 form bytes. */
+inline int64_t
+dwPackedElems(const Graph &g, const Node &n)
+{
+    bool bwd = n.op == OpKind::DwConv2dBwdInput;
+    const Shape &x = bwd ? n.shape : g.node(n.inputs[0]).shape;
+    const Shape &w = g.node(n.inputs[bwd ? 0 : 1]).shape;
+    return (dwBandRows(x[2], x[3], w[2]) * x[3] + w[2] * w[3]) * kDwBlock;
+}
+
+/** dst[p * kDwBlock + l] = src[l * stride + p] for p < n: @p lanes
+ *  planes @p stride apart into lane-packed form, the lanes past them
+ *  zeroed. */
+template <typename T>
+inline void
+packLanes(const T *src, int64_t stride, int64_t n, int64_t lanes, T *dst)
+{
+    if (lanes < kDwBlock)
+        std::fill_n(dst, n * kDwBlock, T(0));
+    for (int64_t l = 0; l < lanes; ++l) {
+        for (int64_t p = 0; p < n; ++p)
+            dst[p * kDwBlock + l] = src[l * stride + p];
+    }
+}
+
+/** The inverse of packLanes for the first @p lanes lanes. */
+template <typename T>
+inline void
+unpackLanes(const T *src, int64_t stride, int64_t n, int64_t lanes,
+            T *dst)
+{
+    for (int64_t l = 0; l < lanes; ++l) {
+        for (int64_t p = 0; p < n; ++p)
+            dst[l * stride + p] = src[p * kDwBlock + l];
+    }
+}
+
+/**
+ * f(pix, xo, wo, rows, cols) for every output pixel of rows [i0, i1)
+ * in row-major order, with x rows [h0, h1) packed in the band. The
+ * pixel's window, clamped to the band and the plane once per pixel so
+ * the tap loops have no branch, is rows x cols taps (rows <= 0 when it
+ * is empty); xo and wo are the packed offsets of its first tap in the
+ * band and in the tap-major weights.
+ */
+template <class F>
+inline void
+forEachDwPixel(const DwGeom &d, int64_t i0, int64_t i1, int64_t h0,
+               int64_t h1, F &&f)
+{
+    for (int64_t i = i0; i < i1; ++i) {
+        int64_t ib = i * d.stride - d.pad;
+        int64_t a0 = std::max(h0 - ib, int64_t{0});
+        int64_t a1 = std::min(d.kh, h1 - ib);
+        for (int64_t j = 0; j < d.wo; ++j) {
+            int64_t jb = j * d.stride - d.pad;
+            int64_t b0 = std::max(-jb, int64_t{0});
+            int64_t b1 = std::min(d.kw, d.w - jb);
+            f(i * d.wo + j, ((ib + a0 - h0) * d.w + jb + b0) * kDwBlock,
+              (a0 * d.kw + b0) * kDwBlock, b1 > b0 ? a1 - a0 : 0, b1 - b0);
+        }
+    }
+}
+
+/**
+ * The forward bands of one block: output rows [i0, i1) read x rows
+ * [h0, h1), at most d.band of them. f(i0, i1, h0, h1) per band.
+ */
+template <class F>
+inline void
+forEachDwOutBand(const DwGeom &d, F &&f)
+{
+    int64_t rows = d.band == d.h ? d.ho : (d.band - d.kh) / d.stride + 1;
+    for (int64_t i0 = 0; i0 < d.ho; i0 += rows) {
+        int64_t i1 = std::min(d.ho, i0 + rows);
+        f(i0, i1, std::max(i0 * d.stride - d.pad, int64_t{0}),
+          std::min(d.h, (i1 - 1) * d.stride - d.pad + d.kh));
+    }
+}
+
+/**
+ * DwConv2d / DwConvBiasAct over the (image, channel-block) shards of
+ * this op: y[c] = sum over in-bounds taps of x[c] * w[c], accumulated
+ * from zero in the direct loop's (kh, kw) order, then the epilogue per
+ * channel. Bit-identical to the direct loop on every tier.
+ */
+template <class P>
+void
+dwConvK(const KernelCtx &c)
+{
+    DwGeom d = dwGeomOf(c, *c.inShapes[0], *c.inShapes[1], *c.outShape);
+    int64_t taps = d.kh * d.kw, hw = d.h * d.w, howo = d.ho * d.wo;
+    float *xp = c.workspace, *wp = xp + d.band * d.w * kDwBlock;
+    Epilogue ep = epilogueOf(c);
+    int64_t hi = partitionEnd(c, (*c.outShape)[0] * d.blocks);
+    for (int64_t idx = c.begin; idx < hi; ++idx) {
+        int64_t n = idx / d.blocks, c0 = idx % d.blocks * kDwBlock;
+        int64_t lanes = std::min(kDwBlock, d.ch - c0);
+        const float *x = c.in[0] + (n * d.ch + c0) * hw;
+        float *out = c.out + (n * d.ch + c0) * howo;
+        packLanes(c.in[1] + c0 * taps, taps, taps, lanes, wp);
+        forEachDwOutBand(d, [&](int64_t i0, int64_t i1, int64_t h0,
+                                int64_t h1) {
+            packLanes(x + h0 * d.w, hw, (h1 - h0) * d.w, lanes, xp);
+            forEachDwPixel(d, i0, i1, h0, h1, [&](int64_t pix, int64_t xo,
+                                                  int64_t wo, int64_t rows,
+                                                  int64_t cols) {
+                auto acc = P::zeroF8();
+                for (int64_t a = 0; a < rows; ++a) {
+                    const float *xr = xp + xo + a * d.w * kDwBlock;
+                    const float *wr = wp + wo + a * d.kw * kDwBlock;
+                    for (int64_t b = 0; b < cols; ++b)
+                        acc = P::mulAddF8(acc,
+                                          P::loadF8(xr + b * kDwBlock),
+                                          P::loadF8(wr + b * kDwBlock));
+                }
+                float y[kDwBlock];
+                P::storeF8(y, acc);
+                unpackLanes(y, howo, 1, lanes, out + pix);
+            });
+        });
+        for (int64_t l = 0; l < lanes; ++l)
+            ep.channel(out + l * howo, howo, c0 + l);
+    }
+}
+
+/**
+ * DwConv2dBwdInput over the (image, channel-block) shards of this op:
+ * dx[c] += dy[c] * w[c] scattered over each output pixel's in-bounds
+ * taps, pixels in row-major order, so every dx element sums in the
+ * direct loop's order. dx is accumulated one band of rows at a time,
+ * from the output rows whose windows reach it. Unlike the direct loop
+ * it does not skip dy == 0, so bits differ only where a weight is not
+ * finite (0 * inf).
+ */
+template <class P>
+void
+dwConvBwdInputK(const KernelCtx &c)
+{
+    DwGeom d = dwGeomOf(c, *c.outShape, *c.inShapes[0], *c.inShapes[1]);
+    int64_t taps = d.kh * d.kw, hw = d.h * d.w, howo = d.ho * d.wo;
+    float *xp = c.workspace, *wp = xp + d.band * d.w * kDwBlock;
+    int64_t hi = partitionEnd(c, (*c.outShape)[0] * d.blocks);
+    for (int64_t idx = c.begin; idx < hi; ++idx) {
+        int64_t n = idx / d.blocks, c0 = idx % d.blocks * kDwBlock;
+        int64_t lanes = std::min(kDwBlock, d.ch - c0);
+        const float *dy = c.in[1] + (n * d.ch + c0) * howo;
+        float *dx = c.out + (n * d.ch + c0) * hw;
+        packLanes(c.in[0] + c0 * taps, taps, taps, lanes, wp);
+        for (int64_t h0 = 0; h0 < d.h; h0 += d.band) {
+            int64_t h1 = std::min(d.h, h0 + d.band);
+            // Output rows whose window meets x rows [h0, h1).
+            int64_t reach = h0 + d.pad - d.kh + 1;
+            int64_t i0 = reach > 0 ? (reach + d.stride - 1) / d.stride : 0;
+            int64_t i1 = std::min(d.ho, (h1 - 1 + d.pad) / d.stride + 1);
+            std::fill_n(xp, (h1 - h0) * d.w * kDwBlock, 0.0f);
+            forEachDwPixel(d, i0, i1, h0, h1, [&](int64_t pix, int64_t xo,
+                                                  int64_t wo, int64_t rows,
+                                                  int64_t cols) {
+                float gl[kDwBlock];
+                packLanes(dy + pix, howo, 1, lanes, gl);
+                auto g = P::loadF8(gl);
+                for (int64_t a = 0; a < rows; ++a) {
+                    float *xr = xp + xo + a * d.w * kDwBlock;
+                    const float *wr = wp + wo + a * d.kw * kDwBlock;
+                    for (int64_t b = 0; b < cols; ++b) {
+                        float *dst = xr + b * kDwBlock;
+                        P::storeF8(dst, P::mulAddF8(
+                                            P::loadF8(dst), g,
+                                            P::loadF8(wr + b * kDwBlock)));
+                    }
+                }
+            });
+            unpackLanes(xp, hw, (h1 - h0) * d.w, lanes, dx + h0 * d.w);
+        }
     }
 }
 
@@ -514,89 +809,72 @@ qconvK(const KernelCtx &c)
     }
 }
 
-/** One depthwise output pixel's accumulator, out-of-bounds taps
- *  skipped: (x - zp) * w summed in ascending tap order. */
-inline int32_t
-qdwPixel(const int8_t *xp, const int8_t *wp, int64_t i, int64_t j,
-         int64_t h, int64_t w, int64_t kh, int64_t kw, int64_t stride,
-         int64_t pad, int32_t zp)
-{
-    int32_t acc = 0;
-    for (int64_t a = 0; a < kh; ++a) {
-        int64_t ih = i * stride - pad + a;
-        if (ih < 0 || ih >= h)
-            continue;
-        for (int64_t b = 0; b < kw; ++b) {
-            int64_t iw = j * stride - pad + b;
-            if (iw < 0 || iw >= w)
-                continue;
-            acc += (static_cast<int32_t>(xp[ih * w + iw]) - zp) *
-                   static_cast<int32_t>(wp[a * kw + b]);
-        }
-    }
-    return acc;
-}
-
 /**
- * int8 depthwise conv over the (image, channel) pairs of this shard,
- * direct (no workspace). At stride 1 the columns whose every kw tap is
- * in bounds run in lane runs of kLanes pixels (the window rows are
- * contiguous loads there); border columns and other strides run
- * qdwPixel.
+ * int8 depthwise conv: the packed depthwise body with int32 lanes over
+ * the (image, channel-block) shards of this op, x bands and taps
+ * packed as i8 in the shard's workspace. Each pixel's kDwBlock
+ * channels run as kDwBlock / kLanes accumulators of kLanes lanes,
+ * (x - zp) * w with one weight per lane, and requantize through
+ * emitLanes with the block's per-channel scales and biases. Where
+ * emitLanes cannot match Requant::emit (gelu, silu) the whole op runs
+ * the scalar lanes, whose emitLanes is Requant::emit's sequence.
  */
 template <class P>
 void
 qdwConvK(const KernelCtx &c)
 {
-    constexpr int64_t L = P::kLanes;
-    const Shape &xs = *c.inShapes[0], &ws = *c.inShapes[1];
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
+    constexpr int64_t kGroups = kDwBlock / P::kLanes;
     Requant rq = requantOf(c);
-    int64_t stride = attrI(c, "stride", 1), pad = attrI(c, "pad", 0);
-    bool vec = stride == 1 && P::vectorEmitOk(rq);
-    int64_t jlo = std::min(pad, wo);
-    int64_t jhi = std::min(wo, w - kw + pad + 1);
-
-    int64_t hi = partitionEnd(c, xs[0] * ch);
+    if (!P::vectorEmitOk(rq))
+        return qdwConvK<ScalarLanes>(c);
+    DwGeom d = dwGeomOf(c, *c.inShapes[0], *c.inShapes[1], *c.outShape);
+    int64_t taps = d.kh * d.kw, hw = d.h * d.w, howo = d.ho * d.wo;
+    int8_t *xp = reinterpret_cast<int8_t *>(c.workspace);
+    int8_t *wp = xp + d.band * d.w * kDwBlock;
+    int64_t hi = partitionEnd(c, (*c.outShape)[0] * d.blocks);
     for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ci = idx % ch;
-        const int8_t *xp = x + idx * h * w;
-        const int8_t *wp = wt + ci * kh * kw;
-        int8_t *op = out + idx * ho * wo;
-        ChannelLanes<L> lanes(rq, ci);
-        for (int64_t i = 0; i < ho; ++i) {
-            int8_t *orow = op + i * wo;
-            int64_t j = 0;
-            if (vec) {
-                for (; j < jlo; ++j)
-                    orow[j] = rq.emit(qdwPixel(xp, wp, i, j, h, w, kh, kw,
-                                               stride, pad, rq.xZp),
-                                      ci);
-                for (; j + L <= jhi; j += L) {
-                    auto acc = P::zeroI32();
-                    for (int64_t a = 0; a < kh; ++a) {
-                        int64_t ih = i - pad + a;
-                        if (ih < 0 || ih >= h)
-                            continue;
-                        const int8_t *xrow = xp + ih * w + j - pad;
-                        for (int64_t b = 0; b < kw; ++b)
-                            acc = P::macI8(acc, xrow + b, rq.xZp,
-                                           wp[a * kw + b]);
-                    }
-                    P::emitLanes(acc, lanes.sw, lanes.bias(), rq,
-                                 orow + j);
-                }
-            }
-            for (; j < wo; ++j)
-                orow[j] = rq.emit(qdwPixel(xp, wp, i, j, h, w, kh, kw,
-                                           stride, pad, rq.xZp),
-                                  ci);
+        int64_t n = idx / d.blocks, c0 = idx % d.blocks * kDwBlock;
+        int64_t lanes = std::min(kDwBlock, d.ch - c0);
+        const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]) +
+                          (n * d.ch + c0) * hw;
+        int8_t *out = reinterpret_cast<int8_t *>(c.out) +
+                      (n * d.ch + c0) * howo;
+        packLanes(reinterpret_cast<const int8_t *>(c.in[1]) + c0 * taps,
+                  taps, taps, lanes, wp);
+        float sw[kDwBlock], bias[kDwBlock];
+        for (int64_t l = 0; l < kDwBlock; ++l) {
+            int64_t ch = c0 + std::min(l, lanes - 1);
+            sw[l] = rq.wScales ? rq.wScales[ch] : rq.wScale;
+            bias[l] = rq.bias ? rq.bias[ch] : 0.0f;
         }
+        forEachDwOutBand(d, [&](int64_t i0, int64_t i1, int64_t h0,
+                                int64_t h1) {
+            packLanes(x + h0 * d.w, hw, (h1 - h0) * d.w, lanes, xp);
+            forEachDwPixel(d, i0, i1, h0, h1, [&](int64_t pix, int64_t xo,
+                                                  int64_t wo, int64_t rows,
+                                                  int64_t cols) {
+                typename P::I32 acc[kGroups];
+                for (int64_t g = 0; g < kGroups; ++g)
+                    acc[g] = P::zeroI32();
+                for (int64_t a = 0; a < rows; ++a) {
+                    const int8_t *xr = xp + xo + a * d.w * kDwBlock;
+                    const int8_t *wr = wp + wo + a * d.kw * kDwBlock;
+                    for (int64_t b = 0; b < cols * kDwBlock; b += kDwBlock) {
+                        for (int64_t g = 0; g < kGroups; ++g)
+                            acc[g] = P::macI8(
+                                acc[g], xr + b + g * P::kLanes, rq.xZp,
+                                wr + b + g * P::kLanes);
+                    }
+                }
+                int8_t y[kDwBlock];
+                for (int64_t g = 0; g < kGroups; ++g) {
+                    int64_t l0 = g * P::kLanes;
+                    P::emitLanes(acc[g], sw + l0,
+                                 rq.bias ? bias + l0 : nullptr, rq, y + l0);
+                }
+                unpackLanes(y, howo, 1, lanes, out + pix);
+            });
+        });
     }
 }
 
@@ -606,6 +884,7 @@ qdwConvK(const KernelCtx &c)
  * Register the @p tier variant of every body above — "blocked@avx2"
  * (MatMul, MatMulBiasAct, BatchMatMul), "im2col@avx2" (Conv2d,
  * ConvBiasAct, and the pointwise Conv2dBwdInput / Conv2dBwdWeight),
+ * "packed@avx2" (DwConv2d, DwConvBiasAct, DwConv2dBwdInput),
  * FusedAttention "avx2", "int8@avx2", ... — with its
  * scalar base's own PartitionSpec and WorkspaceFn, so the executor can
  * switch tiers at bind time against one memory plan.
@@ -624,6 +903,10 @@ registerTier(SimdTier tier)
                         pointwiseBwdInputK<P>);
     registerTierVariant(OpKind::Conv2dBwdWeight, "im2col", tier,
                         pointwiseBwdWeightK<P>);
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
+        registerTierVariant(op, "packed", tier, dwConvK<P>);
+    registerTierVariant(OpKind::DwConv2dBwdInput, "packed", tier,
+                        dwConvBwdInputK<P>);
     registerTierVariant(OpKind::FusedAttention, "", tier,
                         fusedAttentionK<P>);
     registerTierVariant(OpKind::QuantMatMul, "int8", tier, qmatmulK<P>);

@@ -45,6 +45,11 @@ namespace {
  *  this, and the tier register tiles work inside it. */
 constexpr int64_t kGemmBlock = 48;
 
+/** Channels per depthwise shard: the channel-lane group of the packed
+ *  depthwise bodies, the same 8 on every tier, so the partition and
+ *  workspace of a tier variant are its scalar base's own. */
+constexpr int64_t kDwBlock = 8;
+
 /** The one definition of each activation: the Relu / Gelu / Silu
  *  kernels, the fused epilogue and int8 requantization all call it. */
 inline float

@@ -23,6 +23,8 @@
  * the scalar tier; the SIMD tiers register the same bodies as
  * "int8@avx2"/"int8@neon", bit-exact to these (integer accumulation
  * has no reassociation hazard; requantization rounds identically).
+ * The depthwise body is the packed one of the fp32 depthwise kernels:
+ * int32 lanes across a block of kDwBlock channels.
  *
  * Thread-count invariance: every shard computes its output elements
  * with per-element exact integer accumulation and one final rounding,
@@ -202,6 +204,16 @@ qconvWorkspace(const Graph &g, const Node &n)
     return spec;
 }
 
+/** The packed int8 depthwise: one band of x rows and the taps,
+ *  kDwBlock i8 lanes each, per shard. */
+WorkspaceSpec
+qdwWorkspace(const Graph &g, const Node &n)
+{
+    WorkspaceSpec spec;
+    spec.bytesPerShard = kutil::dwPackedElems(g, n);
+    return spec;
+}
+
 // ---- reference tier: dequant -> fp32 kernel -> requant ---------------
 
 /**
@@ -285,7 +297,7 @@ registerQuantizedKernels()
     PartitionSpec elems{part::outElems, 1024};
     PartitionSpec rows{part::outDim0, 8};
     PartitionSpec images{part::outDim0, 1};
-    PartitionSpec imageChannels{part::outDim01, 1};
+    PartitionSpec channelBlocks{part::outChannelBlocks, 1};
 
     registerKernel(OpKind::Quantize, "", quantizeK, elems);
     registerKernel(OpKind::Dequantize, "", dequantizeK, elems);
@@ -317,7 +329,8 @@ registerQuantizedKernels()
     // every MCUNet int8 compile" (ROADMAP) is now a real kernel, so
     // int8 compiles report zero QuantDwConv2d fallbacks.
     registerKernel(OpKind::QuantDwConv2d, "int8",
-                   kutil::qdwConvK<kutil::ScalarLanes>, imageChannels);
+                   kutil::qdwConvK<kutil::ScalarLanes>, channelBlocks,
+                   qdwWorkspace);
 }
 
 } // namespace detail

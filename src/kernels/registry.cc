@@ -80,6 +80,13 @@ outDim01(const KernelCtx &c)
 }
 
 int64_t
+outChannelBlocks(const KernelCtx &c)
+{
+    int64_t ch = (*c.outShape)[1];
+    return (*c.outShape)[0] * ((ch + kutil::kDwBlock - 1) / kutil::kDwBlock);
+}
+
+int64_t
 in1Elems(const KernelCtx &c)
 {
     return numel(*c.inShapes[1]);
@@ -269,6 +276,18 @@ hasKernelVariant(OpKind op, const std::string &variant)
 {
     detail::ensureKernelsRegistered();
     return registry().count({op, variant}) > 0;
+}
+
+bool
+hasTierForm(OpKind op, SimdTier tier)
+{
+    detail::ensureKernelsRegistered();
+    for (auto it = registry().lower_bound({op, ""});
+         it != registry().end() && it->first.first == op; ++it) {
+        if (variantTier(it->first.second) == tier)
+            return true;
+    }
+    return false;
 }
 
 WorkspaceSpec

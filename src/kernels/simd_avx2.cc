@@ -4,7 +4,8 @@
  * 8-wide AVX2 registers, registered with one registerTier call as the
  * "<base>@avx2" variants of the blocked GEMMs (fused MatMulBiasAct
  * included), the im2col convs (fused or not) and pointwise conv
- * gradients, FusedAttention and the int8 GEMM, conv and depthwise
+ * gradients, the packed depthwise forward (fused or not) and input
+ * gradient, FusedAttention and the int8 GEMM, conv and depthwise
  * kernels. The bodies, partition domains and workspaces are the scalar
  * bases' own.
  *
@@ -12,15 +13,18 @@
  *  - int8 kernels are BIT-EXACT to the scalar "int8" tier: int32
  *    accumulation is fully associative, and emitLanes performs the
  *    same IEEE mul/div/clamp sequence as Requant::emit, with
- *    _mm256_cvtps_epi32 matching lrintf's round-nearest-even.
+ *    _mm256_cvtps_epi32 matching std::rint's round-nearest-even.
  *    Activations beyond relu (gelu/silu) requantize through the
  *    scalar emit, so exactness never depends on vector
  *    transcendental approximations.
- *  - fp32 kernels use FMA (one rounding per multiply-add) and
- *    per-panel partial sums, so results differ from scalar in the
- *    last bits: within 1e-5 relative (asserted by test_simd), and a
- *    pointwise weight gradient summing k > 64 products over images
- *    and pixels within k * 2^-24 * sum|products| of the exact sum.
+ *  - fp32 GEMM-shaped kernels use FMA (one rounding per
+ *    multiply-add) and per-panel partial sums, so results differ from
+ *    scalar in the last bits: within 1e-5 relative (asserted by
+ *    test_simd), and a pointwise weight gradient summing k > 64
+ *    products over images and pixels within k * 2^-24 * sum|products|
+ *    of the exact sum. The packed depthwise kernels use a separate
+ *    multiply and add in the direct loop's order (mulAddF8), so they
+ *    are BIT-EXACT to the scalar tier and to the direct loops.
  *    Thread-count invariance still holds — every output element's
  *    accumulation order is independent of the shard bounds.
  *
@@ -143,6 +147,19 @@ struct Avx2Lanes {
         }
     }
 
+    /** The depthwise channel lanes in one ymm: mul, then add. */
+    using F8 = __m256;
+
+    static F8 zeroF8() { return _mm256_setzero_ps(); }
+    static F8 loadF8(const float *p) { return _mm256_loadu_ps(p); }
+    static void storeF8(float *p, F8 a) { _mm256_storeu_ps(p, a); }
+
+    static F8
+    mulAddF8(F8 acc, F8 a, F8 b)
+    {
+        return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+    }
+
     static int32_t
     dotI8(const int8_t *a, const int8_t *w, int64_t k, int32_t zp)
     {
@@ -186,6 +203,18 @@ struct Avx2Lanes {
             acc, _mm256_mullo_epi32(
                      _mm256_sub_epi32(xv, _mm256_set1_epi32(zp)),
                      _mm256_set1_epi32(w)));
+    }
+
+    static I32
+    macI8(I32 acc, const int8_t *x, int32_t zp, const int8_t *w)
+    {
+        __m256i xv = _mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(x)));
+        __m256i wv = _mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(w)));
+        return _mm256_add_epi32(
+            acc, _mm256_mullo_epi32(
+                     _mm256_sub_epi32(xv, _mm256_set1_epi32(zp)), wv));
     }
 
     /** relu is a max; gelu/silu go through the scalar emit. */

@@ -4,8 +4,9 @@
  * NEON registers, registered with one registerTier call as the
  * "<base>@neon" variants of the same kernels as the AVX2 tier (blocked
  * MatMul, MatMulBiasAct and BatchMatMul, im2col Conv2d, ConvBiasAct,
- * Conv2dBwdInput and Conv2dBwdWeight, FusedAttention, int8 GEMM, conv
- * and depthwise), with the scalar bases' bodies, partition domains and
+ * Conv2dBwdInput and Conv2dBwdWeight, packed DwConv2d, DwConvBiasAct
+ * and DwConv2dBwdInput, FusedAttention, int8 GEMM, conv and
+ * depthwise), with the scalar bases' bodies, partition domains and
  * workspaces.
  *
  * NEON is a compile-time baseline on ARM (__ARM_NEON), so this TU
@@ -15,8 +16,10 @@
  * requantization is only taken on AArch64, where vdivq_f32 /
  * vcvtnq_s32_f32 give IEEE division and round-nearest-even exactly —
  * ARMv7 (and gelu/silu activations anywhere) requantize through the
- * scalar Requant::emit. fp32 results are within 1e-5 relative of the
- * scalar tier (multiply-accumulate fusion changes rounding).
+ * scalar Requant::emit. fp32 GEMM-shaped results are within 1e-5
+ * relative of the scalar tier (multiply-accumulate fusion changes
+ * rounding); the packed depthwise kernels multiply, then add, in the
+ * direct loop's order, bit-exact to the scalar tier.
  */
 
 #include "kernels/kernel.h"
@@ -107,6 +110,34 @@ struct NeonLanes {
         }
     }
 
+    /** The depthwise channel lanes in two q registers: mul, then
+     *  add. */
+    struct F8 {
+        float32x4_t lo, hi;
+    };
+
+    static F8 zeroF8() { return {vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)}; }
+
+    static F8
+    loadF8(const float *p)
+    {
+        return {vld1q_f32(p), vld1q_f32(p + 4)};
+    }
+
+    static void
+    storeF8(float *p, F8 a)
+    {
+        vst1q_f32(p, a.lo);
+        vst1q_f32(p + 4, a.hi);
+    }
+
+    static F8
+    mulAddF8(F8 acc, F8 a, F8 b)
+    {
+        return {vaddq_f32(acc.lo, vmulq_f32(a.lo, b.lo)),
+                vaddq_f32(acc.hi, vmulq_f32(a.hi, b.hi))};
+    }
+
     static int32_t
     dotI8(const int8_t *a, const int8_t *w, int64_t k, int32_t zp)
     {
@@ -141,6 +172,20 @@ struct NeonLanes {
         int8x8_t v = vreinterpret_s8_s32(vdup_n_s32(bits));
         int32x4_t xv = vmovl_s16(vget_low_s16(vmovl_s8(v)));
         return vmlaq_n_s32(acc, vsubq_s32(xv, vdupq_n_s32(zp)), w);
+    }
+
+    /** Per-lane weights: widens exactly 4 int8 values of each. */
+    static I32
+    macI8(I32 acc, const int8_t *x, int32_t zp, const int8_t *w)
+    {
+        int32_t xb, wb;
+        std::memcpy(&xb, x, 4);
+        std::memcpy(&wb, w, 4);
+        int32x4_t xv = vmovl_s16(
+            vget_low_s16(vmovl_s8(vreinterpret_s8_s32(vdup_n_s32(xb)))));
+        int32x4_t wv = vmovl_s16(
+            vget_low_s16(vmovl_s8(vreinterpret_s8_s32(vdup_n_s32(wb)))));
+        return vmlaq_s32(acc, vsubq_s32(xv, vdupq_n_s32(zp)), wv);
     }
 
     /** AArch64 has IEEE vector divide and round-nearest-even

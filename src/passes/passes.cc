@@ -595,6 +595,14 @@ switchBackends(const Graph &g, const BackendOptions &opts,
                 if (stats)
                     ++stats->im2colBound;
             }
+        } else if (n.op == OpKind::DwConv2d ||
+                   n.op == OpKind::DwConvBiasAct ||
+                   n.op == OpKind::DwConv2dBwdInput) {
+            // Depthwise forward and input gradient: the channel-lane
+            // "packed" body, bit-identical to the direct loops, which
+            // the SIMD tier upgrades.
+            if (opts.enableBlocked)
+                variants[id] = "packed";
         } else if (n.op == OpKind::MatMul ||
                    n.op == OpKind::MatMulBiasAct ||
                    n.op == OpKind::BatchMatMul) {

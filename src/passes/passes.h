@@ -15,8 +15,10 @@
  *                      ready so gradient buffers are recycled
  *                      ("Operator Reordering and In-place Update").
  *  - switchBackends(): per-node kernel-variant selection, including
- *                      binding frozen 3x3 convolutions to Winograd
- *                      and pointwise convolutions to im2col GEMMs.
+ *                      binding frozen 3x3 convolutions to Winograd,
+ *                      pointwise convolutions to im2col GEMMs and
+ *                      depthwise convolutions to the packed
+ *                      channel-lane kernels.
  *  - constantFold():   evaluate Const-only subgraphs at compile time.
  */
 
@@ -95,7 +97,8 @@ std::vector<int> naturalOrder(const Graph &g);
 struct BackendOptions {
     bool enableWinograd = true; ///< frozen 3x3 s1 convs -> Winograd
     bool enableBlocked = true;  ///< GEMMs -> blocked, convs and
-                                ///< pointwise conv grads -> im2col
+                                ///< pointwise conv grads -> im2col,
+                                ///< depthwise -> packed
 };
 
 /**
@@ -114,7 +117,13 @@ struct BackendOptions {
  * it is the form the SIMD tier upgrades. Only a one-row GEMM with a
  * transposed B keeps the default: the naive loop reads both operands
  * contiguously, and blocked would pack all of B for a single row.
- * Every fused-op variant is its unfused op's kernel plus the shared
+ * DwConv2d, DwConvBiasAct and DwConv2dBwdInput get "packed": per
+ * (image, 8-channel block) the planes are packed channel-lane-major
+ * into the shard's workspace and every output pixel runs 8 channel
+ * lanes over its in-bounds taps, bit-identical to the direct loops on
+ * every tier (the input gradient drops the direct loop's dY == 0 skip,
+ * which matters only for non-finite weights). The depthwise weight
+ * gradient keeps the direct loop. Every fused-op variant is its unfused op's kernel plus the shared
  * bias + activation epilogue, so it reaches the same SIMD tier forms.
  * Quant compute ops get "int8" (ops whose int8 kernel is not
  * registered fall back to the dequant->fp32->requant reference

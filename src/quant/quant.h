@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -105,7 +106,14 @@ quantizeValue(float v, float scale, int32_t zp)
 {
     float q = v / scale + static_cast<float>(zp);
     q = std::min(127.0f, std::max(-128.0f, q));
-    return static_cast<int8_t>(std::lrintf(q));
+    // Floats in [2^23, 2^24) are exactly the integers, so adding
+    // 1.5 * 2^23 rounds q like lrintf (the current mode, nearest-even
+    // by default) and the subtraction is exact. Unlike lrintf this
+    // compiles inline and branch-free, so quantize loops vectorize.
+    // It needs float arithmetic evaluated in float.
+    static_assert(FLT_EVAL_METHOD == 0, "quantizeValue rounds in float");
+    constexpr float kRound = 12582912.0f;
+    return static_cast<int8_t>(static_cast<int32_t>((q + kRound) - kRound));
 }
 
 inline float

@@ -112,6 +112,9 @@ Executor::countStepsAndFallbacks()
         stepTiers_.push_back(simdTierName(vt));
         if (vt != SimdTier::Scalar)
             ++simdSteps_;
+        else if (tier_ != SimdTier::Scalar && hasTierForm(n.op, tier_))
+            tierMisses_.push_back(std::string(opName(n.op)) + "/" +
+                                  variants_[id]);
     }
 }
 

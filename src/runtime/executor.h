@@ -324,11 +324,18 @@ class Executor
     {
         return stepTiers_;
     }
+    /** "op/variant" of each step bound to a variant with no form at
+     *  the bound tier while another variant of its op has one. */
+    const std::vector<std::string> &tierMisses() const
+    {
+        return tierMisses_;
+    }
 
   private:
     float *resolve(ExecContext &ctx, int id) const;
 
-    /** Ctor tail: count kernel steps + registry fallbacks. */
+    /** Ctor tail: count kernel steps, registry fallbacks and tier
+     *  misses. */
     void countStepsAndFallbacks();
 
     /**
@@ -373,6 +380,7 @@ class Executor
     SimdTier tier_ = SimdTier::Scalar;
     int simdSteps_ = 0;
     std::vector<std::string> stepTiers_; ///< tier name per step
+    std::vector<std::string> tierMisses_;
     int numThreads_ = 1;
     int numSteps_ = 0;
     /** Compile-time shard count per kernel step; bindInto verifies

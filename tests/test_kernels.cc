@@ -89,20 +89,7 @@ expectSameRawBits(const Tensor &got, const Tensor &want)
               0);
 }
 
-/** @p base and, where this host registers it, its SIMD tier form. */
-std::vector<std::string>
-variantAndTier(OpKind op, const std::string &base)
-{
-    detail::ensureKernelsRegistered();
-    std::vector<std::string> out = {base};
-    SimdTier t = hostSimdTier();
-    std::string tiered = base.empty()
-                             ? std::string(simdTierName(t))
-                             : base + "@" + simdTierName(t);
-    if (t != SimdTier::Scalar && hasKernelVariant(op, tiered))
-        out.push_back(tiered);
-    return out;
-}
+using test::variantAndTier;
 
 struct ConvParam {
     int64_t ci, co, hw, stride, pad;
@@ -299,9 +286,11 @@ TEST(FusedKernels, FusedOpsMatchUnfusedChainBitForBit)
         {"conv1x1", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 3, 8, 8},
          {6, 3, 1, 1}, {6, 1, 1}, 1, 0, {"", "im2col"}},
         {"dwconv3x3", OpKind::DwConvBiasAct, OpKind::DwConv2d,
-         {2, 4, 8, 8}, {4, 1, 3, 3}, {4, 1, 1}, 1, 1, {""}},
+         {2, 4, 8, 8}, {4, 1, 3, 3}, {4, 1, 1}, 1, 1, {"", "packed"}},
         {"dwconv3x3s2", OpKind::DwConvBiasAct, OpKind::DwConv2d,
-         {2, 4, 9, 9}, {4, 1, 3, 3}, {4, 1, 1}, 2, 1, {""}},
+         {2, 4, 9, 9}, {4, 1, 3, 3}, {4, 1, 1}, 2, 1, {"", "packed"}},
+        {"dwconv5x5c11", OpKind::DwConvBiasAct, OpKind::DwConv2d,
+         {2, 11, 6, 6}, {11, 1, 5, 5}, {11, 1, 1}, 1, 2, {"", "packed"}},
         {"matmul", OpKind::MatMulBiasAct, OpKind::MatMul, {13, 50},
          {50, 70}, {70}, 0, 0, {"", "blocked"}},
     };
@@ -508,7 +497,9 @@ TEST(ReluKernels, EpilogueMatchesReluKernelBitForBit)
         {"conv3x3s2", OpKind::ConvBiasAct, OpKind::Conv2d, {2, 2, 9, 9},
          {5, 2, 3, 3}, {5, 1, 1}, 2, 1, {"", "im2col"}},
         {"dwconv3x3", OpKind::DwConvBiasAct, OpKind::DwConv2d,
-         {2, 4, 7, 7}, {4, 1, 3, 3}, {4, 1, 1}, 1, 1, {""}},
+         {2, 4, 7, 7}, {4, 1, 3, 3}, {4, 1, 1}, 1, 1, {"", "packed"}},
+        {"dwconv3x3c9", OpKind::DwConvBiasAct, OpKind::DwConv2d,
+         {2, 9, 5, 5}, {9, 1, 3, 3}, {9, 1, 1}, 2, 1, {"", "packed"}},
         {"matmul", OpKind::MatMulBiasAct, OpKind::MatMul, {11, 3},
          {3, 21}, {21}, 0, 0, {"", "blocked"}},
     };
@@ -669,6 +660,204 @@ TEST(CrossEntropyKernel, MatchesManualComputation)
     double lse0 = std::log(std::exp(1.0) + std::exp(2.0) + std::exp(3.0));
     double expected = ((lse0 - 3.0) + std::log(3.0)) / 2.0;
     EXPECT_NEAR(out[0], expected, 1e-5);
+}
+
+TEST(DepthwiseKernel, PackedMatchesDirectBitForBit)
+{
+    // The packed body sums each output's in-bounds taps from zero in
+    // the direct loop's order, multiply then add, on every tier; the
+    // input gradient scatters in the direct loop's pixel order. So the
+    // forward (plain and fused) and the input gradient of "packed" and
+    // its tier form equal the direct "" loops bit for bit: channels
+    // around the 8-lane block, planes 1x1 to 9x9, k 3/5/7, stride 1/2,
+    // pad 0 and k/2, and dY with exact zeros (the direct loop skips
+    // them, which only matters for non-finite weights).
+    int cases = 0;
+    for (int64_t ch : {1, 7, 8, 9, 60}) {
+        for (int64_t hw = 1; hw <= 9; ++hw) {
+            for (int64_t k : {3, 5, 7}) {
+                for (int64_t stride : {1, 2}) {
+                    for (int64_t pad : {int64_t{0}, k / 2}) {
+                        if (hw + 2 * pad < k)
+                            continue;
+                        ++cases;
+                        SCOPED_TRACE("ch " + std::to_string(ch) + " hw " +
+                                     std::to_string(hw) + " k " +
+                                     std::to_string(k) + " stride " +
+                                     std::to_string(stride) + " pad " +
+                                     std::to_string(pad));
+                        Rng rng(static_cast<uint64_t>(cases));
+                        Graph g;
+                        int x = g.input({2, ch, hw, hw}, "x");
+                        int w = g.input({ch, 1, k, k}, "w");
+                        int b = g.input({ch, 1, 1}, "b");
+                        Attrs a;
+                        a.set("stride", stride);
+                        a.set("pad", pad);
+                        int dw = g.add(OpKind::DwConv2d, {x, w}, a);
+                        std::vector<int> fused;
+                        for (int64_t act : {kActRelu, kActGelu}) {
+                            Attrs fa = a;
+                            fa.set("act", act);
+                            fused.push_back(g.add(OpKind::DwConvBiasAct,
+                                                  {x, w, b}, std::move(fa)));
+                        }
+                        const Shape ys = g.node(dw).shape;
+                        int dy = g.input(ys, "dy");
+                        Attrs ba = a;
+                        ba.set("xshape", Shape{2, ch, hw, hw});
+                        int dx = g.add(OpKind::DwConv2dBwdInput, {w, dy},
+                                       std::move(ba));
+                        Tensor tx = Tensor::randn({2, ch, hw, hw}, rng);
+                        Tensor tw = Tensor::randn({ch, 1, k, k}, rng, 0.5f);
+                        Tensor tb = Tensor::randn({ch, 1, 1}, rng);
+                        Tensor tdy = Tensor::randn(ys, rng);
+                        for (int64_t i = 0; i < tdy.size(); i += 3)
+                            tdy[i] = 0.0f;
+                        Tensor want = runKernel(g, dw, {tx, tw}, "");
+                        Tensor want_dx = runKernel(g, dx, {tw, tdy}, "");
+                        for (const std::string &v :
+                             variantAndTier(OpKind::DwConv2d, "packed")) {
+                            SCOPED_TRACE(v);
+                            expectSameRawBits(runKernel(g, dw, {tx, tw}, v),
+                                              want);
+                            for (int f : fused)
+                                expectSameRawBits(
+                                    runKernel(g, f, {tx, tw, tb}, v),
+                                    runKernel(g, f, {tx, tw, tb}, ""));
+                            expectSameRawBits(
+                                runKernel(g, dx, {tw, tdy}, v), want_dx);
+                        }
+                        // A plane this small is one band: the x plane
+                        // and the taps, 8 fp32 lanes each.
+                        int64_t elems = (hw * hw + k * k) * kutil::kDwBlock;
+                        EXPECT_EQ(kernelWorkspace(g, g.node(dw), "packed")
+                                      .bytesPerShard,
+                                  elems * 4);
+                        EXPECT_EQ(kernelWorkspace(g, g.node(dx), "packed")
+                                      .bytesPerShard,
+                                  elems * 4);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 300);
+}
+
+TEST(DepthwiseKernel, PackedBandsMatchDirectBitForBit)
+{
+    // A plane past kDwBandPixels packs x one band of rows at a time:
+    // several bands, bands of exactly one window (rows wider than the
+    // budget), and windows that straddle band edges all keep the
+    // direct loops' bits, forward and input gradient.
+    struct S {
+        int64_t h, w, k, stride, pad;
+    };
+    for (auto [h, w, k, stride, pad] :
+         {S{40, 40, 3, 1, 1}, S{41, 37, 5, 2, 2}, S{33, 64, 7, 1, 3},
+          S{13, 100, 3, 2, 0}, S{7, 1030, 3, 1, 1}, S{6, 1500, 5, 2, 2}}) {
+        SCOPED_TRACE(std::to_string(h) + "x" + std::to_string(w) + " k " +
+                     std::to_string(k) + " stride " +
+                     std::to_string(stride) + " pad " +
+                     std::to_string(pad));
+        Rng rng(19);
+        int64_t ch = 9;
+        Graph g;
+        int x = g.input({1, ch, h, w}, "x");
+        int wt = g.input({ch, 1, k, k}, "w");
+        int b = g.input({ch, 1, 1}, "b");
+        Attrs a;
+        a.set("stride", stride);
+        a.set("pad", pad);
+        Attrs fa = a;
+        fa.set("act", static_cast<int64_t>(kActRelu));
+        int fused = g.add(OpKind::DwConvBiasAct, {x, wt, b}, std::move(fa));
+        const Shape ys = g.node(fused).shape;
+        int dy = g.input(ys, "dy");
+        a.set("xshape", Shape{1, ch, h, w});
+        int dx = g.add(OpKind::DwConv2dBwdInput, {wt, dy}, std::move(a));
+        Tensor tx = Tensor::randn({1, ch, h, w}, rng);
+        Tensor tw = Tensor::randn({ch, 1, k, k}, rng, 0.5f);
+        Tensor tb = Tensor::randn({ch, 1, 1}, rng);
+        Tensor tdy = Tensor::randn(ys, rng);
+        for (const std::string &v :
+             variantAndTier(OpKind::DwConvBiasAct, "packed")) {
+            SCOPED_TRACE(v);
+            expectSameRawBits(runKernel(g, fused, {tx, tw, tb}, v),
+                              runKernel(g, fused, {tx, tw, tb}, ""));
+            expectSameRawBits(runKernel(g, dx, {tw, tdy}, v),
+                              runKernel(g, dx, {tw, tdy}, ""));
+        }
+        // One band of whole rows, at least one window tall, and the
+        // taps: 8 fp32 lanes each.
+        int64_t band = std::min(h, std::max(k, 1024 / w));
+        EXPECT_EQ(kernelWorkspace(g, g.node(fused), "packed").bytesPerShard,
+                  (band * w + k * k) * kutil::kDwBlock * 4);
+        EXPECT_EQ(kernelWorkspace(g, g.node(dx), "packed").bytesPerShard,
+                  (band * w + k * k) * kutil::kDwBlock * 4);
+    }
+}
+
+TEST(DepthwiseKernel, PackedIsShardInvariant)
+{
+    // Shards are (image, 8-channel block) pairs with their own
+    // workspace: 1 and 4 shards give the same bits, a short last
+    // block included.
+    Rng rng(17);
+    Graph g;
+    int x = g.input({3, 21, 6, 6}, "x");
+    int w = g.input({21, 1, 3, 3}, "w");
+    int b = g.input({21, 1, 1}, "b");
+    Attrs a;
+    a.set("stride", static_cast<int64_t>(2));
+    a.set("pad", static_cast<int64_t>(1));
+    Attrs fa = a;
+    fa.set("act", static_cast<int64_t>(kActRelu));
+    int fused = g.add(OpKind::DwConvBiasAct, {x, w, b}, std::move(fa));
+    int dy = g.input(g.node(fused).shape, "dy");
+    a.set("xshape", Shape{3, 21, 6, 6});
+    int dx = g.add(OpKind::DwConv2dBwdInput, {w, dy}, std::move(a));
+    Tensor tx = Tensor::randn({3, 21, 6, 6}, rng);
+    Tensor tw = Tensor::randn({21, 1, 3, 3}, rng);
+    Tensor tb = Tensor::randn({21, 1, 1}, rng);
+    Tensor tdy = Tensor::randn(g.node(fused).shape, rng);
+    for (const std::string &v :
+         variantAndTier(OpKind::DwConvBiasAct, "packed")) {
+        SCOPED_TRACE(v);
+        expectSameRawBits(runKernelShards(g, fused, {tx, tw, tb}, v, 4),
+                          runKernelShards(g, fused, {tx, tw, tb}, v, 1));
+        expectSameRawBits(runKernelShards(g, dx, {tw, tdy}, v, 4),
+                          runKernelShards(g, dx, {tw, tdy}, v, 1));
+    }
+}
+
+TEST(DepthwiseKernel, PackedInputGradientKeepsZeroTimesInf)
+{
+    // The one intended bit change: the direct input gradient skips
+    // dY == 0, the packed one multiplies it, so a zero gradient through
+    // an infinite weight gives NaN instead of 0.
+    Graph g;
+    int w = g.input({1, 1, 3, 3}, "w");
+    int dy = g.input({1, 1, 3, 3}, "dy");
+    Attrs a;
+    a.set("stride", static_cast<int64_t>(1));
+    a.set("pad", static_cast<int64_t>(1));
+    a.set("xshape", Shape{1, 1, 3, 3});
+    int dx = g.add(OpKind::DwConv2dBwdInput, {w, dy}, std::move(a));
+    Tensor tw = Tensor::ones({1, 1, 3, 3});
+    tw[4] = std::numeric_limits<float>::infinity();
+    Tensor tdy = Tensor::zeros({1, 1, 3, 3});
+    Tensor direct = runKernel(g, dx, {tw, tdy}, "");
+    for (int64_t i = 0; i < direct.size(); ++i)
+        EXPECT_EQ(direct[i], 0.0f) << i;
+    for (const std::string &v :
+         variantAndTier(OpKind::DwConv2dBwdInput, "packed")) {
+        Tensor packed = runKernel(g, dx, {tw, tdy}, v);
+        // The centre tap reaches every dX entry of a 3x3 plane once.
+        for (int64_t i = 0; i < packed.size(); ++i)
+            EXPECT_TRUE(std::isnan(packed[i])) << v << " " << i;
+    }
 }
 
 TEST(DepthwiseKernel, MatchesPerChannelConv)

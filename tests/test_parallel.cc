@@ -27,6 +27,7 @@
 #include "frontend/models.h"
 #include "hw/threadpool.h"
 #include "kernels/kernel.h"
+#include "testutil.h"
 
 namespace pe {
 namespace {
@@ -273,6 +274,37 @@ TEST(KernelPartition, Conv)
     expectShardInvariant(
         {OpKind::Conv2d, {{3, 3, 9, 9}, {4, 3, 3, 3}}, convAttrs(2, 1)},
         "im2col");
+    // The packed depthwise forms: (image, 8-channel block) shards,
+    // a short last block, each shard packing into its own workspace;
+    // and the int8 depthwise on the same body (int8 codes are any
+    // bytes, so random floats serve as its operands).
+    for (const std::string &v : test::variantAndTier(OpKind::DwConv2d, "packed")) {
+        expectShardInvariant({OpKind::DwConv2d,
+                              {{2, 20, 7, 7}, {20, 1, 3, 3}},
+                              convAttrs(2, 1)},
+                             v);
+        Attrs db = convAttrs(1, 2);
+        db.set("xshape", std::vector<int64_t>{2, 20, 6, 6});
+        expectShardInvariant({OpKind::DwConv2dBwdInput,
+                              {{20, 1, 5, 5}, {2, 20, 6, 6}},
+                              std::move(db)},
+                             v);
+    }
+    for (const std::string &v :
+         test::variantAndTier(OpKind::QuantDwConv2d, "int8")) {
+        Attrs q = convAttrs(1, 1);
+        q.set("act", kActRelu);
+        q.set("hasBias", static_cast<int64_t>(1));
+        q.set("perChannel", static_cast<int64_t>(1));
+        q.set("xScale", 0.02);
+        q.set("xZp", static_cast<int64_t>(5));
+        q.set("yScale", 0.05);
+        expectShardInvariant({OpKind::QuantDwConv2d,
+                              {{2, 20, 6, 6}, {20, 1, 3, 3}, {20, 1, 1},
+                               {20}},
+                              std::move(q)},
+                             v);
+    }
     // Winograd: each shard transforms the filters into its own
     // workspace.
     expectShardInvariant(
@@ -364,6 +396,13 @@ TEST(KernelPartition, FusedKernels)
         "blocked");
     Attrs dw = convAttrs(2, 1);
     dw.set("act", kActGelu);
+    for (const std::string &v :
+         test::variantAndTier(OpKind::DwConvBiasAct, "packed")) {
+        expectShardInvariant({OpKind::DwConvBiasAct,
+                              {{2, 17, 9, 9}, {17, 1, 3, 3}, {17, 1, 1}},
+                              dw},
+                             v);
+    }
     expectShardInvariant({OpKind::DwConvBiasAct,
                           {{2, 5, 9, 9}, {5, 1, 3, 3}, {5, 1, 1}},
                           std::move(dw)});

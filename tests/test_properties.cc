@@ -12,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "baseline/eager.h"
 #include "engine/engine.h"
 #include "frontend/builder.h"
 #include "ir/serialize.h"
 #include "passes/passes.h"
+#include "quant/quant.h"
 #include "testutil.h"
 
 namespace pe {
@@ -172,17 +174,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSerialize,
 
 /**
  * A random small CNN classifier: a few conv layers (pointwise, 3x3 or
- * 5x5 at stride 1 or 2 with random padding, or depthwise), each with
- * a ReLU that fusion folds into ConvBiasAct / DwConvBiasAct, then a
- * global pool and a linear head. Some layers are frozen, so the
- * sparse backward graph, Winograd-bound frozen convs and
- * input-gradient-only convs all occur.
+ * 5x5 at stride 1 or 2 with random padding, 2 to 12 wide, or a 3x3,
+ * 5x5 or 7x7 depthwise at stride 1 or 2), each with a ReLU that fusion
+ * folds into ConvBiasAct / DwConvBiasAct, then a global pool and a
+ * linear head. Some layers are frozen, so the sparse backward graph,
+ * Winograd-bound frozen convs and input-gradient-only convs all occur,
+ * and depthwise widths straddle the 8-channel block.
  */
 struct RandomCnn {
     std::shared_ptr<ParamStore> store = std::make_shared<ParamStore>();
     Graph g;
     test::Feeds feeds;
     SparseUpdateScheme scheme = SparseUpdateScheme::frozen();
+    int logits = -1;
     int loss = -1;
 };
 
@@ -203,14 +207,18 @@ randomCnn(uint64_t seed)
         int64_t kind = rng.randint(4);
         int64_t cur = net.g.node(h).shape[2];
         if (kind == 3 && i > 0) {
-            h = b.dwConv2d(h, 3, 1, 1, name);
+            // Past the plane, only a same-size pad keeps an output.
+            int64_t k = 3 + 2 * rng.randint(3);
+            int64_t stride = cur > 4 ? 1 + rng.randint(2) : 1;
+            int64_t pad = k > cur ? k / 2 : rng.randint(k / 2 + 1);
+            h = b.dwConv2d(h, k, stride, pad, name);
         } else {
             int64_t k = kind == 0 ? 1 : kind == 1 ? 3 : 5;
             if (k > cur)
                 k = 1;
             int64_t stride = k > 1 && cur > 4 ? 1 + rng.randint(2) : 1;
             int64_t pad = k > 1 ? rng.randint(k / 2 + 1) : 0;
-            h = b.conv2d(h, 2 + rng.randint(6), k, stride, pad, name);
+            h = b.conv2d(h, 2 + rng.randint(11), k, stride, pad, name);
         }
         h = b.relu(h);
         // Train the later layers; freeze an earlier one at random.
@@ -219,11 +227,11 @@ randomCnn(uint64_t seed)
             net.scheme.updateBiasPrefix(name + ".");
         }
     }
-    int logits = b.linear(b.globalAvgPool(h), 3, "head");
+    net.logits = b.linear(b.globalAvgPool(h), 3, "head");
     net.scheme.updatePrefix("head.");
     net.scheme.updateBiasPrefix("head.");
     int y = b.input({batch}, "y");
-    net.loss = b.crossEntropy(logits, y);
+    net.loss = b.crossEntropy(net.logits, y);
     net.feeds["x"] = Tensor::randn({batch, ch, hw, hw}, rng);
     Tensor ty({batch});
     for (int64_t i = 0; i < batch; ++i)
@@ -271,6 +279,74 @@ TEST_P(RandomCnnDifferential, BlockedKernelsTrainLikeEager)
             EXPECT_NEAR(lc, le, kTol) << "step " << step;
         }
     }
+}
+
+/** Raw bytes of @p a and @p b agree (NaN payloads and -0 too). */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+TEST_P(RandomCnnDifferential, ScalarTierIsBitEqualBlockedOrNot)
+{
+    // On the scalar tier every tuned kernel keeps its direct loop's
+    // per-output order (im2col, blocked, the packed depthwise forward
+    // and input gradient), so sparse training steps compiled with and
+    // without them give the same loss and weight bits.
+    uint64_t seed = GetParam();
+    std::vector<float> losses[2];
+    std::shared_ptr<ParamStore> stores[2];
+    for (bool blocked : {true, false}) {
+        RandomCnn net = randomCnn(seed);
+        CompileOptions opt;
+        opt.optim = OptimConfig::sgd(0.05);
+        opt.blocked = blocked;
+        opt.forceScalarTier = true;
+        TrainingProgram prog = compileTraining(net.g, net.loss, net.scheme,
+                                               opt, net.store);
+        const Graph &pg = prog.graph();
+        const ProgramArtifact art = prog.executor().exportArtifact();
+        for (int id : art.order) {
+            OpKind op = pg.node(id).op;
+            if (op == OpKind::DwConv2d || op == OpKind::DwConvBiasAct ||
+                op == OpKind::DwConv2dBwdInput)
+                EXPECT_EQ(art.variants[id], blocked ? "packed" : "");
+        }
+        for (int step = 0; step < 3; ++step)
+            losses[blocked].push_back(prog.trainStep(net.feeds));
+        stores[blocked] = net.store;
+    }
+    ASSERT_EQ(std::memcmp(losses[0].data(), losses[1].data(),
+                          sizeof(float) * losses[0].size()),
+              0)
+        << "seed " << seed;
+    for (const auto &[name, t] : stores[1]->all())
+        EXPECT_TRUE(sameBits(t, stores[0]->get(name))) << name;
+}
+
+TEST_P(RandomCnnDifferential, Int8TierMatchesScalarBitForBit)
+{
+    // The random CNN calibrated and compiled to int8: its quantized
+    // convs, depthwise convs and head are integer kernels, bit-exact
+    // across tiers, so the tier and scalar compiles give the same
+    // logits bits.
+    uint64_t seed = GetParam();
+    RandomCnn net = randomCnn(seed);
+    calibrate(net.g, *net.store, {net.feeds});
+    CompileOptions opt;
+    opt.precision = Precision::Int8;
+    InferenceProgram tier =
+        compileInference(net.g, {net.logits}, opt, net.store);
+    opt.forceScalarTier = true;
+    InferenceProgram scalar =
+        compileInference(net.g, {net.logits}, opt, net.store);
+    EXPECT_GT(tier.report().quant.quantizedOps, 0);
+    test::Feeds x{{"x", net.feeds.at("x")}};
+    EXPECT_TRUE(sameBits(tier.run(x)[0], scalar.run(x)[0]))
+        << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnnDifferential,

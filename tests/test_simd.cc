@@ -38,6 +38,7 @@
 #include "frontend/models.h"
 #include "hw/cpu_features.h"
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 #include "plan/plan.h"
 #include "quant/quant.h"
 #include "testutil.h"
@@ -270,7 +271,10 @@ TEST(TierApi, CapabilityGatedRegistration)
             {OpKind::FusedAttention, "", simdTierName(host)},
             {OpKind::QuantMatMul, "int8", "int8" + sfx},
             {OpKind::QuantConv2d, "int8", "int8" + sfx},
-            {OpKind::QuantDwConv2d, "int8", "int8" + sfx}};
+            {OpKind::QuantDwConv2d, "int8", "int8" + sfx},
+            {OpKind::DwConv2d, "packed", "packed" + sfx},
+            {OpKind::DwConvBiasAct, "packed", "packed" + sfx},
+            {OpKind::DwConv2dBwdInput, "packed", "packed" + sfx}};
         for (const V &v : variants) {
             SCOPED_TRACE(std::string(opName(v.op)) + " " + v.tier);
             KernelInfo base = lookupKernelInfo(v.op, v.base);
@@ -734,6 +738,127 @@ TEST(SimdParity, Int8ConvAndDepthwiseBitExact)
     }
 }
 
+TEST(SimdParity, Int8DepthwiseMatchesInt32LoopExactly)
+{
+    // The packed int8 depthwise, scalar and on this host's tier, equals
+    // a plain int32 loop over each output's in-bounds taps requantized
+    // by Requant::emit, code for code: channels around the 8-lane
+    // block, planes 1x1 to 9x9 and a 37x37 one packed in two bands,
+    // k 3/5/7, stride 1/2, pad 0 and k/2, with and without bias and
+    // per-channel scales, none/relu/gelu.
+    std::vector<std::string> variants = {"int8"};
+    if (!hostSuffix().empty())
+        variants.push_back("int8" + hostSuffix());
+    Rng rng(107);
+    int cases = 0;
+    for (int64_t ch : {1, 7, 8, 9, 60})
+    for (int64_t hw : {1, 2, 4, 5, 8, 9, 37})
+    for (int64_t k : {3, 5, 7})
+    for (int64_t stride : {1, 2})
+    for (int64_t pad : {int64_t{0}, k / 2}) {
+        if (hw + 2 * pad < k)
+            continue;
+        int64_t act = (cases % 3 == 0)   ? kActNone
+                      : (cases % 3 == 1) ? kActRelu
+                                         : kActGelu;
+        bool with_bias = cases % 2 == 0, per_channel = cases % 4 < 2;
+        ++cases;
+        SCOPED_TRACE("ch " + std::to_string(ch) + " hw " +
+                     std::to_string(hw) + " k " + std::to_string(k) +
+                     " s " + std::to_string(stride) + " p " +
+                     std::to_string(pad) + " act " + std::to_string(act));
+        int64_t N = 2;
+        I8Buf qx(N * ch * hw * hw), qw(ch * k * k);
+        for (int64_t i = 0; i < N * ch * hw * hw; ++i)
+            qx.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        for (int64_t i = 0; i < ch * k * k; ++i)
+            qw.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        std::vector<float> bias(ch), scales(ch);
+        for (int64_t c = 0; c < ch; ++c) {
+            bias[c] = rng.uniform(-0.5f, 0.5f);
+            scales[c] = rng.uniform(0.001f, 0.004f);
+        }
+        Graph g;
+        int ix = g.input({N, ch, hw, hw}, "x");
+        int iw = g.input({ch, 1, k, k}, "w");
+        int ib = g.input({ch, 1, 1}, "b");
+        int is = g.input({ch}, "s");
+        Attrs at;
+        at.set("stride", stride);
+        at.set("pad", pad);
+        at.set("act", act);
+        at.set("hasBias", static_cast<int64_t>(with_bias));
+        at.set("perChannel", static_cast<int64_t>(per_channel));
+        at.set("xScale", 0.02);
+        at.set("xZp", static_cast<int64_t>(-7));
+        at.set("wScale", 0.003);
+        at.set("yScale", 0.05);
+        at.set("yZp", static_cast<int64_t>(4));
+        std::vector<int> inputs = {ix, iw};
+        std::vector<const float *> data = {qx.asF32(), qw.asF32()};
+        if (with_bias) {
+            inputs.push_back(ib);
+            data.push_back(bias.data());
+        }
+        if (per_channel) {
+            inputs.push_back(is);
+            data.push_back(scales.data());
+        }
+        int node = g.add(OpKind::QuantDwConv2d, inputs, std::move(at));
+        const Node &nd = g.node(node);
+        int64_t ho = nd.shape[2], wo = nd.shape[3];
+        int64_t out_n = numel(nd.shape);
+
+        kutil::Requant rq;
+        rq.xScale = 0.02f;
+        rq.wScale = 0.003f;
+        rq.yScale = 0.05f;
+        rq.xZp = -7;
+        rq.yZp = 4;
+        rq.act = act;
+        rq.bias = with_bias ? bias.data() : nullptr;
+        rq.wScales = per_channel ? scales.data() : nullptr;
+        std::vector<int8_t> want(static_cast<size_t>(out_n));
+        const int8_t *x = qx.data(), *w = qw.data();
+        for (int64_t n = 0; n < N; ++n)
+        for (int64_t c = 0; c < ch; ++c)
+        for (int64_t i = 0; i < ho; ++i)
+        for (int64_t j = 0; j < wo; ++j) {
+            int32_t acc = 0;
+            for (int64_t a = 0; a < k; ++a) {
+                for (int64_t b = 0; b < k; ++b) {
+                    int64_t ih = i * stride - pad + a;
+                    int64_t iw2 = j * stride - pad + b;
+                    if (ih < 0 || ih >= hw || iw2 < 0 || iw2 >= hw)
+                        continue;
+                    acc += (x[((n * ch + c) * hw + ih) * hw + iw2] -
+                            rq.xZp) *
+                           w[(c * k + a) * k + b];
+                }
+            }
+            want[((n * ch + c) * ho + i) * wo + j] = rq.emit(acc, c);
+        }
+        for (const std::string &v : variants) {
+            I8Buf got(out_n);
+            KernelCtx c;
+            c.node = &nd;
+            c.in = data;
+            for (int in : inputs)
+                c.inShapes.push_back(&g.node(in).shape);
+            c.out = got.asF32Mut();
+            c.outShape = &nd.shape;
+            DirectWorkspace ws;
+            ws.attach(c, g, nd, v);
+            lookupKernel(OpKind::QuantDwConv2d, v)(c);
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  static_cast<size_t>(out_n)),
+                      0)
+                << v;
+        }
+    }
+    EXPECT_GT(cases, 200);
+}
+
 TEST(SimdParity, Int8DepthwiseMatchesReferenceWithinOneCode)
 {
     // The native int8 depthwise kernel vs the dequant->fp32->requant
@@ -833,6 +958,64 @@ TEST(TierCompile, McuNetInt8BindsSimdStepsAndReportsTiers)
     } else {
         EXPECT_EQ(r.simdSteps, 0);
     }
+}
+
+TEST(TierCompile, McuNetStepsMissNoTier)
+{
+    // Every step of the MCUNet train and int8 compiles whose op has a
+    // tier form binds it: the depthwise forward and input gradient
+    // ("packed"), the convs and pointwise gradients ("im2col"), the
+    // GEMMs ("blocked") and the int8 kernels.
+    SKIP_WITHOUT_SIMD();
+    VisionConfig cfg;
+    cfg.batch = 8;
+    cfg.resolution = 16;
+    cfg.width = 0.5;
+    cfg.blocks = 5;
+    auto store = std::make_shared<ParamStore>();
+    Rng rng(1);
+    ModelSpec m = buildMcuNet(cfg, rng, store.get());
+    CompileOptions topt;
+    topt.optim = OptimConfig::sgd(1e-3);
+    topt.numThreads = 1;
+    TrainingProgram train = compileTraining(
+        m.graph, m.loss, cnnSparseScheme(m, 3, 2), topt, store);
+    EXPECT_EQ(train.report().tierMisses, 0)
+        << train.report().tierMissBreakdown();
+    EXPECT_GT(train.report().simdSteps, 0);
+
+    CompiledMcuNet f;
+    CompileOptions qopt;
+    qopt.precision = Precision::Int8;
+    InferenceProgram q =
+        compileInference(f.m.graph, {f.m.logits}, qopt, f.store);
+    EXPECT_EQ(q.report().tierMisses, 0) << q.report().tierMissBreakdown();
+    EXPECT_TRUE(q.report().tierMissBreakdown().empty());
+}
+
+TEST(TierCompile, TierMissNamesTheOneRowTransposedGemm)
+{
+    // A one-row GEMM against a transposed B keeps the naive loop,
+    // which has no tier form while "blocked" has one: the report
+    // counts and names it. Forcing the scalar tier misses nothing.
+    SKIP_WITHOUT_SIMD();
+    auto store = std::make_shared<ParamStore>();
+    Graph g;
+    Rng rng(38);
+    NetBuilder nb(g, rng, store.get());
+    Attrs tb;
+    tb.set("transB", static_cast<int64_t>(1));
+    int y = g.add(OpKind::MatMul,
+                  {nb.input({1, 32}, "x"), nb.param({16, 32}, "w", 0.1f)},
+                  std::move(tb));
+    InferenceProgram prog =
+        compileInference(g, {y}, CompileOptions{}, store);
+    EXPECT_EQ(prog.report().tierMisses, 1);
+    EXPECT_EQ(prog.report().tierMissBreakdown(), "MatMul/ x1");
+    CompileOptions sopt;
+    sopt.forceScalarTier = true;
+    InferenceProgram scalar = compileInference(g, {y}, sopt, store);
+    EXPECT_EQ(scalar.report().tierMisses, 0);
 }
 
 TEST(TierCompile, ForceScalarTierPinsEverything)

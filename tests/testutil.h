@@ -17,11 +17,26 @@
 #include "engine/engine.h"
 #include "frontend/builder.h"
 #include "ir/graph.h"
+#include "kernels/kernel.h"
 #include "passes/passes.h"
 
 namespace pe::test {
 
 using Feeds = std::unordered_map<std::string, Tensor>;
+
+/** @p base and, where this host registers it, its SIMD tier form. */
+inline std::vector<std::string>
+variantAndTier(OpKind op, const std::string &base)
+{
+    detail::ensureKernelsRegistered();
+    std::vector<std::string> out = {base};
+    SimdTier t = hostSimdTier();
+    std::string tiered = base.empty() ? std::string(simdTierName(t))
+                                      : base + "@" + simdTierName(t);
+    if (t != SimdTier::Scalar && hasKernelVariant(op, tiered))
+        out.push_back(tiered);
+    return out;
+}
 
 /**
  * A small net with Winograd-eligible convs (3x3, stride 1) and a
