@@ -951,7 +951,7 @@ BENCHMARK_CAPTURE(BM_QuantConv, int8, std::string("int8"))
 /**
  * Tracing overhead on the executor hot loop (src/obs/): a small MLP
  * forward program run through Executor::run(). arm = 0 is the
- * DISARMED path — the contract is that it costs one pointer test, so
+ * DISARMED path — the contract is a null-ring test per step, so
  * this row must sit within noise of the pre-tracing baseline (it is
  * the row bench_check.py gates). arm = 1 runs with the span ring
  * armed (one clock pair + ring store per step) — informational, to

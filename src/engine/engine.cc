@@ -36,7 +36,6 @@ CompileReport::recordBinding(const Executor &ex)
 
 TrainingProgram::TrainingProgram(CompiledGraph step,
                                  std::shared_ptr<ParamStore> store,
-                                 ExecOptions exec_options,
                                  CompiledGraph apply,
                                  int grad_accum_steps,
                                  std::vector<std::string> accum_buffers)
@@ -47,12 +46,10 @@ TrainingProgram::TrainingProgram(CompiledGraph step,
       report_(std::move(step.report))
 {
     executor_ = std::make_unique<Executor>(
-        graph_, std::move(step.artifact), *store_, exec_options);
-    if (applyGraph_.numNodes() > 0) {
+        graph_, std::move(step.artifact), *store_);
+    if (applyGraph_.numNodes() > 0)
         applyExecutor_ = std::make_unique<Executor>(
-            applyGraph_, std::move(apply.artifact), *store_,
-            exec_options);
-    }
+            applyGraph_, std::move(apply.artifact), *store_);
     report_.recordBinding(*executor_);
 }
 
@@ -73,13 +70,12 @@ TrainingProgram::trainStep(
 }
 
 InferenceProgram::InferenceProgram(CompiledGraph c,
-                                   std::shared_ptr<ParamStore> store,
-                                   ExecOptions exec_options)
+                                   std::shared_ptr<ParamStore> store)
     : graph_(std::move(c.graph)), store_(std::move(store)),
       report_(std::move(c.report))
 {
     executor_ = std::make_unique<Executor>(
-        graph_, std::move(c.artifact), *store_, exec_options);
+        graph_, std::move(c.artifact), *store_);
     report_.recordBinding(*executor_);
 }
 
@@ -339,9 +335,6 @@ compileTraining(const Graph &forward, int loss_id,
         store = std::make_shared<ParamStore>();
     CompiledGraph c =
         compileGraphOnly(forward, loss_id, scheme, options, store.get());
-    ExecOptions eopt;
-    eopt.forceScalarTier = options.forceScalarTier;
-
     // Under gradient accumulation, build the small apply program that
     // consumes the ".gacc" buffers every N-th step.
     CompiledGraph apply;
@@ -367,9 +360,8 @@ compileTraining(const Graph &forward, int loss_id,
         emitOptimizer(apply.graph, options.optim, param_grads);
         apply.artifact = planProgram(apply.graph);
     }
-    return TrainingProgram(std::move(c), std::move(store), eopt,
-                           std::move(apply), options.gradAccumSteps,
-                           std::move(accum_buffers));
+    return TrainingProgram(std::move(c), std::move(store), std::move(apply),
+                           options.gradAccumSteps, std::move(accum_buffers));
 }
 
 CompiledGraph
@@ -399,9 +391,7 @@ compileInference(const Graph &forward,
         store = std::make_shared<ParamStore>();
     CompiledGraph c =
         compileInferenceGraph(forward, output_ids, options, store);
-    ExecOptions eopt;
-    eopt.forceScalarTier = options.forceScalarTier;
-    return InferenceProgram(std::move(c), std::move(store), eopt);
+    return InferenceProgram(std::move(c), std::move(store));
 }
 
 } // namespace pe

@@ -58,14 +58,6 @@ struct CompileOptions {
      */
     int numThreads = 1;
     /**
-     * Bind scalar-tier kernels even when the host has AVX2/NEON —
-     * the determinism escape hatch. int8 SIMD kernels are bit-exact
-     * to scalar and always eligible otherwise; fp32 SIMD kernels use
-     * FMA, whose different rounding is covered by a 1e-5 relative
-     * tolerance contract (see kernel.h).
-     */
-    bool forceScalarTier = false;
-    /**
      * Storage precision of the compiled forward graph. Int8 rewrites
      * calibrated forward ops (see pe::calibrate) to int8 storage with
      * int32 accumulation, keeping the sparse-BP backward graph in
@@ -113,8 +105,9 @@ struct CompileReport {
      */
     int kernelFallbacks = 0;
     std::vector<std::string> fallbackKernels; ///< "op/variant" labels
-    /** SIMD tier the executor bound against ("scalar"/"avx2"/"neon"),
-     *  after forceScalarTier and any artifact-load downgrade. */
+    /** SIMD tier the executor bound against ("scalar"/"avx2"/"neon"):
+     *  the host's at bind, so a loaded plan's tier variants retarget
+     *  to it. Scalar bits come from a -DPE_SIMD=OFF build. */
     std::string simdTier = "scalar";
     /** Steps bound to a SIMD-tier kernel variant. */
     int simdSteps = 0;
@@ -221,7 +214,7 @@ class TrainingProgram
     /** Bind @p step (and, under gradient accumulation, the optimizer
      *  program @p apply) against @p store. Plans nothing. */
     TrainingProgram(CompiledGraph step, std::shared_ptr<ParamStore> store,
-                    ExecOptions exec_options, CompiledGraph apply = {},
+                    CompiledGraph apply = {},
                     int grad_accum_steps = 1,
                     std::vector<std::string> accum_buffers = {});
 
@@ -267,8 +260,7 @@ class InferenceProgram
      * deserialized by loadPlan() — with zero planner, scheduler or
      * QuantizePass work: the executor takes @p c's artifact verbatim.
      */
-    InferenceProgram(CompiledGraph c, std::shared_ptr<ParamStore> store,
-                     ExecOptions exec_options = {});
+    InferenceProgram(CompiledGraph c, std::shared_ptr<ParamStore> store);
 
     // Non-relocatable for the same reason as TrainingProgram: the
     // bound executor references graph_ by address.

@@ -22,7 +22,7 @@ Graph::add(OpKind op, std::vector<int> inputs, Attrs attrs,
     n.inputs = std::move(inputs);
     n.attrs = std::move(attrs);
     n.name = std::move(name);
-    n.shape = inferShape(*this, op, n.inputs, n.attrs);
+    n.shape = inferShape(*this, op, n.inputs, n.attrs, n.name);
     n.dtype = inferDType(op, n.attrs);
     nodes_.push_back(std::move(n));
     return nodes_.back().id;

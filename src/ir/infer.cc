@@ -43,6 +43,21 @@ matmulShape(OpKind op, const Shape &a, const Shape &b, bool trans_a,
     return {m, n};
 }
 
+/// Zero points are int8 codes: the int8 kernels pad with them, and
+/// the depthwise kernel's 16-bit products assume the range.
+void
+checkZeroPoints(OpKind op, const Attrs &attrs, const std::string &name)
+{
+    for (const char *key : {"xZp", "bZp", "yZp"}) {
+        int64_t zp = attrs.getInt(key, 0);
+        if (zp < -128 || zp > 127)
+            throw std::invalid_argument(
+                std::string("inferShape(") + opName(op) + "): node '" +
+                name + "' has " + key + " " + std::to_string(zp) +
+                ", not an int8 code in [-128, 127]");
+    }
+}
+
 } // namespace
 
 int64_t
@@ -53,8 +68,11 @@ convOutDim(int64_t in, int64_t kernel, int64_t stride, int64_t pad)
 
 Shape
 inferShape(const Graph &g, OpKind op, const std::vector<int> &inputs,
-           const Attrs &attrs)
+           const Attrs &attrs, const std::string &name)
 {
+    if (isQuantComputeOp(op) || op == OpKind::Quantize ||
+        op == OpKind::Dequantize || op == OpKind::Requantize)
+        checkZeroPoints(op, attrs, name);
     auto in = [&](size_t i) -> const Shape & {
         return g.node(inputs.at(i)).shape;
     };

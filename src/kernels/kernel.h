@@ -256,9 +256,11 @@ void registerTierVariant(OpKind op, const char *base, SimdTier tier,
 
 /**
  * Test hook: force hostSimdTier() to report @p tier (pass Scalar to
- * simulate a SIMD-less host; -1 clears the override). Only downgrades
- * are meaningful — the override cannot conjure kernels that were
- * never registered.
+ * simulate a SIMD-less host; -1 clears the override). An Executor
+ * reads hostSimdTier() once, at construction, so the override pins
+ * the programs built while it is set (tests scope it with
+ * test::TierOverride). Only downgrades are meaningful — the override
+ * cannot conjure kernels that were never registered.
  */
 void setSimdTierForTesting(int tier);
 

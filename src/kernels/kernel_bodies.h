@@ -776,8 +776,7 @@ qconvK(const KernelCtx &c)
     int64_t k = ci * kh * kw;
     int64_t cols = ho * wo;
     int8_t *col = reinterpret_cast<int8_t *>(c.workspace);
-    int8_t zp8 = static_cast<int8_t>(
-        std::min<int32_t>(127, std::max<int32_t>(-128, rq.xZp)));
+    int8_t zp8 = static_cast<int8_t>(rq.xZp);
     int64_t stride = attrI(c, "stride", 1), pad = attrI(c, "pad", 0);
     bool vec = P::vectorEmitOk(rq);
 

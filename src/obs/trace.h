@@ -7,8 +7,8 @@
  *  - zero steady-state allocation: the ring is sized once at arm time
  *    and recording is a fetch_add + struct copy, so a traced serving
  *    session allocates nothing per request;
- *  - the DISARMED path costs the executor hot loop exactly one
- *    pointer test (asserted by bench_kernels' BM_TraceOverhead row);
+ *  - the DISARMED path costs each step of the executor's one step
+ *    loop a null-ring test (bench_kernels' BM_TraceOverhead/0 row);
  *  - concurrent recording is safe: shard spans are written from pool
  *    worker threads during one dispatch, each into its own reserved
  *    slot, and the dispatch barrier orders all of them before the

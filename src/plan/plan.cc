@@ -685,7 +685,8 @@ deserializeImpl(const std::string &bytes)
                     "plan: node dtype does not match inference");
             Shape want;
             try {
-                want = inferShape(pd.graph, n.op, n.inputs, n.attrs);
+                want = inferShape(pd.graph, n.op, n.inputs, n.attrs,
+                                  n.name);
             } catch (const std::exception &e) {
                 throw PlanFormatError(
                     std::string("plan: shape inference rejected a "

@@ -55,16 +55,13 @@ packConstPool(const Graph &g)
 } // namespace
 
 Executor::Executor(const Graph &g, ProgramArtifact art,
-                   ParamStore &store, ExecOptions options)
+                   ParamStore &store)
     : g_(g), order_(std::move(art.order)), store_(store),
       plan_(std::move(art.plan)), constBufs_(std::move(art.constPool)),
       variants_(std::move(art.variants)),
       numThreads_(art.numThreads <= 0 ? HostDevice::hardwareThreads()
                                       : art.numThreads),
-      shardsPerStep_(std::move(art.shardsPerStep)),
-      traceByDefault_(options.trace),
-      traceCapacity_(options.traceCapacity),
-      traceShards_(options.traceShards)
+      shardsPerStep_(std::move(art.shardsPerStep))
 {
     detail::ensureKernelsRegistered();
     pool_ = HostDevice::instance().pool(numThreads_);
@@ -74,7 +71,7 @@ Executor::Executor(const Graph &g, ProgramArtifact art,
         constBufs_ = packConstPool(g_);
     validateArtifact();
     store_.materialize(g_);
-    tier_ = options.forceScalarTier ? SimdTier::Scalar : hostSimdTier();
+    tier_ = hostSimdTier();
     retargetTiers();
     countStepsAndFallbacks();
     // No planLaunches/planMemory happened above: binding is pointer
@@ -287,8 +284,6 @@ Executor::makeContext() const
 {
     auto ctx = std::make_unique<ExecContext>();
     bindInto(*ctx);
-    if (traceByDefault_)
-        armTrace(*ctx, traceCapacity_, traceShards_);
     return ctx;
 }
 
@@ -552,88 +547,64 @@ void
 Executor::run(ExecContext &ctx) const
 {
     ++ctx.step_;
-    // The entire cost of disarmed tracing is this one pointer test
-    // (BM_TraceOverhead asserts it stays in the noise); the traced
-    // loop lives out of line so this path is the exact pre-obs loop.
-    if (TraceBuffer *tb = ctx.trace_.get()) {
-        runTraced(ctx, *tb);
-        return;
-    }
-    for (BoundStep &s : ctx.steps_) {
+    // Disarmed tracing costs each step a null-ring test
+    // (BM_TraceOverhead/0 vs /1 measures both sides).
+    TraceBuffer *tb = ctx.trace_.get();
+    const bool shardSpans = tb && ctx.traceShards_;
+    TraceSpan span; // refilled by every traced step
+    for (size_t si = 0; si < ctx.steps_.size(); ++si) {
+        BoundStep &s = ctx.steps_[si];
+        if (tb) {
+            span.node = s.node;
+            span.stepIndex = static_cast<int32_t>(si);
+            span.shards = s.shards.empty()
+                              ? 1
+                              : static_cast<int32_t>(s.shards.size());
+            span.runId = ctx.step_;
+            span.op = opName(g_.node(s.node).op);
+            // variants_ is frozen after construction, so the c_str
+            // stays valid for the executor's lifetime — spans borrow,
+            // not copy.
+            span.variant = variants_[s.node].c_str();
+            span.startNs = traceNowNs();
+        }
         if (s.shards.empty()) {
             s.ctx.step = ctx.step_;
             s.fn(s.ctx);
         } else {
             // One dispatch per step: shards run concurrently, and the
             // dispatch's completion wait is the inter-step barrier.
+            // Shard spans are recorded inside the dispatch by the
+            // worker that ran the shard: each record() reserves its
+            // own ring slot, and the barrier orders all of them
+            // before the step span below and any reader.
             pool_->dispatch(static_cast<int>(s.shards.size()), [&](int i) {
-                s.shards[i].step = ctx.step_;
-                s.fn(s.shards[i]);
+                KernelCtx &kc = s.shards[i];
+                kc.step = ctx.step_;
+                if (!shardSpans) {
+                    s.fn(kc);
+                    return;
+                }
+                TraceSpan sh = span;
+                sh.kind = SpanKind::Shard;
+                sh.worker =
+                    static_cast<uint16_t>(ThreadPool::currentWorker());
+                sh.shard = i;
+                sh.begin = kc.begin;
+                sh.end = kc.end;
+                int64_t cpu0 = traceThreadCpuNs();
+                sh.startNs = traceNowNs();
+                s.fn(kc);
+                sh.durNs = traceNowNs() - sh.startNs;
+                int64_t cpu1 = traceThreadCpuNs();
+                sh.cpuNs = (cpu0 >= 0 && cpu1 >= 0) ? cpu1 - cpu0 : -1;
+                tb->record(sh);
             });
         }
-    }
-}
-
-void
-Executor::runTraced(ExecContext &ctx, TraceBuffer &tb) const
-{
-    const bool shardSpans = ctx.traceShards_;
-    for (size_t si = 0; si < ctx.steps_.size(); ++si) {
-        BoundStep &s = ctx.steps_[si];
-        TraceSpan span;
-        span.kind = SpanKind::Step;
-        span.node = s.node;
-        span.stepIndex = static_cast<int32_t>(si);
-        span.shards = s.shards.empty()
-                          ? 1
-                          : static_cast<int32_t>(s.shards.size());
-        span.runId = ctx.step_;
-        span.op = opName(g_.node(s.node).op);
-        // variants_ is frozen after construction, so the c_str stays
-        // valid for the executor's lifetime — spans borrow, not copy.
-        span.variant = variants_[s.node].c_str();
-        span.startNs = traceNowNs();
-        if (s.shards.empty()) {
-            s.ctx.step = ctx.step_;
-            s.fn(s.ctx);
-        } else {
-            // Shard spans are recorded INSIDE the dispatch from the
-            // worker that ran the shard: each record() reserves its
-            // own ring slot, and the dispatch barrier orders all of
-            // them before the step span below and any reader.
-            pool_->dispatch(
-                static_cast<int>(s.shards.size()), [&](int i) {
-                    s.shards[i].step = ctx.step_;
-                    if (!shardSpans) {
-                        s.fn(s.shards[i]);
-                        return;
-                    }
-                    TraceSpan sh;
-                    sh.kind = SpanKind::Shard;
-                    sh.worker = static_cast<uint16_t>(
-                        ThreadPool::currentWorker());
-                    sh.node = span.node;
-                    sh.stepIndex = span.stepIndex;
-                    sh.shard = i;
-                    sh.shards = span.shards;
-                    sh.runId = span.runId;
-                    sh.begin = s.shards[i].begin;
-                    sh.end = s.shards[i].end;
-                    sh.op = span.op;
-                    sh.variant = span.variant;
-                    int64_t cpu0 = traceThreadCpuNs();
-                    sh.startNs = traceNowNs();
-                    s.fn(s.shards[i]);
-                    sh.durNs = traceNowNs() - sh.startNs;
-                    int64_t cpu1 = traceThreadCpuNs();
-                    sh.cpuNs = (cpu0 >= 0 && cpu1 >= 0)
-                                   ? cpu1 - cpu0
-                                   : -1;
-                    tb.record(sh);
-                });
+        if (tb) {
+            span.durNs = traceNowNs() - span.startNs;
+            tb->record(span);
         }
-        span.durNs = traceNowNs() - span.startNs;
-        tb.record(span);
     }
 }
 

@@ -50,32 +50,6 @@
 
 namespace pe {
 
-/** Executor bind options: nothing here changes the plan. */
-struct ExecOptions {
-    /**
-     * Determinism escape hatch: bind scalar-tier kernels even when
-     * the host has AVX2/NEON. int8 SIMD kernels are bit-exact to
-     * scalar, so this only changes fp32 results (FMA rounding, see
-     * the tolerance contract in kernel.h).
-     */
-    bool forceScalarTier = false;
-    /**
-     * Arm execution tracing on every context minted from this
-     * program: each run() records one span per kernel step (node, op,
-     * variant incl. SIMD tier, shard count, wall ns) — and one span
-     * per shard when traceShards — into the context's fixed-capacity
-     * TraceBuffer ring (src/obs/). Off (the default) costs the hot
-     * loop a single pointer test; contexts can also be armed
-     * individually after the fact via Executor::armTrace().
-     */
-    bool trace = false;
-    /** Span-ring capacity of contexts armed by `trace`. */
-    size_t traceCapacity = 1 << 14;
-    /** Record per-shard spans (worker id, shard range, CPU ns) in
-     *  addition to per-step spans. */
-    bool traceShards = true;
-};
-
 /**
  * The full compiled product of one program, detached from any
  * executor: execution order, kernel-variant choices, the memory plan,
@@ -130,9 +104,6 @@ class ExecContext
     ExecContext(const ExecContext &) = delete;
     ExecContext &operator=(const ExecContext &) = delete;
 
-    /** Steps executed through this context so far. */
-    int64_t stepCount() const { return step_; }
-
     /** This context's span ring; null while tracing is disarmed.
      *  Read it only between runs (see TraceBuffer's contract). */
     const TraceBuffer *trace() const { return trace_.get(); }
@@ -169,8 +140,7 @@ class Executor
      * carries none. Throws std::runtime_error when the artifact is
      * inconsistent with @p g.
      */
-    Executor(const Graph &g, ProgramArtifact art, ParamStore &store,
-             ExecOptions options = {});
+    Executor(const Graph &g, ProgramArtifact art, ParamStore &store);
 
     /** Copy out this program's compiled product (for savePlan). */
     ProgramArtifact exportArtifact() const;
@@ -292,10 +262,6 @@ class Executor
     const MemoryPlan &memoryPlan() const { return plan_; }
     const Graph &graph() const { return g_; }
     const std::vector<int> &order() const { return order_; }
-    int64_t stepCount() const
-    {
-        return defaultCtx_ ? defaultCtx_->stepCount() : 0;
-    }
 
     /** Number of kernel invocations per step. */
     int numSteps() const { return numSteps_; }
@@ -314,8 +280,9 @@ class Executor
         return fallbacks_;
     }
 
-    /** The SIMD tier this program bound against (after any
-     *  forceScalarTier override / artifact downgrade). */
+    /** The SIMD tier this program bound against: hostSimdTier() at
+     *  construction (a loaded artifact's tier variants retarget to
+     *  it). */
     SimdTier simdTier() const { return tier_; }
     /** Steps bound to a SIMD-tier kernel variant. */
     int simdSteps() const { return simdSteps_; }
@@ -352,11 +319,6 @@ class Executor
     /** Ctor validation: artifact sizes/ids consistent with g_. */
     void validateArtifact() const;
 
-    /** run(ctx) with @p tb armed: the same step loop, recording one
-     *  span per step and (optionally) per shard. Kept out of line so
-     *  the disarmed path stays the exact pre-tracing loop. */
-    void runTraced(ExecContext &ctx, TraceBuffer &tb) const;
-
     /** Build @p ctx's arena, staging and bound steps. Mutates only
      *  @p ctx: program-level stats (step/shard counts, fallback
      *  labels) come from the compile-time launch summary in the
@@ -386,10 +348,6 @@ class Executor
     /** Compile-time shard count per kernel step; bindInto verifies
      *  every context's bound plan against it (see planLaunches). */
     std::vector<int> shardsPerStep_;
-    /** ExecOptions trace arming, applied to every makeContext(). */
-    bool traceByDefault_ = false;
-    size_t traceCapacity_ = 1 << 14;
-    bool traceShards_ = true;
     ThreadPool *pool_ = nullptr; ///< owned by HostDevice; null if serial
     /** Lazy classic-API state; mutable so const reads (fetch) can
      *  mint it. The classic API is single-session by contract, so

@@ -402,10 +402,8 @@ ServingEngine::buildBucket(const ModelFactory &model, int64_t batch,
     }
     // Both branches bind the same way; the executor takes the
     // artifact, so b->cg keeps the graph and report only.
-    ExecOptions eopt;
-    eopt.forceScalarTier = options_.compile.forceScalarTier;
-    b->exec = std::make_unique<Executor>(
-        b->cg.graph, std::move(b->cg.artifact), *store_, eopt);
+    b->exec = std::make_unique<Executor>(b->cg.graph,
+                                         std::move(b->cg.artifact), *store_);
     b->cg.report.recordBinding(*b->exec);
     return b;
 }

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "plan/plan.h"
 #include "serve/coalescer.h"
 #include "serve/serving.h"
+#include "testutil.h"
 
 namespace pe {
 namespace {
@@ -314,7 +316,6 @@ makeGenEngine(int64_t window_us, int workers,
     so.queueCapacity = 64;
     so.compile.precision = prec;
     so.compile.fuseAttention = fuse_attention;
-    so.compile.forceScalarTier = force_scalar;
     if (prec != Precision::F32)
         so.calibration = calibFeeds(cfg);
     so.decodeFactory = [store, cfg](int64_t streams) {
@@ -322,6 +323,9 @@ makeGenEngine(int64_t window_us, int workers,
         ModelSpec m = buildDecoderDecode(cfg, streams, r, store.get());
         return ServedModel{std::move(m.graph), {m.logits}};
     };
+    std::optional<test::TierOverride> pin;
+    if (force_scalar)
+        pin.emplace(SimdTier::Scalar);
     ge.engine = std::make_unique<ServingEngine>(
         [store, cfg](int64_t prompt) {
             Rng r(7);
@@ -331,6 +335,39 @@ makeGenEngine(int64_t window_us, int workers,
         },
         store, so);
     return ge;
+}
+
+TEST(DecodeStreams, TierIsFixedWhenTheEngineIsBuilt)
+{
+    // Every bucket binds hostSimdTier() once, when the engine builds
+    // it: an engine built under TierOverride(Scalar) is scalar in its
+    // prompt and decode buckets, and stays so after the guard exits and
+    // through prefill and decode runs; an engine built afterwards binds
+    // the host's tier.
+    auto expectTier = [](const ServingEngine &e, const std::string &want) {
+        int prompt = 0, decode = 0;
+        for (const BucketStats &b : e.stats().buckets) {
+            ++(b.decode ? decode : prompt);
+            EXPECT_EQ(b.tier, want)
+                << (b.decode ? "decode" : "prompt") << " bucket "
+                << b.batch;
+        }
+        EXPECT_EQ(prompt, 1);
+        EXPECT_EQ(decode, 1);
+    };
+
+    GenEngine pinned = [] {
+        test::TierOverride pin(SimdTier::Scalar);
+        return makeGenEngine(0, 1);
+    }();
+    ServingEngine &e = *pinned.engine;
+    expectTier(e, "scalar");
+    auto sid = e.openStream();
+    e.wait(e.submitPrefill(sid, {{"x", tokenRows({1, 2, 3, 4})}}));
+    e.wait(e.submitDecode(sid, {{"x", tokenRows({5})}}));
+    expectTier(e, "scalar");
+
+    expectTier(*makeGenEngine(0, 1).engine, simdTierName(hostSimdTier()));
 }
 
 TEST(DecodeStreams, LifecycleRules)
@@ -600,13 +637,11 @@ makeDecodeProg(const DecoderConfig &cfg, int64_t streams, bool fused,
     CompileOptions opt;
     opt.numThreads = 1;
     opt.fuseAttention = fused;
-    opt.forceScalarTier = force_scalar;
-    CompiledGraph c =
-        compileInferenceGraph(m.graph, {m.logits}, opt, b.store);
-    ExecOptions eopt;
-    eopt.forceScalarTier = force_scalar;
-    b.prog =
-        std::make_unique<InferenceProgram>(std::move(c), b.store, eopt);
+    std::optional<test::TierOverride> pin;
+    if (force_scalar)
+        pin.emplace(SimdTier::Scalar);
+    b.prog = std::make_unique<InferenceProgram>(
+        compileInferenceGraph(m.graph, {m.logits}, opt, b.store), b.store);
     return b;
 }
 
@@ -621,13 +656,11 @@ makePrefillProg(const DecoderConfig &cfg, int64_t prompt, bool fused,
     CompileOptions opt;
     opt.numThreads = 1;
     opt.fuseAttention = fused;
-    opt.forceScalarTier = force_scalar;
-    CompiledGraph c =
-        compileInferenceGraph(m.graph, {m.logits}, opt, b.store);
-    ExecOptions eopt;
-    eopt.forceScalarTier = force_scalar;
-    b.prog =
-        std::make_unique<InferenceProgram>(std::move(c), b.store, eopt);
+    std::optional<test::TierOverride> pin;
+    if (force_scalar)
+        pin.emplace(SimdTier::Scalar);
+    b.prog = std::make_unique<InferenceProgram>(
+        compileInferenceGraph(m.graph, {m.logits}, opt, b.store), b.store);
     return b;
 }
 

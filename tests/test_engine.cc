@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 #include "baseline/eager.h"
 #include "data/synthetic.h"
@@ -16,6 +17,7 @@
 #include "frontend/models.h"
 #include "ir/serialize.h"
 #include "kernels/kernel.h"
+#include "testutil.h"
 
 namespace pe {
 namespace {
@@ -384,10 +386,11 @@ TEST(Engine, SparseMcuNetConvsRunAsIm2colGemms)
         auto store = std::make_shared<ParamStore>();
         Rng rng(1);
         ModelSpec m = buildMcuNet(cfg, rng, store.get());
-        CompileOptions o = opt;
-        o.forceScalarTier = scalar;
+        std::optional<test::TierOverride> pin;
+        if (scalar)
+            pin.emplace(SimdTier::Scalar);
         return compileTraining(m.graph, m.loss,
-                               cnnSparseScheme(m, 3, 2), o, store);
+                               cnnSparseScheme(m, 3, 2), opt, store);
     };
     TrainingProgram prog = compile(false);
     TrainingProgram scalar = compile(true);

@@ -501,73 +501,65 @@ TEST(ExecTrace, ShardSpansNestInsideTheirStep)
 
 TEST(ExecTrace, TracingIsBitExactAndDisarmable)
 {
-    auto store = std::make_shared<ParamStore>();
-    ServedModel m = mlpModel(8, store.get());
-    CompileOptions opt;
-    auto prog = compileInference(m.graph, m.outputs, opt, store);
-    Executor &ex = prog.executor();
-    int xid = ex.inputId("x");
-    ASSERT_GE(xid, 0);
-    int out = prog.graph().outputs()[0];
+    // One step loop serves traced and untraced runs, serial steps and
+    // sharded ones: arming a ring, with or without shard spans, must
+    // not perturb a single output bit.
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        auto store = std::make_shared<ParamStore>();
+        ServedModel m = mlpModel(64, store.get());
+        CompileOptions opt;
+        opt.numThreads = threads;
+        auto prog = compileInference(m.graph, m.outputs, opt, store);
+        Executor &ex = prog.executor();
+        int shardSpansPerRun = 0;
+        for (int s : ex.exportArtifact().shardsPerStep)
+            shardSpansPerRun += s > 1 ? s : 0;
+        if (threads > 1)
+            ASSERT_GT(ex.shardedSteps(), 0)
+                << "fixture must shard or the shard branch goes untested";
+        int xid = ex.inputId("x");
+        ASSERT_GE(xid, 0);
+        int out = prog.graph().outputs()[0];
 
-    Rng r(17);
-    Tensor x = Tensor::randn({8, 8}, r);
+        Rng r(17);
+        Tensor x = Tensor::randn({64, 8}, r);
+        auto sameBits = [](const Tensor &a, const Tensor &b) {
+            return a.shape() == b.shape() &&
+                   std::memcmp(a.data(), b.data(),
+                               sizeof(float) * a.size()) == 0;
+        };
 
-    // Untraced reference through a fresh session.
-    auto plain = ex.makeContext();
-    ASSERT_EQ(plain->trace(), nullptr);
-    ex.bindInputById(*plain, xid, x);
-    ex.run(*plain);
-    Tensor ref = ex.fetch(*plain, out);
+        // Untraced reference through a fresh session.
+        auto plain = ex.makeContext();
+        ASSERT_EQ(plain->trace(), nullptr);
+        ex.bindInputById(*plain, xid, x);
+        ex.run(*plain);
+        Tensor ref = ex.fetch(*plain, out);
 
-    // Traced session over the same program and feed.
-    auto traced = ex.makeContext();
-    ex.armTrace(*traced, 256);
-    ASSERT_NE(traced->trace(), nullptr);
-    ex.bindInputById(*traced, xid, x);
-    ex.run(*traced);
-    Tensor got = ex.fetch(*traced, out);
-    ASSERT_EQ(got.shape(), ref.shape());
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                          sizeof(float) * got.size()),
-              0)
-        << "arming a trace must not perturb results";
-    EXPECT_EQ(traced->trace()->recorded(), ex.numSteps());
+        // Traced sessions over the same program and feed.
+        for (bool shardSpans : {false, true}) {
+            SCOPED_TRACE(shardSpans ? "shard spans" : "step spans only");
+            auto traced = ex.makeContext();
+            ex.armTrace(*traced, 256, shardSpans);
+            ASSERT_NE(traced->trace(), nullptr);
+            ex.bindInputById(*traced, xid, x);
+            ex.run(*traced);
+            EXPECT_TRUE(sameBits(ex.fetch(*traced, out), ref))
+                << "arming a trace must not perturb results";
+            int steps = 0, shards = 0;
+            for (const TraceSpan &s : traced->trace()->snapshot())
+                ++(s.kind == SpanKind::Step ? steps : shards);
+            EXPECT_EQ(steps, ex.numSteps());
+            EXPECT_EQ(shards, shardSpans ? shardSpansPerRun : 0);
 
-    // Disarm drops the ring and returns to the untraced path.
-    ex.disarmTrace(*traced);
-    EXPECT_EQ(traced->trace(), nullptr);
-    ex.run(*traced);
-    Tensor again = ex.fetch(*traced, out);
-    EXPECT_EQ(std::memcmp(again.data(), ref.data(),
-                          sizeof(float) * again.size()),
-              0);
-}
-
-TEST(ExecTrace, ExecOptionsArmEveryMintedContext)
-{
-    Graph g;
-    Rng rng(7);
-    ParamStore store;
-    NetBuilder b(g, rng, &store);
-    int x = b.input({4, 8}, "x");
-    int logits = b.linear(b.relu(b.linear(x, 16, "l1")), 4, "head");
-    g.markOutput(logits);
-
-    ExecOptions opt;
-    opt.trace = true;
-    opt.traceCapacity = 64;
-    Executor ex(g, planProgram(g), store, opt);
-
-    auto ctx = ex.makeContext();
-    ASSERT_NE(ctx->trace(), nullptr)
-        << "ExecOptions::trace must auto-arm minted contexts";
-    EXPECT_EQ(ctx->trace()->capacity(), 64u);
-
-    Rng r(5);
-    ex.bindInputById(*ctx, ex.inputId("x"), Tensor::randn({4, 8}, r));
-    ex.run(*ctx);
-    EXPECT_EQ(ctx->trace()->recorded(), ex.numSteps());
+            // Disarm drops the ring and returns to the untraced path.
+            ex.disarmTrace(*traced);
+            EXPECT_EQ(traced->trace(), nullptr);
+            ex.run(*traced);
+            EXPECT_TRUE(sameBits(ex.fetch(*traced, out), ref));
+        }
+    }
 }
 
 // ---- 3. profile aggregation ------------------------------------------

@@ -337,7 +337,7 @@ TEST(PlanLoad, CompilePlansOnceAndBindingPlansNothing)
 
     const CompileReport planned = c.report;
     before = pipelineCounters();
-    TrainingProgram bound(std::move(c), store, ExecOptions{});
+    TrainingProgram bound(std::move(c), store);
     EXPECT_TRUE(countersSince(before) == PipelineCounters{})
         << "binding a compiled training graph invoked the planner";
     EXPECT_EQ(bound.report().arenaBytes, planned.arenaBytes);
@@ -513,6 +513,33 @@ TEST_F(PlanErrorsTest, CraftedPlanHardening)
         std::memcpy(&blob[lnch + 4], &evil, 4); // shardsPerStep count
         resealPlan(blob);
         EXPECT_THROW(loadPlanFromBytes(blob), PlanFormatError);
+    }
+}
+
+TEST_F(PlanErrorsTest, OutOfRangeZeroPointIsRejected)
+{
+    // The loader re-infers every node, so a resealed plan whose int8
+    // op carries a zero point outside [-128, 127] is refused like any
+    // other node shape inference rejects.
+    Built cnn = makeCnn(1);
+    auto prog = compileProg(cnn, Precision::Int8, 1);
+    std::string blob = serialize(*prog, *cnn.store);
+    EXPECT_NO_THROW(loadPlanFromBytes(blob));
+    // An attr is its key (u32 length + bytes), a tag byte (0 = int)
+    // and the i64 value.
+    const std::string key("\x03\x00\x00\x00xZp", 7);
+    size_t at = blob.find(key);
+    ASSERT_NE(at, std::string::npos) << "fixture lost its int8 ops";
+    ASSERT_EQ(blob[at + key.size()], 0) << "xZp is not an int attr";
+    int64_t evil = 200;
+    std::memcpy(&blob[at + key.size() + 1], &evil, 8);
+    resealPlan(blob);
+    try {
+        loadPlanFromBytes(blob);
+        ADD_FAILURE() << "a plan with xZp 200 loaded";
+    } catch (const PlanError &e) {
+        EXPECT_NE(std::string(e.what()).find("xZp 200"), std::string::npos)
+            << e.what();
     }
 }
 

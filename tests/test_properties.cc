@@ -304,9 +304,11 @@ TEST_P(RandomCnnDifferential, ScalarTierIsBitEqualBlockedOrNot)
         CompileOptions opt;
         opt.optim = OptimConfig::sgd(0.05);
         opt.blocked = blocked;
-        opt.forceScalarTier = true;
-        TrainingProgram prog = compileTraining(net.g, net.loss, net.scheme,
-                                               opt, net.store);
+        TrainingProgram prog = [&] {
+            test::TierOverride pin(SimdTier::Scalar);
+            return compileTraining(net.g, net.loss, net.scheme, opt,
+                                   net.store);
+        }();
         const Graph &pg = prog.graph();
         const ProgramArtifact art = prog.executor().exportArtifact();
         for (int id : art.order) {
@@ -340,9 +342,10 @@ TEST_P(RandomCnnDifferential, Int8TierMatchesScalarBitForBit)
     opt.precision = Precision::Int8;
     InferenceProgram tier =
         compileInference(net.g, {net.logits}, opt, net.store);
-    opt.forceScalarTier = true;
-    InferenceProgram scalar =
-        compileInference(net.g, {net.logits}, opt, net.store);
+    InferenceProgram scalar = [&] {
+        test::TierOverride pin(SimdTier::Scalar);
+        return compileInference(net.g, {net.logits}, opt, net.store);
+    }();
     EXPECT_GT(tier.report().quant.quantizedOps, 0);
     test::Feeds x{{"x", net.feeds.at("x")}};
     EXPECT_TRUE(sameBits(tier.run(x)[0], scalar.run(x)[0]))

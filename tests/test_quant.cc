@@ -21,13 +21,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "engine/engine.h"
 #include "frontend/builder.h"
 #include "frontend/models.h"
+#include "ir/serialize.h"
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 #include "quant/quant.h"
 #include "testutil.h"
 
@@ -344,6 +348,149 @@ TEST(QuantKernels, Int8ConvMatchesDequantReference)
         lookupKernel(OpKind::QuantConv2d, "int8")(c);
     }
     EXPECT_EQ(maxCodeDiff(fast, sharded, out_n), 0);
+}
+
+TEST(QuantKernels, ZeroPointOutsideInt8IsRejected)
+{
+    // A zero point is an int8 code: the int8 kernels pad with it and
+    // the depthwise kernel's 16-bit products assume its range. Shape
+    // inference refuses any other value, naming the node and the
+    // attribute, so Graph::add and graphFromJson do too.
+    auto build = [](OpKind op, const std::string &key, int64_t zp) {
+        Graph g;
+        int x = g.input({1, 2, 4, 4}, "x");
+        int w = g.input({2, 2, 3, 3}, "w");
+        Attrs at;
+        at.set("pad", static_cast<int64_t>(1));
+        at.set("xScale", 0.02);
+        at.set("yScale", 0.05);
+        at.set(key, zp);
+        std::vector<int> inputs = {x};
+        if (op == OpKind::QuantConv2d || op == OpKind::QuantAdd)
+            inputs.push_back(op == OpKind::QuantAdd ? x : w);
+        g.add(op, inputs, std::move(at), "bad");
+        return g;
+    };
+    struct Case {
+        OpKind op;
+        const char *key;
+        int64_t zp;
+    };
+    for (const Case &k : {Case{OpKind::QuantConv2d, "xZp", 200},
+                          Case{OpKind::QuantConv2d, "yZp", -129},
+                          Case{OpKind::QuantAdd, "bZp", 128},
+                          Case{OpKind::Quantize, "yZp", 128},
+                          Case{OpKind::Dequantize, "xZp", -200}}) {
+        SCOPED_TRACE(std::string(opName(k.op)) + " " + k.key);
+        try {
+            build(k.op, k.key, k.zp);
+            ADD_FAILURE() << "an out-of-range zero point was accepted";
+        } catch (const std::invalid_argument &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("'bad'"), std::string::npos) << what;
+            EXPECT_NE(what.find(k.key), std::string::npos) << what;
+        }
+        EXPECT_NO_THROW(build(k.op, k.key, k.zp < 0 ? -128 : 127));
+    }
+
+    std::string json = graphToJson(build(OpKind::QuantConv2d, "xZp", 100));
+    EXPECT_NO_THROW(graphFromJson(json));
+    const std::string legal = "\"xZp\":{\"i\":100}";
+    size_t at = json.find(legal);
+    ASSERT_NE(at, std::string::npos);
+    json.replace(at, legal.size(), "\"xZp\":{\"i\":200}");
+    EXPECT_THROW(graphFromJson(json), std::invalid_argument);
+}
+
+TEST(QuantKernels, ExtremeZeroPointsMatchAnInt32LoopExactly)
+{
+    // At both ends of the input zero point's range, the int8 conv and
+    // depthwise kernels (scalar and this host's tier) equal an int32
+    // loop over each output's in-bounds taps requantized by
+    // Requant::emit, code for code, and the dequant reference within
+    // the one code its fp32 rounding allows. Pad 1 puts zero-point
+    // taps on every border; 9 channels fill one 8-lane depthwise
+    // block and start another.
+    const int64_t N = 2, C = 9, HW = 6, K = 3;
+    Rng rng(43);
+    for (bool dw : {false, true})
+    for (int64_t zp : {int64_t{-128}, int64_t{127}}) {
+        const OpKind op = dw ? OpKind::QuantDwConv2d : OpKind::QuantConv2d;
+        SCOPED_TRACE(std::string(opName(op)) + " xZp " + std::to_string(zp));
+        const int64_t ci = dw ? 1 : C;
+        I8Buf qx(N * C * HW * HW), qw(C * ci * K * K);
+        for (int64_t i = 0; i < N * C * HW * HW; ++i)
+            qx.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        for (int64_t i = 0; i < C * ci * K * K; ++i)
+            qw.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        std::vector<float> bias(C), scales(C);
+        for (int64_t c = 0; c < C; ++c) {
+            bias[c] = rng.uniform(-0.5f, 0.5f);
+            scales[c] = rng.uniform(0.0005f, 0.002f);
+        }
+        Graph g;
+        int ix = g.input({N, C, HW, HW}, "x");
+        int iw = g.input({C, ci, K, K}, "w");
+        int ib = g.input({C, 1, 1}, "b");
+        int is = g.input({C}, "s");
+        Attrs at;
+        at.set("stride", static_cast<int64_t>(1));
+        at.set("pad", static_cast<int64_t>(1));
+        at.set("hasBias", static_cast<int64_t>(1));
+        at.set("perChannel", static_cast<int64_t>(1));
+        at.set("xScale", 0.02);
+        at.set("xZp", zp);
+        at.set("yScale", 0.05);
+        at.set("yZp", static_cast<int64_t>(3));
+        const Node &nd = g.node(g.add(op, {ix, iw, ib, is}, std::move(at)));
+        const int64_t out_n = numel(nd.shape);
+
+        kutil::Requant rq;
+        rq.xScale = 0.02f;
+        rq.wScale = 1.0f;
+        rq.yScale = 0.05f;
+        rq.xZp = static_cast<int32_t>(zp);
+        rq.yZp = 3;
+        rq.bias = bias.data();
+        rq.wScales = scales.data();
+        I8Buf want(out_n);
+        const int8_t *x = qx.data(), *w = qw.data();
+        for (int64_t n = 0; n < N; ++n)
+        for (int64_t o = 0; o < C; ++o)
+        for (int64_t i = 0; i < HW; ++i)
+        for (int64_t j = 0; j < HW; ++j) {
+            int32_t acc = 0;
+            for (int64_t c = 0; c < ci; ++c)
+            for (int64_t a = 0; a < K; ++a)
+            for (int64_t b = 0; b < K; ++b) {
+                int64_t ih = i - 1 + a, iw2 = j - 1 + b;
+                if (ih < 0 || ih >= HW || iw2 < 0 || iw2 >= HW)
+                    continue;
+                int64_t xc = dw ? o : c;
+                acc += (x[((n * C + xc) * HW + ih) * HW + iw2] - rq.xZp) *
+                       w[((o * ci + c) * K + a) * K + b];
+            }
+            want.data()[((n * C + o) * HW + i) * HW + j] = rq.emit(acc, o);
+        }
+
+        auto run = [&](const std::string &variant) {
+            I8Buf got(out_n);
+            KernelCtx c;
+            c.node = &nd;
+            c.in = {qx.asF32(), qw.asF32(), bias.data(), scales.data()};
+            for (int in : nd.inputs)
+                c.inShapes.push_back(&g.node(in).shape);
+            c.out = got.asF32Mut();
+            c.outShape = &nd.shape;
+            DirectWorkspace ws;
+            ws.attach(c, g, nd, variant);
+            lookupKernel(op, variant)(c);
+            return got;
+        };
+        for (const std::string &v : test::variantAndTier(op, "int8"))
+            EXPECT_EQ(maxCodeDiff(run(v), want, out_n), 0) << v;
+        EXPECT_LE(maxCodeDiff(run(""), want, out_n), 1);
+    }
 }
 
 TEST(QuantKernels, AddAndReluRequantExactly)

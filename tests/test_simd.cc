@@ -10,9 +10,9 @@
  *     scalar within 1e-5 relative (FMA rounding contract).
  *  3. Compile integration: an MCUNet-style int8 compile reports zero
  *     QuantDwConv2d fallbacks and binds SIMD steps on a SIMD host;
- *     forceScalarTier pins everything to scalar.
+ *     a program built under TierOverride(Scalar) is scalar throughout.
  *  4. Deployment: a plan saved with SIMD variants loads on a host
- *     whose tier is forced to scalar (setSimdTierForTesting), binds
+ *     whose tier is forced to scalar (TierOverride), binds
  *     the scalar bases, and reproduces the scalar compile bit for
  *     bit; a plan naming the other SIMD family's variants binds this
  *     host's tier; a workspace placement cut below its kernel's
@@ -47,6 +47,7 @@ namespace pe {
 namespace {
 
 using test::Feeds;
+using test::TierOverride;
 
 /** "" on a scalar-only host, else this host's variant suffix. */
 std::string
@@ -150,15 +151,6 @@ maxRelDiff(const Tensor &a, const Tensor &b)
     }
     return worst;
 }
-
-/** Scoped hostSimdTier() override; always restores on scope exit. */
-struct TierOverride {
-    explicit TierOverride(SimdTier t)
-    {
-        setSimdTierForTesting(static_cast<int>(t));
-    }
-    ~TierOverride() { setSimdTierForTesting(-1); }
-};
 
 // ---- 1. tier API -----------------------------------------------------
 
@@ -1012,18 +1004,18 @@ TEST(TierCompile, TierMissNamesTheOneRowTransposedGemm)
         compileInference(g, {y}, CompileOptions{}, store);
     EXPECT_EQ(prog.report().tierMisses, 1);
     EXPECT_EQ(prog.report().tierMissBreakdown(), "MatMul/ x1");
-    CompileOptions sopt;
-    sopt.forceScalarTier = true;
-    InferenceProgram scalar = compileInference(g, {y}, sopt, store);
+    TierOverride pin(SimdTier::Scalar);
+    InferenceProgram scalar =
+        compileInference(g, {y}, CompileOptions{}, store);
     EXPECT_EQ(scalar.report().tierMisses, 0);
 }
 
-TEST(TierCompile, ForceScalarTierPinsEverything)
+TEST(TierCompile, ScalarOverridePinsEverything)
 {
     CompiledMcuNet f;
     CompileOptions opt;
     opt.precision = Precision::Int8;
-    opt.forceScalarTier = true;
+    TierOverride pin(SimdTier::Scalar);
     InferenceProgram prog =
         compileInference(f.m.graph, {f.m.logits}, opt, f.store);
     EXPECT_EQ(prog.report().simdTier, "scalar");
@@ -1043,10 +1035,10 @@ TEST(TierCompile, Int8ForwardAgreesAcrossTiers)
     opt.precision = Precision::Int8;
     InferenceProgram simd =
         compileInference(f.m.graph, {f.m.logits}, opt, f.store);
-    CompileOptions sopt = opt;
-    sopt.forceScalarTier = true;
-    InferenceProgram scalar =
-        compileInference(f.m.graph, {f.m.logits}, sopt, f.store);
+    InferenceProgram scalar = [&] {
+        TierOverride pin(SimdTier::Scalar);
+        return compileInference(f.m.graph, {f.m.logits}, opt, f.store);
+    }();
     Tensor x;
     {
         Rng rng(33);
@@ -1095,10 +1087,10 @@ TEST(TierDeploy, PlanWithSimdVariantsDowngradesOnScalarHost)
     // built against the scalar-identical partition/workspace specs,
     // so only the kernel bodies differ — and those are now the same
     // scalar bodies.
-    CompileOptions sopt = opt;
-    sopt.forceScalarTier = true;
-    InferenceProgram scalar =
-        compileInference(f.m.graph, {f.m.logits}, sopt, f.store);
+    InferenceProgram scalar = [&] {
+        TierOverride pin(SimdTier::Scalar);
+        return compileInference(f.m.graph, {f.m.logits}, opt, f.store);
+    }();
     Tensor want = scalar.run({{"x", x}})[0];
     ASSERT_EQ(downgraded.shape(), want.shape());
     EXPECT_EQ(std::memcmp(downgraded.data(), want.data(),
@@ -1240,9 +1232,10 @@ TEST(TierDeploy, ScalarPlanUpgradesOnSimdHost)
     CompiledMcuNet f;
     CompileOptions opt;
     opt.precision = Precision::Int8;
-    opt.forceScalarTier = true;
-    InferenceProgram prog =
-        compileInference(f.m.graph, {f.m.logits}, opt, f.store);
+    InferenceProgram prog = [&] {
+        TierOverride pin(SimdTier::Scalar);
+        return compileInference(f.m.graph, {f.m.logits}, opt, f.store);
+    }();
     ASSERT_EQ(prog.report().simdSteps, 0);
     std::string blob =
         serializePlan(prog.graph(), prog.executor().exportArtifact(),

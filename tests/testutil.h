@@ -39,6 +39,22 @@ variantAndTier(OpKind op, const std::string &base)
 }
 
 /**
+ * Scoped hostSimdTier() override, the one way a test pins a tier. An
+ * Executor binds hostSimdTier() at construction, so place the guard
+ * around program or engine construction; what it bound keeps its tier
+ * after the guard exits. Always restores on scope exit.
+ */
+struct TierOverride {
+    explicit TierOverride(SimdTier t)
+    {
+        setSimdTierForTesting(static_cast<int>(t));
+    }
+    ~TierOverride() { setSimdTierForTesting(-1); }
+    TierOverride(const TierOverride &) = delete;
+    TierOverride &operator=(const TierOverride &) = delete;
+};
+
+/**
  * A small net with Winograd-eligible convs (3x3, stride 1) and a
  * linear head. Under a frozen-backbone scheme (or inference) the
  * convs bind the "winograd" variant. Deterministic: same call -> same
