@@ -749,13 +749,15 @@ BM_QuantConv(benchmark::State &state, const std::string &variant)
 /**
  * Fused decode attention vs the unfused five-op chain
  * (BatchMatMul^T -> Scale -> Add(mask) -> Softmax -> BatchMatMul) at
- * the decode hot-loop shape: B rows of q [B,1,Dh] against a cached
- * [B,M,Dh] K/V slab, M = 32, Dh = 32. B = 16 is the LLaMA-proxy
- * decode bucket (4 streams x 4 heads, dim 128); B = 4 one stream.
- * Both ops in one graph; kernels are invoked directly, so the delta
- * is kernel work plus the chain's intermediate-buffer sweeps. The
- * chain's BatchMatMuls use the naive "" reference variant; a compiled
- * decode plan never runs the chain, because it fuses it.
+ * the decode hot-loop shape: B rows of q against a cached [B,M,Dh]
+ * K/V slab, M = 32, Dh = 32. B = 16 is the LLaMA-proxy decode bucket
+ * (4 streams x 4 heads, dim 128); B = 4 one stream. Both ops in one
+ * graph over the same buffers: the fused op reads them in its one
+ * form (q [B,Dh], mask [B,M], heads 1), the chain as q [B,1,Dh] and
+ * mask [B,1,M]. Kernels are invoked directly, so the delta is kernel
+ * work plus the chain's intermediate-buffer sweeps. The chain's
+ * BatchMatMuls use the naive "" reference variant; a compiled decode
+ * plan never runs the chain, because it fuses it.
  */
 struct AttnFixture {
     Graph g;
@@ -773,7 +775,10 @@ struct AttnFixture {
         const double scale = 1.0 / std::sqrt(static_cast<double>(Dh));
         Attrs fa;
         fa.set("scale", scale);
-        fused = g.add(OpKind::FusedAttention, {qi, ki, vi, mi},
+        fa.set("heads", static_cast<int64_t>(1));
+        fused = g.add(OpKind::FusedAttention,
+                      {g.input({B, Dh}, "q2"), ki, vi,
+                       g.input({B, M}, "mask2")},
                       std::move(fa));
         Attrs tb;
         tb.set("transB", static_cast<int64_t>(1));

@@ -354,13 +354,14 @@ runScenario(const std::string &scenario, Precision prec, int streams,
 }
 
 /**
- * Attention-stage microbench: the standalone decode attention
- * subgraph — q [B,1,Dh] against the cached K/V [B,M,Dh] with the
- * per-stream mask row, B = decode-bucket streams x heads — compiled
- * with the fusion pass on or off and timed through the bound
- * executor. This is the per-step cost of exactly the ops the
- * FusedAttention rewrite collapses, so fused/unfused is the
- * fusion speedup with the rest of the layer held constant.
+ * Attention-stage microbench: the standalone decode attention chain
+ * buildDecoderLM emits — q [streams, D] split per head against the
+ * cached K/V [streams, M, D], the per-stream mask row broadcast per
+ * head, and the head merge — compiled with the fusion pass on or off
+ * and timed through the bound executor. This is the per-step cost of
+ * exactly the ops the FusedAttention rewrite collapses, so
+ * fused/unfused is the fusion speedup with the rest of the layer held
+ * constant.
  */
 struct AttnStage {
     std::unique_ptr<InferenceProgram> prog;
@@ -368,24 +369,40 @@ struct AttnStage {
 
     AttnStage(const DecoderConfig &cfg, int64_t streams, bool fused)
     {
-        const int64_t B = streams * cfg.heads;
+        const int64_t L = streams, H = cfg.heads, D = cfg.dim;
         const int64_t M = cfg.maxSeq;
-        const int64_t Dh = cfg.dim / cfg.heads;
+        const int64_t Dh = D / H;
         auto store = std::make_shared<ParamStore>();
         Graph g;
         Rng rng(5);
         NetBuilder b(g, rng, store.get());
-        int q = b.input({B, 1, Dh}, "q");
-        int k = b.input({B, M, Dh}, "k");
-        int v = b.input({B, M, Dh}, "v");
-        int m = b.input({B, 1, M}, "mask");
+        auto split = [&](int x, int64_t t) {
+            return b.reshape(b.permute(b.reshape(x, {L, t, H, Dh}),
+                                       {0, 2, 1, 3}),
+                             {L * H, t, Dh});
+        };
+        int q = b.input({L, D}, "q");
+        int k = b.input({L, M, D}, "k");
+        int v = b.input({L, M, D}, "v");
+        int m = b.input({L, M}, "mask");
         Attrs tb;
         tb.set("transB", static_cast<int64_t>(1));
-        int scores = g.add(OpKind::BatchMatMul, {q, k}, std::move(tb));
+        Attrs bc;
+        bc.set("shape", Shape{L, H, 1, M});
+        int scores = g.add(OpKind::BatchMatMul, {split(q, 1), split(k, M)},
+                           std::move(tb));
         scores =
             b.scale(scores, 1.0 / std::sqrt(static_cast<double>(Dh)));
-        scores = b.add(scores, m);
-        int ctx = g.add(OpKind::BatchMatMul, {b.softmax(scores), v});
+        scores = b.add(scores,
+                       b.reshape(g.add(OpKind::BroadcastTo,
+                                       {b.reshape(m, {L, 1, 1, M})},
+                                       std::move(bc)),
+                                 {L * H, 1, M}));
+        int ctx = g.add(OpKind::BatchMatMul,
+                        {b.softmax(scores), split(v, M)});
+        ctx = b.reshape(b.permute(b.reshape(ctx, {L, H, 1, Dh}),
+                                  {0, 2, 1, 3}),
+                        {L, D});
         g.markOutput(ctx);
         CompileOptions opt;
         opt.fuseAttention = fused;
@@ -393,14 +410,14 @@ struct AttnStage {
             compileInferenceGraph(g, {ctx}, opt, store), store);
 
         Rng vr(11);
-        Tensor qt({B, 1, Dh}), kt({B, M, Dh}), vt({B, M, Dh});
+        Tensor qt({L, D}), kt({L, M, D}), vt({L, M, D});
         for (Tensor *t : {&qt, &kt, &vt})
             for (int64_t i = 0; i < t->size(); ++i)
                 (*t)[i] = vr.uniform(-1.0f, 1.0f);
         feeds = {{"q", qt},
                  {"k", kt},
                  {"v", vt},
-                 {"mask", Tensor::zeros({B, 1, M})}};
+                 {"mask", Tensor::zeros({L, M})}};
         for (int i = 0; i < 50; ++i)
             prog->run(feeds);
     }

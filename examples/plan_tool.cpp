@@ -276,10 +276,11 @@ cmdInspect(const std::string &path)
         return s.empty() ? std::string("none") : s;
     };
     std::printf("binding   : %s tier (%s); kernel fallbacks: %s; "
-                "tier misses: %s\n",
+                "tier misses: %s; attention unfused: %d\n",
                 br.simdTier.c_str(), br.tierBreakdown().c_str(),
                 orNone(br.fallbackBreakdown()).c_str(),
-                orNone(br.tierMissBreakdown()).c_str());
+                orNone(br.tierMissBreakdown()).c_str(),
+                br.attentionUnfused);
     return 0;
 }
 

@@ -53,15 +53,17 @@ main()
                 static_cast<long long>(prog.report().arenaBytes / 1024),
                 static_cast<long long>(
                     prog.report().arenaBytesNoReorder / 1024));
-    // Kernels that did not bind what the backend switch asked for:
-    // registry fallbacks, and steps that miss this host's SIMD tier
-    // although another variant of their op has a tier form.
+    // Silent misses: registry fallbacks, steps that miss this host's
+    // SIMD tier although another variant of their op has a tier
+    // form, and attention chains the fusion pass left unfused.
     const CompileReport &rep = prog.report();
-    std::printf("kernels: %s; fallbacks: %s; tier misses: %s\n",
+    std::printf("kernels: %s; fallbacks: %s; tier misses: %s; attention "
+                "unfused: %d\n",
                 rep.tierBreakdown().c_str(),
                 rep.kernelFallbacks ? rep.fallbackBreakdown().c_str()
                                     : "none",
-                rep.tierMisses ? rep.tierMissBreakdown().c_str() : "none");
+                rep.tierMisses ? rep.tierMissBreakdown().c_str() : "none",
+                rep.attentionUnfused);
     // Arm execution tracing (src/obs/) on the training program: every
     // trainStep records one span per kernel step, and the profile
     // summary printed after the loop attributes the time — including

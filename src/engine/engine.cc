@@ -199,11 +199,12 @@ findLoss(const Graph &g)
 }
 
 /**
- * The back half every compile shares: simplify -> constant fold ->
- * fusion -> DCE -> quantization -> backend switching -> the fallback
- * list -> the plan step. @p training selects the quantization shape:
- * only the loss's forward cone with fp32 masters kept, versus the
- * whole graph with frozen weights pre-quantized into consts.
+ * The back half every compile shares: simplify -> attention fusion ->
+ * constant fold -> operator fusion -> DCE -> quantization -> backend
+ * switching -> the fallback list -> the plan step. @p training
+ * selects the quantization shape: only the loss's forward cone with
+ * fp32 masters kept, versus the whole graph with frozen weights
+ * pre-quantized into consts.
  */
 ProgramArtifact
 lowerGraph(Graph &g, const CompileOptions &options,
@@ -211,13 +212,14 @@ lowerGraph(Graph &g, const CompileOptions &options,
 {
     report.precision = options.precision;
     simplify(g);
+    // Attention fuses before folding, which would expand a Const
+    // mask's per-head broadcast into H copies.
+    if (options.fuse && options.fuseAttention)
+        report.fusions = fuseAttention(g, &report.attentionUnfused);
     if (options.foldConstants)
         report.folded = constantFold(g);
-    if (options.fuse) {
-        report.fusions = fuseOperators(g);
-        if (options.fuseAttention)
-            report.fusions += fuseAttention(g);
-    }
+    if (options.fuse)
+        report.fusions += fuseOperators(g);
     report.prunedNodes = dce(g);
 
     // Quantization runs after autodiff + fusion, which is what keeps a

@@ -4,12 +4,13 @@
  * update scheme into an executable training program (paper Fig. 4).
  *
  * Pipeline: apply scheme -> compile-time autodiff -> emit in-place
- * optimizer -> simplify -> constant fold -> operator fusion -> DCE
- * (prunes the frozen layers' backward subgraphs) -> quantization ->
- * backend/kernel switching -> schedule (memory-aware reordering) ->
- * launch + memory planning -> bind. Everything up to the memory plan
- * happens once, in one lowering function shared by training and
- * inference compiles; binding only resolves pointers into that plan.
+ * optimizer -> simplify -> attention fusion -> constant fold ->
+ * operator fusion -> DCE (prunes the frozen layers' backward
+ * subgraphs) -> quantization -> backend/kernel switching -> schedule
+ * (memory-aware reordering) -> launch + memory planning -> bind.
+ * Everything up to the memory plan happens once, in one lowering
+ * function shared by training and inference compiles; binding only
+ * resolves pointers into that plan.
  */
 
 #pragma once
@@ -75,6 +76,11 @@ struct CompileReport {
     int trainableTensors = 0;
     int prunedNodes = 0;      ///< removed by DCE (frozen subgraphs)
     int fusions = 0;
+    /** Attention chains (QK^T -> Scale -> Add -> Softmax -> .V) that
+     *  fuseAttention saw but left unfused: a chain outside the one
+     *  FusedAttention form (say, a mask broadcast by Add) silently
+     *  keeps its five ops and per-head copies. */
+    int attentionUnfused = 0;
     int folded = 0;
     PassStats backend;
     int kernelSteps = 0;      ///< runtime kernel invocations per step

@@ -358,25 +358,25 @@ namespace {
 
 /**
  * Shared decoder-LM core: prefill and decode are the SAME parameters
- * (identical creation order and names — the rng draws line up) under
- * two attention geometries. Prefill runs rank-2 attention over the
- * prompt with a constant causal mask and writes the cache at position
- * 0; decode runs rank-3 single-token attention over the whole cache
- * through the fed additive mask and writes row "pos" per stream.
+ * (identical creation order and names — the rng draws line up) and
+ * the same attention block. A prefill is lead L = 1 with S = @p rows
+ * prompt rows; a decode step is L = @p rows streams with S = 1. Each
+ * layer writes its K/V rows into a [L, maxSeq, D] cache at "pos" and
+ * attends every Q row to its lead's whole cache through the additive
+ * [L*S, maxSeq] "mask". The two graphs differ only in where pos and
+ * mask come from: Consts in the prefill (row 0; token i sees cache
+ * columns j <= i), Inputs in the decode step.
  *
- * Multi-head (cfg.heads > 1) folds the head axis into the batched
- * matmul's leading dim with existing shapeops: Q/K/V stay packed as
- * [.., D] with D = H*Dh (so the cache layout and the
- * "b<i>.kcache"/"b<i>.vcache" node-name contract are untouched), get
- * split to [..*H, .., Dh] around the attention core, and the head
- * outputs merge back by reshape (decode: rows are (b,h) with h
- * fastest, which IS the packed [B, D] layout) or permute+reshape
- * (prefill). Head count changes only the graph, never the serving
- * engine. With heads == 1 the emitted graph is node-for-node the
- * pre-multi-head one.
+ * Heads fold into the batched matmuls' leading dim: Q/K/V stay packed
+ * as [.., D] with D = H*Dh (so the cache layout and the
+ * "b<i>.kcache"/"b<i>.vcache" node-name contract do not depend on H),
+ * split to [L*H, .., Dh] by reshape -> permute -> reshape, and the
+ * head outputs merge back the same way. The mask broadcasts per head.
+ * This is the reference chain the fuseAttention pass collapses into
+ * one FusedAttention per layer, splits and merge included.
  */
 ModelSpec
-buildDecoderLM(const DecoderConfig &cfg, int64_t lead, bool decode,
+buildDecoderLM(const DecoderConfig &cfg, int64_t rows, bool decode,
                Rng &rng, ParamStore *store)
 {
     ModelSpec spec;
@@ -385,29 +385,28 @@ buildDecoderLM(const DecoderConfig &cfg, int64_t lead, bool decode,
     Graph &g = spec.graph;
     const int64_t D = cfg.dim;
     const int64_t M = cfg.maxSeq;
+    const int64_t L = decode ? rows : 1;
+    const int64_t S = decode ? 1 : rows;
 
-    int ids = b.input({lead, 1}, "x");
+    int ids = b.input({rows, 1}, "x");
     spec.input = ids;
     int pos = -1;
     int mask = -1;
     if (decode) {
-        pos = b.input({lead, 1}, "pos");
-        mask = b.input({lead, M}, "mask");
+        pos = b.input({L, 1}, "pos");
+        mask = b.input({rows, M}, "mask");
     } else {
-        // Prompt geometry is static, so position and visibility fold
-        // into constants: the cache is written at row 0, and token i
-        // sees cache columns j <= i (the prompt itself).
         Tensor p0({1});
         p0[0] = 0.0f;
         pos = g.constantOf(std::move(p0), "pos0");
-        Tensor cm({lead, M});
-        for (int64_t i = 0; i < lead; ++i)
+        Tensor cm({rows, M});
+        for (int64_t i = 0; i < rows; ++i)
             for (int64_t j = 0; j < M; ++j)
                 cm[i * M + j] = j <= i ? 0.0f : -1e30f;
         mask = g.constantOf(std::move(cm), "causal_mask");
     }
     int h = b.reshape(b.embedding(ids, cfg.vocab, D, "embed.tok"),
-                      {lead, D});
+                      {rows, D});
 
     if (cfg.heads < 1 || D % cfg.heads != 0) {
         throw std::invalid_argument(
@@ -422,7 +421,15 @@ buildDecoderLM(const DecoderConfig &cfg, int64_t lead, bool decode,
     cache_attrs.set("maxSeq", M);
     Attrs trans_b;
     trans_b.set("transB", static_cast<int64_t>(1));
+    Attrs per_head;
+    per_head.set("shape", Shape{L, H, S, M});
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(Dh));
+    // [L, T, H*Dh] (any layout with those elements) -> [L*H, T, Dh].
+    auto split = [&](int x, int64_t t) {
+        return b.reshape(b.permute(b.reshape(x, {L, t, H, Dh}),
+                                   {0, 2, 1, 3}),
+                         {L * H, t, Dh});
+    };
 
     for (int64_t i = 0; i < cfg.layers; ++i) {
         std::string name = "b" + std::to_string(i);
@@ -430,82 +437,23 @@ buildDecoderLM(const DecoderConfig &cfg, int64_t lead, bool decode,
         int q = b.linear(norm1, D, name + ".q", false);
         int k = b.linear(norm1, D, name + ".k", false);
         int v = b.linear(norm1, D, name + ".v", false);
-        int attn;
-        if (decode) {
-            int kc = g.add(OpKind::CacheWrite,
-                           {b.reshape(k, {lead, 1, D}), pos},
-                           cache_attrs, name + ".kcache");
-            int vc = g.add(OpKind::CacheWrite,
-                           {b.reshape(v, {lead, 1, D}), pos},
-                           cache_attrs, name + ".vcache");
-            int q3, k3, v3, m3;
-            if (H == 1) {
-                q3 = b.reshape(q, {lead, 1, D});
-                k3 = kc;
-                v3 = vc;
-                m3 = b.reshape(mask, {lead, 1, M});
-            } else {
-                // Head split: Q rows are packed [H, Dh], so the
-                // head-batched form is a pure reshape; the cache
-                // [B,M,H*Dh] needs the head axis hoisted past M.
-                q3 = b.reshape(q, {lead * H, 1, Dh});
-                k3 = b.reshape(b.permute(b.reshape(kc, {lead, M, H, Dh}),
+        int kc = g.add(OpKind::CacheWrite, {b.reshape(k, {L, S, D}), pos},
+                       cache_attrs, name + ".kcache");
+        int vc = g.add(OpKind::CacheWrite, {b.reshape(v, {L, S, D}), pos},
+                       cache_attrs, name + ".vcache");
+        int m3 = b.reshape(g.add(OpKind::BroadcastTo,
+                                 {b.reshape(mask, {L, 1, S, M})},
+                                 per_head),
+                           {L * H, S, M});
+        int scores = g.add(OpKind::BatchMatMul, {split(q, S), split(kc, M)},
+                           trans_b); // [L*H,S,M]
+        scores = b.add(b.scale(scores, inv_sqrt_d), m3);
+        int ctx = g.add(OpKind::BatchMatMul,
+                        {b.softmax(scores), split(vc, M)}); // [L*H,S,Dh]
+        int merged = b.reshape(b.permute(b.reshape(ctx, {L, H, S, Dh}),
                                          {0, 2, 1, 3}),
-                               {lead * H, M, Dh});
-                v3 = b.reshape(b.permute(b.reshape(vc, {lead, M, H, Dh}),
-                                         {0, 2, 1, 3}),
-                               {lead * H, M, Dh});
-                Attrs bc;
-                bc.set("shape", Shape{lead, H, M});
-                m3 = b.reshape(g.add(OpKind::BroadcastTo,
-                                     {b.reshape(mask, {lead, 1, M})},
-                                     bc),
-                               {lead * H, 1, M});
-            }
-            int scores = g.add(OpKind::BatchMatMul, {q3, k3},
-                               trans_b); // [B*H,1,M]
-            scores = b.scale(scores, inv_sqrt_d);
-            scores = b.add(scores, m3);
-            int ctx = g.add(OpKind::BatchMatMul,
-                            {b.softmax(scores), v3}); // [B*H,1,Dh]
-            // Head merge: rows are (b, h) with h fastest — exactly
-            // the packed [B, H*Dh] layout, so a reshape suffices.
-            attn = b.linear(b.reshape(ctx, {lead, D}), D,
-                            name + ".proj", false);
-        } else {
-            int kc = g.add(OpKind::CacheWrite, {k, pos}, cache_attrs,
-                           name + ".kcache");
-            int vc = g.add(OpKind::CacheWrite, {v, pos}, cache_attrs,
-                           name + ".vcache");
-            int ctx2;
-            if (H == 1) {
-                int scores =
-                    g.add(OpKind::MatMul, {q, kc}, trans_b); // [S,M]
-                scores = b.scale(scores, inv_sqrt_d);
-                scores = b.add(scores, mask);
-                ctx2 = g.add(OpKind::MatMul, {b.softmax(scores), vc});
-            } else {
-                int q3 = b.permute(b.reshape(q, {lead, H, Dh}),
-                                   {1, 0, 2}); // [H,S,Dh]
-                int k3 = b.permute(b.reshape(kc, {M, H, Dh}),
-                                   {1, 0, 2}); // [H,M,Dh]
-                int v3 = b.permute(b.reshape(vc, {M, H, Dh}),
-                                   {1, 0, 2});
-                Attrs bc;
-                bc.set("shape", Shape{H, lead, M});
-                int m3 = g.add(OpKind::BroadcastTo,
-                               {b.reshape(mask, {1, lead, M})}, bc);
-                int scores = g.add(OpKind::BatchMatMul, {q3, k3},
-                                   trans_b); // [H,S,M]
-                scores = b.scale(scores, inv_sqrt_d);
-                scores = b.add(scores, m3);
-                int ctx = g.add(OpKind::BatchMatMul,
-                                {b.softmax(scores), v3}); // [H,S,Dh]
-                ctx2 = b.reshape(b.permute(ctx, {1, 0, 2}),
-                                 {lead, D});
-            }
-            attn = b.linear(ctx2, D, name + ".proj", false);
-        }
+                               {rows, D});
+        int attn = b.linear(merged, D, name + ".proj", false);
         h = b.add(h, attn);
         int norm2 = b.rmsNorm(h, name + ".ln2");
         // SwiGLU: fc2(silu(fc1(x)) * fc3(x)).

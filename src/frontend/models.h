@@ -131,7 +131,7 @@ struct DecoderConfig {
 /**
  * Prefill graph for one prompt of @p prompt_len tokens: Input "x"
  * [S,1] token rows, causal self-attention over the prompt, and
- * CacheWrite nodes "b<i>.kcache"/"b<i>.vcache" (rank-2 [maxSeq,dim],
+ * CacheWrite nodes "b<i>.kcache"/"b<i>.vcache" ([1,maxSeq,dim],
  * written at position 0) that leave the session cache holding the
  * prompt's keys/values. Output: next-token logits [S,vocab].
  *
@@ -149,8 +149,8 @@ ModelSpec buildDecoderPrefill(const DecoderConfig &cfg,
  * stream's generation, i.e. its cache row count), "mask" [B,maxSeq]
  * (0 for visible cache columns, a large negative for the rest).
  * CacheWrite nodes carry the same "b<i>.kcache"/"b<i>.vcache" names
- * rank-3 ([B,maxSeq,dim]); attention reads the whole cache through
- * the additive mask. Output: next-token logits [B,vocab].
+ * ([B,maxSeq,dim]); attention reads the whole cache through the
+ * additive mask. Output: next-token logits [B,vocab].
  */
 ModelSpec buildDecoderDecode(const DecoderConfig &cfg, int64_t streams,
                              Rng &rng, ParamStore *store);

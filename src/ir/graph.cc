@@ -273,9 +273,7 @@ nodeFlops(const Graph &g, const Node &n)
       case OpKind::FusedAttention: {
         // QK^T and PV are each 2*out*M flops; scale/mask/softmax are
         // lower-order.
-        Shape kk = inShape(1);
-        int64_t m = kk[kk.size() - 2];
-        return 4.0 * out * static_cast<double>(m);
+        return 4.0 * out * static_cast<double>(inShape(1)[1]);
       }
       case OpKind::Conv2d:
       case OpKind::ConvBiasAct:

@@ -414,65 +414,36 @@ inferShape(const Graph &g, OpKind op, const std::vector<int> &inputs,
         int64_t max_seq = attrs.getInt("maxSeq");
         if (max_seq <= 0)
             fail(op, "maxSeq must be positive");
-        if (x.size() == 2) {
-            if (pos != Shape{1})
-                fail(op, "rank-2 x needs pos [1]");
-            if (x[0] < 1 || x[0] > max_seq)
-                fail(op, "need 0 < S <= maxSeq");
-            return {max_seq, x[1]};
-        }
-        if (x.size() == 3) {
-            if (pos != Shape{1} && pos != Shape{x[0], 1})
-                fail(op, "rank-3 x needs pos [1] or [B,1]");
-            if (x[1] < 1 || x[1] > max_seq)
-                fail(op, "need 0 < S <= maxSeq");
-            return {x[0], max_seq, x[2]};
-        }
-        fail(op, "x must be rank 2 or 3");
+        if (x.size() != 3)
+            fail(op, "x must be [B,S,D]");
+        if (pos != Shape{1} && pos != Shape{x[0], 1})
+            fail(op, "pos must be [1] or [B,1]");
+        if (x[1] < 1 || x[1] > max_seq)
+            fail(op, "need 0 < S <= maxSeq");
+        return {x[0], max_seq, x[2]};
       }
 
       case OpKind::FusedAttention: {
+        // Q [L*S, H*Dh], K/V [L, M, H*Dh], mask [L*S, M]: the kernel
+        // reads the heads out of the packed rows in place.
         expectInputs(op, inputs, 4);
         const Shape &q = in(0), &k = in(1), &v = in(2), &m = in(3);
         int64_t heads = attrs.getInt("heads", 0);
-        if (heads > 0) {
-            // Head-split sunk into the op: Q is the head-batched
-            // [L*H,1,Dh] alias, K/V the raw [L,M,H*Dh] cache slabs
-            // read head-strided, and the mask one [L,M] row per lead
-            // shared by all H heads of that lead.
-            if (q.size() != 3 || k.size() != 3 || m.size() != 2)
-                fail(op, "head-split form needs rank-3 Q/K/V and a "
-                         "rank-2 mask");
-            if (k != v)
-                fail(op, "head-split K/V shapes mismatch " +
-                         shapeToString(k) + " / " + shapeToString(v));
-            int64_t dh = q[2];
-            if (q[1] != 1 || q[0] != k[0] * heads ||
-                k[2] != heads * dh)
-                fail(op, "head-split Q must be [L*heads,1,Dh] over "
-                         "K/V [L,M,heads*Dh], got " +
-                         shapeToString(q) + " / " + shapeToString(k));
-            if (m[0] != k[0] || m[1] != k[1])
-                fail(op, "head-split mask must be [L,M], got " +
-                         shapeToString(m));
-            return q;
-        }
-        if (q.size() != k.size() || q.size() != v.size() ||
-            q.size() != m.size() || (q.size() != 2 && q.size() != 3))
-            fail(op, "Q/K/V/mask must all be rank 2 or rank 3");
-        size_t r = q.size();
-        int64_t dh = q[r - 1];
-        int64_t rows = k[r - 2];
-        if (k[r - 1] != dh || v[r - 1] != dh)
-            fail(op, "Q/K/V head dims mismatch " + shapeToString(q) +
-                     " / " + shapeToString(k) + " / " + shapeToString(v));
-        if (v[r - 2] != rows)
-            fail(op, "K/V row counts mismatch " + shapeToString(k) +
-                     " / " + shapeToString(v));
-        if (m[r - 2] != q[r - 2] || m[r - 1] != rows)
-            fail(op, "mask must be [S,M], got " + shapeToString(m));
-        if (r == 3 && (k[0] != q[0] || v[0] != q[0] || m[0] != q[0]))
-            fail(op, "batch dims mismatch");
+        if (heads < 1)
+            fail(op, "heads must be >= 1");
+        if (q.size() != 2 || k.size() != 3 || m.size() != 2)
+            fail(op, "needs Q [L*S,H*Dh], K/V [L,M,H*Dh] and mask "
+                     "[L*S,M]");
+        if (k != v)
+            fail(op, "K/V shapes mismatch " + shapeToString(k) + " / " +
+                     shapeToString(v));
+        if (q[1] != k[2] || q[1] % heads != 0 || k[0] < 1 ||
+            q[0] % k[0] != 0)
+            fail(op, "Q " + shapeToString(q) + " must be [L*S,H*Dh] "
+                     "over K/V " + shapeToString(k) + " with heads " +
+                     std::to_string(heads));
+        if (m[0] != q[0] || m[1] != k[1])
+            fail(op, "mask must be [L*S,M], got " + shapeToString(m));
         return q;
       }
     }

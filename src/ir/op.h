@@ -128,25 +128,24 @@ enum class OpKind {
     // session (every other planned value dies within a run). Only the
     // written rows change; everything else keeps its prior contents.
     //
-    //   rank-2: x [S,D],   pos [1]           -> cache [maxSeq, D]
-    //           rows [pos, pos+S) receive x.
-    //   rank-3: x [B,S,D], pos [1] or [B,1]  -> cache [B, maxSeq, D]
-    //           per slot b, rows [pos_b, pos_b+S) receive x[b].
+    //   x [B,S,D], pos [1] or [B,1]  -> cache [B, maxSeq, D]
+    //   per slot b, rows [pos_b, pos_b+S) receive x[b] (a prefill is
+    //   B = 1 with the S prompt rows, a decode step S = 1).
     //
     // attr "maxSeq" fixes the cache extent at compile time.
     CacheWrite,
 
     // Scaled-dot-product attention collapsed into one op by the
-    // fuseAttention pass (decode hot loop: five ops / four arena
-    // intermediates -> one op whose QK row, softmax, and V-accumulate
-    // all live in per-shard workspace). Inputs: Q, K, V, mask; attr
-    // "scale" (1/sqrt(headDim)).
+    // fuseAttention pass (five ops / four arena intermediates -> one
+    // op whose QK row, softmax, and V-accumulate all live in per-shard
+    // workspace). Inputs: Q, K, V, mask; attrs "scale" (1/sqrt(Dh))
+    // and "heads" (H >= 1).
     //
-    //   rank-2 (prefill): Q [S,Dh], K [M,Dh], V [M,Dh], mask [S,M]
-    //                     -> softmax(Q K^T * scale + mask) V  [S,Dh]
-    //   rank-3 (decode):  Q [B,S,Dh], K [B,M,Dh], V [B,M,Dh],
-    //                     mask [B,S,M] -> [B,S,Dh] (batched over B;
-    //                     multi-head folds heads into B).
+    //   Q [L*S, H*Dh], K/V [L, M, H*Dh], mask [L*S, M]
+    //     -> [L*S, H*Dh]: per head h, softmax(Q_h K_h^T * scale +
+    //        mask) V_h, with row r of Q and the mask attending to the
+    //        K/V slab of lead r/S. Q, K, V and the output stay in the
+    //        packed head layout (head h is columns [h*Dh, (h+1)*Dh)).
     //
     // Always fp32: the QuantizePass never rewrites it (like the
     // BatchMatMul/Softmax subgraph it replaces), so int8 graphs reach

@@ -9,9 +9,9 @@
  *
  * The body (kutil::fusedAttentionK, kernel_bodies.h) is shared with
  * the SIMD tiers; on the scalar tier registered here it is
- * bit-identical to the unfused scalar subgraph. Partitioning: over
- * logical output rows (rank-2: S; rank-3: B*S; head-split: L*H), each
- * shard writing a disjoint slab of the output.
+ * bit-identical to the unfused scalar subgraph. Partitioning: over the
+ * L*S*H (row, head) units, each writing a disjoint Dh-wide slice of
+ * the [L*S, H*Dh] output.
  */
 
 #include "kernels/kernel.h"
@@ -26,10 +26,16 @@ namespace {
 WorkspaceSpec
 fusedAttentionWorkspace(const Graph &g, const Node &n)
 {
-    const Shape &k = g.node(n.inputs[1]).shape;
     WorkspaceSpec spec;
-    spec.bytesPerShard = k[k.size() - 2] * 4;
+    spec.bytesPerShard = g.node(n.inputs[1]).shape[1] * 4;
     return spec;
+}
+
+/** (row, head) units: output rows times heads. */
+int64_t
+headRows(const KernelCtx &c)
+{
+    return part::outRows(c) * kutil::attrI(c, "heads", 1);
 }
 
 } // namespace
@@ -39,9 +45,9 @@ namespace detail {
 void
 registerAttentionKernels()
 {
-    PartitionSpec rows{part::outRows, 1};
+    PartitionSpec units{headRows, 1};
     registerKernel(OpKind::FusedAttention, "",
-                   kutil::fusedAttentionK<kutil::ScalarLanes>, rows,
+                   kutil::fusedAttentionK<kutil::ScalarLanes>, units,
                    fusedAttentionWorkspace);
 }
 

@@ -610,13 +610,13 @@ dwConvBwdInputK(const KernelCtx &c)
 // ---- fused attention --------------------------------------------------
 
 /**
- * softmax(Q K^T * scale + mask) V over the output rows of this shard,
- * with the score row held in the shard's workspace. Rank-2 rows are
- * S, rank-3 rows B*S: row r reads Q row r, mask row r and the K/V slab
- * of batch r/S. With the "heads" attr (head-split form) row r is
- * (lead r/H, head r%H): K/V rows come from the [L,M,H*Dh] cache slab
- * at column offset (r%H)*Dh with stride H*Dh, and the mask row is
- * lead-indexed.
+ * softmax(Q K^T * scale + mask) V over this shard's (row, head) units,
+ * with the score row held in the shard's workspace. Q is [L*S, H*Dh],
+ * K/V [L, M, H*Dh] and the mask [L*S, M]; unit u is (row r = u/H,
+ * head h = u%H). It reads Q row r and writes output row r at column
+ * h*Dh, reads mask row r, and reads K/V rows of lead r/S at column
+ * h*Dh with stride H*Dh: the head split and merge happen in the
+ * indexing, not in copies.
  *
  * On the scalar tier this is bit-identical to the unfused chain
  * (BatchMatMul -> Scale -> Add -> Softmax -> BatchMatMul): dot() sums
@@ -632,13 +632,12 @@ fusedAttentionK(const KernelCtx &c)
 {
     const Shape &qs = *c.inShapes[0];
     const Shape &ks = *c.inShapes[1];
-    size_t rank = qs.size();
-    int64_t dh = qs[rank - 1];
-    int64_t s = qs[rank - 2];
-    int64_t m = ks[rank - 2];
+    int64_t heads = attrI(c, "heads", 1);
+    int64_t d = qs[1];
+    int64_t dh = d / heads;
+    int64_t s = qs[0] / ks[0];
+    int64_t m = ks[1];
     float scale = attrF(c, "scale", 1.0);
-    int64_t heads = attrI(c, "heads", 0);
-    int64_t kstr = heads > 0 ? heads * dh : dh;
 
     const float *q = c.in[0];
     const float *k = c.in[1];
@@ -646,24 +645,17 @@ fusedAttentionK(const KernelCtx &c)
     const float *mask = c.in[3];
     float *scores = c.workspace;
 
-    int64_t rows = numel(*c.outShape) / dh;
-    for (int64_t r = c.begin; r < partitionEnd(c, rows); ++r) {
-        const float *qrow = q + r * dh;
-        const float *mrow, *kb, *vb;
-        if (heads > 0) {
-            int64_t lead = r / heads, hd = r % heads;
-            mrow = mask + lead * m;
-            kb = k + lead * m * kstr + hd * dh;
-            vb = v + lead * m * kstr + hd * dh;
-        } else {
-            mrow = mask + r * m;
-            kb = k + (r / s) * m * dh;
-            vb = v + (r / s) * m * dh;
-        }
+    for (int64_t u = c.begin; u < partitionEnd(c, qs[0] * heads); ++u) {
+        int64_t r = u / heads;
+        int64_t col = (u % heads) * dh;
+        const float *qrow = q + r * d + col;
+        const float *mrow = mask + r * m;
+        const float *kb = k + (r / s) * m * d + col;
+        const float *vb = v + (r / s) * m * d + col;
 
         float mx = -std::numeric_limits<float>::infinity();
         for (int64_t i = 0; i < m; ++i) {
-            scores[i] = P::dot(qrow, kb + i * kstr, dh) * scale + mrow[i];
+            scores[i] = P::dot(qrow, kb + i * d, dh) * scale + mrow[i];
             if (scores[i] > mx)
                 mx = scores[i];
         }
@@ -676,10 +668,10 @@ fusedAttentionK(const KernelCtx &c)
         for (int64_t i = 0; i < m; ++i)
             scores[i] *= inv;
 
-        float *orow = c.out + r * dh;
+        float *orow = c.out + r * d + col;
         std::memset(orow, 0, sizeof(float) * dh);
         for (int64_t i = 0; i < m; ++i)
-            P::axpy(orow, vb + i * kstr, scores[i], dh);
+            P::axpy(orow, vb + i * d, scores[i], dh);
     }
 }
 

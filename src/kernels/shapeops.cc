@@ -116,18 +116,6 @@ cacheWriteK(const KernelCtx &c)
     const Shape &os = *c.outShape;
     const float *pos = c.in[1];
     const Shape &ps = *c.inShapes[1];
-    if (xs.size() == 2) {
-        int64_t s = xs[0], d = xs[1], max_seq = os[0];
-        int64_t p = static_cast<int64_t>(pos[0]);
-        for (int64_t i = 0; i < s; ++i) {
-            int64_t row = p + i;
-            if (row < 0 || row >= max_seq)
-                continue;
-            std::memcpy(c.out + row * d, c.in[0] + i * d,
-                        sizeof(float) * d);
-        }
-        return;
-    }
     int64_t b = xs[0], s = xs[1], d = xs[2], max_seq = os[1];
     bool per_slot = numel(ps) == b;
     for (int64_t bi = 0; bi < b; ++bi) {

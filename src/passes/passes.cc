@@ -281,9 +281,9 @@ fuseOperators(Graph &g)
 }
 
 int
-fuseAttention(Graph &g)
+fuseAttention(Graph &g, int *unfused)
 {
-    int fused = 0;
+    int fused = 0, missed = 0;
     auto users = g.consumers();
     std::vector<bool> is_output(g.numNodes(), false);
     for (int o : g.outputs())
@@ -295,153 +295,127 @@ fuseAttention(Graph &g)
     auto isMatmul = [](const Node &n) {
         return n.op == OpKind::MatMul || n.op == OpKind::BatchMatMul;
     };
-
-    // Head-split sink. The canonical decode head split materializes
-    // K/V as permuted [L*H,M,Dh] copies — and the fused op, consuming
-    // both at once, would keep the two slabs live simultaneously where
-    // the unfused chain frees K's copy (at the QK matmul) before V's
-    // is built. Sinking the split into the kernel — which then reads
-    // the [L,M,H*Dh] cache slab with head-strided rows — deletes both
-    // copies from the arena, so the fused plan's peak-live drops below
-    // the unfused plan's instead of above it. Value-for-value the
-    // reads are identical, so bit parity with the copies is preserved.
-    //
-    // Matches exactly reshape{L*H,M,Dh}(permute{0,2,1,3}(
-    // reshape{L,M,H,Dh}(src[L,M,H*Dh]))); returns src or -1.
-    auto sinkSplit = [&](int id, int64_t &L, int64_t &H, int64_t &M,
-                         int64_t &Dh) -> int {
-        const Node &rs2 = g.node(id);
-        if (rs2.op != OpKind::Reshape || !singleUse(id) ||
-            rs2.shape.size() != 3)
-            return -1;
-        int p_id = rs2.inputs[0];
-        const Node &p = g.node(p_id);
-        if (p.op != OpKind::Permute || !singleUse(p_id) ||
-            p.attrs.getInts("perm") != std::vector<int64_t>{0, 2, 1, 3})
-            return -1;
-        int rs1_id = p.inputs[0];
-        const Node &rs1 = g.node(rs1_id);
-        if (rs1.op != OpKind::Reshape || !singleUse(rs1_id) ||
-            rs1.shape.size() != 4)
-            return -1;
-        int64_t l = rs1.shape[0], m = rs1.shape[1];
-        int64_t h = rs1.shape[2], dh = rs1.shape[3];
-        int src = rs1.inputs[0];
-        if (rs2.shape != Shape{l * h, m, dh} ||
-            g.node(src).shape != Shape{l, m, h * dh})
-            return -1;
-        L = l;
-        H = h;
-        M = m;
-        Dh = dh;
-        return src;
+    auto in0 = [&](int id) { return g.node(id).inputs[0]; };
+    // A single-use @p op node, of shape @p shape unless that is empty.
+    auto is = [&](int id, OpKind op, const Shape &shape = {}) {
+        const Node &n = g.node(id);
+        return n.op == op && singleUse(id) &&
+               (shape.empty() || n.shape == shape);
     };
-    // The per-head mask broadcast: reshape{L*H,1,M}(BroadcastTo{L,H,M}(
-    // reshape{L,1,M}(src[L,M]))); returns src or -1.
-    auto sinkMask = [&](int id, int64_t L, int64_t H,
-                        int64_t M) -> int {
-        const Node &rs2 = g.node(id);
-        if (rs2.op != OpKind::Reshape || !singleUse(id) ||
-            rs2.shape != Shape{L * H, 1, M})
-            return -1;
-        int bc_id = rs2.inputs[0];
-        const Node &bc = g.node(bc_id);
-        if (bc.op != OpKind::BroadcastTo || !singleUse(bc_id) ||
-            bc.shape != Shape{L, H, M})
-            return -1;
-        int rs1_id = bc.inputs[0];
-        const Node &rs1 = g.node(rs1_id);
-        if (rs1.op != OpKind::Reshape || !singleUse(rs1_id) ||
-            rs1.shape != Shape{L, 1, M})
-            return -1;
-        int src = rs1.inputs[0];
-        if (g.node(src).shape != Shape{L, M})
-            return -1;
-        return src;
+    auto isSwap12 = [&](int id) {
+        return is(id, OpKind::Permute) &&
+               g.node(id).attrs.getInts("perm") ==
+                   std::vector<int64_t>{0, 2, 1, 3};
     };
 
-    // Root the match at the P*V matmul and walk the chain upward.
+    // Head split reshape{L*H,T,Dh}(permute{0,2,1,3}(reshape{L,T,H,Dh}(
+    // src))): returns src and writes [L,T,H,Dh] to @p lthd, or -1.
+    auto splitOf = [&](int id, Shape &lthd) -> int {
+        if (!is(id, OpKind::Reshape) || !isSwap12(in0(id)))
+            return -1;
+        int rs = in0(in0(id));
+        const Shape &s = g.node(rs).shape;
+        if (!is(rs, OpKind::Reshape) || s.size() != 4 ||
+            g.node(id).shape != Shape{s[0] * s[2], s[1], s[3]})
+            return -1;
+        lthd = s;
+        return in0(rs);
+    };
+    // Per-head mask reshape{L*H,S,M}(BroadcastTo{L,H,S,M}(
+    // reshape{L,1,S,M}(src[L*S,M]))): returns src, or -1.
+    auto maskOf = [&](int id, int64_t L, int64_t H, int64_t S,
+                      int64_t M) -> int {
+        if (!is(id, OpKind::Reshape, {L * H, S, M}))
+            return -1;
+        int bc = in0(id);
+        if (!is(bc, OpKind::BroadcastTo, {L, H, S, M}) ||
+            !is(in0(bc), OpKind::Reshape, {L, 1, S, M}))
+            return -1;
+        int src = in0(in0(bc));
+        return g.node(src).shape == Shape{L * S, M} ? src : -1;
+    };
+    // Head merge reshape{L*S,H*Dh}(permute{0,2,1,3}(reshape{L,H,S,Dh}(
+    // pv))), walked down from pv: returns the last reshape, or -1.
+    auto mergeOf = [&](int pv, int64_t L, int64_t H, int64_t S,
+                       int64_t Dh) -> int {
+        if (!singleUse(pv))
+            return -1;
+        int rs = users[pv][0];
+        if (!is(rs, OpKind::Reshape, {L, H, S, Dh}) ||
+            !isSwap12(users[rs][0]))
+            return -1;
+        int out = users[users[rs][0]][0];
+        const Node &n = g.node(out);
+        return n.op == OpKind::Reshape && n.shape == Shape{L * S, H * Dh}
+                   ? out
+                   : -1;
+    };
+
     for (int id = 0; id < g.numNodes(); ++id) {
-        Node &root = g.node(id);
-        if (!isMatmul(root) || root.attrs.getInt("transA", 0) ||
-            root.attrs.getInt("transB", 0)) {
+        // The core chain, rooted at the P*V matmul: (Batch)MatMul(Q,K,
+        // transB) -> Scale -> Add(mask) -> Softmax -> (Batch)MatMul(.,V).
+        const Node &pv = g.node(id);
+        if (!isMatmul(pv) || pv.attrs.getInt("transA", 0) ||
+            pv.attrs.getInt("transB", 0))
             continue;
-        }
-        int sm_id = root.inputs[0];
-        const Node &sm = g.node(sm_id);
-        if (sm.op != OpKind::Softmax || !singleUse(sm_id))
+        int sm = in0(id);
+        if (g.node(sm).op != OpKind::Softmax ||
+            g.node(in0(sm)).op != OpKind::Add)
             continue;
-        int add_id = sm.inputs[0];
-        const Node &add = g.node(add_id);
-        if (add.op != OpKind::Add || !singleUse(add_id))
+        const Node &add = g.node(in0(sm));
+        int side = g.node(add.inputs[0]).op == OpKind::Scale ? 0 : 1;
+        int sc = add.inputs[side], mask = add.inputs[1 - side];
+        if (g.node(sc).op != OpKind::Scale)
             continue;
-        // Scale on either side of the mask-Add.
-        int sc_id = -1, mask_id = -1;
-        for (int side = 0; side < 2; ++side) {
-            if (g.node(add.inputs[side]).op == OpKind::Scale) {
-                sc_id = add.inputs[side];
-                mask_id = add.inputs[1 - side];
-                break;
+        int qk = in0(sc);
+        const Node &qkn = g.node(qk);
+        if (!isMatmul(qkn) || qkn.attrs.getInt("transA", 0) ||
+            !qkn.attrs.getInt("transB", 0))
+            continue;
+
+        // The one fused form: the Q/K/V head splits, the per-head mask
+        // broadcast and the head merge all sink into the op, which
+        // reads Q [L*S,H*Dh], K/V [L,M,H*Dh] and mask [L*S,M] in place
+        // and writes the merged [L*S,H*Dh] — no per-head copies. Any
+        // other chain stays unfused and is counted.
+        Shape qd, kd, vd;
+        int q = splitOf(qkn.inputs[0], qd);
+        int k = splitOf(qkn.inputs[1], kd);
+        int v = splitOf(pv.inputs[1], vd);
+        int m = -1, out = -1;
+        if (q >= 0 && k >= 0 && v >= 0 && singleUse(sm) &&
+            singleUse(in0(sm)) && singleUse(sc) && singleUse(qk)) {
+            int64_t L = qd[0], S = qd[1], H = qd[2], Dh = qd[3];
+            int64_t M = kd[1];
+            const Shape kv{L, M, H * Dh};
+            if (kd == Shape{L, M, H, Dh} && vd == kd &&
+                g.node(q).shape == Shape{L * S, H * Dh} &&
+                g.node(k).shape == kv && g.node(v).shape == kv) {
+                m = maskOf(mask, L, H, S, M);
+                out = mergeOf(id, L, H, S, Dh);
             }
         }
-        if (sc_id < 0 || !singleUse(sc_id))
-            continue;
-        const Node &sc = g.node(sc_id);
-        int qk_id = sc.inputs[0];
-        const Node &qk = g.node(qk_id);
-        if (!isMatmul(qk) || qk.op != root.op || !singleUse(qk_id) ||
-            qk.attrs.getInt("transA", 0) ||
-            !qk.attrs.getInt("transB", 0)) {
+        if (m < 0 || out < 0) {
+            ++missed;
             continue;
         }
-
-        int q_id = qk.inputs[0], k_id = qk.inputs[1];
-        int v_id = root.inputs[1];
-        const Shape &qsh = g.node(q_id).shape;
-        const Shape &ksh = g.node(k_id).shape;
-        const Shape &vsh = g.node(v_id).shape;
-        const Shape &msh = g.node(mask_id).shape;
-        // The fused kernel reads the mask row-for-row with the scores
-        // (no broadcasting) and K/V as equal [.., M, Dh] slabs.
-        if (ksh != vsh || msh != qk.shape)
-            continue;
-        size_t r = qsh.size();
-        if ((r != 2 && r != 3) || ksh.size() != r)
-            continue;
-
+        // Rewrite the merge in place: its id, name, output status and
+        // calibration range survive; dce() collects the dead chain.
+        Node &fa = g.node(out);
         Attrs attrs;
-        attrs.set("scale", sc.attrs.getFloat("alpha", 1.0));
-        if (root.attrs.has(kCalibMinAttr) &&
-            root.attrs.has(kCalibMaxAttr)) {
-            attrs.set(kCalibMinAttr,
-                      root.attrs.getFloat(kCalibMinAttr, 0.0));
-            attrs.set(kCalibMaxAttr,
-                      root.attrs.getFloat(kCalibMaxAttr, 0.0));
+        attrs.set("scale", g.node(sc).attrs.getFloat("alpha", 1.0));
+        attrs.set("heads", qd[2]);
+        if (fa.attrs.has(kCalibMinAttr) && fa.attrs.has(kCalibMaxAttr)) {
+            attrs.set(kCalibMinAttr, fa.attrs.getFloat(kCalibMinAttr, 0.0));
+            attrs.set(kCalibMaxAttr, fa.attrs.getFloat(kCalibMaxAttr, 0.0));
         }
-        Shape shape = root.shape;
-        root.op = OpKind::FusedAttention;
-        root.inputs = {q_id, k_id, v_id, mask_id};
-        root.attrs = std::move(attrs);
-        root.shape = shape;
+        fa.op = OpKind::FusedAttention;
+        fa.inputs = {q, k, v, m};
+        fa.attrs = std::move(attrs);
         ++fused;
-
-        // If K and V arrive through the canonical decode head split
-        // and the mask through the matching per-head broadcast, feed
-        // the kernel the pre-split sources directly (Q's reshape is a
-        // free alias and stays). DCE collects the dead chains.
-        int64_t kl, kh, km, kdh, vl, vh, vm, vdh;
-        int k_src = sinkSplit(k_id, kl, kh, km, kdh);
-        int v_src = sinkSplit(v_id, vl, vh, vm, vdh);
-        if (k_src >= 0 && v_src >= 0 && kl == vl && kh == vh &&
-            km == vm && kdh == vdh &&
-            g.node(q_id).shape == Shape{kl * kh, 1, kdh}) {
-            int m_src = sinkMask(mask_id, kl, kh, km);
-            if (m_src >= 0) {
-                root.inputs = {q_id, k_src, v_src, m_src};
-                root.attrs.set("heads", kh);
-            }
-        }
     }
+    if (unfused)
+        *unfused = missed;
     return fused;
 }
 

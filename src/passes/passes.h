@@ -65,20 +65,28 @@ int simplify(Graph &g);
 int fuseOperators(Graph &g);
 
 /**
- * Collapse the five-op scaled-dot-product attention subgraph
+ * Collapse the scaled-dot-product attention chain
  *
- *   (Batch)MatMul(Q, K, transB=1) -> Scale -> Add(mask) -> Softmax
- *     -> (Batch)MatMul(., V)
+ *   BatchMatMul(split(Q), split(K), transB=1) -> Scale
+ *     -> Add(broadcast(mask)) -> Softmax -> BatchMatMul(., split(V))
+ *     -> merge
  *
- * into one FusedAttention node (scale attr from the Scale's alpha).
- * The root matmul is rewritten in place, so its id, name, output
- * status, and calibration range survive; the dead intermediates are
- * left for dce(). Old graphs and plan files keep working: the
- * unfused ops and kernels all remain registered, and plans serialize
- * whichever form the compile produced.
- * @return number of attention subgraphs fused.
+ * into one FusedAttention node over Q [L*S,H*Dh], K/V [L,M,H*Dh] and
+ * mask [L*S,M] (attrs "scale" from the Scale's alpha and "heads").
+ * split is reshape{L,T,H,Dh} -> permute{0,2,1,3} -> reshape{L*H,T,Dh},
+ * broadcast is reshape{L,1,S,M} -> BroadcastTo{L,H,S,M} ->
+ * reshape{L*H,S,M}, and merge is the inverse of split back to
+ * [L*S,H*Dh]. Every intermediate must be single-use. The merge's last
+ * reshape is rewritten in place, so its id, name, output status and
+ * calibration range survive; the dead chain is left for dce(). Run it
+ * before constantFold(), which would fold a Const mask's broadcast
+ * into H copies.
+ * @param unfused if set, receives the count of chains that match the
+ *        core (Batch)MatMul -> Scale -> Add -> Softmax -> (Batch)MatMul
+ *        but were left unfused.
+ * @return number of attention chains fused.
  */
-int fuseAttention(Graph &g);
+int fuseAttention(Graph &g, int *unfused = nullptr);
 
 /** Evaluate nodes whose inputs are all data-carrying Consts. */
 int constantFold(Graph &g);

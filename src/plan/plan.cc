@@ -221,6 +221,7 @@ buildReport(const CompileReport &r)
     w.i32(r.trainableTensors);
     w.i32(r.prunedNodes);
     w.i32(r.fusions);
+    w.i32(r.attentionUnfused);
     w.i32(r.folded);
     w.f64(r.flopsPerStep);
     w.i64(r.arenaBytesNoReorder);
@@ -600,6 +601,7 @@ deserializeImpl(const std::string &bytes)
         rep.trainableTensors = r.get<int32_t>();
         rep.prunedNodes = r.get<int32_t>();
         rep.fusions = r.get<int32_t>();
+        rep.attentionUnfused = r.get<int32_t>();
         rep.folded = r.get<int32_t>();
         rep.flopsPerStep = r.get<double>();
         rep.arenaBytesNoReorder = r.get<int64_t>();

@@ -73,8 +73,13 @@ namespace pe {
  *  quant counters that follow it.
  *  v4: workspace records lost the shared region (36 bytes each), LNCH
  *  lost its derived sharded-step and serialized-by-workspace counts,
- *  META its node count and RPRT its copy of META's precision. */
-inline constexpr uint32_t kPlanFormatVersion = 4;
+ *  META its node count and RPRT its copy of META's precision.
+ *  v5: FusedAttention has one input form (Q [L*S,H*Dh], K/V
+ *  [L,M,H*Dh], mask [L*S,M], "heads" required) and CacheWrite one
+ *  rank ([B,maxSeq,D]; a prefill's cache is [1,maxSeq,D]); RPRT grew
+ *  CompileReport::attentionUnfused after fusions. A v4 plan fails
+ *  typed (PlanVersionError) instead of in shape inference. */
+inline constexpr uint32_t kPlanFormatVersion = 5;
 
 // ---- typed load errors ----------------------------------------------
 // Each corruption class gets its own type so deployment code can

@@ -658,9 +658,9 @@ Executor::resetCache(ExecContext &ctx) const
 
 namespace {
 
-/** Resolve a cache value's row geometry: [maxSeq, D] for rank-2,
- *  [B, maxSeq, D] for rank-3 (@p slot picks the leading dim). Returns
- *  the element offset of (slot, row0) and writes D to @p rowElems. */
+/** Resolve a cache value's [B, maxSeq, D] row geometry (@p slot
+ *  picks the leading dim). Returns the element offset of (slot, row0)
+ *  and writes D to @p rowElems. */
 int64_t
 cacheRowBase(const Node &n, const ValuePlacement &v, int64_t slot,
              int64_t row0, int64_t rows, int64_t *rowElems)
@@ -669,9 +669,7 @@ cacheRowBase(const Node &n, const ValuePlacement &v, int64_t slot,
         throw std::runtime_error("Executor: " + n.name +
                                  " is not a cache value");
     const Shape &s = n.shape;
-    int64_t b = s.size() == 3 ? s[0] : 1;
-    int64_t max_seq = s.size() == 3 ? s[1] : s[0];
-    int64_t d = s.back();
+    int64_t b = s[0], max_seq = s[1], d = s[2];
     if (slot < 0 || slot >= b)
         throw std::runtime_error(
             "Executor: cache slot " + std::to_string(slot) +

@@ -218,10 +218,11 @@ class Executor
     /**
      * Copy rows [@p row0, @p row0 + @p rows) of cache value
      * @p node_id (a CacheWrite output) out of @p ctx as a [rows, D]
-     * tensor. @p slot selects the leading-dim index of a rank-3
-     * [B, maxSeq, D] cache; pass 0 for rank-2. This is the serving
-     * runtime's scatter/gather half: per-stream authoritative state
-     * lives engine-side, session contexts are just the run's staging.
+     * tensor. @p slot selects the leading-dim index of the
+     * [B, maxSeq, D] cache (0 for a prefill's B = 1). This is the
+     * serving runtime's scatter/gather half: per-stream authoritative
+     * state lives engine-side, session contexts are just the run's
+     * staging.
      */
     Tensor fetchCacheRows(const ExecContext &ctx, int node_id,
                           int64_t slot, int64_t row0,

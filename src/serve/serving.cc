@@ -430,16 +430,14 @@ ServingEngine::resolveCacheTopology()
             ref.id = n.id;
             ref.maxSeq = n.attrs.getInt("maxSeq");
             ref.dim = n.shape.back();
-            if (b->decode) {
-                if (n.shape.size() != 3 || n.shape[0] != b->batch)
-                    throw std::invalid_argument(
-                        "ServingEngine: decode cache " + n.name +
-                        " must be [streams, maxSeq, D]");
-            } else if (n.shape.size() != 2) {
+            // One slot per stream row in a decode graph; a prefill
+            // writes the one slot of its stream.
+            if (n.shape[0] != (b->decode ? b->batch : 1))
                 throw std::invalid_argument(
-                    "ServingEngine: prefill cache " + n.name +
-                    " must be rank-2 [maxSeq, D]");
-            }
+                    "ServingEngine: " +
+                    std::string(b->decode ? "decode" : "prefill") +
+                    " cache " + n.name + " must be [" +
+                    (b->decode ? "streams" : "1") + ", maxSeq, D]");
             b->cacheNodes.push_back(std::move(ref));
         }
         std::sort(b->cacheNodes.begin(), b->cacheNodes.end(),

@@ -105,14 +105,14 @@ using ModelFactory = std::function<ServedModel(int64_t batch)>;
  *    with equal maxSeq and row width. Validated at construction.
  *  - The prefill graph is self-positioned (position 0 is a Const, the
  *    causal mask is a Const): its only Input is the prompt, one token
- *    per row, and its caches are rank-2 [maxSeq, D].
+ *    per row, and its caches are [1, maxSeq, D].
  *  - The decode graph takes one token per stream row plus two
  *    engine-synthesized Inputs: "pos" [B, 1] (each stream's write
  *    position = its generation) and "mask" [B, maxSeq] (0 for columns
  *    <= generation, -1e30f beyond — large enough that exp() underflows
  *    to exact 0.0f, which is what makes shared runs bit-identical to
  *    solo runs no matter what stale rows sit past the generation).
- *    Its caches are rank-3 [B, maxSeq, D], one slot per stream row.
+ *    Its caches are [B, maxSeq, D], one slot per stream row.
  *
  * Per-stream authoritative cache state lives engine-side (openStream
  * allocates it); before a decode run the engine gathers each member

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "frontend/builder.h"
 #include "frontend/models.h"
 #include "plan/plan.h"
 #include "serve/coalescer.h"
@@ -729,27 +730,82 @@ TEST(FusedAttention, PassCollapsesEveryLayerAndDceRemovesTheChain)
 
 TEST(FusedAttention, HeadSplitSinksIntoKernelAndShrinksPeakLive)
 {
-    // Multi-head decode: the pass must sink the K/V head-split
-    // (reshape -> permute -> reshape) and the mask broadcast into the
-    // op, so the fused graph holds NO materialized per-head copies —
-    // that is what puts the fused plan's peak-live strictly below the
-    // unfused plan's, where K's copy dies before V's is built.
-    for (int64_t heads : {2, 4}) {
+    // Prefill and decode at every head count: the pass must sink the
+    // Q/K/V head splits (reshape -> permute -> reshape), the mask
+    // broadcast and the head merge into the op, so the fused graph
+    // holds NO materialized per-head copies — that is what puts the
+    // fused plan's peak-live strictly below the unfused plan's, where
+    // K's copy dies before V's is built. Fusing before constant
+    // folding keeps the prefill's causal mask one [S, maxSeq] Const
+    // instead of H folded copies.
+    const int64_t S = 6;
+    for (int64_t heads : {1, 2, 4}) {
         DecoderConfig cfg = smallCfg().withHeads(heads);
-        BuiltProg fused = makeDecodeProg(cfg, 4, true, true);
-        BuiltProg plain = makeDecodeProg(cfg, 4, false, true);
-        const Graph &fg = fused.prog->graph();
-        EXPECT_EQ(countOps(fg, OpKind::Permute), 0)
-            << heads << " heads: head-split permute not sunk";
-        EXPECT_EQ(countOps(fg, OpKind::BroadcastTo), 0)
-            << heads << " heads: mask broadcast not sunk";
-        for (int id = 0; id < fg.numNodes(); ++id)
-            if (fg.node(id).op == OpKind::FusedAttention)
-                EXPECT_EQ(fg.node(id).attrs.getInt("heads", 0), heads);
-        EXPECT_LT(fused.prog->report().peakLiveBytes,
-                  plain.prog->report().peakLiveBytes)
-            << heads << " heads: fused decode must plan below unfused";
+        for (bool decode : {false, true}) {
+            std::string what = std::to_string(heads) + " heads, " +
+                               (decode ? "decode" : "prefill");
+            BuiltProg fused = decode ? makeDecodeProg(cfg, 4, true, true)
+                                     : makePrefillProg(cfg, S, true, true);
+            BuiltProg plain = decode
+                                  ? makeDecodeProg(cfg, 4, false, true)
+                                  : makePrefillProg(cfg, S, false, true);
+            const Graph &fg = fused.prog->graph();
+            EXPECT_EQ(countOps(fg, OpKind::FusedAttention), cfg.layers)
+                << what;
+            EXPECT_EQ(countOps(fg, OpKind::Permute), 0)
+                << what << ": head split or merge not sunk";
+            EXPECT_EQ(countOps(fg, OpKind::BroadcastTo), 0)
+                << what << ": mask broadcast not sunk";
+            for (int id = 0; id < fg.numNodes(); ++id) {
+                const Node &n = fg.node(id);
+                if (n.op == OpKind::FusedAttention)
+                    EXPECT_EQ(n.attrs.getInt("heads", 0), heads) << what;
+                if (n.op == OpKind::Const)
+                    EXPECT_LE(numel(n.shape), S * cfg.maxSeq)
+                        << what << ": Const " << n.name << " "
+                        << shapeToString(n.shape);
+            }
+            EXPECT_LT(fused.prog->report().peakLiveBytes,
+                      plain.prog->report().peakLiveBytes)
+                << what << ": fused must plan below unfused";
+        }
     }
+}
+
+TEST(FusedAttention, UnfusedChainsAreCounted)
+{
+    // Every decoder attention chain fuses: prefill and decode report
+    // no miss at any head count.
+    for (int64_t heads : {1, 2, 4}) {
+        DecoderConfig cfg = smallCfg().withHeads(heads);
+        for (bool decode : {false, true}) {
+            BuiltProg b = decode ? makeDecodeProg(cfg, 4, true, false)
+                                 : makePrefillProg(cfg, 5, true, false);
+            EXPECT_EQ(b.prog->report().attentionUnfused, 0)
+                << heads << " heads, " << (decode ? "decode" : "prefill");
+        }
+    }
+    // NetBuilder::selfAttention(causal) adds an [S,S] mask that
+    // broadcasts over the [B*H,S,S] scores, and its K/V come from
+    // [B*S,D] rows rather than a [L,M,D] cache: outside the one fused
+    // form, so each layer is one counted miss.
+    auto store = std::make_shared<ParamStore>();
+    Rng rng(3);
+    Graph g;
+    NetBuilder b(g, rng, store.get());
+    int h = b.input({2, 5, 16}, "x");
+    for (int i = 0; i < 3; ++i)
+        h = b.selfAttention(h, 2, "l" + std::to_string(i), true);
+    g.markOutput(h);
+    InferenceProgram p = compileInference(g, {h}, CompileOptions{}, store);
+    EXPECT_EQ(p.report().attentionUnfused, 3);
+    EXPECT_EQ(countOps(p.graph(), OpKind::FusedAttention), 0);
+    EXPECT_EQ(countOps(p.graph(), OpKind::Softmax), 3);
+
+    // The count is carried in the plan's report section.
+    std::string blob = serializePlan(p.graph(), p.executor().exportArtifact(),
+                                     p.report(), *store);
+    EXPECT_EQ(loadPlanFromBytes(blob)->report().attentionUnfused, 3);
 }
 
 TEST(FusedAttention, MultiHeadDecodeParityScalarBitExactDefaultTier1e5)
@@ -829,24 +885,33 @@ TEST(FusedAttention, FusedPlanRoundTripsBitIdentically)
 {
     DecoderConfig cfg = smallCfg().withHeads(2);
     // Default tier on both sides: the loaded plan binds at the host
-    // tier, so the source program must too for bit comparison.
-    BuiltProg b = makeDecodeProg(cfg, 4, true, false);
-    std::string blob =
-        serializePlan(b.prog->graph(), b.prog->executor().exportArtifact(),
-                      b.prog->report(), *b.store);
+    // tier, so the source program must too for bit comparison. One
+    // decode bucket and one prefill bucket.
+    BuiltProg dec = makeDecodeProg(cfg, 4, true, false);
+    BuiltProg pre = makePrefillProg(cfg, 6, true, false);
+    std::vector<std::pair<BuiltProg *,
+                          std::unordered_map<std::string, Tensor>>>
+        cases = {{&dec, decodeFeeds(cfg, 4, 2, 17)},
+                 {&pre, {{"x", tokenRows({4, 8, 15, 16, 23, 42})}}}};
+    for (auto &[b, feeds] : cases) {
+        std::string blob = serializePlan(
+            b->prog->graph(), b->prog->executor().exportArtifact(),
+            b->prog->report(), *b->store);
 
-    PipelineCounters before = pipelineCounters();
-    auto loaded = loadPlanFromBytes(blob);
-    auto feeds = decodeFeeds(cfg, 4, 2, 17);
-    Tensor got = loaded->run(feeds)[0];
-    PipelineCounters after = pipelineCounters();
-    EXPECT_TRUE(before == after)
-        << "loading a fused plan invoked a compile stage";
+        PipelineCounters before = pipelineCounters();
+        auto loaded = loadPlanFromBytes(blob);
+        Tensor got = loaded->run(feeds)[0];
+        PipelineCounters after = pipelineCounters();
+        EXPECT_TRUE(before == after)
+            << "loading a fused plan invoked a compile stage";
 
-    EXPECT_EQ(countOps(loaded->graph(), OpKind::FusedAttention),
-              cfg.layers)
-        << "FusedAttention nodes must survive the round trip";
-    expectBitEqual(got, b.prog->run(feeds)[0], "loaded fused logits");
+        EXPECT_EQ(countOps(loaded->graph(), OpKind::FusedAttention),
+                  cfg.layers)
+            << "FusedAttention nodes must survive the round trip";
+        expectBitEqual(got, b->prog->run(feeds)[0],
+                       b == &pre ? "loaded fused prefill logits"
+                                 : "loaded fused decode logits");
+    }
 }
 
 // ---- 7. the unified Session API --------------------------------------

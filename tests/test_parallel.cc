@@ -420,6 +420,31 @@ TEST(KernelPartition, FusedKernels)
                          "im2col");
 }
 
+TEST(KernelPartition, FusedAttention)
+{
+    // (row, head) units: a prefill (L = 1, S = 5, H = 2), a decode
+    // step (L = 4, S = 1, H = 4) and L > 1 with S > 1 (L = 3, S = 2,
+    // H = 3), each unit scoring into its shard's own workspace row.
+    struct S {
+        int64_t l, s, h, dh, m;
+    };
+    for (auto [l, s, h, dh, m] : {S{1, 5, 2, 7, 9}, S{4, 1, 4, 8, 13},
+                                  S{3, 2, 3, 5, 6}}) {
+        Attrs a;
+        a.set("scale", 0.25);
+        a.set("heads", h);
+        for (const std::string &v :
+             test::variantAndTier(OpKind::FusedAttention, ""))
+            expectShardInvariant({OpKind::FusedAttention,
+                                  {{l * s, h * dh},
+                                   {l, m, h * dh},
+                                   {l, m, h * dh},
+                                   {l * s, m}},
+                                  a},
+                                 v);
+    }
+}
+
 // ---- Fallback visibility ---------------------------------------------
 
 TEST(KernelRegistry, UnknownVariantFallsBackVisibly)

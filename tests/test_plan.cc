@@ -400,8 +400,9 @@ TEST_F(PlanErrorsTest, BadMagic)
 
 TEST_F(PlanErrorsTest, VersionMismatch)
 {
-    // v3 is the previous format (shared workspace regions).
-    for (uint32_t v : {kPlanFormatVersion + 41, uint32_t{3}}) {
+    // v4 is the previous format (three FusedAttention input forms,
+    // rank-2 prefill caches); v3 had shared workspace regions.
+    for (uint32_t v : {kPlanFormatVersion + 41, uint32_t{3}, uint32_t{4}}) {
         std::string bad = blob_;
         std::memcpy(&bad[8], &v, 4);
         EXPECT_THROW(loadPlanFromBytes(bad), PlanVersionError) << v;

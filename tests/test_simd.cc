@@ -494,58 +494,92 @@ TEST(SimdParity, PointwiseConvGradsWithinSumBound)
 
 TEST(SimdParity, FusedAttentionWithin1e5Relative)
 {
-    SKIP_WITHOUT_SIMD();
+    // The one form over an (L, S, H, Dh, M) grid: prefill (L = 1) and
+    // decode (S = 1) shapes, L > 1 with S > 1, one head, Dh and M off
+    // the 8- and 4-lane widths and at 1. The scalar kernel must equal
+    // the unfused chain buildDecoderLM emits (head splits, per-head
+    // mask broadcast, five ops, head merge; every kernel "") bit for
+    // bit, and the host tier must stay within 1e-5 of it. A masked
+    // column in every row (M > 1) exercises the -1e30 underflow.
     std::string tier = simdTierName(hostSimdTier());
     Rng rng(106);
-    // dh and m off the 8- and 4-lane widths (and 1-element edges), in
-    // the rank-2, rank-3 and head-split forms; a masked position in
-    // every score row exercises the -1e30 underflow.
     struct S {
-        int64_t lead, s, m, dh, heads; // lead 0: rank-2
+        int64_t l, s, h, dh, m;
     };
-    std::vector<S> shapes = {{0, 5, 7, 13, 0}, {0, 1, 1, 1, 0},
-                             {3, 2, 9, 21, 0}, {2, 3, 33, 6, 0},
-                             {4, 1, 11, 11, 3}, {2, 1, 5, 3, 2},
-                             {2, 1, 32, 32, 4}};
-    for (auto [lead, s, m, dh, heads] : shapes) {
-        SCOPED_TRACE("attn lead" + std::to_string(lead) + " s" +
-                     std::to_string(s) + " m" + std::to_string(m) +
-                     " dh" + std::to_string(dh) + " heads" +
-                     std::to_string(heads));
-        Shape qs, kvs, ms;
-        if (heads > 0) {
-            qs = {lead * heads, 1, dh};
-            kvs = {lead, m, heads * dh};
-            ms = {lead, m};
-        } else if (lead == 0) {
-            qs = {s, dh};
-            kvs = {m, dh};
-            ms = {s, m};
-        } else {
-            qs = {lead, s, dh};
-            kvs = {lead, m, dh};
-            ms = {lead, s, m};
-        }
+    std::vector<S> shapes = {{1, 5, 1, 13, 7},  {3, 2, 2, 5, 9},
+                             {2, 3, 3, 33, 6},  {4, 1, 3, 11, 11},
+                             {2, 1, 2, 1, 5},   {1, 1, 1, 1, 1},
+                             {2, 1, 4, 32, 32}, {1, 8, 4, 5, 16}};
+    for (auto [l, s, h, dh, m] : shapes) {
+        SCOPED_TRACE("attn L" + std::to_string(l) + " S" +
+                     std::to_string(s) + " H" + std::to_string(h) +
+                     " Dh" + std::to_string(dh) + " M" +
+                     std::to_string(m));
+        const int64_t d = h * dh;
         Graph g;
-        int q = g.input(qs, "q");
-        int k = g.input(kvs, "k");
-        int v = g.input(kvs, "v");
-        int mask = g.input(ms, "mask");
-        Attrs a;
-        a.set("scale", 0.37);
-        if (heads > 0)
-            a.set("heads", heads);
-        int node = g.add(OpKind::FusedAttention, {q, k, v, mask},
-                         std::move(a));
-        Tensor tq = Tensor::randn(qs, rng);
-        Tensor tk = Tensor::randn(kvs, rng);
-        Tensor tv = Tensor::randn(kvs, rng);
-        Tensor tm(ms);
-        for (int64_t i = 0; i < tm.size(); ++i)
-            tm[i] = m > 1 && i % m == m - 1 ? -1e30f : 0.0f;
-        Tensor scalar = runKernel(g, node, {tq, tk, tv, tm}, "");
-        Tensor simd = runKernel(g, node, {tq, tk, tv, tm}, tier);
-        EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
+        int q = g.input({l * s, d}, "q");
+        int k = g.input({l, m, d}, "k");
+        int v = g.input({l, m, d}, "v");
+        int mask = g.input({l * s, m}, "mask");
+        auto shaped = [&](OpKind op, int x, const char *key,
+                          std::vector<int64_t> val) {
+            Attrs a;
+            a.set(key, std::move(val));
+            return g.add(op, {x}, std::move(a));
+        };
+        auto split = [&](int x, int64_t t) {
+            int r = shaped(OpKind::Reshape, x, "shape", {l, t, h, dh});
+            r = shaped(OpKind::Permute, r, "perm", {0, 2, 1, 3});
+            return shaped(OpKind::Reshape, r, "shape", {l * h, t, dh});
+        };
+        Attrs tb;
+        tb.set("transB", static_cast<int64_t>(1));
+        int sc = g.add(OpKind::BatchMatMul, {split(q, s), split(k, m)},
+                       std::move(tb));
+        Attrs al;
+        al.set("alpha", 0.37);
+        sc = g.add(OpKind::Scale, {sc}, std::move(al));
+        int m3 = shaped(OpKind::Reshape, mask, "shape", {l, 1, s, m});
+        m3 = shaped(OpKind::BroadcastTo, m3, "shape", {l, h, s, m});
+        m3 = shaped(OpKind::Reshape, m3, "shape", {l * h, s, m});
+        int pv = g.add(OpKind::BatchMatMul,
+                       {g.add(OpKind::Softmax, {g.add(OpKind::Add,
+                                                      {sc, m3})}),
+                        split(v, m)});
+        int out = shaped(OpKind::Reshape, pv, "shape", {l, h, s, dh});
+        out = shaped(OpKind::Permute, out, "perm", {0, 2, 1, 3});
+        out = shaped(OpKind::Reshape, out, "shape", {l * s, d});
+        Attrs fa;
+        fa.set("scale", 0.37);
+        fa.set("heads", h);
+        int fused = g.add(OpKind::FusedAttention, {q, k, v, mask},
+                          std::move(fa));
+
+        std::vector<Tensor> val(g.numNodes());
+        val[q] = Tensor::randn({l * s, d}, rng);
+        val[k] = Tensor::randn({l, m, d}, rng);
+        val[v] = Tensor::randn({l, m, d}, rng);
+        val[mask] = Tensor::uniform({l * s, m}, rng, -0.5f, 0.5f);
+        for (int64_t r = 0; m > 1 && r < l * s; ++r)
+            val[mask][r * m + (r * 3 + 1) % m] = -1e30f;
+        auto inputsOf = [&](int id) {
+            std::vector<Tensor> in;
+            for (int i : g.node(id).inputs)
+                in.push_back(val[i]);
+            return in;
+        };
+        for (int id = mask + 1; id < fused; ++id)
+            val[id] = runKernel(g, id, inputsOf(id), "");
+        Tensor scalar = runKernel(g, fused, inputsOf(fused), "");
+        ASSERT_EQ(scalar.shape(), val[out].shape());
+        EXPECT_EQ(std::memcmp(scalar.data(), val[out].data(),
+                              sizeof(float) * scalar.size()),
+                  0)
+            << "scalar fused differs from the unfused chain";
+        if (hasKernelVariant(OpKind::FusedAttention, tier))
+            EXPECT_LT(maxRelDiff(scalar, runKernel(g, fused,
+                                                   inputsOf(fused), tier)),
+                      1e-5f);
     }
 }
 
