@@ -22,8 +22,10 @@
  *  - prefill-vs-decode amortized cost per token (from the engine's
  *    per-bucket run-time accumulators, the median of interleaved solo
  *    and shared rounds on warm engines; gated only as the
- *    shared/solo ratio, so host speed cancels) and the cache bytes a
- *    session pins (machine-independent, gated).
+ *    shared/solo ratio, so host speed cancels), the cache bytes a
+ *    session may pin, and the KV bytes the engine moves between
+ *    stream storage and session slots per decoded token
+ *    (machine-independent, gated).
  *
  *   ./build/decode_bench [tokens-per-stream]   (default: 8)
  *   ./build/decode_bench --json BENCH_decode.json
@@ -42,7 +44,11 @@
  * adds the fused-attention gates: logits within 1e-5 of the unfused
  * serial reference, attention-stage us/step >= 1.5x faster fused than
  * unfused, and the fused decode plan's peak-live strictly below the
- * unfused plan's.
+ * unfused plan's. It also sweeps maxSeq (64, 256, 1024) at the same
+ * prompt and token count: decode wall-clock us/token (gather, run and
+ * scatter) stays flat, because attention stops at each row's last
+ * visible column and serving moves only the rows a stream has
+ * written. The 1024/64 ratio is gated as a floor.
  */
 
 #include <chrono>
@@ -176,9 +182,11 @@ makeTraffic(const DecoderConfig &cfg, int streams, int64_t tokens)
 }
 
 /** Drive every stream through prefill + T decode steps in lockstep;
- *  returns all logits, [stream][0] = prefill, [stream][1 + t]. */
+ *  returns all logits, [stream][0] = prefill, [stream][1 + t]. When
+ *  @p decodeUs is set, it receives the decode steps' wall-clock us. */
 std::vector<std::vector<Tensor>>
-driveStreams(ServingEngine &e, const StreamPlan &p, int64_t tokens)
+driveStreams(ServingEngine &e, const StreamPlan &p, int64_t tokens,
+             double *decodeUs = nullptr)
 {
     const int streams = static_cast<int>(p.prompts.size());
     std::vector<ServingEngine::StreamId> sids(streams);
@@ -191,6 +199,7 @@ driveStreams(ServingEngine &e, const StreamPlan &p, int64_t tokens)
                                   {{"x", tokenRows(p.prompts[s])}});
     for (int s = 0; s < streams; ++s)
         out[s].push_back(e.wait(rids[s])[0]);
+    auto t0 = std::chrono::steady_clock::now();
     for (int64_t t = 0; t < tokens; ++t) {
         for (int s = 0; s < streams; ++s)
             rids[s] = e.submitDecode(
@@ -198,6 +207,10 @@ driveStreams(ServingEngine &e, const StreamPlan &p, int64_t tokens)
         for (int s = 0; s < streams; ++s)
             out[s].push_back(e.wait(rids[s])[0]);
     }
+    if (decodeUs)
+        *decodeUs = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
     for (int s = 0; s < streams; ++s)
         e.closeStream(sids[s]);
     return out;
@@ -214,6 +227,7 @@ struct DecodeRow {
     double runReduction = 0;
     double coalesceRate = 0;
     int64_t cacheBytesPerSession = 0;
+    double cacheBytesCopiedPerToken = 0; ///< coalesced round, per decode
     double prefillUsPerToken = 0; ///< wall-clock, informational
     double decodeUsPerTokenSolo = 0;
     double decodeUsPerTokenShared = 0;
@@ -228,7 +242,12 @@ struct DecodeRow {
     double attnSpeedup = 0;         ///< unfused / fused; gate >= 1.5
     int64_t peakLiveFused = 0;      ///< decode plan peak-live bytes
     int64_t peakLiveUnfused = 0;    ///< gate: fused strictly below
+    /** Decode wall-clock us/token at maxSeq 64, 256, 1024. */
+    std::vector<double> maxSeqSweepUs;
 };
+
+/** The maxSeq sweep of the llama_proxy_fused row. */
+constexpr int64_t kSweepMaxSeq[] = {64, 256, 1024};
 
 /** Timing rounds per --json column: solo and shared decode (and the
  *  fused and unfused attention stage) alternate round by round on warm
@@ -299,8 +318,12 @@ measureStreams(DecodeRow &row, ServingEngine &solo, ServingEngine &eng,
                const StreamPlan &traffic)
 {
     const int64_t tokens = row.tokens;
+    const int64_t copiedBefore = eng.stats().cacheBytesCopied;
     std::vector<std::vector<Tensor>> got =
         driveStreams(eng, traffic, tokens);
+    row.cacheBytesCopiedPerToken =
+        static_cast<double>(eng.stats().cacheBytesCopied - copiedBefore) /
+        static_cast<double>(row.decodeRequests);
     for (size_t s = 0; s < got.size(); ++s)
         for (size_t i = 0; i < got[s].size(); ++i)
             row.parity = row.parity && bitEqual(ref[s][i], got[s][i]);
@@ -514,6 +537,25 @@ runLlamaScenario(int64_t tokens)
     row.attnUsUnfused = pe::bench::median(unfusedUs);
     row.attnSpeedup =
         row.attnUsFused > 0 ? row.attnUsUnfused / row.attnUsFused : 0;
+
+    // maxSeq sweep: coalesced engines at each cache extent serve the
+    // same traffic over interleaved rounds.
+    std::vector<std::unique_ptr<ServingEngine>> sweep;
+    for (int64_t maxSeq : kSweepMaxSeq) {
+        auto st = std::make_shared<ParamStore>();
+        sweep.push_back(makeEngine(st, 20000, 1, Precision::F32,
+                                   llamaProxyCfg().withMaxSeq(maxSeq)));
+        driveStreams(*sweep.back(), traffic, tokens); // warm-up
+    }
+    std::vector<std::vector<double>> sweepUs(sweep.size());
+    for (int r = 0; r < kRounds; ++r)
+        for (size_t i = 0; i < sweep.size(); ++i) {
+            double us = 0;
+            driveStreams(*sweep[i], traffic, tokens, &us);
+            sweepUs[i].push_back(us / row.decodeRequests);
+        }
+    for (const auto &us : sweepUs)
+        row.maxSeqSweepUs.push_back(pe::bench::median(us));
     return row;
 }
 
@@ -525,8 +567,8 @@ printRows(const std::vector<DecodeRow> &rows)
         std::printf(
             "%-12s: %lld streams x %lld tokens | decode runs %lld -> "
             "%lld (%.1fx fewer) | rate %.2f | prefill %.1f us/tok, "
-            "decode %.1f -> %.1f us/tok | cache %lld KB/session | "
-            "parity %s\n",
+            "decode %.1f -> %.1f us/tok | cache %lld KB/session, "
+            "%.0f B copied/tok | parity %s\n",
             r.scenario.c_str(), static_cast<long long>(r.streams),
             static_cast<long long>(r.tokens),
             static_cast<long long>(r.runsSolo),
@@ -534,7 +576,7 @@ printRows(const std::vector<DecodeRow> &rows)
             r.coalesceRate, r.prefillUsPerToken,
             r.decodeUsPerTokenSolo, r.decodeUsPerTokenShared,
             static_cast<long long>(r.cacheBytesPerSession / 1024),
-            r.parity ? "EXACT" : "BROKEN");
+            r.cacheBytesCopiedPerToken, r.parity ? "EXACT" : "BROKEN");
         if (r.fusedAttention >= 0) {
             std::printf(
                 "  fused attention (%lld heads): vs unfused 1e-5 %s | "
@@ -545,6 +587,12 @@ printRows(const std::vector<DecodeRow> &rows)
                 r.attnUsUnfused, r.attnUsFused, r.attnSpeedup,
                 static_cast<long long>(r.peakLiveUnfused),
                 static_cast<long long>(r.peakLiveFused));
+            std::printf("  decode wall us/token by maxSeq:");
+            for (size_t i = 0; i < r.maxSeqSweepUs.size(); ++i)
+                std::printf(" %lld: %.1f",
+                            static_cast<long long>(kSweepMaxSeq[i]),
+                            r.maxSeqSweepUs[i]);
+            std::printf("\n");
         }
     }
 }
@@ -573,6 +621,8 @@ saveRows(const std::vector<DecodeRow> &rows, const std::string &path)
         json.field("run_reduction", r.runReduction);
         json.field("coalesce_rate", r.coalesceRate);
         json.field("cache_bytes_per_session", r.cacheBytesPerSession);
+        json.field("cache_bytes_copied_per_token",
+                   r.cacheBytesCopiedPerToken);
         json.field("prefill_us_per_token", r.prefillUsPerToken);
         json.field("decode_us_per_token_solo", r.decodeUsPerTokenSolo);
         json.field("decode_us_per_token_shared",
@@ -589,6 +639,10 @@ saveRows(const std::vector<DecodeRow> &rows, const std::string &path)
             json.field("attn_fused_speedup", r.attnSpeedup);
             json.field("peak_live_fused_bytes", r.peakLiveFused);
             json.field("peak_live_unfused_bytes", r.peakLiveUnfused);
+            for (size_t i = 0; i < r.maxSeqSweepUs.size(); ++i)
+                json.field("decode_wall_us_per_token_maxseq" +
+                               std::to_string(kSweepMaxSeq[i]),
+                           r.maxSeqSweepUs[i]);
         }
     }
     return json.save(path);
@@ -653,7 +707,8 @@ main(int argc, char **argv)
             return 1;
         if (r.fusedAttention >= 0 &&
             (r.parityVsUnfused1e5 != 1 || r.attnSpeedup < 1.5 ||
-             r.peakLiveFused >= r.peakLiveUnfused))
+             r.peakLiveFused >= r.peakLiveUnfused ||
+             r.maxSeqSweepUs.back() > 1.5 * r.maxSeqSweepUs.front()))
             return 1;
     }
     return 0;

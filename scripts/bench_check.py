@@ -15,9 +15,10 @@ applies them all:
   (kernels also stamp the host SIMD tier). A missing stamp fails.
 * Floors: machine-independent bars on the fresh rows themselves
   (bit parity, the 2.0x run reduction, a live KV cache, the three
-  fused-attention floors, fused vs unfused attention kernels and
-  depthwise tier vs direct / reference kernels paired within one
-  snapshot). A column a floor reads that is missing fails.
+  fused-attention floors, decode cost flat across maxSeq, fused vs
+  unfused attention kernels and depthwise tier vs direct / reference
+  kernels paired within one snapshot). A column a floor reads that is
+  missing fails.
 * Gates: a gated metric may not regress beyond its tolerance (25% for
   throughput and self-normalized latency ratios, 5% for table4 peak
   memory). A metric gates once the baseline row has it; from then on,
@@ -50,6 +51,10 @@ MIN_RUN_REDUCTION = 2.0
 # cancels. The decode scenario's attention stage has the same bar.
 MIN_FUSED_ATTN_SPEEDUP = 1.5
 MIN_FUSED_ATTN_SCALAR_SPEEDUP = 1.0
+# Decode wall-clock per token at maxSeq 1024 over maxSeq 64, same
+# traffic, same snapshot: decode work follows the tokens a stream has
+# written, not the cache extent.
+MAX_DECODE_MAXSEQ_RATIO = 1.5
 # A depthwise tier row ("packed@<tier>", "int8@<tier>") must beat its
 # direct-loop / dequant-reference row at the same shape by this factor,
 # paired within one snapshot like the attention floors.
@@ -199,13 +204,20 @@ RULES = {
                 ("fused: 0 < peak_live_fused_bytes < "
                  "peak_live_unfused_bytes",
                  fused(lambda r: 0 < r["peak_live_fused_bytes"]
-                       < r["peak_live_unfused_bytes"]))],
+                       < r["peak_live_unfused_bytes"])),
+                ("fused: decode us/token at maxSeq 1024 <= "
+                 f"{MAX_DECODE_MAXSEQ_RATIO}x maxSeq 64",
+                 fused(lambda r: r["decode_wall_us_per_token_maxseq1024"]
+                       <= MAX_DECODE_MAXSEQ_RATIO
+                       * r["decode_wall_us_per_token_maxseq64"]))],
         # fused_attention gates as a column, so a row that stops
         # running the fused scenario cannot drop its floors unnoticed.
         metrics=RUN_SHARING
         + [Metric("decode us/token shared/solo",
                   per("decode_us_per_token_shared",
                       "decode_us_per_token_solo"), "lower", RATIO_TOL),
+           Metric("cache_bytes_copied_per_token",
+                  col("cache_bytes_copied_per_token"), "lower", RATIO_TOL),
            Metric("fused_attention", col("fused_attention"), "higher",
                   RATIO_TOL)]),
 }

@@ -47,10 +47,10 @@ echo "wrote BENCH_table4.json"
 "$BUILD"/serve_bench --json BENCH_serve.json > /dev/null
 echo "wrote BENCH_serve.json"
 
-# Incremental-decode rows: decode-parity and run-sharing are policy
-# counts (deterministic); the us/token columns are medians of
-# interleaved rounds, gated only as a shared/solo ratio so host speed
-# cancels.
+# Incremental-decode rows: decode-parity, run-sharing and the KV bytes
+# copied per token are deterministic counts; the us/token columns are
+# medians of interleaved rounds, gated only as ratios within one
+# snapshot (shared/solo, and maxSeq 1024 vs 64) so host speed cancels.
 "$BUILD"/decode_bench --json BENCH_decode.json > /dev/null
 echo "wrote BENCH_decode.json"
 

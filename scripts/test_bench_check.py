@@ -233,6 +233,14 @@ CASES = [
      edit_row(FUSED, "peak_live_fused_bytes", lambda _: 1 << 40), 1),
     ("decode fused_attention stamp vanished", "decode",
      edit_row(FUSED, "fused_attention", GONE), 1),
+    ("decode cache bytes copied per token up 30%", "decode",
+     edit_row(FIRST, "cache_bytes_copied_per_token", lambda v: v * 1.3),
+     1),
+    ("decode fused cost grows with maxSeq", "decode",
+     edit_row(FUSED, "decode_wall_us_per_token_maxseq1024",
+              lambda v: v * 3.0), 1),
+    ("decode fused maxSeq sweep column vanished", "decode",
+     edit_row(FUSED, "decode_wall_us_per_token_maxseq64", GONE), 1),
 ]
 
 

@@ -625,6 +625,15 @@ dwConvBwdInputK(const KernelCtx &c)
  * product adds rows ascending per output column. Masked positions
  * arrive as -1e30f adds, so exp underflows to exactly 0.0f. The
  * softmax stays scalar on every tier.
+ *
+ * Each row stops at its last visible column: trailing mask entries
+ * <= -1e30f are trimmed, and the score, exp, sum, scale and V loops
+ * run only up to that bound, so a decode step at generation g costs
+ * g + 1 columns, not M. A trimmed column would have weighed exactly
+ * 0.0f, so the bits equal the full-width loop whenever the K/V rows
+ * past the bound are finite (a NaN or inf K row turns a masked score
+ * into NaN in the unfused chain; this body never reads it). A fully
+ * masked row keeps the full width, so its result does not change.
  */
 template <class P>
 void
@@ -645,6 +654,7 @@ fusedAttentionK(const KernelCtx &c)
     const float *mask = c.in[3];
     float *scores = c.workspace;
 
+    int64_t boundRow = -1, end = m; // the heads of a row share its bound
     for (int64_t u = c.begin; u < partitionEnd(c, qs[0] * heads); ++u) {
         int64_t r = u / heads;
         int64_t col = (u % heads) * dh;
@@ -653,24 +663,33 @@ fusedAttentionK(const KernelCtx &c)
         const float *kb = k + (r / s) * m * d + col;
         const float *vb = v + (r / s) * m * d + col;
 
+        if (r != boundRow) {
+            boundRow = r;
+            end = m;
+            while (end > 0 && mrow[end - 1] <= -1e30f)
+                --end;
+            if (end == 0)
+                end = m;
+        }
+
         float mx = -std::numeric_limits<float>::infinity();
-        for (int64_t i = 0; i < m; ++i) {
+        for (int64_t i = 0; i < end; ++i) {
             scores[i] = P::dot(qrow, kb + i * d, dh) * scale + mrow[i];
             if (scores[i] > mx)
                 mx = scores[i];
         }
         float sum = 0.0f;
-        for (int64_t i = 0; i < m; ++i) {
+        for (int64_t i = 0; i < end; ++i) {
             scores[i] = std::exp(scores[i] - mx);
             sum += scores[i];
         }
         float inv = 1.0f / sum;
-        for (int64_t i = 0; i < m; ++i)
+        for (int64_t i = 0; i < end; ++i)
             scores[i] *= inv;
 
         float *orow = c.out + r * d + col;
         std::memset(orow, 0, sizeof(float) * dh);
-        for (int64_t i = 0; i < m; ++i)
+        for (int64_t i = 0; i < end; ++i)
             P::axpy(orow, vb + i * d, scores[i], dh);
     }
 }

@@ -685,39 +685,40 @@ cacheRowBase(const Node &n, const ValuePlacement &v, int64_t slot,
 
 } // namespace
 
-Tensor
+void
 Executor::fetchCacheRows(const ExecContext &ctx, int node_id,
-                         int64_t slot, int64_t row0, int64_t rows) const
+                         int64_t slot, int64_t row0, int64_t rows,
+                         float *dst) const
 {
-    const Node &n = g_.node(node_id);
     int64_t d = 0;
-    int64_t base = cacheRowBase(n, plan_.values[node_id], slot, row0,
-                                rows, &d);
-    Tensor out({rows, d});
-    const float *src =
-        resolve(const_cast<ExecContext &>(ctx), node_id);
-    std::memcpy(out.data(), src + base, sizeof(float) * rows * d);
-    return out;
+    int64_t base = cacheRowBase(g_.node(node_id), plan_.values[node_id],
+                                slot, row0, rows, &d);
+    if (rows > 0)
+        std::memcpy(dst,
+                    resolve(const_cast<ExecContext &>(ctx), node_id) + base,
+                    sizeof(float) * rows * d);
 }
 
 void
 Executor::bindCacheRows(ExecContext &ctx, int node_id, int64_t slot,
-                        int64_t row0, const Tensor &t) const
+                        int64_t row0, int64_t rows, const float *src) const
 {
-    const Node &n = g_.node(node_id);
-    if (t.shape().size() != 2)
-        throw std::runtime_error(
-            "Executor::bindCacheRows: expected a [rows, D] tensor");
-    int64_t rows = t.shape()[0];
     int64_t d = 0;
-    int64_t base = cacheRowBase(n, plan_.values[node_id], slot, row0,
-                                rows, &d);
-    if (t.shape()[1] != d)
-        throw std::runtime_error(
-            "Executor::bindCacheRows: row width mismatch for " +
-            n.name);
-    std::memcpy(resolve(ctx, node_id) + base, t.data(),
-                sizeof(float) * rows * d);
+    int64_t base = cacheRowBase(g_.node(node_id), plan_.values[node_id],
+                                slot, row0, rows, &d);
+    if (rows > 0)
+        std::memcpy(resolve(ctx, node_id) + base, src,
+                    sizeof(float) * rows * d);
+}
+
+void
+Executor::zeroCacheRows(ExecContext &ctx, int node_id, int64_t slot,
+                        int64_t row0, int64_t rows) const
+{
+    int64_t d = 0;
+    int64_t base = cacheRowBase(g_.node(node_id), plan_.values[node_id],
+                                slot, row0, rows, &d);
+    std::memset(resolve(ctx, node_id) + base, 0, sizeof(float) * rows * d);
 }
 
 } // namespace pe

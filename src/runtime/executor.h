@@ -217,23 +217,29 @@ class Executor
 
     /**
      * Copy rows [@p row0, @p row0 + @p rows) of cache value
-     * @p node_id (a CacheWrite output) out of @p ctx as a [rows, D]
-     * tensor. @p slot selects the leading-dim index of the
+     * @p node_id (a CacheWrite output) out of @p ctx into @p dst
+     * (rows x D floats). @p slot selects the leading-dim index of the
      * [B, maxSeq, D] cache (0 for a prefill's B = 1). This is the
      * serving runtime's scatter/gather half: per-stream authoritative
      * state lives engine-side, session contexts are just the run's
-     * staging.
+     * staging. Zero rows copy nothing (@p dst may then be null).
      */
-    Tensor fetchCacheRows(const ExecContext &ctx, int node_id,
-                          int64_t slot, int64_t row0,
-                          int64_t rows) const;
+    void fetchCacheRows(const ExecContext &ctx, int node_id,
+                        int64_t slot, int64_t row0, int64_t rows,
+                        float *dst) const;
 
-    /** Inverse of fetchCacheRows: copy @p t ([rows, D]) into rows
-     *  [@p row0, @p row0 + rows) of cache value @p node_id, slot
-     *  @p slot. Touches nothing else — surrounding rows keep their
-     *  persisted contents. */
+    /** Inverse of fetchCacheRows: copy rows x D floats from @p src
+     *  into rows [@p row0, @p row0 + rows) of cache value @p node_id,
+     *  slot @p slot. Touches nothing else — surrounding rows keep
+     *  their persisted contents. */
     void bindCacheRows(ExecContext &ctx, int node_id, int64_t slot,
-                       int64_t row0, const Tensor &t) const;
+                       int64_t row0, int64_t rows,
+                       const float *src) const;
+
+    /** Zero rows [@p row0, @p row0 + @p rows) of cache value
+     *  @p node_id, slot @p slot, and nothing else. */
+    void zeroCacheRows(ExecContext &ctx, int node_id, int64_t slot,
+                       int64_t row0, int64_t rows) const;
 
     // ---- execution tracing (src/obs/) --------------------------------
 

@@ -171,10 +171,11 @@ ServeStats::summary() const
     if (streamsOpened > 0) {
         std::snprintf(buf, sizeof(buf),
                       "streams: %lld opened | %lld prefills, "
-                      "%lld decode steps\n",
+                      "%lld decode steps | cache %lld bytes copied\n",
                       static_cast<long long>(streamsOpened),
                       static_cast<long long>(prefills),
-                      static_cast<long long>(decodeSteps));
+                      static_cast<long long>(decodeSteps),
+                      static_cast<long long>(cacheBytesCopied));
         out += buf;
     }
     for (const BucketStats &b : buckets) {
@@ -194,7 +195,8 @@ ServeStats::summary() const
 std::string
 ServeStats::json() const
 {
-    char buf[512];
+    // Room for every field at its widest (%lld 20, %.17g 24 chars).
+    char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "{\"submitted\":%lld,\"completed\":%lld,\"failed\":%lld,"
@@ -203,7 +205,7 @@ ServeStats::json() const
         "\"runs\":%lld,\"coalesced_runs\":%lld,"
         "\"coalesced_requests\":%lld,\"coalesce_rate\":%.17g,"
         "\"streams_opened\":%lld,\"prefills\":%lld,"
-        "\"decode_steps\":%lld,"
+        "\"decode_steps\":%lld,\"cache_bytes_copied\":%lld,"
         "\"amortized_run_us\":%.17g,\"latency_samples\":%lld,"
         "\"p50_latency_us\":%.17g,\"p99_latency_us\":%.17g,"
         "\"throughput_rps\":%.17g,\"elapsed_seconds\":%.17g,"
@@ -220,8 +222,9 @@ ServeStats::json() const
         static_cast<long long>(streamsOpened),
         static_cast<long long>(prefills),
         static_cast<long long>(decodeSteps),
-        amortizedRunUs, static_cast<long long>(latencySamples),
-        p50LatencyUs, p99LatencyUs, throughputRps, elapsedSeconds);
+        static_cast<long long>(cacheBytesCopied), amortizedRunUs,
+        static_cast<long long>(latencySamples), p50LatencyUs,
+        p99LatencyUs, throughputRps, elapsedSeconds);
     std::string out = buf;
     for (size_t i = 0; i < buckets.size(); ++i) {
         const BucketStats &b = buckets[i];
@@ -472,6 +475,8 @@ ServingEngine::resolveCacheTopology()
     for (CacheNodeRef &c : cacheSpec_)
         c.id = -1; // geometry only; ids are graph-local
     maxSeq_ = cacheSpec_[0].maxSeq;
+    for (const CacheNodeRef &c : cacheSpec_)
+        cacheRowBytes_ += c.dim * static_cast<int64_t>(sizeof(float));
     for (const auto &b : buckets_) {
         if (b->cacheNodes.size() != cacheSpec_.size())
             throw std::invalid_argument(
@@ -711,9 +716,7 @@ ServingEngine::openStream()
     std::lock_guard<std::mutex> lock(streamMu_);
     StreamId id = nextStreamId_++;
     Stream s;
-    s.cache.reserve(cacheSpec_.size());
-    for (const CacheNodeRef &c : cacheSpec_)
-        s.cache.push_back(Tensor::zeros({c.maxSeq, c.dim}));
+    s.cache.resize(cacheSpec_.size());
     streams_.emplace(id, std::move(s));
     streamsOpened_.fetch_add(1, std::memory_order_relaxed);
     return id;
@@ -750,11 +753,7 @@ ServingEngine::streamGeneration(StreamId id) const
 int64_t
 ServingEngine::streamCacheBytes() const
 {
-    int64_t bytes = 0;
-    for (const CacheNodeRef &c : cacheSpec_)
-        bytes += c.maxSeq * c.dim *
-                 static_cast<int64_t>(sizeof(float));
-    return bytes;
+    return maxSeq_ * cacheRowBytes_;
 }
 
 int64_t
@@ -939,6 +938,7 @@ ServingEngine::runGroup(
         runCounter_.fetch_add(1, std::memory_order_relaxed) + 1;
     int64_t bindNs = 0, runStartNs = 0, runEndNs = 0;
     int64_t runNs = 0;
+    int64_t cacheBytes = 0;
     std::string error;
 
     // Any worker-path throw (first-bind validation, allocation
@@ -950,19 +950,22 @@ ServingEngine::runGroup(
         // the only thread that ever touches sessions_[w]. After one
         // request per (worker, bucket) pair the pool is warm and the
         // hot path performs no allocation besides result tensors.
-        std::unique_ptr<ExecContext> &sess =
-            sessions_[worker][bucketIdx];
-        if (!sess) {
-            sess = bk.exec->makeContext();
+        WorkerSession &ws = sessions_[worker][bucketIdx];
+        if (!ws.ctx) {
+            ws.ctx = bk.exec->makeContext();
             sessionsCreated_.fetch_add(1, std::memory_order_relaxed);
+            // A fresh cache region is all zeros.
+            if (bk.decode)
+                ws.dirty.assign(static_cast<size_t>(bk.batch), 0);
             // Traced engines arm every session at mint time, so the
             // executor's kernel steps land inside the serving run
             // spans. Sessions are serial inside (numThreads = 1), so
             // shard spans would never appear — skip them.
             if (tracing)
-                bk.exec->armTrace(*sess, options_.traceCapacity,
+                bk.exec->armTrace(*ws.ctx, options_.traceCapacity,
                                   /*shardSpans=*/false);
         }
+        ExecContext &sess = *ws.ctx;
         if (tracing)
             bindNs = traceNowNs();
 
@@ -971,39 +974,55 @@ ServingEngine::runGroup(
         // is the pad-to-bucket bind, and a larger group's buffer is
         // byte-identical to the concatenation of its members'
         // independently padded binds. Decode members also gather
-        // their authoritative stream cache into their slot of the
-        // session's persistent cache region. A stream's rows >= gen
-        // are zero, so the slot ends up byte-equal to a fresh serial
-        // session at the same generation — the root of shared-vs-solo
-        // bit parity. (Prefill skips the gather: it rewrites rows
-        // [0, S) itself and nothing beyond its prompt is fetched back.)
+        // their stream's rows [0, gen) into their slot of the
+        // session's persistent cache region and re-zero the rows
+        // [gen, dirty) an earlier run left there, so the slot ends up
+        // byte-equal to a fresh serial session at the same generation
+        // — the root of shared-vs-solo bit parity. Until this run
+        // succeeds the slot counts as dirty to maxSeq. (Prefill skips
+        // the gather: it rewrites rows [0, S) itself and nothing
+        // beyond its prompt is fetched back.)
         int64_t off = 0;
         for (const auto &st : group) {
             for (const auto &[id, t] : st->feeds)
-                bk.exec->bindInputRowsAt(*sess, id, t, off);
+                bk.exec->bindInputRowsAt(sess, id, t, off);
             if (st->isDecode) {
+                const int64_t gen = st->gen;
+                const int64_t stale = std::exchange(
+                    ws.dirty[static_cast<size_t>(off)], maxSeq_);
                 std::lock_guard<std::mutex> lk(streamMu_);
                 const Stream &s = streams_.at(st->stream);
-                for (size_t i = 0; i < bk.cacheNodes.size(); ++i)
-                    bk.exec->bindCacheRows(*sess, bk.cacheNodes[i].id,
-                                           off, 0, s.cache[i]);
+                for (size_t i = 0; i < bk.cacheNodes.size(); ++i) {
+                    const int id = bk.cacheNodes[i].id;
+                    bk.exec->bindCacheRows(sess, id, off, 0, gen,
+                                           s.cache[i].data());
+                    if (stale > gen)
+                        bk.exec->zeroCacheRows(sess, id, off, gen,
+                                               stale - gen);
+                }
+                cacheBytes += std::max(stale, gen) * cacheRowBytes_;
             }
             off += st->rows;
         }
         // makeRequest guarantees every member's feeds cover every
         // Input, so the leader's feed ids name them all.
         for (const auto &feed : group[0]->feeds)
-            bk.exec->zeroInputRowsFrom(*sess, feed.first, totalRows);
+            bk.exec->zeroInputRowsFrom(sess, feed.first, totalRows);
+        // Pad slots run on zeroed inputs and write a cache row; they
+        // count as dirty to maxSeq.
+        if (bk.decode)
+            std::fill(ws.dirty.begin() + totalRows, ws.dirty.end(),
+                      maxSeq_);
 
         runStartNs = traceNowNs();
-        bk.exec->run(*sess);
+        bk.exec->run(sess);
         runEndNs = traceNowNs();
         runNs = runEndNs - runStartNs;
 
         // One fetch per output; each member slices its own rows back
         // out of the shared result.
         for (int oid : bk.cg.graph.outputs()) {
-            Tensor full = bk.exec->fetch(*sess, oid);
+            Tensor full = bk.exec->fetch(sess, oid);
             off = 0;
             for (const auto &st : group) {
                 st->outputs.push_back(
@@ -1011,42 +1030,36 @@ ServingEngine::runGroup(
                 off += st->rows;
             }
         }
-        // Stream members scatter the freshly written cache rows back
+        // Stream members copy the freshly written cache rows back
         // into their stream state and advance its generation, so the
         // NEXT submit on the stream (gated on the done flag below)
-        // sees consistent state.
+        // sees consistent state: a prefill's S prompt rows replace
+        // the stream's rows (a re-prefill restarts it), and a decode
+        // step's one row is appended straight out of its slot.
         off = 0;
         for (const auto &st : group) {
             if (st->stream != 0) {
+                const int64_t row0 = st->isPrefill ? 0 : st->gen;
+                const int64_t rows = st->isPrefill ? st->rows : 1;
                 std::lock_guard<std::mutex> lk(streamMu_);
                 auto sit = streams_.find(st->stream);
                 if (sit != streams_.end()) {
                     Stream &s = sit->second;
                     for (size_t i = 0; i < bk.cacheNodes.size(); ++i) {
                         const CacheNodeRef &c = bk.cacheNodes[i];
-                        float *dst = s.cache[i].data();
-                        if (st->isPrefill) {
-                            // The prompt's rows; the rest of the
-                            // stream cache returns to zero (a
-                            // re-prefill restarts the stream).
-                            Tensor rows = bk.exec->fetchCacheRows(
-                                *sess, c.id, 0, 0, st->rows);
-                            std::memset(dst, 0,
-                                        sizeof(float) * s.cache[i].size());
-                            std::memcpy(dst, rows.data(),
-                                        sizeof(float) * rows.size());
-                        } else {
-                            // The one row this step wrote, out of
-                            // this member's slot.
-                            Tensor row = bk.exec->fetchCacheRows(
-                                *sess, c.id, off, st->gen, 1);
-                            std::memcpy(dst + st->gen * c.dim,
-                                        row.data(), sizeof(float) * c.dim);
-                        }
+                        std::vector<float> &dst = s.cache[i];
+                        dst.resize(static_cast<size_t>((row0 + rows) *
+                                                       c.dim));
+                        bk.exec->fetchCacheRows(sess, c.id, off, row0,
+                                                rows,
+                                                dst.data() + row0 * c.dim);
                     }
-                    s.gen = st->isPrefill ? st->rows : st->gen + 1;
+                    cacheBytes += rows * cacheRowBytes_;
+                    s.gen = row0 + rows;
                     s.busy = false;
                 }
+                if (st->isDecode)
+                    ws.dirty[static_cast<size_t>(off)] = st->gen + 1;
             }
             off += st->rows;
         }
@@ -1054,6 +1067,8 @@ ServingEngine::runGroup(
         error = e.what();
     }
 
+    if (cacheBytes > 0)
+        cacheBytesCopied_.fetch_add(cacheBytes, std::memory_order_relaxed);
     if (!error.empty()) {
         // Failures stay out of completed/hits/latency: a failing
         // fleet must read as failing, not as healthy throughput. A
@@ -1193,6 +1208,7 @@ ServingEngine::stats() const
     s.streamsOpened = streamsOpened_.load(std::memory_order_relaxed);
     s.prefills = prefills_.load(std::memory_order_relaxed);
     s.decodeSteps = decodeSteps_.load(std::memory_order_relaxed);
+    s.cacheBytesCopied = cacheBytesCopied_.load(std::memory_order_relaxed);
     for (const auto &b : buckets_) {
         BucketStats bs;
         bs.batch = b->batch;
@@ -1314,7 +1330,7 @@ ServingEngine::exportChromeTrace(const std::string &path) const
     // header contract.
     for (int w = 0; w < workers_; ++w) {
         for (size_t b = 0; b < buckets_.size(); ++b) {
-            const auto &sess = sessions_[w][b];
+            const auto &sess = sessions_[w][b].ctx;
             const TraceBuffer *tb = sess ? sess->trace() : nullptr;
             if (!tb)
                 continue;

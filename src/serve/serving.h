@@ -114,12 +114,20 @@ using ModelFactory = std::function<ServedModel(int64_t batch)>;
  *    solo runs no matter what stale rows sit past the generation).
  *    Its caches are [B, maxSeq, D], one slot per stream row.
  *
- * Per-stream authoritative cache state lives engine-side (openStream
- * allocates it); before a decode run the engine gathers each member
- * stream's rows into its slot of the session's persistent cache
- * region, and afterwards scatters the newly written row back. Decode
- * requests carry their stream's generation, and the coalescer only
- * groups equal generations — members of one shared run therefore read
+ * Per-stream authoritative cache state lives engine-side and holds
+ * only the rows written so far: `gen` rows of D floats per cache
+ * value (a prefill sets its S prompt rows, each decode step appends
+ * one). Before a decode run the engine gathers each member stream's
+ * rows [0, gen) into its slot of the session's persistent cache
+ * region, and afterwards appends the newly written row back. Slot
+ * rows >= gen are zero when the run starts: each worker remembers,
+ * per decode slot, how many rows an earlier run may have left nonzero
+ * and re-zeroes only rows [gen, that count). That invariant is what
+ * the unfused attention chain needs (it reads every column, and
+ * 0 x NaN is NaN); the fused kernel stops at each row's last visible
+ * column, so a step's cost follows gen, not maxSeq. Decode requests
+ * carry their stream's generation, and the coalescer only groups
+ * equal generations — members of one shared run therefore read
  * identical pos/mask feeds, so N concurrent streams coalesce into
  * bucket runs bit-identical to each stream decoding alone.
  */
@@ -263,6 +271,10 @@ struct ServeStats {
     int64_t streamsOpened = 0;
     int64_t prefills = 0;    ///< prompt requests submitted
     int64_t decodeSteps = 0; ///< single-token decode requests submitted
+    /** KV-cache bytes moved between stream storage and session slots:
+     *  rows gathered into slots, stale slot rows zeroed, and rows
+     *  scattered back. Follows the tokens served, not maxSeq. */
+    int64_t cacheBytesCopied = 0;
     /** Plan execution time divided by requests served: the amortized
      *  per-request cost coalescing buys down (excludes queueing, so
      *  it is comparable across traffic shapes). */
@@ -363,8 +375,8 @@ class ServingEngine
     bool generative() const { return generative_; }
 
     /**
-     * Open one generation stream: allocates its authoritative K/V
-     * cache (streamCacheBytes() of zeroed rows) and returns its id.
+     * Open one generation stream (its K/V cache starts empty and
+     * grows by one row per cached token) and return its id.
      * Throws std::logic_error on a non-generative engine. A Session
      * opens (and closes) its own stream; open one directly to drive
      * several streams in lockstep from one thread with submitPrefill()
@@ -405,9 +417,10 @@ class ServingEngine
     /** Rows currently cached for @p stream (== next token position). */
     int64_t streamGeneration(StreamId stream) const;
 
-    /** Engine-side cache bytes held per open stream (sum over cache
-     *  values of maxSeq x D x sizeof(float)) — the per-session memory
-     *  cost of a conversation. 0 on non-generative engines. */
+    /** The most cache bytes one stream can hold: the sum over cache
+     *  values of maxSeq x D x sizeof(float), reached at generation
+     *  maxSeq (a stream holds gen x D floats per value) — the
+     *  per-conversation memory bound. 0 on non-generative engines. */
     int64_t streamCacheBytes() const;
 
     /** The decode bucket (stream count) @p streams concurrent rows
@@ -554,18 +567,25 @@ class ServingEngine
     };
 
     /** One generation stream's authoritative state. Guarded by
-     *  streamMu_ for map access and flag flips; the cache tensors are
-     *  touched only by the submitting thread (while !busy) or by the
-     *  one worker running the stream's request (while busy), so the
-     *  bulk copies never contend. */
+     *  streamMu_ for map access and flag flips; the cache rows are
+     *  touched only by the one worker running the stream's request
+     *  (while busy), so the bulk copies never contend. */
     struct Stream {
         int64_t gen = 0; ///< cached rows (== next token position)
         bool busy = false; ///< one in-flight request per stream
-        /** Authoritative K/V rows, one [maxSeq, D] tensor per
-         *  cacheSpec_ entry; rows >= gen stay zero, which is what
-         *  keeps shared-run session slots byte-equal to a fresh
-         *  serial session's. */
-        std::vector<Tensor> cache;
+        /** Authoritative K/V rows, gen x D floats per cacheSpec_
+         *  entry (index-aligned): only the rows written so far. */
+        std::vector<std::vector<float>> cache;
+    };
+
+    /** One worker's session of one bucket, minted on first use. */
+    struct WorkerSession {
+        std::unique_ptr<ExecContext> ctx;
+        /** Decode buckets only, one entry per stream slot: rows at
+         *  and past it are zero in every cache value of the slot. A
+         *  member leaves gen + 1; pad slots and failed runs leave
+         *  maxSeq. */
+        std::vector<int64_t> dirty;
     };
 
     std::shared_ptr<RequestState> makeRequest(
@@ -613,6 +633,8 @@ class ServingEngine
      *  generative bucket was validated against. */
     std::vector<CacheNodeRef> cacheSpec_;
     int64_t maxSeq_ = 0; ///< shared cache extent (mask row width)
+    /** Bytes of one cached token: sum over cache values of D floats. */
+    int64_t cacheRowBytes_ = 0;
     /** Grouping policy (bucket batches + deadline window). */
     Coalescer coalescer_;
     /** Decode-domain grouping policy (stream-count batches). */
@@ -628,7 +650,7 @@ class ServingEngine
 
     /** sessions_[worker][bucket]: lazily minted, worker-owned — no
      *  lock is ever taken to acquire a session. */
-    std::vector<std::vector<std::unique_ptr<ExecContext>>> sessions_;
+    std::vector<std::vector<WorkerSession>> sessions_;
 
     mutable std::mutex stateMu_; ///< id -> in-flight request states
     std::unordered_map<RequestId, std::shared_ptr<RequestState>> states_;
@@ -651,6 +673,7 @@ class ServingEngine
     std::atomic<int64_t> streamsOpened_{0};
     std::atomic<int64_t> prefills_{0};
     std::atomic<int64_t> decodeSteps_{0};
+    std::atomic<int64_t> cacheBytesCopied_{0};
     /** Summed plan execution time (ns) across all bucket runs — the
      *  numerator of ServeStats::amortizedRunUs. */
     std::atomic<int64_t> runNanos_{0};

@@ -6,7 +6,8 @@
  * Guarantee layers:
  *  1. The cache region's lifetime contract at the executor level:
  *     Storage::Cache values persist across run() calls, bindCacheRows
- *     / fetchCacheRows move exactly the addressed rows, and
+ *     / fetchCacheRows / zeroCacheRows move exactly the addressed rows
+ *     (zero rows move nothing, even from a null pointer), and
  *     resetCache() (the session-recycle boundary) re-zeroes the
  *     region.
  *  2. Plans carrying cache values round-trip bit-identically with
@@ -22,11 +23,14 @@
  *  5. The acceptance bar: N concurrent decode streams coalescing into
  *     shared bucket runs produce logits BIT-IDENTICAL to each stream
  *     decoding alone through the same bucket plans — fp32 and int8 —
- *     including a threaded mixed-pace stress run.
+ *     including a threaded mixed-pace stress run and a schedule that
+ *     churns streams across slots, buckets and re-prefills. The KV
+ *     bytes serving moves follow the tokens served, not maxSeq.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -80,6 +84,17 @@ expectBitEqual(const Tensor &a, const Tensor &b, const std::string &what)
 
 // ---- 1. executor-level cache lifetime --------------------------------
 
+/** Rows [@p row0, @p row0 + @p rows) of cache value @p id, slot
+ *  @p slot, as a [rows, D] tensor. */
+Tensor
+cacheRows(const Executor &ex, const ExecContext &ctx, int id, int64_t slot,
+          int64_t row0, int64_t rows)
+{
+    Tensor t({rows, ex.graph().node(id).shape.back()});
+    ex.fetchCacheRows(ctx, id, slot, row0, rows, t.data());
+    return t;
+}
+
 struct BuiltPrefill {
     std::shared_ptr<ParamStore> store;
     std::unique_ptr<InferenceProgram> prog;
@@ -126,13 +141,13 @@ TEST(CacheRegion, PersistsAcrossRunsUntilReset)
 
     // Fresh sessions start zeroed — rows past the prompt must read
     // as exact zeros (the shared-run parity argument leans on this).
-    Tensor fresh = ex.fetchCacheRows(*ctx, b.kcache, 0, 0, cfg.maxSeq);
+    Tensor fresh = cacheRows(ex, *ctx, b.kcache, 0, 0, cfg.maxSeq);
     for (int64_t i = 0; i < fresh.size(); ++i)
         ASSERT_EQ(fresh[i], 0.0f) << "fresh cache row not zero";
 
     ex.bindInputById(*ctx, xid, tokenRows({1, 2, 3, 4}));
     ex.run(*ctx);
-    Tensor written = ex.fetchCacheRows(*ctx, b.kcache, 0, 0, S);
+    Tensor written = cacheRows(ex, *ctx, b.kcache, 0, 0, S);
     bool nonzero = false;
     for (int64_t i = 0; i < written.size(); ++i)
         nonzero = nonzero || written[i] != 0.0f;
@@ -143,16 +158,32 @@ TEST(CacheRegion, PersistsAcrossRunsUntilReset)
     // NEVER re-zeroes the cache region.
     Rng r(31);
     Tensor planted = Tensor::randn({2, cfg.dim}, r);
-    ex.bindCacheRows(*ctx, b.kcache, 0, 8, planted);
+    ex.bindCacheRows(*ctx, b.kcache, 0, 8, 2, planted.data());
     ex.bindInputById(*ctx, xid, tokenRows({5, 6, 7, 8}));
     ex.run(*ctx);
-    expectBitEqual(ex.fetchCacheRows(*ctx, b.kcache, 0, 8, 2), planted,
+    expectBitEqual(cacheRows(ex, *ctx, b.kcache, 0, 8, 2), planted,
                    "rows planted past the prompt");
+
+    // Zero-row copies move nothing, even through null pointers (an
+    // empty stream's rows have no storage yet).
+    ex.bindCacheRows(*ctx, b.kcache, 0, 8, 0, nullptr);
+    ex.fetchCacheRows(*ctx, b.kcache, 0, 8, 0, nullptr);
+    ex.zeroCacheRows(*ctx, b.kcache, 0, 8, 0);
+    expectBitEqual(cacheRows(ex, *ctx, b.kcache, 0, 8, 2), planted,
+                   "rows after zero-row copies");
+
+    // zeroCacheRows clears exactly the addressed rows.
+    ex.zeroCacheRows(*ctx, b.kcache, 0, 8, 1);
+    Tensor both = cacheRows(ex, *ctx, b.kcache, 0, 8, 2);
+    for (int64_t i = 0; i < cfg.dim; ++i) {
+        ASSERT_EQ(both[i], 0.0f) << "zeroed row kept data";
+        ASSERT_EQ(both[cfg.dim + i], planted[cfg.dim + i])
+            << "zeroCacheRows touched the next row";
+    }
 
     // resetCache is the ONE recycle boundary: everything re-zeroes.
     ex.resetCache(*ctx);
-    Tensor cleared = ex.fetchCacheRows(*ctx, b.kcache, 0, 0,
-                                       cfg.maxSeq);
+    Tensor cleared = cacheRows(ex, *ctx, b.kcache, 0, 0, cfg.maxSeq);
     for (int64_t i = 0; i < cleared.size(); ++i)
         ASSERT_EQ(cleared[i], 0.0f) << "resetCache left data behind";
 }
@@ -190,8 +221,8 @@ TEST(CachePlan, RoundTripBitParityWithZeroPipelineInvocations)
     e2.bindInputById(*c2, e2.inputId("x"), x);
     e1.run(*c1);
     e2.run(*c2);
-    expectBitEqual(e1.fetchCacheRows(*c1, b.kcache, 0, 0, 4),
-                   e2.fetchCacheRows(*c2, b.kcache, 0, 0, 4),
+    expectBitEqual(cacheRows(e1, *c1, b.kcache, 0, 0, 4),
+                   cacheRows(e2, *c2, b.kcache, 0, 0, 4),
                    "cache rows after load");
 }
 
@@ -296,22 +327,23 @@ struct GenEngine {
     std::unique_ptr<ServingEngine> engine;
 };
 
-/** Prompt bucket {4}, decode bucket {4}: every prompt is 4 tokens and
- *  solo decode steps pad to the SAME bucket-4 plan shared runs use —
- *  which is what makes the int8 parity comparison exact (quantization
- *  error is deterministic through one plan). */
+/** Prompt bucket {4}, decode bucket {4} by default: every prompt pads
+ *  to 4 tokens and solo decode steps pad to the SAME bucket-4 plan
+ *  shared runs use — which is what makes the int8 parity comparison
+ *  exact (quantization error is deterministic through one plan). */
 GenEngine
 makeGenEngine(int64_t window_us, int workers,
               Precision prec = Precision::F32,
               DecoderConfig cfg = smallCfg(),
-              bool fuse_attention = true, bool force_scalar = false)
+              bool fuse_attention = true, bool force_scalar = false,
+              std::vector<int64_t> decode_buckets = {4})
 {
     GenEngine ge;
     ge.store = std::make_shared<ParamStore>();
     auto store = ge.store;
     ServeOptions so;
     so.buckets = {4};
-    so.decodeBuckets = {4};
+    so.decodeBuckets = std::move(decode_buckets);
     so.workers = workers;
     so.coalesceWindowUs = window_us;
     so.queueCapacity = 64;
@@ -607,6 +639,176 @@ TEST(DecodeParity, ThreadedStreamStressMatchesSerial)
     EXPECT_EQ(st.decodeSteps, static_cast<int64_t>(N) * T);
     EXPECT_EQ(st.failed, 0);
     EXPECT_EQ(st.completed, st.submitted);
+}
+
+/** Slot-invariant parity under churn: decode buckets {1, 4} and a
+ *  schedule that moves streams between slots and buckets from step to
+ *  step, pads runs (2 or 3 members in bucket 4, whose pad slots then
+ *  serve members), runs one stream alone for a long decode and then
+ *  re-prefills two streams with shorter prompts, so their next runs
+ *  land in slots an earlier run left written far past their
+ *  generation. Every output must equal a serial per-stream replay bit
+ *  for bit: a slot's rows >= gen must read zero whichever run used it
+ *  last. */
+TEST(DecodeParity, SlotChurnMatchesSerialReplay)
+{
+    const int N = 4;
+    struct Event {
+        std::vector<int> decode; ///< streams stepped, in submit order
+        int prefill = -1;        ///< or: the stream (re-)prefilled
+        int64_t prompt = 0;
+    };
+    std::vector<Event> events;
+    auto pre = [&](int s, int64_t len) {
+        Event e;
+        e.prefill = s;
+        e.prompt = len;
+        events.push_back(e);
+    };
+    auto step = [&](std::vector<int> ss) {
+        Event e;
+        e.decode = std::move(ss);
+        events.push_back(e);
+    };
+    for (int s = 0; s < N; ++s)
+        pre(s, 4);
+    step({0, 1, 2, 3});
+    step({3, 2, 1, 0});
+    step({1, 3});
+    step({2, 0});
+    step({2});
+    step({0, 3, 1});
+    step({1, 2, 0});
+    for (int i = 0; i < 5; ++i)
+        step({3});
+    pre(3, 2);
+    pre(1, 2);
+    step({3, 1});
+    step({3});
+    step({1, 0, 2, 3});
+    step({0, 2});
+
+    // One feed per (event, stream), fixed up front.
+    const DecoderConfig cfg = smallCfg();
+    Rng r(151);
+    std::vector<std::vector<Tensor>> feed(events.size(),
+                                          std::vector<Tensor>(N));
+    for (size_t e = 0; e < events.size(); ++e) {
+        std::vector<int> who = events[e].decode;
+        if (events[e].prefill >= 0)
+            who = {events[e].prefill};
+        for (int s : who) {
+            std::vector<float> toks;
+            for (int64_t i = 0; i < std::max<int64_t>(1, events[e].prompt);
+                 ++i)
+                toks.push_back(static_cast<float>(r.randint(cfg.vocab)));
+            feed[e][s] = tokenRows(toks);
+        }
+    }
+
+    // Serial replay: one stream at a time, coalescing off.
+    std::vector<std::vector<Tensor>> ref(N);
+    {
+        GenEngine ge = makeGenEngine(0, 1, Precision::F32, cfg, true,
+                                     false, {1, 4});
+        ServingEngine &e = *ge.engine;
+        for (int s = 0; s < N; ++s) {
+            auto sid = e.openStream();
+            for (size_t ev = 0; ev < events.size(); ++ev) {
+                const Event &x = events[ev];
+                if (x.prefill == s)
+                    ref[s].push_back(e.wait(
+                        e.submitPrefill(sid, {{"x", feed[ev][s]}}))[0]);
+                else if (std::count(x.decode.begin(), x.decode.end(), s))
+                    ref[s].push_back(e.wait(
+                        e.submitDecode(sid, {{"x", feed[ev][s]}}))[0]);
+            }
+            e.closeStream(sid);
+        }
+    }
+
+    GenEngine ge =
+        makeGenEngine(10000, 1, Precision::F32, cfg, true, false, {1, 4});
+    ServingEngine &e = *ge.engine;
+    std::vector<ServingEngine::StreamId> sids(N);
+    for (int s = 0; s < N; ++s)
+        sids[s] = e.openStream();
+    std::vector<std::vector<Tensor>> got(N);
+    for (size_t ev = 0; ev < events.size(); ++ev) {
+        const Event &x = events[ev];
+        if (x.prefill >= 0) {
+            got[x.prefill].push_back(e.wait(e.submitPrefill(
+                sids[x.prefill], {{"x", feed[ev][x.prefill]}}))[0]);
+            continue;
+        }
+        std::vector<ServingEngine::RequestId> rids;
+        for (int s : x.decode)
+            rids.push_back(
+                e.submitDecode(sids[s], {{"x", feed[ev][s]}}));
+        for (size_t i = 0; i < rids.size(); ++i)
+            got[x.decode[i]].push_back(e.wait(rids[i])[0]);
+    }
+    for (int s = 0; s < N; ++s) {
+        ASSERT_EQ(got[s].size(), ref[s].size());
+        for (size_t i = 0; i < got[s].size(); ++i)
+            expectBitEqual(got[s][i], ref[s][i],
+                           "stream " + std::to_string(s) + " output " +
+                               std::to_string(i));
+        e.closeStream(sids[s]);
+    }
+
+    // The schedule reached both buckets and padded bucket-4 runs.
+    ServeStats st = e.stats();
+    EXPECT_EQ(st.failed, 0);
+    for (const BucketStats &b : st.buckets) {
+        if (!b.decode)
+            continue;
+        EXPECT_GT(b.runs, 0) << "decode bucket " << b.batch;
+        if (b.batch == 4)
+            EXPECT_GT(b.paddedRows, 0);
+    }
+}
+
+/** Cache traffic follows the tokens served, not maxSeq: the same
+ *  prompts and steps move the same bytes at maxSeq 64 and 256 — a
+ *  prefill scatters its S rows, a decode step at generation g gathers
+ *  g rows, re-zeroes the rows an earlier run left past g, and
+ *  scatters one. */
+TEST(DecodeStreams, CacheBytesCopiedFollowTokensNotMaxSeq)
+{
+    auto serve = [](int64_t maxSeq) {
+        DecoderConfig cfg = smallCfg();
+        cfg.maxSeq = maxSeq;
+        GenEngine ge = makeGenEngine(0, 1, Precision::F32, cfg);
+        ServingEngine &e = *ge.engine;
+        auto a = e.openStream();
+        e.wait(e.submitPrefill(a, {{"x", tokenRows({1, 2, 3, 4})}}));
+        for (int t = 0; t < 5; ++t)
+            e.wait(e.submitDecode(a, {{"x", tokenRows({5})}}));
+        // A shorter stream reuses the slot stream a left 9 rows deep.
+        auto b = e.openStream();
+        e.wait(e.submitPrefill(b, {{"x", tokenRows({6, 7})}}));
+        for (int t = 0; t < 2; ++t)
+            e.wait(e.submitDecode(b, {{"x", tokenRows({8})}}));
+        return e.stats();
+    };
+    ServeStats small = serve(64), large = serve(256);
+    EXPECT_EQ(small.cacheBytesCopied, large.cacheBytesCopied);
+
+    // Rows moved: prefill 4, then (g + 1) per step at g = 4..8; prefill
+    // 2, step g = 2 over a slot 9 rows deep (9 + 1), step g = 3 (4).
+    const DecoderConfig cfg = smallCfg();
+    const int64_t rowBytes = cfg.layers * 2 * cfg.dim *
+                             static_cast<int64_t>(sizeof(float));
+    EXPECT_EQ(large.cacheBytesCopied,
+              (4 + 5 + 6 + 7 + 8 + 9 + 2 + 10 + 4) * rowBytes);
+
+    // Both renderings of the snapshot carry the counter.
+    const std::string bytes = std::to_string(large.cacheBytesCopied);
+    EXPECT_NE(large.json().find("\"cache_bytes_copied\":" + bytes),
+              std::string::npos);
+    EXPECT_NE(large.summary().find("cache " + bytes + " bytes copied"),
+              std::string::npos);
 }
 
 // ---- 6. multi-head fused attention -----------------------------------

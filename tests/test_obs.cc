@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -787,6 +788,32 @@ TEST(ServingObs, MetricsJsonAccountsForEveryRequest)
         << sum;
     EXPECT_NE(sum.find("b1"), std::string::npos) << sum;
     EXPECT_NE(sum.find("b4"), std::string::npos) << sum;
+}
+
+TEST(ServingObs, StatsJsonHoldsEveryFieldAtItsWidest)
+{
+    // Every counter at its widest %lld (20 chars) and every double at
+    // its widest %.17g (24 chars): the snapshot must still render as
+    // one complete JSON object, not a truncated prefix.
+    const int64_t wide = std::numeric_limits<int64_t>::min();
+    const double dwide = -1.2345678901234567e-300;
+    ServeStats s;
+    for (int64_t *f :
+         {&s.submitted, &s.completed, &s.failed, &s.queueDepth,
+          &s.maxQueueDepth, &s.sessionsCreated, &s.runs, &s.coalescedRuns,
+          &s.coalescedRequests, &s.streamsOpened, &s.prefills,
+          &s.decodeSteps, &s.cacheBytesCopied, &s.latencySamples})
+        *f = wide;
+    for (double *f : {&s.coalesceRate, &s.amortizedRunUs, &s.p50LatencyUs,
+                      &s.p99LatencyUs, &s.throughputRps,
+                      &s.elapsedSeconds})
+        *f = dwide;
+    Json j;
+    const std::string text = s.json();
+    ASSERT_TRUE(parseJson(text, j)) << text;
+    EXPECT_DOUBLE_EQ(j.find("cache_bytes_copied")->num,
+                     static_cast<double>(wide));
+    EXPECT_DOUBLE_EQ(j.find("elapsed_seconds")->num, dwide);
 }
 
 TEST(ServingObs, MetricsPollingIsSafeAgainstLiveTraffic)

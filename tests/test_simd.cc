@@ -492,35 +492,22 @@ TEST(SimdParity, PointwiseConvGradsWithinSumBound)
     }
 }
 
-TEST(SimdParity, FusedAttentionWithin1e5Relative)
-{
-    // The one form over an (L, S, H, Dh, M) grid: prefill (L = 1) and
-    // decode (S = 1) shapes, L > 1 with S > 1, one head, Dh and M off
-    // the 8- and 4-lane widths and at 1. The scalar kernel must equal
-    // the unfused chain buildDecoderLM emits (head splits, per-head
-    // mask broadcast, five ops, head merge; every kernel "") bit for
-    // bit, and the host tier must stay within 1e-5 of it. A masked
-    // column in every row (M > 1) exercises the -1e30 underflow.
-    std::string tier = simdTierName(hostSimdTier());
-    Rng rng(106);
-    struct S {
-        int64_t l, s, h, dh, m;
-    };
-    std::vector<S> shapes = {{1, 5, 1, 13, 7},  {3, 2, 2, 5, 9},
-                             {2, 3, 3, 33, 6},  {4, 1, 3, 11, 11},
-                             {2, 1, 2, 1, 5},   {1, 1, 1, 1, 1},
-                             {2, 1, 4, 32, 32}, {1, 8, 4, 5, 16}};
-    for (auto [l, s, h, dh, m] : shapes) {
-        SCOPED_TRACE("attn L" + std::to_string(l) + " S" +
-                     std::to_string(s) + " H" + std::to_string(h) +
-                     " Dh" + std::to_string(dh) + " M" +
-                     std::to_string(m));
+/**
+ * One attention problem built twice over the same four inputs: the
+ * unfused chain buildDecoderLM emits (head splits, per-head mask
+ * broadcast, five ops, head merge) and one FusedAttention node.
+ */
+struct AttnGraph {
+    Graph g;
+    int q = -1, k = -1, v = -1, mask = -1, out = -1, fused = -1;
+
+    AttnGraph(int64_t l, int64_t s, int64_t h, int64_t dh, int64_t m)
+    {
         const int64_t d = h * dh;
-        Graph g;
-        int q = g.input({l * s, d}, "q");
-        int k = g.input({l, m, d}, "k");
-        int v = g.input({l, m, d}, "v");
-        int mask = g.input({l * s, m}, "mask");
+        q = g.input({l * s, d}, "q");
+        k = g.input({l, m, d}, "k");
+        v = g.input({l, m, d}, "v");
+        mask = g.input({l * s, m}, "mask");
         auto shaped = [&](OpKind op, int x, const char *key,
                           std::vector<int64_t> val) {
             Attrs a;
@@ -546,41 +533,180 @@ TEST(SimdParity, FusedAttentionWithin1e5Relative)
                        {g.add(OpKind::Softmax, {g.add(OpKind::Add,
                                                       {sc, m3})}),
                         split(v, m)});
-        int out = shaped(OpKind::Reshape, pv, "shape", {l, h, s, dh});
+        out = shaped(OpKind::Reshape, pv, "shape", {l, h, s, dh});
         out = shaped(OpKind::Permute, out, "perm", {0, 2, 1, 3});
         out = shaped(OpKind::Reshape, out, "shape", {l * s, d});
         Attrs fa;
         fa.set("scale", 0.37);
         fa.set("heads", h);
-        int fused = g.add(OpKind::FusedAttention, {q, k, v, mask},
-                          std::move(fa));
+        fused = g.add(OpKind::FusedAttention, {q, k, v, mask},
+                      std::move(fa));
+    }
 
+    /** The unfused chain over @p in = {q, k, v, mask}, every kernel
+     *  "". */
+    Tensor
+    unfused(const std::vector<Tensor> &in) const
+    {
         std::vector<Tensor> val(g.numNodes());
-        val[q] = Tensor::randn({l * s, d}, rng);
-        val[k] = Tensor::randn({l, m, d}, rng);
-        val[v] = Tensor::randn({l, m, d}, rng);
-        val[mask] = Tensor::uniform({l * s, m}, rng, -0.5f, 0.5f);
-        for (int64_t r = 0; m > 1 && r < l * s; ++r)
-            val[mask][r * m + (r * 3 + 1) % m] = -1e30f;
-        auto inputsOf = [&](int id) {
-            std::vector<Tensor> in;
+        for (int i = 0; i < 4; ++i)
+            val[q + i] = in[i];
+        for (int id = mask + 1; id <= out; ++id) {
+            std::vector<Tensor> args;
             for (int i : g.node(id).inputs)
-                in.push_back(val[i]);
-            return in;
-        };
-        for (int id = mask + 1; id < fused; ++id)
-            val[id] = runKernel(g, id, inputsOf(id), "");
-        Tensor scalar = runKernel(g, fused, inputsOf(fused), "");
-        ASSERT_EQ(scalar.shape(), val[out].shape());
-        EXPECT_EQ(std::memcmp(scalar.data(), val[out].data(),
-                              sizeof(float) * scalar.size()),
-                  0)
+                args.push_back(val[i]);
+            val[id] = runKernel(g, id, args, "");
+        }
+        return val[out];
+    }
+
+    /** The FusedAttention node's @p variant over the same inputs. */
+    Tensor
+    run(const std::vector<Tensor> &in, const std::string &variant) const
+    {
+        return runKernel(g, fused, in, variant);
+    }
+};
+
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) ==
+               0;
+}
+
+bool
+allFinite(const Tensor &t)
+{
+    for (int64_t i = 0; i < t.size(); ++i)
+        if (!std::isfinite(t[i]))
+            return false;
+    return true;
+}
+
+TEST(SimdParity, FusedAttentionWithin1e5Relative)
+{
+    // The one form over an (L, S, H, Dh, M) grid: prefill (L = 1) and
+    // decode (S = 1) shapes, L > 1 with S > 1, one head, Dh and M off
+    // the 8- and 4-lane widths and at 1. The scalar kernel must equal
+    // the unfused chain bit for bit, and the host tier must stay
+    // within 1e-5 of it. A masked column in every row (M > 1)
+    // exercises the -1e30 underflow.
+    std::string tier = simdTierName(hostSimdTier());
+    Rng rng(106);
+    struct S {
+        int64_t l, s, h, dh, m;
+    };
+    std::vector<S> shapes = {{1, 5, 1, 13, 7},  {3, 2, 2, 5, 9},
+                             {2, 3, 3, 33, 6},  {4, 1, 3, 11, 11},
+                             {2, 1, 2, 1, 5},   {1, 1, 1, 1, 1},
+                             {2, 1, 4, 32, 32}, {1, 8, 4, 5, 16}};
+    for (auto [l, s, h, dh, m] : shapes) {
+        SCOPED_TRACE("attn L" + std::to_string(l) + " S" +
+                     std::to_string(s) + " H" + std::to_string(h) +
+                     " Dh" + std::to_string(dh) + " M" +
+                     std::to_string(m));
+        const int64_t d = h * dh;
+        AttnGraph ag(l, s, h, dh, m);
+        std::vector<Tensor> in = {
+            Tensor::randn({l * s, d}, rng), Tensor::randn({l, m, d}, rng),
+            Tensor::randn({l, m, d}, rng),
+            Tensor::uniform({l * s, m}, rng, -0.5f, 0.5f)};
+        for (int64_t r = 0; m > 1 && r < l * s; ++r)
+            in[3][r * m + (r * 3 + 1) % m] = -1e30f;
+        Tensor scalar = ag.run(in, "");
+        EXPECT_TRUE(bitEqual(scalar, ag.unfused(in)))
             << "scalar fused differs from the unfused chain";
         if (hasKernelVariant(OpKind::FusedAttention, tier))
-            EXPECT_LT(maxRelDiff(scalar, runKernel(g, fused,
-                                                   inputsOf(fused), tier)),
-                      1e-5f);
+            EXPECT_LT(maxRelDiff(scalar, ag.run(in, tier)), 1e-5f);
     }
+}
+
+TEST(SimdParity, FusedAttentionStopsAtEachRowsLastVisibleColumn)
+{
+    // One call, rows of different visible lengths: a row that sees
+    // only column 0, a fully masked row (kept at full width), a row
+    // with a masked column inside its visible prefix, an unmasked
+    // row, and causal prefixes. The per-row bound must keep the
+    // scalar bits of the unfused chain, and the tier within 1e-5.
+    std::string tier = simdTierName(hostSimdTier());
+    Rng rng(107);
+    const int64_t m = 13;
+    struct S {
+        int64_t l, s, h, dh;
+    };
+    for (auto [l, s, h, dh] :
+         std::vector<S>{{6, 1, 2, 9}, {2, 3, 4, 8}, {1, 6, 1, 17}}) {
+        SCOPED_TRACE("attn L" + std::to_string(l) + " S" +
+                     std::to_string(s) + " H" + std::to_string(h));
+        const int64_t d = h * dh;
+        AttnGraph ag(l, s, h, dh, m);
+        std::vector<Tensor> in = {
+            Tensor::randn({l * s, d}, rng), Tensor::randn({l, m, d}, rng),
+            Tensor::randn({l, m, d}, rng), Tensor({l * s, m})};
+        // Visible lengths per row (0 = fully masked).
+        const int64_t visible[] = {1, 0, 7, m, 4, m - 1};
+        for (int64_t r = 0; r < l * s; ++r)
+            for (int64_t j = 0; j < m; ++j)
+                in[3][r * m + j] = j < visible[r % 6] ? 0.0f : -1e30f;
+        in[3][2 * m + 3] = -1e30f; // masked column inside row 2
+        Tensor scalar = ag.run(in, "");
+        EXPECT_TRUE(bitEqual(scalar, ag.unfused(in)))
+            << "bounded scalar kernel differs from the unfused chain";
+        if (hasKernelVariant(OpKind::FusedAttention, tier))
+            EXPECT_LT(maxRelDiff(scalar, ag.run(in, tier)), 1e-5f);
+    }
+}
+
+TEST(SimdParity, FusedAttentionNeverReadsPastTheLastVisibleColumn)
+{
+    // K/V rows past every row's bound are NaN. The fused kernel on
+    // every tier returns finite values, bit-equal to the same call
+    // with a zero tail. The unfused chain still reads the tail
+    // (0 x NaN is NaN), which is why serving keeps slot rows >= gen
+    // at zero.
+    std::string tier = simdTierName(hostSimdTier());
+    Rng rng(108);
+    const int64_t l = 3, s = 2, h = 2, dh = 6, m = 11, d = h * dh;
+    const int64_t bound[] = {2, 5, 4}; // visible columns per lead
+    AttnGraph ag(l, s, h, dh, m);
+    std::vector<Tensor> zero = {
+        Tensor::randn({l * s, d}, rng), Tensor::randn({l, m, d}, rng),
+        Tensor::randn({l, m, d}, rng), Tensor({l * s, m})};
+    for (int64_t r = 0; r < l * s; ++r)
+        for (int64_t j = 0; j < m; ++j) {
+            // Causal within the lead: row i of lead b sees
+            // bound[b] - (s - 1 - i) columns.
+            int64_t see = bound[r / s] - (s - 1 - r % s);
+            zero[3][r * m + j] = j < see ? 0.0f : -1e30f;
+        }
+    std::vector<Tensor> nan = zero;
+    nan[1] = zero[1].clone();
+    nan[2] = zero[2].clone();
+    for (int64_t b = 0; b < l; ++b)
+        for (int64_t j = 0; j < m; ++j)
+            for (int64_t c = 0; c < d; ++c) {
+                const int64_t i = (b * m + j) * d + c;
+                const bool tail = j >= bound[b];
+                zero[1][i] = tail ? 0.0f : zero[1][i];
+                zero[2][i] = tail ? 0.0f : zero[2][i];
+                nan[1][i] = tail ? NAN : zero[1][i];
+                nan[2][i] = tail ? NAN : zero[2][i];
+            }
+    std::vector<std::string> variants = {""};
+    if (hasKernelVariant(OpKind::FusedAttention, tier))
+        variants.push_back(tier);
+    for (const std::string &variant : variants) {
+        SCOPED_TRACE("variant '" + variant + "'");
+        Tensor got = ag.run(nan, variant);
+        EXPECT_TRUE(allFinite(got)) << "fused kernel read a NaN tail row";
+        EXPECT_TRUE(bitEqual(got, ag.run(zero, variant)))
+            << "NaN tail changed the fused bits";
+    }
+    EXPECT_TRUE(bitEqual(ag.run(zero, ""), ag.unfused(zero)));
+    EXPECT_FALSE(allFinite(ag.unfused(nan)))
+        << "the unfused chain no longer reads masked columns";
 }
 
 /** Build + run one QuantMatMul with the given geometry twice (scalar
