@@ -115,7 +115,7 @@ calibFeeds(const DecoderConfig &cfg)
         for (int64_t i = 0; i < 8; ++i) {
             pos[i] = static_cast<float>(gen);
             for (int64_t j = 0; j < cfg.maxSeq; ++j)
-                mask[i * cfg.maxSeq + j] = j <= gen ? 0.0f : -1e30f;
+                mask[i * cfg.maxSeq + j] = j <= gen ? 0.0f : kMaskedScore;
         }
         out.push_back({{"x", tokenRows(toks)},
                        {"pos", std::move(pos)},
@@ -130,7 +130,7 @@ calibFeeds(const DecoderConfig &cfg)
 std::unique_ptr<ServingEngine>
 makeEngine(const std::shared_ptr<ParamStore> &store, int64_t window_us,
            int workers, Precision prec, const DecoderConfig &cfg,
-           bool fuse_attention = true, bool trace = false)
+           bool fuse = true, bool trace = false)
 {
     ServeOptions so = ServeOptions{}
                           .withBuckets({8})
@@ -139,7 +139,7 @@ makeEngine(const std::shared_ptr<ParamStore> &store, int64_t window_us,
                           .withCoalesceWindow(window_us)
                           .withQueueCapacity(64);
     so.compile.precision = prec;
-    so.compile.fuseAttention = fuse_attention;
+    so.compile.fuse = fuse;
     so.trace = trace;
     if (prec != Precision::F32)
         so.calibration = calibFeeds(cfg);
@@ -378,9 +378,10 @@ runScenario(const std::string &scenario, Precision prec, int streams,
 
 /**
  * Attention-stage microbench: the standalone decode attention chain
- * buildDecoderLM emits — q [streams, D] split per head against the
- * cached K/V [streams, M, D], the per-stream mask row broadcast per
- * head, and the head merge — compiled with the fusion pass on or off
+ * NetBuilder::attention emits for buildDecoderLM — q [streams, D]
+ * split per head against the cached K/V [streams, M, D], the
+ * per-stream mask row broadcast per head, and the head merge —
+ * compiled with fusion on or off
  * and timed through the bound executor. This is the per-step cost of
  * exactly the ops the FusedAttention rewrite collapses, so
  * fused/unfused is the fusion speedup with the rest of the layer held
@@ -392,43 +393,18 @@ struct AttnStage {
 
     AttnStage(const DecoderConfig &cfg, int64_t streams, bool fused)
     {
-        const int64_t L = streams, H = cfg.heads, D = cfg.dim;
-        const int64_t M = cfg.maxSeq;
-        const int64_t Dh = D / H;
+        const int64_t L = streams, D = cfg.dim, M = cfg.maxSeq;
         auto store = std::make_shared<ParamStore>();
         Graph g;
         Rng rng(5);
         NetBuilder b(g, rng, store.get());
-        auto split = [&](int x, int64_t t) {
-            return b.reshape(b.permute(b.reshape(x, {L, t, H, Dh}),
-                                       {0, 2, 1, 3}),
-                             {L * H, t, Dh});
-        };
-        int q = b.input({L, D}, "q");
-        int k = b.input({L, M, D}, "k");
-        int v = b.input({L, M, D}, "v");
-        int m = b.input({L, M}, "mask");
-        Attrs tb;
-        tb.set("transB", static_cast<int64_t>(1));
-        Attrs bc;
-        bc.set("shape", Shape{L, H, 1, M});
-        int scores = g.add(OpKind::BatchMatMul, {split(q, 1), split(k, M)},
-                           std::move(tb));
-        scores =
-            b.scale(scores, 1.0 / std::sqrt(static_cast<double>(Dh)));
-        scores = b.add(scores,
-                       b.reshape(g.add(OpKind::BroadcastTo,
-                                       {b.reshape(m, {L, 1, 1, M})},
-                                       std::move(bc)),
-                                 {L * H, 1, M}));
-        int ctx = g.add(OpKind::BatchMatMul,
-                        {b.softmax(scores), split(v, M)});
-        ctx = b.reshape(b.permute(b.reshape(ctx, {L, H, 1, Dh}),
-                                  {0, 2, 1, 3}),
-                        {L, D});
+        int ctx = b.attention(b.input({L, D}, "q"),
+                              b.input({L, M, D}, "k"),
+                              b.input({L, M, D}, "v"),
+                              b.input({L, M}, "mask"), cfg.heads);
         g.markOutput(ctx);
         CompileOptions opt;
-        opt.fuseAttention = fused;
+        opt.fuse = fused;
         prog = std::make_unique<InferenceProgram>(
             compileInferenceGraph(g, {ctx}, opt, store), store);
 

@@ -212,9 +212,11 @@ lowerGraph(Graph &g, const CompileOptions &options,
 {
     report.precision = options.precision;
     simplify(g);
-    // Attention fuses before folding, which would expand a Const
-    // mask's per-head broadcast into H copies.
-    if (options.fuse && options.fuseAttention)
+    // Attention fuses before folding, which would expand a per-row
+    // Const mask's per-head broadcast into H copies and leave the
+    // chain unfused. No built-in model emits one: a Const mask is a
+    // shared [S, M] one, which the Add broadcasts itself.
+    if (options.fuse)
         report.fusions = fuseAttention(g, &report.attentionUnfused);
     if (options.foldConstants)
         report.folded = constantFold(g);

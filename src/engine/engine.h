@@ -33,14 +33,12 @@ namespace pe {
 
 /** Compilation switches (all graph optimizations are ablatable). */
 struct CompileOptions {
-    bool fuse = true;          ///< operator fusion
-    bool fuseAttention = true; ///< collapse attention subgraphs into
-                               ///< FusedAttention (also needs `fuse`);
-                               ///< off builds the unfused reference
-                               ///< the parity tests/benches compare to
-    bool reorder = true;       ///< memory-aware scheduling + in-place
-    bool winograd = true;      ///< bind frozen 3x3 convs to Winograd
-    bool blocked = true;       ///< blocked GEMM variant
+    bool fuse = true;     ///< operator and attention fusion; off
+                          ///< builds the unfused reference the
+                          ///< parity tests/benches compare to
+    bool reorder = true;  ///< memory-aware scheduling + in-place
+    bool winograd = true; ///< bind frozen 3x3 convs to Winograd
+    bool blocked = true;  ///< blocked GEMM variant
     bool foldConstants = true;
     OptimConfig optim = OptimConfig::sgd(0.01);
     /**
@@ -76,10 +74,11 @@ struct CompileReport {
     int trainableTensors = 0;
     int prunedNodes = 0;      ///< removed by DCE (frozen subgraphs)
     int fusions = 0;
-    /** Attention chains (QK^T -> Scale -> Add -> Softmax -> .V) that
-     *  fuseAttention saw but left unfused: a chain outside the one
-     *  FusedAttention form (say, a mask broadcast by Add) silently
-     *  keeps its five ops and per-head copies. */
+    /** Attention chains (QK^T -> Scale [-> Add] -> Softmax -> .V)
+     *  that fuseAttention saw but left unfused: a chain outside the
+     *  one FusedAttention form (say, a mask of another shape, or a
+     *  training graph whose backward reads the softmax) silently
+     *  keeps its ops and per-head copies. */
     int attentionUnfused = 0;
     int folded = 0;
     PassStats backend;

@@ -1,6 +1,7 @@
 #include "frontend/builder.h"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace pe {
 
@@ -195,49 +196,75 @@ NetBuilder::mse(int pred, int target)
 }
 
 int
+NetBuilder::attention(int q, int k, int v, int mask, int64_t heads)
+{
+    const Shape ks = g_.node(k).shape; // [L, M, D] (copy: adds reallocate)
+    const int64_t L = ks[0], M = ks[1], D = ks[2];
+    const int64_t S = g_.node(q).shape[0] / L;
+    if (heads < 1 || D % heads != 0)
+        throw std::invalid_argument(
+            "NetBuilder::attention: heads must be >= 1 and divide dim "
+            "(dim=" + std::to_string(D) +
+            ", heads=" + std::to_string(heads) + ")");
+    const int64_t dh = D / heads;
+    // [L, T, D] (any layout with those elements) -> [L*H, T, Dh].
+    auto split = [&](int x, int64_t t) {
+        return reshape(permute(reshape(x, {L, t, heads, dh}),
+                               {0, 2, 1, 3}),
+                       {L * heads, t, dh});
+    };
+
+    if (mask >= 0 && g_.node(mask).shape[0] != S) {
+        // Per row: each lead's [S, M] block repeats per head.
+        Attrs per_head;
+        per_head.set("shape", Shape{L, heads, S, M});
+        mask = reshape(g_.add(OpKind::BroadcastTo,
+                              {reshape(mask, {L, 1, S, M})},
+                              std::move(per_head)),
+                       {L * heads, S, M});
+    }
+    Attrs trans_b;
+    trans_b.set("transB", static_cast<int64_t>(1));
+    int scores = g_.add(OpKind::BatchMatMul, {split(q, S), split(k, M)},
+                        std::move(trans_b)); // [L*H, S, M]
+    scores = scale(scores, 1.0 / std::sqrt(static_cast<double>(dh)));
+    if (mask >= 0)
+        scores = add(scores, mask);
+    int ctx = g_.add(OpKind::BatchMatMul,
+                     {softmax(scores), split(v, M)}); // [L*H, S, Dh]
+    return reshape(permute(reshape(ctx, {L, heads, S, dh}),
+                           {0, 2, 1, 3}),
+                   {L * S, D});
+}
+
+int
 NetBuilder::selfAttention(int x, int64_t heads, const std::string &name,
                           bool causal, int64_t lora_rank)
 {
     Shape xs = g_.node(x).shape; // [B, S, D] (copy: adds reallocate)
     int64_t batch = xs[0], seq = xs[1], dim = xs[2];
-    int64_t dh = dim / heads;
 
     int x2d = reshape(x, {batch * seq, dim});
     int q = lora_rank > 0 ? linearLora(x2d, dim, name + ".q", lora_rank)
                           : linear(x2d, dim, name + ".q");
-    int k = linear(x2d, dim, name + ".k");
-    int v = lora_rank > 0 ? linearLora(x2d, dim, name + ".v", lora_rank)
-                          : linear(x2d, dim, name + ".v");
+    int k = reshape(linear(x2d, dim, name + ".k"), xs);
+    int v = reshape(lora_rank > 0
+                        ? linearLora(x2d, dim, name + ".v", lora_rank)
+                        : linear(x2d, dim, name + ".v"),
+                    xs);
+    int mask = causal ? causalMask(seq, seq, name + ".mask") : -1;
+    int out = linear(attention(q, k, v, mask, heads), dim, name + ".proj");
+    return reshape(out, xs);
+}
 
-    auto to_heads = [&](int t) {
-        int r = reshape(t, {batch, seq, heads, dh});
-        r = permute(r, {0, 2, 1, 3}); // [B, H, S, dh]
-        return reshape(r, {batch * heads, seq, dh});
-    };
-    q = to_heads(q);
-    k = to_heads(k);
-    v = to_heads(v);
-
-    Attrs mm;
-    mm.set("transB", static_cast<int64_t>(1));
-    int scores = g_.add(OpKind::BatchMatMul, {q, k}, std::move(mm));
-    scores = scale(scores, 1.0 / std::sqrt(static_cast<double>(dh)));
-    if (causal) {
-        Tensor mask({seq, seq});
-        for (int64_t i = 0; i < seq; ++i) {
-            for (int64_t j = 0; j < seq; ++j)
-                mask.at({i, j}) = j > i ? -1e9f : 0.0f;
-        }
-        int m = g_.constantOf(std::move(mask), name + ".mask");
-        scores = add(scores, m);
-    }
-    int probs = softmax(scores);
-    int ctx = g_.add(OpKind::BatchMatMul, {probs, v});
-    ctx = reshape(ctx, {batch, heads, seq, dh});
-    ctx = permute(ctx, {0, 2, 1, 3});
-    ctx = reshape(ctx, {batch * seq, dim});
-    int out = linear(ctx, dim, name + ".proj");
-    return reshape(out, {batch, seq, dim});
+int
+NetBuilder::causalMask(int64_t rows, int64_t cols, const std::string &name)
+{
+    Tensor m({rows, cols});
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = i + 1; j < cols; ++j)
+            m[i * cols + j] = kMaskedScore;
+    return g_.constantOf(std::move(m), name);
 }
 
 } // namespace pe

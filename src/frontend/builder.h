@@ -83,7 +83,30 @@ class NetBuilder
     int mse(int pred, int target);
 
     /**
-     * Multi-head self-attention over x: [B, S, D].
+     * Multi-head scaled-dot-product attention, the one chain the
+     * fuseAttention pass collapses into FusedAttention: per head h,
+     * softmax(Q_h K_h^T / sqrt(Dh) + mask) V_h, with row r of Q
+     * attending to the K/V slab of lead r/S. Heads stay packed in the
+     * columns (head h is [h*Dh, (h+1)*Dh)); the chain splits them by
+     * reshape -> permute -> reshape and merges them back the same way.
+     * @param q     [L*S, D], D = heads * Dh
+     * @param k, v  [L, M, D]
+     * @param mask  additive mask, kMaskedScore on hidden columns: a
+     *              shared [S, M] mask for every lead (the Add
+     *              broadcasts it), a per-row [L*S, M] mask with L > 1
+     *              (broadcast per head), or -1 for none
+     * @return [L*S, D]
+     */
+    int attention(int q, int k, int v, int mask, int64_t heads);
+
+    /** Const causal mask [rows, cols]: row i sees columns j <= i (0)
+     *  and none past them (kMaskedScore). */
+    int causalMask(int64_t rows, int64_t cols, const std::string &name);
+
+    /**
+     * Multi-head self-attention over x: [B, S, D]: q/k/v projections,
+     * attention() with K/V as [B, S, D] and no mask or a shared
+     * [S, S] causal one, and the output projection.
      * @param causal     add a lower-triangular mask (decoder models)
      * @param lora_rank  if > 0, use LoRA-adapted q/v projections
      * @return [B, S, D]

@@ -367,13 +367,11 @@ namespace {
  * mask come from: Consts in the prefill (row 0; token i sees cache
  * columns j <= i), Inputs in the decode step.
  *
- * Heads fold into the batched matmuls' leading dim: Q/K/V stay packed
- * as [.., D] with D = H*Dh (so the cache layout and the
- * "b<i>.kcache"/"b<i>.vcache" node-name contract do not depend on H),
- * split to [L*H, .., Dh] by reshape -> permute -> reshape, and the
- * head outputs merge back the same way. The mask broadcasts per head.
- * This is the reference chain the fuseAttention pass collapses into
- * one FusedAttention per layer, splits and merge included.
+ * Heads stay packed as [.., D] with D = H*Dh, so the cache layout and
+ * the "b<i>.kcache"/"b<i>.vcache" node-name contract do not depend on
+ * H; NetBuilder::attention splits and merges them. The prefill's
+ * [S, maxSeq] causal Const is its shared mask (L = 1); a decode step
+ * with L > 1 streams passes its [L, maxSeq] mask per row.
  */
 ModelSpec
 buildDecoderLM(const DecoderConfig &cfg, int64_t rows, bool decode,
@@ -396,40 +394,13 @@ buildDecoderLM(const DecoderConfig &cfg, int64_t rows, bool decode,
         pos = b.input({L, 1}, "pos");
         mask = b.input({rows, M}, "mask");
     } else {
-        Tensor p0({1});
-        p0[0] = 0.0f;
-        pos = g.constantOf(std::move(p0), "pos0");
-        Tensor cm({rows, M});
-        for (int64_t i = 0; i < rows; ++i)
-            for (int64_t j = 0; j < M; ++j)
-                cm[i * M + j] = j <= i ? 0.0f : -1e30f;
-        mask = g.constantOf(std::move(cm), "causal_mask");
+        pos = g.constantOf(Tensor({1}), "pos0");
+        mask = b.causalMask(rows, M, "causal_mask");
     }
     int h = b.reshape(b.embedding(ids, cfg.vocab, D, "embed.tok"),
                       {rows, D});
-
-    if (cfg.heads < 1 || D % cfg.heads != 0) {
-        throw std::invalid_argument(
-            "DecoderConfig::heads: must be >= 1 and divide dim "
-            "(dim=" + std::to_string(D) +
-            ", heads=" + std::to_string(cfg.heads) + ")");
-    }
-    const int64_t H = cfg.heads;
-    const int64_t Dh = D / H;
-
     Attrs cache_attrs;
     cache_attrs.set("maxSeq", M);
-    Attrs trans_b;
-    trans_b.set("transB", static_cast<int64_t>(1));
-    Attrs per_head;
-    per_head.set("shape", Shape{L, H, S, M});
-    const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(Dh));
-    // [L, T, H*Dh] (any layout with those elements) -> [L*H, T, Dh].
-    auto split = [&](int x, int64_t t) {
-        return b.reshape(b.permute(b.reshape(x, {L, t, H, Dh}),
-                                   {0, 2, 1, 3}),
-                         {L * H, t, Dh});
-    };
 
     for (int64_t i = 0; i < cfg.layers; ++i) {
         std::string name = "b" + std::to_string(i);
@@ -441,20 +412,8 @@ buildDecoderLM(const DecoderConfig &cfg, int64_t rows, bool decode,
                        cache_attrs, name + ".kcache");
         int vc = g.add(OpKind::CacheWrite, {b.reshape(v, {L, S, D}), pos},
                        cache_attrs, name + ".vcache");
-        int m3 = b.reshape(g.add(OpKind::BroadcastTo,
-                                 {b.reshape(mask, {L, 1, S, M})},
-                                 per_head),
-                           {L * H, S, M});
-        int scores = g.add(OpKind::BatchMatMul, {split(q, S), split(kc, M)},
-                           trans_b); // [L*H,S,M]
-        scores = b.add(b.scale(scores, inv_sqrt_d), m3);
-        int ctx = g.add(OpKind::BatchMatMul,
-                        {b.softmax(scores), split(vc, M)}); // [L*H,S,Dh]
-        int merged = b.reshape(b.permute(b.reshape(ctx, {L, H, S, Dh}),
-                                         {0, 2, 1, 3}),
-                               {rows, D});
-        int attn = b.linear(merged, D, name + ".proj", false);
-        h = b.add(h, attn);
+        int attn = b.attention(q, kc, vc, mask, cfg.heads);
+        h = b.add(h, b.linear(attn, D, name + ".proj", false));
         int norm2 = b.rmsNorm(h, name + ".ln2");
         // SwiGLU: fc2(silu(fc1(x)) * fc3(x)).
         int gate = b.silu(b.linear(norm2, cfg.ffDim,

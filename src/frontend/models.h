@@ -73,7 +73,8 @@ struct NlpConfig {
 /**
  * BERT-style encoder for sequence classification: embeddings, post-LN
  * transformer blocks ("b0".."bN-1" with ".attn" and ".ffn.fc1/fc2"),
- * first-token pooling, classifier "head".
+ * first-token pooling, classifier "head". Attention has no mask, so
+ * each block's chain fuses into a three-input FusedAttention.
  */
 ModelSpec buildBert(const NlpConfig &cfg, Rng &rng, ParamStore *store);
 
@@ -90,8 +91,8 @@ struct LlamaConfig {
 
 /**
  * Decoder-only LM: token embedding, pre-RMSNorm blocks with causal
- * attention and SwiGLU FFN, tied-free LM head; next-token
- * cross-entropy loss.
+ * attention (one shared [S, S] mask per block) and SwiGLU FFN,
+ * tied-free LM head; next-token cross-entropy loss.
  *
  * @param lora_rank  if > 0, add LoRA adapters (A/B pairs, params
  *        "<layer>.lora.a/.lora.b") to the attention q/v projections —
@@ -130,7 +131,8 @@ struct DecoderConfig {
 
 /**
  * Prefill graph for one prompt of @p prompt_len tokens: Input "x"
- * [S,1] token rows, causal self-attention over the prompt, and
+ * [S,1] token rows, causal self-attention over the prompt (a shared
+ * [S,maxSeq] Const mask), and
  * CacheWrite nodes "b<i>.kcache"/"b<i>.vcache" ([1,maxSeq,dim],
  * written at position 0) that leave the session cache holding the
  * prompt's keys/values. Output: next-token logits [S,vocab].
@@ -147,10 +149,11 @@ ModelSpec buildDecoderPrefill(const DecoderConfig &cfg,
  * Single-token decode graph for @p streams concurrent sequences:
  * Inputs "x" [B,1] (one token per stream), "pos" [B,1] (each
  * stream's generation, i.e. its cache row count), "mask" [B,maxSeq]
- * (0 for visible cache columns, a large negative for the rest).
+ * (0 for visible cache columns, kMaskedScore for the rest).
  * CacheWrite nodes carry the same "b<i>.kcache"/"b<i>.vcache" names
  * ([B,maxSeq,dim]); attention reads the whole cache through the
- * additive mask. Output: next-token logits [B,vocab].
+ * additive mask, one row per stream. Output: next-token logits
+ * [B,vocab].
  */
 ModelSpec buildDecoderDecode(const DecoderConfig &cfg, int64_t streams,
                              Rng &rng, ParamStore *store);

@@ -424,16 +424,17 @@ inferShape(const Graph &g, OpKind op, const std::vector<int> &inputs,
       }
 
       case OpKind::FusedAttention: {
-        // Q [L*S, H*Dh], K/V [L, M, H*Dh], mask [L*S, M]: the kernel
-        // reads the heads out of the packed rows in place.
-        expectInputs(op, inputs, 4);
-        const Shape &q = in(0), &k = in(1), &v = in(2), &m = in(3);
+        // Q [L*S, H*Dh], K/V [L, M, H*Dh] and a shared [S, M], per-row
+        // [L*S, M] or absent mask: the kernel reads the heads out of
+        // the packed rows in place.
+        if (inputs.size() != 3)
+            expectInputs(op, inputs, 4); // the mask is optional
+        const Shape &q = in(0), &k = in(1), &v = in(2);
         int64_t heads = attrs.getInt("heads", 0);
         if (heads < 1)
             fail(op, "heads must be >= 1");
-        if (q.size() != 2 || k.size() != 3 || m.size() != 2)
-            fail(op, "needs Q [L*S,H*Dh], K/V [L,M,H*Dh] and mask "
-                     "[L*S,M]");
+        if (q.size() != 2 || k.size() != 3)
+            fail(op, "needs Q [L*S,H*Dh] and K/V [L,M,H*Dh]");
         if (k != v)
             fail(op, "K/V shapes mismatch " + shapeToString(k) + " / " +
                      shapeToString(v));
@@ -442,8 +443,11 @@ inferShape(const Graph &g, OpKind op, const std::vector<int> &inputs,
             fail(op, "Q " + shapeToString(q) + " must be [L*S,H*Dh] "
                      "over K/V " + shapeToString(k) + " with heads " +
                      std::to_string(heads));
-        if (m[0] != q[0] || m[1] != k[1])
-            fail(op, "mask must be [L*S,M], got " + shapeToString(m));
+        const Shape m = inputs.size() == 4 ? in(3) : Shape{q[0], k[1]};
+        if (m.size() != 2 || m[1] != k[1] ||
+            (m[0] != q[0] && m[0] != q[0] / k[0]))
+            fail(op, "mask must be [S,M] or [L*S,M], got " +
+                         shapeToString(m));
         return q;
       }
     }

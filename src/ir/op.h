@@ -138,14 +138,19 @@ enum class OpKind {
     // Scaled-dot-product attention collapsed into one op by the
     // fuseAttention pass (five ops / four arena intermediates -> one
     // op whose QK row, softmax, and V-accumulate all live in per-shard
-    // workspace). Inputs: Q, K, V, mask; attrs "scale" (1/sqrt(Dh))
-    // and "heads" (H >= 1).
+    // workspace). Inputs: Q, K, V and an optional mask; attrs "scale"
+    // (1/sqrt(Dh)) and "heads" (H >= 1).
     //
-    //   Q [L*S, H*Dh], K/V [L, M, H*Dh], mask [L*S, M]
+    //   Q [L*S, H*Dh], K/V [L, M, H*Dh] [, mask [R, M]]
     //     -> [L*S, H*Dh]: per head h, softmax(Q_h K_h^T * scale +
-    //        mask) V_h, with row r of Q and the mask attending to the
-    //        K/V slab of lead r/S. Q, K, V and the output stay in the
-    //        packed head layout (head h is columns [h*Dh, (h+1)*Dh)).
+    //        mask) V_h, with row r of Q attending to the K/V slab of
+    //        lead r/S through mask row r mod R. Q, K, V and the
+    //        output stay in the packed head layout (head h is columns
+    //        [h*Dh, (h+1)*Dh)).
+    //
+    // The mask has three forms: shared, R = S (one [S, M] mask for
+    // every lead); per row, R = L*S; or absent (three inputs, every
+    // column visible).
     //
     // Always fp32: the QuantizePass never rewrites it (like the
     // BatchMatMul/Softmax subgraph it replaces), so int8 graphs reach
@@ -154,6 +159,11 @@ enum class OpKind {
 
     Identity,
 };
+
+/** The additive mask entry of a hidden attention column: a score
+ *  plus it exps to exactly 0.0f, and FusedAttention stops each row
+ *  before its trailing run of entries at or below it. */
+inline constexpr float kMaskedScore = -1e30f;
 
 /** Activation codes for the fused ops' "act" attribute. */
 enum ActKind : int64_t { kActNone = 0, kActRelu = 1, kActGelu = 2,

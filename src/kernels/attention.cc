@@ -1,9 +1,9 @@
 /**
  * @file
  * FusedAttention: softmax(Q K^T * scale + mask) V with the score row
- * held in per-shard workspace. The five-op subgraph it replaces
- * (BatchMatMul -> Scale -> Add -> Softmax -> BatchMatMul)
- * materializes four arena intermediates per run; here the QK row, the
+ * held in per-shard workspace. The subgraph it replaces (BatchMatMul
+ * -> Scale [-> Add] -> Softmax -> BatchMatMul) materializes up to
+ * four arena intermediates per run; here the QK row, the
  * softmax, and the V-accumulate never leave one [M]-float scratch row,
  * so the planner sees a single output value.
  *
@@ -22,12 +22,14 @@ namespace {
 
 /** One fp32 attention-score row ([M] = K's row count) per shard: the
  *  QK product, mask add, and softmax all happen in this buffer, so the
- *  five-op subgraph's four arena intermediates become zero. */
+ *  subgraph's arena intermediates become zero. A mask-less op also
+ *  keeps an [M] zero row there, which every row reads as its mask. */
 WorkspaceSpec
 fusedAttentionWorkspace(const Graph &g, const Node &n)
 {
     WorkspaceSpec spec;
-    spec.bytesPerShard = g.node(n.inputs[1]).shape[1] * 4;
+    spec.bytesPerShard = g.node(n.inputs[1]).shape[1] * 4 *
+                         (n.inputs.size() > 3 ? 1 : 2);
     return spec;
 }
 

@@ -611,29 +611,33 @@ dwConvBwdInputK(const KernelCtx &c)
 
 /**
  * softmax(Q K^T * scale + mask) V over this shard's (row, head) units,
- * with the score row held in the shard's workspace. Q is [L*S, H*Dh],
- * K/V [L, M, H*Dh] and the mask [L*S, M]; unit u is (row r = u/H,
- * head h = u%H). It reads Q row r and writes output row r at column
- * h*Dh, reads mask row r, and reads K/V rows of lead r/S at column
- * h*Dh with stride H*Dh: the head split and merge happen in the
- * indexing, not in copies.
+ * with the score row held in the shard's workspace. Q is [L*S, H*Dh]
+ * and K/V [L, M, H*Dh]; unit u is (row r = u/H, head h = u%H). It
+ * reads Q row r and writes output row r at column h*Dh, and reads K/V
+ * rows of lead r/S at column h*Dh with stride H*Dh: the head split and
+ * merge happen in the indexing, not in copies. The optional mask has R
+ * rows, R = S (one mask shared by every lead) or R = L*S (one per
+ * row), and row r reads mask row r mod R. With no mask every row reads
+ * a zero row kept after the scores in the workspace: every column is
+ * visible, and a score plus 0.0f changes no softmax bit.
  *
  * On the scalar tier this is bit-identical to the unfused chain
- * (BatchMatMul -> Scale -> Add -> Softmax -> BatchMatMul): dot() sums
- * k ascending like gemmNaive, the softmax is softmax.cc's exact max /
- * exp(x-mx) / sum / multiply-by-reciprocal sequence, and the V
+ * (BatchMatMul -> Scale [-> Add] -> Softmax -> BatchMatMul): dot()
+ * sums k ascending like gemmNaive, the softmax is softmax.cc's exact
+ * max / exp(x-mx) / sum / multiply-by-reciprocal sequence, and the V
  * product adds rows ascending per output column. Masked positions
- * arrive as -1e30f adds, so exp underflows to exactly 0.0f. The
+ * arrive as kMaskedScore adds, so exp underflows to exactly 0.0f. The
  * softmax stays scalar on every tier.
  *
  * Each row stops at its last visible column: trailing mask entries
- * <= -1e30f are trimmed, and the score, exp, sum, scale and V loops
- * run only up to that bound, so a decode step at generation g costs
- * g + 1 columns, not M. A trimmed column would have weighed exactly
- * 0.0f, so the bits equal the full-width loop whenever the K/V rows
- * past the bound are finite (a NaN or inf K row turns a masked score
- * into NaN in the unfused chain; this body never reads it). A fully
- * masked row keeps the full width, so its result does not change.
+ * <= kMaskedScore are trimmed, and the score, exp, sum, scale and V
+ * loops run only up to that bound, so a decode step at generation g
+ * costs g + 1 columns, not M. A trimmed column would have weighed
+ * exactly 0.0f, so the bits equal the full-width loop whenever the K/V
+ * rows past the bound are finite (a NaN or inf K row turns a masked
+ * score into NaN in the unfused chain; this body never reads it). A
+ * fully masked row keeps the full width, so its result does not
+ * change.
  */
 template <class P>
 void
@@ -651,22 +655,26 @@ fusedAttentionK(const KernelCtx &c)
     const float *q = c.in[0];
     const float *k = c.in[1];
     const float *v = c.in[2];
-    const float *mask = c.in[3];
     float *scores = c.workspace;
+    // With no mask every row reads the zero row after the scores.
+    const bool masked = c.in.size() > 3;
+    const float *mask = masked ? c.in[3] : scores + m;
+    const int64_t mrows = masked ? (*c.inShapes[3])[0] : 1;
+    std::fill_n(scores + m, masked ? 0 : m, 0.0f);
 
     int64_t boundRow = -1, end = m; // the heads of a row share its bound
     for (int64_t u = c.begin; u < partitionEnd(c, qs[0] * heads); ++u) {
         int64_t r = u / heads;
         int64_t col = (u % heads) * dh;
         const float *qrow = q + r * d + col;
-        const float *mrow = mask + r * m;
+        const float *mrow = mask + (r % mrows) * m;
         const float *kb = k + (r / s) * m * d + col;
         const float *vb = v + (r / s) * m * d + col;
 
         if (r != boundRow) {
             boundRow = r;
             end = m;
-            while (end > 0 && mrow[end - 1] <= -1e30f)
+            while (end > 0 && mrow[end - 1] <= kMaskedScore)
                 --end;
             if (end == 0)
                 end = m;

@@ -321,10 +321,14 @@ fuseAttention(Graph &g, int *unfused)
         lthd = s;
         return in0(rs);
     };
-    // Per-head mask reshape{L*H,S,M}(BroadcastTo{L,H,S,M}(
-    // reshape{L,1,S,M}(src[L*S,M]))): returns src, or -1.
+    // The mask the Add feeds the scores: a shared [S,M] node, which
+    // the Add broadcasts itself, or the per-row reshape{L*H,S,M}(
+    // BroadcastTo{L,H,S,M}(reshape{L,1,S,M}(src[L*S,M]))). Returns the
+    // [S,M] or [L*S,M] source, or -1.
     auto maskOf = [&](int id, int64_t L, int64_t H, int64_t S,
                       int64_t M) -> int {
+        if (g.node(id).shape == Shape{S, M})
+            return id;
         if (!is(id, OpKind::Reshape, {L * H, S, M}))
             return -1;
         int bc = in0(id);
@@ -353,18 +357,21 @@ fuseAttention(Graph &g, int *unfused)
 
     for (int id = 0; id < g.numNodes(); ++id) {
         // The core chain, rooted at the P*V matmul: (Batch)MatMul(Q,K,
-        // transB) -> Scale -> Add(mask) -> Softmax -> (Batch)MatMul(.,V).
+        // transB) -> Scale [-> Add(mask)] -> Softmax ->
+        // (Batch)MatMul(., V).
         const Node &pv = g.node(id);
         if (!isMatmul(pv) || pv.attrs.getInt("transA", 0) ||
             pv.attrs.getInt("transB", 0))
             continue;
         int sm = in0(id);
-        if (g.node(sm).op != OpKind::Softmax ||
-            g.node(in0(sm)).op != OpKind::Add)
+        if (g.node(sm).op != OpKind::Softmax)
             continue;
-        const Node &add = g.node(in0(sm));
-        int side = g.node(add.inputs[0]).op == OpKind::Scale ? 0 : 1;
-        int sc = add.inputs[side], mask = add.inputs[1 - side];
+        int sc = in0(sm), mask = -1;
+        if (g.node(sc).op == OpKind::Add) {
+            int side = g.node(in0(sc)).op == OpKind::Scale ? 0 : 1;
+            mask = g.node(sc).inputs[1 - side];
+            sc = g.node(sc).inputs[side];
+        }
         if (g.node(sc).op != OpKind::Scale)
             continue;
         int qk = in0(sc);
@@ -373,11 +380,11 @@ fuseAttention(Graph &g, int *unfused)
             !qkn.attrs.getInt("transB", 0))
             continue;
 
-        // The one fused form: the Q/K/V head splits, the per-head mask
-        // broadcast and the head merge all sink into the op, which
-        // reads Q [L*S,H*Dh], K/V [L,M,H*Dh] and mask [L*S,M] in place
-        // and writes the merged [L*S,H*Dh] — no per-head copies. Any
-        // other chain stays unfused and is counted.
+        // The one fused form: the Q/K/V head splits, the mask and
+        // the head merge all sink into the op, which reads Q
+        // [L*S,H*Dh], K/V [L,M,H*Dh] and the mask in place and writes
+        // the merged [L*S,H*Dh] — no per-head copies. Any other chain
+        // stays unfused and is counted.
         Shape qd, kd, vd;
         int q = splitOf(qkn.inputs[0], qd);
         int k = splitOf(qkn.inputs[1], kd);
@@ -391,11 +398,11 @@ fuseAttention(Graph &g, int *unfused)
             if (kd == Shape{L, M, H, Dh} && vd == kd &&
                 g.node(q).shape == Shape{L * S, H * Dh} &&
                 g.node(k).shape == kv && g.node(v).shape == kv) {
-                m = maskOf(mask, L, H, S, M);
+                m = mask < 0 ? mask : maskOf(mask, L, H, S, M);
                 out = mergeOf(id, L, H, S, Dh);
             }
         }
-        if (m < 0 || out < 0) {
+        if ((mask >= 0 && m < 0) || out < 0) {
             ++missed;
             continue;
         }
@@ -410,7 +417,8 @@ fuseAttention(Graph &g, int *unfused)
             attrs.set(kCalibMaxAttr, fa.attrs.getFloat(kCalibMaxAttr, 0.0));
         }
         fa.op = OpKind::FusedAttention;
-        fa.inputs = {q, k, v, m};
+        fa.inputs = m < 0 ? std::vector<int>{q, k, v}
+                          : std::vector<int>{q, k, v, m};
         fa.attrs = std::move(attrs);
         ++fused;
     }

@@ -66,24 +66,25 @@ int fuseOperators(Graph &g);
 
 /**
  * Collapse the scaled-dot-product attention chain
+ * NetBuilder::attention emits
  *
  *   BatchMatMul(split(Q), split(K), transB=1) -> Scale
- *     -> Add(broadcast(mask)) -> Softmax -> BatchMatMul(., split(V))
- *     -> merge
+ *     [-> Add(mask)] -> Softmax -> BatchMatMul(., split(V)) -> merge
  *
  * into one FusedAttention node over Q [L*S,H*Dh], K/V [L,M,H*Dh] and
- * mask [L*S,M] (attrs "scale" from the Scale's alpha and "heads").
- * split is reshape{L,T,H,Dh} -> permute{0,2,1,3} -> reshape{L*H,T,Dh},
- * broadcast is reshape{L,1,S,M} -> BroadcastTo{L,H,S,M} ->
- * reshape{L*H,S,M}, and merge is the inverse of split back to
- * [L*S,H*Dh]. Every intermediate must be single-use. The merge's last
- * reshape is rewritten in place, so its id, name, output status and
- * calibration range survive; the dead chain is left for dce(). Run it
- * before constantFold(), which would fold a Const mask's broadcast
- * into H copies.
+ * the mask (attrs "scale" from the Scale's alpha and "heads").
+ * split is reshape{L,T,H,Dh} -> permute{0,2,1,3} -> reshape{L*H,T,Dh}
+ * and merge is its inverse back to [L*S,H*Dh]. The mask takes one of
+ * three forms: a shared [S,M] node the Add broadcasts itself, a
+ * per-row [L*S,M] source behind reshape{L,1,S,M} ->
+ * BroadcastTo{L,H,S,M} -> reshape{L*H,S,M}, or none (Scale feeds the
+ * Softmax; the fused op then has three inputs). Every intermediate
+ * must be single-use. The merge's last reshape is rewritten in place,
+ * so its id, name, output status and calibration range survive; the
+ * dead chain is left for dce().
  * @param unfused if set, receives the count of chains that match the
- *        core (Batch)MatMul -> Scale -> Add -> Softmax -> (Batch)MatMul
- *        but were left unfused.
+ *        core (Batch)MatMul -> Scale [-> Add] -> Softmax ->
+ *        (Batch)MatMul but were left unfused.
  * @return number of attention chains fused.
  */
 int fuseAttention(Graph &g, int *unfused = nullptr);

@@ -41,7 +41,7 @@ hasCalib(const Node &n)
     if (!n.attrs.has(kCalibMinAttr) || !n.attrs.has(kCalibMaxAttr))
         return false;
     // Sentinel guard: attention masks ride through the graph as
-    // -1e30f adds (so exp underflows to exact zero). A calibrated
+    // kMaskedScore adds (so exp underflows to exact zero). A calibrated
     // range that wide would put the int8 step at ~1e28 — every real
     // value collapses into one bucket — so such tensors stay fp32.
     // This also keeps the fused-attention rewrite int8-invariant: the

@@ -835,10 +835,8 @@ ServingEngine::submitDecode(
         Tensor pos({1, 1});
         pos[0] = static_cast<float>(gen);
         Tensor mask({1, maxSeq_});
-        for (int64_t j = 0; j <= gen; ++j)
-            mask[j] = 0.0f;
-        for (int64_t j = gen + 1; j < maxSeq_; ++j)
-            mask[j] = -1e30f;
+        std::fill(mask.data() + gen + 1, mask.data() + maxSeq_,
+                  kMaskedScore);
         feeds.emplace("pos", std::move(pos));
         feeds.emplace("mask", std::move(mask));
         std::shared_ptr<RequestState> st = makeRequest(feeds, true);

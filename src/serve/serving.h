@@ -109,7 +109,7 @@ using ModelFactory = std::function<ServedModel(int64_t batch)>;
  *  - The decode graph takes one token per stream row plus two
  *    engine-synthesized Inputs: "pos" [B, 1] (each stream's write
  *    position = its generation) and "mask" [B, maxSeq] (0 for columns
- *    <= generation, -1e30f beyond — large enough that exp() underflows
+ *    <= generation, kMaskedScore beyond — large enough that exp() underflows
  *    to exact 0.0f, which is what makes shared runs bit-identical to
  *    solo runs no matter what stale rows sit past the generation).
  *    Its caches are [B, maxSeq, D], one slot per stream row.

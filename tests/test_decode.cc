@@ -82,6 +82,15 @@ expectBitEqual(const Tensor &a, const Tensor &b, const std::string &what)
         << what << ": values differ";
 }
 
+bool
+allFinite(const Tensor &t)
+{
+    for (int64_t i = 0; i < t.size(); ++i)
+        if (!std::isfinite(t[i]))
+            return false;
+    return true;
+}
+
 // ---- 1. executor-level cache lifetime --------------------------------
 
 /** Rows [@p row0, @p row0 + @p rows) of cache value @p id, slot
@@ -313,7 +322,7 @@ calibFeeds(const DecoderConfig &cfg)
         for (int64_t i = 0; i < 4; ++i) {
             pos[i] = static_cast<float>(gen);
             for (int64_t j = 0; j < cfg.maxSeq; ++j)
-                mask[i * cfg.maxSeq + j] = j <= gen ? 0.0f : -1e30f;
+                mask[i * cfg.maxSeq + j] = j <= gen ? 0.0f : kMaskedScore;
         }
         out.push_back({{"x", tokenRows(toks)},
                        {"pos", std::move(pos)},
@@ -335,7 +344,7 @@ GenEngine
 makeGenEngine(int64_t window_us, int workers,
               Precision prec = Precision::F32,
               DecoderConfig cfg = smallCfg(),
-              bool fuse_attention = true, bool force_scalar = false,
+              bool fuse = true, bool force_scalar = false,
               std::vector<int64_t> decode_buckets = {4})
 {
     GenEngine ge;
@@ -348,7 +357,7 @@ makeGenEngine(int64_t window_us, int workers,
     so.coalesceWindowUs = window_us;
     so.queueCapacity = 64;
     so.compile.precision = prec;
-    so.compile.fuseAttention = fuse_attention;
+    so.compile.fuse = fuse;
     if (prec != Precision::F32)
         so.calibration = calibFeeds(cfg);
     so.decodeFactory = [store, cfg](int64_t streams) {
@@ -769,6 +778,63 @@ TEST(DecodeParity, SlotChurnMatchesSerialReplay)
     }
 }
 
+TEST(DecodeParity, StaleSlotRowsAreReZeroedBeforeTheNextStream)
+{
+    // Serving re-zeroes the slot rows [gen, dirty) an earlier stream
+    // left. The unfused chain (fuse = false) reads every cache column,
+    // and a masked column weighs exactly 0 only while its row is
+    // finite. One token's embedding row is NaN, so stream A, which
+    // prefills with it and decodes, leaves NaN rows in the one decode
+    // slot. Stream B then decodes in that slot at a shorter
+    // generation: its outputs must be finite and bit-equal to a
+    // serial replay on a fresh engine.
+    const DecoderConfig cfg = smallCfg();
+    const int64_t poison = 5;
+    const std::vector<float> toksB = {9, 10, 11};
+    auto serveB = [&](ServingEngine &e) {
+        std::vector<Tensor> out;
+        auto b = e.openStream();
+        out.push_back(
+            e.wait(e.submitPrefill(b, {{"x", tokenRows({4, 6})}}))[0]);
+        for (float tok : toksB)
+            out.push_back(
+                e.wait(e.submitDecode(b, {{"x", tokenRows({tok})}}))[0]);
+        e.closeStream(b);
+        return out;
+    };
+
+    std::vector<Tensor> ref;
+    {
+        GenEngine fresh =
+            makeGenEngine(0, 1, Precision::F32, cfg, false, false, {1});
+        ref = serveB(*fresh.engine);
+    }
+
+    GenEngine ge =
+        makeGenEngine(0, 1, Precision::F32, cfg, false, false, {1});
+    Tensor &emb = ge.store->get("embed.tok.weight");
+    for (int64_t c = 0; c < cfg.dim; ++c)
+        emb[poison * cfg.dim + c] = NAN;
+    ServingEngine &e = *ge.engine;
+    auto a = e.openStream();
+    e.wait(e.submitPrefill(
+        a, {{"x", tokenRows({static_cast<float>(poison), 1, 2, 3})}}));
+    Tensor lastA;
+    for (int t = 0; t < 3; ++t) // slot rows [0, 7) now hold NaN
+        lastA = e.wait(e.submitDecode(a, {{"x", tokenRows({7})}}))[0];
+    ASSERT_FALSE(allFinite(lastA)) << "the poisoned row never reached "
+                                      "stream A's cache";
+    e.closeStream(a);
+
+    std::vector<Tensor> got = serveB(e);
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        const std::string what = "stream B output " + std::to_string(i);
+        EXPECT_TRUE(allFinite(got[i])) << what;
+        expectBitEqual(got[i], ref[i], what);
+    }
+}
+
 /** Cache traffic follows the tokens served, not maxSeq: the same
  *  prompts and steps move the same bytes at maxSeq 64 and 256 — a
  *  prefill scatters its S rows, a decode step at generation g gathers
@@ -839,7 +905,7 @@ makeDecodeProg(const DecoderConfig &cfg, int64_t streams, bool fused,
     ModelSpec m = buildDecoderDecode(cfg, streams, rng, b.store.get());
     CompileOptions opt;
     opt.numThreads = 1;
-    opt.fuseAttention = fused;
+    opt.fuse = fused;
     std::optional<test::TierOverride> pin;
     if (force_scalar)
         pin.emplace(SimdTier::Scalar);
@@ -858,7 +924,7 @@ makePrefillProg(const DecoderConfig &cfg, int64_t prompt, bool fused,
     ModelSpec m = buildDecoderPrefill(cfg, prompt, rng, b.store.get());
     CompileOptions opt;
     opt.numThreads = 1;
-    opt.fuseAttention = fused;
+    opt.fuse = fused;
     std::optional<test::TierOverride> pin;
     if (force_scalar)
         pin.emplace(SimdTier::Scalar);
@@ -892,7 +958,7 @@ decodeFeeds(const DecoderConfig &cfg, int64_t streams, int64_t gen,
     for (int64_t s = 0; s < streams; ++s) {
         pos[s] = static_cast<float>(gen);
         for (int64_t j = 0; j < cfg.maxSeq; ++j)
-            mask[s * cfg.maxSeq + j] = j <= gen ? 0.0f : -1e30f;
+            mask[s * cfg.maxSeq + j] = j <= gen ? 0.0f : kMaskedScore;
     }
     return {{"x", tokenRows(toks)},
             {"pos", std::move(pos)},
@@ -924,7 +990,7 @@ TEST(FusedAttention, PassCollapsesEveryLayerAndDceRemovesTheChain)
             << heads << " heads: unfused softmax left behind";
         EXPECT_EQ(countOps(plain.prog->graph(), OpKind::FusedAttention),
                   0)
-            << "fuseAttention=false must build the unfused reference";
+            << "fuse=false must build the unfused reference";
         EXPECT_EQ(countOps(plain.prog->graph(), OpKind::Softmax),
                   cfg.layers);
     }
@@ -987,27 +1053,136 @@ TEST(FusedAttention, UnfusedChainsAreCounted)
                 << heads << " heads, " << (decode ? "decode" : "prefill");
         }
     }
-    // NetBuilder::selfAttention(causal) adds an [S,S] mask that
-    // broadcasts over the [B*H,S,S] scores, and its K/V come from
-    // [B*S,D] rows rather than a [L,M,D] cache: outside the one fused
-    // form, so each layer is one counted miss.
-    auto store = std::make_shared<ParamStore>();
-    Rng rng(3);
-    Graph g;
-    NetBuilder b(g, rng, store.get());
-    int h = b.input({2, 5, 16}, "x");
-    for (int i = 0; i < 3; ++i)
-        h = b.selfAttention(h, 2, "l" + std::to_string(i), true);
-    g.markOutput(h);
-    InferenceProgram p = compileInference(g, {h}, CompileOptions{}, store);
-    EXPECT_EQ(p.report().attentionUnfused, 3);
-    EXPECT_EQ(countOps(p.graph(), OpKind::FusedAttention), 0);
-    EXPECT_EQ(countOps(p.graph(), OpKind::Softmax), 3);
+    // A chain outside the one form is declined and counted: here the
+    // graph also returns the attention probabilities, so the Softmax
+    // is not single-use. One such chain per mask form (none, shared
+    // [S,M], per-row [L*S,M]); without the extra output all three
+    // fuse.
+    const int64_t L = 2, S = 3, M = 5, D = 8;
+    for (bool exportProbs : {true, false}) {
+        auto store = std::make_shared<ParamStore>();
+        Rng rng(3);
+        Graph g;
+        NetBuilder b(g, rng, store.get());
+        int q = b.input({L * S, D}, "q");
+        int k = b.input({L, M, D}, "k");
+        int v = b.input({L, M, D}, "v");
+        std::vector<int> outs = {
+            b.attention(q, k, v, -1, 2),
+            b.attention(q, k, v, b.input({S, M}, "shared"), 2),
+            b.attention(q, k, v, b.input({L * S, M}, "rows"), 2)};
+        for (int id = 0; exportProbs && id < g.numNodes(); ++id)
+            if (g.node(id).op == OpKind::Softmax)
+                outs.push_back(id);
+        for (int o : outs)
+            g.markOutput(o);
+        InferenceProgram p =
+            compileInference(g, outs, CompileOptions{}, store);
+        SCOPED_TRACE(exportProbs ? "probabilities exported" : "plain");
+        EXPECT_EQ(p.report().attentionUnfused, exportProbs ? 3 : 0);
+        EXPECT_EQ(countOps(p.graph(), OpKind::FusedAttention),
+                  exportProbs ? 0 : 3);
+        EXPECT_EQ(countOps(p.graph(), OpKind::Softmax), exportProbs ? 3 : 0);
 
-    // The count is carried in the plan's report section.
-    std::string blob = serializePlan(p.graph(), p.executor().exportArtifact(),
-                                     p.report(), *store);
-    EXPECT_EQ(loadPlanFromBytes(blob)->report().attentionUnfused, 3);
+        // The count is carried in the plan's report section.
+        std::string blob =
+            serializePlan(p.graph(), p.executor().exportArtifact(),
+                          p.report(), *store);
+        EXPECT_EQ(loadPlanFromBytes(blob)->report().attentionUnfused,
+                  exportProbs ? 3 : 0);
+    }
+}
+
+/** One inference compile of a built-in encoder or decoder model at
+ *  the proxy shape (2 layers, dim 32, 4 heads, batch 2, seq 16). */
+struct ZooProg {
+    std::string name;
+    std::shared_ptr<ParamStore> store = std::make_shared<ParamStore>();
+    std::unique_ptr<InferenceProgram> prog;
+    int64_t layers = 2;
+};
+
+std::vector<ZooProg>
+zooProgs(bool fuse, bool force_scalar)
+{
+    NlpConfig nc;
+    nc.batch = 2;
+    nc.seqLen = 16;
+    nc.dim = 32;
+    nc.heads = 4;
+    nc.ffDim = 64;
+    nc.layers = 2;
+    LlamaConfig lc;
+    lc.batch = 2;
+    lc.seqLen = 16;
+    lc.dim = 32;
+    lc.heads = 4;
+    lc.ffDim = 64;
+    lc.layers = 2;
+    std::vector<ZooProg> out(3);
+    out[0].name = "bert";
+    out[1].name = "llama";
+    out[2].name = "llama-lora4";
+    CompileOptions opt;
+    opt.fuse = fuse;
+    std::optional<test::TierOverride> pin;
+    if (force_scalar)
+        pin.emplace(SimdTier::Scalar);
+    for (size_t i = 0; i < out.size(); ++i) {
+        Rng rng(9);
+        ModelSpec m = i == 0 ? buildBert(nc, rng, out[i].store.get())
+                             : buildLlama(lc, rng, out[i].store.get(),
+                                          i == 2 ? 4 : 0);
+        out[i].prog = std::make_unique<InferenceProgram>(
+            compileInferenceGraph(m.graph, {m.logits}, opt, out[i].store),
+            out[i].store);
+    }
+    return out;
+}
+
+std::unordered_map<std::string, Tensor>
+zooFeeds()
+{
+    Tensor ids({2, 16});
+    for (int64_t i = 0; i < ids.size(); ++i)
+        ids[i] = static_cast<float>((7 * i + 3) % 97);
+    return {{"x", ids}};
+}
+
+TEST(FusedAttention, BuiltInModelsFuseEveryLayer)
+{
+    // BERT (no mask), LLaMA (shared [S,S] causal mask) and LLaMA with
+    // LoRA q/v adapters all emit NetBuilder::attention: their
+    // inference compiles hold one FusedAttention per layer and no
+    // head-split copy, with scalar logits bit-equal to the unfused
+    // compile and the default tier within 1e-5.
+    auto feeds = zooFeeds();
+    std::vector<ZooProg> fused = zooProgs(true, true);
+    std::vector<ZooProg> plain = zooProgs(false, true);
+    std::vector<ZooProg> fusedT = zooProgs(true, false);
+    std::vector<ZooProg> plainT = zooProgs(false, false);
+    for (size_t i = 0; i < fused.size(); ++i) {
+        SCOPED_TRACE(fused[i].name);
+        const InferenceProgram &p = *fused[i].prog;
+        EXPECT_EQ(p.report().attentionUnfused, 0);
+        EXPECT_EQ(countOps(p.graph(), OpKind::FusedAttention),
+                  fused[i].layers);
+        EXPECT_EQ(countOps(p.graph(), OpKind::Permute), 0);
+        EXPECT_EQ(countOps(p.graph(), OpKind::Softmax), 0);
+        EXPECT_EQ(countOps(plain[i].prog->graph(), OpKind::FusedAttention),
+                  0);
+        expectBitEqual(fused[i].prog->run(feeds)[0],
+                       plain[i].prog->run(feeds)[0], "scalar logits");
+        expectWithin(fusedT[i].prog->run(feeds)[0],
+                     plainT[i].prog->run(feeds)[0], 1e-5,
+                     "default-tier logits");
+    }
+    // BERT has no mask: its FusedAttention takes three inputs.
+    for (int id = 0; id < fused[0].prog->graph().numNodes(); ++id) {
+        const Node &n = fused[0].prog->graph().node(id);
+        if (n.op == OpKind::FusedAttention)
+            EXPECT_EQ(n.inputs.size(), 3u);
+    }
 }
 
 TEST(FusedAttention, MultiHeadDecodeParityScalarBitExactDefaultTier1e5)
@@ -1088,13 +1263,17 @@ TEST(FusedAttention, FusedPlanRoundTripsBitIdentically)
     DecoderConfig cfg = smallCfg().withHeads(2);
     // Default tier on both sides: the loaded plan binds at the host
     // tier, so the source program must too for bit comparison. One
-    // decode bucket and one prefill bucket.
+    // decode bucket (per-row mask), one prefill bucket (shared mask)
+    // and a BERT encoder (no mask: three-input FusedAttention).
     BuiltProg dec = makeDecodeProg(cfg, 4, true, false);
     BuiltProg pre = makePrefillProg(cfg, 6, true, false);
+    ZooProg zoo = std::move(zooProgs(true, false)[0]);
+    BuiltProg bert{zoo.store, std::move(zoo.prog)};
     std::vector<std::pair<BuiltProg *,
                           std::unordered_map<std::string, Tensor>>>
         cases = {{&dec, decodeFeeds(cfg, 4, 2, 17)},
-                 {&pre, {{"x", tokenRows({4, 8, 15, 16, 23, 42})}}}};
+                 {&pre, {{"x", tokenRows({4, 8, 15, 16, 23, 42})}}},
+                 {&bert, zooFeeds()}};
     for (auto &[b, feeds] : cases) {
         std::string blob = serializePlan(
             b->prog->graph(), b->prog->executor().exportArtifact(),
@@ -1111,8 +1290,9 @@ TEST(FusedAttention, FusedPlanRoundTripsBitIdentically)
                   cfg.layers)
             << "FusedAttention nodes must survive the round trip";
         expectBitEqual(got, b->prog->run(feeds)[0],
-                       b == &pre ? "loaded fused prefill logits"
-                                 : "loaded fused decode logits");
+                       b == &pre   ? "loaded fused prefill logits"
+                       : b == &dec ? "loaded fused decode logits"
+                                   : "loaded fused BERT logits");
     }
 }
 

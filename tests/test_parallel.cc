@@ -425,6 +425,9 @@ TEST(KernelPartition, FusedAttention)
     // (row, head) units: a prefill (L = 1, S = 5, H = 2), a decode
     // step (L = 4, S = 1, H = 4) and L > 1 with S > 1 (L = 3, S = 2,
     // H = 3), each unit scoring into its shard's own workspace row.
+    // Each runs with a per-row [L*S, M] mask, a shared [S, M] mask and
+    // none; in every other mask row the last two columns are hidden,
+    // so the per-row bound moves across shard cuts.
     struct S {
         int64_t l, s, h, dh, m;
     };
@@ -433,15 +436,22 @@ TEST(KernelPartition, FusedAttention)
         Attrs a;
         a.set("scale", 0.25);
         a.set("heads", h);
-        for (const std::string &v :
-             test::variantAndTier(OpKind::FusedAttention, ""))
-            expectShardInvariant({OpKind::FusedAttention,
-                                  {{l * s, h * dh},
-                                   {l, m, h * dh},
-                                   {l, m, h * dh},
-                                   {l * s, m}},
-                                  a},
-                                 v);
+        for (int64_t maskRows : {l * s, s, int64_t{0}}) {
+            std::vector<Shape> shapes = {
+                {l * s, h * dh}, {l, m, h * dh}, {l, m, h * dh}};
+            if (maskRows > 0)
+                shapes.push_back({maskRows, m});
+            KernelCase kc(OpKind::FusedAttention, shapes, a);
+            for (int64_t r = 1; r < maskRows; r += 2)
+                kc.inputs[3][r * m + m - 1] = kc.inputs[3][r * m + m - 2] =
+                    kMaskedScore;
+            SCOPED_TRACE("L" + std::to_string(l) + " S" +
+                         std::to_string(s) + " mask rows " +
+                         std::to_string(maskRows));
+            for (const std::string &v :
+                 test::variantAndTier(OpKind::FusedAttention, ""))
+                expectShardInvariant(kc, v);
+        }
     }
 }
 

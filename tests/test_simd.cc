@@ -492,22 +492,30 @@ TEST(SimdParity, PointwiseConvGradsWithinSumBound)
     }
 }
 
+/** The three FusedAttention mask forms. */
+enum class MaskForm { PerRow, Shared, None };
+
 /**
- * One attention problem built twice over the same four inputs: the
- * unfused chain buildDecoderLM emits (head splits, per-head mask
- * broadcast, five ops, head merge) and one FusedAttention node.
+ * One attention problem built twice over the same inputs: the unfused
+ * chain NetBuilder::attention emits (head splits, the mask add —
+ * broadcast per head for a per-row [L*S, M] mask, by the Add itself
+ * for a shared [S, M] one, absent for none — head merge) and one
+ * FusedAttention node.
  */
 struct AttnGraph {
     Graph g;
     int q = -1, k = -1, v = -1, mask = -1, out = -1, fused = -1;
 
-    AttnGraph(int64_t l, int64_t s, int64_t h, int64_t dh, int64_t m)
+    AttnGraph(int64_t l, int64_t s, int64_t h, int64_t dh, int64_t m,
+              MaskForm form = MaskForm::PerRow)
     {
         const int64_t d = h * dh;
         q = g.input({l * s, d}, "q");
         k = g.input({l, m, d}, "k");
         v = g.input({l, m, d}, "v");
-        mask = g.input({l * s, m}, "mask");
+        if (form != MaskForm::None)
+            mask = g.input({form == MaskForm::Shared ? s : l * s, m},
+                           "mask");
         auto shaped = [&](OpKind op, int x, const char *key,
                           std::vector<int64_t> val) {
             Attrs a;
@@ -526,32 +534,37 @@ struct AttnGraph {
         Attrs al;
         al.set("alpha", 0.37);
         sc = g.add(OpKind::Scale, {sc}, std::move(al));
-        int m3 = shaped(OpKind::Reshape, mask, "shape", {l, 1, s, m});
-        m3 = shaped(OpKind::BroadcastTo, m3, "shape", {l, h, s, m});
-        m3 = shaped(OpKind::Reshape, m3, "shape", {l * h, s, m});
+        int m3 = mask;
+        if (form == MaskForm::PerRow) {
+            m3 = shaped(OpKind::Reshape, mask, "shape", {l, 1, s, m});
+            m3 = shaped(OpKind::BroadcastTo, m3, "shape", {l, h, s, m});
+            m3 = shaped(OpKind::Reshape, m3, "shape", {l * h, s, m});
+        }
+        if (m3 >= 0)
+            sc = g.add(OpKind::Add, {sc, m3});
         int pv = g.add(OpKind::BatchMatMul,
-                       {g.add(OpKind::Softmax, {g.add(OpKind::Add,
-                                                      {sc, m3})}),
-                        split(v, m)});
+                       {g.add(OpKind::Softmax, {sc}), split(v, m)});
         out = shaped(OpKind::Reshape, pv, "shape", {l, h, s, dh});
         out = shaped(OpKind::Permute, out, "perm", {0, 2, 1, 3});
         out = shaped(OpKind::Reshape, out, "shape", {l * s, d});
         Attrs fa;
         fa.set("scale", 0.37);
         fa.set("heads", h);
-        fused = g.add(OpKind::FusedAttention, {q, k, v, mask},
-                      std::move(fa));
+        std::vector<int> ins = {q, k, v};
+        if (mask >= 0)
+            ins.push_back(mask);
+        fused = g.add(OpKind::FusedAttention, ins, std::move(fa));
     }
 
-    /** The unfused chain over @p in = {q, k, v, mask}, every kernel
+    /** The unfused chain over @p in = {q, k, v[, mask]}, every kernel
      *  "". */
     Tensor
     unfused(const std::vector<Tensor> &in) const
     {
         std::vector<Tensor> val(g.numNodes());
-        for (int i = 0; i < 4; ++i)
+        for (size_t i = 0; i < in.size(); ++i)
             val[q + i] = in[i];
-        for (int id = mask + 1; id <= out; ++id) {
+        for (int id = q + static_cast<int>(in.size()); id <= out; ++id) {
             std::vector<Tensor> args;
             for (int i : g.node(id).inputs)
                 args.push_back(val[i]);
@@ -591,8 +604,9 @@ TEST(SimdParity, FusedAttentionWithin1e5Relative)
     // decode (S = 1) shapes, L > 1 with S > 1, one head, Dh and M off
     // the 8- and 4-lane widths and at 1. The scalar kernel must equal
     // the unfused chain bit for bit, and the host tier must stay
-    // within 1e-5 of it. A masked column in every row (M > 1)
-    // exercises the -1e30 underflow.
+    // within 1e-5 of it, in each mask form: per row, shared by every
+    // lead, and none. A masked column in every mask row (M > 1)
+    // exercises the kMaskedScore underflow.
     std::string tier = simdTierName(hostSimdTier());
     Rng rng(106);
     struct S {
@@ -602,24 +616,31 @@ TEST(SimdParity, FusedAttentionWithin1e5Relative)
                              {2, 3, 3, 33, 6},  {4, 1, 3, 11, 11},
                              {2, 1, 2, 1, 5},   {1, 1, 1, 1, 1},
                              {2, 1, 4, 32, 32}, {1, 8, 4, 5, 16}};
-    for (auto [l, s, h, dh, m] : shapes) {
-        SCOPED_TRACE("attn L" + std::to_string(l) + " S" +
-                     std::to_string(s) + " H" + std::to_string(h) +
-                     " Dh" + std::to_string(dh) + " M" +
-                     std::to_string(m));
-        const int64_t d = h * dh;
-        AttnGraph ag(l, s, h, dh, m);
-        std::vector<Tensor> in = {
-            Tensor::randn({l * s, d}, rng), Tensor::randn({l, m, d}, rng),
-            Tensor::randn({l, m, d}, rng),
-            Tensor::uniform({l * s, m}, rng, -0.5f, 0.5f)};
-        for (int64_t r = 0; m > 1 && r < l * s; ++r)
-            in[3][r * m + (r * 3 + 1) % m] = -1e30f;
-        Tensor scalar = ag.run(in, "");
-        EXPECT_TRUE(bitEqual(scalar, ag.unfused(in)))
-            << "scalar fused differs from the unfused chain";
-        if (hasKernelVariant(OpKind::FusedAttention, tier))
-            EXPECT_LT(maxRelDiff(scalar, ag.run(in, tier)), 1e-5f);
+    for (MaskForm form :
+         {MaskForm::PerRow, MaskForm::Shared, MaskForm::None}) {
+        for (auto [l, s, h, dh, m] : shapes) {
+            SCOPED_TRACE("attn L" + std::to_string(l) + " S" +
+                         std::to_string(s) + " H" + std::to_string(h) +
+                         " Dh" + std::to_string(dh) + " M" +
+                         std::to_string(m) + " mask form " +
+                         std::to_string(static_cast<int>(form)));
+            const int64_t d = h * dh;
+            AttnGraph ag(l, s, h, dh, m, form);
+            std::vector<Tensor> in = {Tensor::randn({l * s, d}, rng),
+                                      Tensor::randn({l, m, d}, rng),
+                                      Tensor::randn({l, m, d}, rng)};
+            if (form != MaskForm::None) {
+                const int64_t rows = form == MaskForm::Shared ? s : l * s;
+                in.push_back(Tensor::uniform({rows, m}, rng, -0.5f, 0.5f));
+                for (int64_t r = 0; m > 1 && r < rows; ++r)
+                    in[3][r * m + (r * 3 + 1) % m] = kMaskedScore;
+            }
+            Tensor scalar = ag.run(in, "");
+            EXPECT_TRUE(bitEqual(scalar, ag.unfused(in)))
+                << "scalar fused differs from the unfused chain";
+            if (hasKernelVariant(OpKind::FusedAttention, tier))
+                EXPECT_LT(maxRelDiff(scalar, ag.run(in, tier)), 1e-5f);
+        }
     }
 }
 
@@ -649,8 +670,8 @@ TEST(SimdParity, FusedAttentionStopsAtEachRowsLastVisibleColumn)
         const int64_t visible[] = {1, 0, 7, m, 4, m - 1};
         for (int64_t r = 0; r < l * s; ++r)
             for (int64_t j = 0; j < m; ++j)
-                in[3][r * m + j] = j < visible[r % 6] ? 0.0f : -1e30f;
-        in[3][2 * m + 3] = -1e30f; // masked column inside row 2
+                in[3][r * m + j] = j < visible[r % 6] ? 0.0f : kMaskedScore;
+        in[3][2 * m + 3] = kMaskedScore; // masked column inside row 2
         Tensor scalar = ag.run(in, "");
         EXPECT_TRUE(bitEqual(scalar, ag.unfused(in)))
             << "bounded scalar kernel differs from the unfused chain";
@@ -679,7 +700,7 @@ TEST(SimdParity, FusedAttentionNeverReadsPastTheLastVisibleColumn)
             // Causal within the lead: row i of lead b sees
             // bound[b] - (s - 1 - i) columns.
             int64_t see = bound[r / s] - (s - 1 - r % s);
-            zero[3][r * m + j] = j < see ? 0.0f : -1e30f;
+            zero[3][r * m + j] = j < see ? 0.0f : kMaskedScore;
         }
     std::vector<Tensor> nan = zero;
     nan[1] = zero[1].clone();
