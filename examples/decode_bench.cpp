@@ -9,9 +9,9 @@
  * then advances token by token through the single-token decode plan.
  * Incremental decode re-uses the cached rows, so a decode step costs
  * O(1) attention work instead of the prompt-quadratic prefill — and
- * because streams in lockstep carry the same cache generation, the
- * coalescer packs their single-token steps into shared bucket runs,
- * bit-identical to each stream decoding alone.
+ * the coalescer packs the streams' single-token steps into shared
+ * bucket runs by row count alone (each row carries its own position,
+ * mask and cache slot), bit-identical to each stream decoding alone.
  *
  * Measured per precision (fp32 and int8):
  *  - decode-parity: every logit tensor of every stream/step compared

@@ -239,7 +239,6 @@ class TrainingProgram
 
     const CompileReport &report() const { return report_; }
     ParamStore &params() { return *store_; }
-    std::shared_ptr<ParamStore> paramsPtr() { return store_; }
     const Graph &graph() const { return graph_; }
     Executor &executor() { return *executor_; }
 

@@ -86,9 +86,8 @@ struct PartitionSpec {
 };
 
 /**
- * Declared scratch requirement of (node, variant) — the replacement
- * for the old implicit kernelScratchSize() contract. All quantities
- * are BYTES; the planner places them in the arena and the executor
+ * Declared scratch requirement of (node, variant). All quantities are
+ * BYTES; the planner places them in the arena and the executor
  * resolves them to pointers at bind time.
  */
 struct WorkspaceSpec {

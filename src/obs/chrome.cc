@@ -8,8 +8,6 @@
 
 namespace pe {
 
-namespace {
-
 void
 jsonEscape(std::string &out, const std::string &s)
 {
@@ -26,8 +24,6 @@ jsonEscape(std::string &out, const std::string &s)
         }
     }
 }
-
-} // namespace
 
 void
 ChromeTraceJson::event(

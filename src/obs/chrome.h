@@ -29,6 +29,11 @@ namespace pe {
 
 class Executor;
 
+/** Append @p s to @p out as JSON string contents: quotes and
+ *  backslashes escaped, control characters as unicode escapes. The
+ *  one escaper every JSON writer under src/obs/ uses. */
+void jsonEscape(std::string &out, const std::string &s);
+
 /** Accumulates Trace Event JSON; save() writes the final object. */
 class ChromeTraceJson
 {

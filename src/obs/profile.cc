@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "ir/graph.h"
+#include "obs/chrome.h"
 #include "runtime/executor.h"
 
 namespace pe {
@@ -26,23 +27,6 @@ fmtBytes(int64_t b)
         std::snprintf(buf, sizeof(buf), "%lld B",
                       static_cast<long long>(b));
     return buf;
-}
-
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
 }
 
 } // namespace

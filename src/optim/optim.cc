@@ -97,19 +97,4 @@ emitOptimizer(Graph &g, const OptimConfig &config,
     return applies;
 }
 
-int
-optimizerStateFactor(OptimKind kind)
-{
-    switch (kind) {
-      case OptimKind::Sgd:
-        return 0;
-      case OptimKind::Momentum:
-      case OptimKind::Lion:
-        return 1;
-      case OptimKind::Adam:
-        return 2;
-    }
-    return 0;
-}
-
 } // namespace pe

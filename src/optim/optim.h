@@ -48,7 +48,4 @@ std::vector<int> emitOptimizer(Graph &g, const OptimConfig &config,
                                const std::unordered_map<int, int>
                                    &param_grads);
 
-/** Bytes of optimizer state per parameter element (2x Momentum, ...). */
-int optimizerStateFactor(OptimKind kind);
-
 } // namespace pe

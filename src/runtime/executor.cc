@@ -343,8 +343,8 @@ Executor::bindInto(ExecContext &ctx) const
     ctx.arena_.reset(plan_.arenaBytes);
     // The cache region is zeroed here — at bind — and then left alone
     // forever: run() never touches it, which is exactly the cross-run
-    // persistence Storage::Cache promises. resetCache() re-zeroes it
-    // at session-recycle boundaries.
+    // persistence Storage::Cache promises. zeroCacheRows() clears the
+    // rows a caller addresses.
     ctx.cache_.reset(plan_.cacheBytes);
 
     // Input staging buffers are per-session: two in-flight requests
@@ -648,12 +648,6 @@ Executor::fetch(const ExecContext &ctx, int node_id) const
       }
     }
     return out;
-}
-
-void
-Executor::resetCache(ExecContext &ctx) const
-{
-    ctx.cache_.reset(plan_.cacheBytes);
 }
 
 namespace {

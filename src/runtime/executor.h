@@ -113,8 +113,8 @@ class ExecContext
     Arena arena_;                   ///< values + workspaces
     /** KV-cache region (Storage::Cache values). Zeroed ONCE at bind
      *  and never reset by run(): its contents — the session's cached
-     *  K/V rows — are the state that must survive between runs. Only
-     *  Executor::resetCache() (session recycle) re-zeroes it. */
+     *  K/V rows — are the state that must survive between runs.
+     *  Rows are cleared only by Executor::zeroCacheRows(). */
     Arena cache_;
     std::vector<Tensor> inputBufs_; ///< by node id (Input staging)
     std::vector<BoundStep> steps_;
@@ -206,14 +206,6 @@ class Executor
     /** Extent of the per-context persistent cache region; 0 for every
      *  non-generative program. */
     int64_t cacheBytes() const { return plan_.cacheBytes; }
-
-    /**
-     * Re-zero @p ctx's cache region — the session-recycle boundary.
-     * run() NEVER does this (cross-run persistence is the region's
-     * whole contract), so a context handed to a new conversation must
-     * be recycled explicitly or it will serve the old one's tokens.
-     */
-    void resetCache(ExecContext &ctx) const;
 
     /**
      * Copy rows [@p row0, @p row0 + @p rows) of cache value

@@ -33,7 +33,7 @@ Coalescer::routeSingle(int64_t rows) const
 int64_t
 Coalescer::padRows(int64_t totalRows) const
 {
-    int i = routeGroup(totalRows);
+    int i = routeSingle(totalRows);
     return i < 0 ? -1 : batches_[static_cast<size_t>(i)] - totalRows;
 }
 

@@ -17,24 +17,24 @@
  * The policy is deliberately separated from the engine so it is
  * testable without threads or compiled plans:
  *
- *  - routeSingle(rows): PR-4's per-request rule — the smallest bucket
- *    whose batch fits the request. Still the rule for every request
- *    that goes out alone (coalescing disabled, deadline expired, or
- *    the model is not coalescable).
- *  - admits(group, candidate): whether a queued request may join a
+ *  - routeSingle(rows): the smallest bucket whose batch fits @p rows.
+ *    A request going out alone routes by its own rows; a group routes
+ *    by its PACKED total, which minimizes the group's pad waste
+ *    (bucket.batch - totalRows) where per-request routing pays each
+ *    member's pad independently.
+ *  - admits(groupRows, rows): whether a queued request may join a
  *    group — true while the combined rows still fit the LARGEST
- *    bucket and the cache generations are compatible (AdmitQuery
- *    carries {rows, gen} for each side). Group-aware on purpose: a
- *    3-row request next to a 1-row request shares one bucket-4 run
- *    (0 pad rows) instead of a padded bucket-4 run plus a bucket-1
- *    run.
- *  - routeGroup(totalRows): the smallest bucket fitting the PACKED
- *    total — which minimizes the group's pad waste (bucket.batch -
- *    totalRows), where per-request routing pays each member's pad
- *    independently.
+ *    bucket. Row count is the whole rule: a 3-row request next to a
+ *    1-row request shares one bucket-4 run (0 pad rows), and decode
+ *    steps at different generations share a run because each row
+ *    carries its own position, mask and cache slot.
  *  - full(groupRows): the drain's stop condition — the group exactly
  *    fills the largest bucket, so waiting for more traffic cannot
  *    reduce runs or pad any further.
+ *
+ * Which requests may group at all (the request domain, and the
+ * prompts of a generative engine, which always run alone) is the
+ * engine's decision, made once in ServingEngine::workerLoop.
  *
  * The deadline window (ServeOptions::coalesceWindowUs) bounds how
  * long a dequeued request waits for company: a lone request goes out
@@ -48,20 +48,6 @@
 #include <vector>
 
 namespace pe {
-
-/**
- * Cache-generation tags for admission (generative serving, PR 9).
- * Sharing a run is only bit-safe when every member reads the SAME
- * synthesized position/mask feeds, i.e. when their KV caches hold the
- * same number of rows — so decode requests carry their stream's
- * generation and only equal generations group.
- */
-/** Plain (cache-less) request: groups with any other plain request —
- *  the pre-generation admission rule, unchanged. */
-inline constexpr int64_t kGenNone = -1;
-/** Never groups (prefill: its CacheWrite targets the whole session
- *  cache, so two prefills in one run would collide). */
-inline constexpr int64_t kGenSolo = -2;
 
 class Coalescer
 {
@@ -87,46 +73,17 @@ class Coalescer
         return batches_.empty() ? 0 : batches_.back();
     }
 
-    /** Per-request routing rule (PR 4): index of the smallest bucket
-     *  fitting @p rows; -1 when @p rows exceeds every bucket. */
+    /** The routing rule: index of the smallest bucket fitting @p rows
+     *  (one request's, or a group's packed total); -1 when @p rows
+     *  exceeds every bucket. */
     int routeSingle(int64_t rows) const;
 
-    /** Group routing rule: index of the smallest bucket fitting the
-     *  packed @p totalRows; -1 when it exceeds every bucket. Minimizes
-     *  the GROUP's pad waste where per-request routing pays each
-     *  member's pad independently. */
-    int routeGroup(int64_t totalRows) const
+    /** May a @p rows -row request join a group of @p groupRows? True
+     *  when it has rows and the packed total fits the largest bucket
+     *  (any mix of row counts coalesces, not just singles). */
+    bool admits(int64_t groupRows, int64_t rows) const
     {
-        return routeSingle(totalRows);
-    }
-
-    /** One side of an admission query: a group already packed (or a
-     *  candidate wanting to join it). Plain traffic leaves @c gen at
-     *  kGenNone; decode traffic carries its stream's generation. */
-    struct AdmitQuery {
-        int64_t rows = 0;
-        int64_t gen = kGenNone;
-    };
-
-    /**
-     * May @p candidate join @p group? True when the combined rows fit
-     * the largest bucket (any mix of row counts coalesces, not just
-     * singles) AND the caches are compatible: kGenSolo never admits or
-     * is admitted; kGenNone matches only kGenNone (plain traffic keeps
-     * the pre-generation rule verbatim); decode generations match only
-     * their exact value — members of one run then share the same
-     * synthesized pos/mask, which is what makes a coalesced decode
-     * step bit-identical to the serial one.
-     *
-     * (This single struct-parameter form replaced the old 2-arg
-     * rows-only overload and 4-arg generation overload, which were
-     * easy to confuse at call sites.)
-     */
-    bool admits(const AdmitQuery &group, const AdmitQuery &candidate) const
-    {
-        return group.gen != kGenSolo && candidate.gen != kGenSolo &&
-               group.gen == candidate.gen && candidate.rows > 0 &&
-               group.rows + candidate.rows <= maxBatch();
+        return rows > 0 && groupRows + rows <= maxBatch();
     }
 
     /** Drain stop condition: the group exactly fills the largest
@@ -137,7 +94,7 @@ class Coalescer
     }
 
     /** Pad rows a packed group of @p totalRows executes under
-     *  routeGroup(); -1 when no bucket fits. */
+     *  routeSingle(); -1 when no bucket fits. */
     int64_t padRows(int64_t totalRows) const;
 
     const std::vector<int64_t> &batches() const { return batches_; }

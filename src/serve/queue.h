@@ -3,8 +3,8 @@
  * Bounded multi-producer/multi-consumer work queue — the admission
  * valve of the serving runtime. Producers (submit() callers) block or
  * bounce when the queue is full, so memory under overload is bounded
- * by capacity, not by traffic; consumers (the serving workers parked
- * on the ThreadPool) block while it is empty. close() lets shutdown
+ * by capacity, not by traffic; consumers (the serving worker
+ * threads) block while it is empty. close() lets shutdown
  * drain: queued items are still delivered, then every pop() returns
  * false and the workers exit their loops.
  *

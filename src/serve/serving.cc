@@ -36,15 +36,6 @@ sliceRows(Tensor &full, int64_t batch, int64_t off, int64_t rows)
     return out;
 }
 
-/** The engine's routing policy over raw bucket sizes: the Coalescer
- *  normalizes the list, and an empty one serves batch 1. */
-Coalescer
-bucketPolicy(const std::vector<int64_t> &raw, int64_t windowUs)
-{
-    Coalescer c(raw, windowUs);
-    return c.batches().empty() ? Coalescer({1}, windowUs) : c;
-}
-
 /** Fit a calibration tensor to a bucket's batch: zero-pad the rows up
  *  (exactly what the serving bind does to real traffic, so calibration
  *  sees representative pad statistics) or truncate them down. */
@@ -90,6 +81,19 @@ checkedBuckets(const char *field, std::vector<int64_t> b)
                                      " is < 1");
     }
     return b;
+}
+
+/** The setters' checks over a whole options struct, so a field
+ *  assigned directly fails exactly as its setter would. */
+ServeOptions
+validated(ServeOptions o)
+{
+    o.withBuckets(o.buckets)
+        .withDecodeBuckets(o.decodeBuckets)
+        .withWorkers(o.workers)
+        .withCoalesceWindow(o.coalesceWindowUs)
+        .withQueueCapacity(o.queueCapacity);
+    return o;
 }
 
 } // namespace
@@ -258,15 +262,14 @@ ServingEngine::ServingEngine(const ModelFactory &model,
                              std::shared_ptr<ParamStore> store,
                              ServeOptions options)
     : store_(store ? std::move(store) : std::make_shared<ParamStore>()),
-      options_(std::move(options)),
-      workers_(std::max(1, options_.workers)),
+      options_(validated(std::move(options))),
       queue_(options_.queueCapacity)
 {
     // Sessions execute serially inside; concurrency comes from
     // running `workers` sessions at once (see file comment).
     options_.compile.numThreads = 1;
 
-    coalescer_ = bucketPolicy(options_.buckets, options_.coalesceWindowUs);
+    coalescer_ = Coalescer(options_.buckets, options_.coalesceWindowUs);
 
     // One compiled plan per (precision, shape bucket). Every bucket
     // binds the same frozen ParamStore; the factory must name
@@ -284,8 +287,8 @@ ServingEngine::ServingEngine(const ModelFactory &model,
     // plan per stream-count bucket, built by the decode factory.
     generative_ = static_cast<bool>(options_.decodeFactory);
     if (generative_) {
-        decodeCoalescer_ = bucketPolicy(options_.decodeBuckets,
-                                        options_.coalesceWindowUs);
+        decodeCoalescer_ = Coalescer(options_.decodeBuckets,
+                                     options_.coalesceWindowUs);
         for (int64_t batch : decodeCoalescer_.batches())
             buckets_.push_back(
                 buildBucket(options_.decodeFactory, batch, true));
@@ -310,7 +313,7 @@ ServingEngine::ServingEngine(const ModelFactory &model,
         }
     }
 
-    sessions_.resize(workers_);
+    sessions_.resize(static_cast<size_t>(options_.workers));
     for (auto &row : sessions_)
         row.resize(buckets_.size());
     if (options_.trace)
@@ -319,14 +322,15 @@ ServingEngine::ServingEngine(const ModelFactory &model,
 
     start_ = std::chrono::steady_clock::now();
 
-    // Park the serving workers on a dedicated pool via one persistent
-    // dispatch; its completion barrier is the shutdown join. The pool
-    // is engine-owned (not HostDevice's shared one) so a long-lived
-    // engine never starves other dispatchers.
-    pool_ = std::make_unique<ThreadPool>(workers_);
-    runner_ = std::thread([this] {
-        pool_->dispatch(workers_, [this](int w) { workerLoop(w); });
-    });
+    // One plain thread per serving worker, each running workerLoop
+    // until the queue closes and drains.
+    try {
+        for (int w = 0; w < options_.workers; ++w)
+            threads_.emplace_back([this, w] { workerLoop(w); });
+    } catch (...) {
+        stopWorkers();
+        throw;
+    }
 }
 
 std::unique_ptr<ServingEngine::Bucket>
@@ -525,11 +529,17 @@ ServingEngine::resolveCacheTopology()
 
 ServingEngine::~ServingEngine()
 {
+    stopWorkers();
+}
+
+void
+ServingEngine::stopWorkers()
+{
     // close() rejects new submissions but still delivers everything
-    // already queued, so destruction drains in-flight work.
+    // already queued, so the workers drain in-flight work and exit.
     queue_.close();
-    if (runner_.joinable())
-        runner_.join();
+    for (std::thread &t : threads_)
+        t.join();
 }
 
 std::string
@@ -625,12 +635,6 @@ ServingEngine::makeRequest(
     auto st = std::make_shared<RequestState>();
     st->bucket = bucket;
     st->rows = rows;
-    // On a generative engine every prompt-domain request runs solo:
-    // a prefill graph's rows cross-attend (causal attention over the
-    // packed batch), so packing two requests would mix their tokens.
-    // Plain engines keep kGenNone — the pre-generation rule verbatim.
-    if (generative_ && !decodeDomain)
-        st->gen = kGenSolo;
     st->feeds.reserve(feeds.size());
     for (auto &[name, t] : feeds) {
         int id = bk.exec->inputId(name);
@@ -798,8 +802,6 @@ ServingEngine::submitPrefill(
     try {
         std::shared_ptr<RequestState> st = makeRequest(feeds, false);
         st->stream = stream;
-        st->isPrefill = true;
-        st->gen = kGenSolo; // prefill owns the whole session cache
         prefills_.fetch_add(1, std::memory_order_relaxed);
         return enqueue(st);
     } catch (...) {
@@ -873,24 +875,26 @@ ServingEngine::workerLoop(int worker)
         std::vector<std::shared_ptr<RequestState>> group;
         int64_t total = leader->rows;
         int bucketIdx = leader->bucket;
-        const int64_t gen = leader->gen;
         const bool decodeDom = leader->isDecode;
         group.push_back(std::move(leader));
 
-        // Each domain drains under its own bucket set; a solo-tagged
-        // leader (prefill) skips the drain entirely — waiting the
-        // window out could never buy it company.
+        // The one solo rule: on a generative engine a prompt-domain
+        // request runs alone, because a prefill graph's rows
+        // cross-attend (causal attention over the packed batch) and
+        // packing two prompts would mix their tokens. It skips the
+        // drain: waiting the window out could never buy it company.
+        const bool solo = generative_ && !decodeDom;
         const Coalescer &co =
             decodeDom ? decodeCoalescer_ : coalescer_;
-        if (coalescable_ && co.enabled() && gen != kGenSolo) {
-            // Continuous batching: drain compatible queued requests
-            // into this group until the largest bucket is exactly
-            // full, the deadline window expires, or an arrival does
-            // not fit. A lone request goes out alone after at most
-            // windowUs. Admission is (rows, generation)-aware: only
-            // equal cache generations share a run (they must read
-            // identical synthesized pos/mask feeds), and cross-domain
-            // pairs never match (kGenNone != any generation).
+        if (coalescable_ && co.enabled() && !solo) {
+            // Continuous batching: drain queued requests of the
+            // leader's domain into this group until the largest
+            // bucket is exactly full, the deadline window expires, or
+            // an arrival does not fit. A lone request goes out alone
+            // after at most windowUs. Row count is the whole
+            // admission rule: decode steps at different generations
+            // share a run, since each row carries its own pos, mask
+            // and cache slot.
             auto deadline =
                 std::chrono::steady_clock::now() +
                 std::chrono::microseconds(co.windowUs());
@@ -900,8 +904,7 @@ ServingEngine::workerLoop(int worker)
                 if (options_.trace)
                     next->dequeueNs = traceNowNs();
                 if (next->isDecode == decodeDom &&
-                    co.admits({total, gen},
-                              {next->rows, next->gen})) {
+                    co.admits(total, next->rows)) {
                     total += next->rows;
                     group.push_back(std::move(next));
                 } else {
@@ -916,7 +919,7 @@ ServingEngine::workerLoop(int worker)
                 bucketIdx =
                     (decodeDom ? static_cast<int>(prefillBuckets_)
                                : 0) +
-                    co.routeGroup(total);
+                    co.routeSingle(total);
         }
         runGroup(worker, bucketIdx, group, total);
     }
@@ -1037,8 +1040,8 @@ ServingEngine::runGroup(
         off = 0;
         for (const auto &st : group) {
             if (st->stream != 0) {
-                const int64_t row0 = st->isPrefill ? 0 : st->gen;
-                const int64_t rows = st->isPrefill ? st->rows : 1;
+                const int64_t row0 = st->isDecode ? st->gen : 0;
+                const int64_t rows = st->isDecode ? 1 : st->rows;
                 std::lock_guard<std::mutex> lk(streamMu_);
                 auto sit = streams_.find(st->stream);
                 if (sit != streams_.end()) {
@@ -1264,7 +1267,7 @@ ServingEngine::exportChromeTrace(const std::string &path) const
     ChromeTraceJson ct;
     ct.processName(1, "serving workers");
     ct.processName(2, "requests");
-    for (int w = 0; w < workers_; ++w)
+    for (int w = 0; w < options_.workers; ++w)
         ct.threadName(1, w, "worker " + std::to_string(w));
 
     std::vector<LifecycleRecord> recs;
@@ -1326,7 +1329,7 @@ ServingEngine::exportChromeTrace(const std::string &path) const
     // worker-run spans above (same tracks, finer grain). Reading the
     // rings is only safe while the engine is quiescent — see the
     // header contract.
-    for (int w = 0; w < workers_; ++w) {
+    for (int w = 0; w < options_.workers; ++w) {
         for (size_t b = 0; b < buckets_.size(); ++b) {
             const auto &sess = sessions_[w][b].ctx;
             const TraceBuffer *tb = sess ? sess->trace() : nullptr;

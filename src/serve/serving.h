@@ -43,9 +43,9 @@
  * (the default) disables grouping and reproduces the per-request
  * path exactly.
  *
- * Concurrency model: `workers` serving workers are parked on a
- * dedicated ThreadPool via one persistent dispatch (the pool's
- * completion barrier doubles as shutdown join). Each worker owns at
+ * Concurrency model: `workers` serving workers, each a plain thread
+ * running one loop over the admission queue; destruction closes the
+ * queue, lets the workers drain it, and joins them. Each worker owns at
  * most one session context per bucket, minted lazily on first use and
  * reused for every later request — the session "pool" is therefore
  * lock-free by ownership, bounded by workers x buckets, and stops
@@ -125,11 +125,11 @@ using ModelFactory = std::function<ServedModel(int64_t batch)>;
  * and re-zeroes only rows [gen, that count). That invariant is what
  * the unfused attention chain needs (it reads every column, and
  * 0 x NaN is NaN); the fused kernel stops at each row's last visible
- * column, so a step's cost follows gen, not maxSeq. Decode requests
- * carry their stream's generation, and the coalescer only groups
- * equal generations — members of one shared run therefore read
- * identical pos/mask feeds, so N concurrent streams coalesce into
- * bucket runs bit-identical to each stream decoding alone.
+ * column, so a step's cost follows gen, not maxSeq. Every decode row
+ * carries its own pos row, mask row and cache slot, so decode steps
+ * share runs by row count alone: N concurrent streams coalesce into
+ * bucket runs whatever their generations, bit-identical to each
+ * stream decoding alone.
  */
 
 /** Serving-engine construction options. */
@@ -137,7 +137,7 @@ struct ServeOptions {
     /** Shape buckets: the leading-dimension sizes compiled plans
      *  exist for. Requests are padded up to the smallest bucket that
      *  fits; larger requests are rejected at submit. Sorted and
-     *  deduplicated internally; empty = {1}. */
+     *  deduplicated internally; must be non-empty with sizes >= 1. */
     std::vector<int64_t> buckets = {1};
     /**
      * Generative mode switch: when set, builds the single-token decode
@@ -217,7 +217,9 @@ struct ServeOptions {
     // Validated builder-style setters (mirror DecoderConfig's): each
     // rejects bad values up front with std::invalid_argument naming
     // the offending field, so a misconfigured engine fails at option
-    // construction instead of deep inside bucket compilation.
+    // construction instead of deep inside bucket compilation. The
+    // engine constructor runs the same checks over every field, so a
+    // field assigned directly fails the same way.
     ServeOptions &withBuckets(std::vector<int64_t> b);
     ServeOptions &withDecodeBuckets(std::vector<int64_t> b);
     ServeOptions &withWorkers(int n);
@@ -392,9 +394,9 @@ class ServingEngine
     /**
      * Enqueue @p stream's prompt: feeds are the prefill graph's
      * Inputs, one token per row (rows = prompt length, routed to the
-     * smallest fitting prompt bucket). Prefill never coalesces (its
-     * CacheWrite spans the whole session cache). On completion the
-     * stream's cache holds the prompt's K/V rows and its generation
+     * smallest fitting prompt bucket). Prefill never coalesces: a
+     * prompt's rows attend to each other. On completion the stream's
+     * cache holds the prompt's K/V rows and its generation
      * equals the prompt length; re-prefilling restarts the stream.
      * One in-flight request per stream: submitting while another is
      * pending throws std::runtime_error.
@@ -406,10 +408,9 @@ class ServingEngine
      * Enqueue one single-token decode step for @p stream: feeds are
      * the decode graph's Inputs EXCEPT "pos" and "mask", which the
      * engine synthesizes from the stream's generation, one row each.
-     * Requires a completed prefill and generation < maxSeq. Decode
-     * requests carry the generation as their coalescing tag, so
-     * concurrent streams at the same generation share bucket runs —
-     * bit-identically to each stream decoding alone.
+     * Requires a completed prefill and generation < maxSeq.
+     * Concurrent streams share bucket runs whatever their generations
+     * — bit-identically to each stream decoding alone.
      */
     RequestId submitDecode(StreamId stream,
                            std::unordered_map<std::string, Tensor> feeds);
@@ -456,7 +457,7 @@ class ServingEngine
      *  @p rows exceeds every bucket. Exposed for routing tests. */
     int64_t bucketFor(int64_t rows) const;
 
-    int workers() const { return workers_; }
+    int workers() const { return options_.workers; }
 
     /**
      * Serialize every bucket's compiled plan (graph, order, variants,
@@ -479,13 +480,13 @@ class ServingEngine
         RequestId id = 0;
         int bucket = -1; ///< index into buckets_
         int64_t rows = 0;
-        /** Coalescing admission tag: kGenNone for plain traffic,
-         *  kGenSolo for prefill, the stream's generation for decode
-         *  (see src/serve/coalescer.h). */
-        int64_t gen = kGenNone;
-        /** Owning stream; 0 for plain (non-generative) requests. */
+        /** Decode only: the stream's generation at submit — the row
+         *  the step writes, the source of its pos/mask feeds, its
+         *  slot's dirty mark and its trace record. */
+        int64_t gen = 0;
+        /** Owning stream; 0 for plain (non-generative) requests. A
+         *  stream request that is not a decode is a prefill. */
         StreamId stream = 0;
-        bool isPrefill = false;
         bool isDecode = false;
         /** (input node id in the bucket's graph, request tensor). */
         std::vector<std::pair<int, Tensor>> feeds;
@@ -562,8 +563,8 @@ class ServingEngine
         int64_t runStartNs = 0;
         int64_t runEndNs = 0;
         int64_t doneNs = 0; ///< outputs sliced, completion signaled
-        StreamId stream = 0;    ///< owning stream (0 = plain request)
-        int64_t gen = kGenNone; ///< decode generation at submit
+        StreamId stream = 0; ///< owning stream (0 = plain request)
+        int64_t gen = 0;     ///< decode generation at submit
     };
 
     /** One generation stream's authoritative state. Guarded by
@@ -607,6 +608,8 @@ class ServingEngine
     void resolveCacheTopology();
     void requireGenerative() const;
     void workerLoop(int worker);
+    /** Close the queue, let the workers drain it, join them. */
+    void stopWorkers();
     /** Pack @p group's rows into one session of bucket @p bucketIdx,
      *  zero the pad tail, run the plan once, slice each member's rows
      *  back out and signal completion. A group of one is the
@@ -622,7 +625,6 @@ class ServingEngine
 
     std::shared_ptr<ParamStore> store_;
     ServeOptions options_;
-    int workers_ = 1;
     /** Prefill/plain buckets first, then (generative engines) decode
      *  buckets: indices [0, prefillBuckets_) are the prompt domain,
      *  [prefillBuckets_, size) the decode domain. */
@@ -645,8 +647,7 @@ class ServingEngine
     bool coalescable_ = false;
 
     BoundedQueue<std::shared_ptr<RequestState>> queue_;
-    std::unique_ptr<ThreadPool> pool_;
-    std::thread runner_; ///< holds the pool's persistent dispatch
+    std::vector<std::thread> threads_; ///< one per serving worker
 
     /** sessions_[worker][bucket]: lazily minted, worker-owned — no
      *  lock is ever taken to acquire a session. */

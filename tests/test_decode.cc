@@ -5,27 +5,26 @@
  *
  * Guarantee layers:
  *  1. The cache region's lifetime contract at the executor level:
- *     Storage::Cache values persist across run() calls, bindCacheRows
- *     / fetchCacheRows / zeroCacheRows move exactly the addressed rows
- *     (zero rows move nothing, even from a null pointer), and
- *     resetCache() (the session-recycle boundary) re-zeroes the
- *     region.
+ *     Storage::Cache values start zeroed and persist across run()
+ *     calls, and bindCacheRows / fetchCacheRows / zeroCacheRows move
+ *     exactly the addressed rows (zero rows move nothing, even from a
+ *     null pointer).
  *  2. Plans carrying cache values round-trip bit-identically with
  *     ZERO pipeline invocations on load, and a tampered cache-region
  *     extent is rejected at load time (checksum gate for blind
  *     corruption, validateArtifact for resealed tampering).
- *  3. Coalescer generation tags: only equal decode generations group;
- *     prefill (kGenSolo) never groups; plain traffic (kGenNone) keeps
- *     the old rule.
+ *  3. The admission rule is row count alone: decode steps at different
+ *     generations may share a run.
  *  4. The generative stream API's lifecycle rules: decode before
  *     prefill, one in-flight request per stream, cache-full streams,
  *     close-while-busy, non-generative engines.
  *  5. The acceptance bar: N concurrent decode streams coalescing into
  *     shared bucket runs produce logits BIT-IDENTICAL to each stream
- *     decoding alone through the same bucket plans — fp32 and int8 —
- *     including a threaded mixed-pace stress run and a schedule that
- *     churns streams across slots, buckets and re-prefills. The KV
- *     bytes serving moves follow the tokens served, not maxSeq.
+ *     decoding alone through the same bucket plans — fp32, fp16 and
+ *     int8, with streams at one generation or at four — including a
+ *     threaded mixed-pace stress run and a schedule that churns streams
+ *     across slots, buckets and re-prefills. The KV bytes serving moves
+ *     follow the tokens served, not maxSeq.
  */
 
 #include <gtest/gtest.h>
@@ -132,7 +131,7 @@ makePrefill(int64_t prompt_len)
     return b;
 }
 
-TEST(CacheRegion, PersistsAcrossRunsUntilReset)
+TEST(CacheRegion, PersistsAcrossRuns)
 {
     const DecoderConfig cfg = smallCfg();
     const int64_t S = 4;
@@ -189,12 +188,6 @@ TEST(CacheRegion, PersistsAcrossRunsUntilReset)
         ASSERT_EQ(both[cfg.dim + i], planted[cfg.dim + i])
             << "zeroCacheRows touched the next row";
     }
-
-    // resetCache is the ONE recycle boundary: everything re-zeroes.
-    ex.resetCache(*ctx);
-    Tensor cleared = cacheRows(ex, *ctx, b.kcache, 0, 0, cfg.maxSeq);
-    for (int64_t i = 0; i < cleared.size(); ++i)
-        ASSERT_EQ(cleared[i], 0.0f) << "resetCache left data behind";
 }
 
 // ---- 2. plan round-trip with cache values ----------------------------
@@ -282,27 +275,31 @@ TEST(CachePlan, TamperedCacheExtentRejectedAtLoad)
     }
 }
 
-// ---- 3. coalescer generation tags ------------------------------------
+// ---- 3. the admission rule --------------------------------------------
 
-TEST(Coalescer, OnlyEqualGenerationsGroup)
+TEST(Coalescer, AdmitsByRowCountAlone)
 {
     Coalescer co({1, 4}, 100);
 
-    // Plain traffic keeps the old row-fit rule verbatim.
-    EXPECT_TRUE(co.admits({1, kGenNone}, {2, kGenNone}));
-    EXPECT_FALSE(co.admits({3, kGenNone}, {2, kGenNone}))
-        << "row overflow";
+    // Rows fit: the packed total may reach the largest bucket.
+    EXPECT_TRUE(co.admits(1, 2));
+    EXPECT_TRUE(co.admits(3, 1)) << "3+1 exactly fills bucket 4";
+    EXPECT_FALSE(co.admits(3, 2)) << "row overflow";
+    EXPECT_FALSE(co.admits(4, 1)) << "a full group admits nothing";
 
-    // Decode: exact generation match only.
-    EXPECT_TRUE(co.admits({2, 7}, {1, 7}));
-    EXPECT_FALSE(co.admits({2, 7}, {1, 8}));
-    EXPECT_FALSE(co.admits({2, 7}, {1, kGenNone}))
-        << "plain and decode traffic must not mix";
+    // A request with no rows never joins.
+    EXPECT_FALSE(co.admits(0, 0));
+    EXPECT_FALSE(co.admits(2, 0));
 
-    // Prefill never groups, in either direction.
-    EXPECT_FALSE(co.admits({1, kGenSolo}, {1, kGenSolo}));
-    EXPECT_FALSE(co.admits({1, kGenSolo}, {1, 3}));
-    EXPECT_FALSE(co.admits({1, 3}, {1, kGenSolo}));
+    // Decode steps are one row each, whatever their generations: four
+    // streams at generations 1, 2, 3 and 4 pack one bucket-4 run.
+    int64_t group = 1;
+    for (int gen = 2; gen <= 4; ++gen) {
+        ASSERT_TRUE(co.admits(group, 1)) << "step at generation " << gen;
+        ++group;
+    }
+    EXPECT_TRUE(co.full(group));
+    EXPECT_EQ(co.padRows(group), 0);
 }
 
 // ---- 4. generative stream API ----------------------------------------
@@ -490,34 +487,51 @@ TEST(DecodeStreams, NonGenerativeEngineRejectsStreamApi)
 
 // ---- 5. the acceptance bar: shared-run decode bit-parity --------------
 
-/** Drive N streams for T decode steps on @p prec: once serially
- *  (coalescing off, one stream at a time), once with all N streams
- *  submitted per step against a coalescing engine — every logit
- *  tensor must match BIT FOR BIT, and the coalesced engine must have
- *  shared runs (>= 2x fewer decode runs than decode requests). */
+/** One shared-run parity configuration (see runDecodeParity). */
+struct ParityCase {
+    const char *name = "";
+    Precision prec = Precision::F32;
+    /** Stream s prefills 1 + s tokens, so the streams decode at four
+     *  different generations; otherwise every prompt is 4 tokens. */
+    bool mixedGenerations = false;
+    bool fuse = true;
+    bool forceScalar = false;
+    std::vector<int64_t> decodeBuckets = {4};
+    int workers = 1;
+};
+
+/** Drive N streams for T decode steps: once serially (coalescing off,
+ *  one stream at a time), once with all N streams submitted per step
+ *  against a coalescing engine — every logit tensor must match BIT FOR
+ *  BIT, and the coalesced engine must have shared runs (>= 2x fewer
+ *  decode runs than decode requests). */
 void
-runDecodeParity(Precision prec)
+runDecodeParity(const ParityCase &pc)
 {
+    SCOPED_TRACE(pc.name);
     const DecoderConfig cfg = smallCfg();
     const int N = 4;     // streams
     const int64_t T = 6; // decode steps per stream
     Rng r(97);
     std::vector<std::vector<float>> prompts(N), next(N);
     for (int s = 0; s < N; ++s) {
-        for (int i = 0; i < 4; ++i)
+        for (int i = 0; i < (pc.mixedGenerations ? 1 + s : 4); ++i)
             prompts[s].push_back(
                 static_cast<float>(r.randint(cfg.vocab)));
         for (int64_t t = 0; t < T; ++t)
             next[s].push_back(
                 static_cast<float>(r.randint(cfg.vocab)));
     }
+    auto build = [&](int64_t window, int workers) {
+        return makeGenEngine(window, workers, pc.prec, cfg, pc.fuse,
+                             pc.forceScalar, pc.decodeBuckets);
+    };
 
     // Serial reference: one stream at a time, coalescing disabled.
-    // Solo decode steps still pad to the bucket-4 decode plan.
     std::vector<Tensor> refPrefill(N);
     std::vector<std::vector<Tensor>> refStep(N);
     {
-        GenEngine ge = makeGenEngine(0, 1, prec);
+        GenEngine ge = build(0, 1);
         for (int s = 0; s < N; ++s) {
             auto sid = ge.engine->openStream();
             refPrefill[s] = ge.engine->wait(
@@ -532,9 +546,9 @@ runDecodeParity(Precision prec)
     }
 
     // Coalesced: all N streams advance in lockstep, so every step's
-    // N single-token requests carry the same generation and share
-    // bucket runs.
-    GenEngine ge = makeGenEngine(20000, 1, prec);
+    // N single-token requests share bucket runs, at one generation or
+    // at N different ones.
+    GenEngine ge = build(20000, pc.workers);
     ServingEngine &e = *ge.engine;
     std::vector<ServingEngine::StreamId> sids(N);
     std::vector<ServingEngine::RequestId> rids(N);
@@ -575,12 +589,43 @@ runDecodeParity(Precision prec)
 
 TEST(DecodeParity, SharedRunsMatchSerialFp32)
 {
-    runDecodeParity(Precision::F32);
+    runDecodeParity({"fp32"});
 }
 
 TEST(DecodeParity, SharedRunsMatchSerialInt8)
 {
-    runDecodeParity(Precision::Int8);
+    runDecodeParity({"int8", Precision::Int8});
+}
+
+/** Streams at four different generations share each step's run: every
+ *  row carries its own pos, mask and cache slot. Int8 runs on decode
+ *  bucket {4} only — calibration is per bucket, so a {1, 4} serial
+ *  reference would run its solo steps through the bucket-1 plan and
+ *  legitimately differ. */
+TEST(DecodeParity, MixedGenerationsShareRunsAndMatchSerial)
+{
+    auto mixed = [](const char *name) {
+        ParityCase pc;
+        pc.name = name;
+        pc.mixedGenerations = true;
+        return pc;
+    };
+    std::vector<ParityCase> cases;
+    cases.push_back(mixed("fp32 fused"));
+    cases.push_back(mixed("fp32 unfused"));
+    cases.back().fuse = false;
+    cases.push_back(mixed("fp16"));
+    cases.back().prec = Precision::F16;
+    cases.push_back(mixed("int8"));
+    cases.back().prec = Precision::Int8;
+    cases.push_back(mixed("fp32 decode buckets {1, 2, 4}"));
+    cases.back().decodeBuckets = {1, 2, 4};
+    cases.push_back(mixed("fp32 scalar tier"));
+    cases.back().forceScalar = true;
+    cases.push_back(mixed("fp32 two workers"));
+    cases.back().workers = 2;
+    for (const ParityCase &pc : cases)
+        runDecodeParity(pc);
 }
 
 /** Threaded mixed-pace stress: 8 streams driven by 8 client threads
@@ -1402,6 +1447,31 @@ TEST(BuilderSetters, RejectBadValuesNamingTheOffendingField)
     expectNames([&] { so.withBuckets({4, 0}); }, "buckets");
     expectNames([&] { so.withDecodeBuckets({-2}); }, "decodeBuckets");
     EXPECT_EQ(so.workers, 3) << "rejected setter must not mutate";
+
+    // A field assigned directly fails the same way, when the engine is
+    // built and before any bucket compiles.
+    auto engineWith = [](const std::function<void(ServeOptions &)> &set) {
+        return [set] {
+            ServeOptions raw;
+            set(raw);
+            ServingEngine e(
+                [](int64_t) -> ServedModel {
+                    throw std::logic_error("options were not validated");
+                },
+                nullptr, raw);
+        };
+    };
+    expectNames(engineWith([](ServeOptions &o) { o.workers = 0; }),
+                "workers");
+    expectNames(engineWith([](ServeOptions &o) { o.buckets = {}; }),
+                "buckets");
+    expectNames(engineWith([](ServeOptions &o) { o.decodeBuckets = {0}; }),
+                "decodeBuckets");
+    expectNames(engineWith([](ServeOptions &o) { o.queueCapacity = 0; }),
+                "queueCapacity");
+    expectNames(
+        engineWith([](ServeOptions &o) { o.coalesceWindowUs = -1; }),
+        "coalesceWindowUs");
 }
 
 } // namespace

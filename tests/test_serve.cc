@@ -591,18 +591,17 @@ TEST(Coalescer, NormalizesBucketsAndRoutesSmallestFit)
     EXPECT_EQ(c.routeSingle(9), -1);
     EXPECT_EQ(c.routeSingle(0), -1);
 
-    // Group routing follows the same smallest-fit rule on the total.
-    EXPECT_EQ(c.routeGroup(4), 1);
-    EXPECT_EQ(c.routeGroup(6), 2);
+    // A group routes by the same smallest-fit rule on its total.
+    EXPECT_EQ(c.routeSingle(6), 2);
 }
 
 TEST(Coalescer, AdmitsWhileTheGroupFitsTheLargestBucket)
 {
     Coalescer c({1, 4, 8}, 100);
-    EXPECT_TRUE(c.admits({1}, {1}));
-    EXPECT_TRUE(c.admits({3}, {5})) << "3+5 exactly fills bucket 8";
-    EXPECT_FALSE(c.admits({7}, {2})) << "7+2 exceeds every bucket";
-    EXPECT_FALSE(c.admits({3}, {0})) << "zero-row requests never join";
+    EXPECT_TRUE(c.admits(1, 1));
+    EXPECT_TRUE(c.admits(3, 5)) << "3+5 exactly fills bucket 8";
+    EXPECT_FALSE(c.admits(7, 2)) << "7+2 exceeds every bucket";
+    EXPECT_FALSE(c.admits(3, 0)) << "zero-row requests never join";
     EXPECT_FALSE(c.full(7));
     EXPECT_TRUE(c.full(8));
 
