@@ -16,9 +16,9 @@ applies them all:
 * Floors: machine-independent bars on the fresh rows themselves
   (bit parity, the 2.0x run reduction, a live KV cache, the three
   fused-attention floors, decode cost flat across maxSeq, fused vs
-  unfused attention kernels and depthwise tier vs direct / reference
-  kernels paired within one snapshot). A column a floor reads that is
-  missing fails.
+  unfused attention kernels, depthwise tier vs direct / reference
+  kernels and GEMM tier vs scalar kernels paired within one snapshot).
+  A column a floor reads that is missing fails.
 * Gates: a gated metric may not regress beyond its tolerance (25% for
   throughput and self-normalized latency ratios, 5% for table4 peak
   memory). A metric gates once the baseline row has it; from then on,
@@ -59,6 +59,12 @@ MAX_DECODE_MAXSEQ_RATIO = 1.5
 # direct-loop / dequant-reference row at the same shape by this factor,
 # paired within one snapshot like the attention floors.
 MIN_DW_TIER_SPEEDUP = 2.0
+# The decode-shape and 128-square fp32 GEMM tier rows must beat the
+# scalar "blocked" row at the same shape by this factor, paired within
+# one snapshot: a register tile that stops reusing its loads shows
+# here on any host.
+MIN_GEMM_TIER_SPEEDUP = 4.5
+GEMM_TIER_ROWS = ("BM_DecodeMatMul/blocked@{}", "BM_MatMul/blocked@{}/128")
 
 # label: printed name; value: row -> number (KeyError if a column is
 # missing); better: "higher"/"lower", or None for a reported-only
@@ -131,6 +137,16 @@ def depthwise_pairing(row, key, rows):
     return throughput(row) / throughput(rows[base]) >= MIN_DW_TIER_SPEEDUP
 
 
+def gemm_pairing(row, key, rows):
+    """The GEMM_TIER_ROWS beat their scalar "blocked" row in the same
+    snapshot (KeyError if that vanished)."""
+    tier = row_tier(key)
+    if not tier or key not in [r.format(tier) for r in GEMM_TIER_ROWS]:
+        return True
+    base = rows[key.replace("@" + tier, "")]
+    return throughput(row) / throughput(base) >= MIN_GEMM_TIER_SPEEDUP
+
+
 def table4_key(row):
     return "/".join(str(row[k]) for k in ("kind", "platform", "model",
                                           "method", "mode", "precision")
@@ -162,7 +178,9 @@ RULES = {
                  f"{MIN_FUSED_ATTN_SCALAR_SPEEDUP}x scalar)",
                  attention_pairing),
                 (f"depthwise tier row >= {MIN_DW_TIER_SPEEDUP}x its "
-                 "direct / ref row", depthwise_pairing)],
+                 "direct / ref row", depthwise_pairing),
+                (f"GEMM tier row >= {MIN_GEMM_TIER_SPEEDUP}x its scalar "
+                 "blocked row", gemm_pairing)],
         metrics=[Metric("ops/s", throughput, "higher", RATIO_TOL,
                         single_thread)]),
     "table4": Rule(

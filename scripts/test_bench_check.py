@@ -51,6 +51,16 @@ def scale_kernel(run_name, factor):
     return edit
 
 
+def tier_ratio(tier_name, base_name, ratio):
+    """Speed up the scalar row until the tier row is only ratio times
+    as fast: a floor breaks, no gate does."""
+    def edit(doc):
+        tier = kernel_entries(doc, tier_name)[0]["items_per_second"]
+        for r in kernel_entries(doc, base_name):
+            scale_row(r, tier / ratio / r["items_per_second"])
+    return edit
+
+
 def as_aggregates(mean, median):
     """A --benchmark_repetitions snapshot: each row becomes its mean and
     median aggregates, with throughput scaled by the given factors."""
@@ -176,6 +186,13 @@ CASES = [
      scale_kernel("BM_QuantDwConv/ref/mcunet", 5.0), 1),
     ("kernels depthwise direct counterpart vanished", "kernels",
      drop_kernels(lambda n: n == "BM_DwConvBwdInput/direct"), 1),
+    # The ratios an 8-row x 8-col AVX2 tile reads: under the GEMM floor.
+    ("kernels decode GEMM tier row at 3.3x its scalar row", "kernels",
+     tier_ratio("BM_DecodeMatMul/blocked@avx2", "BM_DecodeMatMul/blocked",
+                3.3), 1),
+    ("kernels 128 GEMM tier row at 3.8x its scalar row", "kernels",
+     tier_ratio("BM_MatMul/blocked@avx2/128", "BM_MatMul/blocked/128",
+                3.8), 1),
     ("kernels repetitions: the median aggregate is read", "kernels",
      as_aggregates(mean=0.5, median=1.0), 0),
     ("kernels repetitions: 30% drop in the median", "kernels",

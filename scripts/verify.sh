@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the test suite, and smoke-run
 # the kernel bench's thread-scaling case (matmul GFLOP/s at 1/2/4
-# threads). Mirrors ROADMAP.md's verify command.
+# threads) and the decode-shape GEMM rows (the host's tier vs scalar
+# rate). Mirrors ROADMAP.md's verify command.
 #
 # Usage: scripts/verify.sh [build-dir] [--scalar]
 #   build-dir   configure/build/test in this directory (default:
@@ -40,6 +41,7 @@ cmake --build "$BUILD" -j "$(nproc)"
 (cd "$BUILD" && ctest --output-on-failure -j "$(nproc)")
 
 if [ -x "$BUILD"/bench_kernels ]; then
-    ./"$BUILD"/bench_kernels --benchmark_filter=BM_MatMulThreads \
+    ./"$BUILD"/bench_kernels \
+        --benchmark_filter='BM_MatMulThreads|BM_DecodeMatMul' \
         --benchmark_min_time=0.2
 fi

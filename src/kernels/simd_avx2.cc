@@ -17,14 +17,18 @@
  *    Activations beyond relu (gelu/silu) requantize through the
  *    scalar emit, so exactness never depends on vector
  *    transcendental approximations.
- *  - fp32 GEMM-shaped kernels use FMA (one rounding per
- *    multiply-add) and per-panel partial sums, so results differ from
- *    scalar in the last bits: within 1e-5 relative (asserted by
- *    test_simd), and a pointwise weight gradient summing k > 64
- *    products over images and pixels within k * 2^-24 * sum|products|
- *    of the exact sum. The packed depthwise kernels use a separate
- *    multiply and add in the direct loop's order (mulAddF8), so they
- *    are BIT-EXACT to the scalar tier and to the direct loops.
+ *  - fp32 GEMM-shaped kernels run one register tile (gemmTile: 4 x 24
+ *    micro-tiles on panels 16+ columns wide, 8 rows on narrower ones)
+ *    whose every output is an FMA chain from zero over k ascending
+ *    within its k panel, added into out once; the tile shape never
+ *    changes the bits (asserted bit for bit against an fmaf reference
+ *    by test_simd). Results differ from scalar in the last bits:
+ *    within 1e-5 relative, and a pointwise weight gradient summing
+ *    k > 64 products over images and pixels within
+ *    k * 2^-24 * sum|products| of the exact sum. The packed
+ *    depthwise kernels use a separate multiply and add in the direct
+ *    loop's order (mulAddF8), so they are BIT-EXACT to the scalar tier
+ *    and to the direct loops.
  *    Thread-count invariance still holds — every output element's
  *    accumulation order is independent of the shard bounds.
  *
@@ -101,10 +105,93 @@ struct Avx2Lanes {
         return s;
     }
 
-    /** 8-row FMA tile over 8-column ymm chunks, with one 4-column
-     *  xmm chunk for a remainder of 4 (so 2x2 and 4x4 conv planes stay
-     *  in registers): accumulators live across the panel's k-loop, and
-     *  each panel's partial sum is added to the output once. */
+    /** One 8-float ymm column of a register tile. */
+    struct Ymm {
+        using V = __m256;
+        static constexpr int64_t kWidth = 8;
+        static V zero() { return _mm256_setzero_ps(); }
+        static V load(const float *p) { return _mm256_loadu_ps(p); }
+        static V splat(float a) { return _mm256_set1_ps(a); }
+        static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+        static V add(V a, V b) { return _mm256_add_ps(a, b); }
+        static void store(float *p, V a) { _mm256_storeu_ps(p, a); }
+    };
+
+    /** One 4-float xmm column, for a 4-wide column remainder (so 2x2
+     *  and 4x4 conv planes stay in registers). */
+    struct Xmm {
+        using V = __m128;
+        static constexpr int64_t kWidth = 4;
+        static V zero() { return _mm_setzero_ps(); }
+        static V load(const float *p) { return _mm_loadu_ps(p); }
+        static V splat(float a) { return _mm_set1_ps(a); }
+        static V fma(V a, V b, V c) { return _mm_fmadd_ps(a, b, c); }
+        static V add(V a, V b) { return _mm_add_ps(a, b); }
+        static void store(float *p, V a) { _mm_storeu_ps(p, a); }
+    };
+
+    /**
+     * The R x (C lanes x L::kWidth) micro-tile at @p a / @p b / @p out:
+     * R * C accumulators live across the kn-step k loop, each k loads
+     * C panel columns once and reuses each across R broadcasts of A
+     * (a[r * ars + k * aks]), and the panel's partial sums are added
+     * to out once. Every output is an FMA chain from zero over k
+     * ascending, whatever R and C are.
+     */
+    template <int R, int C, class L = Ymm>
+    static void
+    micro(const float *a, int64_t ars, int64_t aks, int64_t kn,
+          const float *b, int64_t ldb, float *out, int64_t n)
+    {
+        typename L::V acc[R][C];
+        for (int r = 0; r < R; ++r)
+            for (int c = 0; c < C; ++c)
+                acc[r][c] = L::zero();
+        for (int64_t k = 0; k < kn; ++k, a += aks, b += ldb) {
+            typename L::V bv[C];
+            for (int c = 0; c < C; ++c)
+                bv[c] = L::load(b + c * L::kWidth);
+            for (int r = 0; r < R; ++r) {
+                typename L::V av = L::splat(a[r * ars]);
+                for (int c = 0; c < C; ++c)
+                    acc[r][c] = L::fma(av, bv[c], acc[r][c]);
+            }
+        }
+        for (int r = 0; r < R; ++r)
+            for (int c = 0; c < C; ++c) {
+                float *o = out + r * n + c * L::kWidth;
+                L::store(o, L::add(L::load(o), acc[r][c]));
+            }
+    }
+
+    /** R rows across cols columns (a multiple of 4): 24-wide steps
+     *  (12 accumulators, the 16 ymm registers with 3 B loads and a
+     *  broadcast) and a 16-wide remainder when R <= 4, then 8 and 4. */
+    template <int R>
+    static void
+    sweep(const float *a, int64_t ars, int64_t aks, int64_t kn,
+          const float *b, int64_t ldb, int64_t cols, float *out,
+          int64_t n)
+    {
+        int64_t j = 0;
+        if constexpr (R <= 4) {
+            for (; j + 24 <= cols; j += 24)
+                micro<R, 3>(a, ars, aks, kn, b + j, ldb, out + j, n);
+            if (j + 16 <= cols) {
+                micro<R, 2>(a, ars, aks, kn, b + j, ldb, out + j, n);
+                j += 16;
+            }
+        }
+        for (; j + 8 <= cols; j += 8)
+            micro<R, 1>(a, ars, aks, kn, b + j, ldb, out + j, n);
+        if (j < cols)
+            micro<R, 1, Xmm>(a, ars, aks, kn, b + j, ldb, out + j, n);
+    }
+
+    /** Up to 8 rows: a panel at least 16 columns wide runs 4-row
+     *  sweeps with a 1-3 row remainder; a narrower one (MCUNet's 2x2
+     *  and 4x4 planes) keeps 8 rows in flight. A is addressed by a row
+     *  and a k stride fixed here, so the k loops never test trans. */
     static constexpr int64_t kTileRows = 8, kTileCols = 4;
 
     static void
@@ -112,38 +199,31 @@ struct Avx2Lanes {
              int64_t k1, const float *panel, int64_t jw, int64_t cols,
              float *out, int64_t n)
     {
-        int64_t j = 0;
-        for (; j + 8 <= cols; j += 8) {
-            __m256 acc[8];
-            for (int64_t r = 0; r < rows; ++r)
-                acc[r] = _mm256_setzero_ps();
-            for (int64_t k = k0; k < k1; ++k) {
-                __m256 bv = _mm256_loadu_ps(panel + (k - k0) * jw + j);
-                for (int64_t r = 0; r < rows; ++r)
-                    acc[r] = _mm256_fmadd_ps(
-                        _mm256_set1_ps(a.at(i0 + r, k)), bv, acc[r]);
-            }
-            for (int64_t r = 0; r < rows; ++r) {
-                float *orow = out + (i0 + r) * n + j;
-                _mm256_storeu_ps(
-                    orow, _mm256_add_ps(_mm256_loadu_ps(orow), acc[r]));
-            }
+        int64_t ars = a.trans ? 1 : a.cols, aks = a.trans ? a.rows : 1;
+        const float *ap = a.data + i0 * ars + k0 * aks;
+        float *o = out + i0 * n;
+        int64_t kn = k1 - k0;
+        if (cols < 16 && rows == 8) {
+            sweep<8>(ap, ars, aks, kn, panel, jw, cols, o, n);
+            return;
         }
-        if (j < cols) {
-            __m128 acc[8];
-            for (int64_t r = 0; r < rows; ++r)
-                acc[r] = _mm_setzero_ps();
-            for (int64_t k = k0; k < k1; ++k) {
-                __m128 bv = _mm_loadu_ps(panel + (k - k0) * jw + j);
-                for (int64_t r = 0; r < rows; ++r)
-                    acc[r] = _mm_fmadd_ps(_mm_set1_ps(a.at(i0 + r, k)),
-                                          bv, acc[r]);
-            }
-            for (int64_t r = 0; r < rows; ++r) {
-                float *orow = out + (i0 + r) * n + j;
-                _mm_storeu_ps(orow,
-                              _mm_add_ps(_mm_loadu_ps(orow), acc[r]));
-            }
+        int64_t r = 0;
+        for (; r + 4 <= rows; r += 4)
+            sweep<4>(ap + r * ars, ars, aks, kn, panel, jw, cols,
+                     o + r * n, n);
+        switch (rows - r) {
+        case 3:
+            sweep<3>(ap + r * ars, ars, aks, kn, panel, jw, cols,
+                     o + r * n, n);
+            break;
+        case 2:
+            sweep<2>(ap + r * ars, ars, aks, kn, panel, jw, cols,
+                     o + r * n, n);
+            break;
+        case 1:
+            sweep<1>(ap + r * ars, ars, aks, kn, panel, jw, cols,
+                     o + r * n, n);
+            break;
         }
     }
 

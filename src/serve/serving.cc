@@ -856,15 +856,14 @@ ServingEngine::submitDecode(
 void
 ServingEngine::workerLoop(int worker)
 {
-    // A drained request that did not fit the group in progress: it
-    // becomes the NEXT group's leader, so FIFO order is preserved and
-    // nothing is ever pushed back onto the queue. Always consumed
-    // before the next pop, so shutdown cannot strand it.
-    std::shared_ptr<RequestState> carry;
     std::shared_ptr<RequestState> leader;
     while (true) {
-        if (carry) {
-            leader = std::move(carry);
+        // One worker gathers at a time; the lock is released before
+        // runGroup, so runs still overlap. A pop that fails (shutdown)
+        // releases it on the way out.
+        std::unique_lock<std::mutex> gathering(gatherMu_);
+        if (carry_) {
+            leader = std::move(carry_);
         } else {
             if (!queue_.pop(leader))
                 break;
@@ -908,7 +907,7 @@ ServingEngine::workerLoop(int worker)
                     total += next->rows;
                     group.push_back(std::move(next));
                 } else {
-                    carry = std::move(next);
+                    carry_ = std::move(next);
                     break;
                 }
             }
@@ -921,6 +920,7 @@ ServingEngine::workerLoop(int worker)
                                : 0) +
                     co.routeSingle(total);
         }
+        gathering.unlock();
         runGroup(worker, bucketIdx, group, total);
     }
 }

@@ -44,16 +44,17 @@
  * path exactly.
  *
  * Concurrency model: `workers` serving workers, each a plain thread
- * running one loop over the admission queue; destruction closes the
- * queue, lets the workers drain it, and joins them. Each worker owns at
- * most one session context per bucket, minted lazily on first use and
- * reused for every later request — the session "pool" is therefore
- * lock-free by ownership, bounded by workers x buckets, and stops
- * allocating once warm. Sessions execute serially inside
- * (numThreads = 1 per session); concurrency comes from running many
- * sessions at once, which is the right trade for throughput-bound
- * serving (and keeps per-request results bit-identical to the serial
- * executor).
+ * running one loop over the admission queue; one worker at a time
+ * gathers a group (pop, drain), then runs it while the next gathers.
+ * Destruction closes the queue, lets the workers drain it, and joins
+ * them. Each worker owns at most one session context per bucket,
+ * minted lazily on first use and reused for every later request —
+ * the session "pool" is therefore lock-free by ownership, bounded by
+ * workers x buckets, and stops allocating once warm. Sessions execute
+ * serially inside (numThreads = 1 per session); concurrency comes from
+ * running many sessions at once, which is the right trade for
+ * throughput-bound serving (and keeps per-request results
+ * bit-identical to the serial executor).
  */
 
 #pragma once
@@ -647,6 +648,16 @@ class ServingEngine
     bool coalescable_ = false;
 
     BoundedQueue<std::shared_ptr<RequestState>> queue_;
+    /** Held by the one worker forming a group, from taking its leader
+     *  through the drain but not over the run, so two idle workers
+     *  never split one burst into two padded runs. */
+    std::mutex gatherMu_;
+    /** A drained request that did not fit the group in progress: the
+     *  NEXT group's leader, so FIFO order is preserved and nothing is
+     *  pushed back onto the queue. Guarded by gatherMu_ and taken
+     *  before any pop, so neither a blocked pop nor shutdown can strand
+     *  it. */
+    std::shared_ptr<RequestState> carry_;
     std::vector<std::thread> threads_; ///< one per serving worker
 
     /** sessions_[worker][bucket]: lazily minted, worker-owned — no

@@ -503,8 +503,8 @@ struct ParityCase {
 /** Drive N streams for T decode steps: once serially (coalescing off,
  *  one stream at a time), once with all N streams submitted per step
  *  against a coalescing engine — every logit tensor must match BIT FOR
- *  BIT, and the coalesced engine must have shared runs (>= 2x fewer
- *  decode runs than decode requests). */
+ *  BIT, and the coalesced engine must run each step as one full
+ *  bucket run (T decode runs, no pad rows). */
 void
 runDecodeParity(const ParityCase &pc)
 {
@@ -572,18 +572,20 @@ runDecodeParity(const ParityCase &pc)
     for (int s = 0; s < N; ++s)
         e.closeStream(sids[s]);
 
-    // Run sharing actually happened: N x T decode requests must have
-    // executed in at most half as many decode-bucket runs.
+    // Each lockstep step's N requests fill one bucket-N run, with any
+    // worker count: one worker gathers a group at a time, so a second
+    // idle worker cannot split the step into two padded runs.
     ServeStats st = e.stats();
-    int64_t decodeHits = 0, decodeRuns = 0;
+    int64_t decodeHits = 0, decodeRuns = 0, decodePad = 0;
     for (const BucketStats &bs : st.buckets)
         if (bs.decode) {
             decodeHits += bs.hits;
             decodeRuns += bs.runs;
+            decodePad += bs.paddedRows;
         }
     EXPECT_EQ(decodeHits, static_cast<int64_t>(N) * T);
-    EXPECT_LE(decodeRuns * 2, decodeHits)
-        << "decode coalescing below the 2x acceptance bar";
+    EXPECT_EQ(decodeRuns, T);
+    EXPECT_EQ(decodePad, 0);
     EXPECT_GE(st.coalescedRuns, 1);
 }
 

@@ -152,6 +152,14 @@ maxRelDiff(const Tensor &a, const Tensor &b)
     return worst;
 }
 
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) ==
+               0;
+}
+
 // ---- 1. tier API -----------------------------------------------------
 
 TEST(TierApi, VariantNamingAndClassification)
@@ -288,16 +296,19 @@ TEST(SimdParity, Fp32GemmWithin1e5Relative)
     std::string sfx = hostSuffix();
     Rng rng(101);
     // Shapes chosen to hit register-tile and vector-width tails: the
-    // 8-row x 8-col microkernel, 1-element edges, sizes straddling
-    // the 48-wide panel, decode's 4x128x96, and 47 and 48 rows (one
-    // short of and exactly one 48-row scalar tile).
+    // AVX2 4-row x 24-col tile with its 16-, 8- and 4-col and 1-3 row
+    // remainders, the 8-row tile of panels under 16 columns,
+    // 1-element edges, sizes straddling the 48-wide panel, decode's
+    // 4x128x96, and 47 and 48 rows (one short of and exactly one
+    // 48-row scalar tile).
     struct S {
         int64_t m, k, n;
     };
     std::vector<S> shapes = {{1, 1, 1},    {8, 8, 8},    {7, 13, 9},
                              {16, 48, 48},  {17, 49, 50}, {3, 100, 1},
                              {1, 5, 31},   {23, 7, 65},  {4, 128, 96},
-                             {47, 49, 50}, {48, 49, 50}};
+                             {47, 49, 50}, {48, 49, 50}, {6, 20, 44},
+                             {13, 33, 28},  {5, 9, 12},   {2, 50, 40}};
     for (auto [m, k, n] : shapes) {
         SCOPED_TRACE("gemm " + std::to_string(m) + "x" +
                      std::to_string(k) + "x" + std::to_string(n));
@@ -492,6 +503,212 @@ TEST(SimdParity, PointwiseConvGradsWithinSumBound)
     }
 }
 
+/**
+ * The AVX2 GEMM tile's summation contract, computed in plain code:
+ * out[i, j] += a(i, k0:k1) . b(k0:k1, j) for every kBlock-deep k panel
+ * and jBlock-wide column panel, each partial sum an fmaf chain from 0
+ * over k ascending, except the jw % 4 tail columns of a panel, whose
+ * dot is a plain multiply and add. This TU is baseline x86-64 (no
+ * FMA instructions), so the compiler cannot fuse that tail.
+ */
+template <class A, class B>
+void
+panelFmaReference(int64_t m, int64_t n, int64_t kk, int64_t kBlock,
+                  int64_t jBlock, A a, B b, float *out)
+{
+    for (int64_t k0 = 0; k0 < kk; k0 += kBlock) {
+        int64_t k1 = std::min(k0 + kBlock, kk);
+        for (int64_t j0 = 0; j0 < n; j0 += jBlock) {
+            int64_t jw = std::min(jBlock, n - j0), tile = jw - jw % 4;
+            for (int64_t i = 0; i < m; ++i)
+                for (int64_t j = j0; j < j0 + jw; ++j) {
+                    float s = 0.0f;
+                    for (int64_t k = k0; k < k1; ++k)
+                        s = j - j0 < tile ? std::fmaf(a(i, k), b(k, j), s)
+                                          : s + a(i, k) * b(k, j);
+                    out[i * n + j] += s;
+                }
+        }
+    }
+}
+
+TEST(SimdParity, Avx2GemmTileMatchesPanelFmaReference)
+{
+    // Every tile shape and remainder the AVX2 GEMM tile dispatches
+    // (4 x 24/16/8/4 columns with 1-3 row remainders, 8 rows under 16
+    // columns), transposed operands, and the convs and pointwise
+    // gradients that run it: each output equals the per-panel FMA
+    // chain bit for bit, so a retiling that reorders any sum fails.
+    if (hostSuffix() != "@avx2")
+        GTEST_SKIP() << "no AVX2 tier on this host";
+    Rng rng(107);
+    const int64_t kb = kutil::kGemmBlock;
+    int64_t shape_index = 0;
+    for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13})
+        for (int64_t n :
+             {1, 4, 8, 12, 16, 20, 24, 28, 40, 47, 48, 49, 50})
+            for (int64_t k : {1, 47, 48, 49, 97})
+                for (bool ta : {false, true})
+                    for (bool tb : {false, true}) {
+                        SCOPED_TRACE("gemm " + std::to_string(m) + "x" +
+                                     std::to_string(k) + "x" +
+                                     std::to_string(n) + " ta" +
+                                     std::to_string(ta) + " tb" +
+                                     std::to_string(tb));
+                        Graph g;
+                        int ia = g.input(ta ? Shape{2, k, m}
+                                            : Shape{2, m, k}, "a");
+                        int ib = g.input(tb ? Shape{2, n, k}
+                                            : Shape{2, k, n}, "b");
+                        Tensor a3 = Tensor::randn(g.node(ia).shape, rng);
+                        Tensor b3 = Tensor::randn(g.node(ib).shape, rng);
+                        auto at = [&](int64_t item) {
+                            const float *p = a3.data() + item * m * k;
+                            return [=](int64_t i, int64_t kk) {
+                                return ta ? p[kk * m + i] : p[i * k + kk];
+                            };
+                        };
+                        auto bt = [&](int64_t item) {
+                            const float *p = b3.data() + item * k * n;
+                            return [=](int64_t kk, int64_t j) {
+                                return tb ? p[j * k + kk] : p[kk * n + j];
+                            };
+                        };
+                        Tensor want({2, m, n});
+                        for (int64_t item = 0; item < 2; ++item)
+                            panelFmaReference(m, n, k, kb, kb, at(item),
+                                              bt(item),
+                                              want.data() + item * m * n);
+                        Attrs bat;
+                        bat.set("transA", static_cast<int64_t>(ta));
+                        bat.set("transB", static_cast<int64_t>(tb));
+                        int bmm = g.add(OpKind::BatchMatMul, {ia, ib},
+                                        std::move(bat));
+                        EXPECT_TRUE(bitEqual(
+                            runKernel(g, bmm, {a3, b3}, "blocked@avx2"),
+                            want))
+                            << "BatchMatMul";
+
+                        // Item 0 as a MatMul and, with one of the
+                        // activations in turn, a MatMulBiasAct.
+                        Tensor a(ta ? Shape{k, m} : Shape{m, k});
+                        Tensor b(tb ? Shape{n, k} : Shape{k, n});
+                        std::memcpy(a.data(), a3.data(),
+                                    sizeof(float) * m * k);
+                        std::memcpy(b.data(), b3.data(),
+                                    sizeof(float) * k * n);
+                        int ia2 = g.input(a.shape(), "a2");
+                        int ib2 = g.input(b.shape(), "b2");
+                        int ibias = g.input({n}, "bias");
+                        Tensor bias = Tensor::randn({n}, rng);
+                        int64_t act = std::vector<int64_t>{
+                            kActNone, kActRelu, kActGelu,
+                            kActSilu}[shape_index++ % 4];
+                        Attrs mt, ft;
+                        for (Attrs *x : {&mt, &ft}) {
+                            x->set("transA", static_cast<int64_t>(ta));
+                            x->set("transB", static_cast<int64_t>(tb));
+                        }
+                        ft.set("act", act);
+                        int mm = g.add(OpKind::MatMul, {ia2, ib2},
+                                       std::move(mt));
+                        int fmm = g.add(OpKind::MatMulBiasAct,
+                                        {ia2, ib2, ibias}, std::move(ft));
+                        Tensor want2({m, n});
+                        std::memcpy(want2.data(), want.data(),
+                                    sizeof(float) * m * n);
+                        EXPECT_TRUE(bitEqual(
+                            runKernel(g, mm, {a, b}, "blocked@avx2"),
+                            want2))
+                            << "MatMul";
+                        for (int64_t i = 0; i < m; ++i)
+                            kutil::Epilogue{bias.data(), act}.row(
+                                want2.data() + i * n, n);
+                        EXPECT_TRUE(bitEqual(runKernel(g, fmm,
+                                                       {a, b, bias},
+                                                       "blocked@avx2"),
+                                             want2))
+                            << "MatMulBiasAct act " << act;
+                    }
+
+    // The convs and pointwise gradients at the MCUNet proxy's shapes
+    // (co x ci x pixels), two images each. A conv forward sums its
+    // whole k in one panel: a pointwise conv over all its pixels as
+    // one column panel, a spatial one over kGemmBlock-pixel panels.
+    struct C {
+        int64_t co, ci, hw, kh, stride, pad;
+    };
+    for (auto [co, ci, hw, kh, stride, pad] :
+         {C{8, 8, 8, 1, 1, 0}, C{24, 8, 8, 1, 1, 0}, C{36, 12, 4, 1, 1, 0},
+          C{60, 20, 2, 1, 1, 0}, C{8, 3, 16, 3, 2, 1},
+          C{16, 3, 16, 3, 2, 1}}) {
+        SCOPED_TRACE("conv co" + std::to_string(co) + " ci" +
+                     std::to_string(ci) + " hw" + std::to_string(hw) +
+                     " k" + std::to_string(kh));
+        const int64_t nb = 2, ho = (hw + 2 * pad - kh) / stride + 1;
+        const int64_t p = hw * hw, q = ho * ho, kk = ci * kh * kh;
+        Graph g;
+        int x = g.input({nb, ci, hw, hw}, "x");
+        int w = g.input({co, ci, kh, kh}, "w");
+        Attrs ca;
+        ca.set("stride", stride);
+        ca.set("pad", pad);
+        int conv = g.add(OpKind::Conv2d, {x, w}, std::move(ca));
+        Tensor tx = Tensor::randn({nb, ci, hw, hw}, rng);
+        Tensor tw = Tensor::randn({co, ci, kh, kh}, rng, 0.3f);
+        Tensor want({nb, co, ho, ho});
+        for (int64_t b = 0; b < nb; ++b) {
+            const float *xb = tx.data() + b * ci * p;
+            auto col = [&](int64_t r, int64_t c) {
+                int64_t iy = c / ho * stride - pad + r / kh % kh;
+                int64_t ix = c % ho * stride - pad + r % kh;
+                if (iy < 0 || iy >= hw || ix < 0 || ix >= hw)
+                    return 0.0f;
+                return xb[(r / (kh * kh) * hw + iy) * hw + ix];
+            };
+            panelFmaReference(
+                co, q, kk, kk, kh == 1 ? q : kb,
+                [&](int64_t i, int64_t r) { return tw[i * kk + r]; }, col,
+                want.data() + b * co * q);
+        }
+        EXPECT_TRUE(
+            bitEqual(runKernel(g, conv, {tx, tw}, "im2col@avx2"), want))
+            << "Conv2d";
+        if (kh != 1)
+            continue;
+
+        int dy = g.input({nb, co, hw, hw}, "dy");
+        Attrs ai;
+        ai.set("xshape", Shape{nb, ci, hw, hw});
+        Attrs aw;
+        aw.set("wshape", Shape{co, ci, 1, 1});
+        int dx = g.add(OpKind::Conv2dBwdInput, {w, dy}, std::move(ai));
+        int dw = g.add(OpKind::Conv2dBwdWeight, {x, dy}, std::move(aw));
+        Tensor tdy = Tensor::randn({nb, co, hw, hw}, rng);
+        Tensor want_dx({nb, ci, hw, hw}), want_dw({co, ci, 1, 1});
+        for (int64_t b = 0; b < nb; ++b) {
+            const float *dyb = tdy.data() + b * co * p;
+            const float *xb = tx.data() + b * ci * p;
+            panelFmaReference(
+                ci, p, co, kb, kb,
+                [&](int64_t i, int64_t o) { return tw[o * ci + i]; },
+                [&](int64_t o, int64_t j) { return dyb[o * p + j]; },
+                want_dx.data() + b * ci * p);
+            panelFmaReference(
+                co, ci, p, kb, kb,
+                [&](int64_t o, int64_t j) { return dyb[o * p + j]; },
+                [&](int64_t j, int64_t c) { return xb[c * p + j]; },
+                want_dw.data());
+        }
+        EXPECT_TRUE(bitEqual(
+            runKernel(g, dx, {tw, tdy}, "im2col@avx2"), want_dx))
+            << "Conv2dBwdInput";
+        EXPECT_TRUE(bitEqual(
+            runKernel(g, dw, {tx, tdy}, "im2col@avx2"), want_dw))
+            << "Conv2dBwdWeight";
+    }
+}
+
 /** The three FusedAttention mask forms. */
 enum class MaskForm { PerRow, Shared, None };
 
@@ -580,14 +797,6 @@ struct AttnGraph {
         return runKernel(g, fused, in, variant);
     }
 };
-
-bool
-bitEqual(const Tensor &a, const Tensor &b)
-{
-    return a.shape() == b.shape() &&
-           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) ==
-               0;
-}
 
 bool
 allFinite(const Tensor &t)
