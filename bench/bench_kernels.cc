@@ -158,12 +158,14 @@ BM_FusedMatMulBiasRelu(benchmark::State &state,
 }
 
 /**
- * Thread-scaling GEMM: shard the blocked kernel over output rows via
+ * Thread-scaling GEMM: shard one GEMM variant over output rows via
  * the pool, exactly as the partitioned executor does. Reports
  * GFLOP/s; compare thread counts for the parallel-runtime speedup.
+ * The scalar "blocked" rows register in every build, the tier rows
+ * ("blocked@avx2") with the other tier rows.
  */
 void
-BM_MatMulThreads(benchmark::State &state)
+BM_MatMulThreads(benchmark::State &state, const std::string &variant)
 {
     int64_t n = state.range(0);
     int threads = static_cast<int>(state.range(1));
@@ -181,8 +183,8 @@ BM_MatMulThreads(benchmark::State &state)
     ctx.inShapes = {&g.node(a).shape, &g.node(b).shape};
     ctx.out = out.data();
     ctx.outShape = &g.node(node).shape;
-    KernelInfo info = lookupKernelInfo(OpKind::MatMul, "blocked");
-    WorkspaceSpec spec = kernelWorkspace(g, g.node(node), "blocked");
+    KernelInfo info = lookupKernelInfo(OpKind::MatMul, variant);
+    WorkspaceSpec spec = kernelWorkspace(g, g.node(node), variant);
     ThreadPool *pool = HostDevice::instance().pool(threads);
     // Split by the REQUESTED thread count, not the pool's size — the
     // process-wide pool only grows, so a larger one may already exist.
@@ -418,11 +420,6 @@ BENCHMARK_CAPTURE(BM_FusedMatMulBiasRelu, naive, std::string(""))
     ->Arg(128);
 BENCHMARK_CAPTURE(BM_FusedMatMulBiasRelu, blocked, std::string("blocked"))
     ->Arg(128);
-BENCHMARK(BM_MatMulThreads)
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_ConvVariant, direct, std::string(""))
     ->Arg(16)
     ->Arg(32);
@@ -989,6 +986,18 @@ BM_TraceOverhead(benchmark::State &state)
 
 BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1);
 
+/** BM_MatMulThreads rows of one GEMM variant: 256^3 at 1, 2 and 4
+ *  threads. */
+void
+registerMatMulThreads(const std::string &name, const std::string &variant)
+{
+    benchmark::RegisterBenchmark(name.c_str(), BM_MatMulThreads, variant)
+        ->Args({256, 1})
+        ->Args({256, 2})
+        ->Args({256, 4})
+        ->UseRealTime();
+}
+
 /**
  * SIMD-tier rows, registered at static init only when the host
  * registry actually has the tier variants (capability-gated
@@ -1000,6 +1009,7 @@ struct SimdBenchRegistrar {
     SimdBenchRegistrar()
     {
         detail::ensureKernelsRegistered();
+        registerMatMulThreads("BM_MatMulThreads", "blocked");
         SimdTier t = hostSimdTier();
         if (t == SimdTier::Scalar)
             return;
@@ -1010,10 +1020,13 @@ struct SimdBenchRegistrar {
                 "blocked" + sfx)
                 ->Arg(64)
                 ->Arg(128);
-        if (hasKernelVariant(OpKind::MatMul, "blocked" + sfx))
+        if (hasKernelVariant(OpKind::MatMul, "blocked" + sfx)) {
             benchmark::RegisterBenchmark(
                 ("BM_DecodeMatMul/blocked" + sfx).c_str(),
                 BM_DecodeMatMul, "blocked" + sfx);
+            registerMatMulThreads("BM_MatMulThreads/blocked" + sfx,
+                                  "blocked" + sfx);
+        }
         if (hasKernelVariant(OpKind::MatMulBiasAct, "blocked" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_FusedMatMulBiasRelu/blocked" + sfx).c_str(),

@@ -15,9 +15,10 @@ applies them all:
   (kernels also stamp the host SIMD tier). A missing stamp fails.
 * Floors: machine-independent bars on the fresh rows themselves
   (bit parity, the 2.0x run reduction, a live KV cache, the three
-  fused-attention floors, decode cost flat across maxSeq, fused vs
-  unfused attention kernels, depthwise tier vs direct / reference
-  kernels and GEMM tier vs scalar kernels paired within one snapshot).
+  fused-attention floors, decode cost flat across maxSeq with and
+  without pad rows, fused vs unfused attention kernels, depthwise
+  tier vs direct / reference kernels and GEMM tier vs scalar kernels
+  paired within one snapshot).
   A column a floor reads that is missing fails.
 * Gates: a gated metric may not regress beyond its tolerance (25% for
   throughput and self-normalized latency ratios, 5% for table4 peak
@@ -53,7 +54,8 @@ MIN_FUSED_ATTN_SPEEDUP = 1.5
 MIN_FUSED_ATTN_SCALAR_SPEEDUP = 1.0
 # Decode wall-clock per token at maxSeq 1024 over maxSeq 64, same
 # traffic, same snapshot: decode work follows the tokens a stream has
-# written, not the cache extent.
+# written, not the cache extent. It binds both sweeps: 4 streams in
+# full bucket-4 runs, and 1 stream whose runs carry 3 pad rows.
 MAX_DECODE_MAXSEQ_RATIO = 1.5
 # A depthwise tier row ("packed@<tier>", "int8@<tier>") must beat its
 # direct-loop / dequant-reference row at the same shape by this factor,
@@ -227,7 +229,13 @@ RULES = {
                  f"{MAX_DECODE_MAXSEQ_RATIO}x maxSeq 64",
                  fused(lambda r: r["decode_wall_us_per_token_maxseq1024"]
                        <= MAX_DECODE_MAXSEQ_RATIO
-                       * r["decode_wall_us_per_token_maxseq64"]))],
+                       * r["decode_wall_us_per_token_maxseq64"])),
+                ("fused: padded decode us/token at maxSeq 1024 <= "
+                 f"{MAX_DECODE_MAXSEQ_RATIO}x maxSeq 64",
+                 fused(lambda r:
+                       r["decode_wall_us_per_token_padded_maxseq1024"]
+                       <= MAX_DECODE_MAXSEQ_RATIO
+                       * r["decode_wall_us_per_token_padded_maxseq64"]))],
         # fused_attention gates as a column, so a row that stops
         # running the fused scenario cannot drop its floors unnoticed.
         metrics=RUN_SHARING

@@ -258,6 +258,13 @@ CASES = [
               lambda v: v * 3.0), 1),
     ("decode fused maxSeq sweep column vanished", "decode",
      edit_row(FUSED, "decode_wall_us_per_token_maxseq64", GONE), 1),
+    # Pad rows that scan every cache column read about 5x.
+    ("decode fused padded cost grows with maxSeq", "decode",
+     edit_row(FUSED, "decode_wall_us_per_token_padded_maxseq1024",
+              lambda v: v * 3.0), 1),
+    ("decode fused padded sweep column vanished", "decode",
+     edit_row(FUSED, "decode_wall_us_per_token_padded_maxseq64", GONE),
+     1),
 ]
 
 

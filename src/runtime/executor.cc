@@ -343,8 +343,8 @@ Executor::bindInto(ExecContext &ctx) const
     ctx.arena_.reset(plan_.arenaBytes);
     // The cache region is zeroed here — at bind — and then left alone
     // forever: run() never touches it, which is exactly the cross-run
-    // persistence Storage::Cache promises. zeroCacheRows() clears the
-    // rows a caller addresses.
+    // persistence Storage::Cache promises. A caller clears rows
+    // through rowsOf().
     ctx.cache_.reset(plan_.cacheBytes);
 
     // Input staging buffers are per-session: two in-flight requests
@@ -492,52 +492,6 @@ Executor::bindInputById(ExecContext &ctx, int id, const Tensor &t) const
 }
 
 void
-Executor::bindInputRowsAt(ExecContext &ctx, int id, const Tensor &t,
-                          int64_t rowOffset) const
-{
-    const Node &n = g_.node(id);
-    if (n.shape.empty() || t.shape().empty() ||
-        t.shape().size() != n.shape.size())
-        throw std::runtime_error(
-            "bindInputRowsAt: rank mismatch for " + n.name);
-    for (size_t d = 1; d < n.shape.size(); ++d) {
-        if (t.shape()[d] != n.shape[d])
-            throw std::runtime_error(
-                "bindInputRowsAt: shape mismatch for " + n.name +
-                ": got " + shapeToString(t.shape()) + " want " +
-                shapeToString(n.shape) + " (rows may differ)");
-    }
-    int64_t rows = t.shape()[0];
-    if (rowOffset < 0 || rowOffset + rows > n.shape[0])
-        throw std::runtime_error(
-            "bindInputRowsAt: rows [" + std::to_string(rowOffset) +
-            ", " + std::to_string(rowOffset + rows) +
-            ") exceed the " + std::to_string(n.shape[0]) +
-            " rows of " + n.name);
-    int64_t rowElems = numel(n.shape) / n.shape[0];
-    std::memcpy(ctx.inputBufs_[id].data() + rowOffset * rowElems,
-                t.data(), sizeof(float) * rows * rowElems);
-}
-
-void
-Executor::zeroInputRowsFrom(ExecContext &ctx, int id,
-                            int64_t fromRow) const
-{
-    const Node &n = g_.node(id);
-    if (n.shape.empty())
-        throw std::runtime_error(
-            "zeroInputRowsFrom: scalar input " + n.name);
-    if (fromRow < 0 || fromRow > n.shape[0])
-        throw std::runtime_error(
-            "zeroInputRowsFrom: row " + std::to_string(fromRow) +
-            " out of the " + std::to_string(n.shape[0]) +
-            " rows of " + n.name);
-    int64_t rowElems = numel(n.shape) / n.shape[0];
-    std::memset(ctx.inputBufs_[id].data() + fromRow * rowElems, 0,
-                sizeof(float) * (n.shape[0] - fromRow) * rowElems);
-}
-
-void
 Executor::run()
 {
     run(defaultCtx());
@@ -650,69 +604,26 @@ Executor::fetch(const ExecContext &ctx, int node_id) const
     return out;
 }
 
-namespace {
-
-/** Resolve a cache value's [B, maxSeq, D] row geometry (@p slot
- *  picks the leading dim). Returns the element offset of (slot, row0)
- *  and writes D to @p rowElems. */
-int64_t
-cacheRowBase(const Node &n, const ValuePlacement &v, int64_t slot,
-             int64_t row0, int64_t rows, int64_t *rowElems)
+float *
+Executor::rowsOf(ExecContext &ctx, int id, int64_t row0, int64_t n) const
 {
-    if (v.storage != Storage::Cache)
-        throw std::runtime_error("Executor: " + n.name +
-                                 " is not a cache value");
-    const Shape &s = n.shape;
-    int64_t b = s[0], max_seq = s[1], d = s[2];
-    if (slot < 0 || slot >= b)
+    if (id < 0 || id >= g_.numNodes())
+        throw std::runtime_error("Executor::rowsOf: node id " +
+                                 std::to_string(id) + " out of range");
+    const Node &node = g_.node(id);
+    const ValuePlacement &v = plan_.values[id];
+    if ((v.storage != Storage::External && v.storage != Storage::Cache) ||
+        v.dtype != DType::F32 || node.shape.empty())
+        throw std::runtime_error("Executor::rowsOf: " + node.name +
+                                 " is not an fp32 input or cache value");
+    const int64_t rows = node.shape[0];
+    if (row0 < 0 || n < 0 || row0 + n > rows)
         throw std::runtime_error(
-            "Executor: cache slot " + std::to_string(slot) +
-            " out of range for " + n.name);
-    if (row0 < 0 || rows < 0 || row0 + rows > max_seq)
-        throw std::runtime_error(
-            "Executor: cache rows [" + std::to_string(row0) + ", " +
-            std::to_string(row0 + rows) + ") exceed the " +
-            std::to_string(max_seq) + " rows of " + n.name);
-    *rowElems = d;
-    return (slot * max_seq + row0) * d;
-}
-
-} // namespace
-
-void
-Executor::fetchCacheRows(const ExecContext &ctx, int node_id,
-                         int64_t slot, int64_t row0, int64_t rows,
-                         float *dst) const
-{
-    int64_t d = 0;
-    int64_t base = cacheRowBase(g_.node(node_id), plan_.values[node_id],
-                                slot, row0, rows, &d);
-    if (rows > 0)
-        std::memcpy(dst,
-                    resolve(const_cast<ExecContext &>(ctx), node_id) + base,
-                    sizeof(float) * rows * d);
-}
-
-void
-Executor::bindCacheRows(ExecContext &ctx, int node_id, int64_t slot,
-                        int64_t row0, int64_t rows, const float *src) const
-{
-    int64_t d = 0;
-    int64_t base = cacheRowBase(g_.node(node_id), plan_.values[node_id],
-                                slot, row0, rows, &d);
-    if (rows > 0)
-        std::memcpy(resolve(ctx, node_id) + base, src,
-                    sizeof(float) * rows * d);
-}
-
-void
-Executor::zeroCacheRows(ExecContext &ctx, int node_id, int64_t slot,
-                        int64_t row0, int64_t rows) const
-{
-    int64_t d = 0;
-    int64_t base = cacheRowBase(g_.node(node_id), plan_.values[node_id],
-                                slot, row0, rows, &d);
-    std::memset(resolve(ctx, node_id) + base, 0, sizeof(float) * rows * d);
+            "Executor::rowsOf: rows [" + std::to_string(row0) + ", " +
+            std::to_string(row0 + n) + ") exceed the " +
+            std::to_string(rows) + " rows of " + node.name);
+    return resolve(ctx, id) +
+           row0 * numel(Shape(node.shape.begin() + 1, node.shape.end()));
 }
 
 } // namespace pe

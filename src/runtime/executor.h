@@ -114,7 +114,8 @@ class ExecContext
     /** KV-cache region (Storage::Cache values). Zeroed ONCE at bind
      *  and never reset by run(): its contents — the session's cached
      *  K/V rows — are the state that must survive between runs.
-     *  Rows are cleared only by Executor::zeroCacheRows(). */
+     *  Rows change only where run() writes them or a caller writes
+     *  them through Executor::rowsOf(). */
     Arena cache_;
     std::vector<Tensor> inputBufs_; ///< by node id (Input staging)
     std::vector<BoundStep> steps_;
@@ -177,23 +178,6 @@ class Executor
     /** bindInputById against @p ctx. */
     void bindInputById(ExecContext &ctx, int id, const Tensor &t) const;
 
-    /**
-     * Bind @p t's rows into Input @p id starting at row @p rowOffset
-     * of the staging buffer, touching no other rows — the serving
-     * path packs each group's requests (one or several) contiguously
-     * with this, then zeroes the pad tail once via zeroInputRowsFrom().
-     * @p t must match the input's shape in every dim but the first
-     * and [rowOffset, rowOffset + rows) must fit the input's rows.
-     */
-    void bindInputRowsAt(ExecContext &ctx, int id, const Tensor &t,
-                         int64_t rowOffset) const;
-
-    /** Zero rows [@p fromRow, input rows) of Input @p id's staging —
-     *  the pad tail of a packed group, zero-filled so the run is
-     *  byte-identical to an explicitly padded one. */
-    void zeroInputRowsFrom(ExecContext &ctx, int id,
-                           int64_t fromRow) const;
-
     /** Execute one step on @p ctx. Touches only @p ctx's mutable
      *  state; distinct contexts may run concurrently. */
     void run(ExecContext &ctx) const;
@@ -208,30 +192,19 @@ class Executor
     int64_t cacheBytes() const { return plan_.cacheBytes; }
 
     /**
-     * Copy rows [@p row0, @p row0 + @p rows) of cache value
-     * @p node_id (a CacheWrite output) out of @p ctx into @p dst
-     * (rows x D floats). @p slot selects the leading-dim index of the
-     * [B, maxSeq, D] cache (0 for a prefill's B = 1). This is the
-     * serving runtime's scatter/gather half: per-stream authoritative
-     * state lives engine-side, session contexts are just the run's
-     * staging. Zero rows copy nothing (@p dst may then be null).
+     * Rows [@p row0, @p row0 + @p n) along dim 0 of value @p id in
+     * @p ctx, as one contiguous fp32 run the caller reads or writes in
+     * place: the serving runtime's one row entry point for packing
+     * feeds into staging and moving KV rows between a stream and its
+     * slot. The value must be an Input's staging buffer or a cache
+     * value; one row of a [B, maxSeq, D] cache is one [maxSeq, D]
+     * slot. A zero-row view is valid (row0 may then equal dim 0).
+     * Throws std::runtime_error for an out-of-range id, rows outside
+     * [0, dim 0], or any other storage: params and consts are shared
+     * by every context, and run() rewrites arena values.
      */
-    void fetchCacheRows(const ExecContext &ctx, int node_id,
-                        int64_t slot, int64_t row0, int64_t rows,
-                        float *dst) const;
-
-    /** Inverse of fetchCacheRows: copy rows x D floats from @p src
-     *  into rows [@p row0, @p row0 + rows) of cache value @p node_id,
-     *  slot @p slot. Touches nothing else — surrounding rows keep
-     *  their persisted contents. */
-    void bindCacheRows(ExecContext &ctx, int node_id, int64_t slot,
-                       int64_t row0, int64_t rows,
-                       const float *src) const;
-
-    /** Zero rows [@p row0, @p row0 + @p rows) of cache value
-     *  @p node_id, slot @p slot, and nothing else. */
-    void zeroCacheRows(ExecContext &ctx, int node_id, int64_t slot,
-                       int64_t row0, int64_t rows) const;
+    float *rowsOf(ExecContext &ctx, int id, int64_t row0,
+                  int64_t n) const;
 
     // ---- execution tracing (src/obs/) --------------------------------
 

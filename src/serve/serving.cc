@@ -457,7 +457,7 @@ ServingEngine::resolveCacheTopology()
                     "ServingEngine: duplicate cache name " +
                     b->cacheNodes[i].name);
         }
-        // Decode buckets carry the engine-synthesized inputs.
+        // Decode buckets carry the engine-owned pos and mask inputs.
         if (b->decode) {
             b->posInput = b->exec->inputId("pos");
             b->maskInput = b->exec->inputId("mask");
@@ -502,7 +502,7 @@ ServingEngine::resolveCacheTopology()
             if (got.maxSeq != maxSeq_)
                 throw std::invalid_argument(
                     "ServingEngine: all cache values must share one "
-                    "maxSeq (the synthesized mask's width)");
+                    "maxSeq (the engine-written mask's width)");
         }
         // A prompt longer than the cache could never be written.
         if (!b->decode && b->batch > maxSeq_)
@@ -656,17 +656,16 @@ ServingEngine::makeRequest(
     // silently read the PREVIOUS request's staging bytes (or warm-up
     // zeros on a cold session) — require full coverage instead. Feed
     // names are unique map keys and unknown names threw above, so
-    // count equality means every compiled Input is bound.
-    size_t want = bk.cg.graph.inputIds().size();
+    // count equality means every compiled Input is bound. A decode
+    // bucket's pos and mask are engine-owned: runGroup writes them.
+    size_t want = bk.cg.graph.inputIds().size() - (bk.decode ? 2 : 0);
     if (st->feeds.size() != want)
         throw std::invalid_argument(
             "ServingEngine: request binds " +
             std::to_string(st->feeds.size()) + " of " +
             std::to_string(want) + " model inputs");
     st->id = nextId_.fetch_add(1, std::memory_order_relaxed);
-    st->submitTime = std::chrono::steady_clock::now();
-    if (options_.trace)
-        st->enqueueNs = traceNowNs();
+    st->submitNs = traceNowNs();
     return st;
 }
 
@@ -828,20 +827,12 @@ ServingEngine::submitDecode(
                 std::to_string(maxSeq_) + ")");
         if (feeds.count("pos") || feeds.count("mask"))
             throw std::invalid_argument(
-                "ServingEngine: 'pos' and 'mask' are synthesized "
-                "from the stream's generation — do not feed them");
-        // One row per stream: the write position is the generation,
-        // and columns past it are masked hard enough that exp()
-        // underflows to exact 0.0f (bit-parity with a fresh session
-        // whose tail rows are true zeros).
-        Tensor pos({1, 1});
-        pos[0] = static_cast<float>(gen);
-        Tensor mask({1, maxSeq_});
-        std::fill(mask.data() + gen + 1, mask.data() + maxSeq_,
-                  kMaskedScore);
-        feeds.emplace("pos", std::move(pos));
-        feeds.emplace("mask", std::move(mask));
+                "ServingEngine: 'pos' and 'mask' are written from "
+                "the stream's generation — do not feed them");
         std::shared_ptr<RequestState> st = makeRequest(feeds, true);
+        if (st->rows != 1)
+            throw std::invalid_argument(
+                "ServingEngine: a decode step feeds one row per stream");
         st->stream = stream;
         st->isDecode = true;
         st->gen = gen;
@@ -974,7 +965,8 @@ ServingEngine::runGroup(
         // staging buffers, then zero the pad tail once: a group of one
         // is the pad-to-bucket bind, and a larger group's buffer is
         // byte-identical to the concatenation of its members'
-        // independently padded binds. Decode members also gather
+        // independently padded binds. Every copy goes through one
+        // row view (Executor::rowsOf). Decode members also gather
         // their stream's rows [0, gen) into their slot of the
         // session's persistent cache region and re-zero the rows
         // [gen, dirty) an earlier run left there, so the slot ends up
@@ -983,10 +975,12 @@ ServingEngine::runGroup(
         // succeeds the slot counts as dirty to maxSeq. (Prefill skips
         // the gather: it rewrites rows [0, S) itself and nothing
         // beyond its prompt is fetched back.)
+        const Executor &ex = *bk.exec;
         int64_t off = 0;
         for (const auto &st : group) {
             for (const auto &[id, t] : st->feeds)
-                bk.exec->bindInputRowsAt(sess, id, t, off);
+                std::copy_n(t.data(), t.size(),
+                            ex.rowsOf(sess, id, off, st->rows));
             if (st->isDecode) {
                 const int64_t gen = st->gen;
                 const int64_t stale = std::exchange(
@@ -994,26 +988,45 @@ ServingEngine::runGroup(
                 std::lock_guard<std::mutex> lk(streamMu_);
                 const Stream &s = streams_.at(st->stream);
                 for (size_t i = 0; i < bk.cacheNodes.size(); ++i) {
-                    const int id = bk.cacheNodes[i].id;
-                    bk.exec->bindCacheRows(sess, id, off, 0, gen,
-                                           s.cache[i].data());
+                    const int64_t d = bk.cacheNodes[i].dim;
+                    float *slot = ex.rowsOf(sess, bk.cacheNodes[i].id,
+                                            off, 1);
+                    std::copy_n(s.cache[i].data(), gen * d, slot);
                     if (stale > gen)
-                        bk.exec->zeroCacheRows(sess, id, off, gen,
-                                               stale - gen);
+                        std::fill(slot + gen * d, slot + stale * d, 0.0f);
                 }
                 cacheBytes += std::max(stale, gen) * cacheRowBytes_;
             }
             off += st->rows;
         }
-        // makeRequest guarantees every member's feeds cover every
-        // Input, so the leader's feed ids name them all.
-        for (const auto &feed : group[0]->feeds)
-            bk.exec->zeroInputRowsFrom(sess, feed.first, totalRows);
-        // Pad slots run on zeroed inputs and write a cache row; they
+        // Zero the pad tail of every fed Input.
+        const Graph &g = bk.cg.graph;
+        for (int id : g.inputIds()) {
+            if (id == bk.posInput || id == bk.maskInput)
+                continue;
+            const Shape &s = g.node(id).shape;
+            std::fill_n(ex.rowsOf(sess, id, totalRows, s[0] - totalRows),
+                        (s[0] - totalRows) * (numel(s) / s[0]), 0.0f);
+        }
+        // Each decode row (one per member) writes its own pos, its
+        // generation, and mask row, 0 through gen and kMaskedScore
+        // after: deep enough that exp() underflows to exact 0.0f. A
+        // pad row is a generation-0 row, so attention scans one
+        // column for it, not maxSeq; pad slots write a cache row and
         // count as dirty to maxSeq.
-        if (bk.decode)
+        if (bk.decode) {
+            for (int64_t r = 0; r < bk.batch; ++r) {
+                const int64_t gen =
+                    r < totalRows ? group[static_cast<size_t>(r)]->gen : 0;
+                *ex.rowsOf(sess, bk.posInput, r, 1) =
+                    static_cast<float>(gen);
+                float *mask = ex.rowsOf(sess, bk.maskInput, r, 1);
+                std::fill(mask, mask + gen + 1, 0.0f);
+                std::fill(mask + gen + 1, mask + maxSeq_, kMaskedScore);
+            }
             std::fill(ws.dirty.begin() + totalRows, ws.dirty.end(),
                       maxSeq_);
+        }
 
         runStartNs = traceNowNs();
         bk.exec->run(sess);
@@ -1051,9 +1064,10 @@ ServingEngine::runGroup(
                         std::vector<float> &dst = s.cache[i];
                         dst.resize(static_cast<size_t>((row0 + rows) *
                                                        c.dim));
-                        bk.exec->fetchCacheRows(sess, c.id, off, row0,
-                                                rows,
-                                                dst.data() + row0 * c.dim);
+                        std::copy_n(ex.rowsOf(sess, c.id, off, 1) +
+                                        row0 * c.dim,
+                                    rows * c.dim,
+                                    dst.data() + row0 * c.dim);
                     }
                     cacheBytes += rows * cacheRowBytes_;
                     s.gen = row0 + rows;
@@ -1098,13 +1112,11 @@ ServingEngine::runGroup(
                 static_cast<int64_t>(group.size()),
                 std::memory_order_relaxed);
         }
-        auto now = std::chrono::steady_clock::now();
+        const int64_t nowNs = traceNowNs();
         {
             std::lock_guard<std::mutex> lock(statsMu_);
             for (const auto &st : group) {
-                double us = std::chrono::duration<double, std::micro>(
-                                now - st->submitTime)
-                                .count();
+                double us = (nowNs - st->submitNs) / 1e3;
                 latenciesUs_.record(us);
                 // log2 histogram bin: [2^b, 2^(b+1)) us, last open.
                 int64_t v = static_cast<int64_t>(us);
@@ -1134,7 +1146,7 @@ ServingEngine::runGroup(
             for (const auto &st : group) {
                 r.id = st->id;
                 r.rows = st->rows;
-                r.enqueueNs = st->enqueueNs;
+                r.enqueueNs = st->submitNs;
                 r.dequeueNs = st->dequeueNs;
                 r.stream = st->stream;
                 r.gen = st->gen;

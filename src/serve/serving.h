@@ -108,12 +108,16 @@ using ModelFactory = std::function<ServedModel(int64_t batch)>;
  *    causal mask is a Const): its only Input is the prompt, one token
  *    per row, and its caches are [1, maxSeq, D].
  *  - The decode graph takes one token per stream row plus two
- *    engine-synthesized Inputs: "pos" [B, 1] (each stream's write
- *    position = its generation) and "mask" [B, maxSeq] (0 for columns
- *    <= generation, kMaskedScore beyond — large enough that exp() underflows
- *    to exact 0.0f, which is what makes shared runs bit-identical to
- *    solo runs no matter what stale rows sit past the generation).
- *    Its caches are [B, maxSeq, D], one slot per stream row.
+ *    engine-owned Inputs: "pos" [B, 1] (each stream's write position
+ *    = its generation) and "mask" [B, maxSeq] (0 for columns <=
+ *    generation, kMaskedScore beyond — large enough that exp()
+ *    underflows to exact 0.0f, which is what makes shared runs
+ *    bit-identical to solo runs no matter what stale rows sit past
+ *    the generation). The engine writes each row's pos and mask
+ *    straight into the session's staging rows; a pad row is written
+ *    as generation 0 (pos 0, only column 0 visible), so attention
+ *    scans one column for it, not maxSeq. Its caches are
+ *    [B, maxSeq, D], one slot per stream row.
  *
  * Per-stream authoritative cache state lives engine-side and holds
  * only the rows written so far: `gen` rows of D floats per cache
@@ -407,9 +411,10 @@ class ServingEngine
 
     /**
      * Enqueue one single-token decode step for @p stream: feeds are
-     * the decode graph's Inputs EXCEPT "pos" and "mask", which the
-     * engine synthesizes from the stream's generation, one row each.
-     * Requires a completed prefill and generation < maxSeq.
+     * the decode graph's Inputs EXCEPT "pos" and "mask", one row
+     * each; the engine writes pos and mask from the stream's
+     * generation. Requires a completed prefill and generation <
+     * maxSeq.
      * Concurrent streams share bucket runs whatever their generations
      * — bit-identically to each stream decoding alone.
      */
@@ -482,8 +487,8 @@ class ServingEngine
         int bucket = -1; ///< index into buckets_
         int64_t rows = 0;
         /** Decode only: the stream's generation at submit — the row
-         *  the step writes, the source of its pos/mask feeds, its
-         *  slot's dirty mark and its trace record. */
+         *  the step writes, the value its pos and mask rows are
+         *  written from, its slot's dirty mark and its trace record. */
         int64_t gen = 0;
         /** Owning stream; 0 for plain (non-generative) requests. A
          *  stream request that is not a decode is a prefill. */
@@ -491,12 +496,13 @@ class ServingEngine
         bool isDecode = false;
         /** (input node id in the bucket's graph, request tensor). */
         std::vector<std::pair<int, Tensor>> feeds;
-        std::chrono::steady_clock::time_point submitTime;
-        /** Lifecycle timestamps (traceNowNs), written only when the
-         *  engine traces. enqueueNs by the submitting thread before
-         *  the queue push; dequeueNs by the one worker that pops the
-         *  request (the queue handoff orders the two). */
-        int64_t enqueueNs = 0;
+        /** traceNowNs() at submit, set by the submitting thread before
+         *  the queue push: the start of the request's latency and of
+         *  its lifecycle record's "queued" span. */
+        int64_t submitNs = 0;
+        /** traceNowNs() when a worker pops the request, written only
+         *  when the engine traces (the queue handoff orders it after
+         *  submitNs). */
         int64_t dequeueNs = 0;
         std::vector<Tensor> outputs;
         /** Worker-path failure, rethrown by wait(). Written before
@@ -526,7 +532,8 @@ class ServingEngine
         /** CacheWrite values of this bucket's graph, sorted by name —
          *  index-aligned with cacheSpec_ and Stream::cache. */
         std::vector<CacheNodeRef> cacheNodes;
-        /** Decode buckets only: the engine-synthesized inputs. */
+        /** Decode buckets only: the engine-owned inputs, written per
+         *  row from each member's generation. */
         int posInput = -1;
         int maskInput = -1;
         CompiledGraph cg;

@@ -6,9 +6,10 @@
  * Guarantee layers:
  *  1. The cache region's lifetime contract at the executor level:
  *     Storage::Cache values start zeroed and persist across run()
- *     calls, and bindCacheRows / fetchCacheRows / zeroCacheRows move
- *     exactly the addressed rows (zero rows move nothing, even from a
- *     null pointer).
+ *     calls, and the row view (Executor::rowsOf) addresses exactly
+ *     the rows asked for: a write through it touches nothing else, a
+ *     zero-row view is valid, and a view past dim 0 or onto a param,
+ *     const or arena value throws.
  *  2. Plans carrying cache values round-trip bit-identically with
  *     ZERO pipeline invocations on load, and a tampered cache-region
  *     extent is rejected at load time (checksum gate for blind
@@ -95,11 +96,13 @@ allFinite(const Tensor &t)
 /** Rows [@p row0, @p row0 + @p rows) of cache value @p id, slot
  *  @p slot, as a [rows, D] tensor. */
 Tensor
-cacheRows(const Executor &ex, const ExecContext &ctx, int id, int64_t slot,
+cacheRows(const Executor &ex, ExecContext &ctx, int id, int64_t slot,
           int64_t row0, int64_t rows)
 {
-    Tensor t({rows, ex.graph().node(id).shape.back()});
-    ex.fetchCacheRows(ctx, id, slot, row0, rows, t.data());
+    const int64_t d = ex.graph().node(id).shape.back();
+    Tensor t({rows, d});
+    std::copy_n(ex.rowsOf(ctx, id, slot, 1) + row0 * d, rows * d,
+                t.data());
     return t;
 }
 
@@ -166,28 +169,67 @@ TEST(CacheRegion, PersistsAcrossRuns)
     // NEVER re-zeroes the cache region.
     Rng r(31);
     Tensor planted = Tensor::randn({2, cfg.dim}, r);
-    ex.bindCacheRows(*ctx, b.kcache, 0, 8, 2, planted.data());
+    float *slot = ex.rowsOf(*ctx, b.kcache, 0, 1);
+    std::copy_n(planted.data(), planted.size(), slot + 8 * cfg.dim);
     ex.bindInputById(*ctx, xid, tokenRows({5, 6, 7, 8}));
     ex.run(*ctx);
     expectBitEqual(cacheRows(ex, *ctx, b.kcache, 0, 8, 2), planted,
                    "rows planted past the prompt");
 
-    // Zero-row copies move nothing, even through null pointers (an
-    // empty stream's rows have no storage yet).
-    ex.bindCacheRows(*ctx, b.kcache, 0, 8, 0, nullptr);
-    ex.fetchCacheRows(*ctx, b.kcache, 0, 8, 0, nullptr);
-    ex.zeroCacheRows(*ctx, b.kcache, 0, 8, 0);
-    expectBitEqual(cacheRows(ex, *ctx, b.kcache, 0, 8, 2), planted,
-                   "rows after zero-row copies");
+    // A zero-row view is valid, at the start and at the end of dim 0.
+    EXPECT_EQ(ex.rowsOf(*ctx, b.kcache, 0, 0), slot);
+    EXPECT_EQ(ex.rowsOf(*ctx, b.kcache, 1, 0),
+              slot + cfg.maxSeq * cfg.dim);
 
-    // zeroCacheRows clears exactly the addressed rows.
-    ex.zeroCacheRows(*ctx, b.kcache, 0, 8, 1);
+    // Zeroing one row through the view clears exactly that row.
+    std::fill_n(slot + 8 * cfg.dim, cfg.dim, 0.0f);
     Tensor both = cacheRows(ex, *ctx, b.kcache, 0, 8, 2);
     for (int64_t i = 0; i < cfg.dim; ++i) {
         ASSERT_EQ(both[i], 0.0f) << "zeroed row kept data";
         ASSERT_EQ(both[cfg.dim + i], planted[cfg.dim + i])
-            << "zeroCacheRows touched the next row";
+            << "zeroing one row touched the next";
     }
+}
+
+TEST(CacheRegion, RowViewRejectsOutOfBoundsAndSharedStorage)
+{
+    BuiltPrefill b = makePrefill(4);
+    ASSERT_GE(b.kcache, 0);
+    Executor &ex = b.prog->executor();
+    auto ctx = ex.makeContext();
+    const int xid = ex.inputId("x");
+    ASSERT_GE(xid, 0);
+
+    // One value of each storage class the view refuses.
+    int param = -1, cnst = -1, arena = -1;
+    const Graph &g = ex.graph();
+    for (int id = 0; id < g.numNodes(); ++id) {
+        Storage s = ex.memoryPlan().values[id].storage;
+        if (s == Storage::Param && param < 0)
+            param = id;
+        if (s == Storage::ConstBuf && cnst < 0)
+            cnst = id;
+        if (s == Storage::Arena && arena < 0)
+            arena = id;
+    }
+    ASSERT_GE(param, 0);
+    ASSERT_GE(cnst, 0);
+    ASSERT_GE(arena, 0);
+
+    const int64_t xrows = g.node(xid).shape[0]; // 4 prompt rows
+    EXPECT_NO_THROW(ex.rowsOf(*ctx, xid, 0, xrows));
+    EXPECT_NO_THROW(ex.rowsOf(*ctx, xid, xrows, 0));
+    EXPECT_THROW(ex.rowsOf(*ctx, xid, -1, 1), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, xid, 1, xrows), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, xid, 0, -1), std::runtime_error);
+    // The prefill cache is [1, maxSeq, D]: slot 1 is past B.
+    EXPECT_THROW(ex.rowsOf(*ctx, b.kcache, 1, 1), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, param, 0, 0), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, cnst, 0, 0), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, arena, 0, 0), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, -1, 0, 0), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, g.numNodes(), 0, 0),
+                 std::runtime_error);
 }
 
 // ---- 2. plan round-trip with cache values ----------------------------
@@ -434,9 +476,11 @@ TEST(DecodeStreams, LifecycleRules)
     EXPECT_EQ(pre[0].shape(), (Shape{4, cfg.vocab}));
     EXPECT_EQ(e.streamGeneration(sid), 4);
 
-    // The synthesized feeds are engine-owned.
+    // pos and mask are engine-owned, and a step is one row.
     EXPECT_THROW(e.submitDecode(sid, {{"x", tokenRows({1})},
                                       {"pos", tokenRows({0})}}),
+                 std::invalid_argument);
+    EXPECT_THROW(e.submitDecode(sid, {{"x", tokenRows({1, 2})}}),
                  std::invalid_argument);
 
     // Decode to the cache limit, then the stream is full.

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -208,18 +209,15 @@ TEST(ExecContext, PackedBindZeroFillsThePad)
     int xid = ex.inputId("x");
     // Dirty the staging buffer first: the zero-fill must erase it.
     ex.bindInputById(*ctx, xid, randomRows(4, r));
-    ex.bindInputRowsAt(*ctx, xid, x3, 0);
-    ex.zeroInputRowsFrom(*ctx, xid, 3);
+    std::copy_n(x3.data(), x3.size(), ex.rowsOf(*ctx, xid, 0, 3));
+    std::fill_n(ex.rowsOf(*ctx, xid, 3, 1), 8, 0.0f);
     ex.run(*ctx);
     expectBitEqual(ex.fetch(*ctx, prog.graph().outputs()[0]), ref,
                    "padded bind");
 
-    Tensor bad({3, 9});
-    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, bad, 0),
-                 std::runtime_error);
-    Tensor tall({5, 8});
-    EXPECT_THROW(ex.bindInputRowsAt(*ctx, xid, tall, 0),
-                 std::runtime_error);
+    // Rows past the input's 4 are refused.
+    EXPECT_THROW(ex.rowsOf(*ctx, xid, 0, 5), std::runtime_error);
+    EXPECT_THROW(ex.rowsOf(*ctx, xid, 4, 1), std::runtime_error);
 }
 
 // ---- Shape-bucket routing --------------------------------------------
