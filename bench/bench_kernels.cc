@@ -688,24 +688,38 @@ BM_QuantDwConvSuite(benchmark::State &state, const std::string &variant)
         static_cast<int64_t>(state.iterations() * 2 * macs));
 }
 
+/** An int8 conv layer: ci -> co channels, k x k at stride / pad over
+ *  hw x hw planes of @p images images. */
+struct QConvShape {
+    const char *name;
+    int64_t ci, co, hw, k, stride, pad, images;
+};
+
+/** The MCUNet int8 burst's conv shapes at batch 8: the 3x3 stride-2
+ *  stem, the 8 -> 24 expand at 8 x 8, and the projects at 4 x 4 and
+ *  2 x 2 (36 -> 12, 60 -> 20). */
+constexpr QConvShape kMcuNetQConv[] = {
+    {"mcunet_stem", 3, 8, 16, 3, 2, 1, 8},
+    {"mcunet_8x24", 8, 24, 8, 1, 1, 0, 8},
+    {"mcunet_36x12", 36, 12, 4, 1, 1, 0, 8},
+    {"mcunet_60x20", 60, 20, 2, 1, 1, 0, 8}};
+
 /**
- * Int8 pointwise conv: MCUNet's other int8 hot op (the 1x1 expand and
- * project layers of every inverted-residual block), ch -> ch channels
- * over a 16x16 image. "" is the dequant->fp32->requant reference,
- * "int8" the scalar native kernel; the SIMD row registers when the
- * host has the tier. Items processed counts multiply-accumulates.
+ * One int8 conv layer (relu, bias, per-channel scales) on random
+ * codes. "" is the dequant->fp32->requant reference, "int8" the
+ * scalar native kernel, "int8@<tier>" the host's tier. Items processed
+ * counts multiply-accumulates.
  */
 void
-BM_QuantConv(benchmark::State &state, const std::string &variant)
+runQuantConv(benchmark::State &state, const QConvShape &s,
+             const std::string &variant)
 {
-    int64_t ch = state.range(0);
-    int64_t hw = 16;
     Graph g;
-    int xi = g.input({1, ch, hw, hw}, "x");
-    int wi = g.input({ch, ch, 1, 1}, "w");
-    int bi = g.input({ch, 1, 1}, "b");
-    int si = g.input({ch}, "s");
-    Attrs a;
+    int xi = g.input({s.images, s.ci, s.hw, s.hw}, "x");
+    int wi = g.input({s.co, s.ci, s.k, s.k}, "w");
+    int bi = g.input({s.co, 1, 1}, "b");
+    int si = g.input({s.co}, "s");
+    Attrs a = convAttrs(s.stride, s.pad);
     a.set("act", static_cast<int64_t>(1)); // relu
     a.set("hasBias", static_cast<int64_t>(1));
     a.set("perChannel", static_cast<int64_t>(1));
@@ -714,16 +728,18 @@ BM_QuantConv(benchmark::State &state, const std::string &variant)
     a.set("yScale", 0.02);
     a.set("yZp", static_cast<int64_t>(0));
     int node = g.add(OpKind::QuantConv2d, {xi, wi, bi, si}, std::move(a));
-    std::vector<float> qx((ch * hw * hw + 3) / 4), qw((ch * ch + 3) / 4);
+    int64_t nx = s.images * s.ci * s.hw * s.hw;
+    int64_t nw = s.co * s.ci * s.k * s.k;
+    std::vector<float> qx((nx + 3) / 4), qw((nw + 3) / 4);
     Rng vr(2);
-    for (int64_t i = 0; i < ch * hw * hw; ++i)
+    for (int64_t i = 0; i < nx; ++i)
         reinterpret_cast<int8_t *>(qx.data())[i] =
             static_cast<int8_t>(vr.randint(255) - 127);
-    for (int64_t i = 0; i < ch * ch; ++i)
+    for (int64_t i = 0; i < nw; ++i)
         reinterpret_cast<int8_t *>(qw.data())[i] =
             static_cast<int8_t>(vr.randint(255) - 127);
-    std::vector<float> bias(static_cast<size_t>(ch), 0.1f);
-    std::vector<float> scales(static_cast<size_t>(ch), 0.002f);
+    std::vector<float> bias(static_cast<size_t>(s.co), 0.1f);
+    std::vector<float> scales(static_cast<size_t>(s.co), 0.002f);
     int64_t out_n = numel(g.node(node).shape);
     std::vector<float> out((out_n + 3) / 4);
     KernelCtx ctx;
@@ -740,7 +756,20 @@ BM_QuantConv(benchmark::State &state, const std::string &variant)
         fn(ctx);
         benchmark::DoNotOptimize(out.data());
     }
-    state.SetItemsProcessed(state.iterations() * 2 * out_n * ch);
+    state.SetItemsProcessed(state.iterations() * 2 * out_n * s.ci * s.k *
+                            s.k);
+}
+
+/**
+ * Int8 pointwise conv: MCUNet's other int8 hot op (the 1x1 expand and
+ * project layers of every inverted-residual block), ch -> ch channels
+ * over one 16x16 image.
+ */
+void
+BM_QuantConv(benchmark::State &state, const std::string &variant)
+{
+    int64_t ch = state.range(0);
+    runQuantConv(state, {"", ch, ch, 16, 1, 1, 0, 1}, variant);
 }
 
 /**
@@ -949,6 +978,32 @@ BENCHMARK_CAPTURE(BM_QuantConv, ref, std::string(""))
 BENCHMARK_CAPTURE(BM_QuantConv, int8, std::string("int8"))
     ->Arg(32)
     ->Arg(96);
+
+/**
+ * "BM_QuantConv/int8/<shape>" at each kMcuNetQConv shape, each scalar
+ * row registered right before its "int8@<tier>" row, so the rows
+ * bench_check.py pairs in one snapshot run seconds apart.
+ */
+struct QConvSuiteRegistrar {
+    QConvSuiteRegistrar()
+    {
+        detail::ensureKernelsRegistered();
+        SimdTier t = hostSimdTier();
+        std::vector<std::string> variants = {"int8"};
+        std::string tier = std::string("int8@") + simdTierName(t);
+        if (t != SimdTier::Scalar &&
+            hasKernelVariant(OpKind::QuantConv2d, tier))
+            variants.push_back(tier);
+        for (const QConvShape &s : kMcuNetQConv)
+            for (const std::string &v : variants)
+                benchmark::RegisterBenchmark(
+                    ("BM_QuantConv/" + v + "/" + s.name).c_str(),
+                    [s, v](benchmark::State &state) {
+                        runQuantConv(state, s, v);
+                    });
+    }
+};
+QConvSuiteRegistrar g_qconvSuiteRegistrar;
 
 /**
  * Tracing overhead on the executor hot loop (src/obs/): a small MLP

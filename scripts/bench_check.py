@@ -17,8 +17,8 @@ applies them all:
   (bit parity, the 2.0x run reduction, a live KV cache, the three
   fused-attention floors, decode cost flat across maxSeq with and
   without pad rows, fused vs unfused attention kernels, depthwise
-  tier vs direct / reference kernels and GEMM tier vs scalar kernels
-  paired within one snapshot).
+  tier vs direct / reference kernels, and GEMM and int8 conv tier vs
+  scalar kernels, paired within one snapshot).
   A column a floor reads that is missing fails.
 * Gates: a gated metric may not regress beyond its tolerance (25% for
   throughput and self-normalized latency ratios, 5% for table4 peak
@@ -67,6 +67,11 @@ MIN_DW_TIER_SPEEDUP = 2.0
 # here on any host.
 MIN_GEMM_TIER_SPEEDUP = 4.5
 GEMM_TIER_ROWS = ("BM_DecodeMatMul/blocked@{}", "BM_MatMul/blocked@{}/128")
+# Every int8 conv tier row ("BM_QuantConv/int8@<tier>/...", the MCUNet
+# shapes included) must beat the scalar "int8" row at the same shape by
+# this factor, paired within one snapshot: an int8 tile that stops
+# vectorizing its channels shows here on any host.
+MIN_QCONV_TIER_SPEEDUP = 2.0
 
 # label: printed name; value: row -> number (KeyError if a column is
 # missing); better: "higher"/"lower", or None for a reported-only
@@ -149,6 +154,16 @@ def gemm_pairing(row, key, rows):
     return throughput(row) / throughput(base) >= MIN_GEMM_TIER_SPEEDUP
 
 
+def qconv_pairing(row, key, rows):
+    """Every int8 conv tier row beats its scalar "int8" row in the same
+    snapshot (KeyError if that vanished)."""
+    tier = row_tier(key)
+    if not tier or not key.startswith("BM_QuantConv/int8@" + tier):
+        return True
+    base = rows[key.replace("int8@" + tier, "int8")]
+    return throughput(row) / throughput(base) >= MIN_QCONV_TIER_SPEEDUP
+
+
 def table4_key(row):
     return "/".join(str(row[k]) for k in ("kind", "platform", "model",
                                           "method", "mode", "precision")
@@ -182,7 +197,9 @@ RULES = {
                 (f"depthwise tier row >= {MIN_DW_TIER_SPEEDUP}x its "
                  "direct / ref row", depthwise_pairing),
                 (f"GEMM tier row >= {MIN_GEMM_TIER_SPEEDUP}x its scalar "
-                 "blocked row", gemm_pairing)],
+                 "blocked row", gemm_pairing),
+                (f"int8 conv tier row >= {MIN_QCONV_TIER_SPEEDUP}x its "
+                 "scalar int8 row", qconv_pairing)],
         metrics=[Metric("ops/s", throughput, "higher", RATIO_TOL,
                         single_thread)]),
     "table4": Rule(

@@ -193,6 +193,13 @@ CASES = [
     ("kernels 128 GEMM tier row at 3.8x its scalar row", "kernels",
      tier_ratio("BM_MatMul/blocked@avx2/128", "BM_MatMul/blocked/128",
                 3.8), 1),
+    # An int8 conv tier row only 1.5x its scalar row: under the floor.
+    ("kernels MCUNet int8 conv tier row at 1.5x its scalar row",
+     "kernels",
+     tier_ratio("BM_QuantConv/int8@avx2/mcunet_60x20",
+                "BM_QuantConv/int8/mcunet_60x20", 1.5), 1),
+    ("kernels int8 conv scalar counterpart vanished", "kernels",
+     drop_kernels(lambda n: n == "BM_QuantConv/int8/mcunet_stem"), 1),
     ("kernels repetitions: the median aggregate is read", "kernels",
      as_aggregates(mean=0.5, median=1.0), 0),
     ("kernels repetitions: 30% drop in the median", "kernels",

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the test suite, and smoke-run
 # the kernel bench's thread-scaling case (matmul GFLOP/s at 1/2/4
-# threads) and the decode-shape GEMM rows (the host's tier vs scalar
-# rate). Mirrors ROADMAP.md's verify command.
+# threads), the decode-shape GEMM rows (the host's tier vs scalar
+# rate) and the int8 conv rows (the int8 tile at the MCUNet shapes,
+# scalar and tier). Mirrors ROADMAP.md's verify command.
 #
 # Usage: scripts/verify.sh [build-dir] [--scalar]
 #   build-dir   configure/build/test in this directory (default:
@@ -42,6 +43,6 @@ cmake --build "$BUILD" -j "$(nproc)"
 
 if [ -x "$BUILD"/bench_kernels ]; then
     ./"$BUILD"/bench_kernels \
-        --benchmark_filter='BM_MatMulThreads|BM_DecodeMatMul' \
+        --benchmark_filter='BM_MatMulThreads|BM_DecodeMatMul|BM_QuantConv' \
         --benchmark_min_time=0.2
 fi

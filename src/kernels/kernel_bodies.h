@@ -28,11 +28,16 @@
  *   mulAddF8(acc, a, b)         rounded multiply then a rounded add
  *                               (never FMA), so every tier matches the
  *                               direct depthwise loops bit for bit
- *   dotI8(a, w, k, zp)          sum of (a[k] - zp) * w[k], int32
+ *   i8Tile(a, aps, rows, kp,    the int8 register tile: acc[r * cols + j]
+ *          w, cols, acc)        = sum over pairs p < kp of
+ *                               a[p * aps + 2r + t] * w[(p * cols + j)
+ *                               * 2 + t], t < 2, for r < rows <=
+ *                               kQTileRows and j < cols, a multiple of
+ *                               kQChannels; int16 operand, int8
+ *                               weights, int32 sums
  *   kLanes, I32, zeroI32(),     kLanes int32 accumulators;
- *   loadI32(p), macI8(acc, x,   macI8 adds (x[l] - zp) * w to lane l,
- *   zp, w)                      w one int32 for every lane or an int8
- *                               pointer with one weight per lane
+ *   loadI32(p), macI8(acc, x,   macI8 adds (x[l] - zp) * w[l] to lane l
+ *   zp, w)                      (the int8 depthwise)
  *   vectorEmitOk(rq)            emitLanes matches Requant::emit for rq
  *   emitLanes(acc, sw, bias,    requantize kLanes outputs with weight
  *             rq, dst)          scales sw[l] and bias[l] (bias may be
@@ -49,6 +54,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "kernels/kernel_util.h"
 
@@ -121,14 +127,36 @@ struct ScalarLanes {
         return acc;
     }
 
-    static int32_t
-    dotI8(const int8_t *a, const int8_t *w, int64_t k, int32_t zp)
+    /** Channels in chunks of 64: each pair's weights widen into two
+     *  int16 rows once and serve every operand row. An operand entry
+     *  x - zp lies in [-255, 255] (a zero-point is an int8 code), so
+     *  each product fits 16 bits and the compiler forms them 8 to a
+     *  16-bit vector multiply. */
+    static void
+    i8Tile(const int16_t *a, int64_t aps, int64_t rows, int64_t kp,
+           const int8_t *w, int64_t cols, int32_t *acc)
     {
-        int32_t s = 0;
-        for (int64_t kk = 0; kk < k; ++kk)
-            s += (static_cast<int32_t>(a[kk]) - zp) *
-                 static_cast<int32_t>(w[kk]);
-        return s;
+        constexpr int64_t kChunk = 64;
+        std::fill_n(acc, rows * cols, 0);
+        for (int64_t j0 = 0; j0 < cols; j0 += kChunk) {
+            int64_t jn = std::min(kChunk, cols - j0);
+            for (int64_t p = 0; p < kp; ++p) {
+                int16_t w0[kChunk], w1[kChunk];
+                const int8_t *wr = w + (p * cols + j0) * 2;
+                for (int64_t j = 0; j < jn; ++j) {
+                    w0[j] = wr[2 * j];
+                    w1[j] = wr[2 * j + 1];
+                }
+                for (int64_t r = 0; r < rows; ++r) {
+                    int16_t a0 = a[p * aps + 2 * r];
+                    int16_t a1 = a[p * aps + 2 * r + 1];
+                    int32_t *sr = acc + r * cols + j0;
+                    for (int64_t j = 0; j < jn; ++j)
+                        sr[j] += static_cast<int16_t>(a0 * w0[j]) +
+                                 static_cast<int16_t>(a1 * w1[j]);
+                }
+            }
+        }
     }
 
     /** int32 lanes as a plain array as wide as the depthwise channel
@@ -146,14 +174,6 @@ struct ScalarLanes {
         I32 r;
         std::memcpy(r.v, p, sizeof r.v);
         return r;
-    }
-
-    static I32
-    macI8(I32 acc, const int8_t *x, int32_t zp, int32_t w)
-    {
-        for (int64_t l = 0; l < kLanes; ++l)
-            acc.v[l] += (static_cast<int32_t>(x[l]) - zp) * w;
-        return acc;
     }
 
     /** A zero-point is an int8 code (chooseQuantParams; qconvK pads
@@ -706,123 +726,262 @@ fusedAttentionK(const KernelCtx &c)
 //
 // int32 accumulation is exact, so every tier is bit-exact to the
 // scalar one as long as its emitLanes rounds like Requant::emit; where
-// it cannot (vectorEmitOk false), and for the outputs past the last
-// full lane run, the body requantizes through Requant::emit.
+// it cannot (vectorEmitOk false) the body requantizes each output
+// through Requant::emit.
+//
+// QuantMatMul and QuantConv2d share one register tile with its lanes
+// across output channels (qtileRows). The weights are packed once per
+// call as int8 pairs [k/2][channels][2], channels rounded up to
+// kQChannels; the activations become an int16 operand [k/2][rows][2]
+// holding x - zp (an odd k's pad pair is zero), so a pair of
+// activation rows k, k + 1 interleaves into one operand row with
+// sequential reads and writes. A tile step broadcasts one row's pair
+// against each channel group's packed pair (a 16-bit multiply-add of
+// two products into 32 bits). Every sum is exact in any order, so
+// neither the tile shape nor the tier moves a bit.
 
-/** Weight scale and bias of output channel @p ch, one copy per lane:
- *  the emitLanes operands of a lane run inside one channel. */
-template <int64_t L>
-struct ChannelLanes {
-    float sw[L], b[L];
-    bool hasBias;
-
-    ChannelLanes(const Requant &rq, int64_t ch)
-        : hasBias(rq.bias != nullptr)
-    {
-        std::fill_n(sw, L, rq.wScales ? rq.wScales[ch] : rq.wScale);
-        std::fill_n(b, L, hasBias ? rq.bias[ch] : 0.0f);
-    }
-
-    const float *bias() const { return hasBias ? b : nullptr; }
-};
+/** Output channels the int8 tile pads to: one AVX2 int32 register. */
+constexpr int64_t kQChannels = 8;
+/** Operand rows per i8Tile call, on every tier: it sizes the int32
+ *  sums in the shared workspace, so a tier's tile takes any rows <=
+ *  kQTileRows. */
+constexpr int64_t kQTileRows = 4;
+/** Output pixels per conv operand panel: the bound on the operand and
+ *  the unfold whatever the plane size. */
+constexpr int64_t kQPanelRows = 32;
 
 /**
- * out[M,N] i8 = requant(sum_k (a[m,k] - xZp) * w[k,n]). The weight is
- * packed K-contiguous per output column into the shard's workspace
- * ([N, K] rows), so each output is one dotI8 of two contiguous rows;
- * lane runs span kLanes output columns.
+ * One call's int8 tile workspace, carved from the shard's in this
+ * order: the int32 sums of one row block [kQTileRows][cop], the weight
+ * scales and biases per channel padded to cop (pad lanes repeat the
+ * last channel; their outputs are never stored), the packed weights
+ * [kp][cop][2], the operand [kp][rows][2] and, for a spatial conv, the
+ * i8 unfold.
+ */
+struct QTile {
+    int64_t k, kp, co, cop;
+    int32_t *acc;
+    float *sw, *bias;
+    int8_t *w;
+    int16_t *op;
+    int8_t *col;
+};
+
+/** Byte offsets of the QTile regions after the sums (which start at
+ *  0), in carve order, for @p k deep, @p co channel weights and an
+ *  operand of @p rows rows; col is where the operand ends. */
+struct QTileLayout {
+    int64_t kp, cop, sw, bias, w, op, col;
+};
+
+inline QTileLayout
+qtileLayout(int64_t k, int64_t co, int64_t rows)
+{
+    QTileLayout l;
+    l.kp = (k + 1) / 2;
+    l.cop = (co + kQChannels - 1) / kQChannels * kQChannels;
+    l.sw = 4 * kQTileRows * l.cop;
+    l.bias = l.sw + 4 * l.cop;
+    l.w = l.bias + 4 * l.cop;
+    l.op = l.w + 2 * l.kp * l.cop;
+    l.col = l.op + 4 * rows * l.kp;
+    return l;
+}
+
+/** Bytes of a QTile workspace: the qtileLayout regions and @p colBytes
+ *  of unfold. */
+inline int64_t
+qtileBytes(int64_t k, int64_t co, int64_t rows, int64_t colBytes)
+{
+    return qtileLayout(k, co, rows).col + colBytes;
+}
+
+/** Carve @p ws (sized by qtileBytes with the same @p rows) and fill
+ *  the padded per-channel scales and biases. */
+inline QTile
+qtileOf(void *ws, int64_t k, int64_t co, int64_t rows, const Requant &rq)
+{
+    QTileLayout l = qtileLayout(k, co, rows);
+    char *b = static_cast<char *>(ws);
+    QTile t;
+    t.k = k;
+    t.kp = l.kp;
+    t.co = co;
+    t.cop = l.cop;
+    t.acc = static_cast<int32_t *>(ws);
+    t.sw = reinterpret_cast<float *>(b + l.sw);
+    t.bias = reinterpret_cast<float *>(b + l.bias);
+    t.w = reinterpret_cast<int8_t *>(b + l.w);
+    t.op = reinterpret_cast<int16_t *>(b + l.op);
+    t.col = reinterpret_cast<int8_t *>(b + l.col);
+    for (int64_t j = 0; j < t.cop; ++j) {
+        int64_t ch = std::min(j, co - 1);
+        t.sw[j] = rq.wScales ? rq.wScales[ch] : rq.wScale;
+        t.bias[j] = rq.bias ? rq.bias[ch] : 0.0f;
+    }
+    return t;
+}
+
+/** Pack weight (kk, ch) = src[kk * ks + ch * cs] for kk < k, ch < co
+ *  into t.w's [kp][cop][2] pairs, the pad pair and pad channels
+ *  zero. */
+inline void
+packQWeights(const QTile &t, const int8_t *src, int64_t ks, int64_t cs)
+{
+    std::fill_n(t.w, t.kp * t.cop * 2, int8_t{0});
+    for (int64_t kk = 0; kk < t.k; ++kk) {
+        int8_t *d = t.w + (kk / 2) * t.cop * 2 + kk % 2;
+        for (int64_t ch = 0; ch < t.co; ++ch)
+            d[ch * 2] = src[kk * ks + ch * cs];
+    }
+}
+
+/** t.op's pairs for @p rows operand rows: element (kk, r) is
+ *  src[kk * ks + r * rs] - zp for kk < k, the pad pair's second half
+ *  zero. Contiguous rows (a conv's pixels) take their own
+ *  instantiation, so the compiler vectorizes the interleave. */
+inline void
+packQOperand(const QTile &t, const int8_t *src, int64_t ks, int64_t rs,
+             int64_t rows, int32_t zp)
+{
+    auto pack = [&](auto rstride) {
+        for (int64_t p = 0; p < t.kp; ++p) {
+            const int8_t *r0 = src + 2 * p * ks, *r1 = r0 + ks;
+            int16_t *d = t.op + p * rows * 2;
+            bool last = 2 * p + 1 == t.k;
+            for (int64_t r = 0; r < rows; ++r) {
+                d[2 * r] = static_cast<int16_t>(r0[r * rstride] - zp);
+                d[2 * r + 1] = last ? int16_t{0}
+                                   : static_cast<int16_t>(
+                                         r1[r * rstride] - zp);
+            }
+        }
+    };
+    if (rs == 1)
+        pack(std::integral_constant<int64_t, 1>{});
+    else
+        pack(rs);
+}
+
+/**
+ * Rows [0, rows) of t.op (packed for exactly @p rows rows) through the
+ * tier's tile, kQTileRows rows a call, each row's co outputs
+ * requantized into out[r * rs + ch * cs]:
+ * kLanes channels at a time through emitLanes (a run that is short or
+ * not contiguous goes through a scratch array), or, where emitLanes
+ * cannot match Requant::emit, output by output through it.
+ */
+template <class P>
+void
+qtileRows(const QTile &t, int64_t rows, const Requant &rq, int8_t *out,
+          int64_t rs, int64_t cs)
+{
+    constexpr int64_t L = P::kLanes;
+    bool vec = P::vectorEmitOk(rq);
+    for (int64_t i0 = 0; i0 < rows; i0 += kQTileRows) {
+        int64_t rn = std::min(kQTileRows, rows - i0);
+        P::i8Tile(t.op + i0 * 2, rows * 2, rn, t.kp, t.w, t.cop, t.acc);
+        for (int64_t r = 0; r < rn; ++r) {
+            const int32_t *s = t.acc + r * t.cop;
+            int8_t *dst = out + (i0 + r) * rs;
+            for (int64_t j = 0; j < t.co; j += L) {
+                int64_t lanes = std::min(L, t.co - j);
+                if (!vec) {
+                    for (int64_t l = 0; l < lanes; ++l)
+                        dst[(j + l) * cs] = rq.emit(s[j + l], j + l);
+                    continue;
+                }
+                int8_t y[L];
+                bool direct = cs == 1 && lanes == L;
+                P::emitLanes(P::loadI32(s + j), t.sw + j,
+                             rq.bias ? t.bias + j : nullptr, rq,
+                             direct ? dst + j : y);
+                if (!direct) {
+                    for (int64_t l = 0; l < lanes; ++l)
+                        dst[(j + l) * cs] = y[l];
+                }
+            }
+        }
+    }
+}
+
+/**
+ * out[M,N] i8 = requant(sum_k (a[m,k] - xZp) * w[k,n]) over this
+ * shard's rows, either operand stored transposed: the int8 tile with
+ * the N output columns as its channels, A's rows converted to the
+ * operand kQTileRows at a time, the output contiguous.
  */
 template <class P>
 void
 qmatmulK(const KernelCtx &c)
 {
-    constexpr int64_t L = P::kLanes;
-    int64_t k = (*c.inShapes[0])[1];
-    int64_t n = (*c.outShape)[1];
+    bool ta = attrI(c, "transA", 0) != 0;
     bool tb = attrI(c, "transB", 0) != 0;
+    int64_t m = (*c.outShape)[0], n = (*c.outShape)[1];
+    int64_t k = (*c.inShapes[0])[ta ? 0 : 1];
     const int8_t *a = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *b = reinterpret_cast<const int8_t *>(c.in[1]);
     int8_t *out = reinterpret_cast<int8_t *>(c.out);
     Requant rq = requantOf(c);
+    QTile t = qtileOf(c.workspace, k, n, kQTileRows, rq);
+    packQWeights(t, reinterpret_cast<const int8_t *>(c.in[1]),
+                 tb ? 1 : n, tb ? k : 1);
 
-    int8_t *wp = reinterpret_cast<int8_t *>(c.workspace);
-    for (int64_t j = 0; j < n; ++j) {
-        for (int64_t kk = 0; kk < k; ++kk)
-            wp[j * k + kk] = tb ? b[j * k + kk] : b[kk * n + j];
-    }
-
-    float flat_sw[L];
-    std::fill_n(flat_sw, L, rq.wScale);
-    bool vec = P::vectorEmitOk(rq);
-    int64_t m_hi = partitionEnd(c, (*c.outShape)[0]);
-    for (int64_t i = c.begin; i < m_hi; ++i) {
-        const int8_t *arow = a + i * k;
-        int8_t *orow = out + i * n;
-        int64_t j = 0;
-        for (; vec && j + L <= n; j += L) {
-            int32_t accs[L];
-            for (int64_t l = 0; l < L; ++l)
-                accs[l] = P::dotI8(arow, wp + (j + l) * k, k, rq.xZp);
-            P::emitLanes(P::loadI32(accs),
-                         rq.wScales ? rq.wScales + j : flat_sw,
-                         rq.bias ? rq.bias + j : nullptr, rq, orow + j);
-        }
-        for (; j < n; ++j)
-            orow[j] = rq.emit(P::dotI8(arow, wp + j * k, k, rq.xZp), j);
+    int64_t m_hi = partitionEnd(c, m);
+    for (int64_t i0 = c.begin; i0 < m_hi; i0 += kQTileRows) {
+        int64_t rn = std::min(kQTileRows, m_hi - i0);
+        if (ta)
+            packQOperand(t, a + i0, m, 1, rn, rq.xZp);
+        else
+            packQOperand(t, a + i0 * k, 1, k, rn, rq.xZp);
+        qtileRows<P>(t, rn, rq, out + i0 * n, n, 1);
     }
 }
 
 /**
- * int8 conv over the images of this shard: unfold into the shard's
- * i8 column buffer, whose padding cells hold the input zero-point so
- * (col - zp) is exactly zero where fp32 pads zeros, then out[co, cols]
- * = (col - zp) . w[co, k]. Lane runs span kLanes output pixels.
+ * int8 conv over the images of this shard: the int8 tile with the
+ * output channels as its channels and the output pixels as its rows,
+ * each channel's plane written cols apart, one panel of at most
+ * kQPanelRows pixels at a time. A pointwise conv builds the panel's
+ * operand straight from x; any other conv unfolds the panel into the
+ * shard's i8 column buffer, whose padding cells hold the input
+ * zero-point so (col - zp) is exactly zero where fp32 pads zeros, and
+ * builds it from that. Either source is read two k rows at a time, in
+ * order.
  */
 template <class P>
 void
 qconvK(const KernelCtx &c)
 {
-    constexpr int64_t L = P::kLanes;
     const Shape &xs = *c.inShapes[0], &ws = *c.inShapes[1];
     int64_t ci = xs[1], h = xs[2], w = xs[3];
     int64_t co = ws[0], kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
+    int64_t wo = (*c.outShape)[3];
+    int64_t k = ci * kh * kw;
+    int64_t cols = (*c.outShape)[2] * wo;
+    int64_t panel = std::min(cols, kQPanelRows);
     const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
     int8_t *out = reinterpret_cast<int8_t *>(c.out);
     Requant rq = requantOf(c);
-
-    int64_t k = ci * kh * kw;
-    int64_t cols = ho * wo;
-    int8_t *col = reinterpret_cast<int8_t *>(c.workspace);
-    int8_t zp8 = static_cast<int8_t>(rq.xZp);
+    QTile t = qtileOf(c.workspace, k, co, panel, rq);
+    packQWeights(t, reinterpret_cast<const int8_t *>(c.in[1]), 1, k);
+    bool pointwise = isPointwiseConv(ws, c.node->attrs);
     int64_t stride = attrI(c, "stride", 1), pad = attrI(c, "pad", 0);
-    bool vec = P::vectorEmitOk(rq);
 
     for (int64_t ni = c.begin; ni < partitionEnd(c, xs[0]); ++ni) {
-        im2colUnfold(x + ni * ci * h * w, col, ci, h, w, kh, kw, wo,
-                     stride, pad, zp8, int64_t{0}, cols);
+        const int8_t *xn = x + ni * ci * h * w;
         int8_t *on = out + ni * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            const int8_t *wrow = wt + o * k;
-            int8_t *dst = on + o * cols;
-            ChannelLanes<L> lanes(rq, o);
-            int64_t j = 0;
-            for (; vec && j + L <= cols; j += L) {
-                auto acc = P::zeroI32();
-                for (int64_t kk = 0; kk < k; ++kk)
-                    acc = P::macI8(acc, col + kk * cols + j, rq.xZp,
-                                   wrow[kk]);
-                P::emitLanes(acc, lanes.sw, lanes.bias(), rq, dst + j);
+        for (int64_t q0 = 0; q0 < cols; q0 += panel) {
+            int64_t pw = std::min(panel, cols - q0);
+            const int8_t *src = xn + q0;
+            int64_t ld = cols;
+            if (!pointwise) {
+                im2colUnfold(xn, t.col, ci, h, w, kh, kw, wo, stride, pad,
+                             static_cast<int8_t>(rq.xZp), q0, q0 + pw);
+                src = t.col;
+                ld = pw;
             }
-            for (; j < cols; ++j) {
-                int32_t acc = 0;
-                for (int64_t kk = 0; kk < k; ++kk)
-                    acc += (static_cast<int32_t>(col[kk * cols + j]) -
-                            rq.xZp) *
-                           static_cast<int32_t>(wrow[kk]);
-                dst[j] = rq.emit(acc, o);
-            }
+            packQOperand(t, src, ld, 1, pw, rq.xZp);
+            qtileRows<P>(t, pw, rq, on + q0, 1, cols);
         }
     }
 }

@@ -4,11 +4,13 @@
  * requantization) plus the f32<->f16 storage casts.
  *
  * Two tiers per quant compute op:
- *  - "int8": the real integer kernel. GEMM packs the i8 weight panel
- *    into a per-shard workspace (contiguous K-major rows, like the
- *    blocked fp32 GEMM's packed-B panel); conv uses a per-image i8
- *    im2col column buffer whose padding cells hold the input
- *    zero-point, so (col - zp) vanishes exactly where fp32 would pad
+ *  - "int8": the real integer kernel. GEMM and conv share one int8
+ *    register tile with its lanes across output channels: the weights
+ *    are packed per call into int8 pairs in the shard's workspace,
+ *    and the activations become an int16 operand holding x - zp —
+ *    A's rows, a pointwise conv's pixels read straight from x, or the
+ *    pixels of an i8 im2col unfold whose padding cells hold the input
+ *    zero-point, so (x - zp) vanishes exactly where fp32 would pad
  *    zeros. Both accumulate in int32 and requantize per output
  *    channel.
  *  - "" (default): a dequant->fp32->requant reference kernel that
@@ -35,7 +37,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "ir/infer.h"
 #include "kernels/kernel.h"
 #include "kernels/kernel_bodies.h"
 #include "quant/quant.h"
@@ -180,27 +181,29 @@ qreluK(const KernelCtx &c)
 // (kernel_bodies.h), shared with the SIMD tiers; these are their
 // scratch declarations, inherited by every tier variant.
 
-/** Packed i8 weight panel of the int8 GEMM ([N, K] rows). */
+/** The int8 tile workspace of the GEMM: K x N packed weights and
+ *  one row block of operand (kutil::QTile). */
 WorkspaceSpec
 qmatmulWorkspace(const Graph &g, const Node &n)
 {
+    const Shape &a = g.node(n.inputs[0]).shape;
+    int64_t k = a[n.attrs.getInt("transA", 0) != 0 ? 0 : 1];
     WorkspaceSpec spec;
-    spec.bytesPerShard = numel(g.node(n.inputs[1]).shape);
+    spec.bytesPerShard = kutil::qtileBytes(k, n.shape[1], kutil::kQTileRows, 0);
     return spec;
 }
 
-/** Per-image i8 im2col column buffer of the int8 conv. */
+/** The int8 tile workspace of the conv: packed weights, one pixel
+ *  panel's operand and, unless the conv is pointwise, its i8 unfold. */
 WorkspaceSpec
 qconvWorkspace(const Graph &g, const Node &n)
 {
-    const Shape &x = g.node(n.inputs[0]).shape;
     const Shape &w = g.node(n.inputs[1]).shape;
-    int64_t stride = n.attrs.getInt("stride", 1);
-    int64_t pad = n.attrs.getInt("pad", 0);
+    int64_t k = w[1] * w[2] * w[3];
+    int64_t panel = std::min(n.shape[2] * n.shape[3], kutil::kQPanelRows);
     WorkspaceSpec spec;
-    spec.bytesPerShard = x[1] * w[2] * w[3] *
-                         convOutDim(x[2], w[2], stride, pad) *
-                         convOutDim(x[3], w[3], stride, pad);
+    spec.bytesPerShard = kutil::qtileBytes(
+        k, w[0], panel, isPointwiseConv(w, n.attrs) ? 0 : k * panel);
     return spec;
 }
 

@@ -7,7 +7,10 @@
  * gradients, the packed depthwise forward (fused or not) and input
  * gradient, FusedAttention and the int8 GEMM, conv and depthwise
  * kernels. The bodies, partition domains and workspaces are the scalar
- * bases' own.
+ * bases' own. The int8 GEMM and conv share one register tile
+ * (i8Tile): up to 4 operand rows by 24 output channels of int32
+ * accumulators, each step one madd_epi16 of a broadcast int16 pair
+ * against 8 channels' packed weight pairs.
  *
  * Numerics contract (README "Kernel tiers"):
  *  - int8 kernels are BIT-EXACT to the scalar "int8" tier: int32
@@ -64,16 +67,6 @@ hsumPs(__m256 v)
     s = _mm_add_ps(s, _mm_movehl_ps(s, s));
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
     return _mm_cvtss_f32(s);
-}
-
-int32_t
-hsumEpi32(__m256i v)
-{
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtsi128_si32(s);
 }
 
 struct Avx2Lanes {
@@ -240,27 +233,76 @@ struct Avx2Lanes {
         return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
     }
 
-    static int32_t
-    dotI8(const int8_t *a, const int8_t *w, int64_t k, int32_t zp)
+    /**
+     * The R x (C ymm of 8 channels) int8 micro-tile: R * C int32
+     * accumulators live across the kp-step pair loop; each pair loads
+     * and widens C groups of 8 channels' weight pairs once and reuses
+     * each across R broadcasts of a row's (a[2p], a[2p + 1]), one madd
+     * (two exact 16-bit products summed into 32 bits) and one add per
+     * accumulator.
+     */
+    template <int R, int C>
+    static void
+    i8Micro(const int16_t *a, int64_t aps, int64_t kp, const int8_t *w,
+            int64_t ldw, int32_t *acc, int64_t ldc)
     {
-        __m256i acc = _mm256_setzero_si256();
-        __m256i zp16 = _mm256_set1_epi16(static_cast<short>(zp));
-        int64_t kk = 0;
-        for (; kk + 16 <= k; kk += 16) {
-            __m256i a16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(a + kk)));
-            __m256i w16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(w + kk)));
-            // (a - zp) fits i16 ([-255, 255]); each i16*i16 product
-            // fits madd's i32 lanes with no overflow.
-            acc = _mm256_add_epi32(
-                acc, _mm256_madd_epi16(_mm256_sub_epi16(a16, zp16), w16));
+        __m256i s[R][C];
+        for (int r = 0; r < R; ++r)
+            for (int c = 0; c < C; ++c)
+                s[r][c] = _mm256_setzero_si256();
+        for (int64_t p = 0; p < kp; ++p, a += aps, w += ldw) {
+            __m256i wv[C];
+            for (int c = 0; c < C; ++c)
+                wv[c] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(w + c * 16)));
+            for (int r = 0; r < R; ++r) {
+                int32_t pair;
+                std::memcpy(&pair, a + 2 * r, sizeof pair);
+                __m256i av = _mm256_set1_epi32(pair);
+                for (int c = 0; c < C; ++c)
+                    s[r][c] = _mm256_add_epi32(
+                        s[r][c], _mm256_madd_epi16(av, wv[c]));
+            }
         }
-        int32_t s = hsumEpi32(acc);
-        for (; kk < k; ++kk)
-            s += (static_cast<int32_t>(a[kk]) - zp) *
-                 static_cast<int32_t>(w[kk]);
-        return s;
+        for (int r = 0; r < R; ++r)
+            for (int c = 0; c < C; ++c)
+                _mm256_storeu_si256(
+                    reinterpret_cast<__m256i *>(acc + r * ldc + c * 8),
+                    s[r][c]);
+    }
+
+    /** R rows across cols channels (a multiple of 8): 24-channel steps
+     *  (12 accumulators, 3 weight loads and a broadcast: the 16 ymm
+     *  registers at R = 4), then a 16 or 8 channel remainder. */
+    template <int R>
+    static void
+    i8Sweep(const int16_t *a, int64_t aps, int64_t kp, const int8_t *w,
+            int64_t cols, int32_t *acc)
+    {
+        int64_t j = 0;
+        for (; j + 24 <= cols; j += 24)
+            i8Micro<R, 3>(a, aps, kp, w + 2 * j, 2 * cols, acc + j, cols);
+        if (j + 16 <= cols)
+            i8Micro<R, 2>(a, aps, kp, w + 2 * j, 2 * cols, acc + j, cols);
+        else if (j < cols)
+            i8Micro<R, 1>(a, aps, kp, w + 2 * j, 2 * cols, acc + j, cols);
+    }
+
+    static void
+    i8Tile(const int16_t *a, int64_t aps, int64_t rows, int64_t kp,
+           const int8_t *w, int64_t cols, int32_t *acc)
+    {
+        static_assert(kutil::kQTileRows == 4, "one case per row count");
+        switch (rows) {
+        case 4:
+            return i8Sweep<4>(a, aps, kp, w, cols, acc);
+        case 3:
+            return i8Sweep<3>(a, aps, kp, w, cols, acc);
+        case 2:
+            return i8Sweep<2>(a, aps, kp, w, cols, acc);
+        default:
+            return i8Sweep<1>(a, aps, kp, w, cols, acc);
+        }
     }
 
     static constexpr int64_t kLanes = 8;
@@ -272,17 +314,6 @@ struct Avx2Lanes {
     loadI32(const int32_t *p)
     {
         return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-    }
-
-    static I32
-    macI8(I32 acc, const int8_t *x, int32_t zp, int32_t w)
-    {
-        __m256i xv = _mm256_cvtepi8_epi32(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(x)));
-        return _mm256_add_epi32(
-            acc, _mm256_mullo_epi32(
-                     _mm256_sub_epi32(xv, _mm256_set1_epi32(zp)),
-                     _mm256_set1_epi32(w)));
     }
 
     static I32
@@ -306,7 +337,7 @@ struct Avx2Lanes {
 
     /** Requant::emit's float sequence, elementwise: i32->f32, mul,
      *  mul, optional bias add, relu max, IEEE div, add, clamp,
-     *  round-nearest-even. */
+     *  round-nearest-even; the 8 codes are stored in one write. */
     static void
     emitLanes(I32 acc, const float *sw, const float *bias,
               const Requant &rq, int8_t *dst)
@@ -323,11 +354,13 @@ struct Avx2Lanes {
             _mm256_set1_ps(static_cast<float>(rq.yZp)));
         q = _mm256_max_ps(q, _mm256_set1_ps(-128.0f));
         q = _mm256_min_ps(q, _mm256_set1_ps(127.0f));
-        alignas(32) int32_t lanes[8];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lanes),
-                           _mm256_cvtps_epi32(q));
-        for (int i = 0; i < 8; ++i)
-            dst[i] = static_cast<int8_t>(lanes[i]);
+        // The codes are in [-128, 127], so the saturating packs only
+        // narrow them.
+        __m256i v = _mm256_cvtps_epi32(q);
+        __m128i v16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                      _mm256_extracti128_si256(v, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(dst),
+                         _mm_packs_epi16(v16, v16));
     }
 };
 

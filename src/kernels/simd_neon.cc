@@ -7,7 +7,8 @@
  * Conv2dBwdInput and Conv2dBwdWeight, packed DwConv2d, DwConvBiasAct
  * and DwConv2dBwdInput, FusedAttention, int8 GEMM, conv and
  * depthwise), with the scalar bases' bodies, partition domains and
- * workspaces.
+ * workspaces. The int8 GEMM and conv tile (i8Tile) is the scalar
+ * tier's own loop; the NEON lanes requantize its sums.
  *
  * NEON is a compile-time baseline on ARM (__ARM_NEON), so this TU
  * needs no special flags; it compiles empty elsewhere. The numerics
@@ -45,18 +46,6 @@ hsumF32(float32x4_t v)
     float32x2_t s = vadd_f32(vget_low_f32(v), vget_high_f32(v));
     s = vpadd_f32(s, s);
     return vget_lane_f32(s, 0);
-#endif
-}
-
-int32_t
-hsumS32(int32x4_t v)
-{
-#if defined(__aarch64__)
-    return vaddvq_s32(v);
-#else
-    int32x2_t s = vadd_s32(vget_low_s32(v), vget_high_s32(v));
-    s = vpadd_s32(s, s);
-    return vget_lane_s32(s, 0);
 #endif
 }
 
@@ -138,23 +127,14 @@ struct NeonLanes {
                 vaddq_f32(acc.hi, vmulq_f32(a.hi, b.hi))};
     }
 
-    static int32_t
-    dotI8(const int8_t *a, const int8_t *w, int64_t k, int32_t zp)
+    /** The scalar tier's int8 tile: a vmlal_s16 form waits for an ARM
+     *  host to measure it on. emitLanes requantizes its sums 4
+     *  channels at a time. */
+    static void
+    i8Tile(const int16_t *a, int64_t aps, int64_t rows, int64_t kp,
+           const int8_t *w, int64_t cols, int32_t *acc)
     {
-        int32x4_t acc = vdupq_n_s32(0);
-        int16x8_t zp16 = vdupq_n_s16(static_cast<int16_t>(zp));
-        int64_t kk = 0;
-        for (; kk + 8 <= k; kk += 8) {
-            int16x8_t a16 = vsubq_s16(vmovl_s8(vld1_s8(a + kk)), zp16);
-            int16x8_t w16 = vmovl_s8(vld1_s8(w + kk));
-            acc = vmlal_s16(acc, vget_low_s16(a16), vget_low_s16(w16));
-            acc = vmlal_s16(acc, vget_high_s16(a16), vget_high_s16(w16));
-        }
-        int32_t s = hsumS32(acc);
-        for (; kk < k; ++kk)
-            s += (static_cast<int32_t>(a[kk]) - zp) *
-                 static_cast<int32_t>(w[kk]);
-        return s;
+        kutil::ScalarLanes::i8Tile(a, aps, rows, kp, w, cols, acc);
     }
 
     static constexpr int64_t kLanes = 4;
@@ -162,17 +142,6 @@ struct NeonLanes {
 
     static I32 zeroI32() { return vdupq_n_s32(0); }
     static I32 loadI32(const int32_t *p) { return vld1q_s32(p); }
-
-    /** Widens exactly 4 int8 values: never reads past x[3]. */
-    static I32
-    macI8(I32 acc, const int8_t *x, int32_t zp, int32_t w)
-    {
-        int32_t bits;
-        std::memcpy(&bits, x, 4);
-        int8x8_t v = vreinterpret_s8_s32(vdup_n_s32(bits));
-        int32x4_t xv = vmovl_s16(vget_low_s16(vmovl_s8(v)));
-        return vmlaq_n_s32(acc, vsubq_s32(xv, vdupq_n_s32(zp)), w);
-    }
 
     /** Per-lane weights: widens exactly 4 int8 values of each. */
     static I32

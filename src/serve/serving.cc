@@ -1012,8 +1012,9 @@ ServingEngine::runGroup(
         // generation, and mask row, 0 through gen and kMaskedScore
         // after: deep enough that exp() underflows to exact 0.0f. A
         // pad row is a generation-0 row, so attention scans one
-        // column for it, not maxSeq; pad slots write a cache row and
-        // count as dirty to maxSeq.
+        // column for it, not maxSeq. A pad slot's run writes only its
+        // cache row 0, so the slot stays dirty to where it was, or to
+        // row 1.
         if (bk.decode) {
             for (int64_t r = 0; r < bk.batch; ++r) {
                 const int64_t gen =
@@ -1024,8 +1025,9 @@ ServingEngine::runGroup(
                 std::fill(mask, mask + gen + 1, 0.0f);
                 std::fill(mask + gen + 1, mask + maxSeq_, kMaskedScore);
             }
-            std::fill(ws.dirty.begin() + totalRows, ws.dirty.end(),
-                      maxSeq_);
+            for (auto d = ws.dirty.begin() + totalRows; d != ws.dirty.end();
+                 ++d)
+                *d = std::max<int64_t>(*d, 1);
         }
 
         runStartNs = traceNowNs();

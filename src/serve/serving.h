@@ -592,8 +592,8 @@ class ServingEngine
         std::unique_ptr<ExecContext> ctx;
         /** Decode buckets only, one entry per stream slot: rows at
          *  and past it are zero in every cache value of the slot. A
-         *  member leaves gen + 1; pad slots and failed runs leave
-         *  maxSeq. */
+         *  member leaves gen + 1 and a failed run maxSeq; a pad
+         *  slot keeps its mark, or 1 (its run writes only row 0). */
         std::vector<int64_t> dirty;
     };
 

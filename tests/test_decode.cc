@@ -968,6 +968,54 @@ TEST(DecodeStreams, CacheBytesCopiedFollowTokensNotMaxSeq)
               std::string::npos);
 }
 
+/** Decode runs, summed over the decode buckets. */
+int64_t
+decodeRuns(const ServeStats &st)
+{
+    int64_t runs = 0;
+    for (const BucketStats &bs : st.buckets)
+        runs += bs.decode ? bs.runs : 0;
+    return runs;
+}
+
+/** A pad row is a generation-0 row: it writes only row 0 of its slot,
+ *  so a padded run leaves its pad slots dirty to row 1, not maxSeq.
+ *  Stream a decodes alone on the bucket-4 engine (3 pad slots), then
+ *  a, b, c and d share one step: it gathers each member's rows
+ *  [0, gen) and re-zeroes nothing, whatever maxSeq is. */
+TEST(DecodeStreams, PadSlotsStayDirtyOnlyToTheRowTheyWrite)
+{
+    DecoderConfig cfg = smallCfg();
+    cfg.maxSeq = 64;
+    GenEngine ge = makeGenEngine(20000, 1, Precision::F32, cfg);
+    ServingEngine &e = *ge.engine;
+    std::vector<ServingEngine::StreamId> sids;
+    for (int s = 0; s < 4; ++s) {
+        sids.push_back(e.openStream());
+        e.wait(e.submitPrefill(sids.back(),
+                               {{"x", tokenRows({1, 2, 3, 4})}}));
+    }
+    e.wait(e.submitDecode(sids[0], {{"x", tokenRows({5})}})); // 3 pad rows
+
+    const ServeStats before = e.stats();
+    std::vector<ServingEngine::RequestId> rids;
+    for (auto sid : sids)
+        rids.push_back(e.submitDecode(sid, {{"x", tokenRows({6})}}));
+    for (auto rid : rids)
+        e.wait(rid);
+    const ServeStats after = e.stats();
+    ASSERT_EQ(decodeRuns(after), decodeRuns(before) + 1)
+        << "the four decode steps did not share one run";
+
+    // Gathered: stream a at generation 5 (its slot dirty to 5), b, c
+    // and d at 4 over pad slots dirty to 1; then one row scattered per
+    // member. Pad slots marked dirty to maxSeq would add 3 x 60 rows.
+    const int64_t rowBytes = cfg.layers * 2 * cfg.dim *
+                             static_cast<int64_t>(sizeof(float));
+    EXPECT_EQ(after.cacheBytesCopied - before.cacheBytesCopied,
+              (5 + 4 + 4 + 4 + 4) * rowBytes);
+}
+
 // ---- 6. multi-head fused attention -----------------------------------
 //
 // The fused-attention contract, head count by head count:

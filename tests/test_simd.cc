@@ -1031,7 +1031,7 @@ checkQConvBitExact(OpKind op, int64_t ch, int64_t hw, int64_t k,
 {
     std::string sfx = hostSuffix();
     bool dw = op == OpKind::QuantDwConv2d;
-    int64_t N = 2, Co = dw ? ch : ch + 1;
+    int64_t N = 2, Co = dw ? ch : 4 * ch + 1;
     Tensor x = Tensor::uniform({N, ch, hw, hw}, rng, -1.0f, 1.0f);
     Shape wshape = dw ? Shape{ch, 1, k, k} : Shape{Co, ch, k, k};
     Tensor w = Tensor::uniform(wshape, rng, -0.6f, 0.6f);
@@ -1120,6 +1120,71 @@ TEST(SimdParity, Int8ConvAndDepthwiseBitExact)
     }
 }
 
+/** The fixed quantization of the int32-loop reference tests: the node
+ *  attrs and the kutil::Requant they describe. */
+struct Int8RefQuant {
+    int64_t act;
+    bool withBias, perChannel;
+
+    Attrs
+    attrs() const
+    {
+        Attrs at;
+        at.set("act", act);
+        at.set("hasBias", static_cast<int64_t>(withBias));
+        at.set("perChannel", static_cast<int64_t>(perChannel));
+        at.set("xScale", 0.02);
+        at.set("xZp", static_cast<int64_t>(-7));
+        at.set("wScale", 0.003);
+        at.set("yScale", 0.05);
+        at.set("yZp", static_cast<int64_t>(4));
+        return at;
+    }
+
+    kutil::Requant
+    requant(const float *bias, const float *scales) const
+    {
+        kutil::Requant rq;
+        rq.xScale = 0.02f;
+        rq.wScale = 0.003f;
+        rq.yScale = 0.05f;
+        rq.xZp = -7;
+        rq.yZp = 4;
+        rq.act = act;
+        rq.bias = withBias ? bias : nullptr;
+        rq.wScales = perChannel ? scales : nullptr;
+        return rq;
+    }
+};
+
+/** Node @p node of @p g run on "int8" and, on a SIMD host, on this
+ *  host's int8 tier over @p data must write @p want code for code. */
+void
+expectInt8Codes(const Graph &g, int node,
+                const std::vector<const float *> &data,
+                const std::vector<int8_t> &want)
+{
+    std::vector<std::string> variants = {"int8"};
+    if (!hostSuffix().empty())
+        variants.push_back("int8" + hostSuffix());
+    const Node &nd = g.node(node);
+    for (const std::string &v : variants) {
+        I8Buf got(numel(nd.shape));
+        KernelCtx c;
+        c.node = &nd;
+        c.in = data;
+        for (int in : nd.inputs)
+            c.inShapes.push_back(&g.node(in).shape);
+        c.out = got.asF32Mut();
+        c.outShape = &nd.shape;
+        DirectWorkspace ws;
+        ws.attach(c, g, nd, v);
+        lookupKernel(nd.op, v)(c);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+            << v;
+    }
+}
+
 TEST(SimdParity, Int8DepthwiseMatchesInt32LoopExactly)
 {
     // The packed int8 depthwise, scalar and on this host's tier, equals
@@ -1128,9 +1193,6 @@ TEST(SimdParity, Int8DepthwiseMatchesInt32LoopExactly)
     // block, planes 1x1 to 9x9 and a 37x37 one packed in two bands,
     // k 3/5/7, stride 1/2, pad 0 and k/2, with and without bias and
     // per-channel scales, none/relu/gelu.
-    std::vector<std::string> variants = {"int8"};
-    if (!hostSuffix().empty())
-        variants.push_back("int8" + hostSuffix());
     Rng rng(107);
     int cases = 0;
     for (int64_t ch : {1, 7, 8, 9, 60})
@@ -1140,15 +1202,15 @@ TEST(SimdParity, Int8DepthwiseMatchesInt32LoopExactly)
     for (int64_t pad : {int64_t{0}, k / 2}) {
         if (hw + 2 * pad < k)
             continue;
-        int64_t act = (cases % 3 == 0)   ? kActNone
-                      : (cases % 3 == 1) ? kActRelu
-                                         : kActGelu;
-        bool with_bias = cases % 2 == 0, per_channel = cases % 4 < 2;
+        Int8RefQuant q{cases % 3 == 0   ? kActNone
+                       : cases % 3 == 1 ? kActRelu
+                                        : kActGelu,
+                       cases % 2 == 0, cases % 4 < 2};
         ++cases;
         SCOPED_TRACE("ch " + std::to_string(ch) + " hw " +
                      std::to_string(hw) + " k " + std::to_string(k) +
                      " s " + std::to_string(stride) + " p " +
-                     std::to_string(pad) + " act " + std::to_string(act));
+                     std::to_string(pad) + " act " + std::to_string(q.act));
         int64_t N = 2;
         I8Buf qx(N * ch * hw * hw), qw(ch * k * k);
         for (int64_t i = 0; i < N * ch * hw * hw; ++i)
@@ -1161,46 +1223,25 @@ TEST(SimdParity, Int8DepthwiseMatchesInt32LoopExactly)
             scales[c] = rng.uniform(0.001f, 0.004f);
         }
         Graph g;
-        int ix = g.input({N, ch, hw, hw}, "x");
-        int iw = g.input({ch, 1, k, k}, "w");
-        int ib = g.input({ch, 1, 1}, "b");
-        int is = g.input({ch}, "s");
-        Attrs at;
-        at.set("stride", stride);
-        at.set("pad", pad);
-        at.set("act", act);
-        at.set("hasBias", static_cast<int64_t>(with_bias));
-        at.set("perChannel", static_cast<int64_t>(per_channel));
-        at.set("xScale", 0.02);
-        at.set("xZp", static_cast<int64_t>(-7));
-        at.set("wScale", 0.003);
-        at.set("yScale", 0.05);
-        at.set("yZp", static_cast<int64_t>(4));
-        std::vector<int> inputs = {ix, iw};
+        std::vector<int> inputs = {g.input({N, ch, hw, hw}, "x"),
+                                   g.input({ch, 1, k, k}, "w")};
         std::vector<const float *> data = {qx.asF32(), qw.asF32()};
-        if (with_bias) {
-            inputs.push_back(ib);
+        if (q.withBias) {
+            inputs.push_back(g.input({ch, 1, 1}, "b"));
             data.push_back(bias.data());
         }
-        if (per_channel) {
-            inputs.push_back(is);
+        if (q.perChannel) {
+            inputs.push_back(g.input({ch}, "s"));
             data.push_back(scales.data());
         }
+        Attrs at = q.attrs();
+        at.set("stride", stride);
+        at.set("pad", pad);
         int node = g.add(OpKind::QuantDwConv2d, inputs, std::move(at));
-        const Node &nd = g.node(node);
-        int64_t ho = nd.shape[2], wo = nd.shape[3];
-        int64_t out_n = numel(nd.shape);
+        int64_t ho = g.node(node).shape[2], wo = g.node(node).shape[3];
 
-        kutil::Requant rq;
-        rq.xScale = 0.02f;
-        rq.wScale = 0.003f;
-        rq.yScale = 0.05f;
-        rq.xZp = -7;
-        rq.yZp = 4;
-        rq.act = act;
-        rq.bias = with_bias ? bias.data() : nullptr;
-        rq.wScales = per_channel ? scales.data() : nullptr;
-        std::vector<int8_t> want(static_cast<size_t>(out_n));
+        kutil::Requant rq = q.requant(bias.data(), scales.data());
+        std::vector<int8_t> want(static_cast<size_t>(N * ch * ho * wo));
         const int8_t *x = qx.data(), *w = qw.data();
         for (int64_t n = 0; n < N; ++n)
         for (int64_t c = 0; c < ch; ++c)
@@ -1220,23 +1261,156 @@ TEST(SimdParity, Int8DepthwiseMatchesInt32LoopExactly)
             }
             want[((n * ch + c) * ho + i) * wo + j] = rq.emit(acc, c);
         }
-        for (const std::string &v : variants) {
-            I8Buf got(out_n);
-            KernelCtx c;
-            c.node = &nd;
-            c.in = data;
-            for (int in : inputs)
-                c.inShapes.push_back(&g.node(in).shape);
-            c.out = got.asF32Mut();
-            c.outShape = &nd.shape;
-            DirectWorkspace ws;
-            ws.attach(c, g, nd, v);
-            lookupKernel(OpKind::QuantDwConv2d, v)(c);
-            EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                  static_cast<size_t>(out_n)),
-                      0)
-                << v;
+        expectInt8Codes(g, node, data, want);
+    }
+    EXPECT_GT(cases, 200);
+}
+
+TEST(SimdParity, Int8ConvMatchesInt32LoopExactly)
+{
+    // The int8 conv tile, scalar and on this host's tier, equals a
+    // plain int32 loop over each output's in-bounds taps requantized by
+    // Requant::emit, code for code: output channels around each 8-lane
+    // group and past the 24-channel step, planes 1x1 to 9x9 (pixel
+    // counts that are not multiples of the 4-row block), pointwise
+    // convs with even and odd k (an odd k leaves a zero pad pair), a
+    // 3x3 pad-1 conv and the 3x3 stride-2 pad-1 stem, with and without
+    // bias and per-channel scales, none/relu/gelu.
+    struct S {
+        int64_t ci, k, stride, pad;
+    };
+    Rng rng(108);
+    int cases = 0;
+    for (int64_t co : {1, 7, 8, 9, 12, 17, 20, 36, 60})
+    for (S s : {S{8, 1, 1, 0}, S{7, 1, 1, 0}, S{3, 3, 2, 1}, S{2, 3, 1, 1}})
+    for (int64_t hw : {1, 2, 3, 4, 5, 7, 9}) {
+        Int8RefQuant q{cases % 3 == 0   ? kActNone
+                       : cases % 3 == 1 ? kActRelu
+                                        : kActGelu,
+                       cases % 2 == 0, cases % 4 < 2};
+        ++cases;
+        SCOPED_TRACE("co " + std::to_string(co) + " ci " +
+                     std::to_string(s.ci) + " k " + std::to_string(s.k) +
+                     " s " + std::to_string(s.stride) + " hw " +
+                     std::to_string(hw) + " act " + std::to_string(q.act));
+        int64_t N = 2, ci = s.ci, k = s.k;
+        I8Buf qx(N * ci * hw * hw), qw(co * ci * k * k);
+        for (int64_t i = 0; i < N * ci * hw * hw; ++i)
+            qx.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        for (int64_t i = 0; i < co * ci * k * k; ++i)
+            qw.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        std::vector<float> bias(co), scales(co);
+        for (int64_t c = 0; c < co; ++c) {
+            bias[c] = rng.uniform(-0.5f, 0.5f);
+            scales[c] = rng.uniform(0.001f, 0.004f);
         }
+        Graph g;
+        std::vector<int> inputs = {g.input({N, ci, hw, hw}, "x"),
+                                   g.input({co, ci, k, k}, "w")};
+        std::vector<const float *> data = {qx.asF32(), qw.asF32()};
+        if (q.withBias) {
+            inputs.push_back(g.input({co, 1, 1}, "b"));
+            data.push_back(bias.data());
+        }
+        if (q.perChannel) {
+            inputs.push_back(g.input({co}, "s"));
+            data.push_back(scales.data());
+        }
+        Attrs at = q.attrs();
+        at.set("stride", s.stride);
+        at.set("pad", s.pad);
+        int node = g.add(OpKind::QuantConv2d, inputs, std::move(at));
+        int64_t ho = g.node(node).shape[2], wo = g.node(node).shape[3];
+
+        kutil::Requant rq = q.requant(bias.data(), scales.data());
+        std::vector<int8_t> want(static_cast<size_t>(N * co * ho * wo));
+        const int8_t *x = qx.data(), *w = qw.data();
+        for (int64_t n = 0; n < N; ++n)
+        for (int64_t o = 0; o < co; ++o)
+        for (int64_t i = 0; i < ho; ++i)
+        for (int64_t j = 0; j < wo; ++j) {
+            int32_t acc = 0;
+            for (int64_t c = 0; c < ci; ++c)
+            for (int64_t a = 0; a < k; ++a)
+            for (int64_t b = 0; b < k; ++b) {
+                int64_t ih = i * s.stride - s.pad + a;
+                int64_t iw = j * s.stride - s.pad + b;
+                if (ih < 0 || ih >= hw || iw < 0 || iw >= hw)
+                    continue;
+                acc += (x[((n * ci + c) * hw + ih) * hw + iw] - rq.xZp) *
+                       w[((o * ci + c) * k + a) * k + b];
+            }
+            want[((n * co + o) * ho + i) * wo + j] = rq.emit(acc, o);
+        }
+        expectInt8Codes(g, node, data, want);
+    }
+    EXPECT_GT(cases, 200);
+}
+
+TEST(SimdParity, Int8GemmMatchesInt32LoopExactly)
+{
+    // The int8 GEMM tile, scalar and on this host's tier, equals a
+    // plain int32 loop requantized by Requant::emit, code for code:
+    // output columns around each 8-lane group and past the 24-column
+    // step, row counts around the 4-row block, even and odd k, every
+    // transA / transB layout, with and without bias and per-channel
+    // scales, none/relu/gelu.
+    Rng rng(109);
+    int cases = 0;
+    for (int64_t n : {1, 7, 8, 9, 12, 17, 20, 36, 60})
+    for (int64_t m : {1, 4, 5, 11})
+    for (int64_t k : {1, 6, 17, 40})
+    for (bool ta : {false, true})
+    for (bool tb : {false, true}) {
+        Int8RefQuant q{cases % 3 == 0   ? kActNone
+                       : cases % 3 == 1 ? kActRelu
+                                        : kActGelu,
+                       cases % 2 == 0, cases % 4 < 2};
+        ++cases;
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n) + " transA " + std::to_string(ta) +
+                     " transB " + std::to_string(tb) + " act " +
+                     std::to_string(q.act));
+        I8Buf qa(m * k), qb(k * n);
+        for (int64_t i = 0; i < m * k; ++i)
+            qa.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        for (int64_t i = 0; i < k * n; ++i)
+            qb.data()[i] = static_cast<int8_t>(rng.randint(256) - 128);
+        std::vector<float> bias(n), scales(n);
+        for (int64_t j = 0; j < n; ++j) {
+            bias[j] = rng.uniform(-0.5f, 0.5f);
+            scales[j] = rng.uniform(0.001f, 0.004f);
+        }
+        Graph g;
+        std::vector<int> inputs = {
+            g.input(ta ? Shape{k, m} : Shape{m, k}, "a"),
+            g.input(tb ? Shape{n, k} : Shape{k, n}, "b")};
+        std::vector<const float *> data = {qa.asF32(), qb.asF32()};
+        if (q.withBias) {
+            inputs.push_back(g.input({n}, "bias"));
+            data.push_back(bias.data());
+        }
+        if (q.perChannel) {
+            inputs.push_back(g.input({n}, "s"));
+            data.push_back(scales.data());
+        }
+        Attrs at = q.attrs();
+        at.set("transA", static_cast<int64_t>(ta));
+        at.set("transB", static_cast<int64_t>(tb));
+        int node = g.add(OpKind::QuantMatMul, inputs, std::move(at));
+
+        kutil::Requant rq = q.requant(bias.data(), scales.data());
+        std::vector<int8_t> want(static_cast<size_t>(m * n));
+        const int8_t *a = qa.data(), *b = qb.data();
+        for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j) {
+            int32_t acc = 0;
+            for (int64_t kk = 0; kk < k; ++kk)
+                acc += ((ta ? a[kk * m + i] : a[i * k + kk]) - rq.xZp) *
+                       (tb ? b[j * k + kk] : b[kk * n + j]);
+            want[i * n + j] = rq.emit(acc, j);
+        }
+        expectInt8Codes(g, node, data, want);
     }
     EXPECT_GT(cases, 200);
 }
